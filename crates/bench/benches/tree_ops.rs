@@ -53,15 +53,6 @@ fn bench_queries(c: &mut Criterion) {
                 total
             })
         });
-        group.bench_with_input(BenchmarkId::new("par", kind), &queries, |b, queries| {
-            b.iter(|| {
-                let mut total = 0u64;
-                for q in queries {
-                    total = total.wrapping_add(store.query_par(q).count);
-                }
-                total
-            })
-        });
     }
     group.finish();
 }

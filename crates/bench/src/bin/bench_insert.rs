@@ -74,7 +74,7 @@ fn main() {
     let best = rows.last().expect("at least one size measured");
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"insert_item_vs_batch\",\n");
-    json.push_str(&format!("  \"cores\": {cores},\n  \"threads\": 1,\n"));
+    json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(&format!(
         "  {},\n",
         env.headline("batch_per_s", best.batch_per_s.round(), true)

@@ -14,8 +14,7 @@
 //!
 //! `--check` turns the run into a CI gate with thresholds deliberately
 //! softer than the acceptance numbers so shared-runner noise does not flake
-//! the build; `--threads N` sizes the global pool (the scans here are
-//! single-threaded, but the knob keeps the bench bins uniform).
+//! the build.
 
 use std::time::Instant;
 
@@ -142,8 +141,8 @@ fn bench_rollup_vs_leafscan() -> (f64, f64) {
 
 fn main() {
     let env = BenchEnv::setup("bench_scan");
-    let (cores, threads, check) = (env.cores, env.threads, env.check);
-    println!("# scan_packed_and_rollup ({cores} cores, {threads} threads, best of {ROUNDS})");
+    let (cores, check) = (env.cores, env.check);
+    println!("# scan_packed_and_rollup ({cores} cores, best of {ROUNDS})");
 
     let (raw_mrows, packed_mrows, stats) = bench_packed_vs_raw();
     let packed_speedup = packed_mrows / raw_mrows;
@@ -163,7 +162,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"scan_packed_and_rollup\",\n  \"cores\": {cores},\n  \
-         \"threads\": {threads},\n  {},\n  \"rows\": {ROWS},\n  \"results\": {{\n    \
+         {},\n  \"rows\": {ROWS},\n  \"results\": {{\n    \
          \"raw_mrows_per_s\": {raw_mrows:.1},\n    \
          \"packed_mrows_per_s\": {packed_mrows:.1},\n    \
          \"packed_speedup\": {packed_speedup:.3},\n    \

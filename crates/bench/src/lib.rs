@@ -212,15 +212,13 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
     out
 }
 
-/// Shared per-binary environment for the `bench_*` bins: core/thread
-/// accounting, the `--check` / `--no-run` flags, and the global rayon pool
-/// (the PR-6 bench convention, in one place instead of per binary).
+/// Shared per-binary environment for the `bench_*` bins: core accounting
+/// and the `--check` / `--no-run` flags (the PR-6 bench convention, in one
+/// place instead of per binary).
 #[derive(Debug, Clone, Copy)]
 pub struct BenchEnv {
     /// Machine cores (`available_parallelism`).
     pub cores: usize,
-    /// Effective thread count: `--threads N` if given, else `cores`.
-    pub threads: usize,
     /// Whether `--check` was passed (gate thresholds instead of just
     /// reporting).
     pub check: bool,
@@ -229,51 +227,35 @@ pub struct BenchEnv {
 }
 
 impl BenchEnv {
-    /// Parse the common bench flags, size the global rayon pool when
-    /// `--threads N` is given, and warn when the run is effectively
-    /// single-threaded. Panics on unknown arguments (`--quick` is accepted
-    /// and read separately by [`quick_mode`]).
+    /// Parse the common bench flags and warn when the machine has a single
+    /// core. Panics on unknown arguments (`--quick` is accepted and read
+    /// separately by [`quick_mode`]).
     pub fn setup(bin: &str) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut threads = 0usize;
         let mut check = false;
         let mut no_run = false;
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
+        for a in std::env::args().skip(1) {
             match a.as_str() {
-                "--threads" => {
-                    let v = args.next().unwrap_or_default();
-                    threads = v
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--threads needs a number, got {v:?}"));
-                }
                 "--check" => check = true,
                 "--no-run" => no_run = true,
                 "--quick" => {}
-                other => panic!(
-                    "unknown argument {other:?} (expected --threads N, --check, --no-run, or --quick)"
-                ),
+                other => {
+                    panic!("unknown argument {other:?} (expected --check, --no-run, or --quick)")
+                }
             }
         }
-        if threads > 0 {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build_global()
-                .expect("--threads must run before the global pool initializes");
-        }
-        let effective = if threads > 0 { threads } else { cores };
-        if effective == 1 {
+        if cores == 1 {
             eprintln!(
-                "WARNING: {bin} is running on a single thread (cores={cores}); treat \
-                 absolute throughput numbers with suspicion on a loaded shared core."
+                "WARNING: {bin} is running on a single core; treat absolute throughput \
+                 numbers with suspicion on a loaded shared core."
             );
         }
-        Self { cores, threads: effective, check, no_run }
+        Self { cores, check, no_run }
     }
 
-    /// The `"cores": N, "threads": N` fragment every `BENCH_*.json` carries.
+    /// The `"cores": N` fragment every `BENCH_*.json` carries.
     pub fn json_fields(&self) -> String {
-        format!("\"cores\": {}, \"threads\": {}", self.cores, self.threads)
+        format!("\"cores\": {}", self.cores)
     }
 
     /// The uniform `"headline"` fragment every `BENCH_*.json` carries: the
@@ -424,7 +406,7 @@ mod tests {
         assert!(noisy.floor_frac > 0.0 && noisy.rel_stddev_off > 0.0);
         let frag = noisy.json_fragment();
         assert!(frag.starts_with("\"noise\": {") && frag.contains("floor_frac"));
-        let env = BenchEnv { cores: 4, threads: 4, check: false, no_run: false };
+        let env = BenchEnv { cores: 4, check: false, no_run: false };
         let h = env.headline("ingest_per_s", 123456.0, true);
         assert!(h.contains("\"metric\": \"ingest_per_s\""));
         assert!(h.contains("\"value\": 123456"));

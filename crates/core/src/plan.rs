@@ -3,7 +3,7 @@
 //! The plan is a tree mirroring the execution: the routing server at the
 //! root (which image leaves matched, the image generation and measured
 //! staleness *at decision time*), one [`WorkerExec`] per contacted worker
-//! (alias chases, `query_par` fan-out width, wall time, plus nested
+//! (alias chases, shard-pool fan-out width, wall time, plus nested
 //! `WorkerExec`s for remote forwards chased through stale image windows),
 //! and one [`ShardExec`] per scanned shard carrying the exact
 //! [`QueryTrace`] traversal counters the tree layer measured — so per-shard
@@ -68,7 +68,7 @@ pub struct WorkerExec {
     pub requested: Vec<u64>,
     /// Split/move aliases chased while resolving the requested shards.
     pub alias_chases: u32,
-    /// `query_par` fan-out width: shard scans run concurrently.
+    /// Shard-pool fan-out width: shard scans run concurrently.
     pub fanout: u32,
     /// Wall time for the whole worker-side execution, microseconds.
     pub wall_us: u64,

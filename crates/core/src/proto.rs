@@ -78,10 +78,9 @@ pub enum Request {
         /// Interned accounting principal (0 = untagged).
         principal: u32,
     },
-    /// Server: client-facing ANALYZE'd query — same aggregate, plus the
-    /// assembled [`QueryPlan`]. A separate variant (not a flag on
-    /// [`Request::ClientQuery`]) so the non-introspected path stays
-    /// untouched.
+    /// Server: client-facing ANALYZE'd query — same routing and execution
+    /// as [`Request::ClientQuery`], answered with the assembled
+    /// [`QueryPlan`] alongside the aggregate.
     ClientQueryAnalyze {
         /// The query box.
         query: QueryBox,
@@ -186,6 +185,16 @@ fn get_principal(buf: &mut &[u8]) -> Result<u32, WireError> {
 }
 
 impl Request {
+    /// The worker query over `shards`: [`Request::QueryAnalyze`] when the
+    /// sender wants the execution stats back, else [`Request::Query`].
+    pub(crate) fn worker_query(shards: Vec<u64>, query: QueryBox, want_plan: bool) -> Self {
+        if want_plan {
+            Request::QueryAnalyze { shards, query }
+        } else {
+            Request::Query { shards, query }
+        }
+    }
+
     /// Encode to bytes.
     pub fn encode(&self) -> Vec<u8> {
         // Bulk payloads dominate the ingest path; size them exactly up
@@ -212,8 +221,9 @@ impl Request {
                     wire::put_item(&mut buf, it);
                 }
             }
-            Request::Query { shards, query } => {
-                buf.put_u8(T_QUERY);
+            Request::Query { shards, query } | Request::QueryAnalyze { shards, query } => {
+                let analyze = matches!(self, Request::QueryAnalyze { .. });
+                buf.put_u8(if analyze { T_QANALYZE } else { T_QUERY });
                 buf.put_u32(shards.len() as u32);
                 for s in shards {
                     buf.put_u64(*s);
@@ -249,28 +259,53 @@ impl Request {
                 }
                 buf.put_u32(*principal);
             }
-            Request::ClientQuery { query, principal } => {
-                buf.put_u8(T_CQUERY);
+            Request::ClientQuery { query, principal }
+            | Request::ClientQueryAnalyze { query, principal } => {
+                let analyze = matches!(self, Request::ClientQueryAnalyze { .. });
+                buf.put_u8(if analyze { T_CANALYZE } else { T_CQUERY });
                 wire::put_query(&mut buf, query);
                 buf.put_u32(*principal);
-            }
-            Request::ClientQueryAnalyze { query, principal } => {
-                buf.put_u8(T_CANALYZE);
-                wire::put_query(&mut buf, query);
-                buf.put_u32(*principal);
-            }
-            Request::QueryAnalyze { shards, query } => {
-                buf.put_u8(T_QANALYZE);
-                buf.put_u32(shards.len() as u32);
-                for s in shards {
-                    buf.put_u64(*s);
-                }
-                wire::put_query(&mut buf, query);
             }
             Request::GetWorkerStats => buf.put_u8(T_STATS),
             Request::Ping => buf.put_u8(T_PING),
         }
         buf
+    }
+
+    /// [`Request::decode`], then check every item and query box against the
+    /// schema's dimension count: `decode` has no schema, so a well-formed
+    /// message can still carry the wrong number of coordinates or ranges —
+    /// which the routing and tree layers index by dimension without
+    /// checking. This is how servers and workers read an incoming request.
+    pub fn decode_checked(data: &[u8], dims: usize) -> Result<Self, WireError> {
+        let req = Self::decode(data)?;
+        req.check_dims(dims)?;
+        Ok(req)
+    }
+
+    fn check_dims(&self, dims: usize) -> Result<(), WireError> {
+        let item = |it: &Item| match it.coords.len() {
+            n if n == dims => Ok(()),
+            n => Err(format!("item has {n} coordinates, schema has {dims} dimensions")),
+        };
+        match self {
+            Request::Insert { item: it, .. } | Request::ClientInsert { item: it, .. } => item(it),
+            Request::BulkInsert { items, .. } | Request::ClientBulkInsert { items, .. } => {
+                items.iter().try_for_each(item)
+            }
+            Request::Query { query, .. }
+            | Request::QueryAnalyze { query, .. }
+            | Request::ClientQuery { query, .. }
+            | Request::ClientQueryAnalyze { query, .. } => match query.dims() {
+                n if n == dims => Ok(()),
+                n => Err(format!("query has {n} ranges, schema has {dims} dimensions")),
+            },
+            Request::SplitShard { .. }
+            | Request::Migrate { .. }
+            | Request::Adopt { .. }
+            | Request::GetWorkerStats
+            | Request::Ping => Ok(()),
+        }
     }
 
     /// Decode from bytes.
@@ -296,7 +331,7 @@ impl Request {
                 let items = (0..n).map(|_| wire::get_item(buf)).collect::<Result<_, _>>()?;
                 Request::BulkInsert { shard, items }
             }
-            T_QUERY => {
+            T_QUERY | T_QANALYZE => {
                 if buf.len() < 4 {
                     return Err("truncated query".into());
                 }
@@ -305,7 +340,12 @@ impl Request {
                     return Err("truncated query shard list".into());
                 }
                 let shards = (0..n).map(|_| buf.get_u64()).collect();
-                Request::Query { shards, query: wire::get_query(buf)? }
+                let query = wire::get_query(buf)?;
+                if tag == T_QUERY {
+                    Request::Query { shards, query }
+                } else {
+                    Request::QueryAnalyze { shards, query }
+                }
             }
             T_SPLIT => {
                 if buf.len() < 24 {
@@ -341,24 +381,14 @@ impl Request {
                 let items = (0..n).map(|_| wire::get_item(buf)).collect::<Result<_, _>>()?;
                 Request::ClientBulkInsert { items, principal: get_principal(buf)? }
             }
-            T_CQUERY => {
+            T_CQUERY | T_CANALYZE => {
                 let query = wire::get_query(buf)?;
-                Request::ClientQuery { query, principal: get_principal(buf)? }
-            }
-            T_CANALYZE => {
-                let query = wire::get_query(buf)?;
-                Request::ClientQueryAnalyze { query, principal: get_principal(buf)? }
-            }
-            T_QANALYZE => {
-                if buf.len() < 4 {
-                    return Err("truncated analyze query".into());
+                let principal = get_principal(buf)?;
+                if tag == T_CQUERY {
+                    Request::ClientQuery { query, principal }
+                } else {
+                    Request::ClientQueryAnalyze { query, principal }
                 }
-                let n = buf.get_u32() as usize;
-                if buf.len() < n * 8 {
-                    return Err("truncated analyze shard list".into());
-                }
-                let shards = (0..n).map(|_| buf.get_u64()).collect();
-                Request::QueryAnalyze { shards, query: wire::get_query(buf)? }
             }
             T_STATS => Request::GetWorkerStats,
             T_PING => Request::Ping,

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use volap_coord::EventKind;
 use volap_dims::{Aggregate, Item, Key, Mbr, QueryBox, Schema};
-use volap_net::{Endpoint, Incoming, Network};
+use volap_net::{Endpoint, Incoming, Network, ReqCtx};
 use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
 use volap_obs::{Accounting, CostVec, Counter, Histogram, PrincipalId, StalenessProbe, TraceCtx, Tracer};
 
@@ -34,6 +34,7 @@ use crate::image::{ImageStore, ShardRecord, SHARDS_PREFIX};
 use crate::plan::QueryPlan;
 use crate::proto::{Request, Response};
 use crate::server_index::ServerIndex;
+use crate::util::micros;
 
 /// Observability handles registered once at spawn (recording is pure
 /// relaxed atomics). Counters are labeled per server; latency histograms
@@ -85,7 +86,7 @@ struct ServerState {
     /// `cfg.ingest_batch > 1`): each entry keeps its reply handle so the
     /// client is acknowledged by its shard's bulk outcome, plus its open
     /// accounting bill when the insert was tagged.
-    ingest: ObsMutex<Vec<(Item, Incoming, Option<Bill>)>>,
+    ingest: ObsMutex<Vec<(Item, PendingReply)>>,
     /// This server's local image generation: image records applied (at
     /// bootstrap or via watch events). ANALYZE plans and `route_miss`
     /// events stamp it so routing decisions can be ordered against image
@@ -296,7 +297,7 @@ impl Bill {
             principal: p,
             started: Instant::now(),
             cost: CostVec {
-                queue_wait_us: msg.queued.as_micros().min(u128::from(u64::MAX)) as u64,
+                queue_wait_us: micros(msg.queued),
                 bytes: msg.payload.len() as u64,
                 ..CostVec::default()
             },
@@ -308,7 +309,7 @@ impl Bill {
     fn settle(mut self, st: &ServerState, msg: &Incoming, resp: Response) {
         let bytes = resp.encode();
         self.cost.bytes = self.cost.bytes.saturating_add(bytes.len() as u64);
-        self.cost.wall_us = self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        self.cost.wall_us = micros(self.started.elapsed());
         st.accounting.charge(self.principal, &self.cost);
         let _ = msg.reply(bytes);
     }
@@ -316,25 +317,21 @@ impl Bill {
 
 /// Dispatch one client op: open a [`Bill`] when the request is tagged, run
 /// the op under a (possibly sampled) trace root, then settle the bill and
-/// reply. The untagged path takes the `None` bill branch — no clock reads,
-/// no encoding detour, routing byte-identical to an accounting-free build.
+/// reply. The op receives the request's [`ReqCtx`] — everything it forwards
+/// to workers — and the bill's cost vector. The untagged path takes the
+/// `None` bill branch: no clock reads, no encoding detour.
 fn dispatch(
     st: &Arc<ServerState>,
     msg: Incoming,
     p: PrincipalId,
     op: &str,
-    f: impl FnOnce(Option<&TraceCtx>, Option<&mut CostVec>) -> Response,
+    f: impl FnOnce(ReqCtx, Option<&mut CostVec>) -> Response,
 ) {
-    match Bill::open(st, p, &msg) {
-        Some(mut bill) => {
-            let resp = traced_root(st, "server_route", op, p, |t| f(t, Some(&mut bill.cost)));
-            bill.settle(st, &msg, resp);
-        }
-        None => {
-            let resp = traced_root(st, "server_route", op, p, |t| f(t, None));
-            reply(&msg, resp);
-        }
-    }
+    let mut bill = Bill::open(st, p, &msg);
+    let resp = traced_root(st, "server_route", op, p, |t| {
+        f(ReqCtx { trace: t, principal: p.0 }, bill.as_mut().map(|b| &mut b.cost))
+    });
+    answer(st, &msg, bill, resp);
 }
 
 /// Run one client operation under a (possibly sampled) trace root. When the
@@ -349,7 +346,7 @@ fn traced_root<R>(
     name: &'static str,
     op: &str,
     principal: PrincipalId,
-    f: impl FnOnce(Option<&TraceCtx>) -> R,
+    f: impl FnOnce(Option<TraceCtx>) -> R,
 ) -> R {
     match st.tracer.sample_root() {
         Some(ctx) => {
@@ -364,7 +361,7 @@ fn traced_root<R>(
                 span.annotate("principal", who);
             }
             let wait0 = lock::thread_wait_ns();
-            let out = f(Some(&ctx));
+            let out = f(Some(ctx));
             let waited = lock::thread_wait_ns() - wait0;
             if waited > 0 {
                 span.annotate("held_lock_wait_us", (waited / 1_000).to_string());
@@ -378,7 +375,7 @@ fn traced_root<R>(
 }
 
 fn handle(st: &Arc<ServerState>, msg: Incoming) {
-    let req = match Request::decode(&msg.payload) {
+    let req = match Request::decode_checked(&msg.payload, st.schema.dims()) {
         Ok(r) => r,
         Err(e) => {
             reply(&msg, Response::Err(format!("bad request: {e}")));
@@ -392,21 +389,22 @@ fn handle(st: &Arc<ServerState>, msg: Incoming) {
             if st.cfg.ingest_batch > 1 {
                 enqueue_ingest(st, item, msg, p);
             } else {
-                dispatch(st, msg, p, "insert", |t, c| route_insert(st, &item, t, p, c));
+                dispatch(st, msg, p, "insert", |ctx, c| route_insert(st, item, ctx, c));
             }
         }
         Request::ClientBulkInsert { items, principal } => {
-            let p = PrincipalId(principal);
-            dispatch(st, msg, p, "bulk_insert", |t, c| route_bulk_insert(st, items, t, p, c));
+            dispatch(st, msg, PrincipalId(principal), "bulk_insert", |ctx, c| {
+                route_bulk_insert(st, items, ctx, c)
+            });
         }
         Request::ClientQuery { query, principal } => {
-            let p = PrincipalId(principal);
-            dispatch(st, msg, p, "query", |t, c| route_query(st, &query, t, p, c));
+            dispatch(st, msg, PrincipalId(principal), "query", |ctx, c| {
+                route_query(st, &query, ctx, false, c)
+            });
         }
         Request::ClientQueryAnalyze { query, principal } => {
-            let p = PrincipalId(principal);
-            dispatch(st, msg, p, "query_analyze", |t, c| {
-                route_query_analyzed(st, &query, t, p, c)
+            dispatch(st, msg, PrincipalId(principal), "query_analyze", |ctx, c| {
+                route_query(st, &query, ctx, true, c)
             });
         }
         other => reply(&msg, Response::Err(format!("unsupported server request: {other:?}"))),
@@ -435,54 +433,128 @@ fn shard_location(st: &Arc<ServerState>, shard: u64) -> Option<String> {
     Some(w)
 }
 
-fn route_insert(
-    st: &Arc<ServerState>,
-    item: &Item,
-    trace: Option<&TraceCtx>,
-    principal: PrincipalId,
-    mut cost: Option<&mut CostVec>,
-) -> Response {
-    let _timer = st.obs.insert_seconds.start();
-    st.obs.inserts.inc();
-    // Routing and location lookup are two steps under different locks, so a
-    // concurrent split can retire the routed shard in between (its record
-    // leaves the image once the halves are published). Re-routing through
-    // the refreshed index then lands on a half, so a bounded retry makes
-    // the window harmless.
-    let mut shard = 0;
-    for _ in 0..4 {
-        let routed = st.index.write().route_insert(item);
-        let Some((s, expanded)) = routed else {
-            return Response::Err("no shards available".into());
+/// Items grouped by the shard they were routed to, each group beside the
+/// tags of its items (whatever the caller needs back per item: a reply
+/// handle for coalesced ingest, nothing for the other two insert paths).
+type Routed<T> = HashMap<u64, (Vec<Item>, Vec<T>)>;
+
+/// The routing pass every insert path shares: route each item under one
+/// `index` + `dirty` acquisition, folding box expansions into `dirty` for
+/// the next sync push. Returns the per-shard groups and the tags of items
+/// that found no shard at all (an empty image).
+fn route_items<T>(st: &Arc<ServerState>, items: Vec<(Item, T)>) -> (Routed<T>, Vec<T>) {
+    let mut by_shard: Routed<T> = HashMap::new();
+    let mut unroutable = Vec::new();
+    let mut index = st.index.write();
+    let mut dirty = st.dirty.lock();
+    for (item, tag) in items {
+        let Some((shard, expanded)) = index.route_insert(&item) else {
+            unroutable.push(tag);
+            continue;
         };
-        shard = s;
         if expanded {
             st.obs.expansions.inc();
             st.obs.staleness.expansion(shard, &st.name);
-            let mut dirty = st.dirty.lock();
             let entry = dirty.entry(shard).or_insert_with(|| Mbr::empty(&st.schema));
-            entry.extend_item(&st.schema, item);
+            entry.extend_item(&st.schema, &item);
         }
-        let Some(dest) = shard_location(st, shard) else {
-            continue; // shard retired between routing and lookup: re-route
-        };
-        if let Some(c) = cost.as_deref_mut() {
-            c.net_hops += 1;
-            c.fanout = c.fanout.max(1);
-        }
-        return match st.endpoint.request_tagged(
-            &dest,
-            Request::Insert { shard, item: item.clone() }.encode(),
-            st.cfg.request_timeout,
-            trace,
-            principal.0,
-        ) {
-            Ok(bytes) => Response::decode(&st.schema, &bytes)
-                .unwrap_or_else(|e| Response::Err(format!("bad worker response: {e}"))),
-            Err(e) => Response::Err(format!("insert to {dest} failed: {e}")),
-        };
+        let group = by_shard.entry(shard).or_default();
+        group.0.push(item);
+        group.1.push(tag);
     }
-    Response::Err(format!("no location for shard {shard}"))
+    (by_shard, unroutable)
+}
+
+/// What became of one group of routed items.
+struct Delivered<T> {
+    /// The tags of the group's items.
+    tags: Vec<T>,
+    /// The owning worker's answer (`Ack` or `Err`), or the routing error.
+    resp: Response,
+    /// Whether a worker request went out for the group (a charged net hop).
+    sent: bool,
+}
+
+/// Route `items` and deliver every per-shard group to the worker owning
+/// its shard, all groups in flight at once; `encode` builds the worker
+/// request for one group.
+///
+/// Routing and location lookup are two steps under different locks, so a
+/// concurrent split can retire a routed shard in between (its record
+/// leaves the image once the halves are published). Re-routing through the
+/// refreshed index then lands on a half, so a bounded retry makes the
+/// window harmless. Groups that did reach a worker are never retried, and
+/// one group's error does not stop the others being delivered.
+fn deliver_inserts<T>(
+    st: &Arc<ServerState>,
+    mut items: Vec<(Item, T)>,
+    ctx: ReqCtx,
+    encode: impl Fn(u64, Vec<Item>) -> Request,
+) -> Vec<Delivered<T>> {
+    let mut out = Vec::new();
+    for _ in 0..4 {
+        let (by_shard, unroutable) = route_items(st, std::mem::take(&mut items));
+        if !unroutable.is_empty() {
+            let resp = Response::Err("no shards available".into());
+            out.push(Delivered { tags: unroutable, resp, sent: false });
+        }
+        let mut requests: Vec<(String, Vec<u8>)> = Vec::with_capacity(by_shard.len());
+        let mut waiting: Vec<Vec<T>> = Vec::with_capacity(by_shard.len());
+        for (shard, (group, tags)) in by_shard {
+            match shard_location(st, shard) {
+                Some(dest) => {
+                    requests.push((dest, encode(shard, group).encode()));
+                    waiting.push(tags);
+                }
+                None => items.extend(group.into_iter().zip(tags)),
+            }
+        }
+        let replies = st.endpoint.request_many_ctx(&requests, st.cfg.request_timeout, ctx);
+        for ((reply, (dest, _)), tags) in replies.into_iter().zip(&requests).zip(waiting) {
+            let resp = match reply {
+                Ok(bytes) => match Response::decode(&st.schema, &bytes) {
+                    Ok(resp @ (Response::Ack | Response::Err(_))) => resp,
+                    Ok(other) => Response::Err(format!("unexpected insert response: {other:?}")),
+                    Err(e) => Response::Err(format!("bad worker response: {e}")),
+                },
+                Err(e) => Response::Err(format!("insert to {dest} failed: {e}")),
+            };
+            out.push(Delivered { tags, resp, sent: true });
+        }
+        if items.is_empty() {
+            return out;
+        }
+    }
+    let tags = items.into_iter().map(|(_, tag)| tag).collect();
+    let resp = Response::Err("no location for routed shard after re-route retries".into());
+    out.push(Delivered { tags, resp, sent: false });
+    out
+}
+
+fn bulk_request(shard: u64, items: Vec<Item>) -> Request {
+    Request::BulkInsert { shard, items }
+}
+
+fn route_insert(
+    st: &Arc<ServerState>,
+    item: Item,
+    ctx: ReqCtx,
+    cost: Option<&mut CostVec>,
+) -> Response {
+    let _timer = st.obs.insert_seconds.start();
+    st.obs.inserts.inc();
+    let point_request = |shard, mut group: Vec<Item>| Request::Insert {
+        shard,
+        item: group.pop().expect("a point insert routes exactly one item"),
+    };
+    let done = deliver_inserts(st, vec![(item, ())], ctx, point_request)
+        .pop()
+        .expect("one item has one outcome");
+    if let (Some(c), true) = (cost, done.sent) {
+        c.net_hops += 1;
+        c.fanout = c.fanout.max(1);
+    }
+    done.resp
 }
 
 /// Buffer one client insert for coalesced routing. A full buffer is flushed
@@ -493,7 +565,7 @@ fn enqueue_ingest(st: &Arc<ServerState>, item: Item, msg: Incoming, p: Principal
     let bill = Bill::open(st, p, &msg);
     let full = {
         let mut buf = st.ingest.lock();
-        buf.push((item, msg, bill));
+        buf.push((item, (msg, bill)));
         (buf.len() >= st.cfg.ingest_batch).then(|| std::mem::take(&mut *buf))
     };
     if let Some(batch) = full {
@@ -501,7 +573,7 @@ fn enqueue_ingest(st: &Arc<ServerState>, item: Item, msg: Incoming, p: Principal
     }
 }
 
-/// Reply to one buffered client, settling its bill when it carries one.
+/// Reply to one client, settling its bill when it carries one.
 fn answer(st: &ServerState, msg: &Incoming, bill: Option<Bill>, resp: Response) {
     match bill {
         Some(b) => b.settle(st, msg, resp),
@@ -509,201 +581,102 @@ fn answer(st: &ServerState, msg: &Incoming, bill: Option<Bill>, resp: Response) 
     }
 }
 
-/// Route a coalesced batch of client inserts: one pass under the index and
-/// dirty locks routes every item, then one `BulkInsert` per shard goes out
-/// (all in flight at once), and every buffered client is acknowledged
-/// according to its shard's outcome.
+/// Route a coalesced batch of client inserts: one `BulkInsert` per shard
+/// goes out, and every buffered client is acknowledged according to its
+/// shard's outcome.
 ///
 /// Tracing note: coalesced ingest samples per *flush*, not per client
 /// insert — a sampled flush becomes one `server_ingest_flush` root covering
 /// the whole batch (the documented simplification for the coalesced path).
-fn flush_ingest(st: &Arc<ServerState>, batch: Vec<(Item, Incoming, Option<Bill>)>) {
+fn flush_ingest(st: &Arc<ServerState>, batch: Vec<(Item, PendingReply)>) {
     if batch.is_empty() {
         return;
     }
     let op = format!("ingest_flush batch={}", batch.len());
     traced_root(st, "server_ingest_flush", &op, PrincipalId::NONE, |t| {
-        flush_ingest_inner(st, batch, t)
+        let _timer = st.obs.ingest_flush_seconds.start();
+        st.obs.inserts.add(batch.len() as u64);
+        let ctx = ReqCtx { trace: t, principal: 0 };
+        for done in deliver_inserts(st, batch, ctx, bulk_request) {
+            for (msg, mut bill) in done.tags {
+                if let (Some(b), true) = (bill.as_mut(), done.sent) {
+                    // Each buffered item rode exactly one coalesced worker hop.
+                    b.cost.net_hops += 1;
+                    b.cost.fanout = b.cost.fanout.max(1);
+                }
+                answer(st, &msg, bill, done.resp.clone());
+            }
+        }
     });
 }
 
-fn flush_ingest_inner(
-    st: &Arc<ServerState>,
-    batch: Vec<(Item, Incoming, Option<Bill>)>,
-    trace: Option<&TraceCtx>,
-) {
-    let _timer = st.obs.ingest_flush_seconds.start();
-    st.obs.inserts.add(batch.len() as u64);
-    // Items whose routed shard lost its location mid-flush (retired by a
-    // concurrent split) are re-routed through the refreshed index — see
-    // `route_insert` for the race.
-    let mut remaining = batch;
-    for _ in 0..4 {
-        let mut by_shard: HashMap<u64, (Vec<Item>, Vec<PendingReply>)> = HashMap::new();
-        {
-            let mut index = st.index.write();
-            let mut dirty = st.dirty.lock();
-            for (item, msg, bill) in remaining.drain(..) {
-                let Some((shard, expanded)) = index.route_insert(&item) else {
-                    answer(st, &msg, bill, Response::Err("no shards available".into()));
-                    continue;
-                };
-                if expanded {
-                    st.obs.expansions.inc();
-                    st.obs.staleness.expansion(shard, &st.name);
-                    let entry = dirty.entry(shard).or_insert_with(|| Mbr::empty(&st.schema));
-                    entry.extend_item(&st.schema, &item);
-                }
-                let slot = by_shard.entry(shard).or_default();
-                slot.0.push(item);
-                slot.1.push((msg, bill));
-            }
-        }
-        let mut requests: Vec<(String, Vec<u8>)> = Vec::with_capacity(by_shard.len());
-        let mut waiters: Vec<Vec<(Incoming, Option<Bill>)>> = Vec::with_capacity(by_shard.len());
-        for (shard, (items, msgs)) in by_shard {
-            let Some(dest) = shard_location(st, shard) else {
-                remaining.extend(
-                    items.into_iter().zip(msgs).map(|(item, (msg, bill))| (item, msg, bill)),
-                );
-                continue;
-            };
-            requests.push((dest, Request::BulkInsert { shard, items }.encode()));
-            waiters.push(msgs);
-        }
-        let replies = st.endpoint.request_many_traced(&requests, st.cfg.request_timeout, trace);
-        for ((result, (dest, _)), msgs) in replies.into_iter().zip(&requests).zip(waiters) {
-            let resp = match result {
-                Ok(bytes) => match Response::decode(&st.schema, &bytes) {
-                    Ok(Response::Ack) => Response::Ack,
-                    Ok(Response::Err(e)) => Response::Err(e),
-                    Ok(other) => Response::Err(format!("unexpected bulk response: {other:?}")),
-                    Err(e) => Response::Err(format!("bad bulk response: {e}")),
-                },
-                Err(e) => Response::Err(format!("bulk to {dest} failed: {e}")),
-            };
-            for (m, bill) in msgs {
-                // Each buffered item rode exactly one coalesced worker hop.
-                let bill = bill.map(|mut b| {
-                    b.cost.net_hops += 1;
-                    b.cost.fanout = b.cost.fanout.max(1);
-                    b
-                });
-                answer(st, &m, bill, resp.clone());
-            }
-        }
-        if remaining.is_empty() {
-            return;
-        }
-    }
-    for (_, msg, bill) in remaining {
-        answer(
-            st,
-            &msg,
-            bill,
-            Response::Err("no location for routed shard after re-route retries".into()),
-        );
-    }
-}
-
 /// Route a whole batch: one routing pass over the local image, then one
-/// per-(worker, shard) bulk request fan-out.
+/// bulk request per shard. Answers with the first error any shard group
+/// met, `Ack` when every group landed.
 fn route_bulk_insert(
     st: &Arc<ServerState>,
     items: Vec<Item>,
-    trace: Option<&TraceCtx>,
-    principal: PrincipalId,
-    mut cost: Option<&mut CostVec>,
+    ctx: ReqCtx,
+    cost: Option<&mut CostVec>,
 ) -> Response {
     if items.is_empty() {
         return Response::Ack;
     }
     let _timer = st.obs.bulk_insert_seconds.start();
     st.obs.inserts.add(items.len() as u64);
-    // Shards retired by a concurrent split mid-batch send their items back
-    // through the refreshed index — see `route_insert` for the race.
-    let mut remaining = items;
-    for _ in 0..4 {
-        // Phase 1: route everything under one index lock.
-        let mut by_shard: HashMap<u64, Vec<Item>> = HashMap::new();
-        {
-            let mut index = st.index.write();
-            let mut dirty = st.dirty.lock();
-            for item in remaining.drain(..) {
-                let Some((shard, expanded)) = index.route_insert(&item) else {
-                    return Response::Err("no shards available".into());
-                };
-                if expanded {
-                    st.obs.expansions.inc();
-                    st.obs.staleness.expansion(shard, &st.name);
-                    let entry = dirty.entry(shard).or_insert_with(|| Mbr::empty(&st.schema));
-                    entry.extend_item(&st.schema, &item);
-                }
-                by_shard.entry(shard).or_default().push(item);
-            }
-        }
-        // Phase 2: one bulk request per shard, all in flight at once.
-        let mut requests: Vec<(String, Vec<u8>)> = Vec::with_capacity(by_shard.len());
-        for (shard, items) in by_shard {
-            let Some(dest) = shard_location(st, shard) else {
-                remaining.extend(items);
-                continue;
-            };
-            requests.push((dest, Request::BulkInsert { shard, items }.encode()));
-        }
-        if let Some(c) = cost.as_deref_mut() {
-            c.net_hops += requests.len() as u64;
-            c.fanout = c.fanout.max(requests.len() as u64);
-        }
-        for (reply, (dest, _)) in st
-            .endpoint
-            .request_many_tagged(&requests, st.cfg.request_timeout, trace, principal.0)
-            .into_iter()
-            .zip(&requests)
-        {
-            match reply {
-                Ok(bytes) => match Response::decode(&st.schema, &bytes) {
-                    Ok(Response::Ack) => {}
-                    Ok(Response::Err(e)) => return Response::Err(e),
-                    Ok(other) => return Response::Err(format!("unexpected bulk response: {other:?}")),
-                    Err(e) => return Response::Err(format!("bulk to {dest} failed: {e}")),
-                },
-                Err(e) => return Response::Err(format!("bulk to {dest} failed: {e}")),
-            }
-        }
-        if remaining.is_empty() {
-            return Response::Ack;
+    let items = items.into_iter().map(|item| (item, ())).collect();
+    let mut sent = 0u64;
+    let mut resp = Response::Ack;
+    for done in deliver_inserts(st, items, ctx, bulk_request) {
+        sent += u64::from(done.sent);
+        if matches!(resp, Response::Ack) {
+            resp = done.resp;
         }
     }
-    Response::Err("no location for routed shard after re-route retries".into())
+    if let Some(c) = cost {
+        c.net_hops += sent;
+        c.fanout = c.fanout.max(sent);
+    }
+    resp
 }
 
+/// Route one query: read the local image, group the matching shards by
+/// worker, scatter, gather, merge. An ANALYZE'd query (`analyze`) and a
+/// tagged one (`cost`) are the same query plus a flag: workers are asked
+/// for their per-shard execution stats, assembled here into a [`QueryPlan`]
+/// that is returned (`analyze`), charged to the principal (`cost`), or
+/// both. The response shape is chosen at the very end; a plain query reads
+/// no clock and builds no plan.
 fn route_query(
     st: &Arc<ServerState>,
     query: &QueryBox,
-    trace: Option<&TraceCtx>,
-    principal: PrincipalId,
+    ctx: ReqCtx,
+    analyze: bool,
     cost: Option<&mut CostVec>,
 ) -> Response {
-    if let Some(cost) = cost {
-        // Tagged: ride the ANALYZE scatter so the per-shard traversal
-        // counters (rows scanned, nodes visited, rollup hits) are charged
-        // to the principal, then strip the plan — the client still gets
-        // the plain aggregate response it asked for.
-        return match route_query_analyzed(st, query, trace, principal, Some(cost)) {
-            Response::AggPlan { agg, shards_searched, .. } => {
-                Response::Agg { agg, shards_searched }
-            }
-            other => other,
-        };
-    }
     let _timer = st.obs.query_seconds.start();
     st.obs.queries.inc();
+    let want_plan = analyze || cost.is_some();
+    // Stamp the decision context *before* routing so the plan reflects what
+    // the server knew when it chose: the image generation and the measured
+    // staleness at decision time.
+    let mut plan = want_plan.then(|| {
+        let staleness = st.obs.staleness.snapshot();
+        let plan = QueryPlan {
+            server: st.name.clone(),
+            image_generation: st.generation.load(Ordering::Relaxed),
+            staleness_samples: staleness.count,
+            staleness_p95_us: (staleness.quantile(0.95) * 1e6) as u64,
+            ..QueryPlan::default()
+        };
+        (Instant::now(), plan)
+    });
     let shard_ids = st.index.read().route_query(query);
-    if shard_ids.is_empty() {
-        return Response::Agg { agg: Aggregate::empty(), shards_searched: 0 };
+    if let Some((wall, plan)) = plan.as_mut() {
+        plan.route_us = micros(wall.elapsed());
+        plan.image_leaves = shard_ids.clone();
+        plan.image_leaves.sort_unstable();
     }
-    // Group by worker and scatter.
     let mut by_worker: HashMap<String, Vec<u64>> = HashMap::new();
     {
         let locations = st.locations.read();
@@ -719,9 +692,11 @@ fn route_query(
     // query latency regardless of fan-out (the ZeroMQ pattern of §III-B).
     let requests: Vec<(String, Vec<u8>)> = by_worker
         .into_iter()
-        .map(|(dest, ids)| (dest, Request::Query { shards: ids, query: query.clone() }.encode()))
+        .map(|(dest, shards)| {
+            (dest, Request::worker_query(shards, query.clone(), want_plan).encode())
+        })
         .collect();
-    let replies = st.endpoint.request_many_traced(&requests, st.cfg.request_timeout, trace);
+    let replies = st.endpoint.request_many_ctx(&requests, st.cfg.request_timeout, ctx);
     let mut agg = Aggregate::empty();
     let mut searched = 0u32;
     for (reply, (dest, _)) in replies.into_iter().zip(&requests) {
@@ -730,92 +705,25 @@ fn route_query(
                 .unwrap_or_else(|e| Response::Err(format!("bad worker response: {e}"))),
             Err(e) => Response::Err(format!("query to {dest} failed: {e}")),
         };
-        match resp {
-            Response::Agg { agg: a, shards_searched } => {
+        match (resp, plan.as_mut()) {
+            (Response::Agg { agg: a, shards_searched }, None) => {
                 agg.merge(&a);
                 searched += shards_searched;
             }
-            Response::Err(e) => return Response::Err(e),
-            _ => return Response::Err("unexpected worker response".into()),
-        }
-    }
-    Response::Agg { agg, shards_searched: searched }
-}
-
-/// The ANALYZE'd counterpart of [`route_query`]: same routing, same
-/// scatter/gather, but the routing decision is recorded — the exact image
-/// leaves matched, the image generation and measured staleness *at decision
-/// time* — and workers are asked for per-shard execution stats, assembled
-/// here into one [`QueryPlan`] returned alongside the aggregate.
-fn route_query_analyzed(
-    st: &Arc<ServerState>,
-    query: &QueryBox,
-    trace: Option<&TraceCtx>,
-    principal: PrincipalId,
-    cost: Option<&mut CostVec>,
-) -> Response {
-    let wall = Instant::now();
-    let _timer = st.obs.query_seconds.start();
-    st.obs.queries.inc();
-    // Stamp the decision context *before* routing so the plan reflects what
-    // the server knew when it chose.
-    let image_generation = st.generation.load(Ordering::Relaxed);
-    let staleness = st.obs.staleness.snapshot();
-    let route_start = Instant::now();
-    let mut shard_ids = st.index.read().route_query(query);
-    let route_us = route_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-    shard_ids.sort_unstable();
-    let mut plan = QueryPlan {
-        server: st.name.clone(),
-        image_generation,
-        staleness_samples: staleness.count,
-        staleness_p95_us: (staleness.quantile(0.95) * 1e6) as u64,
-        image_leaves: shard_ids.clone(),
-        route_us,
-        wall_us: 0,
-        workers: Vec::new(),
-    };
-    if shard_ids.is_empty() {
-        plan.wall_us = wall.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        return Response::AggPlan { agg: Aggregate::empty(), shards_searched: 0, plan };
-    }
-    let mut by_worker: HashMap<String, Vec<u64>> = HashMap::new();
-    {
-        let locations = st.locations.read();
-        for &id in &shard_ids {
-            match locations.get(&id) {
-                Some(w) => by_worker.entry(w.clone()).or_default().push(id),
-                None => continue, // stale: shard disappeared between index and map
-            }
-        }
-    }
-    let requests: Vec<(String, Vec<u8>)> = by_worker
-        .into_iter()
-        .map(|(dest, ids)| {
-            (dest, Request::QueryAnalyze { shards: ids, query: query.clone() }.encode())
-        })
-        .collect();
-    let replies = st.endpoint.request_many_tagged(&requests, st.cfg.request_timeout, trace, principal.0);
-    let mut agg = Aggregate::empty();
-    let mut searched = 0u32;
-    for (reply, (dest, _)) in replies.into_iter().zip(&requests) {
-        let resp = match reply {
-            Ok(bytes) => Response::decode(&st.schema, &bytes)
-                .unwrap_or_else(|e| Response::Err(format!("bad worker response: {e}"))),
-            Err(e) => Response::Err(format!("query to {dest} failed: {e}")),
-        };
-        match resp {
-            Response::AggExec { agg: a, shards_searched, exec } => {
+            (Response::AggExec { agg: a, shards_searched, exec }, Some((_, plan))) => {
                 agg.merge(&a);
                 searched += shards_searched;
                 plan.workers.push(exec);
             }
-            Response::Err(e) => return Response::Err(e),
+            (Response::Err(e), _) => return Response::Err(e),
             _ => return Response::Err("unexpected worker response".into()),
         }
     }
+    let Some((wall, mut plan)) = plan else {
+        return Response::Agg { agg, shards_searched: searched };
+    };
     plan.workers.sort_by(|a, b| a.worker.cmp(&b.worker));
-    plan.wall_us = wall.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    plan.wall_us = micros(wall.elapsed());
     if let Some(cost) = cost {
         let totals = plan.totals();
         cost.rows_scanned += totals.items_scanned;
@@ -824,5 +732,9 @@ fn route_query_analyzed(
         cost.net_hops += requests.len() as u64;
         cost.fanout = cost.fanout.max(requests.len() as u64);
     }
-    Response::AggPlan { agg, shards_searched: searched, plan }
+    if analyze {
+        Response::AggPlan { agg, shards_searched: searched, plan }
+    } else {
+        Response::Agg { agg, shards_searched: searched }
+    }
 }

@@ -20,6 +20,12 @@ pub(crate) fn sleep_unless_stopped(period: Duration, stop: &AtomicBool) -> bool 
     }
 }
 
+/// Whole microseconds of `d`, saturating (the unit every plan, span and
+/// cost-vector duration is reported in).
+pub(crate) fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

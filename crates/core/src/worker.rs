@@ -15,9 +15,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use volap_dims::{Aggregate, Item, Key, QueryBox, Schema};
-use volap_net::{Endpoint, Incoming, Network};
+use volap_net::{Endpoint, Incoming, Network, ReqCtx};
 use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma, SpanGuard, TraceCtx, Tracer};
+use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma, TraceCtx, Tracer};
 
 /// Worker slice of the global lock hierarchy (DESIGN.md §15). Stats and
 /// alias resolution hold the slot map while reading individual slot states,
@@ -35,6 +35,7 @@ use crate::config::VolapConfig;
 use crate::image::{ImageStore, ShardRecord};
 use crate::plan::{ShardExec, WorkerExec};
 use crate::proto::{Request, Response};
+use crate::util::micros;
 
 /// Observability handles registered once at spawn. Counters and gauges are
 /// labeled per worker; latency histograms are shared deployment-wide.
@@ -239,38 +240,37 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
     WorkerHandle { name: name.to_string(), shutdown, threads }
 }
 
+/// The image record of a store this worker serves under shard `id`.
+fn shard_record(st: &WorkerState, id: u64, store: &Arc<dyn ShardStore>) -> ShardRecord {
+    ShardRecord { id, worker: st.name.clone(), len: store.len(), mbr: store.mbr() }
+}
+
 fn publish_stats(st: &WorkerState) {
     let slots: Vec<(u64, Arc<Slot>)> =
         st.slots.read().iter().map(|(&id, s)| (id, Arc::clone(s))).collect();
     let (mut live, mut items, mut queued, mut node_splits) = (0i64, 0i64, 0i64, 0i64);
     let heat_on = st.heat.enabled();
     for (id, slot) in slots {
-        let rec = {
-            let guard = slot.state.read();
-            match &*guard {
-                SlotState::Active { store } | SlotState::Busy { store, .. } => {
-                    live += 1;
-                    items += store.len() as i64;
-                    node_splits += store.stats().node_splits as i64;
-                    if let SlotState::Busy { queue, .. } = &*guard {
-                        queued += queue.len() as i64;
-                    }
-                    Some(ShardRecord {
-                        id,
-                        worker: st.name.clone(),
-                        len: store.len(),
-                        mbr: store.mbr(),
-                    })
-                }
-                _ => None,
-            }
+        // The state guard stays held across the publish: `do_split` and
+        // `do_migrate` retire a shard's record and heat entry right after
+        // swapping the slot to an alias under the write lock, so a record
+        // built from the old state but merged after that swap would
+        // resurrect the retired shard in the image for good.
+        let guard = slot.state.read();
+        let (SlotState::Active { store } | SlotState::Busy { store, .. }) = &*guard else {
+            continue;
         };
-        if let Some(rec) = rec {
-            if heat_on {
-                publish_heat(st, id, &slot, &rec);
-            }
-            st.image.merge_shard(&rec);
+        live += 1;
+        items += store.len() as i64;
+        node_splits += store.stats().node_splits as i64;
+        if let SlotState::Busy { queue, .. } = &*guard {
+            queued += queue.len() as i64;
         }
+        let rec = shard_record(st, id, store);
+        if heat_on {
+            publish_heat(st, id, &slot, &rec);
+        }
+        st.image.merge_shard(&rec);
     }
     st.obs.shards.set(live);
     st.obs.items.set(items);
@@ -316,34 +316,40 @@ fn reply(msg: &Incoming, resp: Response) {
     let _ = msg.reply(resp.encode());
 }
 
-/// Pick up a propagated trace context from an incoming envelope: records
-/// the `worker_queue` span (the measured time the envelope waited in the
-/// receive queue) as a sibling of the op, then opens the op span itself.
-/// Returns the op's context (children hang off it) and its drop-recording
-/// guard.
-fn rx_trace(
+/// Run one data op under the context its envelope carried and reply. For a
+/// sampled request this records the `worker_queue` span (the measured time
+/// the envelope waited in the receive queue) as a sibling of the op, then
+/// runs the op inside its own span; the context handed to `f` — and on to
+/// any forward — is the op's (children hang off it), with the envelope's
+/// principal unchanged.
+fn serve(
     st: &Arc<WorkerState>,
     msg: &Incoming,
     op: &'static str,
-) -> Option<(TraceCtx, SpanGuard)> {
-    let ctx = msg.trace?;
-    let now = st.tracer.now_us();
-    let queued_us = msg.queued.as_micros().min(u128::from(u64::MAX)) as u64;
-    let mut notes = vec![("worker".into(), st.name.clone())];
-    if msg.principal != 0 {
-        // Queue wait is a charged cost dimension; stamping who the envelope
-        // belonged to lets a slow trace show whose work clogged the queue.
-        notes.push(("principal".into(), msg.principal.to_string()));
-    }
-    st.tracer.record_manual(&ctx, "worker_queue", now.saturating_sub(queued_us), now, notes);
-    let child = st.tracer.child(&ctx);
-    let mut span = st.tracer.span(&child, op);
-    span.annotate("worker", st.name.clone());
-    Some((child, span))
+    f: impl FnOnce(ReqCtx) -> Response,
+) {
+    let span = msg.ctx.trace.map(|ctx| {
+        let now = st.tracer.now_us();
+        let queued_us = micros(msg.queued);
+        let mut notes = vec![("worker".into(), st.name.clone())];
+        if msg.ctx.principal != 0 {
+            // Queue wait is a charged cost dimension; stamping who the envelope
+            // belonged to lets a slow trace show whose work clogged the queue.
+            notes.push(("principal".into(), msg.ctx.principal.to_string()));
+        }
+        st.tracer.record_manual(&ctx, "worker_queue", now.saturating_sub(queued_us), now, notes);
+        let child = st.tracer.child(&ctx);
+        let mut span = st.tracer.span(&child, op);
+        span.annotate("worker", st.name.clone());
+        span
+    });
+    let resp = f(ReqCtx { trace: span.as_ref().map(|s| *s.ctx()), ..msg.ctx });
+    drop(span);
+    reply(msg, resp);
 }
 
 fn handle(st: &Arc<WorkerState>, msg: Incoming) {
-    let req = match Request::decode(&msg.payload) {
+    let req = match Request::decode_checked(&msg.payload, st.schema.dims()) {
         Ok(r) => r,
         Err(e) => {
             reply(&msg, Response::Err(format!("bad request: {e}")));
@@ -353,28 +359,18 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
     match req {
         Request::Ping => reply(&msg, Response::Ack),
         Request::Insert { shard, item } => {
-            let t = rx_trace(st, &msg, "worker_insert");
-            let resp = local_insert(st, shard, &item, false, t.as_ref().map(|(c, _)| c));
-            drop(t);
-            reply(&msg, resp);
+            serve(st, &msg, "worker_insert", |ctx| local_insert(st, shard, &item, ctx));
         }
         Request::BulkInsert { shard, items } => {
-            let t = rx_trace(st, &msg, "worker_bulk_insert");
-            let resp = local_bulk_insert(st, shard, items, t.as_ref().map(|(c, _)| c));
-            drop(t);
-            reply(&msg, resp);
+            serve(st, &msg, "worker_bulk_insert", |ctx| local_bulk_insert(st, shard, items, ctx));
         }
         Request::Query { shards, query } => {
-            let t = rx_trace(st, &msg, "worker_query");
-            let resp = local_query(st, &shards, &query, t.as_ref().map(|(c, _)| c));
-            drop(t);
-            reply(&msg, resp);
+            serve(st, &msg, "worker_query", |ctx| local_query(st, &shards, &query, ctx, false));
         }
         Request::QueryAnalyze { shards, query } => {
-            let t = rx_trace(st, &msg, "worker_query_analyze");
-            let resp = local_query_analyzed(st, &shards, &query);
-            drop(t);
-            reply(&msg, resp);
+            serve(st, &msg, "worker_query_analyze", |ctx| {
+                local_query(st, &shards, &query, ctx, true)
+            });
         }
         Request::SplitShard { shard, left_id, right_id } => {
             let resp = do_split(st, shard, left_id, right_id);
@@ -393,12 +389,7 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
             for (&id, slot) in st.slots.read().iter() {
                 let guard = slot.state.read();
                 if let SlotState::Active { store } | SlotState::Busy { store, .. } = &*guard {
-                    shards.push(ShardRecord {
-                        id,
-                        worker: st.name.clone(),
-                        len: store.len(),
-                        mbr: store.mbr(),
-                    });
+                    shards.push(shard_record(st, id, store));
                 }
             }
             reply(&msg, Response::WorkerStats { shards });
@@ -407,15 +398,8 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
     }
 }
 
-/// Insert into a local shard, chasing aliases. `via_bulk_drain` suppresses
-/// forwarding loops during queue drains.
-fn local_insert(
-    st: &Arc<WorkerState>,
-    shard: u64,
-    item: &Item,
-    _via_bulk_drain: bool,
-    trace: Option<&TraceCtx>,
-) -> Response {
+/// Insert into a local shard, chasing aliases.
+fn local_insert(st: &Arc<WorkerState>, shard: u64, item: &Item, ctx: ReqCtx) -> Response {
     let _timer = st.obs.insert_seconds.start();
     st.obs.inserts.inc();
     let mut target = shard;
@@ -441,10 +425,10 @@ fn local_insert(
                 }
                 // Mark the insertion-queue detour so a trace shows this item
                 // rode out a split/migration in the queue (§III-E).
-                if let Some(ctx) = trace {
+                if let Some(trace) = &ctx.trace {
                     let now = st.tracer.now_us();
                     st.tracer.record_manual(
-                        ctx,
+                        trace,
                         "insertion_queue",
                         now,
                         now,
@@ -459,12 +443,8 @@ fn local_insert(
             SlotState::MovedTo { dest } => {
                 let dest = dest.clone();
                 drop(guard);
-                return forward(
-                    st,
-                    &dest,
-                    &Request::Insert { shard: target, item: item.clone() },
-                    trace,
-                );
+                let req = Request::Insert { shard: target, item: item.clone() };
+                return forward(st, &dest, &req, ctx);
             }
         }
     }
@@ -481,7 +461,7 @@ fn local_bulk_insert(
     st: &Arc<WorkerState>,
     shard: u64,
     items: Vec<Item>,
-    trace: Option<&TraceCtx>,
+    ctx: ReqCtx,
 ) -> Response {
     let _timer = st.obs.bulk_insert_seconds.start();
     st.obs.bulk_items.add(items.len() as u64);
@@ -515,10 +495,10 @@ fn local_bulk_insert(
                 if st.heat.enabled() {
                     slot.heat.inserts.fetch_add(group.len() as u64, Ordering::Relaxed);
                 }
-                if let Some(ctx) = trace {
+                if let Some(trace) = &ctx.trace {
                     let now = st.tracer.now_us();
                     st.tracer.record_manual(
-                        ctx,
+                        trace,
                         "insertion_queue",
                         now,
                         now,
@@ -537,7 +517,7 @@ fn local_bulk_insert(
                 let dest = dest.clone();
                 drop(guard);
                 if let Response::Err(e) =
-                    forward(st, &dest, &Request::BulkInsert { shard: id, items: group }, trace)
+                    forward(st, &dest, &Request::BulkInsert { shard: id, items: group }, ctx)
                 {
                     return Response::Err(e);
                 }
@@ -550,99 +530,85 @@ fn local_bulk_insert(
 /// One local store (plus its in-flight insertion queue, if splitting or
 /// migrating) that a query must scan.
 struct ScanTarget {
-    /// Shard id (trace annotation only).
+    /// Shard id (names the `tree_exec` span and the plan row).
     id: u64,
     store: Arc<dyn ShardStore>,
     queue: Option<Arc<dyn ShardStore>>,
 }
 
 impl ScanTarget {
-    fn query(&self, q: &QueryBox) -> Aggregate {
-        let mut agg = self.store.query(q);
-        if let Some(queue) = &self.queue {
-            // The insertion queue is "queried along with the shard
-            // itself" (§III-E).
-            agg.merge(&queue.query(q));
-        }
-        agg
-    }
-
-    /// [`ScanTarget::query`] recording a `tree_exec` span under `parent`:
-    /// per-shard traversal statistics ([`volap_tree::QueryTrace`]) become
-    /// span annotations. Everything annotated here is a counter the
-    /// traversal produced anyway or an O(1) read — a sampled scan must not
-    /// pay a structure walk (`ShardStore::stats`) the unsampled one skips.
-    fn query_spanned(&self, q: &QueryBox, tracer: &Tracer, parent: &TraceCtx) -> Aggregate {
-        let start = tracer.now_us();
-        let wait0 = lock::thread_wait_ns();
+    /// Aggregate `q` over the store and, when the shard is splitting or
+    /// migrating, its insertion queue ("queried along with the shard
+    /// itself", §III-E). A sampled request (`trace`) records a `tree_exec`
+    /// span under it and an ANALYZE'd one (`want_plan`) gets the
+    /// [`ShardExec`] row back, both carrying the exact traversal counters
+    /// ([`volap_tree::QueryTrace`]) the tree layer maintains on every
+    /// query. Everything reported is such a counter or an O(1) read — never
+    /// a structure walk (`ShardStore::stats`) — and a plain query reads no
+    /// clock and allocates nothing here.
+    fn scan(
+        &self,
+        q: &QueryBox,
+        tracer: &Tracer,
+        trace: Option<&TraceCtx>,
+        want_plan: bool,
+    ) -> (Aggregate, Option<ShardExec>) {
+        let observed =
+            (trace.is_some() || want_plan).then(|| (tracer.now_us(), lock::thread_wait_ns()));
         let (mut agg, mut qt) = self.store.query_traced(q);
         if let Some(queue) = &self.queue {
             let (a, t) = queue.query_traced(q);
             agg.merge(&a);
             qt.merge(&t);
         }
-        let waited = lock::thread_wait_ns() - wait0;
-        let mut ann = vec![
-            ("shard".into(), self.id.to_string()),
-            ("items".into(), self.store.len().to_string()),
-            ("nodes_visited".into(), qt.nodes_visited.to_string()),
-            ("covered_hits".into(), qt.covered_hits.to_string()),
-            ("items_scanned".into(), qt.items_scanned.to_string()),
-            ("pruned".into(), qt.pruned.to_string()),
-            ("rollup_hits".into(), qt.rollup_hits.to_string()),
-        ];
-        if waited > 0 {
-            ann.push(("held_lock_wait_us".into(), (waited / 1_000).to_string()));
+        let Some((start, wait0)) = observed else { return (agg, None) };
+        let end = tracer.now_us();
+        let items = self.store.len();
+        if let Some(parent) = trace {
+            let waited = lock::thread_wait_ns() - wait0;
+            let mut ann = vec![
+                ("shard".into(), self.id.to_string()),
+                ("items".into(), items.to_string()),
+                ("nodes_visited".into(), qt.nodes_visited.to_string()),
+                ("covered_hits".into(), qt.covered_hits.to_string()),
+                ("items_scanned".into(), qt.items_scanned.to_string()),
+                ("pruned".into(), qt.pruned.to_string()),
+                ("rollup_hits".into(), qt.rollup_hits.to_string()),
+            ];
+            if waited > 0 {
+                ann.push(("held_lock_wait_us".into(), (waited / 1_000).to_string()));
+            }
+            tracer.record_manual(parent, "tree_exec", start, end, ann);
         }
-        tracer.record_manual(parent, "tree_exec", start, tracer.now_us(), ann);
-        agg
-    }
-
-    /// [`ScanTarget::query`] capturing the per-shard [`ShardExec`] record an
-    /// ANALYZE plan carries: the exact traversal counters the tree layer
-    /// measured, plus wall time and the shard's size at scan time.
-    fn query_exec(&self, q: &QueryBox) -> (Aggregate, ShardExec) {
-        let start = Instant::now();
-        let (mut agg, mut qt) = self.store.query_traced(q);
-        if let Some(queue) = &self.queue {
-            let (a, t) = queue.query_traced(q);
-            agg.merge(&a);
-            qt.merge(&t);
-        }
-        let exec = ShardExec {
+        let exec = want_plan.then(|| ShardExec {
             shard: self.id,
-            items: self.store.len(),
+            items,
             nodes_visited: qt.nodes_visited,
             covered_hits: qt.covered_hits,
             items_scanned: qt.items_scanned,
             pruned: qt.pruned,
             rollup_hits: qt.rollup_hits,
-            wall_us: start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-        };
+            wall_us: end.saturating_sub(start),
+        });
         (agg, exec)
-    }
-
-    fn query_maybe_spanned(
-        &self,
-        q: &QueryBox,
-        tracer: &Tracer,
-        parent: Option<&TraceCtx>,
-    ) -> Aggregate {
-        match parent {
-            Some(ctx) => self.query_spanned(q, tracer, ctx),
-            None => self.query(q),
-        }
     }
 }
 
+/// Aggregate `query` over the listed shards. With `want_plan` the answer is
+/// `AggExec` — the same aggregate plus the [`WorkerExec`] describing how
+/// this worker ran its part (alias chases, per-shard [`ShardExec`] rows,
+/// the parallel fan-out width, nested executions for shards forwarded to
+/// other workers) — otherwise plain `Agg`.
 fn local_query(
     st: &Arc<WorkerState>,
     shards: &[u64],
     query: &QueryBox,
-    trace: Option<&TraceCtx>,
+    ctx: ReqCtx,
+    want_plan: bool,
 ) -> Response {
     let _timer = st.obs.query_seconds.start();
     st.obs.queries.inc();
+    let wall = want_plan.then(Instant::now);
     // Phase 1: chase aliases sequentially (cheap pointer work) to resolve
     // the local stores to scan and the per-destination remote batches.
     let mut scans: Vec<ScanTarget> = Vec::new();
@@ -652,100 +618,6 @@ fn local_query(
     // A server image transiently lists both a split parent and its halves
     // (halves are published before the parent is retired), so the request
     // may name a shard the alias chase also reaches. Scan each id once.
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut hops = 0;
-    let heat_on = st.heat.enabled();
-    while let Some(id) = pending.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        hops += 1;
-        if hops > 10_000 {
-            return Response::Err("query alias expansion too deep".into());
-        }
-        let slot = match st.slots.read().get(&id) {
-            Some(s) => Arc::clone(s),
-            None => continue, // stale routing: shard no longer known here
-        };
-        let guard = slot.state.read();
-        match &*guard {
-            SlotState::Active { store } => {
-                if heat_on {
-                    slot.heat.queries.fetch_add(1, Ordering::Relaxed);
-                }
-                scans.push(ScanTarget { id, store: Arc::clone(store), queue: None });
-            }
-            SlotState::Busy { store, queue } => {
-                if heat_on {
-                    slot.heat.queries.fetch_add(1, Ordering::Relaxed);
-                }
-                scans.push(ScanTarget {
-                    id,
-                    store: Arc::clone(store),
-                    queue: Some(Arc::clone(queue)),
-                });
-            }
-            SlotState::SplitInto { left, right, .. } => {
-                pending.push(*left);
-                pending.push(*right);
-            }
-            SlotState::MovedTo { dest } => {
-                remote.entry(dest.clone()).or_default().push(id);
-            }
-        }
-    }
-    // Phase 2: scan the resolved stores — in parallel over the worker's
-    // query pool when there is one and more than one shard to search. Each
-    // task aggregates privately and merges once at the end.
-    let mut searched = scans.len() as u32;
-    let tracer = &st.tracer;
-    let mut agg = match &st.query_pool {
-        Some(pool) if scans.len() > 1 => {
-            let out = ObsMutex::new(&QUERY_OUT_CLASS, Aggregate::empty());
-            pool.scope(|s| {
-                let out = &out;
-                for t in &scans {
-                    s.spawn(move |_| {
-                        let a = t.query_maybe_spanned(query, tracer, trace);
-                        out.lock().merge(&a);
-                    });
-                }
-            });
-            out.into_inner()
-        }
-        _ => {
-            let mut a = Aggregate::empty();
-            for t in &scans {
-                a.merge(&t.query_maybe_spanned(query, tracer, trace));
-            }
-            a
-        }
-    };
-    for (dest, ids) in remote {
-        match forward(st, &dest, &Request::Query { shards: ids, query: query.clone() }, trace) {
-            Response::Agg { agg: a, shards_searched } => {
-                agg.merge(&a);
-                searched += shards_searched;
-            }
-            Response::Err(e) => return Response::Err(e),
-            _ => return Response::Err("unexpected forward response".into()),
-        }
-    }
-    Response::Agg { agg, shards_searched: searched }
-}
-
-/// [`local_query`] with plan capture: resolves and scans exactly like the
-/// plain path, but additionally assembles the [`WorkerExec`] describing how
-/// this worker ran its part of the query — alias chases counted during
-/// resolution, per-shard [`ShardExec`] records, the parallel fan-out width,
-/// and nested executions for shards forwarded to other workers.
-fn local_query_analyzed(st: &Arc<WorkerState>, shards: &[u64], query: &QueryBox) -> Response {
-    let _timer = st.obs.query_seconds.start();
-    st.obs.queries.inc();
-    let wall = Instant::now();
-    let mut scans: Vec<ScanTarget> = Vec::new();
-    let mut remote: HashMap<String, Vec<u64>> = HashMap::new();
-    let mut pending: Vec<u64> = shards.to_vec();
     let mut seen: HashSet<u64> = HashSet::new();
     let mut alias_chases: u32 = 0;
     let mut hops = 0;
@@ -764,21 +636,15 @@ fn local_query_analyzed(st: &Arc<WorkerState>, shards: &[u64], query: &QueryBox)
         };
         let guard = slot.state.read();
         match &*guard {
-            SlotState::Active { store } => {
+            SlotState::Active { store } | SlotState::Busy { store, .. } => {
                 if heat_on {
                     slot.heat.queries.fetch_add(1, Ordering::Relaxed);
                 }
-                scans.push(ScanTarget { id, store: Arc::clone(store), queue: None });
-            }
-            SlotState::Busy { store, queue } => {
-                if heat_on {
-                    slot.heat.queries.fetch_add(1, Ordering::Relaxed);
-                }
-                scans.push(ScanTarget {
-                    id,
-                    store: Arc::clone(store),
-                    queue: Some(Arc::clone(queue)),
-                });
+                let queue = match &*guard {
+                    SlotState::Busy { queue, .. } => Some(Arc::clone(queue)),
+                    _ => None,
+                };
+                scans.push(ScanTarget { id, store: Arc::clone(store), queue });
             }
             SlotState::SplitInto { left, right, .. } => {
                 alias_chases += 1;
@@ -791,54 +657,61 @@ fn local_query_analyzed(st: &Arc<WorkerState>, shards: &[u64], query: &QueryBox)
             }
         }
     }
-    let fanout = match &st.query_pool {
-        Some(_) if scans.len() > 1 => scans.len() as u32,
-        _ => scans.len().min(1) as u32,
-    };
-    let mut shard_execs: Vec<ShardExec> = Vec::with_capacity(scans.len());
-    let mut agg = match &st.query_pool {
-        Some(pool) if scans.len() > 1 => {
-            let out = ObsMutex::new(&QUERY_OUT_CLASS, (Aggregate::empty(), Vec::with_capacity(scans.len())));
+    // Phase 2: scan the resolved stores — in parallel over the worker's
+    // query pool when there is one and more than one shard to search. Each
+    // task aggregates privately and merges once at the end.
+    let pool = st.query_pool.as_ref().filter(|_| scans.len() > 1);
+    let fanout = if pool.is_some() { scans.len() } else { scans.len().min(1) } as u32;
+    let mut searched = scans.len() as u32;
+    let tracer = &st.tracer;
+    let trace = ctx.trace.as_ref();
+    let (mut agg, mut shard_execs) = match pool {
+        Some(pool) => {
+            let out = ObsMutex::new(&QUERY_OUT_CLASS, (Aggregate::empty(), Vec::new()));
             pool.scope(|s| {
                 let out = &out;
                 for t in &scans {
                     s.spawn(move |_| {
-                        let (a, e) = t.query_exec(query);
+                        let (a, exec) = t.scan(query, tracer, trace, want_plan);
                         let mut g = out.lock();
                         g.0.merge(&a);
-                        g.1.push(e);
+                        g.1.extend(exec);
                     });
                 }
             });
-            let (a, execs) = out.into_inner();
-            shard_execs = execs;
-            a
+            out.into_inner()
         }
-        _ => {
-            let mut a = Aggregate::empty();
+        None => {
+            let mut out = (Aggregate::empty(), Vec::new());
             for t in &scans {
-                let (pa, e) = t.query_exec(query);
-                a.merge(&pa);
-                shard_execs.push(e);
+                let (a, exec) = t.scan(query, tracer, trace, want_plan);
+                out.0.merge(&a);
+                out.1.extend(exec);
             }
-            a
+            out
         }
     };
-    shard_execs.sort_by_key(|e| e.shard);
-    let mut searched = scans.len() as u32;
     let mut forwards: Vec<WorkerExec> = Vec::new();
-    for (dest, ids) in remote {
-        match forward(st, &dest, &Request::QueryAnalyze { shards: ids, query: query.clone() }, None)
-        {
-            Response::AggExec { agg: a, shards_searched, exec } => {
+    for (dest, shards) in remote {
+        let req = Request::worker_query(shards, query.clone(), want_plan);
+        match (forward(st, &dest, &req, ctx), want_plan) {
+            (Response::Agg { agg: a, shards_searched }, false) => {
+                agg.merge(&a);
+                searched += shards_searched;
+            }
+            (Response::AggExec { agg: a, shards_searched, exec }, true) => {
                 agg.merge(&a);
                 searched += shards_searched;
                 forwards.push(exec);
             }
-            Response::Err(e) => return Response::Err(e),
+            (Response::Err(e), _) => return Response::Err(e),
             _ => return Response::Err("unexpected forward response".into()),
         }
     }
+    let Some(wall) = wall else {
+        return Response::Agg { agg, shards_searched: searched };
+    };
+    shard_execs.sort_by_key(|e| e.shard);
     forwards.sort_by(|a, b| a.worker.cmp(&b.worker));
     let mut requested = shards.to_vec();
     requested.sort_unstable();
@@ -848,44 +721,59 @@ fn local_query_analyzed(st: &Arc<WorkerState>, shards: &[u64], query: &QueryBox)
         requested,
         alias_chases,
         fanout,
-        wall_us: wall.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+        wall_us: micros(wall.elapsed()),
         shards: shard_execs,
         forwards,
     };
     Response::AggExec { agg, shards_searched: searched, exec }
 }
 
-fn forward(
-    st: &Arc<WorkerState>,
-    dest: &str,
-    req: &Request,
-    trace: Option<&TraceCtx>,
-) -> Response {
-    match st.endpoint.request_traced(dest, req.encode(), st.cfg.request_timeout, trace) {
+/// Send `req` on to the worker a shard moved to, under the same request
+/// context, so the principal and the trace survive the extra hop.
+fn forward(st: &Arc<WorkerState>, dest: &str, req: &Request, ctx: ReqCtx) -> Response {
+    match st.endpoint.request_ctx(dest, req.encode(), st.cfg.request_timeout, ctx) {
         Ok(bytes) => Response::decode(&st.schema, &bytes)
             .unwrap_or_else(|e| Response::Err(format!("bad forwarded response: {e}"))),
         Err(e) => Response::Err(format!("forward to {dest} failed: {e}")),
     }
 }
 
-/// Fold an insertion queue back into its shard after an aborted split or
-/// migration. Builds a fresh store instead of inserting into `store` in
-/// place: an in-flight query may have captured the `(store, queue)` pair
-/// and would count the queued items twice if they moved into `store`.
-fn revert_merge(
-    st: &WorkerState,
-    store: &Arc<dyn ShardStore>,
-    queue: &Arc<dyn ShardStore>,
-) -> Arc<dyn ShardStore> {
+/// Enter the Busy state at the start of a split or migration: from here on
+/// inserts land in a fresh insertion queue that queries search together
+/// with the store. Returns the shard's store, or the error to reply with
+/// when the shard is not Active.
+fn enter_busy(st: &WorkerState, slot: &Slot, shard: u64) -> Result<Arc<dyn ShardStore>, String> {
+    let mut guard = slot.state.write();
+    let SlotState::Active { store } = &*guard else {
+        return Err(format!("shard {shard} busy or gone"));
+    };
+    let store = Arc::clone(store);
+    let queue: Arc<dyn ShardStore> =
+        build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
+    *guard = SlotState::Busy { store: Arc::clone(&store), queue };
+    Ok(store)
+}
+
+/// Leave the Busy state after an aborted split or migration, folding the
+/// insertion queue back into the shard. Builds a fresh store instead of
+/// inserting into the old one in place: an in-flight query may have
+/// captured the `(store, queue)` pair and would count the queued items
+/// twice if they moved into `store`.
+fn revert_busy(st: &WorkerState, slot: &Slot) {
+    let mut guard = slot.state.write();
+    let SlotState::Busy { store, queue } = &*guard else { return };
     let queued = queue.items();
-    if queued.is_empty() {
-        return Arc::clone(store);
-    }
-    let mut items = store.items();
-    items.extend(queued);
-    let merged: Arc<dyn ShardStore> = build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
-    merged.bulk_insert(items);
-    merged
+    let store = if queued.is_empty() {
+        Arc::clone(store)
+    } else {
+        let mut items = store.items();
+        items.extend(queued);
+        let merged: Arc<dyn ShardStore> =
+            build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
+        merged.bulk_insert(items);
+        merged
+    };
+    *guard = SlotState::Active { store };
 }
 
 /// Split a shard in place (manager-initiated). The shard keeps serving
@@ -896,27 +784,14 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
         Some(s) => Arc::clone(s),
         None => return Response::Err(format!("unknown shard {shard}")),
     };
-    // Enter Busy state.
-    let store = {
-        let mut guard = slot.state.write();
-        match &*guard {
-            SlotState::Active { store } => {
-                let store = Arc::clone(store);
-                let queue: Arc<dyn ShardStore> =
-                    build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
-                *guard = SlotState::Busy { store: Arc::clone(&store), queue };
-                store
-            }
-            _ => return Response::Err(format!("shard {shard} busy or gone")),
-        }
+    let store = match enter_busy(st, &slot, shard) {
+        Ok(store) => store,
+        Err(e) => return Response::Err(e),
     };
     let Some(plan) = store.split_query() else {
         // Un-splittable (identical items): revert, preserving anything that
         // entered the queue meanwhile.
-        let mut guard = slot.state.write();
-        if let SlotState::Busy { store, queue } = &*guard {
-            *guard = SlotState::Active { store: revert_merge(st, store, queue) };
-        }
+        revert_busy(st, &slot);
         return Response::Err(format!("shard {shard} cannot be split"));
     };
     let (left, right) = store.split(&plan);
@@ -953,8 +828,8 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
     st.heat.retire(shard, &st.name);
     st.heat_track.lock().remove(&shard);
     // Update the global image: old record out, halves in.
-    let left_rec = ShardRecord { id: left_id, worker: st.name.clone(), len: left.len(), mbr: left.mbr() };
-    let right_rec = ShardRecord { id: right_id, worker: st.name.clone(), len: right.len(), mbr: right.mbr() };
+    let left_rec = shard_record(st, left_id, &left);
+    let right_rec = shard_record(st, right_id, &right);
     // Publish the halves before retiring the parent so no server image ever
     // sees a routing gap (events are applied in order).
     st.image.merge_shard(&left_rec);
@@ -990,29 +865,16 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
         Some(s) => Arc::clone(s),
         None => return Response::Err(format!("unknown shard {shard}")),
     };
-    let store = {
-        let mut guard = slot.state.write();
-        match &*guard {
-            SlotState::Active { store } => {
-                let store = Arc::clone(store);
-                let queue: Arc<dyn ShardStore> =
-                    build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
-                *guard = SlotState::Busy { store: Arc::clone(&store), queue };
-                store
-            }
-            _ => return Response::Err(format!("shard {shard} busy or gone")),
-        }
+    let store = match enter_busy(st, &slot, shard) {
+        Ok(store) => store,
+        Err(e) => return Response::Err(e),
     };
     // Ship the serialized shard.
     let blob = store.serialize();
-    match forward(st, dest, &Request::Adopt { shard, blob }, None) {
+    match forward(st, dest, &Request::Adopt { shard, blob }, ReqCtx::default()) {
         Response::Ack => {}
         Response::Err(e) => {
-            // Revert: fold the queue back in.
-            let mut guard = slot.state.write();
-            if let SlotState::Busy { store, queue } = &*guard {
-                *guard = SlotState::Active { store: revert_merge(st, store, queue) };
-            }
+            revert_busy(st, &slot);
             return Response::Err(format!("adopt failed: {e}"));
         }
         _ => return Response::Err("unexpected adopt response".into()),
@@ -1031,7 +893,7 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
     st.heat_track.lock().remove(&shard);
     if !queued.is_empty() {
         if let Response::Err(e) =
-            forward(st, dest, &Request::BulkInsert { shard, items: queued }, None)
+            forward(st, dest, &Request::BulkInsert { shard, items: queued }, ReqCtx::default())
         {
             return Response::Err(format!("queue drain failed: {e}"));
         }
@@ -1055,12 +917,7 @@ fn do_adopt(st: &Arc<WorkerState>, shard: u64, blob: &[u8]) -> Response {
     match deserialize_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config(), blob) {
         Ok(store) => {
             let store: Arc<dyn ShardStore> = store.into();
-            let rec = ShardRecord {
-                id: shard,
-                worker: st.name.clone(),
-                len: store.len(),
-                mbr: store.mbr(),
-            };
+            let rec = shard_record(st, shard, &store);
             st.slots.write().insert(shard, Slot::new(SlotState::Active { store }));
             st.image.merge_shard(&rec);
             st.obs.adoptions.inc();

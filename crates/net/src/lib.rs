@@ -20,14 +20,15 @@
 //! requester, never through the request queue — exactly the two-socket
 //! pattern the paper describes per thread.
 //!
-//! **Causal tracing** rides on the fabric: an [`Envelope`] carries an
-//! optional [`TraceCtx`] next to its correlation ID, so a sampled request's
-//! identity survives every hop. [`Endpoint::request_traced`] /
-//! [`Endpoint::request_many_traced`] wrap each hop in a `net_hop` span
-//! (once a [`Tracer`] is attached via [`Network::attach_tracer`]), and
-//! [`Incoming`] exposes the propagated context plus the measured time the
-//! envelope spent in the receive queue — the `worker_queue` stage of the
-//! paper's latency breakdown.
+//! **Request context** rides on the fabric: an [`Envelope`] carries a
+//! [`ReqCtx`] — the optional [`TraceCtx`] of a sampled request plus its
+//! accounting principal — next to its correlation ID, so both survive every
+//! hop. [`Endpoint::request_ctx`] / [`Endpoint::request_many_ctx`] wrap each
+//! hop of a sampled request in a `net_hop` span (once a [`Tracer`] is
+//! attached via [`Network::attach_tracer`]), and [`Incoming`] exposes the
+//! propagated context plus the measured time the envelope spent in the
+//! receive queue — the `worker_queue` stage of the paper's latency
+//! breakdown.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +55,7 @@ struct NetObs {
     messages: Counter,
     /// Payload bytes routed.
     bytes: Counter,
-    /// Requests issued via `request`/`request_many`.
+    /// Requests issued via `request_ctx`/`request_many_ctx`.
     requests: Counter,
     /// Requests that timed out waiting for their reply.
     timeouts: Counter,
@@ -90,6 +91,17 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// What a request carries besides its payload: the only way trace identity
+/// and cost attribution travel between processes. The default is the
+/// context-free request (unsampled, untagged).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReqCtx {
+    /// Trace context (sampled requests only).
+    pub trace: Option<TraceCtx>,
+    /// Accounting principal (0 = untagged).
+    pub principal: u32,
+}
+
 /// A routed message.
 #[derive(Debug, Clone)]
 struct Envelope {
@@ -97,11 +109,8 @@ struct Envelope {
     correlation: u64,
     /// `true` when this is a reply to an outstanding request.
     is_reply: bool,
-    /// Propagated trace context (sampled requests only).
-    trace: Option<TraceCtx>,
-    /// Propagated accounting principal (0 = untagged), riding alongside
-    /// the trace context so cost attribution survives every hop.
-    principal: u32,
+    /// Propagated request context (default on replies and one-way sends).
+    ctx: ReqCtx,
     /// Stamped at delivery into the destination queue, so receive-side
     /// queue-wait measurements exclude injected wire latency.
     queued_at: Option<Instant>,
@@ -240,7 +249,7 @@ impl Network {
     }
 
     /// Attach a causal tracer (idempotent; the first call wins). Until
-    /// attached, `*_traced` calls propagate contexts but record no spans.
+    /// attached, requests propagate their context but record no spans.
     pub fn attach_tracer(&self, tracer: &Tracer) {
         let _ = self.inner.tracer.set(tracer.clone());
     }
@@ -293,10 +302,8 @@ pub struct Incoming {
     pub from: String,
     /// Correlation ID (echoed in the reply).
     pub correlation: u64,
-    /// Propagated trace context, when the sender's request was sampled.
-    pub trace: Option<TraceCtx>,
-    /// Propagated accounting principal (0 = untagged).
-    pub principal: u32,
+    /// Propagated request context (trace of a sampled request, principal).
+    pub ctx: ReqCtx,
     /// Time this envelope spent in the receive queue before `recv` picked
     /// it up (excludes injected wire latency) — the `worker_queue` stage.
     pub queued: Duration,
@@ -311,8 +318,7 @@ impl Incoming {
         Incoming {
             from: env.from,
             correlation: env.correlation,
-            trace: env.trace,
-            principal: env.principal,
+            ctx: env.ctx,
             queued: env.queued_at.map(|t| t.elapsed()).unwrap_or_default(),
             payload: env.payload,
             net,
@@ -328,8 +334,7 @@ impl Incoming {
                 from: self.to_name.clone(),
                 correlation: self.correlation,
                 is_reply: true,
-                trace: None,
-                principal: 0,
+                ctx: ReqCtx::default(),
                 queued_at: None,
                 payload,
             },
@@ -358,70 +363,40 @@ impl Endpoint {
 
     /// Fire-and-forget send (correlation 0).
     pub fn send(&self, to: &str, payload: Vec<u8>) -> Result<(), NetError> {
-        self.send_traced(to, payload, None)
-    }
-
-    /// Fire-and-forget send carrying a trace context (used to keep
-    /// causality across one-way hops, e.g. shard handoff notifications).
-    pub fn send_traced(
-        &self,
-        to: &str,
-        payload: Vec<u8>,
-        trace: Option<TraceCtx>,
-    ) -> Result<(), NetError> {
         self.net.route(
             to,
             Envelope {
                 from: self.core.name.clone(),
                 correlation: 0,
                 is_reply: false,
-                trace,
-                principal: 0,
+                ctx: ReqCtx::default(),
                 queued_at: None,
                 payload,
             },
         )
     }
 
-    /// Send a request and block for the correlated reply.
+    /// Send a context-free request and block for the correlated reply.
     pub fn request(&self, to: &str, payload: Vec<u8>, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.request_tagged(to, payload, timeout, None, 0)
+        self.request_ctx(to, payload, timeout, ReqCtx::default())
     }
 
-    /// [`Endpoint::request`] under a trace: when `parent` is set and a
+    /// Send a request under `ctx` and block for the correlated reply. The
+    /// principal rides the envelope as is; when `ctx.trace` is set and a
     /// tracer is attached, the hop gets a child context (propagated in the
     /// envelope) and records a `net_hop` span covering the round trip.
-    pub fn request_traced(
+    pub fn request_ctx(
         &self,
         to: &str,
         payload: Vec<u8>,
         timeout: Duration,
-        parent: Option<&TraceCtx>,
-    ) -> Result<Vec<u8>, NetError> {
-        self.request_tagged(to, payload, timeout, parent, 0)
-    }
-
-    /// [`Endpoint::request_traced`] carrying an accounting principal: the
-    /// tag rides the envelope next to the trace context (and lands on the
-    /// hop span, so slow traces show who the hop was for).
-    pub fn request_tagged(
-        &self,
-        to: &str,
-        payload: Vec<u8>,
-        timeout: Duration,
-        parent: Option<&TraceCtx>,
-        principal: u32,
+        ctx: ReqCtx,
     ) -> Result<Vec<u8>, NetError> {
         let _timer = self.net.obs().map(|o| {
             o.requests.inc();
             o.request_seconds.start()
         });
-        let (hop_ctx, mut hop_span) = self.hop_span(parent, to);
-        if principal != 0 {
-            if let Some(span) = hop_span.as_mut() {
-                span.annotate("principal", principal.to_string());
-            }
-        }
+        let (hop_ctx, mut hop_span) = self.hop_span(ctx, to);
         let corr = self.core.next_corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         self.core.pending.lock().insert(corr, tx);
@@ -431,8 +406,7 @@ impl Endpoint {
                 from: self.core.name.clone(),
                 correlation: corr,
                 is_reply: false,
-                trace: hop_ctx,
-                principal,
+                ctx: hop_ctx,
                 queued_at: None,
                 payload,
             },
@@ -459,58 +433,48 @@ impl Endpoint {
         }
     }
 
-    /// Child context + `net_hop` span for one traced hop, when both a
-    /// parent context and a tracer are present.
-    fn hop_span(
-        &self,
-        parent: Option<&TraceCtx>,
-        dest: &str,
-    ) -> (Option<TraceCtx>, Option<SpanGuard>) {
-        match (parent, self.net.tracer()) {
+    /// The context one hop to `dest` carries, plus its `net_hop` span: a
+    /// sampled request with a tracer attached gets a child context and a
+    /// span (annotated with the principal, so slow traces show who the hop
+    /// was for); anything else propagates `ctx` unchanged.
+    fn hop_span(&self, ctx: ReqCtx, dest: &str) -> (ReqCtx, Option<SpanGuard>) {
+        match (ctx.trace, self.net.tracer()) {
             (Some(parent), Some(tracer)) => {
-                let ctx = tracer.child(parent);
-                let mut span = tracer.span(&ctx, "net_hop");
+                let child = tracer.child(&parent);
+                let mut span = tracer.span(&child, "net_hop");
                 span.annotate("dest", dest);
-                (Some(ctx), Some(span))
+                if ctx.principal != 0 {
+                    span.annotate("principal", ctx.principal.to_string());
+                }
+                (ReqCtx { trace: Some(child), ..ctx }, Some(span))
             }
-            (parent, _) => (parent.copied(), None),
+            _ => (ctx, None),
         }
     }
 
-    /// Issue several requests concurrently and block until every reply has
-    /// arrived (or the shared deadline passes). Returns one result per
-    /// request, in order. This is the scatter/gather primitive servers use
-    /// to query many workers in one round trip without spawning threads.
+    /// Issue several context-free requests concurrently (see
+    /// [`Endpoint::request_many_ctx`]).
     pub fn request_many(
         &self,
         requests: &[(String, Vec<u8>)],
         timeout: Duration,
     ) -> Vec<Result<Vec<u8>, NetError>> {
-        self.request_many_traced(requests, timeout, None)
+        self.request_many_ctx(requests, timeout, ReqCtx::default())
     }
 
-    /// [`Endpoint::request_many`] under a trace: each fan-out leg gets its
-    /// own child context and `net_hop` span, closed as its reply arrives
-    /// (stragglers close at the deadline with an `error` annotation), so an
-    /// assembled trace shows exactly which worker a scatter waited on.
-    pub fn request_many_traced(
+    /// Issue several requests concurrently under `ctx` and block until
+    /// every reply has arrived (or the shared deadline passes). Returns one
+    /// result per request, in order. This is the scatter/gather primitive
+    /// servers use to query many workers in one round trip without spawning
+    /// threads. Each fan-out leg of a sampled request gets its own child
+    /// context and `net_hop` span, closed as its reply arrives (stragglers
+    /// close at the deadline with an `error` annotation), so an assembled
+    /// trace shows exactly which worker a scatter waited on.
+    pub fn request_many_ctx(
         &self,
         requests: &[(String, Vec<u8>)],
         timeout: Duration,
-        parent: Option<&TraceCtx>,
-    ) -> Vec<Result<Vec<u8>, NetError>> {
-        self.request_many_tagged(requests, timeout, parent, 0)
-    }
-
-    /// [`Endpoint::request_many_traced`] carrying an accounting principal on
-    /// every fan-out leg (and annotating each leg's hop span), so scatter
-    /// cost lands on the tenant that caused it.
-    pub fn request_many_tagged(
-        &self,
-        requests: &[(String, Vec<u8>)],
-        timeout: Duration,
-        parent: Option<&TraceCtx>,
-        principal: u32,
+        ctx: ReqCtx,
     ) -> Vec<Result<Vec<u8>, NetError>> {
         if requests.is_empty() {
             return Vec::new();
@@ -539,12 +503,7 @@ impl Endpoint {
         }
         for (i, (to, payload)) in requests.iter().enumerate() {
             let corr = base + i as u64;
-            let (hop_ctx, mut hop_span) = self.hop_span(parent, to);
-            if principal != 0 {
-                if let Some(span) = hop_span.as_mut() {
-                    span.annotate("principal", principal.to_string());
-                }
-            }
+            let (hop_ctx, hop_span) = self.hop_span(ctx, to);
             hop_spans[i] = hop_span;
             let sent = self.net.route(
                 to,
@@ -552,8 +511,7 @@ impl Endpoint {
                     from: self.core.name.clone(),
                     correlation: corr,
                     is_reply: false,
-                    trace: hop_ctx,
-                    principal,
+                    ctx: hop_ctx,
                     queued_at: None,
                     payload: payload.clone(),
                 },
@@ -717,15 +675,15 @@ mod tests {
         let server = net.endpoint("server");
         let handle = thread::spawn(move || {
             let tagged = server.recv(Duration::from_secs(2)).unwrap();
-            let principal = tagged.principal;
+            let principal = tagged.ctx.principal;
             tagged.reply(vec![]).unwrap();
             let untagged = server.recv(Duration::from_secs(2)).unwrap();
-            let none = untagged.principal;
+            let none = untagged.ctx.principal;
             untagged.reply(vec![]).unwrap();
             (principal, none)
         });
         client
-            .request_tagged("server", vec![1], Duration::from_secs(2), None, 7)
+            .request_ctx("server", vec![1], Duration::from_secs(2), ReqCtx { trace: None, principal: 7 })
             .unwrap();
         client.request("server", vec![2], Duration::from_secs(2)).unwrap();
         let (principal, none) = handle.join().unwrap();
@@ -897,12 +855,12 @@ mod tests {
         let root = tracer.sample_root().unwrap();
         let h = thread::spawn(move || {
             let req = server.recv(Duration::from_secs(2)).unwrap();
-            let ctx = req.trace.expect("context must propagate in the envelope");
+            let ctx = req.ctx.trace.expect("context must propagate in the envelope");
             req.reply(b"ok".to_vec()).unwrap();
             ctx
         });
         let reply = client
-            .request_traced("server", b"ping".to_vec(), Duration::from_secs(2), Some(&root))
+            .request_ctx("server", b"ping".to_vec(), Duration::from_secs(2), ReqCtx { trace: Some(root), principal: 0 })
             .unwrap();
         assert_eq!(reply, b"ok");
         let seen = h.join().unwrap();
@@ -917,7 +875,7 @@ mod tests {
             let server2 = net.endpoint("server2");
             move || {
                 let req = server2.recv(Duration::from_secs(2)).unwrap();
-                assert!(req.trace.is_none());
+                assert_eq!(req.ctx, ReqCtx::default());
                 req.reply(vec![]).unwrap();
             }
         });
@@ -926,7 +884,7 @@ mod tests {
     }
 
     #[test]
-    fn request_many_traced_spans_every_leg() {
+    fn sampled_request_many_spans_every_leg() {
         use volap_obs::{TraceConfig, Tracer};
         let net = Network::new();
         let tracer = Tracer::new(TraceConfig { sample: 1, ..TraceConfig::default() });
@@ -937,14 +895,15 @@ mod tests {
             let server = net.endpoint(format!("s{i}"));
             handles.push(thread::spawn(move || {
                 let req = server.recv(Duration::from_secs(2)).unwrap();
-                let ctx = req.trace.expect("fan-out leg carries a context");
+                let ctx = req.ctx.trace.expect("fan-out leg carries a context");
                 req.reply(vec![]).unwrap();
                 ctx
             }));
         }
         let root = tracer.sample_root().unwrap();
         let reqs: Vec<(String, Vec<u8>)> = (0..3).map(|i| (format!("s{i}"), vec![i])).collect();
-        let replies = client.request_many_traced(&reqs, Duration::from_secs(2), Some(&root));
+        let replies =
+            client.request_many_ctx(&reqs, Duration::from_secs(2), ReqCtx { trace: Some(root), principal: 0 });
         assert!(replies.iter().all(Result::is_ok));
         let mut leg_spans = std::collections::HashSet::new();
         for h in handles {

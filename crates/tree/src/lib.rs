@@ -54,4 +54,4 @@ pub use leaf::{Column, ColumnStats, LeafColumns};
 pub use rollup::RollupTable;
 pub use split::SplitPlan;
 pub use store::{build_store, deserialize_store, ShardStore, StoreKind, StoreStats};
-pub use tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig, DEFAULT_PAR_CUTOFF};
+pub use tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig};

@@ -165,12 +165,6 @@ pub trait ShardStore: Send + Sync {
     }
     /// Aggregate with traversal statistics.
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace);
-    /// Aggregate everything inside `q` using intra-shard parallelism where
-    /// the store supports it (tree stores fan large subtrees out over the
-    /// global rayon pool). Defaults to the sequential path.
-    fn query_par(&self, q: &QueryBox) -> Aggregate {
-        self.query(q)
-    }
     /// Item count.
     fn len(&self) -> u64;
     /// Whether the store is empty.
@@ -257,9 +251,6 @@ impl<K: Key> ShardStore for TreeShard<K> {
     }
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
         self.tree.query_traced(q)
-    }
-    fn query_par(&self, q: &QueryBox) -> Aggregate {
-        self.tree.query_par(q)
     }
     fn len(&self) -> u64 {
         self.tree.len()

@@ -13,11 +13,10 @@ use crate::rollup::RollupTable;
 /// The tree layer's slice of the global lock hierarchy (DESIGN.md §15).
 /// The root pointer is taken before any node; node locks are chainable
 /// (hand-over-hand coupling holds parent + child of the same class); the
-/// stack pool and parallel-query sink are leaves of the order.
+/// stack pool is a leaf of the order.
 static TREE_ROOT_CLASS: LockClass = LockClass::new("tree.root", 50);
 pub(crate) static TREE_NODE_CLASS: LockClass = LockClass::new_chainable("tree.node", 51);
 static STACK_POOL_CLASS: LockClass = LockClass::new("tree.stack_pool", 52);
-static QUERY_OUT_CLASS: LockClass = LockClass::new("tree.query_out", 53);
 
 /// Sizing and fill parameters shared by all tree variants.
 #[derive(Debug, Clone)]
@@ -166,8 +165,8 @@ pub struct QueryTrace {
 
 impl QueryTrace {
     /// Combine counters from another (partial) traversal. All fields are
-    /// order-independent sums, so parallel per-task traces merge into
-    /// exactly the trace a sequential traversal of the same tree produces.
+    /// order-independent sums, so a shard's trace and its insertion
+    /// queue's (or several shards') merge exactly.
     pub fn merge(&mut self, other: &QueryTrace) {
         self.nodes_visited += other.nodes_visited;
         self.covered_hits += other.covered_hits;
@@ -176,12 +175,6 @@ impl QueryTrace {
         self.rollup_hits += other.rollup_hits;
     }
 }
-
-/// Default subtree size (cached item count) above which [`ConcurrentTree::query_par`]
-/// forks a directory child into its own task. Subtrees below the cutoff are
-/// walked inline by whichever task reaches them, so small trees never pay
-/// task-spawn overhead.
-pub const DEFAULT_PAR_CUTOFF: u64 = 8192;
 
 /// A concurrent multi-dimensional aggregate index with cached per-node
 /// aggregates: the PDC-tree family member selected by the key type `K` and
@@ -196,7 +189,7 @@ pub struct ConcurrentTree<K: Key> {
     /// Cumulative node splits (root, preventive, and overflow), for
     /// observability: split rate is the structural cost of ingest.
     node_splits: AtomicU64,
-    /// Recycled traversal stacks for the sequential query path, so steady-
+    /// Recycled traversal stacks for the query path, so steady-
     /// state queries allocate nothing (one stack replaces the per-directory
     /// `Vec` the recursive walk used to build).
     stack_pool: ObsMutex<Vec<Vec<Arc<Node<K>>>>>,
@@ -782,120 +775,23 @@ impl<K: Key> ConcurrentTree<K> {
     /// across calls, so the steady state performs no allocation at all.
     pub fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
         debug_assert_eq!(q.dims(), self.schema.dims());
-        if let Some((agg, trace)) = self.rollup_answer(q) {
+        let mut trace = QueryTrace::default();
+        // Constrained boxes aligned at a materialized level are answered
+        // from the rollups (unconstrained queries stay on the cheaper
+        // root-aggregate coverage path). A hit skips the tree walk
+        // entirely, so the only non-zero counter is `rollup_hits`.
+        if let Some(agg) = self.rollup.as_ref().and_then(|r| r.try_answer(q)) {
+            trace.rollup_hits = 1;
             return (agg, trace);
         }
         let mut agg = Aggregate::empty();
-        let mut trace = QueryTrace::default();
         let mut stack = self.stack_pool.lock().pop().unwrap_or_default();
         stack.push(Arc::clone(&self.root.read()));
+        // Scan each leaf reached; in a directory, prune, consume cached
+        // aggregates, and push the children that still need a visit.
         while let Some(node) = stack.pop() {
-            self.visit_node(&node, q, &mut agg, &mut trace, &mut stack);
-        }
-        let mut pool = self.stack_pool.lock();
-        if pool.len() < 8 {
-            pool.push(stack);
-        }
-        (agg, trace)
-    }
-
-    /// Try to answer `q` from the materialized rollups: succeeds only for
-    /// constrained boxes aligned at a materialized level (unconstrained
-    /// queries stay on the cheaper root-aggregate coverage path). A hit
-    /// skips the tree walk entirely, so the only non-zero counter is
-    /// `rollup_hits`.
-    fn rollup_answer(&self, q: &QueryBox) -> Option<(Aggregate, QueryTrace)> {
-        let agg = self.rollup.as_ref()?.try_answer(q)?;
-        Some((agg, QueryTrace { rollup_hits: 1, ..QueryTrace::default() }))
-    }
-
-    /// Process one node: scan it if a leaf, otherwise prune / consume cached
-    /// aggregates and push the children that still need a visit onto
-    /// `descend`. Shared by the sequential and parallel query paths.
-    fn visit_node(
-        &self,
-        node: &Arc<Node<K>>,
-        q: &QueryBox,
-        agg: &mut Aggregate,
-        trace: &mut QueryTrace,
-        descend: &mut Vec<Arc<Node<K>>>,
-    ) {
-        trace.nodes_visited += 1;
-        let guard = node.read();
-        match &guard.children {
-            NodeChildren::Leaf(entries) => {
-                trace.items_scanned += entries.len() as u64;
-                entries.scan(q, agg);
-            }
-            NodeChildren::Dir(entries) => {
-                for e in entries {
-                    if !e.key.overlaps_query(q) {
-                        trace.pruned += 1;
-                    } else if self.cfg.aggregate_cache && e.key.covered_by_query(q) {
-                        // Coverage resilience: consume the cached aggregate.
-                        trace.covered_hits += 1;
-                        agg.merge(&e.node.read().agg);
-                    } else {
-                        descend.push(Arc::clone(&e.node));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Aggregate every item inside `q`, fanning large subtrees out over the
-    /// global rayon pool. Equivalent to [`ConcurrentTree::query`].
-    pub fn query_par(&self, q: &QueryBox) -> Aggregate {
-        self.query_par_traced(q).0
-    }
-
-    /// Parallel query with traversal statistics (see
-    /// [`ConcurrentTree::query_par_with`]; uses [`DEFAULT_PAR_CUTOFF`]).
-    pub fn query_par_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
-        self.query_par_with(q, DEFAULT_PAR_CUTOFF)
-    }
-
-    /// Parallel query with an explicit task-size cutoff: while walking, any
-    /// directory child that must be descended and whose cached aggregate
-    /// counts at least `cutoff` items is spawned as its own task; smaller
-    /// subtrees are walked inline. Each task accumulates into a private
-    /// `(Aggregate, QueryTrace)` and merges it into the shared result once,
-    /// when the task ends — one lock acquisition per task instead of
-    /// contention on every leaf.
-    ///
-    /// Trees smaller than `2 * cutoff` take the sequential path outright, so
-    /// small trees pay no scope-setup overhead.
-    pub fn query_par_with(&self, q: &QueryBox, cutoff: u64) -> (Aggregate, QueryTrace) {
-        debug_assert_eq!(q.dims(), self.schema.dims());
-        if let Some((agg, trace)) = self.rollup_answer(q) {
-            return (agg, trace);
-        }
-        let cutoff = cutoff.max(1);
-        if self.len() < cutoff.saturating_mul(2) {
-            return self.query_traced(q);
-        }
-        let root = Arc::clone(&self.root.read());
-        let out = ObsMutex::new(&QUERY_OUT_CLASS, (Aggregate::empty(), QueryTrace::default()));
-        rayon::scope(|s| self.par_task(s, root, q, cutoff, &out));
-        out.into_inner()
-    }
-
-    /// One parallel-query task: walk `node`'s subtree inline, forking
-    /// children above the cutoff onto the rayon scope.
-    fn par_task<'s>(
-        &'s self,
-        s: &rayon::Scope<'s>,
-        node: Arc<Node<K>>,
-        q: &'s QueryBox,
-        cutoff: u64,
-        out: &'s ObsMutex<(Aggregate, QueryTrace)>,
-    ) {
-        let mut agg = Aggregate::empty();
-        let mut trace = QueryTrace::default();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
             trace.nodes_visited += 1;
-            let guard = n.read();
+            let guard = node.read();
             match &guard.children {
                 NodeChildren::Leaf(entries) => {
                     trace.items_scanned += entries.len() as u64;
@@ -906,23 +802,21 @@ impl<K: Key> ConcurrentTree<K> {
                         if !e.key.overlaps_query(q) {
                             trace.pruned += 1;
                         } else if self.cfg.aggregate_cache && e.key.covered_by_query(q) {
+                            // Coverage resilience: consume the cached aggregate.
                             trace.covered_hits += 1;
                             agg.merge(&e.node.read().agg);
                         } else {
-                            let child = Arc::clone(&e.node);
-                            if child.read().agg.count >= cutoff {
-                                s.spawn(move |s| self.par_task(s, child, q, cutoff, out));
-                            } else {
-                                stack.push(child);
-                            }
+                            stack.push(Arc::clone(&e.node));
                         }
                     }
                 }
             }
         }
-        let mut merged = out.lock();
-        merged.0.merge(&agg);
-        merged.1.merge(&trace);
+        let mut pool = self.stack_pool.lock();
+        if pool.len() < 8 {
+            pool.push(stack);
+        }
+        (agg, trace)
     }
 
     /// Bounding rectangle of the whole tree.
@@ -1221,10 +1115,6 @@ mod tests {
         assert!((agg.sum - expect.sum).abs() < 1e-6);
         assert_eq!(agg.min, expect.min);
         assert_eq!(agg.max, expect.max);
-        // The parallel entry point short-circuits identically.
-        let (pagg, ptrace) = tree.query_par_with(&q, 1);
-        assert_eq!(ptrace.rollup_hits, 1);
-        assert_eq!(pagg.count, expect.count);
         // Unconstrained queries stay on the root-aggregate coverage path.
         let (_, full) = tree.query_traced(&QueryBox::all(&schema));
         assert_eq!(full.rollup_hits, 0);
@@ -1267,12 +1157,16 @@ mod tests {
                     }
                 });
             }
-            // Concurrent readers: must not deadlock or panic.
+            // Concurrent readers: must not deadlock or panic, and the total
+            // they see must only ever grow.
             let qtree = Arc::clone(&tree);
             let q = QueryBox::all(&schema);
             s.spawn(move || {
+                let mut last = 0;
                 for _ in 0..200 {
-                    let _ = qtree.query(&q);
+                    let (agg, _) = qtree.query_traced(&q);
+                    assert!(agg.count >= last, "total count went backwards: {last} -> {}", agg.count);
+                    last = agg.count;
                 }
             });
         });

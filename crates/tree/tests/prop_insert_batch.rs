@@ -1,7 +1,7 @@
 //! Property tests: `insert_batch` is observationally equivalent to per-item
 //! `insert` — same totals, same query results, same brute-force answers —
 //! under aggressive splitting (tiny node capacities), every insert policy,
-//! both key types, and concurrent `query_par` readers.
+//! both key types, and concurrent readers.
 
 use std::sync::Arc;
 
@@ -102,7 +102,6 @@ fn check_equivalence<K: volap_dims::Key>(
         let expect = brute(items, &query);
         assert_agg_eq(&a.query(&query), &expect, &ctx)?;
         assert_agg_eq(&b.query(&query), &expect, &ctx)?;
-        assert_agg_eq(&b.query_par(&query), &expect, &ctx)?;
     }
     Ok(())
 }
@@ -146,12 +145,12 @@ proptest! {
     }
 }
 
-/// Batched writers racing `query_par` readers: totals must be exact at the
-/// end and every intermediate read must be a well-formed aggregate (no
-/// panics, no torn runs — a partially applied run would briefly break the
-/// tree's internal invariants and can deadlock or miscount).
+/// Batched writers racing readers: totals must be exact at the end and
+/// every intermediate read must be a well-formed aggregate (no panics, no
+/// torn runs — a partially applied run would briefly break the tree's
+/// internal invariants and can deadlock or miscount).
 #[test]
-fn concurrent_batch_inserts_and_par_queries() {
+fn concurrent_batch_inserts_and_queries() {
     let s = schema();
     let tree: Arc<ConcurrentTree<Mds>> = Arc::new(ConcurrentTree::new(
         s.clone(),
@@ -195,20 +194,15 @@ fn concurrent_batch_inserts_and_par_queries() {
         let qtree = Arc::clone(&tree);
         let q = QueryBox::all(&s);
         scope.spawn(move || {
-            for i in 0..300 {
-                // Force the forked path with a tiny cutoff half the time.
-                let agg = if i % 2 == 0 {
-                    qtree.query_par(&q)
-                } else {
-                    qtree.query_par_with(&q, 64).0
-                };
+            for _ in 0..300 {
+                let (agg, _) = qtree.query_traced(&q);
                 assert!(agg.count <= 6000);
             }
         });
     });
     assert_eq!(tree.len(), items.len() as u64);
     let expect = brute(&items, &QueryBox::all(&s));
-    let got = tree.query_par(&QueryBox::all(&s));
+    let got = tree.query(&QueryBox::all(&s));
     assert_eq!(got.count, expect.count);
     assert!((got.sum - expect.sum).abs() < 1e-6);
     assert_eq!(got.min, expect.min);

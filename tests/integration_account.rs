@@ -86,9 +86,18 @@ fn tagged_workload_reconciles_with_registry_and_exporters() {
     for _ in 0..A_QUERIES {
         a.query(&partial_box()).expect("tenant-a query");
     }
+    // A tagged query is the untagged query plus a flag: same answer.
+    let (plain_agg, plain_shards) = plain1.query(&partial_box()).expect("untagged query");
+    probes += 1;
+    assert_eq!(plain_agg.count, ref_agg.count);
     for _ in 0..B_QUERIES {
-        let (agg, _) = b.query(&partial_box()).expect("tenant-b query");
-        assert_eq!(agg.count, ref_agg.count, "tagging must not change results");
+        let (agg, shards) = b.query(&partial_box()).expect("tenant-b query");
+        assert_eq!(
+            (agg.count, agg.min, agg.max, shards),
+            (plain_agg.count, plain_agg.min, plain_agg.max, plain_shards),
+            "tagging must not change the response"
+        );
+        assert!((agg.sum - plain_agg.sum).abs() < 1e-6, "tagging must not change the sum");
     }
 
     // Exact totals: per-principal request counts are exact, and tagged +
@@ -150,6 +159,17 @@ fn tagged_workload_reconciles_with_registry_and_exporters() {
         })
     });
     assert!(tagged_root, "no slow trace root annotated principal=tenant-b");
+    // ...and show the same execution as an untagged query's: one tree_exec
+    // span per shard searched, not a detour that records none.
+    let tagged: Vec<_> = slow
+        .iter()
+        .filter(|t| t.root().is_some_and(|r| r.annotation("principal") == Some("tenant-b")))
+        .collect();
+    assert!(!tagged.is_empty(), "tenant-b's queries are the most recent traces");
+    for t in tagged {
+        let scans = t.spans.iter().filter(|s| s.name == "tree_exec").count();
+        assert_eq!(scans, plain_shards as usize, "tree_exec spans of\n{}", t.render_tree());
+    }
     cluster.shutdown();
 }
 

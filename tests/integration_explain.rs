@@ -39,19 +39,35 @@ fn corner_items() -> Vec<Item> {
         .collect()
 }
 
+/// The shard and traversal counters of every `tree_exec` span in a trace,
+/// sorted by shard.
+fn tree_exec_spans(trace: &Trace) -> Vec<(u64, QueryTrace)> {
+    let mut spans: Vec<(u64, QueryTrace)> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "tree_exec")
+        .map(|span| {
+            let get = |k: &str| span.annotation(k).unwrap().parse::<u64>().unwrap();
+            let counters = QueryTrace {
+                nodes_visited: get("nodes_visited"),
+                covered_hits: get("covered_hits"),
+                items_scanned: get("items_scanned"),
+                pruned: get("pruned"),
+                rollup_hits: get("rollup_hits"),
+            };
+            (get("shard"), counters)
+        })
+        .collect();
+    spans.sort_by_key(|(shard, _)| *shard);
+    spans
+}
+
 /// Sum the traversal counters of every `tree_exec` span in a trace — the
 /// independent measurement an ANALYZE plan must agree with.
 fn trace_totals(trace: &Trace) -> QueryTrace {
     let mut t = QueryTrace::default();
-    for span in trace.spans.iter().filter(|s| s.name == "tree_exec") {
-        let get = |k: &str| span.annotation(k).unwrap().parse::<u64>().unwrap();
-        t.merge(&QueryTrace {
-            nodes_visited: get("nodes_visited"),
-            covered_hits: get("covered_hits"),
-            items_scanned: get("items_scanned"),
-            pruned: get("pruned"),
-            rollup_hits: get("rollup_hits"),
-        });
+    for (_, counters) in tree_exec_spans(trace) {
+        t.merge(&counters);
     }
     t
 }
@@ -153,14 +169,19 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
     }
 
     // The ANALYZE'd request itself is traced under its own op, so the
-    // flight recorder and the plan can be joined.
-    assert!(
-        cluster
-            .slow_traces()
-            .iter()
-            .any(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query_analyze"))),
-        "analyze run recorded its own trace"
-    );
+    // flight recorder and the plan can be joined — and it ran the same
+    // scan as any sampled query: one tree_exec span per scanned shard,
+    // carrying exactly the counters of that shard's plan row.
+    let slow = cluster.slow_traces();
+    let analyzed = slow
+        .iter()
+        .rev()
+        .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query_analyze")))
+        .expect("analyze run recorded its own trace");
+    let mut rows: Vec<(u64, QueryTrace)> =
+        plan.workers.iter().flat_map(|w| &w.shards).map(|s| (s.shard, s.trace())).collect();
+    rows.sort_by_key(|(shard, _)| *shard);
+    assert_eq!(tree_exec_spans(analyzed), rows, "tree_exec spans equal the plan's ShardExec rows");
 
     // Satellite: shard_adopt events (bootstrap adoptions) carry the image
     // generation stamp that joins them to plans and staleness probes.

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use volap::{Cluster, Request, Response, VolapConfig};
 use volap_data::DataGen;
-use volap_dims::{QueryBox, Schema};
+use volap_dims::{Item, QueryBox, Schema};
 
 #[test]
 fn dead_worker_yields_errors_not_hangs() {
@@ -69,6 +69,64 @@ fn garbage_requests_get_error_replies() {
         )
         .expect("reply");
     assert!(matches!(Response::decode(&schema, &bytes), Ok(Response::Err(_))));
+    cluster.shutdown();
+}
+
+/// `Request::decode` has no schema, so a well-formed message can carry the
+/// wrong number of coordinates or ranges. Both node roles must refuse it —
+/// not answer from a vacuous match (a 0-range query used to return the
+/// whole database) and not index out of bounds (a 5-coordinate insert used
+/// to panic the worker's service thread, and two killed the worker).
+#[test]
+fn wrong_dimension_input_is_rejected_and_kills_nothing() {
+    let schema = Schema::uniform(2, 2, 8);
+    let mut cfg = VolapConfig::new(schema.clone());
+    cfg.workers = 1;
+    cfg.servers = 1;
+    cfg.manager_enabled = false;
+    cfg.request_timeout = Duration::from_secs(2);
+    let service_threads = cfg.worker_threads.max(cfg.server_threads);
+    let cluster = Cluster::start(cfg);
+    let client = cluster.client();
+    let good = DataGen::new(&schema, 1, 1.0).items(50);
+    client.bulk_insert(good.clone()).unwrap();
+
+    let wide = Item::new(vec![1, 2, 3, 4, 5], 1.0);
+    let mixed = vec![good[0].clone(), wide.clone()];
+    let no_ranges = QueryBox::from_ranges(vec![]);
+    let five_ranges = QueryBox::from_ranges(vec![(0, 63); 5]);
+    let bad: Vec<(&str, Request)> = vec![
+        ("server-0", Request::ClientInsert { item: wide.clone(), principal: 0 }),
+        ("server-0", Request::ClientBulkInsert { items: mixed.clone(), principal: 0 }),
+        ("server-0", Request::ClientQuery { query: no_ranges.clone(), principal: 0 }),
+        ("server-0", Request::ClientQuery { query: five_ranges.clone(), principal: 0 }),
+        ("server-0", Request::ClientQueryAnalyze { query: no_ranges.clone(), principal: 0 }),
+        ("worker-0", Request::Insert { shard: 0, item: wide }),
+        ("worker-0", Request::BulkInsert { shard: 0, items: mixed }),
+        ("worker-0", Request::Query { shards: vec![0], query: no_ranges.clone() }),
+        ("worker-0", Request::Query { shards: vec![0], query: five_ranges }),
+        ("worker-0", Request::QueryAnalyze { shards: vec![0], query: no_ranges }),
+    ];
+    let probe = cluster.network().endpoint("raw-probe");
+    let ask = |target: &str, req: &Request| {
+        let bytes = probe.request(target, req.encode(), Duration::from_secs(2));
+        let bytes = bytes.unwrap_or_else(|e| panic!("{target} gave no reply to {req:?}: {e}"));
+        Response::decode(&schema, &bytes).expect("decodable")
+    };
+    // More rounds than either node has service threads: had a bad message
+    // killed its thread, a later round would time out.
+    for _ in 0..=service_threads {
+        for (target, req) in &bad {
+            match ask(target, req) {
+                Response::Err(e) => assert!(e.contains("bad request"), "{target}: {e}"),
+                other => panic!("{target} answered {req:?} with {other:?}"),
+            }
+        }
+    }
+    // Every thread is still alive and nothing wrong-shaped got in.
+    assert_eq!(ask("worker-0", &Request::Ping), Response::Ack);
+    assert_eq!(ask("server-0", &Request::Ping), Response::Ack);
+    assert_eq!(client.query(&QueryBox::all(&schema)).unwrap().0.count, 50);
     cluster.shutdown();
 }
 

@@ -4,11 +4,11 @@
 use std::time::Duration;
 
 use volap::worker::{create_empty_shard, spawn_worker};
-use volap::{ImageStore, Request, Response, VolapConfig};
+use volap::{ImageStore, Request, Response, VolapConfig, WorkerExec};
 use volap_coord::CoordService;
 use volap_data::DataGen;
-use volap_dims::{QueryBox, Schema};
-use volap_net::{Endpoint, Network};
+use volap_dims::{Aggregate, QueryBox, Schema};
+use volap_net::{Endpoint, Network, ReqCtx};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -272,4 +272,128 @@ fn worker_stats_reflect_contents() {
         other => panic!("unexpected {other:?}"),
     }
     w.stop();
+}
+
+/// A request that crosses a `MovedTo` forward reaches the second worker
+/// under the context it was sent with: the original principal, and a trace
+/// context hanging off the first worker's op span. The "second worker" is
+/// an endpoint the test serves by hand, so it sees exactly what arrives.
+#[test]
+fn forwards_carry_the_request_context() {
+    let schema = Schema::uniform(2, 2, 16);
+    let (net, image, cfg, driver) = setup(&schema);
+    let tracer = image.obs().tracer().clone();
+    net.attach_tracer(&tracer);
+    tracer.set_sample_every(1);
+    let w0 = spawn_worker(&net, &image, &cfg, "w0");
+    let second = net.endpoint("second");
+    create_empty_shard(&driver, "w0", &schema, 5, TIMEOUT).unwrap();
+    // Serve one request at `second`: reply `answer`, report what arrived.
+    let serve_one = |answer: Response| {
+        let msg = second.recv(TIMEOUT).expect("forwarded request");
+        msg.reply(answer.encode()).unwrap();
+        (msg.ctx, Request::decode(&msg.payload).expect("decode"))
+    };
+    // Drive the migration by hand: `second` adopts, w0 keeps a forward.
+    std::thread::scope(|s| {
+        let adopt = s.spawn(|| serve_one(Response::Ack));
+        let migrate = Request::Migrate { shard: 5, dest: "second".into() };
+        assert_eq!(ask(&driver, "w0", migrate, &schema), Response::Ack);
+        assert!(matches!(adopt.join().unwrap().1, Request::Adopt { shard: 5, .. }));
+    });
+    let item = DataGen::new(&schema, 8, 1.0).item();
+    let query = QueryBox::all(&schema);
+    let agg = Response::Agg { agg: Aggregate::empty(), shards_searched: 1 };
+    let agg_exec = Response::AggExec {
+        agg: Aggregate::empty(),
+        shards_searched: 1,
+        exec: WorkerExec::default(),
+    };
+    for (req, op, answer) in [
+        (Request::Insert { shard: 5, item }, "worker_insert", Response::Ack),
+        (Request::Query { shards: vec![5], query: query.clone() }, "worker_query", agg),
+        (Request::QueryAnalyze { shards: vec![5], query }, "worker_query_analyze", agg_exec),
+    ] {
+        let root = tracer.sample_root().expect("sampling is on");
+        let ctx = ReqCtx { trace: Some(root), principal: 7 };
+        let (seen, forwarded) = std::thread::scope(|s| {
+            let second = s.spawn(|| serve_one(answer));
+            driver.request_ctx("w0", req.encode(), TIMEOUT, ctx).expect("request");
+            second.join().unwrap()
+        });
+        assert_eq!(forwarded, req, "{op}: the request is forwarded as it came");
+        assert_eq!(seen.principal, 7, "{op}: the principal survives the forward");
+        let seen = seen.trace.unwrap_or_else(|| panic!("{op}: the trace survives the forward"));
+        assert_eq!(seen.trace_id, root.trace_id);
+        let trace = tracer.assemble(root.trace_id).expect("spans recorded");
+        let parent = trace.spans.iter().find(|sp| sp.span_id == seen.parent_span_id);
+        assert_eq!(parent.map(|sp| sp.name.as_str()), Some(op), "{op}: forward hangs off the op span");
+    }
+    w0.stop();
+}
+
+/// Regression: the stats publisher used to build a shard's record under the
+/// slot-state guard, drop the guard, and only then merge the record into
+/// the image. A split finishing in between retired the parent's record —
+/// and the late merge re-created it, a ghost nothing ever removed (a few
+/// per thousand splits when more threads than cores keep the publisher
+/// preempted inside that window). With publishers running flat out beside
+/// long cascades of splits, no retired parent may be left in the image.
+#[test]
+fn stats_publisher_never_resurrects_a_split_parent() {
+    use volap_dims::Item;
+    let schema = Schema::uniform(2, 2, 16);
+    let (net, image, mut cfg, _driver) = setup(&schema);
+    cfg.stats_period = Duration::from_micros(50);
+    let (lanes, rounds, seed_items) = (4u64, 4, 256u64);
+    // Each lane drives its own workers: a shard of distinct items is split
+    // all the way down to singletons, oldest shard first so the publisher
+    // has seen every shard it races.
+    let parents: Vec<u64> = std::thread::scope(|s| {
+        let lanes: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (net, image, cfg, schema) = (&net, &image, &cfg, &schema);
+                s.spawn(move || {
+                    let driver = net.endpoint(format!("driver{lane}"));
+                    let mut next_id = lane << 32;
+                    let mut parents = Vec::new();
+                    for r in 0..rounds {
+                        let name = format!("w{lane}-{r}");
+                        let w = spawn_worker(net, image, cfg, &name);
+                        let seed = next_id;
+                        next_id += 1;
+                        create_empty_shard(&driver, &name, schema, seed, TIMEOUT).unwrap();
+                        let items: Vec<Item> = (0..seed_items)
+                            .map(|i| Item::new(vec![i % 256, i / 256], 1.0))
+                            .collect();
+                        let load = Request::BulkInsert { shard: seed, items };
+                        assert_eq!(ask(&driver, &name, load, schema), Response::Ack);
+                        let mut todo = std::collections::VecDeque::from([(seed, seed_items)]);
+                        while let Some((shard, len)) = todo.pop_front() {
+                            if len < 2 {
+                                continue;
+                            }
+                            let split =
+                                Request::SplitShard { shard, left_id: next_id, right_id: next_id + 1 };
+                            next_id += 2;
+                            match ask(&driver, &name, split, schema) {
+                                Response::SplitDone { left, right } => {
+                                    parents.push(shard);
+                                    todo.push_back((left.id, left.len));
+                                    todo.push_back((right.id, right.len));
+                                }
+                                other => panic!("unexpected {other:?}"),
+                            }
+                        }
+                        w.stop();
+                    }
+                    parents
+                })
+            })
+            .collect();
+        lanes.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    let ghosts: Vec<u64> = parents.iter().copied().filter(|&p| image.shard(p).is_some()).collect();
+    assert_eq!(parents.len() as u64, lanes * rounds * (seed_items - 1));
+    assert!(ghosts.is_empty(), "retired parents resurrected in the image: {ghosts:?}");
 }
