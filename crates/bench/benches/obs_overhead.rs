@@ -3,9 +3,10 @@
 //! Measures the primitives every hot path pays per operation — counter
 //! increment, histogram observation (enabled and disabled), the drop-timer,
 //! and an event-log append — plus a contended 8-thread histogram hammer.
-//! `bench_obs` (bin) guards the end-to-end ingest overhead in
-//! `BENCH_obs.json`; these benches watch the per-record cost at criterion
-//! precision so a regression is attributable to a specific primitive.
+//! `bench_overhead` (bin) measures each section's end-to-end overhead in
+//! `BENCH_overhead.json`; these benches watch the per-record cost at
+//! criterion precision so a regression is attributable to a specific
+//! primitive.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use volap_obs::{Obs, ObsConfig, Registry, TraceConfig, Tracer};

@@ -1,147 +1,260 @@
 //! `volap-stat`: run a mixed workload on a small in-process cluster, take a
-//! cluster-wide observability snapshot, and emit it through both exporters.
+//! cluster-wide observability snapshot, and show it.
 //!
-//! Doubles as the CI smoke test for the exposition formats: after printing,
-//! it re-parses its own output with `export::from_prometheus` /
-//! `export::from_json` and exits non-zero if either fails to round-trip, if
-//! the latency histograms are empty, or if the measured staleness probe
-//! never recorded a sample. Usage:
-//! `volap-stat [--json | --prom | --traces | --heat | --snapshot]`
-//! (default: human summary + both formats).
+//! Doubles as the CI smoke test for everything `volap_obs` exports. Every
+//! mode runs the same three checks before printing anything and exits
+//! non-zero if one fails: every section's own structural validation
+//! (`Snapshot::validate`), both exposition formats re-parsed to the exact
+//! snapshot, and the sections the mode exists to show carrying data
+//! (`Snapshot::is_populated`) — all three derived from the one section list
+//! in `volap_obs::snapshot`. On top, each mode checks what only it knows:
+//! that the snapshot accounts for the workload this binary just issued.
+//! Usage: `volap-stat [--json | --prom | --traces | --heat | --locks |
+//! --snapshot | --history | --tenants | --top [--once]]` (default: human
+//! summary + the Prometheus exposition).
 //!
-//! `--traces` forces causal tracing on (sample every request, zero slow
-//! threshold), runs the same workload, prints the slow-query flight
-//! recorder as indented span trees, and self-validates the Perfetto
-//! export by parsing it back — exiting non-zero on a malformed or lossy
-//! trace export, on an empty flight recorder, or on a recorded trace
-//! missing its root span.
-//!
-//! `--heat` prints the per-shard heat map as a table and exits non-zero
-//! unless every workload insert is accounted for in the published totals.
-//!
-//! `--snapshot` shrinks the split threshold so the manager acts during the
-//! workload, then emits ONE machine-readable JSON document combining the
-//! metrics registry, the event ring, the shard heat map, the lock-class
-//! table, and the balance audit trail — exiting non-zero if the document
-//! fails to re-parse, if the heat map is empty, if no balance decision was
-//! audited, or if the lock table is empty.
-//!
-//! `--locks` prints the per-class lock contention table (acquisitions,
-//! contended count, total wait, total timed hold) sorted by total wait,
-//! hottest first — exiting non-zero if either exposition is malformed, if
-//! no lock class recorded an acquisition, or if the classes the workload
-//! must touch (server routing index, worker slot states, tree nodes) are
-//! missing from the table.
-//!
-//! `--history` speeds the continuous-telemetry sampler up (25 ms frames),
-//! runs the workload, and emits the full snapshot JSON with the history
-//! ring populated — exiting non-zero if the ring fails structural
-//! validation, if any frame was dropped (the run is sized to be lossless),
-//! or if the per-frame insert deltas do not sum exactly to the live
-//! counter total.
-//!
-//! `--tenants` runs a *tagged* mixed workload (three principals of very
-//! different weights plus untagged traffic), prints the per-principal
-//! exact cost totals and the per-dimension heavy-hitter top-K tables, and
-//! exits non-zero if any principal's accounted request total disagrees
-//! with the workload the binary itself issued, if the tagged + untagged
-//! op counts do not reconcile with the registry counters, if the
-//! rows-scanned sketch misranks the heaviest scanner, or if either
-//! exporter fails to round-trip the populated accounting section.
-//!
-//! `--top [--once]` drives a continuous background workload and renders a
-//! self-refreshing live cluster view from the newest history frame:
-//! ingest/query rates, interval p99s, staleness, heat spread, lock wait,
-//! and per-component SLO health. `--once` renders a single table without
-//! ANSI clearing and self-validates (frames captured, ring valid, health
-//! rules evaluated) — the CI form.
+//! * `--traces` forces causal tracing on (sample every request, zero slow
+//!   threshold), prints the slow-query flight recorder as indented span
+//!   trees, and fails on an empty recorder, a trace without a root span, or
+//!   a Perfetto export that does not parse back losslessly.
+//! * `--heat` prints the per-shard heat table; fails unless the published
+//!   totals account for every workload insert.
+//! * `--locks` prints the per-class lock contention table, hottest first;
+//!   fails if a class the workload must touch was never acquired.
+//! * `--snapshot` shrinks the split threshold so the manager acts, and
+//!   emits the JSON document; fails unless heat, locks and a successful
+//!   split in the audit trail are present and an aligned query is answered
+//!   from the rollups.
+//! * `--history` speeds the sampler up (25 ms frames) and emits the JSON
+//!   document with the ring populated; fails if a frame was dropped or the
+//!   per-frame insert deltas do not sum exactly to the live counter.
+//! * `--tenants` runs a *tagged* workload (three principals of different
+//!   weights plus untagged traffic) and prints the per-principal totals and
+//!   heavy-hitter tables; fails if a principal's accounted requests disagree
+//!   with what was issued, if op counts do not reconcile with the registry,
+//!   or if the rows-scanned sketch misranks the heaviest scanner.
+//! * `--top [--once]` drives a continuous background workload and renders a
+//!   self-refreshing live view from the newest history frame; `--once`
+//!   renders a single table without ANSI clearing — the CI form.
 
+use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use volap::{Cluster, VolapConfig};
 use volap_data::DataGen;
 use volap_dims::{QueryBox, Schema};
-use volap_obs::export;
+use volap_obs::{
+    export, AccountingSnapshot, ComponentHealth, HistorySnapshot, Section, Snapshot,
+};
 
 fn fail(msg: &str) -> ! {
     eprintln!("volap-stat: FAIL: {msg}");
     std::process::exit(1);
 }
 
+/// The checks every mode shares; returns the two expositions.
+fn check(snap: &Snapshot, shows: &[Section]) -> (String, String) {
+    if let Err(e) = snap.validate() {
+        fail(&format!("snapshot failed structural validation: {e}"));
+    }
+    if let Some(empty) = shows.iter().find(|&&s| !snap.is_populated(s)) {
+        fail(&format!("snapshot carries no {} section", empty.name()));
+    }
+    let prom = export::to_prometheus(snap);
+    match export::from_prometheus(&prom) {
+        Ok(back) if back == snap.metrics_only() => {}
+        Ok(_) => fail("prometheus exposition did not round-trip losslessly"),
+        Err(e) => fail(&format!("prometheus exposition malformed: {e}")),
+    }
+    let json = export::to_json(snap);
+    match export::from_json(&json) {
+        Ok(back) if back == *snap => {}
+        Ok(_) => fail("JSON snapshot did not round-trip losslessly"),
+        Err(e) => fail(&format!("JSON snapshot malformed: {e}")),
+    }
+    (prom, json)
+}
+
+/// The `--heat` table.
+fn heat_table(snap: &Snapshot) -> String {
+    let mut out = format!("# volap-stat: per-shard heat ({} shards)\n", snap.heat.len());
+    let _ = writeln!(
+        out,
+        "# {:>6} {:<10} {:>7} {:>9} {:>9} {:>10} {:>10} {:>8}",
+        "shard", "worker", "items", "inserts", "queries", "ins/s", "qry/s", "vol"
+    );
+    for e in &snap.heat {
+        let _ = writeln!(
+            out,
+            "# {:>6} {:<10} {:>7} {:>9} {:>9} {:>10.1} {:>10.1} {:>8.4}",
+            e.shard,
+            e.worker,
+            e.items,
+            e.inserts_total,
+            e.queries_total,
+            e.insert_rate,
+            e.query_rate,
+            e.volume_frac,
+        );
+    }
+    out
+}
+
+/// The `--locks` table: classes by total wait, hottest first.
+fn locks_table(snap: &Snapshot) -> String {
+    let mut locks = snap.locks.clone();
+    locks.sort_by(|a, b| {
+        b.wait_sum_seconds
+            .total_cmp(&a.wait_sum_seconds)
+            .then_with(|| b.acquisitions.cmp(&a.acquisitions))
+    });
+    let mut out =
+        format!("# volap-stat: lock contention ({} classes, hottest first)\n", locks.len());
+    let _ = writeln!(
+        out,
+        "# {:<20} {:>4} {:>12} {:>10} {:>9} {:>12} {:>12}",
+        "class", "rank", "acquisitions", "contended", "cont%", "wait_ms", "hold_ms"
+    );
+    for l in &locks {
+        let _ = writeln!(
+            out,
+            "# {:<20} {:>4} {:>12} {:>10} {:>8.2}% {:>12.3} {:>12.3}",
+            l.class,
+            l.rank,
+            l.acquisitions,
+            l.contended,
+            l.contention_frac() * 100.0,
+            l.wait_sum_seconds * 1e3,
+            l.hold_sum_seconds * 1e3,
+        );
+    }
+    out
+}
+
+/// The `--tenants` tables: exact totals by request count, then the
+/// per-dimension heavy hitters.
+fn tenants_table(acc: &AccountingSnapshot) -> String {
+    let mut out = format!(
+        "# volap-stat: per-principal accounting ({} principals, top-{} sketches, decay {})\n",
+        acc.principals.len(),
+        acc.topk,
+        acc.decay
+    );
+    let _ = writeln!(
+        out,
+        "# {:<14} {:>9} {:>9} {:>8} {:>9} {:>9} {:>8} {:>7}",
+        "principal", "requests", "rows", "nodes", "bytes", "wall_ms", "hops", "fanout"
+    );
+    let mut by_requests = acc.principals.clone();
+    by_requests.sort_by_key(|t| std::cmp::Reverse(t.requests));
+    for t in &by_requests {
+        let _ = writeln!(
+            out,
+            "# {:<14} {:>9} {:>9} {:>8} {:>9} {:>9.1} {:>8} {:>7}",
+            t.principal,
+            t.requests,
+            t.cost.rows_scanned,
+            t.cost.nodes_visited,
+            t.cost.bytes,
+            t.cost.wall_us as f64 / 1e3,
+            t.cost.net_hops,
+            t.cost.fanout,
+        );
+    }
+    out.push_str("#\n# heavy hitters per cost dimension (count is decayed, err is the bound):\n");
+    for dim in acc.top.iter().filter(|dim| !dim.entries.is_empty()) {
+        let _ = writeln!(out, "#   {}:", dim.dim);
+        for (rank, e) in dim.entries.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "#     {:>2}. {:<14} count {:>12.1}  err {:>8.1}",
+                rank + 1,
+                e.principal,
+                e.count,
+                e.err
+            );
+        }
+    }
+    out
+}
+
 /// One `--top` table, rendered from the newest history frame.
-fn render_top(cluster: &Cluster) -> String {
-    let hist = cluster.history();
-    let mut out = String::new();
-    out.push_str("volap-stat --top: live cluster telemetry\n");
+fn top_table(hist: &HistorySnapshot, health: &[ComponentHealth]) -> String {
+    let mut out = String::from("volap-stat --top: live cluster telemetry\n");
     let Some(frame) = hist.latest() else {
         out.push_str("  (no history frames captured yet)\n");
         return out;
     };
     let ms = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{:.2}", v * 1e3));
-    out.push_str(&format!(
-        "  frame #{} ({:.0} ms interval, {} series, {} dropped)\n",
+    let _ = writeln!(
+        out,
+        "  frame #{} ({:.0} ms interval, {} series, {} dropped)",
         frame.seq,
         frame.dt_seconds() * 1e3,
         hist.series.len(),
         hist.dropped
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>12.0}/s   p99 {:>8} ms\n",
-        "ingest (inserts)",
-        hist.rate_sum(frame, "volap_server_inserts_total"),
-        ms(hist.value(frame, "p99(volap_server_insert_seconds)")),
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>12.0}/s   p99 {:>8} ms\n",
-        "queries",
-        hist.rate_sum(frame, "volap_server_queries_total"),
-        ms(hist.value(frame, "p99(volap_server_query_seconds)")),
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>12.0}/s   p99 {:>8} ms\n",
-        "sync rounds",
-        hist.rate_sum(frame, "volap_server_sync_rounds_total"),
-        ms(hist.value(frame, "p99(volap_staleness_seconds)")),
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>12.1}      (hot-cold insert rate)\n",
+    );
+    for (label, counter, p99) in [
+        ("ingest (inserts)", "volap_server_inserts_total", "p99(volap_server_insert_seconds)"),
+        ("queries", "volap_server_queries_total", "p99(volap_server_query_seconds)"),
+        ("sync rounds", "volap_server_sync_rounds_total", "p99(volap_staleness_seconds)"),
+    ] {
+        let _ = writeln!(
+            out,
+            "  {:<26} {:>12.0}/s   p99 {:>8} ms",
+            label,
+            hist.rate_sum(frame, counter),
+            ms(hist.value(frame, p99)),
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  {:<26} {:>12.1}      (hot-cold insert rate)",
         "heat spread",
         hist.value(frame, "gauge(heat_insert_rate_spread)").unwrap_or(0.0),
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>11.2}%      (worst class)\n",
-        "lock contention",
-        hist.value(frame, "gauge(lock_contention_frac_max)").unwrap_or(0.0) * 100.0,
-    ));
-    out.push_str(&format!(
-        "  {:<26} {:>11.2}%      (of wall time)\n",
-        "lock wait",
-        hist.value(frame, "gauge(lock_wait_frac)").unwrap_or(0.0) * 100.0,
-    ));
+    );
+    for (label, gauge, note) in [
+        ("lock contention", "gauge(lock_contention_frac_max)", "worst class"),
+        ("lock wait", "gauge(lock_wait_frac)", "of wall time"),
+    ] {
+        let _ = writeln!(
+            out,
+            "  {:<26} {:>11.2}%      ({note})",
+            label,
+            hist.value(frame, gauge).unwrap_or(0.0) * 100.0,
+        );
+    }
     out.push_str("  health:\n");
-    for h in cluster.health() {
-        out.push_str(&format!(
-            "    {:<12} {:<16} {:<9} value {:>12.4}{}\n",
+    for h in health {
+        let _ = writeln!(
+            out,
+            "    {:<12} {:<16} {:<9} value {:>12.4}{}",
             h.component,
             h.rule,
             h.state.as_str(),
             h.value,
             if h.anomalous { format!("  ANOMALY z={:.1}", h.z_score) } else { String::new() },
-        ));
+        );
     }
     out
+}
+
+/// The cluster every mode runs on: 2 servers, 2 workers, 4 shards, fast sync.
+fn base_config(schema: &Schema) -> VolapConfig {
+    let mut cfg = VolapConfig::new(schema.clone());
+    cfg.servers = 2;
+    cfg.workers = 2;
+    cfg.initial_shards_per_worker = 2;
+    cfg.sync_period = Duration::from_millis(20);
+    cfg
 }
 
 /// The `--tenants` mode: tagged workload, per-principal accounting tables,
 /// and an exact-total cross-check against the registry.
 fn run_tenants() {
     let schema = Schema::uniform(3, 2, 8);
-    let mut cfg = VolapConfig::new(schema.clone());
-    cfg.servers = 2;
-    cfg.workers = 2;
-    cfg.initial_shards_per_worker = 2;
+    let mut cfg = base_config(&schema);
     cfg.manager_enabled = false; // stable shard set -> exact counters
-    cfg.sync_period = Duration::from_millis(20);
     let cluster = Cluster::start(cfg);
 
     // Ground truth: the workload this binary issues, per principal.
@@ -197,14 +310,12 @@ fn run_tenants() {
 
     let snap = cluster.snapshot();
     cluster.shutdown();
+    check(&snap, &[Section::Accounting]);
     let acc = &snap.accounting;
 
     // Exact-total cross-check: every principal's accounted request count
     // must equal the workload issued, tagged-or-not op totals must
     // reconcile with the registry, and nobody extra may appear.
-    if !acc.enabled {
-        fail("accounting disabled but --tenants needs it");
-    }
     if acc.principals.len() != TENANTS.len() {
         fail(&format!(
             "expected {} principals, accounting tracked {}",
@@ -220,8 +331,9 @@ fn run_tenants() {
         let issued = inserts as u64 + queries;
         if t.requests != issued {
             fail(&format!(
-                "{name}: accounting charged {} requests but the workload issued {issued}"
-            , t.requests));
+                "{name}: accounting charged {} requests but the workload issued {issued}",
+                t.requests
+            ));
         }
         if t.cost.rows_scanned == 0 || t.cost.bytes == 0 || t.cost.wall_us == 0 {
             fail(&format!("{name}: cost vector has empty dimensions: {:?}", t.cost));
@@ -237,17 +349,14 @@ fn run_tenants() {
     let reg_queries = snap.counter("volap_server_queries_total");
     if reg_queries != tagged_queries + probes {
         fail(&format!(
-            "registry counted {reg_queries} queries, workload issued {} tagged + {probes} probes",
-            tagged_queries
+            "registry counted {reg_queries} queries, workload issued {tagged_queries} tagged + \
+             {probes} probes"
         ));
     }
     // The sketch must agree with the exact totals on who scans the most
     // rows (3 principals against k>=3 slots: no eviction, and uniform
     // decay preserves ranking).
-    let rows = acc
-        .top_of("rows_scanned")
-        .unwrap_or_else(|| fail("rows_scanned dimension missing from sketches"));
-    match rows.entries.first() {
+    match acc.top_of("rows_scanned").and_then(|rows| rows.entries.first()) {
         Some(top) if top.principal == TENANTS[0].0 => {}
         Some(top) => fail(&format!(
             "rows_scanned sketch ranks {} first, exact totals say {}",
@@ -255,60 +364,7 @@ fn run_tenants() {
         )),
         None => fail("rows_scanned sketch is empty after a tagged workload"),
     }
-    // Both exporters must carry the populated accounting section.
-    match export::from_json(&export::to_json(&snap)) {
-        Ok(back) if back.accounting == snap.accounting => {}
-        Ok(_) => fail("JSON export did not round-trip the accounting section"),
-        Err(e) => fail(&format!("JSON export malformed: {e}")),
-    }
-    match export::from_prometheus(&export::to_prometheus(&snap)) {
-        Ok(back) if back == snap.metrics_only() => {}
-        Ok(_) => fail("prometheus exposition did not round-trip the accounting fold"),
-        Err(e) => fail(&format!("prometheus exposition malformed: {e}")),
-    }
-
-    println!(
-        "# volap-stat: per-principal accounting ({} principals, top-{} sketches, decay {})",
-        acc.principals.len(),
-        acc.topk,
-        acc.decay
-    );
-    println!(
-        "# {:<14} {:>9} {:>9} {:>8} {:>9} {:>9} {:>8} {:>7}",
-        "principal", "requests", "rows", "nodes", "bytes", "wall_ms", "hops", "fanout"
-    );
-    let mut by_requests = acc.principals.clone();
-    by_requests.sort_by_key(|t| std::cmp::Reverse(t.requests));
-    for t in &by_requests {
-        println!(
-            "# {:<14} {:>9} {:>9} {:>8} {:>9} {:>9.1} {:>8} {:>7}",
-            t.principal,
-            t.requests,
-            t.cost.rows_scanned,
-            t.cost.nodes_visited,
-            t.cost.bytes,
-            t.cost.wall_us as f64 / 1e3,
-            t.cost.net_hops,
-            t.cost.fanout,
-        );
-    }
-    println!("#");
-    println!("# heavy hitters per cost dimension (count is decayed, err is the bound):");
-    for dim in &acc.top {
-        if dim.entries.is_empty() {
-            continue;
-        }
-        println!("#   {}:", dim.dim);
-        for (rank, e) in dim.entries.iter().enumerate() {
-            println!(
-                "#     {:>2}. {:<14} count {:>12.1}  err {:>8.1}",
-                rank + 1,
-                e.principal,
-                e.count,
-                e.err
-            );
-        }
-    }
+    print!("{}", tenants_table(acc));
     eprintln!(
         "volap-stat: OK (exact totals reconcile with the registry, exporters round-trip)"
     );
@@ -317,13 +373,9 @@ fn run_tenants() {
 /// The `--top` mode: continuous background workload + live view.
 fn run_top(once: bool) {
     let schema = Schema::uniform(3, 2, 8);
-    let mut cfg = VolapConfig::new(schema.clone());
-    cfg.servers = 2;
-    cfg.workers = 2;
-    cfg.initial_shards_per_worker = 2;
-    cfg.sync_period = Duration::from_millis(20);
-    cfg.history_interval = Duration::from_millis(50);
-    cfg.history_capacity = 2048;
+    let mut cfg = base_config(&schema);
+    cfg.obs.history.interval = Duration::from_millis(50);
+    cfg.obs.history.capacity = 2048;
     let cluster = Cluster::start(cfg);
 
     let stop = std::sync::atomic::AtomicBool::new(false);
@@ -361,7 +413,7 @@ fn run_top(once: bool) {
                 // ANSI clear + home: self-refreshing like top(1).
                 print!("\x1b[2J\x1b[H");
             }
-            print!("{}", render_top(&cluster));
+            print!("{}", top_table(&cluster.history(), &cluster.health()));
             if i + 1 < refreshes {
                 std::thread::sleep(Duration::from_millis(500));
             }
@@ -370,22 +422,13 @@ fn run_top(once: bool) {
     });
 
     // Self-validate: CI runs `--top --once` and relies on the exit code.
-    let hist = cluster.history();
-    let health = cluster.health();
+    let snap = cluster.snapshot();
     cluster.shutdown();
-    if hist.frames.is_empty() {
-        fail("--top captured no history frames");
-    }
-    if let Err(e) = hist.validate() {
-        fail(&format!("--top history ring failed validation: {e}"));
-    }
-    if hist.delta_sum_all_labels("volap_server_inserts_total") <= 0.0 {
+    check(&snap, &[Section::History, Section::Health]);
+    if snap.history.delta_sum_all_labels("volap_server_inserts_total") <= 0.0 {
         fail("--top frames recorded no insert activity");
     }
-    if health.is_empty() {
-        fail("--top health watchdog evaluated no rules");
-    }
-    eprintln!("volap-stat: OK (history valid, {} health rules)", health.len());
+    eprintln!("volap-stat: OK (history valid, {} health rules)", snap.health.len());
 }
 
 fn main() {
@@ -401,14 +444,10 @@ fn main() {
         return;
     }
     let schema = Schema::uniform(3, 2, 8);
-    let mut cfg = VolapConfig::new(schema.clone());
-    cfg.servers = 2;
-    cfg.workers = 2;
-    cfg.initial_shards_per_worker = 2;
-    cfg.sync_period = Duration::from_millis(20);
+    let mut cfg = base_config(&schema);
     if mode == "--traces" {
-        cfg.trace_sample = 1;
-        cfg.trace_slow_threshold = Duration::ZERO;
+        cfg.obs.trace.sample = 1;
+        cfg.obs.trace.slow_threshold = Duration::ZERO;
     }
     if mode == "--snapshot" {
         // Make the manager act within the workload so the snapshot carries
@@ -417,14 +456,14 @@ fn main() {
         cfg.manager_period = Duration::from_millis(25);
         // Materialize one rollup level so an aligned coarse query below can
         // prove the rollup-hit counter reaches EXPLAIN output.
-        cfg.rollup_levels = 1;
+        cfg.tree.rollup_levels = 1;
     }
     if mode == "--history" {
         // Fast frames, and a ring big enough that nothing is evicted during
         // the run: the export below must be lossless so per-frame deltas
         // sum exactly to the live counter totals.
-        cfg.history_interval = Duration::from_millis(25);
-        cfg.history_capacity = 8192;
+        cfg.obs.history.interval = Duration::from_millis(25);
+        cfg.obs.history.capacity = 8192;
     }
     let cluster = Cluster::start(cfg);
 
@@ -495,13 +534,10 @@ fn main() {
         if slow.is_empty() {
             fail("tracing forced on but the flight recorder is empty");
         }
-        let perfetto = export::traces_to_perfetto(&slow);
-        let parsed = match export::traces_from_perfetto(&perfetto) {
-            Ok(parsed) => parsed,
+        match export::traces_from_perfetto(&export::traces_to_perfetto(&slow)) {
+            Ok(parsed) if parsed == slow => {}
+            Ok(_) => fail("Perfetto trace export did not round-trip losslessly"),
             Err(e) => fail(&format!("Perfetto trace export malformed: {e}")),
-        };
-        if parsed != slow {
-            fail("Perfetto trace export did not round-trip losslessly");
         }
         println!(
             "# volap-stat: slow-query flight recorder ({} trace(s), oldest first)",
@@ -523,111 +559,49 @@ fn main() {
 
     // Self-validate before printing anything: CI runs this binary and
     // relies on the exit code.
+    let shows: &[Section] = match mode.as_str() {
+        "--heat" => &[Section::Heat],
+        "--locks" => &[Section::Locks],
+        "--history" => &[Section::History],
+        "--snapshot" => &[Section::Heat, Section::Locks, Section::Audit],
+        _ => &[Section::Histograms, Section::Staleness],
+    };
+    let (prom, json) = check(&snap, shows);
     if snap.counter("volap_server_inserts_total") != 4_000 {
         fail("server insert counter does not match the workload");
     }
-    let insert_hist = snap
-        .histogram("volap_server_insert_seconds")
-        .unwrap_or_else(|| fail("insert latency histogram missing"));
-    if insert_hist.count == 0 {
-        fail("insert latency histogram is empty");
-    }
-    if snap.staleness.count == 0 {
-        fail("staleness probe recorded no samples");
+    if snap.histogram("volap_server_insert_seconds").is_none_or(|h| h.count == 0) {
+        fail("insert latency histogram is missing or empty");
     }
     if snap.captured_unix_us == 0 || snap.uptime_us == 0 {
         fail("snapshot is missing its capture-time / uptime stamps");
-    }
-    let prom = export::to_prometheus(&snap);
-    match export::from_prometheus(&prom) {
-        Ok(back) if back == snap.metrics_only() => {}
-        Ok(_) => fail("prometheus exposition did not round-trip losslessly"),
-        Err(e) => fail(&format!("prometheus exposition malformed: {e}")),
-    }
-    let json = export::to_json(&snap);
-    match export::from_json(&json) {
-        Ok(back) if back == snap => {}
-        Ok(_) => fail("JSON snapshot did not round-trip losslessly"),
-        Err(e) => fail(&format!("JSON snapshot malformed: {e}")),
     }
 
     match mode.as_str() {
         "--prom" => print!("{prom}"),
         "--json" => println!("{json}"),
         "--heat" => {
-            if snap.heat.is_empty() {
-                fail("heat map is empty after the workload");
-            }
             let inserts: u64 = snap.heat.iter().map(|e| e.inserts_total).sum();
             if inserts != 4_000 {
                 fail(&format!("heat insert totals {inserts} do not account for the 4000-insert workload"));
             }
-            println!("# volap-stat: per-shard heat ({} shards)", snap.heat.len());
-            println!(
-                "# {:>6} {:<10} {:>7} {:>9} {:>9} {:>10} {:>10} {:>8}",
-                "shard", "worker", "items", "inserts", "queries", "ins/s", "qry/s", "vol"
-            );
-            for e in &snap.heat {
-                println!(
-                    "# {:>6} {:<10} {:>7} {:>9} {:>9} {:>10.1} {:>10.1} {:>8.4}",
-                    e.shard,
-                    e.worker,
-                    e.items,
-                    e.inserts_total,
-                    e.queries_total,
-                    e.insert_rate,
-                    e.query_rate,
-                    e.volume_frac,
-                );
-            }
+            print!("{}", heat_table(&snap));
         }
         "--locks" => {
-            if snap.locks.iter().all(|l| l.acquisitions == 0) {
-                fail("no lock class recorded an acquisition");
-            }
             for class in ["server.index", "worker.slot_state", "tree.node"] {
-                if snap.lock_class(class).is_none() {
-                    fail(&format!("lock class {class} missing from the snapshot"));
+                if snap.lock_class(class).is_none_or(|l| l.acquisitions == 0) {
+                    fail(&format!("lock class {class} was never acquired"));
                 }
             }
-            let mut locks = snap.locks.clone();
-            locks.sort_by(|a, b| {
-                b.wait_sum_seconds
-                    .partial_cmp(&a.wait_sum_seconds)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| b.acquisitions.cmp(&a.acquisitions))
-            });
-            println!("# volap-stat: lock contention ({} classes, hottest first)", locks.len());
-            println!(
-                "# {:<20} {:>4} {:>12} {:>10} {:>9} {:>12} {:>12}",
-                "class", "rank", "acquisitions", "contended", "cont%", "wait_ms", "hold_ms"
-            );
-            for l in &locks {
-                println!(
-                    "# {:<20} {:>4} {:>12} {:>10} {:>8.2}% {:>12.3} {:>12.3}",
-                    l.class,
-                    l.rank,
-                    l.acquisitions,
-                    l.contended,
-                    l.contention_frac() * 100.0,
-                    l.wait_sum_seconds * 1e3,
-                    l.hold_sum_seconds * 1e3,
-                );
-            }
+            print!("{}", locks_table(&snap));
         }
         "--history" => {
             let hist = &snap.history;
-            if hist.frames.is_empty() {
-                fail("history ring captured no frames");
-            }
             if hist.dropped != 0 {
                 fail(&format!(
                     "history ring dropped {} frames on a run sized to be lossless",
                     hist.dropped
                 ));
-            }
-            if let Err(e) = hist.validate() {
-                fail(&format!("history ring failed structural validation: {e}"));
             }
             let framed = hist.delta_sum_all_labels("volap_server_inserts_total");
             let live = snap.counter("volap_server_inserts_total") as f64;
@@ -644,15 +618,6 @@ fn main() {
             );
         }
         "--snapshot" => {
-            if snap.heat.is_empty() {
-                fail("snapshot carries no heat entries");
-            }
-            if snap.locks.is_empty() {
-                fail("snapshot carries no lock-class table");
-            }
-            if snap.audit.is_empty() {
-                fail("snapshot carries no balance-audit records (manager never acted)");
-            }
             if !snap.audit.iter().any(|d| d.action == "split" && d.outcome == "ok") {
                 fail("no successful split decision in the audit trail");
             }
@@ -685,4 +650,26 @@ fn main() {
         }
     }
     eprintln!("volap-stat: OK (both exporters round-trip)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tables are pure functions of a snapshot, so they are pinned on
+    /// the exporters' golden fixture (a live run carries timestamps). The
+    /// files under `tests/golden/` were printed by the code these functions
+    /// were lifted from: tool output stays byte-identical.
+    #[test]
+    fn tables_reproduce_their_goldens() {
+        let snap = export::from_json(include_str!("../../../obs/tests/golden/snapshot.json"))
+            .expect("fixture parses");
+        assert_eq!(heat_table(&snap), include_str!("../../tests/golden/heat.txt"));
+        assert_eq!(locks_table(&snap), include_str!("../../tests/golden/locks.txt"));
+        assert_eq!(tenants_table(&snap.accounting), include_str!("../../tests/golden/tenants.txt"));
+        assert_eq!(
+            top_table(&snap.history, &snap.health),
+            include_str!("../../tests/golden/top.txt")
+        );
+    }
 }

@@ -212,9 +212,8 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
     out
 }
 
-/// Shared per-binary environment for the `bench_*` bins: core accounting
-/// and the `--check` / `--no-run` flags (the PR-6 bench convention, in one
-/// place instead of per binary).
+/// Shared per-binary environment for `bench_insert` / `bench_scan`: core
+/// accounting and the `--check` flag.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchEnv {
     /// Machine cores (`available_parallelism`).
@@ -222,8 +221,6 @@ pub struct BenchEnv {
     /// Whether `--check` was passed (gate thresholds instead of just
     /// reporting).
     pub check: bool,
-    /// Whether `--no-run` was passed (functional smoke only, no timing).
-    pub no_run: bool,
 }
 
 impl BenchEnv {
@@ -233,15 +230,11 @@ impl BenchEnv {
     pub fn setup(bin: &str) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut check = false;
-        let mut no_run = false;
         for a in std::env::args().skip(1) {
             match a.as_str() {
                 "--check" => check = true,
-                "--no-run" => no_run = true,
                 "--quick" => {}
-                other => {
-                    panic!("unknown argument {other:?} (expected --check, --no-run, or --quick)")
-                }
+                other => panic!("unknown argument {other:?} (expected --check or --quick)"),
             }
         }
         if cores == 1 {
@@ -250,12 +243,7 @@ impl BenchEnv {
                  numbers with suspicion on a loaded shared core."
             );
         }
-        Self { cores, check, no_run }
-    }
-
-    /// The `"cores": N` fragment every `BENCH_*.json` carries.
-    pub fn json_fields(&self) -> String {
-        format!("\"cores\": {}", self.cores)
+        Self { cores, check }
     }
 
     /// The uniform `"headline"` fragment every `BENCH_*.json` carries: the
@@ -270,82 +258,6 @@ impl BenchEnv {
              \"higher_is_better\": {higher_is_better}}}"
         )
     }
-}
-
-/// Run-level dispersion for an overhead gate built from per-round
-/// throughput samples of an on/off pair. `floor_frac` is the two-sigma
-/// band of the *difference of the means* relative to the baseline — a
-/// measured overhead smaller than this is indistinguishable from run
-/// noise, and the gate should say so rather than let a quiet machine
-/// masquerade as a fast implementation.
-#[derive(Debug, Clone, Copy)]
-pub struct GateNoise {
-    /// Relative sample stddev of the feature-on rounds.
-    pub rel_stddev_on: f64,
-    /// Relative sample stddev of the feature-off (baseline) rounds.
-    pub rel_stddev_off: f64,
-    /// Two-sigma noise floor for the overhead fraction.
-    pub floor_frac: f64,
-}
-
-impl GateNoise {
-    /// Compute from per-round throughput samples (on, off order matches
-    /// the bench's `ingest[0]`, `ingest[1]` convention).
-    pub fn from_rounds(on: &[f64], off: &[f64]) -> Self {
-        let (mean_on, sd_on) = mean_stddev(on);
-        let (mean_off, sd_off) = mean_stddev(off);
-        let sem = |sd: f64, n: usize| sd / (n.max(1) as f64).sqrt();
-        let diff_sigma =
-            (sem(sd_on, on.len()).powi(2) + sem(sd_off, off.len()).powi(2)).sqrt();
-        let base = if mean_off > 0.0 { mean_off } else { 1.0 };
-        Self {
-            rel_stddev_on: if mean_on > 0.0 { sd_on / mean_on } else { 0.0 },
-            rel_stddev_off: sd_off / base,
-            floor_frac: 2.0 * diff_sigma / base,
-        }
-    }
-
-    /// The `"noise"` JSON fragment overhead gates embed next to their
-    /// overhead numbers.
-    pub fn json_fragment(&self) -> String {
-        format!(
-            "\"noise\": {{\"rel_stddev_on\": {:.4}, \"rel_stddev_off\": {:.4}, \
-             \"floor_frac\": {:.4}}}",
-            self.rel_stddev_on, self.rel_stddev_off, self.floor_frac
-        )
-    }
-
-    /// Print the run-level dispersion, and warn when `overhead` sits below
-    /// the noise floor (the measurement is then a bound, not an estimate).
-    pub fn report(&self, overhead: f64) {
-        println!(
-            "run noise: stddev on {:.2}% off {:.2}%, two-sigma floor {:.2}%",
-            self.rel_stddev_on * 100.0,
-            self.rel_stddev_off * 100.0,
-            self.floor_frac * 100.0
-        );
-        if overhead.abs() < self.floor_frac {
-            println!(
-                "WARNING: measured overhead {:.2}% is below the {:.2}% noise floor; \
-                 treat it as \"no detectable overhead\", not as a precise estimate",
-                overhead * 100.0,
-                self.floor_frac * 100.0
-            );
-        }
-    }
-}
-
-/// Mean and sample standard deviation (0.0 for fewer than two samples).
-pub fn mean_stddev(v: &[f64]) -> (f64, f64) {
-    if v.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
-    if v.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = v.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (v.len() - 1) as f64;
-    (mean, var.sqrt())
 }
 
 /// Whether `--quick` / `VOLAP_QUICK=1` was passed (CI-speed runs).
@@ -392,21 +304,8 @@ mod tests {
     }
 
     #[test]
-    fn gate_noise_and_headline_fragments() {
-        let (mean, sd) = mean_stddev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((mean - 5.0).abs() < 1e-12);
-        assert!((sd - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(mean_stddev(&[]), (0.0, 0.0));
-        assert_eq!(mean_stddev(&[3.0]), (3.0, 0.0));
-        // Identical on/off rounds: zero spread, zero floor.
-        let quiet = GateNoise::from_rounds(&[10.0; 8], &[10.0; 8]);
-        assert_eq!(quiet.floor_frac, 0.0);
-        // Noisy rounds produce a positive floor scaled by the baseline.
-        let noisy = GateNoise::from_rounds(&[9.0, 11.0, 10.0, 12.0], &[10.0, 12.0, 11.0, 9.0]);
-        assert!(noisy.floor_frac > 0.0 && noisy.rel_stddev_off > 0.0);
-        let frag = noisy.json_fragment();
-        assert!(frag.starts_with("\"noise\": {") && frag.contains("floor_frac"));
-        let env = BenchEnv { cores: 4, check: false, no_run: false };
+    fn headline_fragment_names_metric_and_direction() {
+        let env = BenchEnv { cores: 4, check: false };
         let h = env.headline("ingest_per_s", 123456.0, true);
         assert!(h.contains("\"metric\": \"ingest_per_s\""));
         assert!(h.contains("\"value\": 123456"));

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use volap_obs::lock::{LockClass, ObsRwLock};
 
-/// Coordination-store slice of the global lock hierarchy (DESIGN.md §15).
+/// Coordination-store slice of the global lock hierarchy (DESIGN.md §11.1).
 /// `create_sequential` holds the sequence counter while inserting into the
 /// node map, so seq < nodes; every other pair is acquired sequentially via
 /// scoped blocks. Watch notification always runs with the node map already

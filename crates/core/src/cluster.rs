@@ -14,7 +14,7 @@ use volap_coord::CoordService;
 use volap_dims::{Aggregate, Item, QueryBox, Schema};
 use volap_net::{Endpoint, Network};
 use volap_obs::lock::{CheckMode, LockClass, ObsMutex};
-use volap_obs::{Obs, ObsConfig, Snapshot, Trace, TraceConfig, Tracer};
+use volap_obs::{Obs, Snapshot, Trace, Tracer};
 
 /// Handle list of the harness itself; held only for push/remove, never
 /// while any component lock is taken, but it ranks lowest so it could be.
@@ -41,7 +41,7 @@ pub struct Cluster {
     next_worker_id: AtomicUsize,
 }
 
-/// The continuous-telemetry sampler thread: every `history_interval` it
+/// The continuous-telemetry sampler thread: every `obs.history.interval` it
 /// captures one history frame from the live registry and runs the SLO
 /// health watchdog over it.
 struct SamplerHandle {
@@ -84,30 +84,10 @@ impl Cluster {
             None => Network::new(),
         };
         let coord = CoordService::new();
-        let obs = Obs::new(ObsConfig {
-            histograms: cfg.obs_histograms,
-            event_capacity: cfg.obs_event_capacity,
-            heat_enabled: cfg.heat_enabled,
-            audit_capacity: cfg.audit_capacity,
-            trace: TraceConfig {
-                sample: cfg.trace_sample,
-                slow_threshold: cfg.trace_slow_threshold,
-                ..TraceConfig::default()
-            },
-            history: volap_obs::HistoryConfig {
-                enabled: true,
-                interval: cfg.history_interval,
-                capacity: cfg.history_capacity,
-            },
-            health_rules: cfg.health_rules.clone(),
-            accounting: volap_obs::AccountConfig {
-                enabled: cfg.accounting_enabled,
-                topk: cfg.accounting_topk,
-                ..volap_obs::AccountConfig::default()
-            },
-        });
-        let sampler = (cfg.history_capacity > 0 && !cfg.history_interval.is_zero())
-            .then(|| SamplerHandle::spawn(obs.clone(), cfg.history_interval));
+        let obs = Obs::new(cfg.obs.clone());
+        let history = &cfg.obs.history;
+        let sampler = (history.capacity > 0 && !history.interval.is_zero())
+            .then(|| SamplerHandle::spawn(obs.clone(), history.interval));
         net.attach_obs(obs.registry());
         net.attach_tracer(obs.tracer());
         // Lock-order violations (Record mode) land in this deployment's
@@ -245,16 +225,15 @@ impl Cluster {
     }
 
     /// The per-shard heat map: EWMA insert/query rates and box volumes
-    /// published by worker stats threads, ordered by shard id. Empty when
-    /// `VolapConfig::heat_enabled` is off (or until the first stats period
-    /// elapses).
+    /// published by worker stats threads, ordered by shard id. Empty until
+    /// the first stats period elapses.
     pub fn heatmap(&self) -> Vec<volap_obs::HeatEntry> {
         self.obs().heat().snapshot()
     }
 
     /// The load-balance audit trail: every manager decision (split,
     /// migration, orphan reap) with the inputs that drove it, sequence
-    /// ordered, bounded by `VolapConfig::audit_capacity`.
+    /// ordered, bounded by `volap_obs::AUDIT_CAPACITY`.
     pub fn balance_audit(&self) -> Vec<volap_obs::BalanceDecision> {
         self.obs().audit().snapshot()
     }
@@ -262,7 +241,7 @@ impl Cluster {
     /// The metrics time-series ring: one frame per sampler interval holding
     /// counter deltas, interval p50/p99s, and derived gauges (staleness,
     /// heat spread, lock contention fractions), bounded by
-    /// `VolapConfig::history_capacity`.
+    /// `obs.history.capacity`.
     pub fn history(&self) -> volap_obs::HistorySnapshot {
         self.obs().history().snapshot()
     }
@@ -283,7 +262,7 @@ impl Cluster {
     }
 
     /// The slow-query flight recorder: the most recent sampled traces whose
-    /// root span exceeded `VolapConfig::trace_slow_threshold`, oldest
+    /// root span exceeded `obs.trace.slow_threshold`, oldest
     /// first. Render one with `Trace::render_tree` or export the lot with
     /// `volap_obs::export::traces_to_perfetto`.
     pub fn slow_traces(&self) -> Vec<Trace> {

@@ -20,19 +20,9 @@ pub struct VolapConfig {
     /// Shard data structure (the paper recommends
     /// [`StoreKind::HilbertPdcMds`]).
     pub store_kind: StoreKind,
-    /// Tree sizing for shard stores. The `column_compression` and
-    /// `rollup_levels` members are overridden by the same-named top-level
-    /// knobs below (see [`VolapConfig::tree_config`]).
+    /// Tree configuration shard stores are built with — sizing, leaf column
+    /// compression, materialized rollup levels (see [`TreeConfig`]).
     pub tree: TreeConfig,
-    /// Whether shard leaves choose dictionary/bit-packed column encodings at
-    /// build and split time. Purely a memory/scan-speed trade; query results
-    /// are identical either way.
-    pub column_compression: bool,
-    /// Coarse hierarchy levels materialized as per-cell rollup aggregates in
-    /// every shard. Queries aligned at a materialized level are answered
-    /// without touching the tree (reported as `rollup_hits` in EXPLAIN
-    /// plans). `0` disables rollups.
-    pub rollup_levels: usize,
     /// Number of servers (`m`).
     pub servers: usize,
     /// Number of workers (`p`).
@@ -81,71 +71,23 @@ pub struct VolapConfig {
     /// partially filled ingest batch is flushed. Only meaningful when
     /// `ingest_batch > 1`.
     pub ingest_flush_interval: Duration,
-    /// Whether observability latency histograms record at all. Counters,
-    /// gauges, the event log, and the staleness probe are always on (their
-    /// record path is a relaxed atomic or fires only on rare events);
-    /// histograms additionally cost two `Instant::now()` calls per timed
-    /// operation, and this knob turns that off for overhead-critical runs.
-    pub obs_histograms: bool,
-    /// Total structured events retained by the observability ring buffer.
-    pub obs_event_capacity: usize,
-    /// Whether workers track per-shard heat (EWMA insert/query rates,
-    /// surfaced via `Cluster::heatmap()` and `volap-stat --heat`). On, the
-    /// hot path pays one relaxed load, a branch, and a relaxed increment
-    /// per touched shard; off, just the load and branch. Runtime-togglable
-    /// through `Obs::heat().set_enabled(..)`.
-    pub heat_enabled: bool,
+    /// Observability knobs — histograms, tracing, the history sampler and
+    /// the health rules — declared once, in [`volap_obs::ObsConfig`].
+    /// Everything else `volap_obs` records is always armed at start and
+    /// sized by its constants; `Obs::set_enabled` is the runtime switch.
+    pub obs: volap_obs::ObsConfig,
     /// Half-life of the heat EWMAs: after this long with no activity a
     /// shard's measured rate decays to half. Shorter reacts faster;
     /// longer smooths bursts.
     pub heat_halflife: Duration,
-    /// Total load-balance decisions retained by the audit ring buffer.
-    pub audit_capacity: usize,
     /// Whether the runtime lock-order checker is armed (debug builds only;
     /// release builds compile the checker out entirely). On, every lock
     /// acquisition is validated against the global lock hierarchy
-    /// (DESIGN.md §15) via a thread-local held-lock stack, and a violation
+    /// (DESIGN.md §11.1) via a thread-local held-lock stack, and a violation
     /// panics with both class names. Off, acquisitions skip the check but
     /// lock *telemetry* (contention counters and wait/hold histograms)
-    /// stays on — that is governed by `volap_obs::lock::set_telemetry_enabled`.
+    /// stays on — that is the `locks` section's runtime switch.
     pub lock_check: bool,
-    /// Head-based causal-tracing sample rate: one in every `trace_sample`
-    /// client requests gets a full cross-component trace (server routing →
-    /// net hops → worker queues → per-shard tree execution). `0` (the
-    /// default) disables tracing entirely — the hot path then costs one
-    /// relaxed load and a branch. `64` is a sensible production-style rate.
-    pub trace_sample: u32,
-    /// Sampled traces whose *root* span takes at least this long enter the
-    /// slow-query flight recorder ([`crate::Cluster::slow_traces`]).
-    pub trace_slow_threshold: Duration,
-    /// How often the continuous-telemetry sampler captures a history frame
-    /// (registry deltas → interval rates and quantiles) and runs the SLO
-    /// health watchdog. `Duration::ZERO` disables the sampler thread
-    /// entirely; the ring can also be paused at runtime via
-    /// `Obs::history().set_enabled(false)`.
-    pub history_interval: Duration,
-    /// Frames retained by the history ring (oldest evicted first). `0`
-    /// disables capture and the sampler thread. The default (240 frames ×
-    /// 250 ms) covers the last minute.
-    pub history_capacity: usize,
-    /// SLO rules the health watchdog evaluates every sampler interval.
-    /// Defaults to `HealthRule::defaults()` (see DESIGN.md §16 for the
-    /// table); empty disables health tracking while keeping the history
-    /// ring.
-    pub health_rules: Vec<volap_obs::HealthRule>,
-    /// Whether per-principal workload accounting is armed. On, requests
-    /// tagged with a principal (`ClientSession::with_principal`) charge
-    /// their measured cost — rows scanned, queue wait, wall time, bytes,
-    /// hops, fan-out — to exact per-tenant totals plus decayed top-K
-    /// heavy-hitter sketches (`Cluster::accounting()`, `volap-stat
-    /// --tenants`). Untagged traffic pays one branch either way. Runtime-
-    /// togglable via `Accounting::set_enabled`.
-    pub accounting_enabled: bool,
-    /// Slots per heavy-hitter sketch (one space-saving sketch per cost
-    /// dimension). Any principal holding more than `total/topk` of a
-    /// dimension's decayed weight is guaranteed a slot; memory is
-    /// `O(topk × dimensions)` regardless of tenant count.
-    pub accounting_topk: usize,
 }
 
 impl VolapConfig {
@@ -155,8 +97,6 @@ impl VolapConfig {
             schema,
             store_kind: StoreKind::HilbertPdcMds,
             tree: TreeConfig::default(),
-            column_compression: true,
-            rollup_levels: 0,
             servers: 2,
             workers: 4,
             server_threads: 2,
@@ -175,30 +115,40 @@ impl VolapConfig {
             index_dir_cap: 8,
             ingest_batch: 1,
             ingest_flush_interval: Duration::from_millis(2),
-            obs_histograms: true,
-            obs_event_capacity: 4096,
-            heat_enabled: true,
+            obs: volap_obs::ObsConfig::default(),
             heat_halflife: Duration::from_secs(2),
-            audit_capacity: 1024,
             lock_check: true,
-            trace_sample: 0,
-            trace_slow_threshold: Duration::from_millis(100),
-            history_interval: Duration::from_millis(250),
-            history_capacity: 240,
-            health_rules: volap_obs::HealthRule::defaults(),
-            accounting_enabled: true,
-            accounting_topk: 8,
         }
     }
 
-    /// The tree configuration shard stores are actually built with: `tree`
-    /// with the top-level `column_compression` / `rollup_levels` knobs
-    /// merged in.
+    /// The tree configuration shard stores are built with.
     pub fn tree_config(&self) -> TreeConfig {
-        TreeConfig {
-            column_compression: self.column_compression,
-            rollup_levels: self.rollup_levels,
-            ..self.tree.clone()
-        }
+        self.tree.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `bench_e2e` sets no observability knob, so these literals are what
+    /// the benchmark measures; moving a knob must not move its value.
+    #[test]
+    fn shipped_observability_defaults_are_pinned() {
+        let cfg = VolapConfig::new(Schema::uniform(2, 2, 8));
+        assert!(cfg.obs.histograms);
+        assert_eq!(cfg.obs.trace.sample, 0);
+        assert_eq!(cfg.obs.trace.slow_threshold, Duration::from_millis(100));
+        assert_eq!(cfg.obs.history.interval, Duration::from_millis(250));
+        assert_eq!(cfg.obs.history.capacity, 240);
+        assert_eq!(cfg.obs.health_rules, volap_obs::HealthRule::defaults());
+        assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
+        assert_eq!((volap_obs::account::TOPK, volap_obs::account::DECAY), (8, 0.9));
+        assert_eq!(cfg.heat_halflife, Duration::from_secs(2));
+        assert!(cfg.lock_check);
+        let obs = volap_obs::Obs::new(cfg.obs.clone());
+        assert!(obs.heat().enabled() && obs.accounting().enabled(), "sections start armed");
+        assert!(cfg.tree.column_compression);
+        assert_eq!(cfg.tree.rollup_levels, 0);
     }
 }

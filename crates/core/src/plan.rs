@@ -11,11 +11,12 @@
 //! independently traced run of the same query over the same data.
 //!
 //! Plans have two lossless encodings: the binary wire form (rides the
-//! `AggPlan`/`AggExec` responses) and JSON via [`volap_obs::json`] (for
-//! tooling); both round-trip exactly and both reject malformed input.
+//! `AggPlan`/`AggExec` responses) and JSON (for tooling), derived from the
+//! `record!` declarations below like every `volap_obs` export; both
+//! round-trip exactly and both reject malformed input.
 
 use bytes::{Buf, BufMut};
-use volap_obs::json::{self, escape, Json};
+use volap_obs::json::{self, Field};
 use volap_tree::QueryTrace;
 
 use crate::wire::{self, WireError};
@@ -24,26 +25,28 @@ use crate::wire::{self, WireError};
 /// chain this long means a routing loop, not a real execution).
 const MAX_FORWARD_DEPTH: usize = 64;
 
-/// One shard's measured execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardExec {
-    /// Shard id.
-    pub shard: u64,
-    /// Items stored in the shard when it was scanned.
-    pub items: u64,
-    /// Tree nodes whose lock was taken.
-    pub nodes_visited: u64,
-    /// Directory entries answered from the cached aggregate.
-    pub covered_hits: u64,
-    /// Leaf items tested individually.
-    pub items_scanned: u64,
-    /// Directory entries pruned (no overlap).
-    pub pruned: u64,
-    /// Queries answered wholly from a materialized level rollup (no tree
-    /// walk at all).
-    pub rollup_hits: u64,
-    /// Wall time scanning this shard, microseconds.
-    pub wall_us: u64,
+volap_obs::record! {
+    /// One shard's measured execution.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ShardExec {
+        /// Shard id.
+        shard: u64,
+        /// Items stored in the shard when it was scanned.
+        items: u64,
+        /// Tree nodes whose lock was taken.
+        nodes_visited: u64,
+        /// Directory entries answered from the cached aggregate.
+        covered_hits: u64,
+        /// Leaf items tested individually.
+        items_scanned: u64,
+        /// Directory entries pruned (no overlap).
+        pruned: u64,
+        /// Queries answered wholly from a materialized level rollup (no tree
+        /// walk at all).
+        rollup_hits: u64,
+        /// Wall time scanning this shard, microseconds.
+        wall_us: u64,
+    }
 }
 
 impl ShardExec {
@@ -59,45 +62,49 @@ impl ShardExec {
     }
 }
 
-/// One worker's measured execution, possibly nesting remote forwards.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerExec {
-    /// Worker name.
-    pub worker: String,
-    /// Shard ids the server asked this worker for (pre alias-chase).
-    pub requested: Vec<u64>,
-    /// Split/move aliases chased while resolving the requested shards.
-    pub alias_chases: u32,
-    /// Shard-pool fan-out width: shard scans run concurrently.
-    pub fanout: u32,
-    /// Wall time for the whole worker-side execution, microseconds.
-    pub wall_us: u64,
-    /// Shards scanned locally.
-    pub shards: Vec<ShardExec>,
-    /// Executions on other workers this one forwarded moved shards to.
-    pub forwards: Vec<WorkerExec>,
+volap_obs::record! {
+    /// One worker's measured execution, possibly nesting remote forwards.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct WorkerExec {
+        /// Worker name.
+        worker: String,
+        /// Shard ids the server asked this worker for (pre alias-chase).
+        requested: Vec<u64>,
+        /// Split/move aliases chased while resolving the requested shards.
+        alias_chases: u32,
+        /// Shard-pool fan-out width: shard scans run concurrently.
+        fanout: u32,
+        /// Wall time for the whole worker-side execution, microseconds.
+        wall_us: u64,
+        /// Shards scanned locally.
+        shards: Vec<ShardExec>,
+        /// Executions on other workers this one forwarded moved shards to.
+        forwards: Vec<WorkerExec>,
+    }
 }
 
-/// The assembled plan for one ANALYZE'd query.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueryPlan {
-    /// The server that routed the query.
-    pub server: String,
-    /// The server's image generation (applied image records) at routing
-    /// time — join key against `route_miss`/`shard_adopt` events.
-    pub image_generation: u64,
-    /// Staleness samples the probe had measured when the route was chosen.
-    pub staleness_samples: u64,
-    /// p95 measured image staleness at routing time, microseconds.
-    pub staleness_p95_us: u64,
-    /// Image leaves (shard ids) the routing index matched, sorted.
-    pub image_leaves: Vec<u64>,
-    /// Time spent in the routing index, microseconds.
-    pub route_us: u64,
-    /// End-to-end server wall time, microseconds.
-    pub wall_us: u64,
-    /// Per-worker executions, sorted by worker name.
-    pub workers: Vec<WorkerExec>,
+volap_obs::record! {
+    /// The assembled plan for one ANALYZE'd query.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct QueryPlan {
+        /// The server that routed the query.
+        server: String,
+        /// The server's image generation (applied image records) at routing
+        /// time — join key against `route_miss`/`shard_adopt` events.
+        image_generation: u64,
+        /// Staleness samples the probe had measured when the route was chosen.
+        staleness_samples: u64,
+        /// p95 measured image staleness at routing time, microseconds.
+        staleness_p95_us: u64,
+        /// Image leaves (shard ids) the routing index matched, sorted.
+        image_leaves: Vec<u64>,
+        /// Time spent in the routing index, microseconds.
+        route_us: u64,
+        /// End-to-end server wall time, microseconds.
+        wall_us: u64,
+        /// Per-worker executions, sorted by worker name.
+        workers: Vec<WorkerExec>,
+    }
 }
 
 impl QueryPlan {
@@ -187,41 +194,23 @@ impl QueryPlan {
     }
 
     /// Render as JSON (lossless; [`QueryPlan::from_json`] recovers the
-    /// exact plan).
+    /// exact plan). Writer and parser are derived from the record
+    /// declarations above.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
+        self.write(&mut out);
         out.push('\n');
         out
     }
 
-    fn write_json(&self, out: &mut String) {
-        let leaves: Vec<String> = self.image_leaves.iter().map(|l| l.to_string()).collect();
-        out.push_str(&format!(
-            "{{\"server\": \"{}\", \"image_generation\": {}, \"staleness_samples\": {}, \
-             \"staleness_p95_us\": {}, \"image_leaves\": [{}], \"route_us\": {}, \
-             \"wall_us\": {}, \"workers\": [",
-            escape(&self.server),
-            self.image_generation,
-            self.staleness_samples,
-            self.staleness_p95_us,
-            leaves.join(","),
-            self.route_us,
-            self.wall_us
-        ));
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_worker_json(w, out);
-        }
-        out.push_str("]}");
-    }
-
-    /// Parse JSON produced by [`QueryPlan::to_json`].
+    /// Parse JSON produced by [`QueryPlan::to_json`]. Like the binary
+    /// decoder, rejects forward chains deeper than any real execution.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        plan_from_json(&root)
+        let plan = Self::read(&json::parse(text)?)?;
+        if plan.workers.iter().any(|w| forward_depth(w) > MAX_FORWARD_DEPTH) {
+            return Err(format!("plan forward nesting exceeds {MAX_FORWARD_DEPTH}"));
+        }
+        Ok(plan)
     }
 
     /// Pretty-print the plan as an indented execution tree.
@@ -273,6 +262,11 @@ fn worker_totals(w: &WorkerExec, t: &mut QueryTrace) {
     for f in &w.forwards {
         worker_totals(f, t);
     }
+}
+
+/// Forward levels below `w` (0 when it forwarded nothing).
+fn forward_depth(w: &WorkerExec) -> usize {
+    w.forwards.iter().map(|f| 1 + forward_depth(f)).max().unwrap_or(0)
 }
 
 fn collect_shards(w: &WorkerExec, out: &mut Vec<u64>) {
@@ -342,101 +336,6 @@ fn decode_worker(buf: &mut &[u8], depth: usize) -> Result<WorkerExec, WireError>
         forwards.push(decode_worker(buf, depth + 1)?);
     }
     Ok(WorkerExec { worker, requested, alias_chases, fanout, wall_us, shards, forwards })
-}
-
-fn write_worker_json(w: &WorkerExec, out: &mut String) {
-    let requested: Vec<String> = w.requested.iter().map(|s| s.to_string()).collect();
-    out.push_str(&format!(
-        "{{\"worker\": \"{}\", \"requested\": [{}], \"alias_chases\": {}, \"fanout\": {}, \
-         \"wall_us\": {}, \"shards\": [",
-        escape(&w.worker),
-        requested.join(","),
-        w.alias_chases,
-        w.fanout,
-        w.wall_us
-    ));
-    for (i, s) in w.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"shard\": {}, \"items\": {}, \"nodes_visited\": {}, \"covered_hits\": {}, \
-             \"items_scanned\": {}, \"pruned\": {}, \"rollup_hits\": {}, \"wall_us\": {}}}",
-            s.shard,
-            s.items,
-            s.nodes_visited,
-            s.covered_hits,
-            s.items_scanned,
-            s.pruned,
-            s.rollup_hits,
-            s.wall_us
-        ));
-    }
-    out.push_str("], \"forwards\": [");
-    for (i, f) in w.forwards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_worker_json(f, out);
-    }
-    out.push_str("]}");
-}
-
-fn plan_from_json(root: &Json) -> Result<QueryPlan, String> {
-    let mut image_leaves = Vec::new();
-    for l in root.get("image_leaves")?.arr()? {
-        image_leaves.push(l.num()?);
-    }
-    let mut workers = Vec::new();
-    for w in root.get("workers")?.arr()? {
-        workers.push(worker_from_json(w, 0)?);
-    }
-    Ok(QueryPlan {
-        server: root.get("server")?.str()?.to_string(),
-        image_generation: root.get("image_generation")?.num()?,
-        staleness_samples: root.get("staleness_samples")?.num()?,
-        staleness_p95_us: root.get("staleness_p95_us")?.num()?,
-        image_leaves,
-        route_us: root.get("route_us")?.num()?,
-        wall_us: root.get("wall_us")?.num()?,
-        workers,
-    })
-}
-
-fn worker_from_json(v: &Json, depth: usize) -> Result<WorkerExec, String> {
-    if depth > MAX_FORWARD_DEPTH {
-        return Err(format!("plan forward nesting exceeds {MAX_FORWARD_DEPTH}"));
-    }
-    let mut requested = Vec::new();
-    for s in v.get("requested")?.arr()? {
-        requested.push(s.num()?);
-    }
-    let mut shards = Vec::new();
-    for s in v.get("shards")?.arr()? {
-        shards.push(ShardExec {
-            shard: s.get("shard")?.num()?,
-            items: s.get("items")?.num()?,
-            nodes_visited: s.get("nodes_visited")?.num()?,
-            covered_hits: s.get("covered_hits")?.num()?,
-            items_scanned: s.get("items_scanned")?.num()?,
-            pruned: s.get("pruned")?.num()?,
-            rollup_hits: s.get("rollup_hits")?.num()?,
-            wall_us: s.get("wall_us")?.num()?,
-        });
-    }
-    let mut forwards = Vec::new();
-    for f in v.get("forwards")?.arr()? {
-        forwards.push(worker_from_json(f, depth + 1)?);
-    }
-    Ok(WorkerExec {
-        worker: v.get("worker")?.str()?.to_string(),
-        requested,
-        alias_chases: v.get("alias_chases")?.num()?,
-        fanout: v.get("fanout")?.num()?,
-        wall_us: v.get("wall_us")?.num()?,
-        shards,
-        forwards,
-    })
 }
 
 fn render_worker(w: &WorkerExec, depth: usize, out: &mut String) {
@@ -527,6 +426,32 @@ mod tests {
     fn json_round_trip_is_lossless() {
         let plan = sample_plan();
         assert_eq!(QueryPlan::from_json(&plan.to_json()).unwrap(), plan);
+    }
+
+    /// `tests/golden/plan.json` holds the bytes the hand-written writer this
+    /// module replaced produced for `sample_plan()`.
+    #[test]
+    fn json_golden_is_reproduced_byte_for_byte() {
+        let golden = include_str!("../../../tests/golden/plan.json");
+        assert_eq!(sample_plan().to_json(), golden);
+        assert_eq!(QueryPlan::from_json(golden).unwrap(), sample_plan());
+    }
+
+    #[test]
+    fn both_decoders_reject_runaway_forward_chains() {
+        let chain = |levels: usize| {
+            let mut w = WorkerExec::default();
+            for _ in 0..levels {
+                w = WorkerExec { forwards: vec![w], ..Default::default() };
+            }
+            QueryPlan { workers: vec![w], ..Default::default() }
+        };
+        let deepest = chain(MAX_FORWARD_DEPTH);
+        assert_eq!(QueryPlan::from_json(&deepest.to_json()).unwrap(), deepest);
+        assert_eq!(QueryPlan::decode(&deepest.encode()).unwrap(), deepest);
+        let runaway = chain(MAX_FORWARD_DEPTH + 1);
+        assert!(QueryPlan::from_json(&runaway.to_json()).is_err());
+        assert!(QueryPlan::decode(&runaway.encode()).is_err());
     }
 
     #[test]

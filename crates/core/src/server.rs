@@ -19,7 +19,7 @@ use volap_net::{Endpoint, Incoming, Network, ReqCtx};
 use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
 use volap_obs::{Accounting, CostVec, Counter, Histogram, PrincipalId, StalenessProbe, TraceCtx, Tracer};
 
-/// Server slice of the global lock hierarchy (DESIGN.md §15). The ingest
+/// Server slice of the global lock hierarchy (DESIGN.md §11.1). The ingest
 /// buffer is drained *before* routing, so it ranks above nothing; the
 /// routing paths hold `index` while updating `locations` (bootstrap, image
 /// applies) and while folding expansions into `dirty` (bulk routing), so

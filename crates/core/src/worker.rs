@@ -19,7 +19,7 @@ use volap_net::{Endpoint, Incoming, Network, ReqCtx};
 use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
 use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma, TraceCtx, Tracer};
 
-/// Worker slice of the global lock hierarchy (DESIGN.md §15). Stats and
+/// Worker slice of the global lock hierarchy (DESIGN.md §11.1). Stats and
 /// alias resolution hold the slot map while reading individual slot states,
 /// so slots < slot_state; a slot state guard is held across store calls
 /// that take tree locks (ranks 50+), so slot_state < every tree class. The

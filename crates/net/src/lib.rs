@@ -39,7 +39,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
 use volap_obs::{Counter, Histogram, Registry, SpanGuard, TraceCtx, Tracer};
 
-/// The fabric's slice of the global lock hierarchy (DESIGN.md §15): routing
+/// The fabric's slice of the global lock hierarchy (DESIGN.md §11.1): routing
 /// reads the endpoint registry, then may hold the delay-queue sender while
 /// delivering, and delivery of a reply takes the requester's pending map —
 /// so endpoints < delay < pending.

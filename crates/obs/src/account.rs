@@ -21,9 +21,9 @@
 //!   tick, so "top spenders" is a sliding window, not an all-time ranking
 //!   (the exact totals stay all-time).
 //!
-//! Untagged requests pay one relaxed load and a branch — the same
-//! kill-switch idiom as [`crate::heat::HeatMap`] — enforced upstream by
-//! the `bench_account` overhead gate.
+//! Untagged requests pay one relaxed load and a branch; the `accounting`
+//! row of the overhead gate (`bench_overhead`) measures what the armed core
+//! costs them.
 //!
 //! The derived `gauge(accounting_dominance_frac)` history series (the
 //! decayed scan-cost share of the single hottest principal) feeds the
@@ -32,26 +32,15 @@
 //! flags the `tenants` component Degraded.
 
 use std::collections::HashMap;
+
+use crate::json::{Field, Json};
+use crate::registry::{MetricId, ScalarSnapshot};
+use crate::snapshot::{ascending, SectionData};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of cost dimensions in a [`CostVec`].
 pub const COST_DIMS: usize = 8;
-
-/// Stable dimension names, in [`CostVec::as_array`] order. These are the
-/// `dim` strings in [`AccountingSnapshot::top`] and the metric-name
-/// suffixes of the folded Prometheus counters
-/// (`volap_accounting_<dim>_total{principal=..}`).
-pub const COST_DIM_NAMES: [&str; COST_DIMS] = [
-    "rows_scanned",
-    "nodes_visited",
-    "rollup_hits",
-    "queue_wait_us",
-    "wall_us",
-    "bytes",
-    "net_hops",
-    "fanout",
-];
 
 /// Index of the `rows_scanned` dimension (the one the dominance fraction
 /// and the default health rule watch).
@@ -73,72 +62,76 @@ impl PrincipalId {
     }
 }
 
-/// The per-request cost attribution vector. All dimensions are additive
-/// `u64`s so per-principal totals are exact (no float drift between the
-/// registry and the cross-checks `volap-stat --tenants` runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostVec {
-    /// Leaf items scanned across all shards touched (from `ShardExec`).
-    pub rows_scanned: u64,
-    /// Tree nodes visited across all shards touched.
-    pub nodes_visited: u64,
-    /// Materialized rollup hits (covered aggregates answered without a
-    /// leaf scan).
-    pub rollup_hits: u64,
-    /// Microseconds the request sat in the server's inbound queue before
-    /// a handler picked it up.
-    pub queue_wait_us: u64,
-    /// Route + execute wall time on the server, microseconds.
-    pub wall_us: u64,
-    /// Request payload bytes decoded at the server (what the client's
-    /// encoding cost on the wire).
-    pub bytes: u64,
-    /// Network hops the request caused (worker requests, re-route
-    /// attempts, forwards).
-    pub net_hops: u64,
-    /// Scatter width: distinct workers contacted (1 for point routes).
-    pub fanout: u64,
+/// Declare the cost dimensions once: the [`CostVec`] fields, their stable
+/// names and the array view all follow this one ordered list.
+macro_rules! cost_dims {
+    ($( $(#[$doc:meta])* $dim:ident ),* $(,)?) => {
+        /// Stable dimension names, in [`CostVec::as_array`] order. These are the
+        /// `dim` strings in [`AccountingSnapshot::top`] and the metric-name
+        /// suffixes of the folded Prometheus counters
+        /// (`volap_accounting_<dim>_total{principal=..}`).
+        pub const COST_DIM_NAMES: [&str; COST_DIMS] = [$(stringify!($dim)),*];
+
+        /// The per-request cost attribution vector. All dimensions are additive
+        /// `u64`s so per-principal totals are exact (no float drift between the
+        /// registry and the cross-checks `volap-stat --tenants` runs).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct CostVec {
+            $( $(#[$doc])* pub $dim: u64, )*
+        }
+
+        impl CostVec {
+            /// The vector as an array indexed like [`COST_DIM_NAMES`].
+            pub fn as_array(&self) -> [u64; COST_DIMS] {
+                [$(self.$dim),*]
+            }
+
+            /// Rebuild from an array indexed like [`COST_DIM_NAMES`].
+            pub fn from_array([$($dim),*]: [u64; COST_DIMS]) -> Self {
+                Self { $($dim),* }
+            }
+
+            /// Element-wise saturating accumulate.
+            pub fn add(&mut self, other: &CostVec) {
+                $( self.$dim = self.$dim.saturating_add(other.$dim); )*
+            }
+        }
+    };
 }
 
-impl CostVec {
-    /// The vector as an array indexed like [`COST_DIM_NAMES`].
-    pub fn as_array(&self) -> [u64; COST_DIMS] {
-        [
-            self.rows_scanned,
-            self.nodes_visited,
-            self.rollup_hits,
-            self.queue_wait_us,
-            self.wall_us,
-            self.bytes,
-            self.net_hops,
-            self.fanout,
-        ]
-    }
+cost_dims! {
+    /// Leaf items scanned across all shards touched (from `ShardExec`).
+    rows_scanned,
+    /// Tree nodes visited across all shards touched.
+    nodes_visited,
+    /// Materialized rollup hits (covered aggregates answered without a
+    /// leaf scan).
+    rollup_hits,
+    /// Microseconds the request sat in the server's inbound queue before
+    /// a handler picked it up.
+    queue_wait_us,
+    /// Route + execute wall time on the server, microseconds.
+    wall_us,
+    /// Request payload bytes decoded at the server (what the client's
+    /// encoding cost on the wire).
+    bytes,
+    /// Network hops the request caused (worker requests, re-route
+    /// attempts, forwards).
+    net_hops,
+    /// Scatter width: distinct workers contacted (1 for point routes).
+    fanout,
+}
 
-    /// Rebuild from an array indexed like [`COST_DIM_NAMES`].
-    pub fn from_array(a: [u64; COST_DIMS]) -> Self {
-        Self {
-            rows_scanned: a[0],
-            nodes_visited: a[1],
-            rollup_hits: a[2],
-            queue_wait_us: a[3],
-            wall_us: a[4],
-            bytes: a[5],
-            net_hops: a[6],
-            fanout: a[7],
-        }
+/// Exported as an array indexed like [`COST_DIM_NAMES`].
+impl Field for CostVec {
+    fn write(&self, out: &mut String) {
+        self.as_array().to_vec().write(out);
     }
-
-    /// Element-wise saturating accumulate.
-    pub fn add(&mut self, other: &CostVec) {
-        self.rows_scanned = self.rows_scanned.saturating_add(other.rows_scanned);
-        self.nodes_visited = self.nodes_visited.saturating_add(other.nodes_visited);
-        self.rollup_hits = self.rollup_hits.saturating_add(other.rollup_hits);
-        self.queue_wait_us = self.queue_wait_us.saturating_add(other.queue_wait_us);
-        self.wall_us = self.wall_us.saturating_add(other.wall_us);
-        self.bytes = self.bytes.saturating_add(other.bytes);
-        self.net_hops = self.net_hops.saturating_add(other.net_hops);
-        self.fanout = self.fanout.saturating_add(other.fanout);
+    fn read(v: &Json) -> Result<Self, String> {
+        let dims: [u64; COST_DIMS] = Vec::read(v)?
+            .try_into()
+            .map_err(|_| format!("accounting cost must have {COST_DIMS} dims"))?;
+        Ok(Self::from_array(dims))
     }
 }
 
@@ -247,26 +240,12 @@ struct AccountState {
     sketches: Vec<SpaceSaving>,
 }
 
-/// Sizing and switch for one [`Accounting`] instance (the
-/// `VolapConfig::accounting_*` knobs upstream).
-#[derive(Clone, Debug)]
-pub struct AccountConfig {
-    /// Whether charging starts enabled (runtime-togglable; off, a charge
-    /// is one relaxed load and a branch).
-    pub enabled: bool,
-    /// Sketch capacity per cost dimension (the K of top-K; error bound
-    /// `N/K`).
-    pub topk: usize,
-    /// Multiplicative EWMA factor the sketches decay by each sampler
-    /// tick (exact totals never decay). `1.0` disables decay.
-    pub decay: f64,
-}
+/// Sketch capacity per cost dimension (the K of top-K; error bound `N/K`).
+pub const TOPK: usize = 8;
 
-impl Default for AccountConfig {
-    fn default() -> Self {
-        Self { enabled: true, topk: 8, decay: 0.9 }
-    }
-}
+/// Multiplicative EWMA factor the sketches decay by each sampler tick (exact
+/// totals never decay).
+pub const DECAY: f64 = 0.9;
 
 struct AccountingInner {
     enabled: AtomicBool,
@@ -284,20 +263,22 @@ pub struct Accounting {
 }
 
 impl Default for Accounting {
+    /// The shipped sizing: [`TOPK`] slots per sketch, [`DECAY`] per tick.
     fn default() -> Self {
-        Self::new(&AccountConfig::default())
+        Self::new(TOPK, DECAY)
     }
 }
 
 impl Accounting {
-    /// Build an accounting core per `cfg`.
-    pub fn new(cfg: &AccountConfig) -> Self {
-        let topk = cfg.topk.max(1);
+    /// An accounting core, charging enabled, with `topk` slots per sketch
+    /// decaying by `decay` each sampler tick (`1.0` disables decay).
+    pub fn new(topk: usize, decay: f64) -> Self {
+        let topk = topk.max(1);
         Self {
             inner: Arc::new(AccountingInner {
-                enabled: AtomicBool::new(cfg.enabled),
+                enabled: AtomicBool::new(true),
                 topk,
-                decay: cfg.decay.clamp(0.0, 1.0),
+                decay: decay.clamp(0.0, 1.0),
                 state: Mutex::new(AccountState {
                     sketches: (0..COST_DIMS).map(|_| SpaceSaving::new(topk)).collect(),
                     ..AccountState::default()
@@ -311,10 +292,9 @@ impl Accounting {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Runtime kill switch: with accounting off, [`Accounting::charge`]
-    /// is one relaxed load and a branch (the `bench_account` gate
-    /// measures exactly this path).
-    pub fn set_enabled(&self, on: bool) {
+    /// Runtime kill switch ([`crate::Obs::set_enabled`]): with accounting
+    /// off, [`Accounting::charge`] is one relaxed load and a branch.
+    pub(crate) fn set_enabled(&self, on: bool) {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
@@ -448,23 +428,57 @@ impl Accounting {
     }
 }
 
-/// A copied-out accounting state: exact per-principal totals plus the
-/// per-dimension top-K tables. Round-trips losslessly through the JSON
-/// exporter; the Prometheus exposition folds the exact totals in as
-/// `volap_accounting_*_total{principal=..}` counters.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AccountingSnapshot {
-    /// Whether charging was enabled at capture.
-    pub enabled: bool,
-    /// Sketch capacity per dimension (the K of the `N/K` error bound).
-    pub topk: u64,
-    /// EWMA factor applied per sampler tick (1.0 = no decay).
-    pub decay: f64,
-    /// Exact all-time totals, sorted by principal name.
-    pub principals: Vec<PrincipalTotals>,
-    /// Per-dimension top-K tables, in [`COST_DIM_NAMES`] order (empty
-    /// when accounting never charged).
-    pub top: Vec<DimTop>,
+crate::record! {
+    /// A copied-out accounting state: exact per-principal totals plus the
+    /// per-dimension top-K tables. Round-trips losslessly through the JSON
+    /// exporter; the Prometheus exposition folds the exact totals in as
+    /// `volap_accounting_*_total{principal=..}` counters.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct AccountingSnapshot {
+        /// Whether charging was enabled at capture.
+        enabled: bool,
+        /// Sketch capacity per dimension (the K of the `N/K` error bound).
+        topk: u64,
+        /// EWMA factor applied per sampler tick (1.0 = no decay).
+        decay: f64,
+        /// Exact all-time totals, sorted by principal name.
+        principals: Vec<PrincipalTotals> = rows,
+        /// Per-dimension top-K tables, in [`COST_DIM_NAMES`] order (empty
+        /// when accounting never charged).
+        top: Vec<DimTop> = rows,
+    }
+}
+
+impl SectionData for AccountingSnapshot {
+    fn is_empty(&self) -> bool {
+        self.principals.is_empty()
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        for pair in self.principals.windows(2) {
+            ascending(Some(&pair[0].principal), &pair[1].principal, "principal")?;
+        }
+        for top in &self.top {
+            if top.entries.windows(2).any(|e| e[0].count < e[1].count) {
+                return Err(format!("top-K of {} is not heaviest-first", top.dim));
+            }
+        }
+        Ok(())
+    }
+
+    /// The exact totals: `volap_accounting_{requests,<dim>}_total{principal=..}`.
+    fn fold(&self, counters: &mut Vec<ScalarSnapshot<u64>>, _: &mut Vec<ScalarSnapshot<i64>>) {
+        for p in &self.principals {
+            let dims = COST_DIM_NAMES.iter().copied().zip(p.cost.as_array());
+            for (dim, value) in std::iter::once(("requests", p.requests)).chain(dims) {
+                let name = format!("volap_accounting_{dim}_total");
+                counters.push(ScalarSnapshot {
+                    id: MetricId::labeled(name, "principal", &p.principal),
+                    value,
+                });
+            }
+        }
+    }
 }
 
 impl AccountingSnapshot {
@@ -479,37 +493,43 @@ impl AccountingSnapshot {
     }
 }
 
-/// Exact all-time totals for one principal.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PrincipalTotals {
-    /// The principal tag as the client supplied it.
-    pub principal: String,
-    /// Tagged requests charged.
-    pub requests: u64,
-    /// Summed cost vector.
-    pub cost: CostVec,
+crate::record! {
+    /// Exact all-time totals for one principal.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct PrincipalTotals {
+        /// The principal tag as the client supplied it.
+        principal: String,
+        /// Tagged requests charged.
+        requests: u64,
+        /// Summed cost vector.
+        cost: CostVec,
+    }
 }
 
-/// The decayed top-K table for one cost dimension.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DimTop {
-    /// Dimension name (one of [`COST_DIM_NAMES`]).
-    pub dim: String,
-    /// Total decayed weight offered (the `N` of the error bound).
-    pub offered: f64,
-    /// Tracked principals, heaviest first.
-    pub entries: Vec<TopEntry>,
+crate::record! {
+    /// The decayed top-K table for one cost dimension.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct DimTop {
+        /// Dimension name (one of [`COST_DIM_NAMES`]).
+        dim: String,
+        /// Total decayed weight offered (the `N` of the error bound).
+        offered: f64,
+        /// Tracked principals, heaviest first.
+        entries: Vec<TopEntry>,
+    }
 }
 
-/// One row of a [`DimTop`] table.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TopEntry {
-    /// Principal tag.
-    pub principal: String,
-    /// Estimated (decayed) weight; overestimates truth by at most `err`.
-    pub count: f64,
-    /// Error bound inherited at eviction (`≤ offered / topk`).
-    pub err: f64,
+crate::record! {
+    /// One row of a [`DimTop`] table.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct TopEntry {
+        /// Principal tag.
+        principal: String,
+        /// Estimated (decayed) weight; overestimates truth by at most `err`.
+        count: f64,
+        /// Error bound inherited at eviction (`≤ offered / topk`).
+        err: f64,
+    }
 }
 
 #[cfg(test)]
@@ -552,7 +572,8 @@ mod tests {
 
     #[test]
     fn disabled_charge_is_a_noop() {
-        let acc = Accounting::new(&AccountConfig { enabled: false, ..AccountConfig::default() });
+        let acc = Accounting::default();
+        acc.set_enabled(false);
         let a = acc.intern("a");
         acc.charge(a, &CostVec { rows_scanned: 5, ..CostVec::default() });
         assert!(acc.snapshot().principals[0].requests == 0);
@@ -597,7 +618,7 @@ mod tests {
         assert_eq!(entries, vec![(1, 50.0, 0.0)], "principal 2 decayed below 1 and dropped");
         assert_eq!(sketch.offered(), 50.5);
         // Exact totals never decay; only the window does.
-        let acc = Accounting::new(&AccountConfig { decay: 0.5, ..AccountConfig::default() });
+        let acc = Accounting::new(TOPK, 0.5);
         let a = acc.intern("a");
         acc.charge(a, &CostVec { rows_scanned: 100, ..CostVec::default() });
         acc.decay_tick();

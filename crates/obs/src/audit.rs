@@ -14,34 +14,43 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::events::thread_ordinal;
+use crate::snapshot::{ascending, Row};
 
 const SHARDS: usize = 16;
 
-/// One recorded load-balance decision.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BalanceDecision {
-    /// Global sequence number (total order across threads).
-    pub seq: u64,
-    /// Microseconds since the log's epoch (creation time).
-    pub ts_us: u64,
-    /// Chosen action: `"split"`, `"migrate"`, or `"orphan_reap"`.
-    pub action: String,
-    /// The shard the decision acted on.
-    pub shard: u64,
-    /// Worker holding the shard when the decision fired.
-    pub src: String,
-    /// Destination worker (migrations) or empty.
-    pub dest: String,
-    /// The inputs that drove the decision, as ordered `(key, value)` pairs
-    /// (shard sizes, thresholds, heat rates — values pre-rendered).
-    pub inputs: Vec<(String, String)>,
-    /// Shard ids that exist because of this decision (split halves; the
-    /// moved shard for migrations).
-    pub result_shards: Vec<u64>,
-    /// `"ok"` or a short failure tag.
-    pub outcome: String,
-    /// Wall time the action took, start of decision to acknowledgement.
-    pub duration_us: u64,
+crate::record! {
+    /// One recorded load-balance decision.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct BalanceDecision {
+        /// Global sequence number (total order across threads).
+        seq: u64,
+        /// Microseconds since the log's epoch (creation time).
+        ts_us: u64,
+        /// Chosen action: `"split"`, `"migrate"`, or `"orphan_reap"`.
+        action: String,
+        /// The shard the decision acted on.
+        shard: u64,
+        /// Worker holding the shard when the decision fired.
+        src: String,
+        /// Destination worker (migrations) or empty.
+        dest: String,
+        /// The inputs that drove the decision, as ordered `(key, value)` pairs
+        /// (shard sizes, thresholds, heat rates — values pre-rendered).
+        inputs: Vec<(String, String)>,
+        /// Shard ids that exist because of this decision (split halves; the
+        /// moved shard for migrations).
+        result_shards: Vec<u64>,
+        /// `"ok"` or a short failure tag.
+        outcome: String,
+        /// Wall time the action took, start of decision to acknowledgement.
+        duration_us: u64,
+    }
+}
+
+impl Row for BalanceDecision {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| p.seq), self.seq, "decision seq")
+    }
 }
 
 struct AuditLogInner {

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::snapshot::{ascending, Row};
+
 /// Number of ring shards. Threads map onto shards by ordinal; with the
 /// handful of service threads a simulated cluster runs, collisions are rare
 /// and harmless (the shard mutex is still only briefly held).
@@ -33,17 +35,25 @@ pub(crate) fn thread_ordinal() -> usize {
     THREAD_ORDINAL.with(|o| o.get())
 }
 
-/// One recorded event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Global sequence number (total order across threads).
-    pub seq: u64,
-    /// Microseconds since the log's epoch (creation time).
-    pub ts_us: u64,
-    /// Event kind, e.g. `"shard_split"`.
-    pub kind: String,
-    /// Free-form `key=value` detail string.
-    pub detail: String,
+crate::record! {
+    /// One recorded event.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct Event {
+        /// Global sequence number (total order across threads).
+        seq: u64,
+        /// Microseconds since the log's epoch (creation time).
+        ts_us: u64,
+        /// Event kind, e.g. `"shard_split"`.
+        kind: String,
+        /// Free-form `key=value` detail string.
+        detail: String,
+    }
+}
+
+impl Row for Event {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| p.seq), self.seq, "event seq")
+    }
 }
 
 struct EventLogInner {

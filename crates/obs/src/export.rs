@@ -6,17 +6,9 @@
 //! `Display`, so `parse::<f64>()` recovers them bit-exactly; `u64` counters
 //! are written as integers and never pass through `f64`.
 
-use crate::account::{AccountingSnapshot, CostVec, DimTop, PrincipalTotals, TopEntry};
-use crate::audit::BalanceDecision;
-use crate::events::Event;
-use crate::health::ComponentHealth;
-use crate::heat::HeatEntry;
-use crate::history::{Frame, SeriesDef};
-use crate::json::{self, escape as json_escape, Json};
-use crate::lock::LockClassSnapshot;
+use crate::json::{self, Field, Record};
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::snapshot::Snapshot;
-use crate::staleness::StalenessSnapshot;
 use crate::trace::{SpanRecord, Trace};
 
 // ---------------------------------------------------------------------------
@@ -270,448 +262,93 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
 // JSON
 // ---------------------------------------------------------------------------
 
-fn json_label(id: &MetricId) -> String {
-    match &id.label {
-        Some((k, v)) => format!("[\"{}\",\"{}\"]", json_escape(k), json_escape(v)),
-        None => "null".to_string(),
-    }
-}
-
-/// Render a full snapshot (metrics + events + staleness + history +
-/// health) as JSON. Lossless: [`from_json`] recovers the exact input.
+/// Render a full snapshot — every section of [`crate::snapshot`] — as JSON,
+/// one top-level member per line. Lossless: [`from_json`] recovers the exact
+/// input. Writer and parser are both derived from the record declarations.
 pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = format!(
-        "{{\n  \"captured_unix_us\": {},\n  \"uptime_us\": {},\n  \"counters\": [",
-        snap.captured_unix_us, snap.uptime_us
-    );
-    let mut first = true;
-    for c in &snap.counters {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"label\": {}, \"value\": {}}}",
-            json_escape(&c.id.name),
-            json_label(&c.id),
-            c.value
-        ));
-    }
-    out.push_str("\n  ],\n  \"gauges\": [");
-    first = true;
-    for g in &snap.gauges {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"label\": {}, \"value\": {}}}",
-            json_escape(&g.id.name),
-            json_label(&g.id),
-            g.value
-        ));
-    }
-    out.push_str("\n  ],\n  \"histograms\": [");
-    first = true;
-    for h in &snap.histograms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let buckets: Vec<String> =
-            h.buckets.iter().map(|(le, c)| format!("[{le},{c}]")).collect();
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"label\": {}, \"count\": {}, \"sum_seconds\": {}, \"buckets\": [{}]}}",
-            json_escape(&h.id.name),
-            json_label(&h.id),
-            h.count,
-            h.sum_seconds,
-            buckets.join(",")
-        ));
-    }
-    out.push_str("\n  ],\n  \"events\": [");
-    first = true;
-    for e in &snap.events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"seq\": {}, \"ts_us\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}",
-            e.seq,
-            e.ts_us,
-            json_escape(&e.kind),
-            json_escape(&e.detail)
-        ));
-    }
-    out.push_str("\n  ],\n  \"heat\": [");
-    first = true;
-    for h in &snap.heat {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"shard\": {}, \"worker\": \"{}\", \"items\": {}, \
-             \"inserts_total\": {}, \"queries_total\": {}, \"insert_rate\": {}, \
-             \"query_rate\": {}, \"volume_frac\": {}}}",
-            h.shard,
-            json_escape(&h.worker),
-            h.items,
-            h.inserts_total,
-            h.queries_total,
-            h.insert_rate,
-            h.query_rate,
-            h.volume_frac
-        ));
-    }
-    out.push_str("\n  ],\n  \"audit\": [");
-    first = true;
-    for d in &snap.audit {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let inputs: Vec<String> = d
-            .inputs
-            .iter()
-            .map(|(k, v)| format!("[\"{}\",\"{}\"]", json_escape(k), json_escape(v)))
-            .collect();
-        let results: Vec<String> = d.result_shards.iter().map(|s| s.to_string()).collect();
-        out.push_str(&format!(
-            "\n    {{\"seq\": {}, \"ts_us\": {}, \"action\": \"{}\", \"shard\": {}, \
-             \"src\": \"{}\", \"dest\": \"{}\", \"inputs\": [{}], \
-             \"result_shards\": [{}], \"outcome\": \"{}\", \"duration_us\": {}}}",
-            d.seq,
-            d.ts_us,
-            json_escape(&d.action),
-            d.shard,
-            json_escape(&d.src),
-            json_escape(&d.dest),
-            inputs.join(","),
-            results.join(","),
-            json_escape(&d.outcome),
-            d.duration_us
-        ));
-    }
-    out.push_str("\n  ],\n  \"locks\": [");
-    first = true;
-    for l in &snap.locks {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"class\": \"{}\", \"rank\": {}, \"acquisitions\": {}, \
-             \"contended\": {}, \"wait_count\": {}, \"wait_sum_seconds\": {}, \
-             \"hold_count\": {}, \"hold_sum_seconds\": {}}}",
-            json_escape(&l.class),
-            l.rank,
-            l.acquisitions,
-            l.contended,
-            l.wait_count,
-            l.wait_sum_seconds,
-            l.hold_count,
-            l.hold_sum_seconds
-        ));
-    }
-    let samples: Vec<String> =
-        snap.staleness.samples_seconds.iter().map(|s| format!("{s}")).collect();
-    out.push_str(&format!(
-        "\n  ],\n  \"staleness\": {{\"count\": {}, \"samples_seconds\": [{}]}},",
-        snap.staleness.count,
-        samples.join(",")
-    ));
-    out.push_str(&format!(
-        "\n  \"history\": {{\"interval_us\": {}, \"capacity\": {}, \"dropped\": {}, \"series\": [",
-        snap.history.interval_us, snap.history.capacity, snap.history.dropped
-    ));
-    first = true;
-    for s in &snap.history.series {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"key\": \"{}\", \"kind\": \"{}\"}}",
-            json_escape(&s.key),
-            s.kind.as_str()
-        ));
-    }
-    out.push_str("\n  ], \"frames\": [");
-    first = true;
-    for f in &snap.history.frames {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let values: Vec<String> = f.values.iter().map(|v| format!("{v}")).collect();
-        out.push_str(&format!(
-            "\n    {{\"seq\": {}, \"start_us\": {}, \"end_us\": {}, \"values\": [{}]}}",
-            f.seq,
-            f.start_us,
-            f.end_us,
-            values.join(",")
-        ));
-    }
-    out.push_str("\n  ]},\n  \"health\": [");
-    first = true;
-    for h in &snap.health {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"component\": \"{}\", \"rule\": \"{}\", \"selector\": \"{}\", \
-             \"state\": \"{}\", \"value\": {}, \"z_score\": {}, \"anomalous\": {}, \
-             \"transitions\": {}, \"since_us\": {}}}",
-            json_escape(&h.component),
-            json_escape(&h.rule),
-            json_escape(&h.selector),
-            h.state.as_str(),
-            h.value,
-            h.z_score,
-            u64::from(h.anomalous),
-            h.transitions,
-            h.since_us
-        ));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"accounting\": {{\"enabled\": {}, \"topk\": {}, \"decay\": {}, \
-         \"principals\": [",
-        u64::from(snap.accounting.enabled),
-        snap.accounting.topk,
-        snap.accounting.decay
-    ));
-    first = true;
-    for p in &snap.accounting.principals {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let cost: Vec<String> = p.cost.as_array().iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!(
-            "\n    {{\"principal\": \"{}\", \"requests\": {}, \"cost\": [{}]}}",
-            json_escape(&p.principal),
-            p.requests,
-            cost.join(",")
-        ));
-    }
-    out.push_str("\n  ], \"top\": [");
-    first = true;
-    for t in &snap.accounting.top {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let entries: Vec<String> = t
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"principal\": \"{}\", \"count\": {}, \"err\": {}}}",
-                    json_escape(&e.principal),
-                    e.count,
-                    e.err
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "\n    {{\"dim\": \"{}\", \"offered\": {}, \"entries\": [{}]}}",
-            json_escape(&t.dim),
-            t.offered,
-            entries.join(",")
-        ));
-    }
-    out.push_str("\n  ]}\n}\n");
+    let mut out = String::from("{\n  ");
+    snap.write_members(&mut out, ",\n  ");
+    out.push_str("\n}\n");
     out
-}
-
-fn parse_id(v: &Json) -> Result<MetricId, String> {
-    let name = v.get("name")?.str()?.to_string();
-    let label = match v.get("label")? {
-        Json::Null => None,
-        Json::Arr(pair) if pair.len() == 2 => {
-            Some((pair[0].str()?.to_string(), pair[1].str()?.to_string()))
-        }
-        _ => return Err("label must be null or a [key, value] pair".into()),
-    };
-    Ok(MetricId { name, label })
 }
 
 /// Parse JSON produced by [`to_json`] back into a full [`Snapshot`].
 pub fn from_json(text: &str) -> Result<Snapshot, String> {
-    let root = json::parse(text)?;
-    let mut snap = Snapshot::default();
-    for c in root.get("counters")?.arr()? {
-        snap.counters.push(ScalarSnapshot { id: parse_id(c)?, value: c.get("value")?.num()? });
-    }
-    for g in root.get("gauges")?.arr()? {
-        snap.gauges.push(ScalarSnapshot { id: parse_id(g)?, value: g.get("value")?.num()? });
-    }
-    for h in root.get("histograms")?.arr()? {
-        let mut buckets = Vec::new();
-        for b in h.get("buckets")?.arr()? {
-            let pair = b.arr()?;
-            if pair.len() != 2 {
-                return Err("bucket must be [le, count]".into());
-            }
-            buckets.push((pair[0].num()?, pair[1].num()?));
-        }
-        snap.histograms.push(HistogramSnapshot {
-            id: parse_id(h)?,
-            count: h.get("count")?.num()?,
-            sum_seconds: h.get("sum_seconds")?.num()?,
-            buckets,
-        });
-    }
-    for e in root.get("events")?.arr()? {
-        snap.events.push(Event {
-            seq: e.get("seq")?.num()?,
-            ts_us: e.get("ts_us")?.num()?,
-            kind: e.get("kind")?.str()?.to_string(),
-            detail: e.get("detail")?.str()?.to_string(),
-        });
-    }
-    for h in root.get("heat")?.arr()? {
-        snap.heat.push(HeatEntry {
-            shard: h.get("shard")?.num()?,
-            worker: h.get("worker")?.str()?.to_string(),
-            items: h.get("items")?.num()?,
-            inserts_total: h.get("inserts_total")?.num()?,
-            queries_total: h.get("queries_total")?.num()?,
-            insert_rate: h.get("insert_rate")?.num()?,
-            query_rate: h.get("query_rate")?.num()?,
-            volume_frac: h.get("volume_frac")?.num()?,
-        });
-    }
-    for d in root.get("audit")?.arr()? {
-        let mut inputs = Vec::new();
-        for pair in d.get("inputs")?.arr()? {
-            let kv = pair.arr()?;
-            if kv.len() != 2 {
-                return Err("audit input must be a [key, value] pair".into());
-            }
-            inputs.push((kv[0].str()?.to_string(), kv[1].str()?.to_string()));
-        }
-        let mut result_shards = Vec::new();
-        for s in d.get("result_shards")?.arr()? {
-            result_shards.push(s.num()?);
-        }
-        snap.audit.push(BalanceDecision {
-            seq: d.get("seq")?.num()?,
-            ts_us: d.get("ts_us")?.num()?,
-            action: d.get("action")?.str()?.to_string(),
-            shard: d.get("shard")?.num()?,
-            src: d.get("src")?.str()?.to_string(),
-            dest: d.get("dest")?.str()?.to_string(),
-            inputs,
-            result_shards,
-            outcome: d.get("outcome")?.str()?.to_string(),
-            duration_us: d.get("duration_us")?.num()?,
-        });
-    }
-    for l in root.get("locks")?.arr()? {
-        snap.locks.push(LockClassSnapshot {
-            class: l.get("class")?.str()?.to_string(),
-            rank: l.get("rank")?.num()?,
-            acquisitions: l.get("acquisitions")?.num()?,
-            contended: l.get("contended")?.num()?,
-            wait_count: l.get("wait_count")?.num()?,
-            wait_sum_seconds: l.get("wait_sum_seconds")?.num()?,
-            hold_count: l.get("hold_count")?.num()?,
-            hold_sum_seconds: l.get("hold_sum_seconds")?.num()?,
-        });
-    }
-    let st = root.get("staleness")?;
-    let mut samples = Vec::new();
-    for s in st.get("samples_seconds")?.arr()? {
-        samples.push(s.num()?);
-    }
-    snap.staleness = StalenessSnapshot { count: st.get("count")?.num()?, samples_seconds: samples };
-    snap.captured_unix_us = root.get("captured_unix_us")?.num()?;
-    snap.uptime_us = root.get("uptime_us")?.num()?;
-    let hist = root.get("history")?;
-    snap.history.interval_us = hist.get("interval_us")?.num()?;
-    snap.history.capacity = hist.get("capacity")?.num()?;
-    snap.history.dropped = hist.get("dropped")?.num()?;
-    for s in hist.get("series")?.arr()? {
-        snap.history.series.push(SeriesDef {
-            key: s.get("key")?.str()?.to_string(),
-            kind: s.get("kind")?.str()?.parse()?,
-        });
-    }
-    for f in hist.get("frames")?.arr()? {
-        let mut values = Vec::new();
-        for v in f.get("values")?.arr()? {
-            values.push(v.num()?);
-        }
-        snap.history.frames.push(Frame {
-            seq: f.get("seq")?.num()?,
-            start_us: f.get("start_us")?.num()?,
-            end_us: f.get("end_us")?.num()?,
-            values,
-        });
-    }
-    for h in root.get("health")?.arr()? {
-        let anomalous: u64 = h.get("anomalous")?.num()?;
-        snap.health.push(ComponentHealth {
-            component: h.get("component")?.str()?.to_string(),
-            rule: h.get("rule")?.str()?.to_string(),
-            selector: h.get("selector")?.str()?.to_string(),
-            state: h.get("state")?.str()?.parse()?,
-            value: h.get("value")?.num()?,
-            z_score: h.get("z_score")?.num()?,
-            anomalous: anomalous != 0,
-            transitions: h.get("transitions")?.num()?,
-            since_us: h.get("since_us")?.num()?,
-        });
-    }
-    let acc = root.get("accounting")?;
-    let enabled: u64 = acc.get("enabled")?.num()?;
-    snap.accounting = AccountingSnapshot {
-        enabled: enabled != 0,
-        topk: acc.get("topk")?.num()?,
-        decay: acc.get("decay")?.num()?,
-        principals: Vec::new(),
-        top: Vec::new(),
-    };
-    for p in acc.get("principals")?.arr()? {
-        let mut cost = [0u64; crate::account::COST_DIMS];
-        let arr = p.get("cost")?.arr()?;
-        if arr.len() != cost.len() {
-            return Err(format!("accounting cost must have {} dims", cost.len()));
-        }
-        for (slot, v) in cost.iter_mut().zip(arr) {
-            *slot = v.num()?;
-        }
-        snap.accounting.principals.push(PrincipalTotals {
-            principal: p.get("principal")?.str()?.to_string(),
-            requests: p.get("requests")?.num()?,
-            cost: CostVec::from_array(cost),
-        });
-    }
-    for t in acc.get("top")?.arr()? {
-        let mut entries = Vec::new();
-        for e in t.get("entries")?.arr()? {
-            entries.push(TopEntry {
-                principal: e.get("principal")?.str()?.to_string(),
-                count: e.get("count")?.num()?,
-                err: e.get("err")?.num()?,
-            });
-        }
-        snap.accounting.top.push(DimTop {
-            dim: t.get("dim")?.str()?.to_string(),
-            offered: t.get("offered")?.num()?,
-            entries,
-        });
-    }
-    Ok(snap)
+    Snapshot::read_members(&json::parse(text)?)
 }
 
 // ---------------------------------------------------------------------------
 // Chrome/Perfetto trace_event JSON
 // ---------------------------------------------------------------------------
+
+crate::record! {
+    /// What the `trace_event` format has no slot for: trace and span identity,
+    /// the exact end time, and the raw annotations.
+    struct SpanArgs {
+        trace_id: u64,
+        span_id: u64,
+        parent_span_id: u64,
+        end_us: u64,
+        ann: Vec<(String, String)>,
+    }
+}
+
+crate::record! {
+    /// One complete (`"ph": "X"`) event: a span as `trace_event` spells it —
+    /// the trace as the process, the span as the thread.
+    struct TraceEvent {
+        ph: String,
+        name: String,
+        ts: u64,
+        dur: u64,
+        pid: u64,
+        tid: u64,
+        args: SpanArgs,
+    }
+}
+
+impl From<&SpanRecord> for TraceEvent {
+    fn from(s: &SpanRecord) -> Self {
+        TraceEvent {
+            ph: "X".into(),
+            name: s.name.clone(),
+            ts: s.start_us,
+            dur: s.duration_us(),
+            pid: s.trace_id,
+            tid: s.span_id,
+            args: SpanArgs {
+                trace_id: s.trace_id,
+                span_id: s.span_id,
+                parent_span_id: s.parent_span_id,
+                end_us: s.end_us,
+                ann: s.annotations.clone(),
+            },
+        }
+    }
+}
+
+impl TryFrom<TraceEvent> for SpanRecord {
+    type Error = String;
+
+    fn try_from(ev: TraceEvent) -> Result<Self, String> {
+        if ev.ph != "X" {
+            return Err(format!("unsupported event phase {:?}", ev.ph));
+        }
+        let span = SpanRecord {
+            trace_id: ev.args.trace_id,
+            span_id: ev.args.span_id,
+            parent_span_id: ev.args.parent_span_id,
+            name: ev.name,
+            start_us: ev.ts,
+            end_us: ev.args.end_us,
+            annotations: ev.args.ann,
+        };
+        if span.duration_us() != ev.dur {
+            return Err(format!("dur {} disagrees with ts {}..{}", ev.dur, ev.ts, span.end_us));
+        }
+        Ok(span)
+    }
+}
 
 /// Render traces in the Chrome/Perfetto `trace_event` JSON format: one
 /// complete (`"ph": "X"`) event per span, timestamps and durations in
@@ -720,37 +357,11 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
 /// the raw annotations) ride in each event's `args`, so the export is
 /// **lossless**: [`traces_from_perfetto`] recovers the exact input.
 pub fn traces_to_perfetto(traces: &[Trace]) -> String {
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
-    for trace in traces {
-        for s in &trace.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let ann: Vec<String> = s
-                .annotations
-                .iter()
-                .map(|(k, v)| format!("[\"{}\",\"{}\"]", json_escape(k), json_escape(v)))
-                .collect();
-            out.push_str(&format!(
-                "\n  {{\"ph\": \"X\", \"name\": \"{}\", \"ts\": {}, \"dur\": {}, \
-                 \"pid\": {}, \"tid\": {}, \"args\": {{\"trace_id\": {}, \"span_id\": {}, \
-                 \"parent_span_id\": {}, \"end_us\": {}, \"ann\": [{}]}}}}",
-                json_escape(&s.name),
-                s.start_us,
-                s.duration_us(),
-                s.trace_id,
-                s.span_id,
-                s.trace_id,
-                s.span_id,
-                s.parent_span_id,
-                s.end_us,
-                ann.join(",")
-            ));
-        }
-    }
-    out.push_str("\n]}\n");
+    let events: Vec<TraceEvent> =
+        traces.iter().flat_map(|t| &t.spans).map(TraceEvent::from).collect();
+    let mut out = String::from("{\"traceEvents\": ");
+    json::write_rows(&events, "", &mut out);
+    out.push_str("}\n");
     out
 }
 
@@ -761,35 +372,8 @@ pub fn traces_to_perfetto(traces: &[Trace]) -> String {
 pub fn traces_from_perfetto(text: &str) -> Result<Vec<Trace>, String> {
     let root = json::parse(text)?;
     let mut traces: Vec<Trace> = Vec::new();
-    for ev in root.get("traceEvents")?.arr()? {
-        let ph = ev.get("ph")?.str()?;
-        if ph != "X" {
-            return Err(format!("unsupported event phase {ph:?}"));
-        }
-        let args = ev.get("args")?;
-        let mut annotations = Vec::new();
-        for pair in args.get("ann")?.arr()? {
-            let kv = pair.arr()?;
-            if kv.len() != 2 {
-                return Err("annotation must be a [key, value] pair".into());
-            }
-            annotations.push((kv[0].str()?.to_string(), kv[1].str()?.to_string()));
-        }
-        let start_us: u64 = ev.get("ts")?.num()?;
-        let dur: u64 = ev.get("dur")?.num()?;
-        let end_us: u64 = args.get("end_us")?.num()?;
-        if end_us.saturating_sub(start_us) != dur {
-            return Err(format!("dur {dur} disagrees with ts {start_us}..{end_us}"));
-        }
-        let span = SpanRecord {
-            trace_id: args.get("trace_id")?.num()?,
-            span_id: args.get("span_id")?.num()?,
-            parent_span_id: args.get("parent_span_id")?.num()?,
-            name: ev.get("name")?.str()?.to_string(),
-            start_us,
-            end_us,
-            annotations,
-        };
+    for ev in Vec::<TraceEvent>::read(root.get("traceEvents")?)? {
+        let span = SpanRecord::try_from(ev)?;
         match traces.iter_mut().find(|t| t.trace_id == span.trace_id) {
             Some(t) => t.spans.push(span),
             None => traces.push(Trace { trace_id: span.trace_id, spans: vec![span] }),
@@ -801,8 +385,14 @@ pub fn traces_from_perfetto(text: &str) -> Result<Vec<Trace>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::HealthState;
-    use crate::history::{HistorySnapshot, SeriesKind};
+    use crate::account::{AccountingSnapshot, CostVec, DimTop, PrincipalTotals, TopEntry};
+    use crate::audit::BalanceDecision;
+    use crate::events::Event;
+    use crate::health::{ComponentHealth, HealthState};
+    use crate::heat::HeatEntry;
+    use crate::history::{Frame, HistorySnapshot, SeriesDef, SeriesKind};
+    use crate::lock::LockClassSnapshot;
+    use crate::staleness::StalenessSnapshot;
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -973,6 +563,23 @@ mod tests {
         let snap = sample_snapshot();
         let back = from_json(&to_json(&snap)).unwrap();
         assert_eq!(back, snap);
+    }
+
+    /// `tests/golden/` holds the bytes the hand-written exporters this module
+    /// replaced produced for the fixtures above: the derived codecs must
+    /// reproduce them exactly and re-parse them exactly.
+    #[test]
+    fn goldens_are_reproduced_byte_for_byte() {
+        let snap = sample_snapshot();
+        let json = include_str!("../tests/golden/snapshot.json");
+        assert_eq!(to_json(&snap), json);
+        assert_eq!(from_json(json).unwrap(), snap);
+        let prom = include_str!("../tests/golden/snapshot.prom");
+        assert_eq!(to_prometheus(&snap), prom);
+        assert_eq!(from_prometheus(prom).unwrap(), snap.metrics_only());
+        let perfetto = include_str!("../tests/golden/traces.perfetto.json");
+        assert_eq!(traces_to_perfetto(&sample_traces()), perfetto);
+        assert_eq!(traces_from_perfetto(perfetto).unwrap(), sample_traces());
     }
 
     #[test]

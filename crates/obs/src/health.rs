@@ -24,6 +24,9 @@ use std::sync::{Arc, Mutex};
 use crate::events::EventLog;
 use crate::heat::RateEwma;
 use crate::history::{History, SeriesKind};
+use crate::json::{write_str, Field, Json};
+use crate::registry::{MetricId, ScalarSnapshot};
+use crate::snapshot::{ascending, Row};
 use std::time::Duration;
 
 /// Component health, ordered: comparisons pick the worst state.
@@ -72,6 +75,16 @@ impl std::str::FromStr for HealthState {
     }
 }
 
+/// Exported as its [`HealthState::as_str`] name.
+impl Field for HealthState {
+    fn write(&self, out: &mut String) {
+        write_str(self.as_str(), out);
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.str()?.parse()
+    }
+}
+
 /// One declarative SLO rule (the `VolapConfig::health_rules` knob).
 #[derive(Clone, Debug, PartialEq)]
 pub struct HealthRule {
@@ -95,7 +108,7 @@ pub struct HealthRule {
 
 impl HealthRule {
     /// The shipped default rule set, sized for the scaled-down cluster
-    /// defaults (see DESIGN.md §16 for the table and rationale).
+    /// defaults (see DESIGN.md §11.2 for the table and rationale).
     pub fn defaults() -> Vec<HealthRule> {
         let rule = |name: &str, component: &str, selector: &str, d: f64, c: f64, h: u32| {
             HealthRule {
@@ -130,31 +143,56 @@ const ANOMALY_WARMUP: u32 = 8;
 /// Baseline EWMA half-life, in sampler intervals.
 const ANOMALY_HALFLIFE_INTERVALS: f64 = 32.0;
 
-/// One rule's reported health.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ComponentHealth {
-    /// Component the rule guards.
-    pub component: String,
-    /// Rule name.
-    pub rule: String,
-    /// The rule's history-series selector.
-    pub selector: String,
-    /// Current state-machine state.
-    pub state: HealthState,
-    /// Latest evaluated value (per-second for rate selectors).
-    pub value: f64,
-    /// Z-score of `value` against the rule's EWMA baseline (0 until the
-    /// baseline warms up).
-    pub z_score: f64,
-    /// Whether the latest value sits ≥ [`ANOMALY_Z`] deviations from the
-    /// baseline.
-    pub anomalous: bool,
-    /// State transitions since start (flap detector: a breach held for the
-    /// full window bumps this exactly once).
-    pub transitions: u64,
-    /// Frame-end time (µs since the obs epoch) of the last transition;
-    /// 0 while the rule has never transitioned.
-    pub since_us: u64,
+crate::record! {
+    /// One rule's reported health.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ComponentHealth {
+        /// Component the rule guards.
+        component: String,
+        /// Rule name.
+        rule: String,
+        /// The rule's history-series selector.
+        selector: String,
+        /// Current state-machine state.
+        state: HealthState,
+        /// Latest evaluated value (per-second for rate selectors).
+        value: f64,
+        /// Z-score of `value` against the rule's EWMA baseline (0 until the
+        /// baseline warms up).
+        z_score: f64,
+        /// Whether the latest value sits ≥ [`ANOMALY_Z`] deviations from the
+        /// baseline.
+        anomalous: bool,
+        /// State transitions since start (flap detector: a breach held for the
+        /// full window bumps this exactly once).
+        transitions: u64,
+        /// Frame-end time (µs since the obs epoch) of the last transition;
+        /// 0 while the rule has never transitioned.
+        since_us: u64,
+    }
+}
+
+impl Row for ComponentHealth {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(
+            prev.map(|p| (&p.component, &p.rule)),
+            (&self.component, &self.rule),
+            "health rule",
+        )?;
+        if !self.value.is_finite() || !self.z_score.is_finite() {
+            return Err(format!("{}/{}: non-finite value", self.component, self.rule));
+        }
+        Ok(())
+    }
+
+    /// `volap_health_state{component=..}`: the worst rule state per component.
+    fn fold(&self, _: &mut Vec<ScalarSnapshot<u64>>, gauges: &mut Vec<ScalarSnapshot<i64>>) {
+        let id = MetricId::labeled("volap_health_state", "component", &self.component);
+        match gauges.iter_mut().find(|g| g.id == id) {
+            Some(g) => g.value = g.value.max(self.state.score()),
+            None => gauges.push(ScalarSnapshot { id, value: self.state.score() }),
+        }
+    }
 }
 
 struct RuleState {

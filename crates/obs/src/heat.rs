@@ -13,25 +13,40 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One shard's published heat.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HeatEntry {
-    /// Shard id.
-    pub shard: u64,
-    /// Owning worker name.
-    pub worker: String,
-    /// Items stored at publish time.
-    pub items: u64,
-    /// Total inserts absorbed since the shard appeared on this worker.
-    pub inserts_total: u64,
-    /// Total queries that scanned this shard since it appeared here.
-    pub queries_total: u64,
-    /// EWMA insert rate, items/second.
-    pub insert_rate: f64,
-    /// EWMA query rate, scans/second.
-    pub query_rate: f64,
-    /// Normalized volume of the shard's bounding box in `[0, 1]`.
-    pub volume_frac: f64,
+use crate::snapshot::{ascending, Row};
+
+crate::record! {
+    /// One shard's published heat.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct HeatEntry {
+        /// Shard id.
+        shard: u64,
+        /// Owning worker name.
+        worker: String,
+        /// Items stored at publish time.
+        items: u64,
+        /// Total inserts absorbed since the shard appeared on this worker.
+        inserts_total: u64,
+        /// Total queries that scanned this shard since it appeared here.
+        queries_total: u64,
+        /// EWMA insert rate, items/second.
+        insert_rate: f64,
+        /// EWMA query rate, scans/second.
+        query_rate: f64,
+        /// Normalized volume of the shard's bounding box in `[0, 1]`.
+        volume_frac: f64,
+    }
+}
+
+impl Row for HeatEntry {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| p.shard), self.shard, "shard")?;
+        let rates_ok = [self.insert_rate, self.query_rate].iter().all(|r| r.is_finite() && *r >= 0.0);
+        if !rates_ok || !(0.0..=1.0).contains(&self.volume_frac) {
+            return Err(format!("shard {}: rate or box volume out of range", self.shard));
+        }
+        Ok(())
+    }
 }
 
 /// A half-life EWMA over a rate: after one silent half-life the estimate
@@ -98,26 +113,27 @@ pub struct HeatMap {
     inner: Arc<HeatMapInner>,
 }
 
-impl HeatMap {
-    /// A heat map, initially enabled or not (the `VolapConfig::heat_enabled`
-    /// knob upstream).
-    pub fn new(enabled: bool) -> Self {
+impl Default for HeatMap {
+    /// An empty heat map, tracking enabled.
+    fn default() -> Self {
         Self {
             inner: Arc::new(HeatMapInner {
-                enabled: AtomicBool::new(enabled),
+                enabled: AtomicBool::new(true),
                 entries: Mutex::new(BTreeMap::new()),
             }),
         }
     }
+}
 
+impl HeatMap {
     /// Whether hot-path activity counting should happen at all. This is the
     /// single branch the non-introspected path pays.
     pub fn enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Toggle heat tracking at runtime (benches flip this between rounds).
-    pub fn set_enabled(&self, on: bool) {
+    /// Toggle heat tracking at runtime ([`crate::Obs::set_enabled`]).
+    pub(crate) fn set_enabled(&self, on: bool) {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
@@ -185,7 +201,7 @@ mod tests {
 
     #[test]
     fn publish_retire_and_ownership_guard() {
-        let map = HeatMap::new(true);
+        let map = HeatMap::default();
         map.publish(HeatEntry { shard: 3, worker: "w0".into(), ..Default::default() });
         map.publish(HeatEntry { shard: 1, worker: "w1".into(), ..Default::default() });
         assert_eq!(map.snapshot().iter().map(|e| e.shard).collect::<Vec<_>>(), vec![1, 3]);
@@ -199,9 +215,9 @@ mod tests {
 
     #[test]
     fn disabled_flag_round_trips() {
-        let map = HeatMap::new(false);
-        assert!(!map.enabled());
-        map.set_enabled(true);
+        let map = HeatMap::default();
         assert!(map.enabled());
+        map.set_enabled(false);
+        assert!(!map.enabled());
     }
 }

@@ -22,8 +22,8 @@
 //! steady-state capture path performs **zero heap allocation**: series are
 //! interned once (indices are append-only and stable), keys are rebuilt in
 //! a reused buffer for lookup, scratch and frame value vectors are reused,
-//! and evicting the oldest frame recycles its allocation. A runtime kill
-//! switch ([`History::set_enabled`]) reduces a disabled capture to one
+//! and evicting the oldest frame recycles its allocation. The runtime
+//! switch ([`crate::Obs::set_enabled`]) reduces a disabled capture to one
 //! relaxed load.
 
 use std::collections::BTreeMap;
@@ -35,8 +35,12 @@ use std::time::{Duration, Instant};
 use crate::account::Accounting;
 use crate::events::EventLog;
 use crate::heat::HeatMap;
+use crate::json::{write_str, Field, Json};
 use crate::lock;
-use crate::registry::{bucket_le_seconds, MetricView, Registry, HIST_BUCKETS};
+use crate::registry::{
+    bucket_le_seconds, MetricId, MetricView, Registry, ScalarSnapshot, HIST_BUCKETS,
+};
+use crate::snapshot::SectionData;
 
 /// How a series' per-frame value is to be interpreted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,16 +86,28 @@ impl std::str::FromStr for SeriesKind {
     }
 }
 
-/// One column of the history ring: a canonical key like
-/// `rate(volap_server_inserts_total{server=server-0})` or
-/// `gauge(heat_insert_rate_spread)` plus its value semantics. Health-rule
-/// selectors are these keys verbatim.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeriesDef {
-    /// Canonical key: `kind(name)` or `kind(name{label_key=label_value})`.
-    pub key: String,
-    /// Value semantics.
-    pub kind: SeriesKind,
+/// Exported as its [`SeriesKind::as_str`] name.
+impl Field for SeriesKind {
+    fn write(&self, out: &mut String) {
+        write_str(self.as_str(), out);
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.str()?.parse()
+    }
+}
+
+crate::record! {
+    /// One column of the history ring: a canonical key like
+    /// `rate(volap_server_inserts_total{server=server-0})` or
+    /// `gauge(heat_insert_rate_spread)` plus its value semantics. Health-rule
+    /// selectors are these keys verbatim.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct SeriesDef {
+        /// Canonical key: `kind(name)` or `kind(name{label_key=label_value})`.
+        key: String,
+        /// Value semantics.
+        kind: SeriesKind,
+    }
 }
 
 /// Build the canonical series key into `buf` (cleared first).
@@ -115,20 +131,22 @@ pub fn series_key(kind: SeriesKind, name: &str, label: Option<(&str, &str)>) -> 
     s
 }
 
-/// One sampled interval. `values[i]` belongs to `series[i]` of the owning
-/// snapshot; frames captured before a series first appeared are shorter
-/// than the series list (missing = "series did not exist yet").
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Frame {
-    /// Monotonic frame number (survives ring eviction, so gaps in a
-    /// snapshot's `seq` range mean frames were dropped).
-    pub seq: u64,
-    /// Interval start, microseconds since the observability epoch.
-    pub start_us: u64,
-    /// Interval end (capture time), microseconds since the epoch.
-    pub end_us: u64,
-    /// Per-series values, indexed like `HistorySnapshot::series`.
-    pub values: Vec<f64>,
+crate::record! {
+    /// One sampled interval. `values[i]` belongs to `series[i]` of the owning
+    /// snapshot; frames captured before a series first appeared are shorter
+    /// than the series list (missing = "series did not exist yet").
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct Frame {
+        /// Monotonic frame number (survives ring eviction, so gaps in a
+        /// snapshot's `seq` range mean frames were dropped).
+        seq: u64,
+        /// Interval start, microseconds since the observability epoch.
+        start_us: u64,
+        /// Interval end (capture time), microseconds since the epoch.
+        end_us: u64,
+        /// Per-series values, indexed like `HistorySnapshot::series`.
+        values: Vec<f64>,
+    }
 }
 
 impl Frame {
@@ -138,22 +156,23 @@ impl Frame {
     }
 }
 
-/// Sizing and switch for the history ring (the `VolapConfig::history_*`
-/// knobs upstream).
+/// Sizing of the history ring. The default (240 frames × 250 ms) covers the
+/// last minute.
 #[derive(Clone, Debug)]
 pub struct HistoryConfig {
-    /// Whether capture starts enabled (runtime-togglable).
-    pub enabled: bool,
-    /// Nominal sampling interval (the cluster's sampler thread period;
-    /// recorded in snapshots as metadata — frames carry their real bounds).
+    /// Sampling interval: the period of the cluster's sampler thread, which
+    /// captures one frame and runs the health watchdog per tick (recorded
+    /// in snapshots as metadata — frames carry their real bounds).
+    /// `Duration::ZERO` disables the sampler thread.
     pub interval: Duration,
-    /// Frames retained; `0` disables the ring entirely.
+    /// Frames retained (oldest evicted first); `0` disables the ring and
+    /// the sampler thread.
     pub capacity: usize,
 }
 
 impl Default for HistoryConfig {
     fn default() -> Self {
-        Self { enabled: true, interval: Duration::from_millis(250), capacity: 240 }
+        Self { interval: Duration::from_millis(250), capacity: 240 }
     }
 }
 
@@ -279,7 +298,7 @@ impl History {
     pub fn new(cfg: &HistoryConfig, epoch: Instant) -> Self {
         Self {
             inner: Arc::new(HistoryInner {
-                enabled: AtomicBool::new(cfg.enabled),
+                enabled: AtomicBool::new(true),
                 interval_us: cfg.interval.as_micros() as u64,
                 capacity: cfg.capacity,
                 epoch,
@@ -288,15 +307,10 @@ impl History {
         }
     }
 
-    /// Whether capture is currently enabled.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Runtime kill switch: a disabled [`History::capture`] is one relaxed
-    /// load and a branch (the sampler thread keeps ticking; benches flip
-    /// this between segments).
-    pub fn set_enabled(&self, on: bool) {
+    /// Runtime kill switch ([`crate::Obs::set_enabled`]): a disabled
+    /// [`History::capture`] is one relaxed load and a branch (the sampler
+    /// thread keeps ticking).
+    pub(crate) fn set_enabled(&self, on: bool) {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
@@ -320,7 +334,7 @@ impl History {
         events: &EventLog,
         accounting: Option<&Accounting>,
     ) -> bool {
-        if self.inner.capacity == 0 || !self.enabled() {
+        if self.inner.capacity == 0 || !self.inner.enabled.load(Ordering::Relaxed) {
             return false;
         }
         let now_us = self.inner.epoch.elapsed().as_micros() as u64;
@@ -505,20 +519,22 @@ impl History {
     }
 }
 
-/// A copied-out history ring: the series table plus frames oldest → newest.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HistorySnapshot {
-    /// Nominal sampling interval in microseconds (frames carry their real
-    /// bounds; this is the sampler's configured period).
-    pub interval_us: u64,
-    /// Ring capacity in frames.
-    pub capacity: u64,
-    /// Frames evicted so far (ring overwrites oldest-first).
-    pub dropped: u64,
-    /// Series table; `frames[*].values[i]` belongs to `series[i]`.
-    pub series: Vec<SeriesDef>,
-    /// Frames oldest → newest.
-    pub frames: Vec<Frame>,
+crate::record! {
+    /// A copied-out history ring: the series table plus frames oldest → newest.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct HistorySnapshot {
+        /// Nominal sampling interval in microseconds (frames carry their real
+        /// bounds; this is the sampler's configured period).
+        interval_us: u64,
+        /// Ring capacity in frames.
+        capacity: u64,
+        /// Frames evicted so far (ring overwrites oldest-first).
+        dropped: u64,
+        /// Series table; `frames[*].values[i]` belongs to `series[i]`.
+        series: Vec<SeriesDef> = rows,
+        /// Frames oldest → newest.
+        frames: Vec<Frame> = rows,
+    }
 }
 
 impl HistorySnapshot {
@@ -536,24 +552,6 @@ impl HistorySnapshot {
     /// didn't exist yet when the frame was captured).
     pub fn value(&self, frame: &Frame, key: &str) -> Option<f64> {
         self.series_idx(key).and_then(|i| frame.values.get(i)).copied()
-    }
-
-    /// A frame's value normalized for comparison: [`SeriesKind::Rate`]
-    /// deltas become per-second rates; everything else is raw.
-    pub fn per_second(&self, frame: &Frame, key: &str) -> Option<f64> {
-        let i = self.series_idx(key)?;
-        let v = *frame.values.get(i)?;
-        match self.series[i].kind {
-            SeriesKind::Rate => {
-                let dt = frame.dt_seconds();
-                if dt > 0.0 {
-                    Some(v / dt)
-                } else {
-                    Some(0.0)
-                }
-            }
-            _ => Some(v),
-        }
     }
 
     /// Sum of one series' deltas across every retained frame (exactness
@@ -599,10 +597,32 @@ impl HistorySnapshot {
         total / dt
     }
 
-    /// Structural validation: contiguous strictly-increasing seqs and
-    /// interval bounds, value rows no wider than the series table, every
-    /// value finite. `volap-stat --history` exits non-zero on `Err`.
-    pub fn validate(&self) -> Result<(), String> {
+}
+
+impl SectionData for HistorySnapshot {
+    fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// Ring totals: `volap_history_frames`, `volap_history_dropped_total`.
+    fn fold(
+        &self,
+        counters: &mut Vec<ScalarSnapshot<u64>>,
+        gauges: &mut Vec<ScalarSnapshot<i64>>,
+    ) {
+        gauges.push(ScalarSnapshot {
+            id: MetricId::plain("volap_history_frames"),
+            value: self.frames.len() as i64,
+        });
+        counters.push(ScalarSnapshot {
+            id: MetricId::plain("volap_history_dropped_total"),
+            value: self.dropped,
+        });
+    }
+
+    /// Contiguous strictly-increasing seqs and interval bounds, value rows
+    /// no wider than the series table, every value finite.
+    fn validate(&self) -> Result<(), String> {
         let mut prev: Option<&Frame> = None;
         for f in &self.frames {
             if f.end_us < f.start_us {
@@ -642,12 +662,12 @@ mod tests {
     use crate::registry::Registry;
 
     fn capture_env() -> (Registry, HeatMap, EventLog) {
-        (Registry::new(true), HeatMap::new(true), EventLog::new(64))
+        (Registry::new(true), HeatMap::default(), EventLog::new(64))
     }
 
     fn ring(capacity: usize) -> History {
         History::new(
-            &HistoryConfig { enabled: true, interval: Duration::from_millis(1), capacity },
+            &HistoryConfig { interval: Duration::from_millis(1), capacity },
             Instant::now(),
         )
     }

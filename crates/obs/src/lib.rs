@@ -8,9 +8,8 @@
 //!
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket log2
 //!   latency [`Histogram`]s. Registration takes a mutex once; recording is
-//!   pure relaxed atomics. A registry-wide switch (the
-//!   `VolapConfig::obs_histograms` knob upstream) turns every histogram
-//!   into a single load-and-branch.
+//!   pure relaxed atomics. A registry-wide switch ([`ObsConfig::histograms`])
+//!   turns every histogram into a single load-and-branch.
 //! * [`EventLog`] — a bounded ring-buffer log of structured events (shard
 //!   splits, migrations, sync rounds, route misses) with per-thread ring
 //!   shards and a merge-on-snapshot reader.
@@ -20,10 +19,12 @@
 //!   counterpart of the `FreshnessSim` Monte-Carlo model.
 //! * [`Snapshot`] + [`export`] — one coherent view of everything, rendered
 //!   as Prometheus text exposition or JSON; both exporters have parsers so
-//!   output round-trips and CI can validate it.
+//!   output round-trips and CI can validate it. Every exported section is
+//!   declared once ([`snapshot`]); the codecs, the validation and
+//!   [`Obs::set_enabled`]'s key are derived from that list.
 //!
-//! [`Obs`] bundles the three instruments; the cluster crate owns one `Obs`
-//! per deployment (shared through its `ImageStore`) and surfaces it as
+//! [`Obs`] bundles the instruments; the cluster crate owns one `Obs` per
+//! deployment (shared through its `ImageStore`) and surfaces it as
 //! `Cluster::snapshot()`.
 
 pub mod account;
@@ -41,8 +42,8 @@ pub mod staleness;
 pub mod trace;
 
 pub use account::{
-    AccountConfig, Accounting, AccountingSnapshot, CostVec, DimTop, PrincipalId, PrincipalTotals,
-    SpaceSaving, TopEntry, COST_DIMS, COST_DIM_NAMES,
+    Accounting, AccountingSnapshot, CostVec, DimTop, PrincipalId, PrincipalTotals, SpaceSaving,
+    TopEntry, COST_DIMS, COST_DIM_NAMES,
 };
 pub use audit::{AuditLog, BalanceDecision};
 pub use events::{Event, EventLog};
@@ -59,50 +60,45 @@ pub use registry::{
     bucket_index, bucket_le_seconds, Counter, Gauge, HistView, Histogram, HistogramSnapshot,
     MetricId, MetricView, Registry, ScalarSnapshot, Timer, HIST_BUCKETS,
 };
-pub use snapshot::Snapshot;
+pub use snapshot::{Section, SectionData, Snapshot};
 pub use staleness::{StalenessProbe, StalenessSnapshot};
 pub use trace::{SpanGuard, SpanRecord, Trace, TraceConfig, TraceCtx, Tracer};
 
-/// Sizing and switches for one [`Obs`] instance.
+/// Structured events retained across the event ring's shards.
+pub const EVENT_CAPACITY: usize = 4096;
+
+/// Load-balance decisions retained across the audit ring's shards.
+pub const AUDIT_CAPACITY: usize = 1024;
+
+/// The knobs of one [`Obs`] instance — each decision declared here and
+/// nowhere else (`VolapConfig::obs` upstream is this struct). Everything not
+/// listed is a constant ([`EVENT_CAPACITY`], [`AUDIT_CAPACITY`],
+/// [`account::TOPK`]) and starts enabled; [`Obs::set_enabled`] is the
+/// runtime switch.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Whether latency histograms record at all (counters, gauges, events,
-    /// and the staleness probe are always on — they are too cheap to gate).
+    /// Whether latency histograms record at all. Counters, gauges, events
+    /// and the staleness probe are always on (a relaxed atomic, or rare
+    /// events only); a histogram additionally costs two `Instant::now()`
+    /// calls per timed operation.
     pub histograms: bool,
-    /// Total events retained across the ring shards.
-    pub event_capacity: usize,
-    /// Whether per-shard heat tracking (EWMA insert/query rates) starts
-    /// enabled. Runtime-togglable via [`HeatMap::set_enabled`]; off, the
-    /// hot-path cost is one relaxed load and a branch.
-    pub heat_enabled: bool,
-    /// Total load-balance decisions retained across the audit ring shards.
-    pub audit_capacity: usize,
-    /// Causal-tracing sizing and sampling (the `VolapConfig::trace_sample` /
-    /// `trace_slow_threshold` knobs upstream).
+    /// Causal-tracing sampling and sizing.
     pub trace: TraceConfig,
-    /// Metrics time-series ring sizing (the `VolapConfig::history_interval`
-    /// / `history_capacity` knobs upstream). Capture happens only when the
-    /// owner drives [`Obs::sample_tick`], typically from a sampler thread.
+    /// Metrics time-series ring sizing. Capture happens only when the owner
+    /// drives [`Obs::sample_tick`], typically from a sampler thread.
     pub history: HistoryConfig,
-    /// SLO rules the health watchdog evaluates each sampler interval.
+    /// SLO rules the health watchdog evaluates each sampler interval; empty
+    /// disables health tracking while keeping the history ring.
     pub health_rules: Vec<HealthRule>,
-    /// Per-principal workload accounting sizing and switch (the
-    /// `VolapConfig::accounting_*` knobs upstream). Sketch decay advances
-    /// once per [`Obs::sample_tick`].
-    pub accounting: AccountConfig,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         Self {
             histograms: true,
-            event_capacity: 4096,
-            heat_enabled: true,
-            audit_capacity: 1024,
             trace: TraceConfig::default(),
             history: HistoryConfig::default(),
             health_rules: HealthRule::defaults(),
-            accounting: AccountConfig::default(),
         }
     }
 }
@@ -137,14 +133,14 @@ impl Obs {
         let epoch = std::time::Instant::now();
         Self {
             registry,
-            events: EventLog::new(cfg.event_capacity),
+            events: EventLog::new(EVENT_CAPACITY),
             staleness,
             tracer: Tracer::new(cfg.trace),
-            heat: HeatMap::new(cfg.heat_enabled),
-            audit: AuditLog::new(cfg.audit_capacity),
+            heat: HeatMap::default(),
+            audit: AuditLog::new(AUDIT_CAPACITY),
             history: History::new(&cfg.history, epoch),
             watchdog: Watchdog::new(cfg.health_rules),
-            accounting: Accounting::new(&cfg.accounting),
+            accounting: Accounting::default(),
             epoch,
         }
     }
@@ -194,6 +190,31 @@ impl Obs {
     /// The per-principal workload accounting core.
     pub fn accounting(&self) -> &Accounting {
         &self.accounting
+    }
+
+    /// The one runtime on/off call: pause or resume a section's recording.
+    /// Returns `false`, doing nothing, for a section that has no switch
+    /// (its record path is a relaxed atomic or fires on rare events only).
+    /// A paused section costs its record path one relaxed load and a branch
+    /// — the load an enabled section already pays. Sections start enabled;
+    /// traces resume at the configured [`TraceConfig::sample`] rate (so stay
+    /// off when that is 0), and lock telemetry is process-global.
+    pub fn set_enabled(&self, section: Section, on: bool) -> bool {
+        match section {
+            Section::Histograms => self.registry.set_histograms_enabled(on),
+            Section::Heat => self.heat.set_enabled(on),
+            Section::Locks => lock::set_telemetry_enabled(on),
+            Section::History => self.history.set_enabled(on),
+            Section::Accounting => self.accounting.set_enabled(on),
+            Section::Traces => self.tracer.set_enabled(on),
+            Section::Counters
+            | Section::Gauges
+            | Section::Events
+            | Section::Audit
+            | Section::Staleness
+            | Section::Health => return false,
+        }
+        true
     }
 
     /// The instant this core was built; history frame timestamps and
@@ -325,7 +346,7 @@ mod tests {
 
     #[test]
     fn histograms_knob_disables_recording() {
-        let obs = Obs::new(ObsConfig { histograms: false, event_capacity: 64, ..ObsConfig::default() });
+        let obs = Obs::new(ObsConfig { histograms: false, ..ObsConfig::default() });
         let h = obs.registry().histogram("volap_h_seconds");
         h.observe_ns(5);
         assert_eq!(h.count(), 0);

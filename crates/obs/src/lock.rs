@@ -4,7 +4,7 @@
 //! [`ObsMutex`] and [`ObsRwLock`] are drop-in wrappers over the
 //! `parking_lot` primitives. Every lock site carries a static [`LockClass`]
 //! — a name plus a documented **rank** in the global lock hierarchy (the
-//! full table lives in DESIGN.md §15) — and records per class:
+//! full table lives in DESIGN.md §11.1) — and records per class:
 //!
 //! * acquisition count,
 //! * contended-acquisition count (the first `try_lock` failed),
@@ -39,6 +39,7 @@ use std::time::{Duration, Instant};
 use crate::registry::{
     bucket_index, bucket_le_seconds, HistogramSnapshot, MetricId, ScalarSnapshot, HIST_BUCKETS,
 };
+use crate::snapshot::{ascending, Row};
 
 // ---------------------------------------------------------------------------
 // Global switches and registries (std primitives only: the lock layer must
@@ -46,8 +47,7 @@ use crate::registry::{
 // ---------------------------------------------------------------------------
 
 /// Telemetry master switch. Off, every acquisition degrades to a plain
-/// `parking_lot` call behind one relaxed load + branch (what `bench_lock`
-/// measures as "raw").
+/// `parking_lot` call behind one relaxed load + branch.
 static TELEMETRY: AtomicBool = AtomicBool::new(true);
 
 /// Force hold-time timing for *every* acquisition (tests and benches that
@@ -81,16 +81,11 @@ std::thread_local! {
     static THREAD_WAIT_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Turn lock telemetry on or off process-wide (default: on). Off, every
-/// wrapper call is a plain `parking_lot` acquisition behind one relaxed
-/// load and branch — the "raw" baseline `bench_lock` compares against.
-pub fn set_telemetry_enabled(on: bool) {
+/// Turn lock telemetry on or off process-wide (default: on;
+/// [`crate::Obs::set_enabled`]). Off, every wrapper call is a plain
+/// `parking_lot` acquisition behind one relaxed load and branch.
+pub(crate) fn set_telemetry_enabled(on: bool) {
     TELEMETRY.store(on, Ordering::Relaxed);
-}
-
-/// Whether lock telemetry currently records.
-pub fn telemetry_enabled() -> bool {
-    TELEMETRY.load(Ordering::Relaxed)
 }
 
 /// Force hold-time timing for every acquisition instead of only contended
@@ -820,27 +815,39 @@ impl<T: ?Sized> Drop for ObsArcRwLockWriteGuard<T> {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// Per-class summary carried in `Snapshot::locks` (the full wait/hold
-/// distributions ride alongside as labeled `volap_lock_*_seconds`
-/// histograms).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LockClassSnapshot {
-    /// Class name.
-    pub class: String,
-    /// Rank in the global hierarchy.
-    pub rank: u16,
-    /// Total acquisitions.
-    pub acquisitions: u64,
-    /// Acquisitions that had to block.
-    pub contended: u64,
-    /// Observations in the wait histogram.
-    pub wait_count: u64,
-    /// Total blocked time, seconds.
-    pub wait_sum_seconds: f64,
-    /// Observations in the hold histogram.
-    pub hold_count: u64,
-    /// Total timed hold duration, seconds.
-    pub hold_sum_seconds: f64,
+crate::record! {
+    /// Per-class summary carried in `Snapshot::locks` (the full wait/hold
+    /// distributions ride alongside as labeled `volap_lock_*_seconds`
+    /// histograms).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct LockClassSnapshot {
+        /// Class name.
+        class: String,
+        /// Rank in the global hierarchy.
+        rank: u16,
+        /// Total acquisitions.
+        acquisitions: u64,
+        /// Acquisitions that had to block.
+        contended: u64,
+        /// Observations in the wait histogram.
+        wait_count: u64,
+        /// Total blocked time, seconds.
+        wait_sum_seconds: f64,
+        /// Observations in the hold histogram.
+        hold_count: u64,
+        /// Total timed hold duration, seconds.
+        hold_sum_seconds: f64,
+    }
+}
+
+impl Row for LockClassSnapshot {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| (p.rank, &p.class)), (self.rank, &self.class), "lock class")?;
+        if self.contended > self.acquisitions {
+            return Err(format!("{}: more contended than total acquisitions", self.class));
+        }
+        Ok(())
+    }
 }
 
 impl LockClassSnapshot {
@@ -876,7 +883,8 @@ pub fn visit_classes(mut f: impl FnMut(&'static str, u64, u64, u64)) {
 /// append the metric renditions — `volap_lock_acquisitions_total{class=..}`,
 /// `volap_lock_contended_total{class=..}`, `volap_lock_wait_seconds{..}`,
 /// `volap_lock_hold_seconds{..}`, and the plain
-/// `volap_lock_order_violations_total` — onto the given metric lists.
+/// `volap_lock_order_violations_total` — onto the given metric lists (which
+/// the caller sorts).
 pub fn export_into(
     counters: &mut Vec<ScalarSnapshot<u64>>,
     histograms: &mut Vec<HistogramSnapshot>,
@@ -884,46 +892,30 @@ pub fn export_into(
     let mut classes: Vec<&'static LockClass> =
         CLASS_REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clone();
     classes.sort_by_key(|c| (c.rank, c.name));
-    let mut out = Vec::with_capacity(classes.len());
-    for class in &classes {
-        counters.push(ScalarSnapshot {
-            id: MetricId::labeled("volap_lock_acquisitions_total", "class", class.name),
-            value: class.acquisitions.load(Ordering::Relaxed),
-        });
-    }
-    for class in &classes {
-        counters.push(ScalarSnapshot {
-            id: MetricId::labeled("volap_lock_contended_total", "class", class.name),
-            value: class.contended.load(Ordering::Relaxed),
-        });
-    }
     counters.push(ScalarSnapshot {
         id: MetricId::plain("volap_lock_order_violations_total"),
         value: VIOLATION_COUNT.load(Ordering::Relaxed),
     });
-    for class in &classes {
-        histograms.push(
-            class.hold.snapshot(MetricId::labeled("volap_lock_hold_seconds", "class", class.name)),
-        );
-    }
-    for class in &classes {
-        histograms.push(
-            class.wait.snapshot(MetricId::labeled("volap_lock_wait_seconds", "class", class.name)),
-        );
-    }
+    let mut out = Vec::with_capacity(classes.len());
     for class in classes {
-        let wait = class.wait.snapshot(MetricId::plain(""));
-        let hold = class.hold.snapshot(MetricId::plain(""));
+        let labeled = |metric: &str| MetricId::labeled(metric, "class", class.name);
+        let (acquisitions, contended) =
+            (class.acquisitions.load(Ordering::Relaxed), class.contended.load(Ordering::Relaxed));
+        counters.push(ScalarSnapshot { id: labeled("volap_lock_acquisitions_total"), value: acquisitions });
+        counters.push(ScalarSnapshot { id: labeled("volap_lock_contended_total"), value: contended });
+        let wait = class.wait.snapshot(labeled("volap_lock_wait_seconds"));
+        let hold = class.hold.snapshot(labeled("volap_lock_hold_seconds"));
         out.push(LockClassSnapshot {
             class: class.name.to_string(),
             rank: class.rank,
-            acquisitions: class.acquisitions.load(Ordering::Relaxed),
-            contended: class.contended.load(Ordering::Relaxed),
+            acquisitions,
+            contended,
             wait_count: wait.count,
             wait_sum_seconds: wait.sum_seconds,
             hold_count: hold.count,
             hold_sum_seconds: hold.sum_seconds,
         });
+        histograms.extend([hold, wait]);
     }
     out
 }

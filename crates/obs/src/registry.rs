@@ -12,6 +12,8 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::snapshot::{ascending, Row};
+
 /// Number of histogram buckets. Bucket `i < HIST_BUCKETS-1` holds values
 /// whose bit length is `i` (i.e. `ns ≤ 2^i − 1`); the last bucket is the
 /// overflow. 40 buckets cover 0 ns .. ~9 minutes, plenty for any latency
@@ -131,7 +133,7 @@ impl Histogram {
     /// Start a timer that records into this histogram when dropped.
     #[inline]
     pub fn start(&self) -> Timer {
-        Timer { hist: self.clone(), start: Instant::now(), armed: true }
+        Timer { hist: self.clone(), start: Instant::now() }
     }
 
     /// Number of recorded observations.
@@ -151,20 +153,13 @@ impl Histogram {
 }
 
 /// A drop-recording timer from [`Histogram::start`]. Recording on drop keeps
-/// every early-return path of a handler covered; call [`Timer::cancel`] to
-/// discard the measurement instead.
+/// every early-return path of a handler covered.
 pub struct Timer {
     hist: Histogram,
     start: Instant,
-    armed: bool,
 }
 
 impl Timer {
-    /// Discard this measurement.
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
-
     /// Elapsed time so far (the timer keeps running).
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
@@ -173,21 +168,21 @@ impl Timer {
 
 impl Drop for Timer {
     fn drop(&mut self) {
-        if self.armed {
-            self.hist.observe(self.start.elapsed());
-        }
+        self.hist.observe(self.start.elapsed());
     }
 }
 
-/// A metric's identity: a name plus an optional single `key="value"` label
-/// pair (enough to distinguish per-server / per-worker instances without a
-/// full label-set model).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricId {
-    /// Metric name (`[a-z0-9_]+` by convention, `volap_` prefixed).
-    pub name: String,
-    /// Optional `(key, value)` label.
-    pub label: Option<(String, String)>,
+crate::record! {
+    /// A metric's identity: a name plus an optional single `key="value"` label
+    /// pair (enough to distinguish per-server / per-worker instances without a
+    /// full label-set model).
+    #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct MetricId {
+        /// Metric name (`[a-z0-9_]+` by convention, `volap_` prefixed).
+        name: String,
+        /// Optional `(key, value)` label.
+        label: Option<(String, String)>,
+    }
 }
 
 impl MetricId {
@@ -228,26 +223,53 @@ pub struct HistView {
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-/// A snapshot of one counter or gauge.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ScalarSnapshot<T> {
-    /// Metric identity.
-    pub id: MetricId,
-    /// Value at snapshot time.
-    pub value: T,
+crate::record! {
+    /// A snapshot of one counter or gauge.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct ScalarSnapshot<T> {
+        /// Metric identity.
+        id: MetricId = flat,
+        /// Value at snapshot time.
+        value: T,
+    }
 }
 
-/// A snapshot of one histogram: cumulative finite buckets plus totals.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Metric identity.
-    pub id: MetricId,
-    /// Total observation count (the implicit `+Inf` bucket).
-    pub count: u64,
-    /// Sum of observations in seconds.
-    pub sum_seconds: f64,
-    /// Cumulative counts for the finite buckets: `(le_seconds, count ≤ le)`.
-    pub buckets: Vec<(f64, u64)>,
+crate::record! {
+    /// A snapshot of one histogram: cumulative finite buckets plus totals.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct HistogramSnapshot {
+        /// Metric identity.
+        id: MetricId = flat,
+        /// Total observation count (the implicit `+Inf` bucket).
+        count: u64,
+        /// Sum of observations in seconds.
+        sum_seconds: f64,
+        /// Cumulative counts for the finite buckets: `(le_seconds, count ≤ le)`.
+        buckets: Vec<(f64, u64)>,
+    }
+}
+
+impl<T> Row for ScalarSnapshot<T> {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| &p.id), &self.id, "metric id")
+    }
+}
+
+impl Row for HistogramSnapshot {
+    fn check(&self, prev: Option<&Self>) -> Result<(), String> {
+        ascending(prev.map(|p| &p.id), &self.id, "metric id")?;
+        let (mut last_le, mut last_n) = (f64::NEG_INFINITY, 0);
+        for &(le, n) in &self.buckets {
+            if le <= last_le || n < last_n {
+                return Err(format!("{}: bucket ({le}, {n}) is not cumulative", self.id.name));
+            }
+            (last_le, last_n) = (le, n);
+        }
+        if last_n > self.count {
+            return Err(format!("{}: buckets hold {last_n} of {} samples", self.id.name, self.count));
+        }
+        Ok(())
+    }
 }
 
 impl HistogramSnapshot {
@@ -285,7 +307,7 @@ impl Default for Registry {
 
 impl Registry {
     /// Create a registry; `histograms` arms or disarms every histogram it
-    /// ever hands out (the `VolapConfig::obs_histograms` knob).
+    /// ever hands out ([`crate::ObsConfig::histograms`]).
     pub fn new(histograms: bool) -> Self {
         Self {
             inner: Arc::new(RegistryInner {
@@ -295,14 +317,10 @@ impl Registry {
         }
     }
 
-    /// Arm or disarm every histogram handed out by this registry.
-    pub fn set_histograms_enabled(&self, on: bool) {
+    /// Arm or disarm every histogram handed out by this registry
+    /// ([`crate::Obs::set_enabled`]).
+    pub(crate) fn set_histograms_enabled(&self, on: bool) {
         self.inner.hist_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether histograms currently record.
-    pub fn histograms_enabled(&self) -> bool {
-        self.inner.hist_enabled.load(Ordering::Relaxed)
     }
 
     fn slot_for(&self, id: MetricId, make: impl FnOnce(&Self) -> Slot) -> Slot {
@@ -354,11 +372,6 @@ impl Registry {
     /// Get or register an unlabeled histogram.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.histogram_id(MetricId::plain(name))
-    }
-
-    /// Get or register a labeled histogram.
-    pub fn histogram_labeled(&self, name: &str, k: &str, v: &str) -> Histogram {
-        self.histogram_id(MetricId::labeled(name, k, v))
     }
 
     /// Get or register a histogram by full id.
@@ -484,9 +497,6 @@ mod tests {
             let _t = h.start();
         }
         assert_eq!(h.count(), 5, "timer drop records");
-        let t = h.start();
-        t.cancel();
-        assert_eq!(h.count(), 5, "cancelled timer does not record");
     }
 
     #[test]

@@ -1,8 +1,19 @@
 //! A coherent point-in-time view of everything the observability core
-//! knows: metrics, recent events, measured staleness, the metrics
-//! time-series ring, and SLO health.
+//! knows, and the **one list of sections** it is made of.
+//!
+//! A section is declared once: its record type carries the field list
+//! ([`record!`](crate::record): JSON writer and parser), and that type's
+//! [`SectionData`] impl carries what else the section means — how to tell it
+//! is empty, its structural validation, and the synthetic metrics it folds
+//! into the Prometheus exposition. The [`sections!`] list below names each
+//! section once; the [`Snapshot`] struct and its JSON codec, [`Section`] (the
+//! key of the one runtime switch, [`crate::Obs::set_enabled`], and of the
+//! overhead gate's rows), [`Snapshot::metrics_only`], [`Snapshot::validate`]
+//! and [`Snapshot::is_populated`] are all derived from it.
 
-use crate::account::{AccountingSnapshot, COST_DIM_NAMES};
+use std::fmt::Debug;
+
+use crate::account::AccountingSnapshot;
 use crate::audit::BalanceDecision;
 use crate::events::Event;
 use crate::health::ComponentHealth;
@@ -12,121 +23,204 @@ use crate::lock::LockClassSnapshot;
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::staleness::StalenessSnapshot;
 
-/// One full observability snapshot. `PartialEq` + the exporter parsers in
-/// [`crate::export`] give exact round-trip tests.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Snapshot {
-    /// Wall-clock capture time, µs since the Unix epoch.
-    pub captured_unix_us: u64,
-    /// Monotonic cluster uptime at capture, µs since the obs core was built.
-    pub uptime_us: u64,
+/// What a snapshot section declares beyond its record fields.
+pub trait SectionData {
+    /// Whether the section carries no data (a tool mode that exists to show
+    /// a section fails on an empty one).
+    fn is_empty(&self) -> bool;
+
+    /// Structural validation: the invariants the section's producer
+    /// guarantees and its consumers rely on.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
+
+    /// Fold the section's headline numbers into the metric lists as
+    /// synthetic series — the part of it the Prometheus text exposition can
+    /// represent. Most sections have none.
+    fn fold(
+        &self,
+        _counters: &mut Vec<ScalarSnapshot<u64>>,
+        _gauges: &mut Vec<ScalarSnapshot<i64>>,
+    ) {
+    }
+}
+
+/// One row of a list-shaped section; `Vec<Row>` is the [`SectionData`].
+pub trait Row {
+    /// Check this row, and its order against the row before it.
+    fn check(&self, prev: Option<&Self>) -> Result<(), String>;
+
+    /// This row's share of [`SectionData::fold`].
+    fn fold(
+        &self,
+        _counters: &mut Vec<ScalarSnapshot<u64>>,
+        _gauges: &mut Vec<ScalarSnapshot<i64>>,
+    ) {
+    }
+}
+
+impl<T: Row> SectionData for Vec<T> {
+    fn is_empty(&self) -> bool {
+        Vec::is_empty(self)
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        let mut prev = None;
+        for row in self {
+            row.check(prev)?;
+            prev = Some(row);
+        }
+        Ok(())
+    }
+
+    fn fold(
+        &self,
+        counters: &mut Vec<ScalarSnapshot<u64>>,
+        gauges: &mut Vec<ScalarSnapshot<i64>>,
+    ) {
+        for row in self {
+            row.fold(counters, gauges);
+        }
+    }
+}
+
+/// The ordering half of most [`Row::check`]s: `cur` must sort strictly
+/// after the previous row's key.
+pub(crate) fn ascending<K: PartialOrd + Debug>(
+    prev: Option<K>,
+    cur: K,
+    what: &str,
+) -> Result<(), String> {
+    match prev {
+        Some(p) if p >= cur => Err(format!("{what} {cur:?} does not follow {p:?}")),
+        _ => Ok(()),
+    }
+}
+
+macro_rules! sections {
+    ($( $(#[$doc:meta])* $Var:ident $field:ident : $ty:ty $(= $layout:ident)? ),* $(,)?) => {
+        crate::record! {
+            /// One full observability snapshot. `PartialEq` + the exporter
+            /// parsers in [`crate::export`] give exact round-trip tests.
+            #[derive(Clone, Debug, Default, PartialEq)]
+            pub struct Snapshot {
+                /// Wall-clock capture time, µs since the Unix epoch.
+                captured_unix_us: u64,
+                /// Monotonic cluster uptime at capture, µs since the obs core was built.
+                uptime_us: u64,
+                $( $(#[$doc])* $field: $ty $(= $layout)?, )*
+            }
+        }
+
+        /// One exported thing, by name: the key of [`crate::Obs::set_enabled`]
+        /// and of the overhead gate's rows.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Section {
+            $( $(#[$doc])* $Var, )*
+            /// Sampled causal traces. Exported on their own (Perfetto), so not
+            /// a snapshot member.
+            Traces,
+        }
+
+        impl Section {
+            /// Every section, in snapshot order.
+            pub const ALL: &'static [Section] = &[$(Section::$Var,)* Section::Traces];
+
+            /// The section's name: its key in the JSON snapshot.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Section::$Var => stringify!($field), )*
+                    Section::Traces => "traces",
+                }
+            }
+        }
+
+        impl Snapshot {
+            /// Whether `section` carries data in this snapshot.
+            pub fn is_populated(&self, section: Section) -> bool {
+                match section {
+                    $( Section::$Var => !SectionData::is_empty(&self.$field), )*
+                    Section::Traces => false,
+                }
+            }
+
+            /// Run every section's structural validation; the error names the
+            /// section. `volap-stat` exits non-zero on `Err`.
+            pub fn validate(&self) -> Result<(), String> {
+                $( SectionData::validate(&self.$field)
+                    .map_err(|e| format!("{}: {e}", stringify!($field)))?; )*
+                Ok(())
+            }
+
+            fn fold_sections(
+                &self,
+                counters: &mut Vec<ScalarSnapshot<u64>>,
+                gauges: &mut Vec<ScalarSnapshot<i64>>,
+            ) {
+                $( SectionData::fold(&self.$field, counters, gauges); )*
+            }
+        }
+    };
+}
+
+sections! {
     /// All counters, sorted by id.
-    pub counters: Vec<ScalarSnapshot<u64>>,
+    Counters counters: Vec<ScalarSnapshot<u64>> = rows,
     /// All gauges, sorted by id.
-    pub gauges: Vec<ScalarSnapshot<i64>>,
+    Gauges gauges: Vec<ScalarSnapshot<i64>> = rows,
     /// All histograms, sorted by id (cumulative finite buckets).
-    pub histograms: Vec<HistogramSnapshot>,
+    Histograms histograms: Vec<HistogramSnapshot> = rows,
     /// Recent events in global sequence order.
-    pub events: Vec<Event>,
+    Events events: Vec<Event> = rows,
     /// Per-shard heat, ordered by shard id.
-    pub heat: Vec<HeatEntry>,
+    Heat heat: Vec<HeatEntry> = rows,
     /// Recent load-balance decisions in global sequence order.
-    pub audit: Vec<BalanceDecision>,
+    Audit audit: Vec<BalanceDecision> = rows,
     /// Per-class lock contention summaries, ordered by rank then name (the
     /// full wait/hold distributions are in `histograms` as
     /// `volap_lock_{wait,hold}_seconds{class=..}`).
-    pub locks: Vec<LockClassSnapshot>,
+    Locks locks: Vec<LockClassSnapshot> = rows,
     /// Measured image-staleness samples.
-    pub staleness: StalenessSnapshot,
+    Staleness staleness: StalenessSnapshot,
     /// The metrics time-series ring (empty unless the sampler ran).
-    pub history: HistorySnapshot,
+    History history: HistorySnapshot,
     /// Per-rule SLO health, sorted by component then rule.
-    pub health: Vec<ComponentHealth>,
+    Health health: Vec<ComponentHealth> = rows,
     /// Per-principal workload accounting: exact totals plus the decayed
     /// per-dimension top-K tables.
-    pub accounting: AccountingSnapshot,
+    Accounting accounting: AccountingSnapshot,
 }
 
 impl Snapshot {
-    /// This snapshot with events, heat, audit, staleness, history frames,
-    /// structured health, and the structured accounting section stripped —
-    /// the subset the Prometheus text exposition can represent. Capture
-    /// time, uptime, history ring totals, per-component health states, and
-    /// the exact per-principal accounting totals are *folded in* as
-    /// synthetic metrics (`volap_captured_unix_microseconds`,
-    /// `volap_uptime_microseconds`, `volap_history_frames`,
-    /// `volap_history_dropped_total`, a `volap_health_state` gauge holding
-    /// the worst rule state per component, and
-    /// `volap_accounting_{requests,<dim>}_total{principal=..}` counters),
+    /// This snapshot reduced to what the Prometheus text exposition can
+    /// represent: counters, gauges and histograms, with every other section
+    /// stripped and its [`SectionData::fold`] series *folded in* — capture
+    /// time and uptime (`volap_captured_unix_microseconds`,
+    /// `volap_uptime_microseconds`), history ring totals, the worst rule
+    /// state per component, and the exact per-principal accounting totals —
     /// so the exposition still carries the headline telemetry. Folding is
     /// idempotent: re-folding an already-folded snapshot (the exporter
     /// round-trip) changes nothing.
     pub fn metrics_only(&self) -> Snapshot {
-        let mut counters = self.counters.clone();
-        let mut gauges = self.gauges.clone();
-        let already = |gs: &[ScalarSnapshot<i64>], name: &str| gs.iter().any(|g| g.id.name == name);
-        if !already(&gauges, "volap_captured_unix_microseconds") {
-            gauges.push(ScalarSnapshot {
-                id: MetricId::plain("volap_captured_unix_microseconds"),
-                value: self.captured_unix_us as i64,
-            });
-            gauges.push(ScalarSnapshot {
-                id: MetricId::plain("volap_uptime_microseconds"),
-                value: self.uptime_us as i64,
-            });
-            gauges.push(ScalarSnapshot {
-                id: MetricId::plain("volap_history_frames"),
-                value: self.history.frames.len() as i64,
-            });
-            counters.push(ScalarSnapshot {
-                id: MetricId::plain("volap_history_dropped_total"),
-                value: self.history.dropped,
-            });
-            for h in &self.health {
-                let id = MetricId::labeled("volap_health_state", "component", &h.component);
-                match gauges.iter_mut().find(|g| g.id == id) {
-                    Some(g) => g.value = g.value.max(h.state.score()),
-                    None => gauges.push(ScalarSnapshot { id, value: h.state.score() }),
-                }
-            }
-            for p in &self.accounting.principals {
-                counters.push(ScalarSnapshot {
-                    id: MetricId::labeled(
-                        "volap_accounting_requests_total",
-                        "principal",
-                        &p.principal,
-                    ),
-                    value: p.requests,
-                });
-                for (dim, value) in COST_DIM_NAMES.iter().zip(p.cost.as_array()) {
-                    counters.push(ScalarSnapshot {
-                        id: MetricId::labeled(
-                            format!("volap_accounting_{dim}_total"),
-                            "principal",
-                            &p.principal,
-                        ),
-                        value,
-                    });
-                }
-            }
-            counters.sort_by(|a, b| a.id.cmp(&b.id));
-            gauges.sort_by(|a, b| a.id.cmp(&b.id));
-        }
-        Snapshot {
-            captured_unix_us: 0,
-            uptime_us: 0,
-            counters,
-            gauges,
+        let mut out = Snapshot {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
-            events: Vec::new(),
-            heat: Vec::new(),
-            audit: Vec::new(),
-            locks: Vec::new(),
-            staleness: StalenessSnapshot::default(),
-            history: HistorySnapshot::default(),
-            health: Vec::new(),
-            accounting: AccountingSnapshot::default(),
+            ..Snapshot::default()
+        };
+        if !out.gauges.iter().any(|g| g.id.name == "volap_captured_unix_microseconds") {
+            for (name, value) in [
+                ("volap_captured_unix_microseconds", self.captured_unix_us),
+                ("volap_uptime_microseconds", self.uptime_us),
+            ] {
+                out.gauges.push(ScalarSnapshot { id: MetricId::plain(name), value: value as i64 });
+            }
+            self.fold_sections(&mut out.counters, &mut out.gauges);
+            out.counters.sort_by(|a, b| a.id.cmp(&b.id));
+            out.gauges.sort_by(|a, b| a.id.cmp(&b.id));
         }
+        out
     }
 
     /// Sum of all counters with this name, across labels.
@@ -152,10 +246,5 @@ impl Snapshot {
     /// The lock-class summary with this name.
     pub fn lock_class(&self, name: &str) -> Option<&LockClassSnapshot> {
         self.locks.iter().find(|l| l.class == name)
-    }
-
-    /// The health entry for one component's rule.
-    pub fn health_of(&self, component: &str, rule: &str) -> Option<&ComponentHealth> {
-        self.health.iter().find(|h| h.component == component && h.rule == rule)
     }
 }

@@ -30,6 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::registry::Histogram;
+use crate::snapshot::SectionData;
 
 /// Raw samples retained for the PBS curve.
 const SAMPLE_CAP: usize = 4096;
@@ -127,13 +128,31 @@ impl StalenessProbe {
     }
 }
 
-/// Measured staleness at snapshot time.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct StalenessSnapshot {
-    /// Total samples ever recorded (samples beyond the ring are evicted).
-    pub count: u64,
-    /// Retained expansion-visibility delays, oldest first, in seconds.
-    pub samples_seconds: Vec<f64>,
+crate::record! {
+    /// Measured staleness at snapshot time.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct StalenessSnapshot {
+        /// Total samples ever recorded (samples beyond the ring are evicted).
+        count: u64,
+        /// Retained expansion-visibility delays, oldest first, in seconds.
+        samples_seconds: Vec<f64>,
+    }
+}
+
+impl SectionData for StalenessSnapshot {
+    fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    fn validate(&self) -> Result<(), String> {
+        if self.samples_seconds.len() as u64 > self.count {
+            return Err(format!("{} samples retained of {}", self.samples_seconds.len(), self.count));
+        }
+        match self.samples_seconds.iter().find(|s| !s.is_finite() || **s < 0.0) {
+            Some(s) => Err(format!("sample {s} is not a delay")),
+            None => Ok(()),
+        }
+    }
 }
 
 impl StalenessSnapshot {

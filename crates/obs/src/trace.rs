@@ -255,7 +255,10 @@ impl Default for TraceConfig {
 
 struct TracerInner {
     epoch: Instant,
-    /// `0` disables sampling entirely (the common production-off state).
+    /// The configured [`TraceConfig::sample`], restored when tracing resumes.
+    configured_sample: u32,
+    /// The live rate: `configured_sample`, or `0` while paused. `0` disables
+    /// sampling entirely (the common production-off state).
     sample_every: AtomicU32,
     sample_tick: AtomicU64,
     next_trace: AtomicU64,
@@ -289,6 +292,7 @@ impl Tracer {
         Self {
             inner: Arc::new(TracerInner {
                 epoch: Instant::now(),
+                configured_sample: cfg.sample,
                 sample_every: AtomicU32::new(cfg.sample),
                 sample_tick: AtomicU64::new(0),
                 next_trace: AtomicU64::new(1),
@@ -305,14 +309,11 @@ impl Tracer {
         }
     }
 
-    /// Change the sampling rate at runtime (`0` = off, `n` = 1-in-`n`).
-    pub fn set_sample_every(&self, n: u32) {
-        self.inner.sample_every.store(n, Ordering::Relaxed);
-    }
-
-    /// Current sampling rate.
-    pub fn sample_every(&self) -> u32 {
-        self.inner.sample_every.load(Ordering::Relaxed)
+    /// Pause sampling, or resume it at the configured rate
+    /// ([`crate::Obs::set_enabled`]).
+    pub(crate) fn set_enabled(&self, on: bool) {
+        let rate = if on { self.inner.configured_sample } else { 0 };
+        self.inner.sample_every.store(rate, Ordering::Relaxed);
     }
 
     /// Change the slow-trace threshold at runtime.
@@ -534,7 +535,6 @@ mod tests {
     #[test]
     fn sampling_off_yields_no_contexts() {
         let t = Tracer::new(TraceConfig::default());
-        assert_eq!(t.sample_every(), 0);
         for _ in 0..100 {
             assert!(t.sample_root().is_none());
         }
@@ -546,6 +546,11 @@ mod tests {
         let t = Tracer::new(TraceConfig { sample: 4, ..TraceConfig::default() });
         let sampled = (0..400).filter(|_| t.sample_root().is_some()).count();
         assert_eq!(sampled, 100);
+        t.set_enabled(false);
+        assert!((0..400).all(|_| t.sample_root().is_none()), "paused: nothing sampled");
+        t.set_enabled(true);
+        let sampled = (0..400).filter(|_| t.sample_root().is_some()).count();
+        assert_eq!(sampled, 100, "resumed at the configured rate");
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! exporter round trips with a populated accounting section.
 
 use proptest::prelude::*;
-use volap_obs::{
-    export, AccountConfig, CostVec, Obs, ObsConfig, SpaceSaving, COST_DIM_NAMES,
-};
+use volap_obs::{export, Accounting, CostVec, Obs, Snapshot, SpaceSaving, COST_DIM_NAMES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -102,12 +100,7 @@ proptest! {
             1..20,
         ),
     ) {
-        let cfg = ObsConfig {
-            accounting: AccountConfig { topk, ..AccountConfig::default() },
-            ..ObsConfig::default()
-        };
-        let obs = Obs::new(cfg);
-        let acc = obs.accounting();
+        let acc = Accounting::new(topk, 0.9);
         for (name, dims) in &charges {
             let p = acc.intern(name);
             let mut a = [0u64; 8];
@@ -116,7 +109,7 @@ proptest! {
             }
             acc.charge(p, &CostVec::from_array(a));
         }
-        let snap = obs.snapshot();
+        let snap = Snapshot { accounting: acc.snapshot(), ..Obs::default().snapshot() };
         prop_assert!(!snap.accounting.principals.is_empty());
         prop_assert_eq!(snap.accounting.top.len(), COST_DIM_NAMES.len());
         let json_back = export::from_json(&export::to_json(&snap)).unwrap();

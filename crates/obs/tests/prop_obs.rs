@@ -1,14 +1,24 @@
 //! Property-based tests for the observability core: histogram correctness
-//! under concurrency and exporter round-trip fidelity.
+//! under concurrency, exporter round-trip fidelity over every section, and
+//! text decoders that reject damaged input without panicking.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use volap_obs::{
-    bucket_index, export, AuditLog, BalanceDecision, HeatEntry, HeatMap, Obs, ObsConfig, RateEwma,
-    Registry, HIST_BUCKETS,
+    bucket_index, export, AuditLog, BalanceDecision, CostVec, EventLog, HeatEntry, HeatMap,
+    LockClass, Obs, ObsConfig, ObsMutex, RateEwma, Registry, Section, HIST_BUCKETS,
 };
+
+/// Names that exercise the JSON escaper: quotes, a backslash, a control
+/// character and multi-byte UTF-8 beside realistic name characters.
+const NAME: &str = "[a-z0-9_\"\\\u{1}\u{e9}\u{4e16}-]{1,10}";
+
+/// Any finite non-negative float (a rate or a weight), bit-exact.
+fn rate() -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(|bits| f64::from_bits(bits >> 1)).prop_filter("finite", |f| f.is_finite())
+}
 
 /// Hammer one histogram from many threads and check that not a single
 /// observation is lost or double-counted: total count, total sum, and the
@@ -64,17 +74,66 @@ fn histogram_is_exact_under_concurrent_recording() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any snapshot assembled from arbitrary counter/gauge/histogram
-    /// activity survives the JSON exporter losslessly and the Prometheus
-    /// exporter up to its defined scope (metrics only).
+    /// Any snapshot assembled from arbitrary activity in **every** section
+    /// survives the JSON exporter losslessly and the Prometheus exporter up
+    /// to its defined scope (metrics plus each section's fold), and passes
+    /// the structural validation each section declares.
     #[test]
     fn exporters_round_trip_arbitrary_snapshots(
         counters in prop::collection::vec(("[a-z_]{1,12}", any::<u64>()), 0..6),
         gauges in prop::collection::vec(("[a-z_]{1,12}", any::<i64>()), 0..6),
         observations in prop::collection::vec(any::<u64>(), 0..64),
         events in prop::collection::vec(("[a-z_]{1,8}", "[ -~]{0,24}"), 0..8),
+        (heat, decisions) in (
+            prop::collection::vec((0u64..16, NAME, any::<u64>(), rate(), rate(), 0u64..=1 << 53), 1..6),
+            prop::collection::vec(
+                (NAME, NAME, prop::collection::vec((NAME, NAME), 0..3), prop::collection::vec(any::<u64>(), 0..3)),
+                1..4,
+            ),
+        ),
+        (tenants, expansions, ticks) in (
+            prop::collection::vec((NAME, prop::collection::vec(any::<u64>(), 8..9)), 1..5),
+            1u64..4,
+            1usize..3,
+        ),
     ) {
+        static LOCK: LockClass = LockClass::new("prop.exported", 9500);
+        drop(ObsMutex::new(&LOCK, ()).lock());
         let obs = Obs::new(ObsConfig::default());
+        for (shard, worker, total, insert_rate, query_rate, volume) in heat {
+            obs.heat().publish(HeatEntry {
+                shard,
+                worker,
+                items: total / 2,
+                inserts_total: total,
+                queries_total: total / 3,
+                insert_rate,
+                query_rate,
+                volume_frac: volume as f64 / (1u64 << 53) as f64,
+            });
+        }
+        for (action, dest, inputs, result_shards) in decisions {
+            obs.audit().record(BalanceDecision {
+                action,
+                shard: result_shards.len() as u64,
+                src: "worker-0".into(),
+                dest,
+                inputs,
+                result_shards,
+                outcome: "ok".into(),
+                ..BalanceDecision::default()
+            });
+        }
+        for (name, dims) in &tenants {
+            let mut cost = [0u64; 8];
+            cost.copy_from_slice(dims);
+            obs.accounting().charge(obs.accounting().intern(name), &CostVec::from_array(cost));
+        }
+        for key in 0..expansions {
+            obs.staleness().expansion(key, "s0");
+            obs.staleness().pushed(key, "s0");
+            obs.staleness().applied(key, "s1");
+        }
         let reg = obs.registry();
         for (name, v) in &counters {
             reg.counter(&format!("volap_{name}_total")).add(*v);
@@ -89,7 +148,22 @@ proptest! {
         for (kind, detail) in &events {
             obs.events().record(kind, detail.clone());
         }
+        // History frames (and with them health verdicts) come last, so they
+        // sample the activity above.
+        for _ in 0..ticks {
+            std::thread::sleep(Duration::from_millis(1));
+            obs.sample_tick();
+        }
         let snap = obs.snapshot();
+        for &section in Section::ALL {
+            let expected = match section {
+                Section::Events => !events.is_empty(), // no health event is due this early
+                Section::Traces => false,              // not a snapshot member
+                _ => true,
+            };
+            prop_assert_eq!(snap.is_populated(section), expected, "{}", section.name());
+        }
+        prop_assert_eq!(snap.validate(), Ok(()));
         let json_back = export::from_json(&export::to_json(&snap)).unwrap();
         prop_assert_eq!(&json_back, &snap, "JSON must be lossless");
         let prom_back = export::from_prometheus(&export::to_prometheus(&snap)).unwrap();
@@ -115,13 +189,13 @@ proptest! {
     /// for every drop.
     #[test]
     fn event_log_is_bounded_and_ordered(n in 0usize..2000, cap in 16usize..256) {
-        let obs = Obs::new(ObsConfig { histograms: true, event_capacity: cap, ..ObsConfig::default() });
+        let log = EventLog::new(cap);
         for i in 0..n {
-            obs.events().record("e", format!("i={i}"));
+            log.record("e", format!("i={i}"));
         }
-        let events = obs.events().snapshot();
+        let events = log.snapshot();
         prop_assert!(events.len() <= cap.max(64)); // 16 shards × min 4/shard floor
-        prop_assert_eq!(events.len() as u64 + obs.events().dropped(), n as u64);
+        prop_assert_eq!(events.len() as u64 + log.dropped(), n as u64);
         for w in events.windows(2) {
             prop_assert!(w[0].seq < w[1].seq, "sequence order preserved");
         }
@@ -129,7 +203,7 @@ proptest! {
 }
 
 /// Event-ring eviction under contention: many writers overflowing a small
-/// `obs_event_capacity` must keep the *global* sequencing monotone (and
+/// ring must keep the *global* sequencing monotone (and
 /// collision-free) and must account for every single drop — what a
 /// snapshot retains plus what it admits to dropping equals exactly what
 /// was recorded, even while eviction races recording on every shard.
@@ -139,10 +213,10 @@ fn event_ring_eviction_under_contention_is_exact() {
     const PER_THREAD: usize = 2_000;
     // Far below the workload: 128 events total → 8 per shard, so eviction
     // runs continuously on every shard.
-    let obs = Obs::new(ObsConfig { histograms: true, event_capacity: 128, ..ObsConfig::default() });
+    let log = EventLog::new(128);
     std::thread::scope(|s| {
         for t in 0..THREADS {
-            let events = obs.events().clone();
+            let events = log.clone();
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     events.record("hammer", format!("t={t} i={i}"));
@@ -151,12 +225,12 @@ fn event_ring_eviction_under_contention_is_exact() {
         }
     });
     let total = (THREADS * PER_THREAD) as u64;
-    assert_eq!(obs.events().recorded(), total, "every record counted");
-    let snapshot = obs.events().snapshot();
+    assert_eq!(log.recorded(), total, "every record counted");
+    let snapshot = log.snapshot();
     assert!(!snapshot.is_empty(), "overflow must not evict everything");
     assert!(snapshot.len() <= 128, "capacity bound held under contention");
     assert_eq!(
-        snapshot.len() as u64 + obs.events().dropped(),
+        snapshot.len() as u64 + log.dropped(),
         total,
         "retained + dropped = recorded exactly"
     );
@@ -284,7 +358,7 @@ proptest! {
             0..64,
         ),
     ) {
-        let map = HeatMap::new(true);
+        let map = HeatMap::default();
         let mut model: std::collections::BTreeMap<u64, HeatEntry> = Default::default();
         for &(shard, worker, is_publish, items) in &ops {
             let worker_name = format!("w{worker}");
@@ -311,6 +385,41 @@ proptest! {
         let snap = map.snapshot();
         let expect: Vec<HeatEntry> = model.into_values().collect();
         prop_assert_eq!(snap, expect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every text decoder turns damaged input — the golden documents with a
+    /// few bytes overwritten, or cut short — into `Ok` or `Err`, never a
+    /// panic. (Unbounded nesting, the one input that used to kill the
+    /// process, has its own test in `json.rs`.)
+    #[test]
+    fn text_decoders_never_panic_on_mutated_or_truncated_text(
+        edits in prop::collection::vec((any::<usize>(), 0u8..128), 1..4),
+        cut in any::<usize>(),
+    ) {
+        type Decode = fn(&str) -> bool;
+        let decoders: [(&str, Decode); 3] = [
+            (include_str!("golden/snapshot.json"), |t| export::from_json(t).is_ok()),
+            (include_str!("golden/snapshot.prom"), |t| export::from_prometheus(t).is_ok()),
+            (include_str!("golden/traces.perfetto.json"), |t| export::traces_from_perfetto(t).is_ok()),
+        ];
+        for (golden, decode) in decoders {
+            prop_assert!(decode(golden), "the undamaged document decodes");
+            // The goldens are ASCII, so overwriting bytes with ASCII keeps
+            // the text valid UTF-8.
+            let mut bytes = golden.as_bytes().to_vec();
+            for &(at, byte) in &edits {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+            let mutated = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            decode(&mutated);
+            decode(&mutated[..cut % mutated.len()]);
+            decode(&golden[..cut % golden.len()]);
+        }
     }
 }
 

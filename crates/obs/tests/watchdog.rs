@@ -7,7 +7,7 @@ use std::time::Duration;
 use volap_obs::export;
 use volap_obs::{
     EventLog, HealthRule, HealthState, HeatMap, History, HistoryConfig, Obs, ObsConfig, Registry,
-    Watchdog,
+    SectionData, Watchdog,
 };
 
 struct Rig {
@@ -20,14 +20,10 @@ struct Rig {
 
 impl Rig {
     fn new(rules: Vec<HealthRule>) -> Self {
-        let cfg = HistoryConfig {
-            enabled: true,
-            interval: Duration::from_millis(5),
-            capacity: 1024,
-        };
+        let cfg = HistoryConfig { interval: Duration::from_millis(5), capacity: 1024 };
         Self {
             reg: Registry::new(true),
-            heat: HeatMap::new(false),
+            heat: HeatMap::default(),
             events: EventLog::new(256),
             history: History::new(&cfg, std::time::Instant::now()),
             watchdog: Watchdog::new(rules),
@@ -206,11 +202,7 @@ fn history_deltas_stay_exact_under_concurrent_ingest() {
     // threads hammer a counter; every increment must land in exactly one
     // frame, so the ring's deltas sum to the final counter total.
     let obs = Obs::new(ObsConfig {
-        history: HistoryConfig {
-            enabled: true,
-            interval: Duration::from_millis(1),
-            capacity: 100_000,
-        },
+        history: HistoryConfig { interval: Duration::from_millis(1), capacity: 100_000 },
         ..ObsConfig::default()
     });
     const WRITERS: usize = 4;
@@ -245,11 +237,7 @@ fn history_deltas_stay_exact_under_concurrent_ingest() {
 #[test]
 fn exporters_round_trip_history_and_health() {
     let obs = Obs::new(ObsConfig {
-        history: HistoryConfig {
-            enabled: true,
-            interval: Duration::from_millis(5),
-            capacity: 64,
-        },
+        history: HistoryConfig { interval: Duration::from_millis(5), capacity: 64 },
         ..ObsConfig::default()
     });
     obs.registry().counter("volap_x_total").add(7);

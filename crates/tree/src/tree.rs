@@ -10,7 +10,7 @@ use volap_obs::lock::{LockClass, ObsArcRwLockWriteGuard, ObsMutex, ObsRwLock};
 use crate::leaf::{ColumnStats, LeafColumns};
 use crate::rollup::RollupTable;
 
-/// The tree layer's slice of the global lock hierarchy (DESIGN.md §15).
+/// The tree layer's slice of the global lock hierarchy (DESIGN.md §11.1).
 /// The root pointer is taken before any node; node locks are chainable
 /// (hand-over-hand coupling holds parent + child of the same class); the
 /// stack pool is a leaf of the order.

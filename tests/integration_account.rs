@@ -41,8 +41,8 @@ fn tagged_workload_reconciles_with_registry_and_exporters() {
     cfg.manager_enabled = false; // stable shard set -> exact counters
     // Sample every request and call everything slow, so the flight
     // recorder holds traces for the principal-annotation check.
-    cfg.trace_sample = 1;
-    cfg.trace_slow_threshold = Duration::ZERO;
+    cfg.obs.trace.sample = 1;
+    cfg.obs.trace.slow_threshold = Duration::ZERO;
     let cluster = Cluster::start(cfg);
     assert_eq!(cluster.shard_count(), 4);
 
@@ -181,13 +181,13 @@ fn seeded_hog_flips_dominance_rule_exactly_once() {
     cfg.workers = 2;
     cfg.initial_shards_per_worker = 2;
     cfg.manager_enabled = false;
-    cfg.history_interval = Duration::from_millis(25);
+    cfg.obs.history.interval = Duration::from_millis(25);
     // Keep only the dominance rule so the assertion below is about it.
-    cfg.health_rules = volap_obs::HealthRule::defaults()
+    cfg.obs.health_rules = volap_obs::HealthRule::defaults()
         .into_iter()
         .filter(|r| r.name == "tenant_dominance")
         .collect();
-    assert_eq!(cfg.health_rules.len(), 1, "default tenant_dominance rule missing");
+    assert_eq!(cfg.obs.health_rules.len(), 1, "default tenant_dominance rule missing");
     let cluster = Cluster::start(cfg);
 
     let mut gen = DataGen::new(&schema, 23, 1.2);

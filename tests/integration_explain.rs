@@ -15,7 +15,7 @@ use volap_coord::CoordService;
 use volap_data::{DataGen, QueryGen};
 use volap_dims::{Item, QueryBox, Schema};
 use volap_net::Network;
-use volap_obs::Trace;
+use volap_obs::{Section, Trace};
 use volap_tree::{build_store, QueryTrace};
 
 fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -80,8 +80,8 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
     cfg.workers = 2;
     cfg.initial_shards_per_worker = 2; // 4 shards
     cfg.manager_enabled = false; // stable shard set -> deterministic counters
-    cfg.trace_sample = 1; // sample everything
-    cfg.trace_slow_threshold = Duration::ZERO; // every root enters the recorder
+    cfg.obs.trace.sample = 1; // sample everything
+    cfg.obs.trace.slow_threshold = Duration::ZERO; // every root enters the recorder
     let cluster = Cluster::start(cfg);
     assert_eq!(cluster.shard_count(), 4);
 
@@ -209,6 +209,9 @@ fn single_shard_analyze_equals_local_traced_run() {
     let image = ImageStore::new(CoordService::new(), schema.clone());
     let mut cfg = VolapConfig::new(schema.clone());
     cfg.worker_threads = 2;
+    // `tree` is the one tree configuration: a setting made here reaches the
+    // worker's stores (a top-level twin used to overwrite it silently).
+    cfg.tree.rollup_levels = 1;
     let driver = net.endpoint("driver");
     let w = spawn_worker(&net, &image, &cfg, "w0");
     create_empty_shard(&driver, "w0", &schema, 1, Duration::from_secs(5)).unwrap();
@@ -226,7 +229,9 @@ fn single_shard_analyze_equals_local_traced_run() {
     mirror.bulk_insert(items.clone());
 
     let mut qgen = QueryGen::new(&schema, 22, 0.2);
-    let mut queries = vec![QueryBox::all(&schema)];
+    // Level-1 aligned (cells span 8 ordinals): answered from the rollup.
+    let aligned = QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]);
+    let mut queries = vec![QueryBox::all(&schema), aligned.clone()];
     for _ in 0..8 {
         queries.push(qgen.query(&items));
     }
@@ -252,6 +257,9 @@ fn single_shard_analyze_equals_local_traced_run() {
         assert_eq!(s.shard, 1);
         assert_eq!(s.items, mirror.len());
         assert_eq!(s.trace(), mtrace, "ANALYZE counters equal the mirror's QueryTrace exactly");
+        if *q == aligned {
+            assert_eq!(s.rollup_hits, 1, "`cfg.tree.rollup_levels` reached the worker's store");
+        }
         assert!(exec.forwards.is_empty());
         assert_eq!(exec.requested, vec![1]);
         assert_eq!(exec.fanout, 1, "single scan never fans out");
@@ -330,7 +338,7 @@ fn heat_totals_are_exact_under_concurrent_load() {
 
     // Runtime toggle: disabled heat stops counting and publishing; totals
     // freeze at their exact values.
-    cluster.obs().heat().set_enabled(false);
+    assert!(cluster.obs().set_enabled(Section::Heat, false));
     let mut gen = DataGen::new(&schema, 999, 1.2);
     ingest.bulk_insert(gen.items(300)).expect("bulk");
     std::thread::sleep(Duration::from_millis(150)); // a few stats periods

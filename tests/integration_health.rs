@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use volap::{Cluster, HealthRule, HealthState, VolapConfig};
 use volap_data::DataGen;
 use volap_dims::{QueryBox, Schema};
-use volap_obs::export;
+use volap_obs::{export, SectionData};
 
 fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
@@ -36,8 +36,8 @@ fn seeded_slo_breach_degrades_health_and_surfaces_everywhere() {
     // Seed the breach: image sync delayed to 400 ms, so every cross-server
     // delta is applied hundreds of milliseconds stale — far past the rule.
     cfg.sync_period = Duration::from_millis(400);
-    cfg.history_interval = Duration::from_millis(40);
-    cfg.health_rules = vec![HealthRule {
+    cfg.obs.history.interval = Duration::from_millis(40);
+    cfg.obs.health_rules = vec![HealthRule {
         name: "staleness_p99".into(),
         component: "image_sync".into(),
         selector: "p99(volap_staleness_seconds)".into(),
@@ -111,8 +111,8 @@ fn history_frames_account_for_live_ingest_exactly() {
     cfg.initial_shards_per_worker = 2;
     cfg.manager_enabled = false; // stable shard set -> exact counters
     cfg.sync_period = Duration::from_millis(20);
-    cfg.history_interval = Duration::from_millis(20);
-    cfg.history_capacity = 4096;
+    cfg.obs.history.interval = Duration::from_millis(20);
+    cfg.obs.history.capacity = 4096;
     let cluster = Cluster::start(cfg);
 
     const INSERTS: u64 = 1_200;
@@ -138,6 +138,7 @@ fn history_frames_account_for_live_ingest_exactly() {
     let hist = cluster.history();
     hist.validate().expect("history ring invalid");
     assert_eq!(hist.dropped, 0, "ring sized to be lossless for this workload");
+    assert_eq!(cluster.health().len(), HealthRule::defaults().len(), "every default rule reports");
     let snap = cluster.snapshot();
     assert_eq!(
         hist.delta_sum_all_labels("volap_server_inserts_total"),

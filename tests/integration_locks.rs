@@ -92,7 +92,7 @@ fn splits_under_parallel_queries_respect_lock_order() {
         "lock-order violations under split/query stress"
     );
     // The stress only means something if the contended classes were hot.
-    for class in ["worker.slots", "worker.slot_state", "tree.node"] {
+    for class in ["worker.slots", "worker.slot_state", "tree.node", "net.pending"] {
         let l = snap.lock_class(class).expect("class in snapshot");
         assert!(l.acquisitions > 0, "{class} never acquired — stress ineffective");
     }

@@ -113,7 +113,7 @@ fn histograms_knob_disables_timing_but_not_counting() {
     cfg.servers = 1;
     cfg.workers = 1;
     cfg.manager_enabled = false;
-    cfg.obs_histograms = false;
+    cfg.obs.histograms = false;
     let cluster = Cluster::start(cfg);
     let client = cluster.client();
     let mut gen = DataGen::new(&schema, 3, 1.0);

@@ -19,8 +19,8 @@ fn traced_cluster() -> (Cluster, Schema) {
     cfg.workers = 2;
     cfg.initial_shards_per_worker = 2; // 4 shards
     cfg.manager_enabled = false; // stable shard set -> deterministic span shape
-    cfg.trace_sample = 1; // sample everything
-    cfg.trace_slow_threshold = Duration::ZERO; // every root enters the recorder
+    cfg.obs.trace.sample = 1; // sample everything
+    cfg.obs.trace.slow_threshold = Duration::ZERO; // every root enters the recorder
     (Cluster::start(cfg), schema)
 }
 
@@ -175,7 +175,7 @@ fn tracing_disabled_by_default_records_nothing() {
     cfg.servers = 1;
     cfg.workers = 1;
     cfg.manager_enabled = false;
-    assert_eq!(cfg.trace_sample, 0, "tracing defaults off");
+    assert_eq!(cfg.obs.trace.sample, 0, "tracing defaults off");
     let cluster = Cluster::start(cfg);
     let client = cluster.client();
     let mut gen = DataGen::new(&schema, 5, 1.0);

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use volap::worker::{create_empty_shard, spawn_worker};
-use volap::{ImageStore, Request, Response, VolapConfig, WorkerExec};
+use volap::{ImageStore, Obs, ObsConfig, Request, Response, VolapConfig, WorkerExec};
 use volap_coord::CoordService;
 use volap_data::DataGen;
 use volap_dims::{Aggregate, QueryBox, Schema};
@@ -281,10 +281,12 @@ fn worker_stats_reflect_contents() {
 #[test]
 fn forwards_carry_the_request_context() {
     let schema = Schema::uniform(2, 2, 16);
-    let (net, image, cfg, driver) = setup(&schema);
+    let (net, _, cfg, driver) = setup(&schema);
+    let mut sample_all = ObsConfig::default();
+    sample_all.trace.sample = 1;
+    let image = ImageStore::with_obs(CoordService::new(), schema.clone(), Obs::new(sample_all));
     let tracer = image.obs().tracer().clone();
     net.attach_tracer(&tracer);
-    tracer.set_sample_every(1);
     let w0 = spawn_worker(&net, &image, &cfg, "w0");
     let second = net.endpoint("second");
     create_empty_shard(&driver, "w0", &schema, 5, TIMEOUT).unwrap();
