@@ -130,7 +130,11 @@ impl EndpointCore {
         if env.is_reply {
             // Route straight to the requester. If it already gave up
             // (timeout removed the pending entry), the reply is *late*:
-            // count it rather than losing the signal silently.
+            // count it rather than losing the signal silently. The hand-off
+            // happens while `net.pending` is held (the guard lives to the end
+            // of the `match`; a reply channel has room for every reply it can
+            // get, so the send never blocks): a timed-out requester that
+            // finds its entry gone therefore finds the reply in its channel.
             match self.pending.lock().remove(&env.correlation) {
                 Some(tx) => {
                     let _ = tx.send(env);
@@ -148,10 +152,14 @@ impl EndpointCore {
     }
 }
 
+/// The delay thread's queue: `(due, destination, envelope)` in send order.
+type DelayQueue = ObsMutex<Sender<(Instant, String, Envelope)>>;
+
 struct NetworkInner {
     endpoints: ObsRwLock<HashMap<String, Arc<EndpointCore>>>,
-    latency: Option<Duration>,
-    delay_tx: ObsMutex<Option<Sender<(Instant, String, Envelope)>>>,
+    /// Injected one-way latency and the delay thread's queue; `None` (the
+    /// default) delivers on the sender's thread and takes no lock for it.
+    delay: Option<(Duration, DelayQueue)>,
     obs: OnceLock<NetObs>,
     tracer: OnceLock<Tracer>,
 }
@@ -171,11 +179,14 @@ impl Default for Network {
 impl Network {
     /// A fabric with instantaneous delivery.
     pub fn new() -> Self {
+        Self::with_delay(None)
+    }
+
+    fn with_delay(delay: Option<(Duration, DelayQueue)>) -> Self {
         Self {
             inner: Arc::new(NetworkInner {
                 endpoints: ObsRwLock::new(&ENDPOINTS_CLASS, HashMap::new()),
-                latency: None,
-                delay_tx: ObsMutex::new(&DELAY_CLASS, None),
+                delay,
                 obs: OnceLock::new(),
                 tracer: OnceLock::new(),
             }),
@@ -186,17 +197,8 @@ impl Network {
     /// background timer thread — a crude but effective model of a real
     /// datacenter wire for staleness experiments.
     pub fn with_latency(latency: Duration) -> Self {
-        let net = Self {
-            inner: Arc::new(NetworkInner {
-                endpoints: ObsRwLock::new(&ENDPOINTS_CLASS, HashMap::new()),
-                latency: Some(latency),
-                delay_tx: ObsMutex::new(&DELAY_CLASS, None),
-                obs: OnceLock::new(),
-                tracer: OnceLock::new(),
-            }),
-        };
-        let (tx, rx) = unbounded::<(Instant, String, Envelope)>();
-        *net.inner.delay_tx.lock() = Some(tx);
+        let (tx, rx) = unbounded();
+        let net = Self::with_delay(Some((latency, ObsMutex::new(&DELAY_CLASS, tx))));
         let weak = Arc::downgrade(&net.inner);
         std::thread::Builder::new()
             .name("volap-net-delay".into())
@@ -267,11 +269,6 @@ impl Network {
         self.inner.endpoints.write().remove(name);
     }
 
-    /// Registered endpoint names.
-    pub fn names(&self) -> Vec<String> {
-        self.inner.endpoints.read().keys().cloned().collect()
-    }
-
     fn route(&self, to: &str, env: Envelope) -> Result<(), NetError> {
         if let Some(obs) = self.obs() {
             obs.messages.inc();
@@ -284,11 +281,11 @@ impl Network {
             .get(to)
             .cloned()
             .ok_or_else(|| NetError::UnknownEndpoint(to.to_string()))?;
-        match (self.inner.latency, &*self.inner.delay_tx.lock()) {
-            (Some(lat), Some(tx)) => {
-                tx.send((Instant::now() + lat, to.to_string(), env)).map_err(|_| NetError::Closed)
+        match &self.inner.delay {
+            Some((lat, tx)) => {
+                tx.lock().send((Instant::now() + *lat, to.to_string(), env)).map_err(|_| NetError::Closed)
             }
-            _ => {
+            None => {
                 target.deliver(env, self.obs());
                 Ok(())
             }
@@ -418,10 +415,16 @@ impl Endpoint {
             }
             return Err(e);
         }
-        match rx.recv_timeout(timeout) {
+        // On a timeout, whoever removes the pending entry decides: if it is
+        // still ours the request timed out (a reply from here on is late);
+        // if `deliver` took it first, the reply is already in `rx`.
+        let reply = rx.recv_timeout(timeout).or_else(|e| match self.core.pending.lock().remove(&corr) {
+            Some(_) => Err(e),
+            None => rx.recv_timeout(Duration::ZERO),
+        });
+        match reply {
             Ok(env) => Ok(env.payload),
             Err(_) => {
-                self.core.pending.lock().remove(&corr);
                 if let Some(obs) = self.net.obs() {
                     obs.timeouts.inc();
                 }
@@ -531,13 +534,13 @@ impl Endpoint {
                 }
             }
         }
+        // Gather until the deadline, then forget the stragglers and take
+        // once more without waiting: a reply `deliver` handed over before
+        // the sweep removed its entry is in `rx`, not late (see `deliver`).
         let deadline = Instant::now() + timeout;
+        let mut swept = false;
         while outstanding > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(env) => {
                     if let Some(&i) = corr_to_idx.get(&env.correlation) {
                         results[i] = Ok(env.payload);
@@ -545,17 +548,19 @@ impl Endpoint {
                         outstanding -= 1;
                     }
                 }
+                Err(_) if !swept => {
+                    let mut pending = self.core.pending.lock();
+                    for &corr in corr_to_idx.keys() {
+                        pending.remove(&corr);
+                    }
+                    swept = true;
+                }
                 Err(_) => break,
             }
         }
-        // Forget any stragglers.
         if outstanding > 0 {
             if let Some(obs) = self.net.obs() {
                 obs.timeouts.add(outstanding as u64);
-            }
-            let mut pending = self.core.pending.lock();
-            for &corr in corr_to_idx.keys() {
-                pending.remove(&corr);
             }
             for (i, span) in hop_spans.iter_mut().enumerate() {
                 if let Some(span) = span.as_mut() {
@@ -582,20 +587,6 @@ impl Endpoint {
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
-    }
-
-    /// Non-blocking variant of [`Endpoint::recv`].
-    pub fn try_recv(&self) -> Option<Incoming> {
-        self.core
-            .queue_rx
-            .try_recv()
-            .ok()
-            .map(|env| Incoming::from_env(env, self.net.clone(), self.core.name.clone()))
-    }
-
-    /// Number of queued (unconsumed) requests.
-    pub fn backlog(&self) -> usize {
-        self.core.queue_rx.len()
     }
 }
 
@@ -654,7 +645,7 @@ mod tests {
         });
         client.request("server", b"ping".to_vec(), Duration::from_secs(2)).unwrap();
         h.join().unwrap();
-        assert!(client.try_recv().is_none(), "reply must not appear as a request");
+        assert!(client.recv(Duration::ZERO).is_err(), "reply must not appear as a request");
     }
 
     #[test]
@@ -724,10 +715,17 @@ mod tests {
         let b = net.endpoint("b");
         let start = Instant::now();
         a.send("b", vec![9]).unwrap();
-        assert!(b.try_recv().is_none(), "must not arrive instantly");
+        assert!(b.recv(Duration::ZERO).is_err(), "must not arrive instantly");
         let msg = b.recv(Duration::from_secs(2)).unwrap();
         assert_eq!(msg.payload, vec![9]);
         assert!(start.elapsed() >= Duration::from_millis(55));
+        // A round trip pays the wire both ways (and, in debug builds, walks
+        // endpoints < delay < pending under the lock-order checker).
+        let start = Instant::now();
+        let h = thread::spawn(move || b.recv(Duration::from_secs(2)).unwrap().reply(vec![7]).unwrap());
+        assert_eq!(a.request("b", vec![], Duration::from_secs(2)).unwrap(), vec![7]);
+        assert!(start.elapsed() >= Duration::from_millis(110));
+        h.join().unwrap();
     }
 
     #[test]
@@ -801,7 +799,7 @@ mod tests {
         req.reply(b"too late".to_vec()).unwrap();
         assert_eq!(reg.counter("volap_net_late_replies_total").get(), 1);
         assert_eq!(client.pending_len(), 0);
-        assert!(client.try_recv().is_none(), "late reply must not enter the request queue");
+        assert!(client.recv(Duration::ZERO).is_err(), "late reply must not enter the request queue");
         // A fresh request still works (correlation space is unpoisoned).
         let h = thread::spawn(move || {
             let req = server.recv(Duration::from_secs(2)).unwrap();

@@ -6,18 +6,53 @@
 //! one endpoint queue across several service threads. Implementation is a
 //! `Mutex<VecDeque>` + condvars rather than crossbeam's lock-free core — the
 //! semantics (blocking, bounded capacity, disconnect on last drop) match.
+//!
+//! An empty `recv` polls the queue for a short window before it parks on the
+//! condvar (see `SPIN`), and `send`/`recv` wake the other side only when
+//! someone is parked there. Every predicate is still read under the channel
+//! mutex and every blocking wait still ends in `Condvar::wait*` on it, so the
+//! spin can be deleted without changing behaviour.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::thread;
     use std::time::{Duration, Instant};
+
+    /// How long an empty `recv` polls (yielding between polls) before it
+    /// parks. A request/reply hop over two parked threads is two futex wakes
+    /// of vCPUs that have already idled, ~46 µs per round trip on the 2-core
+    /// bench box; a receiver still polling when the message lands costs ~5.
+    /// Measured with `bench_e2e` (10 s runs; medians of 2, 6 and 4 seeds):
+    ///
+    /// | workload             | metric  | park at once | 50 µs   | 200 µs  |
+    /// |----------------------|---------|--------------|---------|---------|
+    /// | `ingest_point`       | ops/s   | 11.8 k       | 40.5 k  | 54.6 k  |
+    /// | `query_bands_med`    | q/s     | 335          | 342     | 332     |
+    /// | `ingest_bulk_growth` | p90     | 38.3 ms      | 37.4 ms | 35.7 ms |
+    /// | idle `recv(20 ms)`   | polling | 0            | 0.25 %  | 1 %     |
+    ///
+    /// A longer window buys more on the request path and is paid for where
+    /// pollers meet real work on the same cores: the prototype this design
+    /// came from lost 17 % of `query_bands_med` at 200 µs (here 3 %, inside
+    /// the noise), six idle service threads at 1 % each exceed the 5 % idle
+    /// budget `tests/integration_idle.rs` pins, and with more threads than
+    /// cores a handler that outlasts the window makes it pure waste twice per
+    /// request (DESIGN.md §2.1). 50 µs covers a prompt peer's turnaround.
+    const SPIN: Duration = Duration::from_micros(50);
 
     struct State<T> {
         queue: VecDeque<T>,
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers inside `not_empty.wait*` / senders inside
+        /// `not_full.wait`. Kept under the mutex that guards the queue, so
+        /// "nobody parked" read after a push (pop) means nobody can miss it:
+        /// the other side skips the futex wake.
+        parked_receivers: usize,
+        parked_senders: usize,
     }
 
     struct Shared<T> {
@@ -93,6 +128,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -117,10 +154,16 @@ pub mod channel {
                 let full = st.cap.is_some_and(|c| st.queue.len() >= c);
                 if !full {
                     st.queue.push_back(value);
-                    self.shared.not_empty.notify_one();
+                    let wake = st.parked_receivers > 0;
+                    drop(st);
+                    if wake {
+                        self.shared.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                st.parked_senders += 1;
                 st = self.shared.not_full.wait(st).unwrap();
+                st.parked_senders -= 1;
             }
         }
     }
@@ -146,55 +189,67 @@ pub mod channel {
         }
     }
 
-    impl<T> Receiver<T> {
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.shared.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.shared.not_empty.wait(st).unwrap();
+    impl<T> Shared<T> {
+        /// Take the head of the queue (waking a sender blocked on a full
+        /// one), or hand the guard back if there is none.
+        fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+            let Some(v) = st.queue.pop_front() else { return Err(st) };
+            let wake = st.parked_senders > 0;
+            drop(st);
+            if wake {
+                self.not_full.notify_one();
             }
+            Ok(v)
         }
 
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut st = self.shared.state.lock().unwrap();
-            match st.queue.pop_front() {
-                Some(v) => {
-                    self.shared.not_full.notify_one();
-                    Ok(v)
-                }
-                None if st.senders == 0 => Err(TryRecvError::Disconnected),
-                None => Err(TryRecvError::Empty),
-            }
-        }
-
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
-            let mut st = self.shared.state.lock().unwrap();
+        /// The one wait path: pop, else poll for up to `SPIN`, then park
+        /// until `deadline` (forever if `None`). A deadline already due
+        /// neither polls nor parks.
+        fn pop_wait(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+            let spin_until = Instant::now() + SPIN;
+            let mut st = self.state.lock().unwrap();
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.shared.not_full.notify_one();
-                    return Ok(v);
-                }
+                st = match self.pop(st) {
+                    Ok(v) => return Ok(v),
+                    Err(st) => st,
+                };
                 if st.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
-                if now >= deadline {
+                if deadline.is_some_and(|d| now >= d) {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _res) = self
-                    .shared
-                    .not_empty
-                    .wait_timeout(st, deadline - now)
-                    .unwrap();
-                st = guard;
+                if now < spin_until {
+                    drop(st);
+                    thread::yield_now();
+                    st = self.state.lock().unwrap();
+                    continue;
+                }
+                st.parked_receivers += 1;
+                st = match deadline {
+                    Some(d) => self.not_empty.wait_timeout(st, d - now).unwrap().0,
+                    None => self.not_empty.wait(st).unwrap(),
+                };
+                st.parked_receivers -= 1;
             }
+        }
+    }
+
+    impl<T> Receiver<T> {
+        pub fn recv(&self) -> Result<T, RecvError> {
+            self.shared.pop_wait(None).map_err(|_| RecvError)
+        }
+
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            self.shared.pop(self.shared.state.lock().unwrap()).map_err(|st| match st.senders {
+                0 => TryRecvError::Disconnected,
+                _ => TryRecvError::Empty,
+            })
+        }
+
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.shared.pop_wait(Some(Instant::now() + timeout))
         }
 
         /// Number of messages currently queued.
@@ -231,7 +286,6 @@ pub mod channel {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use std::thread;
 
         #[test]
         fn unbounded_fifo() {
@@ -269,6 +323,71 @@ pub mod channel {
             );
             tx.send(9).unwrap();
             assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(9));
+        }
+
+        #[test]
+        fn recv_timeout_honours_its_deadline_on_an_empty_queue() {
+            let (_tx, rx) = unbounded::<u8>();
+            // Shorter than, equal to and longer than the polling window.
+            for timeout in [Duration::ZERO, SPIN / 5, SPIN, SPIN * 4, Duration::from_millis(5)] {
+                let mut fastest = Duration::MAX;
+                for _ in 0..20 {
+                    let start = Instant::now();
+                    assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+                    let took = start.elapsed();
+                    assert!(took >= timeout, "returned after {took:?}, before its {timeout:?} deadline");
+                    fastest = fastest.min(took);
+                }
+                // The best of 20 tries shows the mechanism, not the scheduler:
+                // polling stops at the caller's deadline when that comes first
+                // (the kernel's timer slack only enters once parked).
+                let slack = if timeout <= SPIN { SPIN } else { Duration::from_millis(50) };
+                assert!(fastest < timeout + slack, "{timeout:?} took {fastest:?} at best");
+            }
+            assert_eq!(rx.shared.state.lock().unwrap().parked_receivers, 0);
+        }
+
+        /// Wait (bounded) until `n` receivers are inside the condvar wait.
+        fn await_parked<T>(rx: &Receiver<T>, n: usize) {
+            let start = Instant::now();
+            while rx.shared.state.lock().unwrap().parked_receivers != n {
+                assert!(start.elapsed() < Duration::from_secs(10), "receivers never parked");
+                thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn send_and_disconnect_reach_pollers_and_parkers_alike() {
+            for park_first in [false, true] {
+                // A message: to a receiver still polling, or already parked.
+                let (tx, rx) = unbounded::<u8>();
+                let r = rx.clone();
+                let t = thread::spawn(move || (r.recv(), r.recv_timeout(Duration::from_secs(10))));
+                if park_first {
+                    await_parked(&rx, 1);
+                }
+                tx.send(1).unwrap();
+                if park_first {
+                    await_parked(&rx, 1);
+                }
+                tx.send(2).unwrap();
+                assert_eq!(t.join().unwrap(), (Ok(1), Ok(2)));
+
+                // The last sender going away: same two states, both halves.
+                let blocking = rx.clone();
+                let timed = rx.clone();
+                let a = thread::spawn(move || blocking.recv());
+                let b = thread::spawn(move || timed.recv_timeout(Duration::from_secs(10)));
+                if park_first {
+                    await_parked(&rx, 2);
+                }
+                let start = Instant::now();
+                drop(tx);
+                assert_eq!(a.join().unwrap(), Err(RecvError));
+                assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+                assert!(start.elapsed() < Duration::from_secs(5), "disconnect must not wait out the timeout");
+                assert_eq!(rx.shared.state.lock().unwrap().parked_receivers, 0);
+            }
         }
 
         #[test]
