@@ -31,9 +31,9 @@ pub struct VolapConfig {
     pub server_threads: usize,
     /// Service threads per worker (`k`).
     pub worker_threads: usize,
-    /// Threads in each worker's query pool: a multi-shard query fans its
-    /// local shard scans out over this pool instead of walking them one
-    /// after another. `1` disables the pool (fully sequential scans);
+    /// Threads in each worker's query pool: the local shards a query must
+    /// descend into (not those answered at their root) are scanned over it
+    /// side by side. `1` disables the pool (fully sequential scans);
     /// `0` sizes it to the machine's available parallelism.
     pub query_threads: usize,
     /// How often servers push local-image changes to the global image and

@@ -72,7 +72,9 @@ volap_obs::record! {
         requested: Vec<u64>,
         /// Split/move aliases chased while resolving the requested shards.
         alias_chases: u32,
-        /// Shard-pool fan-out width: shard scans run concurrently.
+        /// Shards scanned side by side over the pool; `1` when the local
+        /// shards were scanned one after another on the service thread
+        /// (shards answered at their root always are), `0` when none were.
         fanout: u32,
         /// Wall time for the whole worker-side execution, microseconds.
         wall_us: u64,

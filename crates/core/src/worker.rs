@@ -546,22 +546,34 @@ impl ScanTarget {
     /// query. Everything reported is such a counter or an O(1) read — never
     /// a structure walk (`ShardStore::stats`) — and a plain query reads no
     /// clock and allocates nothing here.
+    ///
+    /// With `at_root` the scan only succeeds when both the store and the
+    /// queue answer at their roots ([`ShardStore::query_at_root`]); `None`
+    /// means a descent is needed, and then nothing was recorded.
     fn scan(
         &self,
         q: &QueryBox,
         tracer: &Tracer,
         trace: Option<&TraceCtx>,
         want_plan: bool,
-    ) -> (Aggregate, Option<ShardExec>) {
+        at_root: bool,
+    ) -> Option<(Aggregate, Option<ShardExec>)> {
         let observed =
             (trace.is_some() || want_plan).then(|| (tracer.now_us(), lock::thread_wait_ns()));
-        let (mut agg, mut qt) = self.store.query_traced(q);
+        let walk = |s: &Arc<dyn ShardStore>| {
+            if at_root {
+                s.query_at_root(q)
+            } else {
+                Some(s.query_traced(q))
+            }
+        };
+        let (mut agg, mut qt) = walk(&self.store)?;
         if let Some(queue) = &self.queue {
-            let (a, t) = queue.query_traced(q);
+            let (a, t) = walk(queue)?;
             agg.merge(&a);
             qt.merge(&t);
         }
-        let Some((start, wait0)) = observed else { return (agg, None) };
+        let Some((start, wait0)) = observed else { return Some((agg, None)) };
         let end = tracer.now_us();
         let items = self.store.len();
         if let Some(parent) = trace {
@@ -590,8 +602,14 @@ impl ScanTarget {
             rollup_hits: qt.rollup_hits,
             wall_us: end.saturating_sub(start),
         });
-        (agg, exec)
+        Some((agg, exec))
     }
+}
+
+/// Fold one shard's scan into a worker query's running answer.
+fn absorb(out: &mut (Aggregate, Vec<ShardExec>), (agg, exec): (Aggregate, Option<ShardExec>)) {
+    out.0.merge(&agg);
+    out.1.extend(exec);
 }
 
 /// Aggregate `query` over the listed shards. With `want_plan` the answer is
@@ -657,40 +675,49 @@ fn local_query(
             }
         }
     }
-    // Phase 2: scan the resolved stores — in parallel over the worker's
-    // query pool when there is one and more than one shard to search. Each
-    // task aggregates privately and merges once at the end.
-    let pool = st.query_pool.as_ref().filter(|_| scans.len() > 1);
-    let fanout = if pool.is_some() { scans.len() } else { scans.len().min(1) } as u32;
+    // Phase 2: answer on this thread every store whose walk stops at its
+    // root — handing a few microseconds of work to the pool costs more than
+    // doing it — then scan the stores that need a descent, in parallel over
+    // the worker's query pool when there is one and more than one of them.
+    // Each pool task aggregates privately and merges once at the end.
     let mut searched = scans.len() as u32;
     let tracer = &st.tracer;
     let trace = ctx.trace.as_ref();
-    let (mut agg, mut shard_execs) = match pool {
+    let mut out = (Aggregate::empty(), Vec::new());
+    scans.retain(|t| match t.scan(query, tracer, trace, want_plan, true) {
+        Some(done) => {
+            absorb(&mut out, done);
+            false
+        }
+        None => true,
+    });
+    let pool = st.query_pool.as_ref().filter(|_| scans.len() > 1);
+    let fanout = if pool.is_some() {
+        scans.len() as u32
+    } else {
+        searched.min(1)
+    };
+    let descend = |t: &ScanTarget| {
+        t.scan(query, tracer, trace, want_plan, false)
+            .expect("an unbounded walk always completes")
+    };
+    match pool {
         Some(pool) => {
-            let out = ObsMutex::new(&QUERY_OUT_CLASS, (Aggregate::empty(), Vec::new()));
+            let shared = ObsMutex::new(&QUERY_OUT_CLASS, out);
             pool.scope(|s| {
-                let out = &out;
+                let shared = &shared;
                 for t in &scans {
                     s.spawn(move |_| {
-                        let (a, exec) = t.scan(query, tracer, trace, want_plan);
-                        let mut g = out.lock();
-                        g.0.merge(&a);
-                        g.1.extend(exec);
+                        let done = descend(t);
+                        absorb(&mut shared.lock(), done);
                     });
                 }
             });
-            out.into_inner()
+            out = shared.into_inner();
         }
-        None => {
-            let mut out = (Aggregate::empty(), Vec::new());
-            for t in &scans {
-                let (a, exec) = t.scan(query, tracer, trace, want_plan);
-                out.0.merge(&a);
-                out.1.extend(exec);
-            }
-            out
-        }
-    };
+        None => scans.iter().for_each(|t| absorb(&mut out, descend(t))),
+    }
+    let (mut agg, mut shard_execs) = out;
     let mut forwards: Vec<WorkerExec> = Vec::new();
     for (dest, shards) in remote {
         let req = Request::worker_query(shards, query.clone(), want_plan);

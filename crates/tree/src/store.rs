@@ -165,6 +165,12 @@ pub trait ShardStore: Send + Sync {
     }
     /// Aggregate with traversal statistics.
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace);
+    /// [`Self::query_traced`] when `q` is answered without descending below
+    /// the root (cached aggregates, pruning, a rollup hit, a leaf root);
+    /// `None` when it needs a descent, or always for a store without a root.
+    fn query_at_root(&self, _q: &QueryBox) -> Option<(Aggregate, QueryTrace)> {
+        None
+    }
     /// Item count.
     fn len(&self) -> u64;
     /// Whether the store is empty.
@@ -251,6 +257,9 @@ impl<K: Key> ShardStore for TreeShard<K> {
     }
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
         self.tree.query_traced(q)
+    }
+    fn query_at_root(&self, q: &QueryBox) -> Option<(Aggregate, QueryTrace)> {
+        self.tree.query_within(q, 1)
     }
     fn len(&self) -> u64 {
         self.tree.len()

@@ -770,10 +770,20 @@ impl<K: Key> ConcurrentTree<K> {
     }
 
     /// Aggregate with traversal statistics.
+    pub fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
+        self.query_within(q, u64::MAX)
+            .expect("an unbounded walk always completes")
+    }
+
+    /// [`Self::query_traced`] limited to `max_nodes` node visits: `None`
+    /// when answering `q` would visit more (so `max_nodes = 1` answers
+    /// exactly the queries resolved at the root — by cached aggregates,
+    /// pruning, a rollup hit, or a root that is a leaf). A completed walk
+    /// returns the same aggregate and counters as the unbounded one.
     ///
     /// Single-threaded: walks the tree with an explicit stack recycled
     /// across calls, so the steady state performs no allocation at all.
-    pub fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
+    pub fn query_within(&self, q: &QueryBox, max_nodes: u64) -> Option<(Aggregate, QueryTrace)> {
         debug_assert_eq!(q.dims(), self.schema.dims());
         let mut trace = QueryTrace::default();
         // Constrained boxes aligned at a materialized level are answered
@@ -782,14 +792,21 @@ impl<K: Key> ConcurrentTree<K> {
         // entirely, so the only non-zero counter is `rollup_hits`.
         if let Some(agg) = self.rollup.as_ref().and_then(|r| r.try_answer(q)) {
             trace.rollup_hits = 1;
-            return (agg, trace);
+            return Some((agg, trace));
         }
         let mut agg = Aggregate::empty();
+        let mut complete = true;
         let mut stack = self.stack_pool.lock().pop().unwrap_or_default();
         stack.push(Arc::clone(&self.root.read()));
         // Scan each leaf reached; in a directory, prune, consume cached
         // aggregates, and push the children that still need a visit.
         while let Some(node) = stack.pop() {
+            if trace.nodes_visited == max_nodes {
+                // Give up; the stack goes back to the pool empty.
+                stack.clear();
+                complete = false;
+                break;
+            }
             trace.nodes_visited += 1;
             let guard = node.read();
             match &guard.children {
@@ -816,7 +833,7 @@ impl<K: Key> ConcurrentTree<K> {
         if pool.len() < 8 {
             pool.push(stack);
         }
-        (agg, trace)
+        complete.then_some((agg, trace))
     }
 
     /// Bounding rectangle of the whole tree.

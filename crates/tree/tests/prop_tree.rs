@@ -42,6 +42,13 @@ fn query_strategy() -> impl Strategy<Value = QueryBox> {
     })
 }
 
+/// Random query with arbitrary (not level-aligned) bounds per dimension.
+fn ragged_query_strategy() -> impl Strategy<Value = QueryBox> {
+    prop::collection::vec((0u64..16, 0u64..16), 3).prop_map(|per_dim| {
+        QueryBox::from_ranges(per_dim.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect())
+    })
+}
+
 fn brute(items: &[Item], q: &QueryBox) -> Aggregate {
     let mut a = Aggregate::empty();
     for it in items.iter().filter(|it| q.contains_item(it)) {
@@ -82,6 +89,60 @@ proptest! {
             if expect.count > 0 {
                 prop_assert_eq!(got.min, expect.min, "{} min", kind);
                 prop_assert_eq!(got.max, expect.max, "{} max", kind);
+            }
+        }
+    }
+
+    /// `query_at_root` is the full walk or nothing: `Some` only with the
+    /// exact aggregate and counters of `query_traced`, always `Some` for a
+    /// tree whose full walk stays at the root or hits a rollup, and a `None`
+    /// leaves no stale node on the recycled stack for the next walk — over
+    /// tiny node caps, rollups on and off, point and bulk loads.
+    #[test]
+    fn query_at_root_is_the_full_walk_or_none(
+        items in items_strategy(120),
+        aligned in query_strategy(),
+        ragged in ragged_query_strategy(),
+        caps in (4usize..=8, 4usize..=6),
+        rollup in any::<bool>(),
+        bulk in any::<bool>(),
+    ) {
+        let s = schema();
+        let cfg = TreeConfig {
+            leaf_cap: caps.0,
+            dir_cap: caps.1,
+            rollup_levels: rollup as usize,
+            ..TreeConfig::default()
+        };
+        for kind in all_kinds() {
+            let store = build_store(kind, &s, &cfg);
+            if bulk {
+                store.bulk_insert(items.clone());
+            } else {
+                for it in &items {
+                    store.insert(it);
+                }
+            }
+            for q in [&aligned, &ragged, &QueryBox::all(&s)] {
+                let at_root = store.query_at_root(q);
+                let full = store.query_traced(q);
+                let expect = brute(&items, q);
+                prop_assert_eq!(full.0.count, expect.count, "{} count after root attempt", kind);
+                prop_assert!((full.0.sum - expect.sum).abs() < 1e-9, "{} sum", kind);
+                if expect.count > 0 {
+                    prop_assert_eq!(full.0.min, expect.min, "{} min", kind);
+                    prop_assert_eq!(full.0.max, expect.max, "{} max", kind);
+                }
+                match at_root {
+                    Some(got) => prop_assert_eq!(got, full, "{} answered at the root", kind),
+                    None => prop_assert!(
+                        kind == StoreKind::Array
+                            || (full.1.nodes_visited > 1 && full.1.rollup_hits == 0),
+                        "{} declined a query resolved at its root: {:?}",
+                        kind,
+                        full.1
+                    ),
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 //! Offline shim for the `rayon` crate.
 //!
-//! Provides the subset the parallel query engine needs: [`ThreadPoolBuilder`]
-//! / [`ThreadPool`] with scoped task spawning ([`ThreadPool::scope`] /
-//! [`Scope::spawn`]), a process-global pool behind the free [`scope`] and
-//! [`join`] functions, and [`current_num_threads`].
+//! Provides the subset the worker's shard-scan pool needs:
+//! [`ThreadPoolBuilder`] / [`ThreadPool`] with scoped task spawning
+//! ([`ThreadPool::scope`] / [`Scope::spawn`]). There is no process-global
+//! pool.
 //!
 //! The scheduler is a shared injector queue with blocking workers
 //! (work-*sharing*) rather than rayon's per-worker deques with stealing. The
@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -28,7 +28,6 @@ struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
     job_ready: Condvar,
     shutdown: AtomicBool,
-    threads: usize,
 }
 
 impl PoolShared {
@@ -103,33 +102,15 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Size the process-global pool (the one behind [`scope`] / [`join`]).
-    ///
-    /// Must run before anything touches the global pool; once the pool has
-    /// been lazily initialized the requested size can no longer take effect
-    /// and an error is returned (matching upstream's
-    /// `GlobalPoolAlreadyInitialized` behavior).
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        if global_pool_size().set(self.num_threads).is_err() {
-            return Err(ThreadPoolBuildError);
-        }
-        // Force initialization now so a later racing get_or_init cannot
-        // observe the size cell half-configured.
-        let _ = global_pool();
-        Ok(())
-    }
-
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = if self.num_threads == 0 {
-            default_parallelism()
-        } else {
-            self.num_threads
+        let threads = match self.num_threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             job_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            threads,
         });
         let prefix = self.name_prefix.unwrap_or_else(|| "par-worker".to_string());
         let workers = (0..threads)
@@ -152,10 +133,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    pub fn current_num_threads(&self) -> usize {
-        self.shared.threads
-    }
-
     /// Run `op` with a [`Scope`] handle; returns once every task spawned in
     /// the scope (transitively) has completed. The calling thread helps
     /// execute queued tasks while it waits.
@@ -301,67 +278,6 @@ where
     }
 }
 
-fn default_parallelism() -> usize {
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Thread count requested via [`ThreadPoolBuilder::build_global`] (`0` =
-/// default parallelism); consulted once when the global pool first builds.
-fn global_pool_size() -> &'static OnceLock<usize> {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    &SIZE
-}
-
-fn global_pool() -> &'static ThreadPool {
-    static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let requested = *global_pool_size().get_or_init(|| 0);
-        ThreadPoolBuilder::new()
-            .num_threads(requested)
-            .thread_name(|_| "rayon-global".to_string())
-            .build()
-            .expect("global pool")
-    })
-}
-
-/// Number of threads in the global pool.
-pub fn current_num_threads() -> usize {
-    global_pool().current_num_threads()
-}
-
-/// Scoped fan-out on the process-global pool.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    global_pool().scope(op)
-}
-
-/// Run two closures and return both results.
-///
-/// Unlike real rayon this shim executes them sequentially on the calling
-/// thread (correct, just not parallel); the workspace's parallel paths are
-/// built on [`scope`]/[`Scope::spawn`], which do fan out.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    (a(), b())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,16 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        assert_eq!(join(|| 2 + 2, || "ok"), (4, "ok"));
-    }
-
-    #[test]
-    fn build_global_sizes_the_global_pool() {
-        // No other test in this binary touches the global pool, so the
-        // requested size must win; a second request must then fail.
-        ThreadPoolBuilder::new().num_threads(3).build_global().unwrap();
-        assert_eq!(current_num_threads(), 3);
-        assert!(ThreadPoolBuilder::new().num_threads(5).build_global().is_err());
+    fn zero_threads_means_one_per_core() {
+        let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool.workers.len(), cores);
     }
 }

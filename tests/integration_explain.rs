@@ -95,93 +95,106 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
 
     // Query through the *other* server; poll until its image converged.
     let client = cluster.client_on(1);
-    let q = QueryBox::all(&schema);
+    let full = QueryBox::all(&schema);
     assert!(
         eventually(Duration::from_secs(10), || client
-            .query(&q)
+            .query(&full)
             .is_ok_and(|(agg, _)| agg.count == TOTAL)),
         "server-1's image never converged"
     );
 
-    // Independent measurement: one fully sampled plain query records a
-    // tree_exec span (with exact traversal counters) per scanned shard.
-    let (plain_agg, plain_shards) = client.query(&q).expect("plain query");
-    assert_eq!(plain_agg.count, TOTAL);
-    assert_eq!(plain_shards, 4);
-    let slow = cluster.slow_traces();
-    let trace = slow
-        .iter()
-        .rev()
-        .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query")))
-        .expect("plain query trace recorded");
-    let expected = trace_totals(trace);
-    assert!(expected.nodes_visited > 0, "trace measured real traversal work");
+    // Full coverage resolves at every shard's root on the service thread;
+    // the interior box cuts every shard's root entries, so every shard
+    // descends and each worker fans its two scans out over the query pool.
+    let partial = QueryBox::from_ranges(vec![(1, 62), (1, 62), (1, 62)]);
+    for q in [&full, &partial] {
+        // Independent measurement: one fully sampled plain query records a
+        // tree_exec span (with exact traversal counters) per scanned shard.
+        let (plain_agg, plain_shards) = client.query(q).expect("plain query");
+        assert_eq!(plain_shards, 4);
+        let slow = cluster.slow_traces();
+        let trace = slow
+            .iter()
+            .rev()
+            .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query")))
+            .expect("plain query trace recorded");
+        let expected = trace_totals(trace);
+        assert!(expected.nodes_visited > 0, "trace measured real traversal work");
 
-    // The ANALYZE'd run of the same query over the same (static) data.
-    let (agg, shards_searched, plan) = client.query_analyze(&q).expect("analyze");
-    assert_eq!(agg.count, TOTAL, "ANALYZE returns the same aggregate");
-    assert_eq!(agg.sum, plain_agg.sum);
-    assert_eq!(shards_searched, 4);
+        // The ANALYZE'd run of the same query over the same (static) data.
+        let (agg, shards_searched, plan) = client.query_analyze(q).expect("analyze");
+        assert_eq!(agg.count, plain_agg.count, "ANALYZE returns the same aggregate");
+        assert_eq!(agg.sum, plain_agg.sum);
+        assert_eq!(shards_searched, 4);
 
-    // Routing section: the exact image leaves contacted, stamped with the
-    // image state at decision time.
-    assert_eq!(plan.server, "server-1");
-    assert!(plan.image_generation > 0, "bootstrap applied image records");
-    let mut leaves = plan.image_leaves.clone();
-    leaves.sort_unstable();
-    assert_eq!(plan.image_leaves, leaves, "image leaves arrive sorted");
-    assert_eq!(plan.image_leaves.len(), 4);
-    let mut requested: Vec<u64> =
-        plan.workers.iter().flat_map(|w| w.requested.iter().copied()).collect();
-    requested.sort_unstable();
-    assert_eq!(requested, plan.image_leaves, "workers were asked exactly the routed leaves");
-    assert_eq!(plan.executed_shards(), plan.image_leaves, "every routed leaf was scanned");
+        // Routing section: the exact image leaves contacted, stamped with
+        // the image state at decision time.
+        assert_eq!(plan.server, "server-1");
+        assert!(plan.image_generation > 0, "bootstrap applied image records");
+        let mut leaves = plan.image_leaves.clone();
+        leaves.sort_unstable();
+        assert_eq!(plan.image_leaves, leaves, "image leaves arrive sorted");
+        assert_eq!(plan.image_leaves.len(), 4);
+        let mut requested: Vec<u64> =
+            plan.workers.iter().flat_map(|w| w.requested.iter().copied()).collect();
+        requested.sort_unstable();
+        assert_eq!(requested, plan.image_leaves, "workers were asked exactly the routed leaves");
+        assert_eq!(plan.executed_shards(), plan.image_leaves, "every routed leaf was scanned");
 
-    // Worker sections: both workers, sorted, two local shards each, no
-    // aliases or forwards in a stable cluster, fan-out = local scan count.
-    assert_eq!(plan.workers.len(), 2);
-    assert!(plan.workers.windows(2).all(|w| w[0].worker < w[1].worker));
-    for w in &plan.workers {
-        assert_eq!(w.shards.len(), 2);
-        assert_eq!(w.alias_chases, 0);
-        assert_eq!(w.fanout, 2, "both local scans fanned out over the query pool");
-        assert!(w.forwards.is_empty());
-        for s in &w.shards {
-            assert!(s.items > 0, "seeded shards are non-empty");
+        // Worker sections: both workers, sorted, two local shards each, no
+        // aliases or forwards in a stable cluster.
+        assert_eq!(plan.workers.len(), 2);
+        assert!(plan.workers.windows(2).all(|w| w[0].worker < w[1].worker));
+        for w in &plan.workers {
+            assert_eq!(w.shards.len(), 2);
+            assert_eq!(w.alias_chases, 0);
+            assert!(w.forwards.is_empty());
+            for s in &w.shards {
+                assert!(s.items > 0, "seeded shards are non-empty");
+            }
+            if q == &full {
+                assert!(w.fanout <= 1, "root-resolved shards never reach the pool: {w:?}");
+                for s in &w.shards {
+                    assert_eq!(s.nodes_visited, 1, "answered at the root: {s:?}");
+                }
+            } else {
+                assert_eq!(w.fanout, 2, "both descents fanned out over the query pool: {w:?}");
+            }
         }
+
+        // The tentpole equality: per-shard counters in the plan sum to the
+        // independently traced totals of the same query.
+        let totals = plan.totals();
+        assert_eq!(totals.nodes_visited, expected.nodes_visited, "nodes_visited");
+        assert_eq!(totals.covered_hits, expected.covered_hits, "covered_hits");
+        assert_eq!(totals.items_scanned, expected.items_scanned, "items_scanned");
+        assert_eq!(totals.pruned, expected.pruned, "pruned");
+
+        // Both encodings are lossless on a real plan; the renderer shows it.
+        assert_eq!(QueryPlan::decode(&plan.encode()).expect("binary decodes"), plan);
+        assert_eq!(QueryPlan::from_json(&plan.to_json()).expect("JSON parses"), plan);
+        let rendered = plan.render();
+        assert!(rendered.contains("server-1"));
+        for w in &plan.workers {
+            assert!(rendered.contains(&w.worker));
+        }
+
+        // The ANALYZE'd request itself is traced under its own op, so the
+        // flight recorder and the plan can be joined — and it ran the same
+        // scan as any sampled query: one tree_exec span per scanned shard,
+        // carrying exactly the counters of that shard's plan row (an
+        // abandoned at-root attempt records nothing).
+        let slow = cluster.slow_traces();
+        let analyzed = slow
+            .iter()
+            .rev()
+            .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query_analyze")))
+            .expect("analyze run recorded its own trace");
+        let mut rows: Vec<(u64, QueryTrace)> =
+            plan.workers.iter().flat_map(|w| &w.shards).map(|s| (s.shard, s.trace())).collect();
+        rows.sort_by_key(|(shard, _)| *shard);
+        assert_eq!(tree_exec_spans(analyzed), rows, "tree_exec spans equal the ShardExec rows");
     }
-
-    // The tentpole equality: per-shard counters in the plan sum to the
-    // independently traced totals of the same query.
-    let totals = plan.totals();
-    assert_eq!(totals.nodes_visited, expected.nodes_visited, "nodes_visited");
-    assert_eq!(totals.covered_hits, expected.covered_hits, "covered_hits");
-    assert_eq!(totals.items_scanned, expected.items_scanned, "items_scanned");
-    assert_eq!(totals.pruned, expected.pruned, "pruned");
-
-    // Both encodings are lossless on a real plan; the renderer shows it.
-    assert_eq!(QueryPlan::decode(&plan.encode()).expect("binary decodes"), plan);
-    assert_eq!(QueryPlan::from_json(&plan.to_json()).expect("JSON parses"), plan);
-    let rendered = plan.render();
-    assert!(rendered.contains("server-1"));
-    for w in &plan.workers {
-        assert!(rendered.contains(&w.worker));
-    }
-
-    // The ANALYZE'd request itself is traced under its own op, so the
-    // flight recorder and the plan can be joined — and it ran the same
-    // scan as any sampled query: one tree_exec span per scanned shard,
-    // carrying exactly the counters of that shard's plan row.
-    let slow = cluster.slow_traces();
-    let analyzed = slow
-        .iter()
-        .rev()
-        .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query_analyze")))
-        .expect("analyze run recorded its own trace");
-    let mut rows: Vec<(u64, QueryTrace)> =
-        plan.workers.iter().flat_map(|w| &w.shards).map(|s| (s.shard, s.trace())).collect();
-    rows.sort_by_key(|(shard, _)| *shard);
-    assert_eq!(tree_exec_spans(analyzed), rows, "tree_exec spans equal the plan's ShardExec rows");
 
     // Satellite: shard_adopt events (bootstrap adoptions) carry the image
     // generation stamp that joins them to plans and staleness probes.
