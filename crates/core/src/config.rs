@@ -31,11 +31,6 @@ pub struct VolapConfig {
     pub server_threads: usize,
     /// Service threads per worker (`k`).
     pub worker_threads: usize,
-    /// Threads in each worker's query pool: the local shards a query must
-    /// descend into (not those answered at their root) are scanned over it
-    /// side by side. `1` disables the pool (fully sequential scans);
-    /// `0` sizes it to the machine's available parallelism.
-    pub query_threads: usize,
     /// How often servers push local-image changes to the global image and
     /// apply remote changes (paper default: 3 s).
     pub sync_period: Duration,
@@ -101,7 +96,6 @@ impl VolapConfig {
             workers: 4,
             server_threads: 2,
             worker_threads: 2,
-            query_threads: 2,
             sync_period: Duration::from_millis(100),
             stats_period: Duration::from_millis(50),
             manager_period: Duration::from_millis(100),

@@ -3,7 +3,7 @@
 //! The plan is a tree mirroring the execution: the routing server at the
 //! root (which image leaves matched, the image generation and measured
 //! staleness *at decision time*), one [`WorkerExec`] per contacted worker
-//! (alias chases, shard-pool fan-out width, wall time, plus nested
+//! (alias chases, scan fan-out width, wall time, plus nested
 //! `WorkerExec`s for remote forwards chased through stale image windows),
 //! and one [`ShardExec`] per scanned shard carrying the exact
 //! [`QueryTrace`] traversal counters the tree layer measured — so per-shard
@@ -72,7 +72,8 @@ volap_obs::record! {
         requested: Vec<u64>,
         /// Split/move aliases chased while resolving the requested shards.
         alias_chases: u32,
-        /// Shards scanned side by side over the pool; `1` when the local
+        /// Shards descended into side by side, one on the service thread
+        /// and the rest on the worker's scan threads; `1` when the local
         /// shards were scanned one after another on the service thread
         /// (shards answered at their root always are), `0` when none were.
         fanout: u32,

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{self, Sender};
 use volap_dims::{Aggregate, Item, Key, QueryBox, Schema};
 use volap_net::{Endpoint, Incoming, Network, ReqCtx};
 use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
@@ -22,13 +23,10 @@ use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma, TraceCt
 /// Worker slice of the global lock hierarchy (DESIGN.md §11.1). Stats and
 /// alias resolution hold the slot map while reading individual slot states,
 /// so slots < slot_state; a slot state guard is held across store calls
-/// that take tree locks (ranks 50+), so slot_state < every tree class. The
-/// query-pool output accumulator is only ever taken after a scan returns,
-/// but ranks above slot_state so a future combined path stays legal.
+/// that take tree locks (ranks 50+), so slot_state < every tree class.
 static SLOTS_CLASS: LockClass = LockClass::new("worker.slots", 30);
 static SLOT_STATE_CLASS: LockClass = LockClass::new("worker.slot_state", 31);
 static HEAT_TRACK_CLASS: LockClass = LockClass::new("worker.heat_track", 32);
-static QUERY_OUT_CLASS: LockClass = LockClass::new("worker.query_out", 40);
 use volap_tree::{build_store, deserialize_store, serial::encode_items, ShardStore, SplitPlan};
 
 use crate::config::VolapConfig;
@@ -141,9 +139,9 @@ struct WorkerState {
     endpoint: Endpoint,
     image: ImageStore,
     slots: ObsRwLock<HashMap<u64, Arc<Slot>>>,
-    /// Pool for fanning one query's local shard scans out in parallel
-    /// (`None` when `cfg.query_threads == 1`).
-    query_pool: Option<rayon::ThreadPool>,
+    /// Queue of the worker's scan threads: a query with several shards to
+    /// descend into scans all but one of them there, side by side.
+    scan_jobs: Sender<Box<dyn FnOnce() + Send>>,
     /// Cluster-wide heat view this worker publishes into.
     heat: HeatMap,
     /// Per-shard EWMA state, touched only by the stats thread.
@@ -159,11 +157,13 @@ pub struct WorkerHandle {
     /// The worker's endpoint name.
     pub name: String,
     shutdown: Arc<AtomicBool>,
+    /// Joined in order, scan threads last: they exit only once the last
+    /// `WorkerState`, and with it their job sender, is dropped.
     threads: Vec<JoinHandle<()>>,
 }
 
 impl WorkerHandle {
-    /// Signal shutdown and join all service threads.
+    /// Signal shutdown and join all of the worker's threads.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::Release);
         for t in self.threads.drain(..) {
@@ -172,8 +172,8 @@ impl WorkerHandle {
     }
 }
 
-/// Spawn a worker with `cfg.worker_threads` service threads plus a
-/// statistics publisher.
+/// Spawn a worker with `cfg.worker_threads` service threads, a statistics
+/// publisher and one scan thread per available core.
 pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> WorkerHandle {
     let endpoint = net.endpoint(name.to_string());
     // Liveness: membership is an ephemeral node under a heartbeated
@@ -182,14 +182,7 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
     let session_ttl = (cfg.stats_period * 10).max(Duration::from_millis(500));
     let session = image.coord().open_session(session_ttl);
     image.add_worker_ephemeral(name, session);
-    let query_pool = (cfg.query_threads != 1).then(|| {
-        let prefix = format!("{name}-query");
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.query_threads)
-            .thread_name(move |i| format!("{prefix}{i}"))
-            .build()
-            .expect("build worker query pool")
-    });
+    let (scan_jobs, scan_queue) = channel::unbounded();
     let state = Arc::new(WorkerState {
         name: name.to_string(),
         schema: cfg.schema.clone(),
@@ -197,7 +190,7 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         endpoint: endpoint.clone(),
         image: image.clone(),
         slots: ObsRwLock::new(&SLOTS_CLASS, HashMap::new()),
-        query_pool,
+        scan_jobs,
         heat: image.obs().heat().clone(),
         heat_track: ObsMutex::new(&HEAT_TRACK_CLASS, HashMap::new()),
         obs: WorkerObs::new(image, name),
@@ -235,6 +228,22 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
                     }
                 })
                 .expect("spawn stats thread"),
+        );
+    }
+    // A scan thread must not hold a `WorkerState`: it would keep its own job
+    // sender alive and never see the queue disconnect.
+    let scanners = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for t in 0..scanners {
+        let queue = scan_queue.clone();
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("{name}-scan{t}"))
+                .spawn(move || {
+                    while let Ok(job) = queue.recv() {
+                        job();
+                    }
+                })
+                .expect("spawn scan thread"),
         );
     }
     WorkerHandle { name: name.to_string(), shutdown, threads }
@@ -604,6 +613,17 @@ impl ScanTarget {
         });
         Some((agg, exec))
     }
+
+    /// [`ScanTarget::scan`] with a walk allowed to go as deep as it needs.
+    fn descend(
+        &self,
+        q: &QueryBox,
+        tracer: &Tracer,
+        trace: Option<&TraceCtx>,
+        want_plan: bool,
+    ) -> (Aggregate, Option<ShardExec>) {
+        self.scan(q, tracer, trace, want_plan, false).expect("an unbounded walk always completes")
+    }
 }
 
 /// Fold one shard's scan into a worker query's running answer.
@@ -676,46 +696,47 @@ fn local_query(
         }
     }
     // Phase 2: answer on this thread every store whose walk stops at its
-    // root — handing a few microseconds of work to the pool costs more than
-    // doing it — then scan the stores that need a descent, in parallel over
-    // the worker's query pool when there is one and more than one of them.
-    // Each pool task aggregates privately and merges once at the end.
+    // root — handing a few microseconds of work to another thread costs
+    // more than doing it — then descend into the rest side by side: every
+    // descent but the first goes to the worker's scan threads and answers
+    // over a reply channel built for this query, the first runs here.
     let mut searched = scans.len() as u32;
     let tracer = &st.tracer;
-    let trace = ctx.trace.as_ref();
+    let trace = ctx.trace;
     let mut out = (Aggregate::empty(), Vec::new());
-    scans.retain(|t| match t.scan(query, tracer, trace, want_plan, true) {
+    scans.retain(|t| match t.scan(query, tracer, trace.as_ref(), want_plan, true) {
         Some(done) => {
             absorb(&mut out, done);
             false
         }
         None => true,
     });
-    let pool = st.query_pool.as_ref().filter(|_| scans.len() > 1);
-    let fanout = if pool.is_some() {
-        scans.len() as u32
-    } else {
-        searched.min(1)
-    };
-    let descend = |t: &ScanTarget| {
-        t.scan(query, tracer, trace, want_plan, false)
-            .expect("an unbounded walk always completes")
-    };
-    match pool {
-        Some(pool) => {
-            let shared = ObsMutex::new(&QUERY_OUT_CLASS, out);
-            pool.scope(|s| {
-                let shared = &shared;
-                for t in &scans {
-                    s.spawn(move |_| {
-                        let done = descend(t);
-                        absorb(&mut shared.lock(), done);
-                    });
-                }
-            });
-            out = shared.into_inner();
+    let mut fanout = searched.min(1);
+    let mut descents = scans.into_iter();
+    if let Some(first) = descents.next() {
+        let handed_off = descents.len();
+        fanout += handed_off as u32;
+        let replies = (handed_off > 0).then(|| {
+            let (reply, replies) = channel::unbounded();
+            for t in descents {
+                let (reply, q, tracer) = (reply.clone(), query.clone(), tracer.clone());
+                let _ = st.scan_jobs.send(Box::new(move || {
+                    let _ = reply.send(t.descend(&q, &tracer, trace.as_ref(), want_plan));
+                }));
+            }
+            replies
+        });
+        absorb(&mut out, first.descend(query, tracer, trace.as_ref(), want_plan));
+        if let Some(replies) = replies {
+            for _ in 0..handed_off {
+                // Only the jobs hold reply senders, so a job that died
+                // unanswered disconnects the channel once the rest answered.
+                let Ok(done) = replies.recv() else {
+                    return Response::Err(format!("a shard scan on {} failed", st.name));
+                };
+                absorb(&mut out, done);
+            }
         }
-        None => scans.iter().for_each(|t| absorb(&mut out, descend(t))),
     }
     let (mut agg, mut shard_execs) = out;
     let mut forwards: Vec<WorkerExec> = Vec::new();

@@ -298,11 +298,6 @@ impl Accounting {
         self.inner.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Sketch capacity per dimension.
-    pub fn topk(&self) -> usize {
-        self.inner.topk
-    }
-
     /// Intern `name`, returning its stable id (idempotent). Empty names
     /// are not principals and intern to [`PrincipalId::NONE`].
     pub fn intern(&self, name: &str) -> PrincipalId {

@@ -90,11 +90,6 @@ impl RateEwma {
         self.rate += alpha * (value - self.rate);
     }
 
-    /// Whether any observation has been folded in yet.
-    pub fn primed(&self) -> bool {
-        self.primed
-    }
-
     /// The current estimate, events/second.
     pub fn rate(&self) -> f64 {
         self.rate

@@ -116,6 +116,7 @@ pub struct Obs {
     history: History,
     watchdog: Watchdog,
     accounting: Accounting,
+    /// When this core was built: `Snapshot::uptime_us` counts from it.
     epoch: std::time::Instant,
 }
 
@@ -215,12 +216,6 @@ impl Obs {
             | Section::Health => return false,
         }
         true
-    }
-
-    /// The instant this core was built; history frame timestamps and
-    /// `Snapshot::uptime_us` are measured from it.
-    pub fn epoch(&self) -> std::time::Instant {
-        self.epoch
     }
 
     /// One sampler tick: capture a history frame from the live registry /

@@ -153,78 +153,6 @@ impl Trace {
             self.render_span(out, child, depth + 1);
         }
     }
-
-    /// Lossless internal wire format (length-prefixed; see [`Trace::decode`]).
-    pub fn encode(&self) -> Vec<u8> {
-        fn put_str(buf: &mut Vec<u8>, s: &str) {
-            buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
-            buf.extend_from_slice(s.as_bytes());
-        }
-        let mut buf = Vec::with_capacity(64 + self.spans.len() * 64);
-        buf.extend_from_slice(&self.trace_id.to_be_bytes());
-        buf.extend_from_slice(&(self.spans.len() as u32).to_be_bytes());
-        for s in &self.spans {
-            buf.extend_from_slice(&s.span_id.to_be_bytes());
-            buf.extend_from_slice(&s.parent_span_id.to_be_bytes());
-            buf.extend_from_slice(&s.start_us.to_be_bytes());
-            buf.extend_from_slice(&s.end_us.to_be_bytes());
-            put_str(&mut buf, &s.name);
-            buf.extend_from_slice(&(s.annotations.len() as u32).to_be_bytes());
-            for (k, v) in &s.annotations {
-                put_str(&mut buf, k);
-                put_str(&mut buf, v);
-            }
-        }
-        buf
-    }
-
-    /// Inverse of [`Trace::encode`].
-    pub fn decode(data: &[u8]) -> Result<Trace, String> {
-        struct Cur<'a>(&'a [u8]);
-        impl<'a> Cur<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if self.0.len() < n {
-                    return Err("truncated trace blob".into());
-                }
-                let (head, tail) = self.0.split_at(n);
-                self.0 = tail;
-                Ok(head)
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn str(&mut self) -> Result<String, String> {
-                let n = self.u32()? as usize;
-                String::from_utf8(self.take(n)?.to_vec()).map_err(|e| e.to_string())
-            }
-        }
-        let mut cur = Cur(data);
-        let trace_id = cur.u64()?;
-        let n = cur.u32()? as usize;
-        let mut spans = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let span_id = cur.u64()?;
-            let parent_span_id = cur.u64()?;
-            let start_us = cur.u64()?;
-            let end_us = cur.u64()?;
-            let name = cur.str()?;
-            let an = cur.u32()? as usize;
-            let mut annotations = Vec::with_capacity(an.min(1 << 12));
-            for _ in 0..an {
-                let k = cur.str()?;
-                let v = cur.str()?;
-                annotations.push((k, v));
-            }
-            spans.push(SpanRecord { trace_id, span_id, parent_span_id, name, start_us, end_us, annotations });
-        }
-        if !cur.0.is_empty() {
-            return Err("trailing bytes after trace blob".into());
-        }
-        Ok(Trace { trace_id, spans })
-    }
 }
 
 /// Sizing and switches for one [`Tracer`].
@@ -636,19 +564,5 @@ mod tests {
         let spans = t.spans();
         assert!(spans.len() <= 64);
         assert_eq!(spans.len() as u64 + t.dropped(), 100);
-    }
-
-    #[test]
-    fn internal_encode_round_trips() {
-        let t = always_on();
-        let root = t.sample_root().unwrap();
-        {
-            let mut g = t.span(&root, "op");
-            g.annotate("k", "v with spaces\nand newline");
-        }
-        let trace = t.assemble(root.trace_id).unwrap();
-        let back = Trace::decode(&trace.encode()).unwrap();
-        assert_eq!(back, trace);
-        assert!(Trace::decode(&trace.encode()[..4]).is_err());
     }
 }

@@ -1,8 +1,9 @@
-//! Idle cost of a started cluster. Every service loop polls its mailbox with
-//! `recv(20 ms)` to see its shutdown flag, and an empty `recv` polls the queue
-//! for a short window before it parks (`shims/crossbeam`, `SPIN`): that window
-//! must stay a rounding error for threads that have nothing to do. This is
-//! the only test of its binary, because it measures the whole process.
+//! Idle cost of a started cluster, and that none of its threads outlive it.
+//! Every service loop polls its mailbox with `recv(20 ms)` to see its shutdown
+//! flag, and an empty `recv` polls the queue for a short window before it
+//! parks (`shims/crossbeam`, `SPIN`): that window must stay a rounding error
+//! for threads that have nothing to do. This is the only test of its binary,
+//! because it measures the whole process.
 
 use std::time::{Duration, Instant};
 
@@ -23,6 +24,11 @@ fn process_cpu() -> Duration {
     Duration::from_nanos(ns.sum())
 }
 
+/// Live threads of this process.
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+}
+
 #[test]
 fn an_idle_cluster_uses_under_five_percent_of_a_core() {
     // The benchmark's topology: 1 server, 2 workers, manager on.
@@ -32,6 +38,7 @@ fn an_idle_cluster_uses_under_five_percent_of_a_core() {
     cfg.workers = 2;
     cfg.initial_shards_per_worker = 2;
     cfg.manager_enabled = true;
+    let before = threads();
     let cluster = Cluster::start(cfg);
     cluster.client().bulk_insert(DataGen::new(&schema, 1, 1.5).items(2_000)).expect("preload");
     cluster.settle(Duration::from_secs(5));
@@ -53,4 +60,11 @@ fn an_idle_cluster_uses_under_five_percent_of_a_core() {
     }
     assert!(quietest < Duration::from_millis(50), "idle cluster burns {quietest:?} of CPU per second");
     cluster.shutdown();
+    // A joined thread may stay listed for a moment after its join returns;
+    // a leaked one stays for good.
+    let start = Instant::now();
+    while threads() != before && start.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(threads(), before, "threads outlived the cluster");
 }

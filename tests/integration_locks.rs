@@ -6,8 +6,9 @@
 //! * `do_split` used to publish the split halves into the worker's slots
 //!   map (rank 30) *while holding* the parent slot's state lock (rank 31) —
 //!   the exact inverse of the `GetWorkerStats` path, which reads slot state
-//!   under the slots map. Splits racing parallel queries now run under the
-//!   checker with `query_threads >= 2` to keep both paths hot.
+//!   under the slots map. Splits racing queries whose shard descents run on
+//!   the workers' scan threads now run under the checker to keep both paths
+//!   hot.
 //! * Server-side ingest coalescing flushes per-shard batches while the
 //!   image-sync loop applies remote changes; both walk the routing index
 //!   and the dirty set, so the flush path must never take them against
@@ -15,7 +16,7 @@
 //! * The worker's bulk-insert path used to release the slot-state guard
 //!   before inserting, losing batches that raced `do_split`'s item
 //!   snapshot / queue drain — the exact-count convergence assertions
-//!   below are the regression net for that fix (DESIGN.md §15.1).
+//!   below are the regression net for that fix (DESIGN.md §11.1).
 //!
 //! In debug builds `lock_check` defaults to Panic mode, so an inversion
 //! aborts the offending service thread and surfaces as a failed request or
@@ -57,26 +58,30 @@ fn eventually(deadline: Duration, mut f: impl FnMut() -> bool) -> bool {
 #[test]
 fn splits_under_parallel_queries_respect_lock_order() {
     let schema = Schema::uniform(3, 2, 8);
-    let mut c = cfg(schema.clone());
-    c.query_threads = 4; // keep the worker query pool (rank 40) busy
-    let cluster = Cluster::start(c);
+    let cluster = Cluster::start(cfg(schema.clone()));
     let client = cluster.client();
     let q = QueryBox::all(&schema);
     // Full coverage resolves at every shard's root on the service thread;
-    // only shards that must descend reach the pool, and this interior box
-    // makes every shard descend.
+    // only shards that must descend reach the scan threads, and this
+    // interior box makes every shard descend.
     let partial = QueryBox::from_ranges(vec![(1, 62), (1, 62), (1, 62)]);
     let mut gen = DataGen::new(&schema, 41, 1.1);
     let mut inserted = 0u64;
+    // The widest side-by-side descent any worker reported.
+    let mut widest = 0u32;
+    let mut analyze = |inserted: u64| {
+        let (agg, _, plan) = client.query_analyze(&partial).expect("partial query");
+        assert!(agg.count <= inserted);
+        widest = plan.workers.iter().map(|w| w.fanout).fold(widest, u32::max);
+    };
     // Interleave ingest (driving splits past max_shard_items = 500) with
     // parallel fan-out queries so GetShardStats/query scans overlap splits.
     for _ in 0..12 {
         client.bulk_insert(gen.items(300)).expect("bulk insert");
         inserted += 300;
-        for q in [&q, &partial] {
-            let (agg, _) = client.query(q).expect("query during splits");
-            assert!(agg.count <= inserted);
-        }
+        let (agg, _) = client.query(&q).expect("query during splits");
+        assert!(agg.count <= inserted);
+        analyze(inserted);
     }
     assert!(
         eventually(Duration::from_secs(10), || cluster.balance_counts().0 >= 2),
@@ -91,8 +96,8 @@ fn splits_under_parallel_queries_respect_lock_order() {
         "final convergence failed: count {last} != inserted {inserted}"
     );
     // Two splits leave some worker with two shards to descend into.
-    let (agg, _) = client.query(&partial).expect("partial query after splits");
-    assert!(agg.count <= inserted);
+    analyze(inserted);
+    assert!(widest >= 2, "no worker ever ran two descents side by side");
     let snap = cluster.snapshot();
     cluster.shutdown();
     assert_eq!(
@@ -101,9 +106,7 @@ fn splits_under_parallel_queries_respect_lock_order() {
         "lock-order violations under split/query stress"
     );
     // The stress only means something if the contended classes were hot.
-    let classes =
-        ["worker.slots", "worker.slot_state", "worker.query_out", "tree.node", "net.pending"];
-    for class in classes {
+    for class in ["worker.slots", "worker.slot_state", "tree.node", "net.pending"] {
         let acquired = snap.lock_class(class).map_or(0, |l| l.acquisitions);
         assert!(acquired > 0, "{class} never acquired — stress ineffective");
     }
