@@ -23,8 +23,7 @@
 //!   fails if a class the workload must touch was never acquired.
 //! * `--snapshot` shrinks the split threshold so the manager acts, and
 //!   emits the JSON document; fails unless heat, locks and a successful
-//!   split in the audit trail are present and an aligned query is answered
-//!   from the rollups.
+//!   split in the audit trail are present.
 //! * `--history` speeds the sampler up (25 ms frames) and emits the JSON
 //!   document with the ring populated; fails if a frame was dropped or the
 //!   per-frame insert deltas do not sum exactly to the live counter.
@@ -449,14 +448,16 @@ fn main() {
         cfg.obs.trace.sample = 1;
         cfg.obs.trace.slow_threshold = Duration::ZERO;
     }
+    if mode == "--heat" {
+        // A migrated shard restarts its heat totals on the adopting worker,
+        // so the exact-total check below needs a stable shard set.
+        cfg.manager_enabled = false;
+    }
     if mode == "--snapshot" {
         // Make the manager act within the workload so the snapshot carries
         // a real audit trail: split threshold far below the item count.
         cfg.max_shard_items = 500;
         cfg.manager_period = Duration::from_millis(25);
-        // Materialize one rollup level so an aligned coarse query below can
-        // prove the rollup-hit counter reaches EXPLAIN output.
-        cfg.tree.rollup_levels = 1;
     }
     if mode == "--history" {
         // Fast frames, and a ring big enough that nothing is evicted during
@@ -502,18 +503,6 @@ fn main() {
             && Instant::now() < deadline
         {
             std::thread::sleep(Duration::from_millis(20));
-        }
-        // A level-1-aligned constrained query (cells span 8 ordinals along
-        // each dimension) must be answered from the materialized rollups,
-        // and the hit must be visible in the ANALYZE plan.
-        let q = QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]);
-        let (_, _, plan) =
-            cluster.client_on(0).query_analyze(&q).unwrap_or_else(|e| fail(&e));
-        if plan.totals().rollup_hits == 0 {
-            fail("aligned coarse query was not rollup-answered on any shard");
-        }
-        if !plan.to_json().contains("\"rollup_hits\"") {
-            fail("EXPLAIN JSON does not carry the rollup_hits counter");
         }
     }
     if mode == "--history" {

@@ -20,8 +20,8 @@ pub struct VolapConfig {
     /// Shard data structure (the paper recommends
     /// [`StoreKind::HilbertPdcMds`]).
     pub store_kind: StoreKind,
-    /// Tree configuration shard stores are built with — sizing, leaf column
-    /// compression, materialized rollup levels (see [`TreeConfig`]).
+    /// Tree configuration shard stores are built with — node sizing,
+    /// aggregate caching, leaf column compression (see [`TreeConfig`]).
     pub tree: TreeConfig,
     /// Number of servers (`m`).
     pub servers: usize,
@@ -130,6 +130,5 @@ mod tests {
         let obs = volap_obs::Obs::new(cfg.obs.clone());
         assert!(obs.heat().enabled() && obs.accounting().enabled(), "sections start armed");
         assert!(cfg.tree.column_compression);
-        assert_eq!(cfg.tree.rollup_levels, 0);
     }
 }

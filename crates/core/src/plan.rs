@@ -41,9 +41,6 @@ volap_obs::record! {
         items_scanned: u64,
         /// Directory entries pruned (no overlap).
         pruned: u64,
-        /// Queries answered wholly from a materialized level rollup (no tree
-        /// walk at all).
-        rollup_hits: u64,
         /// Wall time scanning this shard, microseconds.
         wall_us: u64,
     }
@@ -57,7 +54,6 @@ impl ShardExec {
             covered_hits: self.covered_hits,
             items_scanned: self.items_scanned,
             pruned: self.pruned,
-            rollup_hits: self.rollup_hits,
         }
     }
 }
@@ -296,7 +292,6 @@ fn encode_worker(w: &WorkerExec, buf: &mut Vec<u8>) {
         buf.put_u64(s.covered_hits);
         buf.put_u64(s.items_scanned);
         buf.put_u64(s.pruned);
-        buf.put_u64(s.rollup_hits);
         buf.put_u64(s.wall_us);
     }
     buf.put_u32(w.forwards.len() as u32);
@@ -319,7 +314,7 @@ fn decode_worker(buf: &mut &[u8], depth: usize) -> Result<WorkerExec, WireError>
     let fanout = buf.get_u32();
     let wall_us = buf.get_u64();
     let n = buf.get_u32() as usize;
-    need(buf, n * 64, "shard executions")?;
+    need(buf, n * 56, "shard executions")?;
     let shards = (0..n)
         .map(|_| ShardExec {
             shard: buf.get_u64(),
@@ -328,7 +323,6 @@ fn decode_worker(buf: &mut &[u8], depth: usize) -> Result<WorkerExec, WireError>
             covered_hits: buf.get_u64(),
             items_scanned: buf.get_u64(),
             pruned: buf.get_u64(),
-            rollup_hits: buf.get_u64(),
             wall_us: buf.get_u64(),
         })
         .collect();
@@ -349,15 +343,13 @@ fn render_worker(w: &WorkerExec, depth: usize, out: &mut String) {
     ));
     for s in &w.shards {
         out.push_str(&format!(
-            "{pad}  shard {} ({} items): visited {}, covered {}, scanned {}, pruned {}, \
-             rollup {}, {} us\n",
+            "{pad}  shard {} ({} items): visited {}, covered {}, scanned {}, pruned {}, {} us\n",
             s.shard,
             s.items,
             s.nodes_visited,
             s.covered_hits,
             s.items_scanned,
             s.pruned,
-            s.rollup_hits,
             s.wall_us
         ));
     }
@@ -394,7 +386,6 @@ mod tests {
                             covered_hits: 3,
                             items_scanned: 40,
                             pruned: 5,
-                            rollup_hits: 1,
                             wall_us: 80,
                         },
                         ShardExec { shard: 12, items: u64::MAX, ..Default::default() },
@@ -464,7 +455,6 @@ mod tests {
         assert_eq!(t.covered_hits, 3);
         assert_eq!(t.items_scanned, 45);
         assert_eq!(t.pruned, 5);
-        assert_eq!(t.rollup_hits, 1);
     }
 
     #[test]

@@ -562,7 +562,6 @@ mod tests {
                 covered_hits: 1,
                 items_scanned: 6,
                 pruned: 2,
-                rollup_hits: 1,
                 wall_us: 30,
             }],
             forwards: vec![WorkerExec { worker: "worker-2".into(), ..Default::default() }],

@@ -619,7 +619,6 @@ fn route_query(
         let totals = plan.totals();
         cost.rows_scanned += totals.items_scanned;
         cost.nodes_visited += totals.nodes_visited;
-        cost.rollup_hits += totals.rollup_hits;
         cost.net_hops += requests.len() as u64;
         cost.fanout = cost.fanout.max(requests.len() as u64);
     }

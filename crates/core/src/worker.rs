@@ -549,7 +549,6 @@ impl ScanTarget {
                 ("covered_hits".into(), qt.covered_hits.to_string()),
                 ("items_scanned".into(), qt.items_scanned.to_string()),
                 ("pruned".into(), qt.pruned.to_string()),
-                ("rollup_hits".into(), qt.rollup_hits.to_string()),
             ];
             if waited > 0 {
                 ann.push(("held_lock_wait_us".into(), (waited / 1_000).to_string()));
@@ -563,7 +562,6 @@ impl ScanTarget {
             covered_hits: qt.covered_hits,
             items_scanned: qt.items_scanned,
             pruned: qt.pruned,
-            rollup_hits: qt.rollup_hits,
             wall_us: end.saturating_sub(start),
         });
         Some((agg, exec))

@@ -70,31 +70,6 @@ impl QueryBox {
             .all(|(&c, &(lo, hi))| lo <= c && c <= hi)
     }
 
-    /// Whether at least one dimension's range is narrower than its full
-    /// ordinal domain. Unconstrained queries are answered from the root's
-    /// cached aggregate; constrained-but-aligned ones from level rollups.
-    pub fn constrains_any(&self, schema: &Schema) -> bool {
-        self.ranges
-            .iter()
-            .enumerate()
-            .any(|(d, &(lo, hi))| lo != 0 || hi != schema.dim(d).ordinal_end() - 1)
-    }
-
-    /// Whether every dimension's range is a whole number of level-`level`
-    /// hierarchy cells — the subtree spans of paths cut at `level`, clamped
-    /// to each dimension's depth. Such a query can be answered exactly from
-    /// aggregates materialized per level-`level` cell.
-    pub fn aligned_at_level(&self, schema: &Schema, level: usize) -> bool {
-        debug_assert!(level >= 1);
-        self.ranges.iter().enumerate().all(|(d, &(lo, hi))| {
-            let dim = schema.dim(d);
-            let rem = dim.remaining_bits(level.min(dim.depth()));
-            let span_mask = (1u64 << rem) - 1;
-            // `lo` starts a cell and `hi` ends one: both prefixes whole.
-            lo & span_mask == 0 && hi.wrapping_add(1) & span_mask == 0
-        })
-    }
-
     /// Natural log of the fraction of the ordinal space this query covers
     /// (`0.0` = everything). Useful as a cheap *geometric* selectivity
     /// proxy; true data coverage is measured by the workload generator.
@@ -181,24 +156,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn rejects_inverted_range() {
         QueryBox::from_ranges(vec![(5, 3)]);
-    }
-
-    #[test]
-    fn alignment_detects_whole_cells() {
-        // 3 dims, depth 2, fanout 8: 3 bits per level, level-1 cells span 8.
-        let s = Schema::uniform(3, 2, 8);
-        let full = QueryBox::all(&s);
-        assert!(!full.constrains_any(&s));
-        assert!(full.aligned_at_level(&s, 1));
-
-        let cell = QueryBox::from_ranges(vec![(8, 15), (0, 63), (16, 31)]);
-        assert!(cell.constrains_any(&s));
-        assert!(cell.aligned_at_level(&s, 1), "whole level-1 cells on every dim");
-
-        let point = QueryBox::from_ranges(vec![(9, 9), (0, 63), (0, 63)]);
-        assert!(!point.aligned_at_level(&s, 1), "partial cell on dim 0");
-        // At (clamped) leaf level every range is trivially aligned.
-        assert!(point.aligned_at_level(&s, 2));
-        assert!(point.aligned_at_level(&s, 99), "levels clamp to dimension depth");
     }
 }

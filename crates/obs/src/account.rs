@@ -6,8 +6,8 @@
 //! it. A client-supplied principal tag (an interned [`PrincipalId`]) rides
 //! each client proto op and the `volap_net` envelope alongside the trace
 //! context; when a tagged request completes, the server folds a
-//! [`CostVec`] — rows scanned, tree nodes visited, rollup hits, queue
-//! wait, wall time, bytes encoded, net hops, fan-out — into:
+//! [`CostVec`] — rows scanned, tree nodes visited, queue wait, wall
+//! time, bytes encoded, net hops, fan-out — into:
 //!
 //! * **exact per-principal totals** (and a request count) in a registry
 //!   keyed by the interned id, and
@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of cost dimensions in a [`CostVec`].
-pub const COST_DIMS: usize = 8;
+pub const COST_DIMS: usize = 7;
 
 /// Index of the `rows_scanned` dimension (the one the dominance fraction
 /// and the default health rule watch).
@@ -104,9 +104,6 @@ cost_dims! {
     rows_scanned,
     /// Tree nodes visited across all shards touched.
     nodes_visited,
-    /// Materialized rollup hits (covered aggregates answered without a
-    /// leaf scan).
-    rollup_hits,
     /// Microseconds the request sat in the server's inbound queue before
     /// a handler picked it up.
     queue_wait_us,

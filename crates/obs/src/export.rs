@@ -520,7 +520,6 @@ mod tests {
                         cost: CostVec {
                             rows_scanned: u64::MAX,
                             nodes_visited: 7,
-                            rollup_hits: 3,
                             queue_wait_us: 1234,
                             wall_us: 5678,
                             bytes: 4096,

@@ -3,7 +3,7 @@
 //! exporter round trips with a populated accounting section.
 
 use proptest::prelude::*;
-use volap_obs::{export, Accounting, CostVec, Obs, Snapshot, SpaceSaving, COST_DIM_NAMES};
+use volap_obs::{export, Accounting, CostVec, Obs, Snapshot, SpaceSaving, COST_DIMS, COST_DIM_NAMES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -96,14 +96,14 @@ proptest! {
     fn exporters_round_trip_populated_accounting(
         topk in 1usize..10,
         charges in prop::collection::vec(
-            ("[a-z]{1,8}", prop::collection::vec(any::<u32>(), 8..9)),
+            ("[a-z]{1,8}", prop::collection::vec(any::<u32>(), COST_DIMS)),
             1..20,
         ),
     ) {
         let acc = Accounting::new(topk, 0.9);
         for (name, dims) in &charges {
             let p = acc.intern(name);
-            let mut a = [0u64; 8];
+            let mut a = [0u64; COST_DIMS];
             for (slot, &v) in a.iter_mut().zip(dims.iter()) {
                 *slot = u64::from(v);
             }

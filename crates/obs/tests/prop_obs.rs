@@ -8,7 +8,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use volap_obs::{
     bucket_index, export, AuditLog, BalanceDecision, CostVec, EventLog, HeatEntry, HeatMap,
-    LockClass, Obs, ObsConfig, ObsMutex, RateEwma, Registry, Section, HIST_BUCKETS,
+    LockClass, Obs, ObsConfig, ObsMutex, RateEwma, Registry, Section, COST_DIMS, HIST_BUCKETS,
 };
 
 /// Names that exercise the JSON escaper: quotes, a backslash, a control
@@ -92,7 +92,7 @@ proptest! {
             ),
         ),
         (tenants, expansions, ticks) in (
-            prop::collection::vec((NAME, prop::collection::vec(any::<u64>(), 8..9)), 1..5),
+            prop::collection::vec((NAME, prop::collection::vec(any::<u64>(), COST_DIMS)), 1..5),
             1u64..4,
             1usize..3,
         ),
@@ -125,7 +125,7 @@ proptest! {
             });
         }
         for (name, dims) in &tenants {
-            let mut cost = [0u64; 8];
+            let mut cost = [0u64; COST_DIMS];
             cost.copy_from_slice(dims);
             obs.accounting().charge(obs.accounting().intern(name), &CostVec::from_array(cost));
         }

@@ -282,14 +282,6 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    pub fn merge(&mut self, o: &ColumnStats) {
-        self.columns += o.columns;
-        self.dict_columns += o.dict_columns;
-        self.dict_entries += o.dict_entries;
-        self.plain_bytes += o.plain_bytes;
-        self.stored_bytes += o.stored_bytes;
-    }
-
     /// Compression ratio `plain / stored` (1.0 when nothing is stored).
     pub fn ratio(&self) -> f64 {
         if self.stored_bytes == 0 {

@@ -43,7 +43,6 @@
 
 pub mod array;
 pub mod leaf;
-pub mod rollup;
 pub mod serial;
 pub mod split;
 pub mod store;
@@ -51,7 +50,6 @@ pub mod tree;
 
 pub use array::ArrayStore;
 pub use leaf::{Column, ColumnStats, LeafColumns};
-pub use rollup::RollupTable;
 pub use split::SplitPlan;
 pub use store::{build_store, deserialize_store, ShardStore, StoreKind, StoreStats};
 pub use tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig};

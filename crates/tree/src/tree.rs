@@ -8,7 +8,6 @@ use volap_hilbert::BigIndex;
 use volap_obs::lock::{LockClass, ObsArcRwLockWriteGuard, ObsMutex, ObsRwLock};
 
 use crate::leaf::{ColumnStats, LeafColumns};
-use crate::rollup::RollupTable;
 
 /// The tree layer's slice of the global lock hierarchy (DESIGN.md §11.1).
 /// The root pointer is taken before any node; node locks are chainable
@@ -36,10 +35,6 @@ pub struct TreeConfig {
     /// encodings at build and split time (see [`crate::leaf`]). Purely a
     /// memory/scan-speed trade; results are identical either way.
     pub column_compression: bool,
-    /// How many coarse hierarchy levels to materialize as per-cell rollup
-    /// aggregates (see [`crate::rollup`]). `0` disables rollups; queries
-    /// aligned at a materialized level skip the tree walk entirely.
-    pub rollup_levels: usize,
 }
 
 impl Default for TreeConfig {
@@ -50,7 +45,6 @@ impl Default for TreeConfig {
             min_fill: 0.35,
             aggregate_cache: true,
             column_compression: true,
-            rollup_levels: 0,
         }
     }
 }
@@ -158,9 +152,6 @@ pub struct QueryTrace {
     pub items_scanned: u64,
     /// Directory entries pruned (no overlap).
     pub pruned: u64,
-    /// Queries answered entirely from a materialized level rollup (no tree
-    /// walk at all).
-    pub rollup_hits: u64,
 }
 
 impl QueryTrace {
@@ -172,7 +163,6 @@ impl QueryTrace {
         self.covered_hits += other.covered_hits;
         self.items_scanned += other.items_scanned;
         self.pruned += other.pruned;
-        self.rollup_hits += other.rollup_hits;
     }
 }
 
@@ -182,7 +172,6 @@ impl QueryTrace {
 pub struct ConcurrentTree<K: Key> {
     schema: Schema,
     cfg: TreeConfig,
-    policy: InsertPolicy,
     mapper: Option<HilbertMapper>,
     root: ObsRwLock<Arc<Node<K>>>,
     len: AtomicU64,
@@ -193,9 +182,6 @@ pub struct ConcurrentTree<K: Key> {
     /// state queries allocate nothing (one stack replaces the per-directory
     /// `Vec` the recursive walk used to build).
     stack_pool: ObsMutex<Vec<Vec<Arc<Node<K>>>>>,
-    /// Materialized hierarchy-level rollups (`None` unless
-    /// `cfg.rollup_levels > 0` and the schema passes the width gate).
-    rollup: Option<RollupTable>,
 }
 
 impl<K: Key> ConcurrentTree<K> {
@@ -207,9 +193,6 @@ impl<K: Key> ConcurrentTree<K> {
             InsertPolicy::Geometric => None,
             InsertPolicy::Hilbert { expand } => Some(HilbertMapper::new(&schema, expand)),
         };
-        let rollup = (cfg.rollup_levels > 0)
-            .then(|| RollupTable::new(&schema, cfg.rollup_levels))
-            .filter(|r| !r.is_inert());
         Self {
             root: ObsRwLock::new(
                 &TREE_ROOT_CLASS,
@@ -217,23 +200,16 @@ impl<K: Key> ConcurrentTree<K> {
             ),
             schema,
             cfg,
-            policy,
             mapper,
             len: AtomicU64::new(0),
             node_splits: AtomicU64::new(0),
             stack_pool: ObsMutex::new(&STACK_POOL_CLASS, Vec::new()),
-            rollup,
         }
     }
 
     /// The schema this tree indexes.
     pub fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    /// The insert policy.
-    pub fn policy(&self) -> InsertPolicy {
-        self.policy
     }
 
     /// Number of items.
@@ -273,23 +249,8 @@ impl<K: Key> ConcurrentTree<K> {
     /// visible to later queries.
     pub fn insert(&self, item: &Item) {
         debug_assert_eq!(item.coords.len(), self.schema.dims());
-        if let Some(r) = &self.rollup {
-            r.add(&item.coords, item.measure);
-        }
         let entry = self.entry_of(item);
         self.insert_entry(item, entry);
-    }
-
-    /// Fold `items` into the rollup table (if any). Maintenance lives at the
-    /// public insert/bulk-load boundary only — never inside `insert_entry`,
-    /// which batch fallbacks re-enter — so every item is counted exactly
-    /// once.
-    pub(crate) fn rollup_add_items(&self, items: &[Item]) {
-        if let Some(r) = &self.rollup {
-            for it in items {
-                r.add(&it.coords, it.measure);
-            }
-        }
     }
 
     /// The per-item insert path, with the entry (and its Hilbert key)
@@ -370,7 +331,6 @@ impl<K: Key> ConcurrentTree<K> {
     /// The geometric policy has no key order to exploit and degenerates to
     /// the per-item loop.
     pub fn insert_batch(&self, items: &[Item]) {
-        self.rollup_add_items(items);
         let use_runs = self.mapper.is_some() && items.len() >= 2;
         if !use_runs {
             for it in items {
@@ -778,22 +738,14 @@ impl<K: Key> ConcurrentTree<K> {
     /// [`Self::query_traced`] limited to `max_nodes` node visits: `None`
     /// when answering `q` would visit more (so `max_nodes = 1` answers
     /// exactly the queries resolved at the root — by cached aggregates,
-    /// pruning, a rollup hit, or a root that is a leaf). A completed walk
-    /// returns the same aggregate and counters as the unbounded one.
+    /// pruning, or a root that is a leaf). A completed walk returns the
+    /// same aggregate and counters as the unbounded one.
     ///
     /// Single-threaded: walks the tree with an explicit stack recycled
     /// across calls, so the steady state performs no allocation at all.
     pub fn query_within(&self, q: &QueryBox, max_nodes: u64) -> Option<(Aggregate, QueryTrace)> {
         debug_assert_eq!(q.dims(), self.schema.dims());
         let mut trace = QueryTrace::default();
-        // Constrained boxes aligned at a materialized level are answered
-        // from the rollups (unconstrained queries stay on the cheaper
-        // root-aggregate coverage path). A hit skips the tree walk
-        // entirely, so the only non-zero counter is `rollup_hits`.
-        if let Some(agg) = self.rollup.as_ref().and_then(|r| r.try_answer(q)) {
-            trace.rollup_hits = 1;
-            return Some((agg, trace));
-        }
         let mut agg = Aggregate::empty();
         let mut complete = true;
         let mut stack = self.stack_pool.lock().pop().unwrap_or_default();
@@ -906,7 +858,6 @@ impl<K: Key> ConcurrentTree<K> {
             }
             NodeChildren::Dir(entries) => {
                 s.dirs += 1;
-                s.dir_entries += entries.len() as u64;
                 let children: Vec<_> = entries.iter().map(|e| Arc::clone(&e.node)).collect();
                 drop(guard);
                 for c in children {
@@ -916,22 +867,21 @@ impl<K: Key> ConcurrentTree<K> {
         }
     }
 
-    /// Move the contents of `packed`, a root bulk-loaded from `items`, into
+    /// Move the contents of `packed`, a root bulk-loaded from `len` items, into
     /// the root node — only if the tree is still empty; returns whether it
     /// did. Check and install happen under the root node's write guard,
     /// which every insert takes first, so a concurrent insert lands either
     /// before (the install is refused) or after (it descends the loaded
     /// tree). An empty leaf root is never replaced by a root split, so the
     /// node locked is the root.
-    pub(crate) fn install_bulk(&self, packed: Arc<Node<K>>, items: &[Item]) -> bool {
+    pub(crate) fn install_bulk(&self, packed: Arc<Node<K>>, len: u64) -> bool {
         let root = Arc::clone(&self.root.read());
         let mut guard = root.write();
         if !matches!(&guard.children, NodeChildren::Leaf(rows) if rows.is_empty()) {
             return false;
         }
-        self.rollup_add_items(items);
         *guard = Arc::into_inner(packed).expect("a packed root is unshared").into_inner();
-        self.len.fetch_add(items.len() as u64, Ordering::AcqRel);
+        self.len.fetch_add(len, Ordering::AcqRel);
         true
     }
 
@@ -956,8 +906,6 @@ pub struct TreeStructure {
     pub dirs: u64,
     /// Number of leaf nodes.
     pub leaves: u64,
-    /// Total directory entries.
-    pub dir_entries: u64,
     /// Total stored items.
     pub leaf_entries: u64,
     /// Tree height (1 = a single leaf).
@@ -1114,37 +1062,6 @@ mod tests {
         // The whole-database query must be answered at the root's children.
         assert!(trace.covered_hits >= 1);
         assert_eq!(trace.items_scanned, 0, "full coverage must not scan leaves");
-    }
-
-    #[test]
-    fn rollup_answers_aligned_queries_without_walking() {
-        let schema = Schema::uniform(3, 2, 8);
-        let cfg = TreeConfig { rollup_levels: 2, ..small_cfg() };
-        let tree: ConcurrentTree<Mds> =
-            ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, cfg);
-        let items = items_grid(&schema, 1500);
-        // Mix single and batch inserts: both maintain the rollup exactly
-        // once per item (the batch path's split fallback must not re-add).
-        for it in &items[..500] {
-            tree.insert(it);
-        }
-        tree.insert_batch(&items[500..]);
-        let q = QueryBox::from_ranges(vec![(8, 15), (0, 63), (16, 31)]);
-        let mut expect = Aggregate::empty();
-        for it in items.iter().filter(|it| q.contains_item(it)) {
-            expect.add(it.measure);
-        }
-        let (agg, trace) = tree.query_traced(&q);
-        assert_eq!(trace.rollup_hits, 1);
-        assert_eq!(trace.nodes_visited, 0, "a rollup hit never walks the tree");
-        assert_eq!(trace.items_scanned, 0);
-        assert_eq!(agg.count, expect.count);
-        assert!((agg.sum - expect.sum).abs() < 1e-6);
-        assert_eq!(agg.min, expect.min);
-        assert_eq!(agg.max, expect.max);
-        // Unconstrained queries stay on the root-aggregate coverage path.
-        let (_, full) = tree.query_traced(&QueryBox::all(&schema));
-        assert_eq!(full.rollup_hits, 0);
     }
 
     #[test]

@@ -95,25 +95,19 @@ proptest! {
 
     /// `query_at_root` is the full walk or nothing: `Some` only with the
     /// exact aggregate and counters of `query_traced`, always `Some` for a
-    /// tree whose full walk stays at the root or hits a rollup, and a `None`
-    /// leaves no stale node on the recycled stack for the next walk — over
-    /// tiny node caps, rollups on and off, point and bulk loads.
+    /// tree whose full walk stays at the root, and a `None` leaves no stale
+    /// node on the recycled stack for the next walk — over tiny node caps,
+    /// point and bulk loads.
     #[test]
     fn query_at_root_is_the_full_walk_or_none(
         items in items_strategy(120),
         aligned in query_strategy(),
         ragged in ragged_query_strategy(),
         caps in (4usize..=8, 4usize..=6),
-        rollup in any::<bool>(),
         bulk in any::<bool>(),
     ) {
         let s = schema();
-        let cfg = TreeConfig {
-            leaf_cap: caps.0,
-            dir_cap: caps.1,
-            rollup_levels: rollup as usize,
-            ..TreeConfig::default()
-        };
+        let cfg = TreeConfig { leaf_cap: caps.0, dir_cap: caps.1, ..TreeConfig::default() };
         for kind in all_kinds() {
             let store = build_store(kind, &s, &cfg);
             if bulk {
@@ -136,8 +130,7 @@ proptest! {
                 match at_root {
                     Some(got) => prop_assert_eq!(got, full, "{} answered at the root", kind),
                     None => prop_assert!(
-                        kind == StoreKind::Array
-                            || (full.1.nodes_visited > 1 && full.1.rollup_hits == 0),
+                        kind == StoreKind::Array || full.1.nodes_visited > 1,
                         "{} declined a query resolved at its root: {:?}",
                         kind,
                         full.1

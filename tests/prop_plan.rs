@@ -13,13 +13,10 @@ fn arb_shard_exec() -> impl Strategy<Value = ShardExec> {
     let counter = 0u64..=u32::MAX as u64;
     (
         (any::<u64>(), any::<u64>(), counter.clone()),
-        (counter.clone(), counter.clone(), counter.clone(), counter, any::<u64>()),
+        (counter.clone(), counter.clone(), counter, any::<u64>()),
     )
         .prop_map(
-            |(
-                (shard, items, nodes_visited),
-                (covered_hits, items_scanned, pruned, rollup_hits, wall_us),
-            )| {
+            |((shard, items, nodes_visited), (covered_hits, items_scanned, pruned, wall_us))| {
                 ShardExec {
                     shard,
                     items,
@@ -27,7 +24,6 @@ fn arb_shard_exec() -> impl Strategy<Value = ShardExec> {
                     covered_hits,
                     items_scanned,
                     pruned,
-                    rollup_hits,
                     wall_us,
                 }
             },
@@ -121,27 +117,23 @@ proptest! {
     #[test]
     fn plan_totals_and_render_are_consistent(plan in arb_plan()) {
         // totals() equals a manual sum over every shard, forwards included.
-        fn walk(w: &WorkerExec, sum: &mut [u64; 5]) {
+        fn walk(w: &WorkerExec, sum: &mut [u64; 4]) {
             for s in &w.shards {
                 sum[0] += s.nodes_visited;
                 sum[1] += s.covered_hits;
                 sum[2] += s.items_scanned;
                 sum[3] += s.pruned;
-                sum[4] += s.rollup_hits;
             }
             for f in &w.forwards {
                 walk(f, sum);
             }
         }
-        let mut sum = [0u64; 5];
+        let mut sum = [0u64; 4];
         for w in &plan.workers {
             walk(w, &mut sum);
         }
         let t = plan.totals();
-        prop_assert_eq!(
-            [t.nodes_visited, t.covered_hits, t.items_scanned, t.pruned, t.rollup_hits],
-            sum
-        );
+        prop_assert_eq!([t.nodes_visited, t.covered_hits, t.items_scanned, t.pruned], sum);
         // The renderer never panics and names the routing server.
         let rendered = plan.render();
         prop_assert!(rendered.contains(plan.server.as_str()));
