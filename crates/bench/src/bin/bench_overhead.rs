@@ -61,9 +61,9 @@ struct Feature {
     cap: Duration,
 }
 
-/// Tolerances start from the ones the six per-feature gates this bin
-/// replaces claimed: 5 % histograms, 3 % locks and traces, 1 % heat, history
-/// and accounting. The last three are **2 %** here, because 1 % was never
+/// Tolerances start from the ones the per-feature gates this bin replaces
+/// claimed: 5 % histograms, 3 % locks and traces, 1 % heat and accounting.
+/// The last two are **2 %** here, because 1 % was never
 /// demonstrable: a `pass` needs an interval no wider than the tolerance, and
 /// on the 2-core box this was sized on 150 s of pairs narrowed those rows
 /// only to 1.2–1.3 % (each with an upper bound below +0.4 %, so the old
@@ -83,7 +83,6 @@ const FEATURES: &[Feature] = &[
     Feature { section: Some(Section::Histograms), tolerance: 0.05, cap: Duration::from_secs(60) },
     Feature { section: Some(Section::Heat), tolerance: 0.02, cap: Duration::from_secs(120) },
     Feature { section: Some(Section::Locks), tolerance: 0.05, cap: Duration::from_secs(60) },
-    Feature { section: Some(Section::History), tolerance: 0.02, cap: Duration::from_secs(120) },
     Feature { section: Some(Section::Accounting), tolerance: 0.02, cap: Duration::from_secs(120) },
     Feature { section: Some(Section::Traces), tolerance: 0.03, cap: Duration::from_secs(60) },
 ];

@@ -10,8 +10,8 @@
 //! in `volap_obs::snapshot`. On top, each mode checks what only it knows:
 //! that the snapshot accounts for the workload this binary just issued.
 //! Usage: `volap-stat [--json | --prom | --traces | --heat | --locks |
-//! --snapshot | --history | --tenants | --top [--once]]` (default: human
-//! summary + the Prometheus exposition).
+//! --snapshot | --tenants]` (default: human summary + the Prometheus
+//! exposition).
 //!
 //! * `--traces` forces causal tracing on (sample every request, zero slow
 //!   threshold), prints the slow-query flight recorder as indented span
@@ -24,17 +24,11 @@
 //! * `--snapshot` shrinks the split threshold so the manager acts, and
 //!   emits the JSON document; fails unless heat, locks and a successful
 //!   split in the audit trail are present.
-//! * `--history` speeds the sampler up (25 ms frames) and emits the JSON
-//!   document with the ring populated; fails if a frame was dropped or the
-//!   per-frame insert deltas do not sum exactly to the live counter.
 //! * `--tenants` runs a *tagged* workload (three principals of different
 //!   weights plus untagged traffic) and prints the per-principal totals and
 //!   heavy-hitter tables; fails if a principal's accounted requests disagree
 //!   with what was issued, if op counts do not reconcile with the registry,
 //!   or if the rows-scanned sketch misranks the heaviest scanner.
-//! * `--top [--once]` drives a continuous background workload and renders a
-//!   self-refreshing live view from the newest history frame; `--once`
-//!   renders a single table without ANSI clearing — the CI form.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -42,9 +36,7 @@ use std::time::{Duration, Instant};
 use volap::{Cluster, VolapConfig};
 use volap_data::DataGen;
 use volap_dims::{QueryBox, Schema};
-use volap_obs::{
-    export, AccountingSnapshot, ComponentHealth, HistorySnapshot, Section, Snapshot,
-};
+use volap_obs::{export, AccountingSnapshot, Section, Snapshot};
 
 fn fail(msg: &str) -> ! {
     eprintln!("volap-stat: FAIL: {msg}");
@@ -134,10 +126,9 @@ fn locks_table(snap: &Snapshot) -> String {
 /// per-dimension heavy hitters.
 fn tenants_table(acc: &AccountingSnapshot) -> String {
     let mut out = format!(
-        "# volap-stat: per-principal accounting ({} principals, top-{} sketches, decay {})\n",
+        "# volap-stat: per-principal accounting ({} principals, top-{} sketches)\n",
         acc.principals.len(),
-        acc.topk,
-        acc.decay
+        acc.topk
     );
     let _ = writeln!(
         out,
@@ -160,7 +151,7 @@ fn tenants_table(acc: &AccountingSnapshot) -> String {
             t.cost.fanout,
         );
     }
-    out.push_str("#\n# heavy hitters per cost dimension (count is decayed, err is the bound):\n");
+    out.push_str("#\n# heavy hitters per cost dimension (err is the bound):\n");
     for dim in acc.top.iter().filter(|dim| !dim.entries.is_empty()) {
         let _ = writeln!(out, "#   {}:", dim.dim);
         for (rank, e) in dim.entries.iter().enumerate() {
@@ -173,67 +164,6 @@ fn tenants_table(acc: &AccountingSnapshot) -> String {
                 e.err
             );
         }
-    }
-    out
-}
-
-/// One `--top` table, rendered from the newest history frame.
-fn top_table(hist: &HistorySnapshot, health: &[ComponentHealth]) -> String {
-    let mut out = String::from("volap-stat --top: live cluster telemetry\n");
-    let Some(frame) = hist.latest() else {
-        out.push_str("  (no history frames captured yet)\n");
-        return out;
-    };
-    let ms = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{:.2}", v * 1e3));
-    let _ = writeln!(
-        out,
-        "  frame #{} ({:.0} ms interval, {} series, {} dropped)",
-        frame.seq,
-        frame.dt_seconds() * 1e3,
-        hist.series.len(),
-        hist.dropped
-    );
-    for (label, counter, p99) in [
-        ("ingest (inserts)", "volap_server_inserts_total", "p99(volap_server_insert_seconds)"),
-        ("queries", "volap_server_queries_total", "p99(volap_server_query_seconds)"),
-        ("sync rounds", "volap_server_sync_rounds_total", "p99(volap_staleness_seconds)"),
-    ] {
-        let _ = writeln!(
-            out,
-            "  {:<26} {:>12.0}/s   p99 {:>8} ms",
-            label,
-            hist.rate_sum(frame, counter),
-            ms(hist.value(frame, p99)),
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  {:<26} {:>12.1}      (hot-cold insert rate)",
-        "heat spread",
-        hist.value(frame, "gauge(heat_insert_rate_spread)").unwrap_or(0.0),
-    );
-    for (label, gauge, note) in [
-        ("lock contention", "gauge(lock_contention_frac_max)", "worst class"),
-        ("lock wait", "gauge(lock_wait_frac)", "of wall time"),
-    ] {
-        let _ = writeln!(
-            out,
-            "  {:<26} {:>11.2}%      ({note})",
-            label,
-            hist.value(frame, gauge).unwrap_or(0.0) * 100.0,
-        );
-    }
-    out.push_str("  health:\n");
-    for h in health {
-        let _ = writeln!(
-            out,
-            "    {:<12} {:<16} {:<9} value {:>12.4}{}",
-            h.component,
-            h.rule,
-            h.state.as_str(),
-            h.value,
-            if h.anomalous { format!("  ANOMALY z={:.1}", h.z_score) } else { String::new() },
-        );
     }
     out
 }
@@ -353,8 +283,7 @@ fn run_tenants() {
         ));
     }
     // The sketch must agree with the exact totals on who scans the most
-    // rows (3 principals against k>=3 slots: no eviction, and uniform
-    // decay preserves ranking).
+    // rows (3 principals against k>=3 slots: no eviction).
     match acc.top_of("rows_scanned").and_then(|rows| rows.entries.first()) {
         Some(top) if top.principal == TENANTS[0].0 => {}
         Some(top) => fail(&format!(
@@ -369,75 +298,8 @@ fn run_tenants() {
     );
 }
 
-/// The `--top` mode: continuous background workload + live view.
-fn run_top(once: bool) {
-    let schema = Schema::uniform(3, 2, 8);
-    let mut cfg = base_config(&schema);
-    cfg.obs.history.interval = Duration::from_millis(50);
-    cfg.obs.history.capacity = 2048;
-    let cluster = Cluster::start(cfg);
-
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|s| {
-        // Background drivers: one insert stream per server plus queries.
-        for srv in 0..2 {
-            let client = cluster.client_on(srv);
-            let stop = &stop;
-            let schema = &schema;
-            s.spawn(move || {
-                let mut gen = DataGen::new(schema, 7 + srv as u64, 1.3);
-                let mut n = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    for item in gen.items(64) {
-                        if client.insert(&item).is_err() {
-                            return; // cluster shutting down
-                        }
-                    }
-                    n += 1;
-                    if n.is_multiple_of(8) && client.query(&QueryBox::all(schema)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-
-        let refreshes = if once { 1 } else { 20 };
-        // Let the sampler frame some activity before the first render.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while cluster.history().frames.len() < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        for i in 0..refreshes {
-            if !once {
-                // ANSI clear + home: self-refreshing like top(1).
-                print!("\x1b[2J\x1b[H");
-            }
-            print!("{}", top_table(&cluster.history(), &cluster.health()));
-            if i + 1 < refreshes {
-                std::thread::sleep(Duration::from_millis(500));
-            }
-        }
-        stop.store(true, std::sync::atomic::Ordering::Release);
-    });
-
-    // Self-validate: CI runs `--top --once` and relies on the exit code.
-    let snap = cluster.snapshot();
-    cluster.shutdown();
-    check(&snap, &[Section::History, Section::Health]);
-    if snap.history.delta_sum_all_labels("volap_server_inserts_total") <= 0.0 {
-        fail("--top frames recorded no insert activity");
-    }
-    eprintln!("volap-stat: OK (history valid, {} health rules)", snap.health.len());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = args.first().cloned().unwrap_or_default();
-    if mode == "--top" {
-        let once = args.iter().any(|a| a == "--once");
-        run_top(once);
-        return;
-    }
+    let mode = std::env::args().nth(1).unwrap_or_default();
     if mode == "--tenants" {
         run_tenants();
         return;
@@ -458,13 +320,6 @@ fn main() {
         // a real audit trail: split threshold far below the item count.
         cfg.max_shard_items = 500;
         cfg.manager_period = Duration::from_millis(25);
-    }
-    if mode == "--history" {
-        // Fast frames, and a ring big enough that nothing is evicted during
-        // the run: the export below must be lossless so per-frame deltas
-        // sum exactly to the live counter totals.
-        cfg.obs.history.interval = Duration::from_millis(25);
-        cfg.obs.history.capacity = 8192;
     }
     let cluster = Cluster::start(cfg);
 
@@ -505,15 +360,6 @@ fn main() {
             std::thread::sleep(Duration::from_millis(20));
         }
     }
-    if mode == "--history" {
-        // Ingest is finished; wait until the sampler has framed all of it.
-        while cluster.history().delta_sum_all_labels("volap_server_inserts_total") < 4_000.0
-            && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    }
-
     let snap = cluster.snapshot();
     let slow = cluster.slow_traces();
     cluster.shutdown();
@@ -551,7 +397,6 @@ fn main() {
     let shows: &[Section] = match mode.as_str() {
         "--heat" => &[Section::Heat],
         "--locks" => &[Section::Locks],
-        "--history" => &[Section::History],
         "--snapshot" => &[Section::Heat, Section::Locks, Section::Audit],
         _ => &[Section::Histograms, Section::Staleness],
     };
@@ -583,28 +428,6 @@ fn main() {
                 }
             }
             print!("{}", locks_table(&snap));
-        }
-        "--history" => {
-            let hist = &snap.history;
-            if hist.dropped != 0 {
-                fail(&format!(
-                    "history ring dropped {} frames on a run sized to be lossless",
-                    hist.dropped
-                ));
-            }
-            let framed = hist.delta_sum_all_labels("volap_server_inserts_total");
-            let live = snap.counter("volap_server_inserts_total") as f64;
-            if framed != live {
-                fail(&format!(
-                    "per-frame insert deltas sum to {framed} but the live counter reads {live}"
-                ));
-            }
-            println!("{json}");
-            eprintln!(
-                "volap-stat: history lossless ({} frames, {} series, deltas sum to {live})",
-                hist.frames.len(),
-                hist.series.len()
-            );
         }
         "--snapshot" => {
             if !snap.audit.iter().any(|d| d.action == "split" && d.outcome == "ok") {
@@ -656,9 +479,5 @@ mod tests {
         assert_eq!(heat_table(&snap), include_str!("../../tests/golden/heat.txt"));
         assert_eq!(locks_table(&snap), include_str!("../../tests/golden/locks.txt"));
         assert_eq!(tenants_table(&snap.accounting), include_str!("../../tests/golden/tenants.txt"));
-        assert_eq!(
-            top_table(&snap.history, &snap.health),
-            include_str!("../../tests/golden/top.txt")
-        );
     }
 }

@@ -6,8 +6,7 @@
 //! service threads and speak the real wire protocol; only the physical
 //! network is simulated.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use volap_coord::CoordService;
@@ -35,39 +34,9 @@ pub struct Cluster {
     workers: ObsMutex<Vec<WorkerHandle>>,
     servers: Vec<ServerHandle>,
     manager: Option<ManagerHandle>,
-    sampler: Option<SamplerHandle>,
     bootstrap_ep: Endpoint,
     next_client: AtomicUsize,
     next_worker_id: AtomicUsize,
-}
-
-/// The continuous-telemetry sampler thread: every `obs.history.interval` it
-/// captures one history frame from the live registry and runs the SLO
-/// health watchdog over it.
-struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<()>,
-}
-
-impl SamplerHandle {
-    fn spawn(obs: Obs, interval: Duration) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_t = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("volap-sampler".into())
-            .spawn(move || {
-                while crate::util::sleep_unless_stopped(interval, &stop_t) {
-                    obs.sample_tick();
-                }
-            })
-            .expect("spawn sampler thread");
-        Self { stop, join }
-    }
-
-    fn stop(self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = self.join.join();
-    }
 }
 
 impl Cluster {
@@ -85,9 +54,6 @@ impl Cluster {
         };
         let coord = CoordService::new();
         let obs = Obs::new(cfg.obs.clone());
-        let history = &cfg.obs.history;
-        let sampler = (history.capacity > 0 && !history.interval.is_zero())
-            .then(|| SamplerHandle::spawn(obs.clone(), history.interval));
         net.attach_obs(obs.registry());
         net.attach_tracer(obs.tracer());
         // Lock-order violations (Record mode) land in this deployment's
@@ -122,7 +88,6 @@ impl Cluster {
             workers: ObsMutex::new(&WORKERS_CLASS, workers),
             servers,
             manager,
-            sampler,
             bootstrap_ep,
             next_client: AtomicUsize::new(0),
             next_worker_id,
@@ -238,23 +203,8 @@ impl Cluster {
         self.obs().audit().snapshot()
     }
 
-    /// The metrics time-series ring: one frame per sampler interval holding
-    /// counter deltas, interval p50/p99s, and derived gauges (staleness,
-    /// heat spread, lock contention fractions), bounded by
-    /// `obs.history.capacity`.
-    pub fn history(&self) -> volap_obs::HistorySnapshot {
-        self.obs().history().snapshot()
-    }
-
-    /// Current SLO health per rule, sorted by component then rule —
-    /// the health watchdog's latest `Healthy`/`Degraded`/`Critical` state
-    /// machines plus the values and anomaly z-scores that drove them.
-    pub fn health(&self) -> Vec<volap_obs::ComponentHealth> {
-        self.obs().health()
-    }
-
     /// Per-principal workload accounting: exact per-tenant cost totals plus
-    /// the decayed top-K heavy-hitter sketch per cost dimension. Tag a
+    /// the top-K heavy-hitter sketch per cost dimension. Tag a
     /// session with [`ClientSession::with_principal`] to start attributing;
     /// snapshot via [`volap_obs::Accounting::snapshot`] or `Snapshot::accounting`.
     pub fn accounting(&self) -> &volap_obs::Accounting {
@@ -335,11 +285,8 @@ impl Cluster {
         }
     }
 
-    /// Stop everything: sampler, manager, servers, workers.
+    /// Stop everything: manager, servers, workers.
     pub fn shutdown(self) {
-        if let Some(s) = self.sampler {
-            s.stop();
-        }
         if let Some(m) = self.manager {
             m.stop();
         }

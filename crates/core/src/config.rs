@@ -55,8 +55,8 @@ pub struct VolapConfig {
     pub net_latency: Option<Duration>,
     /// Directory fanout of the server routing index.
     pub index_dir_cap: usize,
-    /// Observability knobs — histograms, tracing, the history sampler and
-    /// the health rules — declared once, in [`volap_obs::ObsConfig`].
+    /// Observability knobs — histograms and tracing — declared once, in
+    /// [`volap_obs::ObsConfig`].
     /// Everything else `volap_obs` records is always armed at start and
     /// sized by its constants; `Obs::set_enabled` is the runtime switch.
     pub obs: volap_obs::ObsConfig,
@@ -120,11 +120,8 @@ mod tests {
         assert!(cfg.obs.histograms);
         assert_eq!(cfg.obs.trace.sample, 0);
         assert_eq!(cfg.obs.trace.slow_threshold, Duration::from_millis(100));
-        assert_eq!(cfg.obs.history.interval, Duration::from_millis(250));
-        assert_eq!(cfg.obs.history.capacity, 240);
-        assert_eq!(cfg.obs.health_rules, volap_obs::HealthRule::defaults());
         assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
-        assert_eq!((volap_obs::account::TOPK, volap_obs::account::DECAY), (8, 0.9));
+        assert_eq!(volap_obs::account::TOPK, 8);
         assert_eq!(cfg.heat_halflife, Duration::from_secs(2));
         assert!(cfg.lock_check);
         let obs = volap_obs::Obs::new(cfg.obs.clone());

@@ -70,7 +70,5 @@ pub use plan::{QueryPlan, ShardExec, WorkerExec};
 pub use proto::{Request, Response};
 pub use server::ServerHandle;
 pub use server_index::ServerIndex;
-pub use volap_obs::{
-    ComponentHealth, HealthRule, HealthState, HistorySnapshot, Obs, ObsConfig, Snapshot,
-};
+pub use volap_obs::{Obs, ObsConfig, Snapshot};
 pub use worker::WorkerHandle;

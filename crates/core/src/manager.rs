@@ -132,10 +132,6 @@ pub fn balance_round(
             let t0 = Instant::now();
             if image.remove_shard(rec.id).is_ok() {
                 stats.orphans_removed.inc();
-                image
-                    .obs()
-                    .events()
-                    .record("orphan_reap", format!("shard={} worker={}", rec.id, rec.worker));
                 audit.record(BalanceDecision {
                     action: "orphan_reap".into(),
                     shard: rec.id,
@@ -170,10 +166,6 @@ pub fn balance_round(
                 .is_some_and(|r| matches!(r, Response::SplitDone { .. }));
             if ok {
                 stats.splits.inc();
-                image.obs().events().record(
-                    "manager_split",
-                    format!("shard={} worker={} len={}", rec.id, rec.worker, rec.len),
-                );
             }
             let mut inputs = vec![
                 ("len".into(), rec.len.to_string()),
@@ -239,10 +231,6 @@ pub fn balance_round(
         let mut rest: Vec<(u64, u64)> = candidates.into_iter().filter(|&(s, _)| s != shard).collect();
         if ok {
             stats.migrations.inc();
-            image.obs().events().record(
-                "manager_migrate",
-                format!("shard={shard} src={src} dest={dst} len={len}"),
-            );
             *load.get_mut(src).unwrap() -= len;
             *load.get_mut(dst).unwrap() += len;
             by_worker.entry(dst).or_default().push((shard, len));

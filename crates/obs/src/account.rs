@@ -1,5 +1,5 @@
 //! Per-principal workload accounting: request cost attribution plus a
-//! decayed heavy-hitter profiler.
+//! heavy-hitter profiler.
 //!
 //! Every other surface in this crate answers *what* the cluster spent
 //! (latency histograms, counters, heat). This module answers *who* spent
@@ -17,19 +17,11 @@
 //!   space-saving guarantee applies: for every tracked principal the
 //!   sketched count overestimates the true count by at most `err`, and
 //!   `err ≤ N/k` where `N` is the total weight offered and `k = topk`.
-//!   The sketches additionally decay by an EWMA factor every sampler
-//!   tick, so "top spenders" is a sliding window, not an all-time ranking
-//!   (the exact totals stay all-time).
+//!   Like the exact totals, the sketches are all-time: nothing decays.
 //!
 //! Untagged requests pay one relaxed load and a branch; the `accounting`
 //! row of the overhead gate (`bench_overhead`) measures what the armed core
 //! costs them.
-//!
-//! The derived `gauge(accounting_dominance_frac)` history series (the
-//! decayed scan-cost share of the single hottest principal) feeds the
-//! default `tenant_dominance` health rule: one principal holding more
-//! than the threshold share of scan cost for the rule's hysteresis window
-//! flags the `tenants` component Degraded.
 
 use std::collections::HashMap;
 
@@ -41,10 +33,6 @@ use std::sync::{Arc, Mutex};
 
 /// Number of cost dimensions in a [`CostVec`].
 pub const COST_DIMS: usize = 7;
-
-/// Index of the `rows_scanned` dimension (the one the dominance fraction
-/// and the default health rule watch).
-pub const DIM_ROWS_SCANNED: usize = 0;
 
 /// An interned principal tag. `0` is reserved for "untagged" — the hot
 /// path branches on it before touching any accounting state. Ids are
@@ -136,25 +124,24 @@ impl Field for CostVec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct SketchSlot {
     principal: u32,
-    /// Estimated (decayed) weight. Overestimates the true weight by at
-    /// most `err`.
+    /// Estimated weight. Overestimates the true weight by at most `err`.
     count: f64,
     /// Maximum possible overestimate inherited at eviction time.
     err: f64,
 }
 
 /// A space-saving heavy-hitter sketch (Metwally et al.) over weighted
-/// offers, with multiplicative decay. At most `capacity` principals are
-/// tracked; offering an untracked principal when full evicts the minimum
-/// entry and inherits its count as the new entry's error bound. For any
-/// decay-free stream of total weight `N`: `true ≤ count` and
+/// offers. At most `capacity` principals are tracked; offering an untracked
+/// principal when full evicts the minimum entry and inherits its count as
+/// the new entry's error bound. For any stream of total weight `N`:
+/// `true ≤ count` and
 /// `count − true ≤ err ≤ N / capacity` for every tracked principal, and
 /// any principal with true weight `> N / capacity` is tracked.
 #[derive(Clone, Debug)]
 pub struct SpaceSaving {
     capacity: usize,
     slots: Vec<SketchSlot>,
-    /// Total (decayed) weight offered — the `N` in the error bound.
+    /// Total weight offered — the `N` in the error bound.
     offered: f64,
 }
 
@@ -191,21 +178,7 @@ impl SpaceSaving {
         *min = SketchSlot { principal, count: min.count + w, err: min.count };
     }
 
-    /// Multiply every estimate (and the offered total) by `alpha` — the
-    /// EWMA window step the sampler applies once per tick. Entries that
-    /// decay below one unit of weight are dropped, so an idle principal
-    /// ages out of the top-K instead of squatting in it.
-    pub fn decay(&mut self, alpha: f64) {
-        let alpha = alpha.clamp(0.0, 1.0);
-        self.offered *= alpha;
-        for s in &mut self.slots {
-            s.count *= alpha;
-            s.err *= alpha;
-        }
-        self.slots.retain(|s| s.count >= 1.0);
-    }
-
-    /// Total (decayed) weight offered — the `N` of the error bound.
+    /// Total weight offered — the `N` of the error bound.
     pub fn offered(&self) -> f64 {
         self.offered
     }
@@ -215,11 +188,6 @@ impl SpaceSaving {
         let mut v: Vec<_> = self.slots.iter().map(|s| (s.principal, s.count, s.err)).collect();
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
-    }
-
-    /// The heaviest entry's estimated count, or 0 when empty.
-    pub fn max_count(&self) -> f64 {
-        self.slots.iter().map(|s| s.count).fold(0.0, f64::max)
     }
 }
 
@@ -240,42 +208,35 @@ struct AccountState {
 /// Sketch capacity per cost dimension (the K of top-K; error bound `N/K`).
 pub const TOPK: usize = 8;
 
-/// Multiplicative EWMA factor the sketches decay by each sampler tick (exact
-/// totals never decay).
-pub const DECAY: f64 = 0.9;
-
 struct AccountingInner {
     enabled: AtomicBool,
     topk: usize,
-    decay: f64,
     state: Mutex<AccountState>,
 }
 
 /// The per-principal accounting core. Cheap to clone (shared); writers
-/// are request handlers calling [`Accounting::charge`], readers are the
-/// sampler (dominance) and snapshots.
+/// are request handlers calling [`Accounting::charge`], readers are
+/// snapshots.
 #[derive(Clone)]
 pub struct Accounting {
     inner: Arc<AccountingInner>,
 }
 
 impl Default for Accounting {
-    /// The shipped sizing: [`TOPK`] slots per sketch, [`DECAY`] per tick.
+    /// The shipped sizing: [`TOPK`] slots per sketch.
     fn default() -> Self {
-        Self::new(TOPK, DECAY)
+        Self::new(TOPK)
     }
 }
 
 impl Accounting {
-    /// An accounting core, charging enabled, with `topk` slots per sketch
-    /// decaying by `decay` each sampler tick (`1.0` disables decay).
-    pub fn new(topk: usize, decay: f64) -> Self {
+    /// An accounting core, charging enabled, with `topk` slots per sketch.
+    pub fn new(topk: usize) -> Self {
         let topk = topk.max(1);
         Self {
             inner: Arc::new(AccountingInner {
                 enabled: AtomicBool::new(true),
                 topk,
-                decay: decay.clamp(0.0, 1.0),
                 state: Mutex::new(AccountState {
                     sketches: (0..COST_DIMS).map(|_| SpaceSaving::new(topk)).collect(),
                     ..AccountState::default()
@@ -342,38 +303,6 @@ impl Accounting {
         }
     }
 
-    /// One sampler tick: decay every sketch by the configured EWMA
-    /// factor and return the current dominance fraction — the hottest
-    /// principal's share of the decayed rows-scanned weight (0.0 when
-    /// nothing was scanned in the window). The caller records it as the
-    /// `gauge(accounting_dominance_frac)` history series.
-    pub fn decay_tick(&self) -> f64 {
-        let mut st = self.inner.state.lock().unwrap();
-        if self.inner.decay < 1.0 {
-            let decay = self.inner.decay;
-            for sketch in &mut st.sketches {
-                sketch.decay(decay);
-            }
-        }
-        let scans = &st.sketches[DIM_ROWS_SCANNED];
-        if scans.offered() > 0.0 {
-            scans.max_count() / scans.offered()
-        } else {
-            0.0
-        }
-    }
-
-    /// Current dominance fraction without decaying (snapshot readers).
-    pub fn dominance_frac(&self) -> f64 {
-        let st = self.inner.state.lock().unwrap();
-        let scans = &st.sketches[DIM_ROWS_SCANNED];
-        if scans.offered() > 0.0 {
-            scans.max_count() / scans.offered()
-        } else {
-            0.0
-        }
-    }
-
     /// Copy out the whole accounting state.
     pub fn snapshot(&self) -> AccountingSnapshot {
         let st = self.inner.state.lock().unwrap();
@@ -413,7 +342,6 @@ impl Accounting {
         AccountingSnapshot {
             enabled: self.enabled(),
             topk: self.inner.topk as u64,
-            decay: self.inner.decay,
             principals,
             top,
         }
@@ -431,8 +359,6 @@ crate::record! {
         enabled: bool,
         /// Sketch capacity per dimension (the K of the `N/K` error bound).
         topk: u64,
-        /// EWMA factor applied per sampler tick (1.0 = no decay).
-        decay: f64,
         /// Exact all-time totals, sorted by principal name.
         principals: Vec<PrincipalTotals> = rows,
         /// Per-dimension top-K tables, in [`COST_DIM_NAMES`] order (empty
@@ -499,12 +425,12 @@ crate::record! {
 }
 
 crate::record! {
-    /// The decayed top-K table for one cost dimension.
+    /// The top-K table for one cost dimension.
     #[derive(Clone, Debug, Default, PartialEq)]
     pub struct DimTop {
         /// Dimension name (one of [`COST_DIM_NAMES`]).
         dim: String,
-        /// Total decayed weight offered (the `N` of the error bound).
+        /// Total weight offered (the `N` of the error bound).
         offered: f64,
         /// Tracked principals, heaviest first.
         entries: Vec<TopEntry>,
@@ -517,7 +443,7 @@ crate::record! {
     pub struct TopEntry {
         /// Principal tag.
         principal: String,
-        /// Estimated (decayed) weight; overestimates truth by at most `err`.
+        /// Estimated weight; overestimates truth by at most `err`.
         count: f64,
         /// Error bound inherited at eviction (`≤ offered / topk`).
         err: f64,
@@ -598,36 +524,5 @@ mod tests {
             assert!(count - t <= err + 1e-9, "overestimate exceeds recorded err");
             assert!(err <= bound + 1e-9, "err {err} exceeds N/k {bound}");
         }
-    }
-
-    #[test]
-    fn decay_shrinks_and_drops() {
-        let mut sketch = SpaceSaving::new(4);
-        sketch.offer(1, 100);
-        sketch.offer(2, 1);
-        sketch.decay(0.5);
-        let entries = sketch.entries();
-        assert_eq!(entries, vec![(1, 50.0, 0.0)], "principal 2 decayed below 1 and dropped");
-        assert_eq!(sketch.offered(), 50.5);
-        // Exact totals never decay; only the window does.
-        let acc = Accounting::new(TOPK, 0.5);
-        let a = acc.intern("a");
-        acc.charge(a, &CostVec { rows_scanned: 100, ..CostVec::default() });
-        acc.decay_tick();
-        let snap = acc.snapshot();
-        assert_eq!(snap.principal("a").unwrap().cost.rows_scanned, 100);
-        assert_eq!(snap.top_of("rows_scanned").unwrap().entries[0].count, 50.0);
-    }
-
-    #[test]
-    fn dominance_tracks_the_hog() {
-        let acc = Accounting::default();
-        let hog = acc.intern("hog");
-        let meek = acc.intern("meek");
-        acc.charge(hog, &CostVec { rows_scanned: 900, ..CostVec::default() });
-        acc.charge(meek, &CostVec { rows_scanned: 100, ..CostVec::default() });
-        assert!((acc.dominance_frac() - 0.9).abs() < 1e-12);
-        // No scans at all → no dominance.
-        assert_eq!(Accounting::default().dominance_frac(), 0.0);
     }
 }

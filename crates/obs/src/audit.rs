@@ -3,20 +3,16 @@
 //! Every manager action — orphan reap, shard split, migration — is recorded
 //! as one structured [`BalanceDecision`]: the inputs that drove it (shard
 //! sizes, heat rates, thresholds), the chosen action, the resulting shard
-//! ids, and the outcome with its duration. The ring uses the same
-//! per-thread-shard design as [`crate::events::EventLog`] (uncontended
-//! mutex per writer thread, global sequencing, counted oldest-first
-//! eviction), so a snapshot always knows how much history it is missing.
+//! ids, and the outcome with its duration. The decisions live in the same
+//! [`Ring`] as the event log (uncontended per-thread shards, global
+//! sequencing, counted oldest-first eviction), so a snapshot always knows
+//! how much history it is missing.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::events::thread_ordinal;
+use crate::ring::Ring;
 use crate::snapshot::{ascending, Row};
-
-const SHARDS: usize = 16;
 
 crate::record! {
     /// One recorded load-balance decision.
@@ -55,10 +51,7 @@ impl Row for BalanceDecision {
 
 struct AuditLogInner {
     epoch: Instant,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    shards: Vec<Mutex<VecDeque<BalanceDecision>>>,
-    cap_per_shard: usize,
+    ring: Ring<BalanceDecision>,
 }
 
 /// The audit ring. Cheap to clone (shared).
@@ -70,50 +63,29 @@ pub struct AuditLog {
 impl AuditLog {
     /// A ring retaining roughly `capacity` decisions in total.
     pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(AuditLogInner {
-                epoch: Instant::now(),
-                seq: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
-                cap_per_shard: (capacity / SHARDS).max(4),
-            }),
-        }
+        Self { inner: Arc::new(AuditLogInner { epoch: Instant::now(), ring: Ring::new(capacity) }) }
     }
 
     /// Record one decision. `seq` and `ts_us` are stamped here; whatever the
     /// caller put in those fields is overwritten.
-    pub fn record(&self, mut decision: BalanceDecision) {
-        let inner = &*self.inner;
-        decision.seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        decision.ts_us = inner.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let slot = thread_ordinal() % SHARDS;
-        let mut ring = inner.shards[slot].lock().unwrap();
-        if ring.len() >= inner.cap_per_shard {
-            ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(decision);
+    pub fn record(&self, decision: BalanceDecision) {
+        let ts_us = self.inner.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+        self.inner.ring.push(|seq| BalanceDecision { seq, ts_us, ..decision });
     }
 
     /// Total decisions ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
+        self.inner.ring.recorded()
     }
 
     /// Decisions evicted by ring overflow.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner.ring.dropped()
     }
 
     /// Merge every shard into one sequence-ordered view.
     pub fn snapshot(&self) -> Vec<BalanceDecision> {
-        let mut all = Vec::new();
-        for shard in &self.inner.shards {
-            all.extend(shard.lock().unwrap().iter().cloned());
-        }
-        all.sort_by_key(|d| d.seq);
-        all
+        self.inner.ring.collect(|_| true, |d| d.seq)
     }
 }
 
@@ -135,29 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn records_in_order_and_bounds_memory() {
-        let log = AuditLog::new(64);
-        for i in 0..200 {
-            log.record(decision(i));
-        }
-        let all = log.snapshot();
-        assert!(all.len() <= 200);
-        assert_eq!(log.recorded(), 200);
-        assert_eq!(log.recorded() - log.dropped(), all.len() as u64);
-        for w in all.windows(2) {
-            assert!(w[0].seq < w[1].seq, "snapshot is sequence-ordered");
-        }
-        // Single-threaded writers land in one shard: the newest win, and the
-        // caller-provided seq was overwritten by the ring's own stamp.
-        assert_eq!(all.last().unwrap().shard, 199);
-        assert_eq!(all.last().unwrap().seq, 199);
-    }
-
-    #[test]
     fn structured_fields_survive() {
         let log = AuditLog::new(16);
-        log.record(decision(7));
-        let d = &log.snapshot()[0];
+        log.record(decision(6));
+        log.record(BalanceDecision { seq: 99, ..decision(7) });
+        let d = &log.snapshot()[1];
+        assert_eq!(d.seq, 1, "the ring's own stamp overwrites the caller's seq");
         assert_eq!(d.action, "split");
         assert_eq!(d.inputs[1], ("max".to_string(), "20000".to_string()));
         assert_eq!(d.result_shards, vec![107, 108]);

@@ -59,10 +59,10 @@ fn type_line(out: &mut String, last: &mut Option<String>, name: &str, kind: &str
 }
 
 /// Render the metric part of a snapshot as Prometheus text exposition.
-/// Renders [`Snapshot::metrics_only`], so capture time, uptime, history
-/// ring totals, and per-component health states appear as the synthetic
+/// Renders [`Snapshot::metrics_only`], so capture time, uptime and the
+/// exact per-principal accounting totals appear as the synthetic
 /// `volap_captured_unix_microseconds` / `volap_uptime_microseconds` /
-/// `volap_history_*` / `volap_health_state{component=..}` series.
+/// `volap_accounting_*_total{principal=..}` series.
 pub fn to_prometheus(snap: &Snapshot) -> String {
     let snap = snap.metrics_only();
     let mut out = String::new();
@@ -388,9 +388,7 @@ mod tests {
     use crate::account::{AccountingSnapshot, CostVec, DimTop, PrincipalTotals, TopEntry};
     use crate::audit::BalanceDecision;
     use crate::events::Event;
-    use crate::health::{ComponentHealth, HealthState};
     use crate::heat::HeatEntry;
-    use crate::history::{Frame, HistorySnapshot, SeriesDef, SeriesKind};
     use crate::lock::LockClassSnapshot;
     use crate::staleness::StalenessSnapshot;
 
@@ -457,62 +455,9 @@ mod tests {
                 hold_sum_seconds: 3.25,
             }],
             staleness: StalenessSnapshot { count: 2, samples_seconds: vec![0.001, 0.25] },
-            history: HistorySnapshot {
-                interval_us: 250_000,
-                capacity: 4,
-                dropped: 2,
-                series: vec![
-                    SeriesDef {
-                        key: "rate(volap_a_total)".into(),
-                        kind: SeriesKind::Rate,
-                    },
-                    SeriesDef {
-                        key: "p99(volap_lat_seconds)".into(),
-                        kind: SeriesKind::P99,
-                    },
-                    SeriesDef {
-                        key: "gauge(heat_insert_imbalance)".into(),
-                        kind: SeriesKind::Gauge,
-                    },
-                ],
-                frames: vec![
-                    Frame { seq: 2, start_us: 500_000, end_us: 750_000, values: vec![3.0, 1e-9] },
-                    Frame {
-                        seq: 3,
-                        start_us: 750_000,
-                        end_us: 1_000_000,
-                        values: vec![0.0, 3e-9, 1.5],
-                    },
-                ],
-            },
-            health: vec![
-                ComponentHealth {
-                    component: "image_sync".into(),
-                    rule: "staleness_p99".into(),
-                    selector: "p99(volap_staleness_seconds)".into(),
-                    state: HealthState::Degraded,
-                    value: 1.25,
-                    z_score: 4.5,
-                    anomalous: true,
-                    transitions: 1,
-                    since_us: 750_000,
-                },
-                ComponentHealth {
-                    component: "locks".into(),
-                    rule: "contention".into(),
-                    selector: "gauge(lock_contention_frac_max)".into(),
-                    state: HealthState::Healthy,
-                    value: 0.015625,
-                    z_score: -0.5,
-                    anomalous: false,
-                    transitions: 0,
-                    since_us: 0,
-                },
-            ],
             accounting: AccountingSnapshot {
                 enabled: true,
                 topk: 4,
-                decay: 0.9,
                 principals: vec![
                     PrincipalTotals {
                         principal: "tenant \"a\"\n".into(),

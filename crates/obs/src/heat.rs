@@ -67,18 +67,7 @@ impl RateEwma {
         if dt_s <= 0.0 {
             return;
         }
-        self.update_value(events as f64 / dt_s, dt, halflife);
-    }
-
-    /// Fold an already-computed instantaneous value into the estimate — the
-    /// generalization [`update`](Self::update) is built on. The health
-    /// watchdog uses this to keep EWMA baselines over arbitrary series
-    /// values (quantiles, fractions), not just event counts.
-    pub fn update_value(&mut self, value: f64, dt: Duration, halflife: Duration) {
-        let dt_s = dt.as_secs_f64();
-        if dt_s <= 0.0 || !value.is_finite() {
-            return;
-        }
+        let value = events as f64 / dt_s;
         if !self.primed {
             self.rate = value;
             self.primed = true;
@@ -150,14 +139,6 @@ impl HeatMap {
     /// All entries, ordered by shard id.
     pub fn snapshot(&self) -> Vec<HeatEntry> {
         self.inner.entries.lock().unwrap().values().cloned().collect()
-    }
-
-    /// Visit every entry in shard order without cloning (the history
-    /// sampler folds these into spread/imbalance series every interval).
-    pub fn visit(&self, mut f: impl FnMut(&HeatEntry)) {
-        for e in self.inner.entries.lock().unwrap().values() {
-            f(e);
-        }
     }
 }
 

@@ -31,12 +31,11 @@ pub mod account;
 pub mod audit;
 pub mod events;
 pub mod export;
-pub mod health;
 pub mod heat;
-pub mod history;
 pub mod json;
 pub mod lock;
 pub mod registry;
+mod ring;
 pub mod snapshot;
 pub mod staleness;
 pub mod trace;
@@ -47,18 +46,14 @@ pub use account::{
 };
 pub use audit::{AuditLog, BalanceDecision};
 pub use events::{Event, EventLog};
-pub use health::{ComponentHealth, HealthRule, HealthState, Watchdog};
 pub use heat::{HeatEntry, HeatMap, RateEwma};
-pub use history::{
-    series_key, Frame, History, HistoryConfig, HistorySnapshot, SeriesDef, SeriesKind,
-};
 pub use lock::{
     CheckMode, LockClass, LockClassSnapshot, LockOrderViolation, ObsMutex, ObsMutexGuard,
     ObsRwLock, ObsRwLockReadGuard, ObsRwLockWriteGuard,
 };
 pub use registry::{
-    bucket_index, bucket_le_seconds, Counter, Gauge, HistView, Histogram, HistogramSnapshot,
-    MetricId, MetricView, Registry, ScalarSnapshot, Timer, HIST_BUCKETS,
+    bucket_index, bucket_le_seconds, Counter, Gauge, Histogram, HistogramSnapshot, MetricId,
+    Registry, ScalarSnapshot, Timer, HIST_BUCKETS,
 };
 pub use snapshot::{Section, SectionData, Snapshot};
 pub use staleness::{StalenessProbe, StalenessSnapshot};
@@ -84,22 +79,11 @@ pub struct ObsConfig {
     pub histograms: bool,
     /// Causal-tracing sampling and sizing.
     pub trace: TraceConfig,
-    /// Metrics time-series ring sizing. Capture happens only when the owner
-    /// drives [`Obs::sample_tick`], typically from a sampler thread.
-    pub history: HistoryConfig,
-    /// SLO rules the health watchdog evaluates each sampler interval; empty
-    /// disables health tracking while keeping the history ring.
-    pub health_rules: Vec<HealthRule>,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self {
-            histograms: true,
-            trace: TraceConfig::default(),
-            history: HistoryConfig::default(),
-            health_rules: HealthRule::defaults(),
-        }
+        Self { histograms: true, trace: TraceConfig::default() }
     }
 }
 
@@ -113,8 +97,6 @@ pub struct Obs {
     tracer: Tracer,
     heat: HeatMap,
     audit: AuditLog,
-    history: History,
-    watchdog: Watchdog,
     accounting: Accounting,
     /// When this core was built: `Snapshot::uptime_us` counts from it.
     epoch: std::time::Instant,
@@ -131,7 +113,6 @@ impl Obs {
     pub fn new(cfg: ObsConfig) -> Self {
         let registry = Registry::new(cfg.histograms);
         let staleness = StalenessProbe::new(registry.histogram("volap_staleness_seconds"));
-        let epoch = std::time::Instant::now();
         Self {
             registry,
             events: EventLog::new(EVENT_CAPACITY),
@@ -139,10 +120,8 @@ impl Obs {
             tracer: Tracer::new(cfg.trace),
             heat: HeatMap::default(),
             audit: AuditLog::new(AUDIT_CAPACITY),
-            history: History::new(&cfg.history, epoch),
-            watchdog: Watchdog::new(cfg.health_rules),
             accounting: Accounting::default(),
-            epoch,
+            epoch: std::time::Instant::now(),
         }
     }
 
@@ -176,18 +155,6 @@ impl Obs {
         &self.audit
     }
 
-    /// The metrics time-series ring (empty until [`sample_tick`]s happen).
-    ///
-    /// [`sample_tick`]: Self::sample_tick
-    pub fn history(&self) -> &History {
-        &self.history
-    }
-
-    /// Current per-rule SLO health, sorted by component then rule.
-    pub fn health(&self) -> Vec<ComponentHealth> {
-        self.watchdog.snapshot()
-    }
-
     /// The per-principal workload accounting core.
     pub fn accounting(&self) -> &Accounting {
         &self.accounting
@@ -205,28 +172,15 @@ impl Obs {
             Section::Histograms => self.registry.set_histograms_enabled(on),
             Section::Heat => self.heat.set_enabled(on),
             Section::Locks => lock::set_telemetry_enabled(on),
-            Section::History => self.history.set_enabled(on),
             Section::Accounting => self.accounting.set_enabled(on),
             Section::Traces => self.tracer.set_enabled(on),
             Section::Counters
             | Section::Gauges
             | Section::Events
             | Section::Audit
-            | Section::Staleness
-            | Section::Health => return false,
+            | Section::Staleness => return false,
         }
         true
-    }
-
-    /// One sampler tick: capture a history frame from the live registry /
-    /// heat map / event ring, then run the health watchdog over it. Called
-    /// by the cluster's sampler thread every `history_interval`; safe (and
-    /// a no-op) when the history ring is disabled or zero-capacity.
-    pub fn sample_tick(&self) {
-        if self.history.capture(&self.registry, &self.heat, &self.events, Some(&self.accounting))
-        {
-            self.watchdog.evaluate(&self.history, &self.events);
-        }
     }
 
     /// Route lock-order violations into this core's event log as
@@ -265,8 +219,6 @@ impl Obs {
             audit: self.audit.snapshot(),
             locks,
             staleness: self.staleness.snapshot(),
-            history: self.history.snapshot(),
-            health: self.health(),
             accounting: self.accounting.snapshot(),
         }
     }

@@ -405,7 +405,7 @@ mod checker {
                         acquiring_rank: class.rank,
                         holding: held.name,
                         holding_rank: held_rank,
-                        thread_ordinal: crate::events::thread_ordinal(),
+                        thread_ordinal: crate::ring::thread_ordinal(),
                         thread_name: std::thread::current()
                             .name()
                             .unwrap_or("<unnamed>")
@@ -858,24 +858,6 @@ impl LockClassSnapshot {
         } else {
             self.contended as f64 / self.acquisitions as f64
         }
-    }
-}
-
-/// Visit every registered class without allocating:
-/// `(name, acquisitions, contended, wait_sum_ns)` per class, in
-/// registration order. The history sampler turns the deltas into per-class
-/// contention-fraction series each interval, so this path must stay cheap —
-/// it holds the class-registry mutex only for the duration of the relaxed
-/// loads (that mutex is otherwise touched once per class, at first
-/// acquisition).
-pub fn visit_classes(mut f: impl FnMut(&'static str, u64, u64, u64)) {
-    for class in CLASS_REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-        f(
-            class.name,
-            class.acquisitions.load(Ordering::Relaxed),
-            class.contended.load(Ordering::Relaxed),
-            class.wait.sum_ns.load(Ordering::Relaxed),
-        );
     }
 }
 

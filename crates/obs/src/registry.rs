@@ -203,26 +203,6 @@ enum Slot {
     Histogram(Histogram),
 }
 
-/// Borrowed view of one metric's current value, passed to the callback of
-/// [`Registry::visit`].
-pub enum MetricView<'a> {
-    /// A counter's current total.
-    Counter(u64),
-    /// A gauge's current value.
-    Gauge(i64),
-    /// A histogram's current totals (per-bucket, non-cumulative).
-    Histogram(&'a HistView),
-}
-
-/// Raw histogram state for [`Registry::visit`]: total count plus the
-/// per-bucket (non-cumulative) counts.
-pub struct HistView {
-    /// Total observation count.
-    pub count: u64,
-    /// Per-bucket counts, index = [`bucket_index`].
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
 crate::record! {
     /// A snapshot of one counter or gauge.
     #[derive(Clone, Debug, PartialEq)]
@@ -395,27 +375,6 @@ impl Registry {
                 _ => 0,
             })
             .sum()
-    }
-
-    /// Visit every metric in id order without cloning ids or allocating:
-    /// the sampler in [`crate::history`] runs this once per interval, so the
-    /// steady-state cost is one registry mutex hold plus relaxed loads.
-    /// Histogram buckets are surfaced through a stack-resident [`HistView`]
-    /// reused across calls.
-    pub fn visit(&self, mut f: impl FnMut(&MetricId, MetricView<'_>)) {
-        let slots = self.inner.slots.lock().unwrap();
-        let mut view = HistView { count: 0, buckets: [0; HIST_BUCKETS] };
-        for (id, slot) in slots.iter() {
-            match slot {
-                Slot::Counter(c) => f(id, MetricView::Counter(c.get())),
-                Slot::Gauge(g) => f(id, MetricView::Gauge(g.get())),
-                Slot::Histogram(h) => {
-                    view.count = h.count();
-                    view.buckets = h.bucket_counts();
-                    f(id, MetricView::Histogram(&view));
-                }
-            }
-        }
     }
 
     /// Snapshot every metric, sorted by id.

@@ -16,9 +16,7 @@ use std::fmt::Debug;
 use crate::account::AccountingSnapshot;
 use crate::audit::BalanceDecision;
 use crate::events::Event;
-use crate::health::ComponentHealth;
 use crate::heat::HeatEntry;
-use crate::history::HistorySnapshot;
 use crate::lock::LockClassSnapshot;
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::staleness::StalenessSnapshot;
@@ -183,11 +181,7 @@ sections! {
     Locks locks: Vec<LockClassSnapshot> = rows,
     /// Measured image-staleness samples.
     Staleness staleness: StalenessSnapshot,
-    /// The metrics time-series ring (empty unless the sampler ran).
-    History history: HistorySnapshot,
-    /// Per-rule SLO health, sorted by component then rule.
-    Health health: Vec<ComponentHealth> = rows,
-    /// Per-principal workload accounting: exact totals plus the decayed
+    /// Per-principal workload accounting: exact totals plus the
     /// per-dimension top-K tables.
     Accounting accounting: AccountingSnapshot,
 }
@@ -197,8 +191,8 @@ impl Snapshot {
     /// represent: counters, gauges and histograms, with every other section
     /// stripped and its [`SectionData::fold`] series *folded in* — capture
     /// time and uptime (`volap_captured_unix_microseconds`,
-    /// `volap_uptime_microseconds`), history ring totals, the worst rule
-    /// state per component, and the exact per-principal accounting totals —
+    /// `volap_uptime_microseconds`) and the exact per-principal accounting
+    /// totals —
     /// so the exposition still carries the headline telemetry. Folding is
     /// idempotent: re-folding an already-folded snapshot (the exporter
     /// round-trip) changes nothing.

@@ -10,8 +10,8 @@
 //! insertion-queue detours during shard migration. Each component wraps its
 //! stage in a named span ([`Tracer::span`]), optionally annotated with
 //! `key:value` details (shard id, items scanned, batch size); completed
-//! spans land in a bounded, 16-shard collector (the same thread-ordinal
-//! design as the event ring, so recording never contends in steady state).
+//! spans land in a bounded [`Ring`] (the event log's per-thread-sharded
+//! ring, so recording never contends in steady state).
 //!
 //! When the *root* span finishes, the trace is assembled into a tree and,
 //! if it exceeded the slow threshold, pushed into the **flight recorder** —
@@ -28,10 +28,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::events::thread_ordinal;
-
-/// Number of collector shards (same rationale as the event ring).
-const SHARDS: usize = 16;
+use crate::ring::Ring;
 
 std::thread_local! {
     /// `(trace_id, span_id)` of the innermost [`SpanGuard`] open on this
@@ -112,8 +109,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    fn canonicalize(&mut self) {
-        self.spans.sort_by_key(|s| (s.start_us, s.span_id));
+    /// The canonical span order's sort key.
+    fn order(s: &SpanRecord) -> (u64, u64) {
+        (s.start_us, s.span_id)
     }
 
     /// The root span: the span whose parent is 0 (or whose parent was never
@@ -188,15 +186,12 @@ struct TracerInner {
     /// The live rate: `configured_sample`, or `0` while paused. `0` disables
     /// sampling entirely (the common production-off state).
     sample_every: AtomicU32,
-    sample_tick: AtomicU64,
+    roots_seen: AtomicU64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     slow_threshold_ns: AtomicU64,
-    /// Per-shard bounded rings of completed spans.
-    shards: Vec<Mutex<VecDeque<SpanRecord>>>,
-    cap_per_shard: usize,
-    /// Spans evicted by ring overflow.
-    dropped: AtomicU64,
+    /// Completed spans.
+    spans: Ring<SpanRecord>,
     /// The flight recorder: most recent slow traces, oldest evicted.
     slow: Mutex<VecDeque<Trace>>,
     slow_cap: usize,
@@ -222,15 +217,13 @@ impl Tracer {
                 epoch: Instant::now(),
                 configured_sample: cfg.sample,
                 sample_every: AtomicU32::new(cfg.sample),
-                sample_tick: AtomicU64::new(0),
+                roots_seen: AtomicU64::new(0),
                 next_trace: AtomicU64::new(1),
                 next_span: AtomicU64::new(1),
                 slow_threshold_ns: AtomicU64::new(
                     cfg.slow_threshold.as_nanos().min(u128::from(u64::MAX)) as u64,
                 ),
-                shards: (0..SHARDS).map(|_| Mutex::new(VecDeque::new())).collect(),
-                cap_per_shard: (cfg.span_capacity / SHARDS).max(4),
-                dropped: AtomicU64::new(0),
+                spans: Ring::new(cfg.span_capacity),
                 slow: Mutex::new(VecDeque::new()),
                 slow_cap: cfg.slow_capacity.max(1),
             }),
@@ -265,7 +258,7 @@ impl Tracer {
         if every == 0 {
             return None;
         }
-        let tick = self.inner.sample_tick.fetch_add(1, Ordering::Relaxed);
+        let tick = self.inner.roots_seen.fetch_add(1, Ordering::Relaxed);
         if !tick.is_multiple_of(u64::from(every)) {
             return None;
         }
@@ -327,44 +320,24 @@ impl Tracer {
     }
 
     fn record(&self, span: SpanRecord) {
-        let inner = &*self.inner;
-        let slot = thread_ordinal() % SHARDS;
-        let mut ring = inner.shards[slot].lock().unwrap();
-        if ring.len() >= inner.cap_per_shard {
-            ring.pop_front();
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(span);
+        self.inner.spans.push(|_| span);
     }
 
     /// Spans evicted by collector overflow.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner.spans.dropped()
     }
 
     /// Snapshot every retained span, in canonical order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut all = Vec::new();
-        for shard in &self.inner.shards {
-            all.extend(shard.lock().unwrap().iter().cloned());
-        }
-        all.sort_by_key(|s| (s.start_us, s.span_id));
-        all
+        self.inner.spans.collect(|_| true, Trace::order)
     }
 
     /// Assemble every retained span of one trace. `None` when the collector
     /// holds nothing for it (never sampled, or fully evicted).
     pub fn assemble(&self, trace_id: u64) -> Option<Trace> {
-        let mut spans = Vec::new();
-        for shard in &self.inner.shards {
-            spans.extend(shard.lock().unwrap().iter().filter(|s| s.trace_id == trace_id).cloned());
-        }
-        if spans.is_empty() {
-            return None;
-        }
-        let mut trace = Trace { trace_id, spans };
-        trace.canonicalize();
-        Some(trace)
+        let spans = self.inner.spans.collect(|s| s.trace_id == trace_id, Trace::order);
+        (!spans.is_empty()).then_some(Trace { trace_id, spans })
     }
 
     /// Called by the component that owns the root span once it has finished:

@@ -1,6 +1,6 @@
 //! Property-based tests for per-principal accounting: the space-saving
-//! sketch's error bound and decay behaviour on arbitrary streams, and
-//! exporter round trips with a populated accounting section.
+//! sketch's error bound on arbitrary streams, and exporter round trips with
+//! a populated accounting section.
 
 use proptest::prelude::*;
 use volap_obs::{export, Accounting, CostVec, Obs, Snapshot, SpaceSaving, COST_DIMS, COST_DIM_NAMES};
@@ -8,7 +8,7 @@ use volap_obs::{export, Accounting, CostVec, Obs, Snapshot, SpaceSaving, COST_DI
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The Metwally guarantee on any decay-free stream: every tracked
+    /// The Metwally guarantee on any stream: every tracked
     /// principal's estimate never undercounts, overcounts by at most its
     /// recorded `err`, and `err ≤ N/k` where `N` is the total offered
     /// weight. Any principal whose true weight exceeds `N/k` is tracked.
@@ -48,47 +48,6 @@ proptest! {
         }
     }
 
-    /// Decay is monotone: one tick scales every estimate and the offered
-    /// total by alpha, never reorders surviving entries, and drops entries
-    /// only when they fall below one unit of weight.
-    #[test]
-    fn sketch_decay_is_monotone_and_order_preserving(
-        stream in prop::collection::vec((0u32..10, 1u64..500), 1..100),
-        alpha_milli in 0u64..=1_000,
-    ) {
-        let alpha = alpha_milli as f64 / 1_000.0;
-        let mut sketch = SpaceSaving::new(8);
-        for &(p, w) in &stream {
-            sketch.offer(p, w);
-        }
-        let before = sketch.entries();
-        let offered_before = sketch.offered();
-        sketch.decay(alpha);
-        let after = sketch.entries();
-        prop_assert!(
-            (sketch.offered() - offered_before * alpha).abs() <= 1e-9 * offered_before.max(1.0),
-            "offered total not scaled by alpha"
-        );
-        prop_assert!(after.len() <= before.len(), "decay minted entries");
-        for &(p, count, err) in &after {
-            let (_, c0, e0) = *before
-                .iter()
-                .find(|&&(q, _, _)| q == p)
-                .expect("decay kept an entry that did not exist");
-            prop_assert!((count - c0 * alpha).abs() <= 1e-9 * c0.max(1.0));
-            prop_assert!((err - e0 * alpha).abs() <= 1e-9 * e0.max(1.0));
-            prop_assert!(count >= 1.0, "entry below one unit survived decay");
-        }
-        // Surviving entries keep their relative order (uniform scaling).
-        let order_before: Vec<u32> = before
-            .iter()
-            .filter(|&&(p, _, _)| after.iter().any(|&(q, _, _)| q == p))
-            .map(|&(p, _, _)| p)
-            .collect();
-        let order_after: Vec<u32> = after.iter().map(|&(p, _, _)| p).collect();
-        prop_assert_eq!(order_before, order_after, "decay reordered survivors");
-    }
-
     /// Snapshots with a populated accounting section survive the JSON
     /// exporter losslessly and the Prometheus exporter up to its defined
     /// scope (metrics + accounting counter fold).
@@ -100,7 +59,7 @@ proptest! {
             1..20,
         ),
     ) {
-        let acc = Accounting::new(topk, 0.9);
+        let acc = Accounting::new(topk);
         for (name, dims) in &charges {
             let p = acc.intern(name);
             let mut a = [0u64; COST_DIMS];

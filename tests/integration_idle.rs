@@ -44,8 +44,8 @@ fn an_idle_cluster_uses_under_five_percent_of_a_core() {
     cluster.settle(Duration::from_secs(5));
 
     // A poll loop that burns CPU burns it in every window; a manager round,
-    // a sampler tick or a busy host only in some. So: the quietest of up to
-    // three windows, stopping at the first that is inside the budget.
+    // a stats publish or a busy host only in some. So: the quietest of up
+    // to three windows, stopping at the first that is inside the budget.
     let mut quietest = Duration::MAX;
     for _ in 0..3 {
         let (wall, cpu) = (Instant::now(), process_cpu());

@@ -129,6 +129,10 @@ fn histograms_knob_disables_timing_but_not_counting() {
     cluster.shutdown();
 }
 
+/// Forced splits, migrations onto a new worker and the reap of that
+/// worker's shards once it dies: the worker-side events reach the log, and
+/// the audit trail — the one record of each manager decision — reconciles
+/// exactly with the manager's counters.
 #[test]
 fn split_and_migration_events_reach_the_log() {
     let schema = Schema::uniform(2, 2, 8);
@@ -137,6 +141,8 @@ fn split_and_migration_events_reach_the_log() {
     cfg.workers = 2;
     cfg.max_shard_items = 400; // force splits
     cfg.manager_period = Duration::from_millis(30);
+    cfg.stats_period = Duration::from_millis(25); // session TTL = 10x this
+    cfg.request_timeout = Duration::from_secs(2);
     let cluster = Cluster::start(cfg);
     let client = cluster.client();
     let mut gen = DataGen::new(&schema, 9, 1.4);
@@ -145,11 +151,31 @@ fn split_and_migration_events_reach_the_log() {
         eventually(Duration::from_secs(15), || cluster.balance_counts().0 >= 1),
         "manager never split"
     );
-    let snap = cluster.snapshot();
+    let fresh = cluster.add_worker();
+    let holds_data = || cluster.worker_loads().iter().any(|(w, n)| *w == fresh && *n > 0);
+    assert!(
+        eventually(Duration::from_secs(15), holds_data),
+        "manager never migrated onto the new worker"
+    );
+    let reaped = || cluster.snapshot().counter("volap_manager_orphans_removed_total");
+    assert!(cluster.kill_worker(&fresh));
+    assert!(eventually(Duration::from_secs(15), || reaped() >= 1), "no orphan reaped");
+
+    // Stop the manager so no decision is half-recorded, then read the
+    // shared core it recorded into.
+    let obs = cluster.obs().clone();
+    cluster.shutdown();
+    let snap = obs.snapshot();
     assert!(snap.events_of("shard_split").next().is_some(), "split event logged");
-    assert!(snap.events_of("manager_split").next().is_some(), "manager decision logged");
-    assert_eq!(snap.counter("volap_manager_splits_total"), cluster.balance_counts().0);
+    assert!(snap.events_of("shard_migrate").next().is_some(), "migrate event logged");
     assert!(snap.counter("volap_worker_splits_total") >= 1);
     assert!(snap.gauge("volap_worker_tree_node_splits") >= 0);
-    cluster.shutdown();
+    assert_eq!(obs.audit().dropped(), 0, "the audit ring kept every decision");
+    let decided = |action: &str| {
+        snap.audit.iter().filter(|d| d.action == action && d.outcome == "ok").count() as u64
+    };
+    assert_eq!(decided("split"), snap.counter("volap_manager_splits_total"));
+    assert_eq!(decided("migrate"), snap.counter("volap_manager_migrations_total"));
+    assert_eq!(decided("orphan_reap"), snap.counter("volap_manager_orphans_removed_total"));
+    assert!(decided("orphan_reap") >= 1);
 }
