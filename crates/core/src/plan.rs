@@ -37,7 +37,8 @@ volap_obs::record! {
         nodes_visited: u64,
         /// Directory entries answered from the cached aggregate.
         covered_hits: u64,
-        /// Leaf items tested individually.
+        /// Rows held by the visited leaves, whether the scan tested them or a
+        /// per-column range proof settled them wholesale.
         items_scanned: u64,
         /// Directory entries pruned (no overlap).
         pruned: u64,

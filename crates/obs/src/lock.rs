@@ -13,8 +13,10 @@
 //!   [`set_always_time`] forces timing for every acquisition).
 //!
 //! The release-build fast path for an uncontended acquisition is two
-//! relaxed loads, a `try_lock`, and **one relaxed counter increment** — no
-//! `Instant::now()`, no registry lookup, no allocation. Stats live in
+//! relaxed loads, a `try_lock`, and **one relaxed counter increment** on
+//! this thread's stripe of the class's counter — no `Instant::now()`, no
+//! registry lookup, no allocation, and no cache line shared with the other
+//! threads taking the same class. Stats live in
 //! atomics embedded in each `static LockClass`, so locks constructed deep
 //! inside the tree layer need no registry handle; `Obs::snapshot()` folds
 //! every class that has ever been acquired into the snapshot as labeled
@@ -39,6 +41,7 @@ use std::time::{Duration, Instant};
 use crate::registry::{
     bucket_index, bucket_le_seconds, HistogramSnapshot, MetricId, ScalarSnapshot, HIST_BUCKETS,
 };
+use crate::ring::{thread_ordinal, SHARDS};
 use crate::snapshot::{ascending, Row};
 
 // ---------------------------------------------------------------------------
@@ -147,6 +150,10 @@ impl BucketBlock {
     }
 }
 
+/// One stripe of a class's acquisition counter, on a cache line of its own.
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
 /// The static identity of one family of locks: a name, a documented rank in
 /// the global hierarchy, and embedded contention stats.
 ///
@@ -161,7 +168,10 @@ pub struct LockClass {
     rank: u16,
     chainable: bool,
     registered: AtomicBool,
-    acquisitions: AtomicU64,
+    /// Acquisition count, striped by thread ordinal as the event ring's
+    /// shards are: every tree-node read bumps it, so one shared counter
+    /// would be a cache line all scan threads fight over.
+    acquisitions: [Stripe; SHARDS],
     contended: AtomicU64,
     wait: BucketBlock,
     hold: BucketBlock,
@@ -175,7 +185,7 @@ impl LockClass {
             rank,
             chainable: false,
             registered: AtomicBool::new(false),
-            acquisitions: AtomicU64::new(0),
+            acquisitions: [const { Stripe(AtomicU64::new(0)) }; SHARDS],
             contended: AtomicU64::new(0),
             wait: BucketBlock::new(),
             hold: BucketBlock::new(),
@@ -202,7 +212,12 @@ impl LockClass {
 
     /// Acquisitions recorded so far (tests / diagnostics).
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
+        self.acquisitions.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+    }
+
+    #[inline]
+    fn count_acquisition(&self) {
+        self.acquisitions[thread_ordinal() % SHARDS].0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Contended acquisitions recorded so far (tests / diagnostics).
@@ -225,7 +240,7 @@ impl LockClass {
     #[inline]
     fn note_uncontended(&'static self) -> Option<Instant> {
         self.register();
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.count_acquisition();
         if ALWAYS_TIME.load(Ordering::Relaxed) {
             Some(Instant::now())
         } else {
@@ -236,7 +251,7 @@ impl LockClass {
     /// Telemetry for an acquisition that had to block for `wait`.
     fn note_contended(&'static self, wait: Duration) -> Option<Instant> {
         self.register();
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.count_acquisition();
         self.contended.fetch_add(1, Ordering::Relaxed);
         let ns = wait.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.wait.observe_ns(ns);
@@ -881,8 +896,10 @@ pub fn export_into(
     let mut out = Vec::with_capacity(classes.len());
     for class in classes {
         let labeled = |metric: &str| MetricId::labeled(metric, "class", class.name);
-        let (acquisitions, contended) =
-            (class.acquisitions.load(Ordering::Relaxed), class.contended.load(Ordering::Relaxed));
+        // Contended first: every contended acquisition is counted in
+        // `acquisitions` before `contended`, so the pair stays ordered.
+        let contended = class.contended.load(Ordering::Relaxed);
+        let acquisitions = class.acquisitions();
         counters.push(ScalarSnapshot { id: labeled("volap_lock_acquisitions_total"), value: acquisitions });
         counters.push(ScalarSnapshot { id: labeled("volap_lock_contended_total"), value: contended });
         let wait = class.wait.snapshot(labeled("volap_lock_wait_seconds"));

@@ -19,7 +19,7 @@ use std::sync::Mutex;
 /// Number of ring shards. Threads map onto shards by ordinal; with the
 /// handful of service threads a simulated cluster runs, collisions are rare
 /// and harmless (the shard mutex is still only briefly held).
-const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 
 static NEXT_THREAD_ORDINAL: AtomicUsize = AtomicUsize::new(0);
 

@@ -11,13 +11,14 @@
 //!
 //! The containment test against a query box first compiles each dimension's
 //! value range into a per-encoding predicate — for dictionary columns a range
-//! of *codes*, which also proves emptiness (`Never`) or full coverage (`All`)
-//! without touching any row. Surviving predicates then run dimension-major
-//! over 256-row blocks of four 64-row lanes, combining range checks into
-//! `u64` bitmasks with no data-dependent branches in the inner loop — the
-//! shape LLVM autovectorizes — reading packed words directly so an encoded
-//! column moves a fraction of the bytes. A block whose combined mask reaches
-//! zero skips its remaining dimensions.
+//! of *codes* — which also proves emptiness (`Never`) or full coverage
+//! (`All`) without touching any row: a raw column from the `[lo, hi]` of its
+//! values it carries, a dictionary column from its rank range. Surviving
+//! predicates then run dimension-major over 256-row blocks of four 64-row
+//! lanes, combining range checks into `u64` bitmasks with no data-dependent
+//! branches in the inner loop — the shape LLVM autovectorizes — reading
+//! packed words directly so an encoded column moves a fraction of the bytes.
+//! A block whose combined mask reaches zero skips its remaining dimensions.
 
 use volap_dims::{Aggregate, Item, QueryBox};
 use volap_hilbert::BigIndex;
@@ -35,7 +36,7 @@ const MAX_DICT: usize = 1 << 16;
 
 /// Fixed-width bit-packed dictionary codes, little-endian within each word.
 #[derive(Clone)]
-pub struct PackedCodes {
+pub(crate) struct PackedCodes {
     words: Vec<u64>,
     width: usize,
     len: usize,
@@ -118,9 +119,20 @@ fn mask64_raw(col: &[u64], lo: u64, hi: u64) -> u64 {
 /// One coordinate column: raw values, or a sorted dictionary of distinct
 /// values plus one packed code (the value's rank) per row.
 #[derive(Clone)]
-pub enum Column {
-    Raw(Vec<u64>),
+pub(crate) enum Column {
+    /// Raw values and `[lo, hi]`, their range (`lo > hi` while empty). Every
+    /// mutation widens the range over the values it adds (VOLAP never
+    /// deletes, so a range never has to shrink); [`Column::pred`] proves
+    /// `Never` or `All` from it.
+    Raw { vals: Vec<u64>, lo: u64, hi: u64 },
     Dict { dict: Vec<u64>, codes: PackedCodes },
+}
+
+/// Widen the range `[lo, hi]` to take in `v`.
+#[inline]
+fn widen(lo: &mut u64, hi: &mut u64, v: u64) {
+    *lo = (*lo).min(v);
+    *hi = (*hi).max(v);
 }
 
 /// A per-dimension predicate compiled against the column's encoding.
@@ -137,12 +149,21 @@ enum Pred<'a> {
 
 impl Column {
     fn new() -> Self {
-        Column::Raw(Vec::new())
+        Column::raw(Vec::new())
+    }
+
+    /// A raw column over `vals`, its range computed from them.
+    fn raw(vals: Vec<u64>) -> Self {
+        let (mut lo, mut hi) = (u64::MAX, u64::MIN);
+        for &v in &vals {
+            widen(&mut lo, &mut hi, v);
+        }
+        Column::Raw { vals, lo, hi }
     }
 
     fn len(&self) -> usize {
         match self {
-            Column::Raw(v) => v.len(),
+            Column::Raw { vals, .. } => vals.len(),
             Column::Dict { codes, .. } => codes.len,
         }
     }
@@ -150,47 +171,55 @@ impl Column {
     #[inline]
     fn get(&self, i: usize) -> u64 {
         match self {
-            Column::Raw(v) => v[i],
+            Column::Raw { vals, .. } => vals[i],
             Column::Dict { dict, codes } => dict[codes.get(i) as usize],
         }
     }
 
-    /// Mutable raw view, decoding a dictionary column first. Point mutations
-    /// are the hot ingest path; they pay one O(rows) decode on the first
-    /// touch of an encoded leaf and the next split re-encodes wholesale.
-    fn make_raw(&mut self) -> &mut Vec<u64> {
+    /// Mutable raw view — the values and their range — decoding a
+    /// dictionary column first. Point mutations are the hot ingest path;
+    /// they pay one O(rows) decode on the first touch of an encoded leaf and
+    /// the next split re-encodes wholesale. A caller adding values widens
+    /// the range over each.
+    fn make_raw(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64) {
         if let Column::Dict { dict, codes } = self {
-            let decoded = (0..codes.len).map(|i| dict[codes.get(i) as usize]).collect();
-            *self = Column::Raw(decoded);
+            *self = Column::raw((0..codes.len).map(|i| dict[codes.get(i) as usize]).collect());
         }
         match self {
-            Column::Raw(v) => v,
+            Column::Raw { vals, lo, hi } => (vals, lo, hi),
             Column::Dict { .. } => unreachable!("decoded above"),
         }
     }
 
     fn push(&mut self, v: u64) {
         match self {
-            Column::Raw(vals) => vals.push(v),
+            Column::Raw { vals, lo, hi } => {
+                vals.push(v);
+                widen(lo, hi, v);
+            }
             Column::Dict { dict, codes } => {
                 // Appending a value the dictionary already knows keeps the
                 // encoding; anything else decays to raw.
                 if let Ok(code) = dict.binary_search(&v) {
                     codes.push(code as u64);
                 } else {
-                    self.make_raw().push(v);
+                    let (vals, lo, hi) = self.make_raw();
+                    vals.push(v);
+                    widen(lo, hi, v);
                 }
             }
         }
     }
 
     fn insert(&mut self, pos: usize, v: u64) {
-        self.make_raw().insert(pos, v);
+        let (vals, lo, hi) = self.make_raw();
+        vals.insert(pos, v);
+        widen(lo, hi, v);
     }
 
-    fn splice_at(&mut self, pos: usize, vals: impl Iterator<Item = u64>) {
-        let raw = self.make_raw();
-        raw.splice(pos..pos, vals);
+    fn splice_at(&mut self, pos: usize, new: impl Iterator<Item = u64>) {
+        let (vals, lo, hi) = self.make_raw();
+        vals.splice(pos..pos, new.inspect(|&v| widen(lo, hi, v)));
     }
 
     /// Re-choose this column's encoding from its current values: build the
@@ -226,7 +255,7 @@ impl Column {
 
     fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
         match self {
-            Column::Raw(v) => Column::Raw(v[r].to_vec()),
+            Column::Raw { vals, .. } => Column::raw(vals[r].to_vec()),
             Column::Dict { dict, codes } => {
                 // Repack the code subrange against the same dictionary.
                 // Entries absent from this half go stale — they cost bytes,
@@ -241,15 +270,31 @@ impl Column {
         }
     }
 
-    /// Compile a value range into an encoding-aware predicate. For a
-    /// dictionary column the range check becomes a rank check: `clo` is the
-    /// rank of the first dict value `>= lo`, `chi` the rank of the last
-    /// `<= hi`. An empty rank range proves no row matches; a full one proves
-    /// every row does (stale dictionary entries only widen the rank range,
-    /// so both proofs stay conservative and correct).
+    /// Compile a value range into an encoding-aware predicate, proving
+    /// `Never` (no row matches) before `All` (every row does). A raw column
+    /// proves both from its stored range. For a dictionary column the range
+    /// check becomes a rank check: `clo` is the rank of the first dict value
+    /// `>= lo`, `chi` the rank of the last `<= hi`, and an empty or full rank
+    /// range is the proof. A raw range is exact (mutations widen it, decodes
+    /// and splits recompute it); a dictionary may hold stale entries after a
+    /// split, which only widen the rank range, so that proof stays
+    /// conservative and correct.
+    ///
+    /// The proof uses only state read under the leaf's own lock, never the
+    /// parent's slot key: an insert can extend that key and add a row here
+    /// between a reader's parent and child visits, and an `All` proven from
+    /// the old key would count the new row even where it lies outside `q`.
     fn pred(&self, lo: u64, hi: u64) -> Pred<'_> {
         match self {
-            Column::Raw(v) => Pred::Raw { col: v, lo, hi },
+            Column::Raw { vals, lo: vlo, hi: vhi } => {
+                if *vhi < lo || hi < *vlo {
+                    Pred::Never
+                } else if lo <= *vlo && *vhi <= hi {
+                    Pred::All
+                } else {
+                    Pred::Raw { col: vals, lo, hi }
+                }
+            }
             Column::Dict { dict, codes } => {
                 let clo = dict.partition_point(|&d| d < lo);
                 let chi = dict.partition_point(|&d| d <= hi);
@@ -448,6 +493,26 @@ impl LeafColumns {
         }
     }
 
+    /// Check the leaf's invariants: every column holds [`Self::len`] rows,
+    /// and every raw column's stored range contains each of its values.
+    pub fn check(&self) -> Result<(), String> {
+        let n = self.len();
+        if self.hkeys.len() != n {
+            return Err(format!("{} hkeys for {n} rows", self.hkeys.len()));
+        }
+        for (d, col) in self.cols.iter().enumerate() {
+            if col.len() != n {
+                return Err(format!("column {d} holds {} values for {n} rows", col.len()));
+            }
+            if let Column::Raw { vals, lo, hi } = col {
+                if let Some(v) = vals.iter().find(|&&v| v < *lo || v > *hi) {
+                    return Err(format!("column {d}: value {v} outside its range [{lo}, {hi}]"));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Accumulate this leaf's encoding footprint into `out`.
     pub fn column_stats(&self, out: &mut ColumnStats) {
         for col in &self.cols {
@@ -455,7 +520,7 @@ impl LeafColumns {
             out.columns += 1;
             out.plain_bytes += 8 * n;
             match col {
-                Column::Raw(_) => out.stored_bytes += 8 * n,
+                Column::Raw { .. } => out.stored_bytes += 8 * n,
                 Column::Dict { dict, codes } => {
                     out.dict_columns += 1;
                     out.dict_entries += dict.len() as u64;
@@ -488,7 +553,8 @@ impl LeafColumns {
         (0..self.len()).map(|i| self.entry(i)).collect()
     }
 
-    pub(crate) fn item(&self, i: usize) -> Item {
+    /// Row `i` as an [`Item`].
+    pub fn item(&self, i: usize) -> Item {
         Item { coords: self.cols.iter().map(|col| col.get(i)).collect(), measure: self.measures[i] }
     }
 
@@ -695,6 +761,82 @@ mod tests {
         leaf.column_stats(&mut st);
         assert_eq!(st.dict_columns, 0);
         assert_eq!(st.plain_bytes, st.stored_bytes);
+    }
+
+    /// Every row of `leaf` against boxes drawn at its raw ranges' edges:
+    /// exactly the range (`All`), one past each end (`Never`), touching
+    /// either end, and nested strictly inside.
+    fn check_at_edges(leaf: &LeafColumns) {
+        leaf.check().unwrap();
+        let rows: Vec<(Vec<u64>, f64)> =
+            (0..leaf.len()).map(|i| (leaf.item(i).coords.to_vec(), leaf.item(i).measure)).collect();
+        let dims = leaf.cols.len();
+        let (mut mins, mut maxs) = (vec![u64::MAX; dims], vec![0u64; dims]);
+        for (c, _) in &rows {
+            for d in 0..dims {
+                mins[d] = mins[d].min(c[d]);
+                maxs[d] = maxs[d].max(c[d]);
+            }
+        }
+        let mut queries = Vec::new();
+        for d in 0..dims {
+            let (lo, hi) = (mins[d], maxs[d]);
+            let edges = [
+                (lo, hi),
+                (hi.saturating_add(1), hi.saturating_add(9)),
+                (0, lo.saturating_sub(1)),
+                (hi, hi),
+                (lo, lo),
+                (lo.saturating_add(1), hi.saturating_sub(1)),
+            ];
+            for r in edges.into_iter().filter(|&(a, b)| a <= b) {
+                let mut q = vec![(0, u64::MAX); dims];
+                q[d] = r;
+                queries.push(q);
+            }
+        }
+        check_queries(leaf, &rows, &queries);
+    }
+
+    fn keyed_entry(coords: &[u64], h: u64) -> Entry {
+        Entry { coords: coords.into(), measure: h as f64, hkey: Some(BigIndex::from(h)) }
+    }
+
+    #[test]
+    fn raw_ranges_follow_every_mutation_path() {
+        // from_entries, then a Hilbert insert in the middle.
+        let entries = (0..40).map(|h| keyed_entry(&[h % 5, 100 + h], h * 10)).collect();
+        let mut leaf = LeafColumns::from_entries(2, entries);
+        check_at_edges(&leaf);
+        let pos = leaf.hkey_partition_point(&BigIndex::from(155));
+        leaf.insert(pos, keyed_entry(&[7, 3], 155));
+        check_at_edges(&leaf);
+        // A run whose groups splice between existing rows and past the end.
+        let items: Vec<Item> = [[9u64, 1], [0, 500], [2, 2], [11, 0]]
+            .iter()
+            .map(|c| Item::new(c.to_vec(), 1.0))
+            .collect();
+        let mut keyed: Vec<(BigIndex, u32)> = [5u64, 205, 206, 9_999]
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (BigIndex::from(h), i as u32))
+            .collect();
+        leaf.insert_run(&items, &mut keyed);
+        check_at_edges(&leaf);
+        // Encode, then split: the low half keeps a stale dictionary on dim 0.
+        leaf.encode();
+        let mut half = leaf.clone_range(0..10);
+        check_at_edges(&half);
+        // A value the dictionary does not know decays it to raw.
+        half.push(keyed_entry(&[1_000, 1_000], 99_999));
+        check_at_edges(&half);
+        let mut st = ColumnStats::default();
+        half.column_stats(&mut st);
+        assert_eq!(st.dict_columns, 0);
+        // push_row on an empty leaf: the empty range admits the first value.
+        let mut fresh = LeafColumns::new(2);
+        fresh.push_row(&[u64::MAX, 0], 1.0);
+        check_at_edges(&fresh);
     }
 
     #[test]

@@ -114,6 +114,13 @@ pub(crate) struct NodeInner<K> {
     /// Cached aggregate of the whole subtree (the PDC tree's core trick).
     pub agg: Aggregate,
     pub children: NodeChildren<K>,
+    /// Split away: replaced in its parent by two fresh halves, it stays
+    /// intact for readers that queued it before. A directory's halves share
+    /// its children, and later inserts extend the halves' slot keys, not
+    /// this node's. Its keys may still prune (a stale key only misses rows
+    /// inserted after the reader queued the node) but never prove a child
+    /// covered: the child's aggregate keeps growing past the stale key.
+    pub retired: bool,
 }
 
 /// A tree node: a lock around its contents. Inserts use write-lock coupling
@@ -121,11 +128,13 @@ pub(crate) struct NodeInner<K> {
 pub(crate) type Node<K> = ObsRwLock<NodeInner<K>>;
 
 pub(crate) fn new_leaf<K: Key>(entries: LeafColumns, agg: Aggregate) -> Arc<Node<K>> {
-    Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, NodeInner { agg, children: NodeChildren::Leaf(entries) }))
+    let inner = NodeInner { agg, children: NodeChildren::Leaf(entries), retired: false };
+    Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, inner))
 }
 
 pub(crate) fn new_dir<K: Key>(entries: Vec<DirEntry<K>>, agg: Aggregate) -> Arc<Node<K>> {
-    Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, NodeInner { agg, children: NodeChildren::Dir(entries) }))
+    let inner = NodeInner { agg, children: NodeChildren::Dir(entries), retired: false };
+    Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, inner))
 }
 
 /// Shortest run for which a materialized key union pays for itself: below
@@ -148,7 +157,8 @@ pub struct QueryTrace {
     pub nodes_visited: u64,
     /// Directory entries answered from the cached aggregate.
     pub covered_hits: u64,
-    /// Leaf items tested individually.
+    /// Rows held by the visited leaves, whether the scan tested them or a
+    /// per-column range proof settled them wholesale.
     pub items_scanned: u64,
     /// Directory entries pruned (no overlap).
     pub pruned: u64,
@@ -282,13 +292,13 @@ impl<K: Key> ConcurrentTree<K> {
                     NodeChildren::Dir(entries) => loop {
                         let idx = self.choose_child(entries, &entry);
                         let child_arc = Arc::clone(&entries[idx].node);
-                        let child_guard = ObsRwLock::write_arc(&child_arc);
+                        let mut child_guard = ObsRwLock::write_arc(&child_arc);
                         if self.is_full(&child_guard) {
                             // Preventive split: replace the slot with two
                             // fresh nodes and re-choose. The old node is
                             // left untouched so in-flight readers keep a
                             // complete snapshot.
-                            let (left, right) = self.split_node(&child_guard);
+                            let (left, right) = self.split_node(&mut child_guard);
                             drop(child_guard);
                             entries[idx] = left;
                             entries.insert(idx + 1, right);
@@ -495,11 +505,11 @@ impl<K: Key> ConcurrentTree<K> {
         if !Arc::ptr_eq(&rp, old_root) {
             return; // someone else already replaced it
         }
-        let guard = old_root.read();
+        let mut guard = old_root.write();
         if !self.is_full(&guard) {
             return; // someone else already split it
         }
-        let (left, right) = self.split_node(&guard);
+        let (left, right) = self.split_node(&mut guard);
         let agg = guard.agg;
         drop(guard);
         *rp = new_dir(vec![left, right], agg);
@@ -507,9 +517,10 @@ impl<K: Key> ConcurrentTree<K> {
 
     /// Partition a full node's contents into two fresh nodes, choosing the
     /// split point that minimizes overlap between the resulting keys
-    /// (paper §III-D). Returns the two parent slots.
-    fn split_node(&self, inner: &NodeInner<K>) -> (DirEntry<K>, DirEntry<K>) {
+    /// (paper §III-D), and retire the node. Returns the two parent slots.
+    fn split_node(&self, inner: &mut NodeInner<K>) -> (DirEntry<K>, DirEntry<K>) {
         self.node_splits.fetch_add(1, Ordering::Relaxed);
+        inner.retired = true;
         match &inner.children {
             NodeChildren::Leaf(cols) if self.mapper.is_some() => {
                 // Hilbert rows are already key-ordered: choose the split over
@@ -767,10 +778,11 @@ impl<K: Key> ConcurrentTree<K> {
                     entries.scan(q, &mut agg);
                 }
                 NodeChildren::Dir(entries) => {
+                    let may_cover = self.cfg.aggregate_cache && !guard.retired;
                     for e in entries {
                         if !e.key.overlaps_query(q) {
                             trace.pruned += 1;
-                        } else if self.cfg.aggregate_cache && e.key.covered_by_query(q) {
+                        } else if may_cover && e.key.covered_by_query(q) {
                             // Coverage resilience: consume the cached aggregate.
                             trace.covered_hits += 1;
                             agg.merge(&e.node.read().agg);
@@ -818,22 +830,25 @@ impl<K: Key> ConcurrentTree<K> {
     /// Snapshot every item (used by splits, migration and tests).
     pub fn items(&self) -> Vec<Item> {
         let mut out = Vec::with_capacity(self.len() as usize);
-        let root = Arc::clone(&self.root.read());
-        self.collect_items(&root, &mut out);
+        self.for_each_leaf(|leaf| leaf.append_items(&mut out));
         out
     }
 
-    fn collect_items(&self, node: &Arc<Node<K>>, out: &mut Vec<Item>) {
+    /// Call `f` on every leaf, left to right, each under its own read guard.
+    pub fn for_each_leaf(&self, mut f: impl FnMut(&LeafColumns)) {
+        let root = Arc::clone(&self.root.read());
+        Self::visit_leaves(&root, &mut f);
+    }
+
+    fn visit_leaves(node: &Arc<Node<K>>, f: &mut impl FnMut(&LeafColumns)) {
         let guard = node.read();
         match &guard.children {
-            NodeChildren::Leaf(entries) => {
-                entries.append_items(out);
-            }
+            NodeChildren::Leaf(entries) => f(entries),
             NodeChildren::Dir(entries) => {
                 let children: Vec<_> = entries.iter().map(|e| Arc::clone(&e.node)).collect();
                 drop(guard);
                 for c in children {
-                    self.collect_items(&c, out);
+                    Self::visit_leaves(&c, f);
                 }
             }
         }
