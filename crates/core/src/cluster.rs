@@ -114,10 +114,9 @@ impl Cluster {
         &self.net
     }
 
-    /// Kill a worker abruptly: unregister its endpoint (in-flight and
-    /// future messages to it fail) and stop its threads. Its shards remain
-    /// in the image, as after a real crash. Returns `false` for unknown
-    /// names.
+    /// Kill a worker abruptly: stop its threads and unregister its endpoint
+    /// (future messages to it fail). Its shards remain in the image, as
+    /// after a real crash. Returns `false` for unknown names.
     pub fn kill_worker(&self, name: &str) -> bool {
         let handle = {
             let mut workers = self.workers.lock();
@@ -126,7 +125,6 @@ impl Cluster {
                 None => return false,
             }
         };
-        self.net.unregister(name);
         handle.stop();
         true
     }

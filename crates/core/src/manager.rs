@@ -14,9 +14,7 @@
 //! anywhere in the system.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use volap_net::{Endpoint, Network};
@@ -25,6 +23,7 @@ use volap_obs::{BalanceDecision, Counter, Histogram, Obs};
 use crate::config::VolapConfig;
 use crate::image::ImageStore;
 use crate::proto::{Request, Response};
+use crate::util::Process;
 
 /// Cumulative counts of load-balancing operations (the right-hand axis of
 /// Figure 6), backed by the deployment's metrics registry so they appear in
@@ -60,40 +59,28 @@ impl BalanceStats {
 pub struct ManagerHandle {
     /// Shared operation counters.
     pub stats: Arc<BalanceStats>,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    process: Process,
 }
 
 impl ManagerHandle {
-    /// Signal shutdown and join.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Let the round in flight finish, then stop and unregister.
+    pub fn stop(self) {
+        self.process.stop();
     }
 }
 
-/// Spawn the manager loop.
+/// Spawn the manager thread: one [`balance_round`] every
+/// `cfg.manager_period`, asleep in between.
 pub fn spawn_manager(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> ManagerHandle {
     let endpoint = net.endpoint(name.to_string());
     let stats = Arc::new(BalanceStats::new(image.obs()));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let image = image.clone();
-        let cfg = cfg.clone();
-        let stats = Arc::clone(&stats);
-        let stop = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                while crate::util::sleep_unless_stopped(cfg.manager_period, &stop) {
-                    balance_round(&endpoint, &image, &cfg, &stats);
-                }
-            })
-            .expect("spawn manager")
+    let process = {
+        let (ep, image, cfg, stats) = (endpoint.clone(), image.clone(), cfg.clone(), Arc::clone(&stats));
+        Process::start(&endpoint, name.to_string(), cfg.manager_period, move || {
+            balance_round(&ep, &image, &cfg, &stats)
+        })
     };
-    ManagerHandle { stats, shutdown, thread: Some(thread) }
+    ManagerHandle { stats, process }
 }
 
 /// One planning round: split oversized shards, then move shards from the
@@ -228,16 +215,9 @@ pub fn balance_round(
             .ok()
             .and_then(|bytes| Response::decode(&cfg.schema, &bytes).ok())
             .is_some_and(|r| matches!(r, Response::Ack));
-        let mut rest: Vec<(u64, u64)> = candidates.into_iter().filter(|&(s, _)| s != shard).collect();
         if ok {
             stats.migrations.inc();
-            *load.get_mut(src).unwrap() -= len;
-            *load.get_mut(dst).unwrap() += len;
-            by_worker.entry(dst).or_default().push((shard, len));
-        } else {
-            rest.push((shard, len));
         }
-        by_worker.insert(src, rest);
         let mut inputs = vec![
             ("src_load".into(), src_load.to_string()),
             ("dst_load".into(), dst_load.to_string()),
@@ -259,6 +239,16 @@ pub fn balance_round(
             duration_us: elapsed_us(t0),
             ..Default::default()
         });
+        if !ok {
+            // The same shard would still be the best fit, so retrying now
+            // repeats the failure, e.g. onto a worker that has died but
+            // whose session has not expired yet. The next round re-plans.
+            break;
+        }
+        *load.get_mut(src).unwrap() -= len;
+        *load.get_mut(dst).unwrap() += len;
+        by_worker.insert(src, candidates.into_iter().filter(|&(s, _)| s != shard).collect());
+        by_worker.entry(dst).or_default().push((shard, len));
     }
 }
 

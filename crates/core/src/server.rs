@@ -8,10 +8,9 @@
 //! staleness analyzed in §IV-F.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use volap_coord::EventKind;
 use volap_dims::{Aggregate, Item, Key, Mbr, QueryBox, Schema};
@@ -32,7 +31,7 @@ use crate::image::{ImageStore, ShardRecord, SHARDS_PREFIX};
 use crate::plan::QueryPlan;
 use crate::proto::{Request, Response};
 use crate::server_index::ServerIndex;
-use crate::util::micros;
+use crate::util::{micros, Process};
 
 /// Observability handles registered once at spawn (recording is pure
 /// relaxed atomics). Counters are labeled per server; latency histograms
@@ -96,21 +95,19 @@ struct ServerState {
 pub struct ServerHandle {
     /// The server's endpoint name.
     pub name: String,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    process: Process,
 }
 
 impl ServerHandle {
-    /// Signal shutdown and join all threads.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Stop the sync thread, unregister the endpoint and join all threads.
+    pub fn stop(self) {
+        self.process.stop();
     }
 }
 
-/// Spawn a server: `cfg.server_threads` service threads plus a sync thread.
+/// Spawn a server: `cfg.server_threads` service threads, which sleep in the
+/// endpoint's `serve` until a request arrives, plus a sync thread that wakes
+/// every `cfg.sync_period`.
 pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> ServerHandle {
     let endpoint = net.endpoint(name.to_string());
     image.add_server(name);
@@ -132,43 +129,19 @@ pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
     let watch_rx = image.coord().watch_prefix(SHARDS_PREFIX);
     bootstrap(&state);
 
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
+    // Synchronization thread: push dirty expansions, apply watch events.
+    let st = Arc::clone(&state);
+    let mut process = Process::start(&endpoint, format!("{name}-sync"), cfg.sync_period, move || {
+        push_dirty(&st);
+        while let Ok(ev) = watch_rx.try_recv() {
+            apply_event(&st, &ev.path, ev.kind);
+        }
+    });
     for t in 0..cfg.server_threads.max(1) {
         let st = Arc::clone(&state);
-        let stop = Arc::clone(&shutdown);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("{name}-svc{t}"))
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        if let Ok(msg) = st.endpoint.recv(Duration::from_millis(20)) {
-                            handle(&st, msg);
-                        }
-                    }
-                })
-                .expect("spawn server thread"),
-        );
+        process.spawn(format!("{name}-svc{t}"), move || st.endpoint.serve(|msg| handle(&st, msg)));
     }
-    // Synchronization thread: push dirty expansions, apply watch events.
-    {
-        let st = Arc::clone(&state);
-        let stop = Arc::clone(&shutdown);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("{name}-sync"))
-                .spawn(move || {
-                    while crate::util::sleep_unless_stopped(st.cfg.sync_period, &stop) {
-                        push_dirty(&st);
-                        while let Ok(ev) = watch_rx.try_recv() {
-                            apply_event(&st, &ev.path, ev.kind);
-                        }
-                    }
-                })
-                .expect("spawn sync thread"),
-        );
-    }
-    ServerHandle { name: name.to_string(), shutdown, threads }
+    ServerHandle { name: name.to_string(), process }
 }
 
 fn bootstrap(st: &Arc<ServerState>) {

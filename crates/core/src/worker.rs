@@ -9,9 +9,8 @@
 //! two halves; after a migration it forwards to the destination worker.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Sender};
@@ -33,7 +32,7 @@ use crate::config::VolapConfig;
 use crate::image::{ImageStore, ShardRecord};
 use crate::plan::{ShardExec, WorkerExec};
 use crate::proto::{Request, Response};
-use crate::util::micros;
+use crate::util::{micros, Process};
 
 /// Observability handles registered once at spawn. Counters and gauges are
 /// labeled per worker; latency histograms are shared deployment-wide.
@@ -54,9 +53,6 @@ struct WorkerObs {
     queue_depth: Gauge,
     /// Total items held across active + busy stores.
     items: Gauge,
-    /// Cumulative tree node splits across this worker's stores (scraped
-    /// from shard statistics, so it trails by one stats period).
-    node_splits: Gauge,
     insert_seconds: Histogram,
     bulk_insert_seconds: Histogram,
     query_seconds: Histogram,
@@ -78,7 +74,6 @@ impl WorkerObs {
             shards: reg.gauge_labeled("volap_worker_shards", "worker", name),
             queue_depth: reg.gauge_labeled("volap_worker_queue_depth", "worker", name),
             items: reg.gauge_labeled("volap_worker_items", "worker", name),
-            node_splits: reg.gauge_labeled("volap_worker_tree_node_splits", "worker", name),
             insert_seconds: reg.histogram("volap_worker_insert_seconds"),
             bulk_insert_seconds: reg.histogram("volap_worker_bulk_insert_seconds"),
             query_seconds: reg.histogram("volap_worker_query_seconds"),
@@ -156,24 +151,21 @@ struct WorkerState {
 pub struct WorkerHandle {
     /// The worker's endpoint name.
     pub name: String,
-    shutdown: Arc<AtomicBool>,
-    /// Joined in order, scan threads last: they exit only once the last
-    /// `WorkerState`, and with it their job sender, is dropped.
-    threads: Vec<JoinHandle<()>>,
+    process: Process,
 }
 
 impl WorkerHandle {
-    /// Signal shutdown and join all of the worker's threads.
-    pub fn stop(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    /// Stop the statistics publisher, unregister the endpoint and join all
+    /// of the worker's threads.
+    pub fn stop(self) {
+        self.process.stop();
     }
 }
 
-/// Spawn a worker with `cfg.worker_threads` service threads, a statistics
-/// publisher and one scan thread per available core.
+/// Spawn a worker with `cfg.worker_threads` service threads, which sleep in
+/// the endpoint's `serve` until a request arrives, a statistics publisher
+/// that wakes every `cfg.stats_period`, and one scan thread per available
+/// core, which sleeps until a query hands it a shard to scan.
 pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> WorkerHandle {
     let endpoint = net.endpoint(name.to_string());
     // Liveness: membership is an ephemeral node under a heartbeated
@@ -196,57 +188,29 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         obs: WorkerObs::new(image, name),
         tracer: image.obs().tracer().clone(),
     });
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mut threads = Vec::new();
+    // Statistics publisher: lets the manager plan and keeps image lens fresh.
+    let st = Arc::clone(&state);
+    let mut process = Process::start(&endpoint, format!("{name}-stats"), cfg.stats_period, move || {
+        st.image.coord().heartbeat(session);
+        publish_stats(&st);
+    });
     for t in 0..cfg.worker_threads.max(1) {
         let st = Arc::clone(&state);
-        let stop = Arc::clone(&shutdown);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("{name}-svc{t}"))
-                .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        if let Ok(msg) = st.endpoint.recv(Duration::from_millis(20)) {
-                            handle(&st, msg);
-                        }
-                    }
-                })
-                .expect("spawn worker thread"),
-        );
+        process.spawn(format!("{name}-svc{t}"), move || st.endpoint.serve(|msg| handle(&st, msg)));
     }
-    // Statistics publisher: lets the manager plan and keeps image lens fresh.
-    {
-        let st = Arc::clone(&state);
-        let stop = Arc::clone(&shutdown);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("{name}-stats"))
-                .spawn(move || {
-                    while crate::util::sleep_unless_stopped(st.cfg.stats_period, &stop) {
-                        st.image.coord().heartbeat(session);
-                        publish_stats(&st);
-                    }
-                })
-                .expect("spawn stats thread"),
-        );
-    }
-    // A scan thread must not hold a `WorkerState`: it would keep its own job
-    // sender alive and never see the queue disconnect.
+    // Scan threads are joined last: they exit only once the last
+    // `WorkerState`, and with it their job sender, is dropped. So a scan
+    // thread must not hold one.
     let scanners = std::thread::available_parallelism().map_or(1, |n| n.get());
     for t in 0..scanners {
         let queue = scan_queue.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("{name}-scan{t}"))
-                .spawn(move || {
-                    while let Ok(job) = queue.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn scan thread"),
-        );
+        process.spawn(format!("{name}-scan{t}"), move || {
+            while let Ok(job) = queue.recv() {
+                job();
+            }
+        });
     }
-    WorkerHandle { name: name.to_string(), shutdown, threads }
+    WorkerHandle { name: name.to_string(), process }
 }
 
 /// The image record of a store this worker serves under shard `id`.
@@ -257,7 +221,7 @@ fn shard_record(st: &WorkerState, id: u64, store: &Arc<dyn ShardStore>) -> Shard
 fn publish_stats(st: &WorkerState) {
     let slots: Vec<(u64, Arc<Slot>)> =
         st.slots.read().iter().map(|(&id, s)| (id, Arc::clone(s))).collect();
-    let (mut live, mut items, mut queued, mut node_splits) = (0i64, 0i64, 0i64, 0i64);
+    let (mut live, mut items, mut queued) = (0i64, 0i64, 0i64);
     let heat_on = st.heat.enabled();
     for (id, slot) in slots {
         // The state guard stays held across the publish: `do_split` and
@@ -271,7 +235,6 @@ fn publish_stats(st: &WorkerState) {
         };
         live += 1;
         items += store.len() as i64;
-        node_splits += store.stats().node_splits as i64;
         if let SlotState::Busy { queue, .. } = &*guard {
             queued += queue.len() as i64;
         }
@@ -284,7 +247,6 @@ fn publish_stats(st: &WorkerState) {
     st.obs.shards.set(live);
     st.obs.items.set(items);
     st.obs.queue_depth.set(queued);
-    st.obs.node_splits.set(node_splits);
 }
 
 /// Fold one shard's hot-path counter deltas into its EWMA rates and publish

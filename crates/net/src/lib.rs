@@ -11,10 +11,17 @@
 //!   real wire.
 //! * [`Endpoint`] — a process's mailbox. `send` is fire-and-forget;
 //!   [`Endpoint::request`] blocks for a correlated reply with a timeout;
-//!   [`Endpoint::recv`] pulls the next incoming request. The receive queue
-//!   is MPMC: any number of service threads can `recv` from clones of the
-//!   same endpoint, giving ZeroMQ's availability-based thread load
+//!   [`Endpoint::recv`] pulls the next incoming request and
+//!   [`Endpoint::serve`] handles them until the endpoint closes. The receive
+//!   queue is MPMC: any number of service threads can `recv` from clones of
+//!   the same endpoint, giving ZeroMQ's availability-based thread load
 //!   balancing for free.
+//!
+//! **Stopping is disconnecting**, as terminating a ZeroMQ context ends every
+//! blocked `recv`: the registry entry holds the only sender of an endpoint's
+//! request queue, so [`Network::unregister`] closes the queue. Its service
+//! threads drain what was already delivered, then see [`NetError::Closed`];
+//! they sleep until then and never poll a flag.
 //!
 //! Replies are demultiplexed by correlation ID straight into the waiting
 //! requester, never through the request queue — exactly the two-socket
@@ -40,8 +47,8 @@ use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
 use volap_obs::{Counter, Histogram, Registry, SpanGuard, TraceCtx, Tracer};
 
 /// The fabric's slice of the global lock hierarchy (DESIGN.md §11.1): routing
-/// reads the endpoint registry, then may hold the delay-queue sender while
-/// delivering, and delivery of a reply takes the requester's pending map —
+/// holds the endpoint registry's read lock across the delay-queue send or
+/// the delivery, and delivery of a reply takes the requester's pending map —
 /// so endpoints < delay < pending.
 static ENDPOINTS_CLASS: LockClass = LockClass::new("net.endpoints", 60);
 static DELAY_CLASS: LockClass = LockClass::new("net.delay", 61);
@@ -119,13 +126,21 @@ struct Envelope {
 
 struct EndpointCore {
     name: String,
-    queue_tx: Sender<Envelope>,
     queue_rx: Receiver<Envelope>,
     pending: ObsMutex<HashMap<u64, Sender<Envelope>>>,
     next_corr: AtomicU64,
 }
 
-impl EndpointCore {
+/// A registry entry: the endpoint plus the only sender of its request
+/// queue. Deliveries send under the registry's read lock, so once
+/// `unregister` has removed the entry no delivery is in flight and the
+/// queue disconnects as soon as it drains.
+struct Route {
+    core: Arc<EndpointCore>,
+    queue_tx: Sender<Envelope>,
+}
+
+impl Route {
     fn deliver(&self, mut env: Envelope, obs: Option<&NetObs>) {
         if env.is_reply {
             // Route straight to the requester. If it already gave up
@@ -135,7 +150,7 @@ impl EndpointCore {
             // of the `match`; a reply channel has room for every reply it can
             // get, so the send never blocks): a timed-out requester that
             // finds its entry gone therefore finds the reply in its channel.
-            match self.pending.lock().remove(&env.correlation) {
+            match self.core.pending.lock().remove(&env.correlation) {
                 Some(tx) => {
                     let _ = tx.send(env);
                 }
@@ -156,7 +171,7 @@ impl EndpointCore {
 type DelayQueue = ObsMutex<Sender<(Instant, String, Envelope)>>;
 
 struct NetworkInner {
-    endpoints: ObsRwLock<HashMap<String, Arc<EndpointCore>>>,
+    endpoints: ObsRwLock<HashMap<String, Route>>,
     /// Injected one-way latency and the delay thread's queue; `None` (the
     /// default) delivers on the sender's thread and takes no lock for it.
     delay: Option<(Duration, DelayQueue)>,
@@ -211,9 +226,9 @@ impl Network {
                         std::thread::sleep(due - now);
                     }
                     let Some(inner) = weak.upgrade() else { break };
-                    let target = inner.endpoints.read().get(&to).cloned();
-                    if let Some(core) = target {
-                        core.deliver(env, inner.obs.get());
+                    let endpoints = inner.endpoints.read();
+                    if let Some(route) = endpoints.get(&to) {
+                        route.deliver(env, inner.obs.get());
                     }
                 }
             })
@@ -227,12 +242,12 @@ impl Network {
         let (queue_tx, queue_rx) = unbounded();
         let core = Arc::new(EndpointCore {
             name: name.clone(),
-            queue_tx,
             queue_rx,
             pending: ObsMutex::new(&PENDING_CLASS, HashMap::new()),
             next_corr: AtomicU64::new(1),
         });
-        let prev = self.inner.endpoints.write().insert(name.clone(), Arc::clone(&core));
+        let route = Route { core: Arc::clone(&core), queue_tx };
+        let prev = self.inner.endpoints.write().insert(name.clone(), route);
         assert!(prev.is_none(), "endpoint name {name:?} already registered");
         Endpoint { net: self.clone(), core }
     }
@@ -264,7 +279,9 @@ impl Network {
         self.inner.tracer.get()
     }
 
-    /// Remove an endpoint from the registry (messages to it start failing).
+    /// Remove an endpoint from the registry: messages to it start failing,
+    /// and its request queue closes once the requests already delivered
+    /// are received, which ends its service threads.
     pub fn unregister(&self, name: &str) {
         self.inner.endpoints.write().remove(name);
     }
@@ -274,13 +291,8 @@ impl Network {
             obs.messages.inc();
             obs.bytes.add(env.payload.len() as u64);
         }
-        let target = self
-            .inner
-            .endpoints
-            .read()
-            .get(to)
-            .cloned()
-            .ok_or_else(|| NetError::UnknownEndpoint(to.to_string()))?;
+        let endpoints = self.inner.endpoints.read();
+        let target = endpoints.get(to).ok_or_else(|| NetError::UnknownEndpoint(to.to_string()))?;
         match &self.inner.delay {
             Some((lat, tx)) => {
                 tx.lock().send((Instant::now() + *lat, to.to_string(), env)).map_err(|_| NetError::Closed)
@@ -583,10 +595,23 @@ impl Endpoint {
     /// Block for the next incoming request (not replies), up to `timeout`.
     pub fn recv(&self, timeout: Duration) -> Result<Incoming, NetError> {
         match self.core.queue_rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Incoming::from_env(env, self.net.clone(), self.core.name.clone())),
+            Ok(env) => Ok(self.incoming(env)),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
+    }
+
+    /// A service thread's loop: block for each incoming request and
+    /// `handle` it, until the endpoint is unregistered and every request
+    /// delivered before that has been handled.
+    pub fn serve(&self, mut handle: impl FnMut(Incoming)) {
+        while let Ok(env) = self.core.queue_rx.recv() {
+            handle(self.incoming(env));
+        }
+    }
+
+    fn incoming(&self, env: Envelope) -> Incoming {
+        Incoming::from_env(env, self.net.clone(), self.core.name.clone())
     }
 }
 
@@ -935,5 +960,30 @@ mod tests {
         let _b = net.endpoint("b");
         net.unregister("b");
         assert!(matches!(a.send("b", vec![]), Err(NetError::UnknownEndpoint(_))));
+    }
+
+    #[test]
+    fn unregister_ends_serve_after_the_queue_drains() {
+        let net = Network::new();
+        let a = net.endpoint("a");
+        let b = net.endpoint("b");
+        let servers: Vec<_> = (0..2)
+            .map(|_| {
+                let b = b.clone();
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    b.serve(|msg| got.push(msg.payload[0]));
+                    got
+                })
+            })
+            .collect();
+        for i in 0..10u8 {
+            a.send("b", vec![i]).unwrap();
+        }
+        net.unregister("b");
+        let mut got: Vec<u8> = servers.into_iter().flat_map(|s| s.join().unwrap()).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..10).collect::<Vec<_>>(), "every delivered request is served before the loop ends");
+        assert!(matches!(b.recv(Duration::from_secs(10)), Err(NetError::Closed)), "a closed queue does not wait");
     }
 }

@@ -923,7 +923,9 @@ pub fn export_into(
 mod tests {
     use super::*;
 
-    /// Mode-mutating tests share one serial section and restore Panic.
+    /// Tests that flip a global switch (check mode, telemetry, timing), or
+    /// count acquisitions that the telemetry switch would drop, share one
+    /// serial section; the switching ones restore the default.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static GATE: Mutex<()> = Mutex::new(());
         GATE.lock().unwrap_or_else(|e| e.into_inner())
@@ -947,6 +949,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_acquisitions_and_contention() {
+        let _s = serial();
         static C: LockClass = LockClass::new("test.telemetry", 9001);
         let m = Arc::new(ObsMutex::new(&C, 0u64));
         for _ in 0..10 {
@@ -1122,6 +1125,7 @@ mod tests {
 
     #[test]
     fn thread_wait_counter_accumulates_on_contention() {
+        let _s = serial();
         static C: LockClass = LockClass::new("test.wait_tls", 9170);
         let m = Arc::new(ObsMutex::new(&C, ()));
         let g = m.lock();

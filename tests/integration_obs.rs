@@ -169,7 +169,6 @@ fn split_and_migration_events_reach_the_log() {
     assert!(snap.events_of("shard_split").next().is_some(), "split event logged");
     assert!(snap.events_of("shard_migrate").next().is_some(), "migrate event logged");
     assert!(snap.counter("volap_worker_splits_total") >= 1);
-    assert!(snap.gauge("volap_worker_tree_node_splits") >= 0);
     assert_eq!(obs.audit().dropped(), 0, "the audit ring kept every decision");
     let decided = |action: &str| {
         snap.audit.iter().filter(|d| d.action == action && d.outcome == "ok").count() as u64
