@@ -212,7 +212,7 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
     out
 }
 
-/// Shared per-binary environment for `bench_insert` / `bench_scan`: core
+/// Per-binary environment of a bench binary (`bench_insert`): core
 /// accounting and the `--check` flag.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchEnv {

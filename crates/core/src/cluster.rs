@@ -308,6 +308,15 @@ pub struct ClientSession {
     principal: volap_obs::PrincipalId,
 }
 
+/// A dropped session takes its `client-N` endpoint off the fabric, so
+/// short-lived sessions (`Cluster::settle` opens one per probe) do not
+/// accumulate in the registry.
+impl Drop for ClientSession {
+    fn drop(&mut self) {
+        self.endpoint.network().unregister(self.endpoint.name());
+    }
+}
+
 impl ClientSession {
     /// The server this session is attached to.
     pub fn server(&self) -> &str {

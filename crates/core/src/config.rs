@@ -126,6 +126,5 @@ mod tests {
         assert!(cfg.lock_check);
         let obs = volap_obs::Obs::new(cfg.obs.clone());
         assert!(obs.heat().enabled() && obs.accounting().enabled(), "sections start armed");
-        assert!(cfg.tree.column_compression);
     }
 }

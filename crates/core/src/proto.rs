@@ -273,25 +273,24 @@ impl Request {
     }
 
     /// [`Request::decode`], then check every item and query box against the
-    /// schema's dimension count: `decode` has no schema, so a well-formed
-    /// message can still carry the wrong number of coordinates or ranges —
-    /// which the routing and tree layers index by dimension without
-    /// checking. This is how servers and workers read an incoming request.
-    pub fn decode_checked(data: &[u8], dims: usize) -> Result<Self, WireError> {
+    /// schema: `decode` has no schema, so a well-formed message can still
+    /// carry the wrong number of coordinates or ranges — which the routing
+    /// and tree layers index by dimension without checking — or a
+    /// coordinate outside its dimension's domain, which would be stored and
+    /// acknowledged yet never counted ([`Item::check`]). This is how servers
+    /// and workers read an incoming request.
+    pub fn decode_checked(data: &[u8], schema: &Schema) -> Result<Self, WireError> {
         let req = Self::decode(data)?;
-        req.check_dims(dims)?;
+        req.check(schema)?;
         Ok(req)
     }
 
-    fn check_dims(&self, dims: usize) -> Result<(), WireError> {
-        let item = |it: &Item| match it.coords.len() {
-            n if n == dims => Ok(()),
-            n => Err(format!("item has {n} coordinates, schema has {dims} dimensions")),
-        };
+    fn check(&self, schema: &Schema) -> Result<(), WireError> {
+        let dims = schema.dims();
         match self {
-            Request::Insert { item: it, .. } | Request::ClientInsert { item: it, .. } => item(it),
+            Request::Insert { item, .. } | Request::ClientInsert { item, .. } => item.check(schema),
             Request::BulkInsert { items, .. } | Request::ClientBulkInsert { items, .. } => {
-                items.iter().try_for_each(item)
+                items.iter().try_for_each(|it| it.check(schema))
             }
             Request::Query { query, .. }
             | Request::QueryAnalyze { query, .. }
@@ -602,5 +601,17 @@ mod tests {
         let tagged =
             Request::ClientInsert { item: Item::new(vec![1, 2], 0.0), principal: 7 }.encode();
         assert!(Request::decode(&tagged[..tagged.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn decode_checked_rejects_items_outside_the_schema() {
+        let s = schema();
+        let edge = Request::ClientInsert { item: Item::new(vec![63, 0], 0.0), principal: 0 }.encode();
+        assert!(Request::decode_checked(&edge, &s).is_ok());
+        for coords in [vec![64, 0], vec![u64::MAX, u64::MAX], vec![1]] {
+            let items = vec![Item::new(vec![1, 1], 0.0), Item::new(coords, 0.0)];
+            let bad = Request::ClientBulkInsert { items, principal: 0 }.encode();
+            assert!(Request::decode_checked(&bad, &s).is_err());
+        }
     }
 }

@@ -315,7 +315,7 @@ fn traced_root<R>(
 }
 
 fn handle(st: &Arc<ServerState>, msg: Incoming) {
-    let req = match Request::decode_checked(&msg.payload, st.schema.dims()) {
+    let req = match Request::decode_checked(&msg.payload, &st.schema) {
         Ok(r) => r,
         Err(e) => {
             reply(&msg, Response::Err(format!("bad request: {e}")));

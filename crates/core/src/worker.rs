@@ -320,7 +320,7 @@ fn serve(
 }
 
 fn handle(st: &Arc<WorkerState>, msg: Incoming) {
-    let req = match Request::decode_checked(&msg.payload, st.schema.dims()) {
+    let req = match Request::decode_checked(&msg.payload, &st.schema) {
         Ok(r) => r,
         Err(e) => {
             reply(&msg, Response::Err(format!("bad request: {e}")));

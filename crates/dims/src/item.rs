@@ -40,6 +40,27 @@ impl Item {
         Self::new(coords, measure)
     }
 
+    /// Check this item against `schema`: one coordinate per dimension, each
+    /// in `[0, ordinal_end() - 1]`, the bounds [`crate::QueryBox::all`]
+    /// covers. An item outside them would be stored, yet no query could
+    /// count it.
+    pub fn check(&self, schema: &Schema) -> Result<(), String> {
+        if self.coords.len() != schema.dims() {
+            return Err(format!(
+                "item has {} coordinates, schema has {} dimensions",
+                self.coords.len(),
+                schema.dims()
+            ));
+        }
+        for (d, &c) in self.coords.iter().enumerate() {
+            let last = schema.dim(d).ordinal_end() - 1;
+            if c > last {
+                return Err(format!("coordinate {c} of dimension {d} is outside [0, {last}]"));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {

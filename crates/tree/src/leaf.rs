@@ -1,114 +1,26 @@
-//! Columnar leaf storage: per-dimension dictionary encodings and the
-//! branch-free containment-scan kernel.
+//! Columnar leaf storage and the branch-free containment-scan kernel.
 //!
 //! Leaves keep their items in structure-of-arrays form: one coordinate
-//! [`Column`] per dimension plus a parallel measure column. At build and
-//! split time each column independently chooses between a raw `Vec<u64>` and
-//! a sorted dictionary with bit-packed codes (widths 1/2/4/8/16 so codes
-//! never straddle a word); point mutations decay a column back to raw and the
-//! next split re-encodes it wholesale, keeping the hot ingest path free of
-//! per-insert dictionary maintenance.
+//! [`Column`] per dimension plus a parallel measure column. A column is its
+//! values plus `[lo, hi]`, their range, which every mutation widens.
 //!
 //! The containment test against a query box first compiles each dimension's
-//! value range into a per-encoding predicate — for dictionary columns a range
-//! of *codes* — which also proves emptiness (`Never`) or full coverage
-//! (`All`) without touching any row: a raw column from the `[lo, hi]` of its
-//! values it carries, a dictionary column from its rank range. Surviving
-//! predicates then run dimension-major over 256-row blocks of four 64-row
-//! lanes, combining range checks into `u64` bitmasks with no data-dependent
-//! branches in the inner loop — the shape LLVM autovectorizes — reading
-//! packed words directly so an encoded column moves a fraction of the bytes.
-//! A block whose combined mask reaches zero skips its remaining dimensions.
+//! value range into a predicate, proving emptiness (`Never`) or full
+//! coverage (`All`) from the column's range without touching any row.
+//! Surviving predicates then run dimension-major over 256-row blocks of four
+//! 64-row lanes, combining range checks into `u64` bitmasks with no
+//! data-dependent branches in the inner loop — the shape LLVM
+//! autovectorizes. A block whose combined mask reaches zero skips its
+//! remaining dimensions.
 
 use volap_dims::{Aggregate, Item, QueryBox};
 use volap_hilbert::BigIndex;
 
 use crate::tree::Entry;
 
-/// Packed code widths: powers of two, so a code never straddles a `u64`
-/// word and a 64-row lane always starts on a word boundary.
-const WIDTHS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// Hard cardinality cap: beyond this, a column stays raw no matter what the
-/// size heuristic says (dictionary binary searches stop paying for
-/// themselves long before this).
-const MAX_DICT: usize = 1 << 16;
-
-/// Fixed-width bit-packed dictionary codes, little-endian within each word.
-#[derive(Clone)]
-pub(crate) struct PackedCodes {
-    words: Vec<u64>,
-    width: usize,
-    len: usize,
-}
-
-impl PackedCodes {
-    fn with_capacity(width: usize, n: usize) -> Self {
-        debug_assert!(WIDTHS.contains(&width));
-        Self { words: Vec::with_capacity((n * width).div_ceil(64)), width, len: 0 }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len);
-        let per = 64 / self.width;
-        (self.words[i / per] >> ((i % per) * self.width)) & ((1u64 << self.width) - 1)
-    }
-
-    fn push(&mut self, code: u64) {
-        debug_assert!(code < (1u64 << self.width));
-        let per = 64 / self.width;
-        if self.len.is_multiple_of(per) {
-            self.words.push(0);
-        }
-        let last = self.words.last_mut().unwrap();
-        *last |= code << ((self.len % per) * self.width);
-        self.len += 1;
-    }
-
-    /// Containment mask for the 64-row lane starting at row `base` (which
-    /// must be a multiple of 64): bit `k` set iff code `base + k` lies in
-    /// `[clo, chi]`. Bits at and past `rows` are garbage the caller trims.
-    #[inline]
-    fn mask64(&self, base: usize, rows: usize, clo: u64, chi: u64) -> u64 {
-        debug_assert_eq!(base % 64, 0);
-        let start = base * self.width / 64;
-        let nw = (rows * self.width).div_ceil(64);
-        let ws = &self.words[start..start + nw];
-        match self.width {
-            1 => mask64_packed::<1>(ws, clo, chi),
-            2 => mask64_packed::<2>(ws, clo, chi),
-            4 => mask64_packed::<4>(ws, clo, chi),
-            8 => mask64_packed::<8>(ws, clo, chi),
-            16 => mask64_packed::<16>(ws, clo, chi),
-            _ => unreachable!("width is always one of WIDTHS"),
-        }
-    }
-}
-
-/// Range-test up to 64 rows of `W`-bit codes (at most `W` words). The shifts
-/// inside a word are independent of each other, so the loop vectorizes; the
-/// final shift `wi * per + k` never reaches 64 because a 64-row window spans
-/// at most `W` words of `64 / W` codes each.
+/// Range-test up to 64 coordinates.
 #[inline]
-fn mask64_packed<const W: usize>(words: &[u64], clo: u64, chi: u64) -> u64 {
-    let per = 64 / W;
-    let cmask: u64 = (1u64 << W) - 1;
-    let mut m = 0u64;
-    for (wi, &word) in words.iter().enumerate() {
-        let mut lane = 0u64;
-        for k in 0..per {
-            let code = (word >> (k * W)) & cmask;
-            lane |= (((code >= clo) as u64) & ((code <= chi) as u64)) << k;
-        }
-        m |= lane << (wi * per);
-    }
-    m
-}
-
-/// Range-test up to 64 raw coordinates.
-#[inline]
-fn mask64_raw(col: &[u64], lo: u64, hi: u64) -> u64 {
+fn mask64(col: &[u64], lo: u64, hi: u64) -> u64 {
     let mut m = 0u64;
     for (i, &c) in col.iter().enumerate() {
         m |= (((c >= lo) as u64) & ((c <= hi) as u64)) << i;
@@ -116,16 +28,15 @@ fn mask64_raw(col: &[u64], lo: u64, hi: u64) -> u64 {
     m
 }
 
-/// One coordinate column: raw values, or a sorted dictionary of distinct
-/// values plus one packed code (the value's rank) per row.
+/// One coordinate column: its values and `[lo, hi]`, their range (`lo > hi`
+/// while empty). Every mutation widens the range over the values it adds
+/// (VOLAP never deletes, so a range never has to shrink); [`Column::pred`]
+/// proves `Never` or `All` from it.
 #[derive(Clone)]
-pub(crate) enum Column {
-    /// Raw values and `[lo, hi]`, their range (`lo > hi` while empty). Every
-    /// mutation widens the range over the values it adds (VOLAP never
-    /// deletes, so a range never has to shrink); [`Column::pred`] proves
-    /// `Never` or `All` from it.
-    Raw { vals: Vec<u64>, lo: u64, hi: u64 },
-    Dict { dict: Vec<u64>, codes: PackedCodes },
+struct Column {
+    vals: Vec<u64>,
+    lo: u64,
+    hi: u64,
 }
 
 /// Widen the range `[lo, hi]` to take in `v`.
@@ -135,213 +46,56 @@ fn widen(lo: &mut u64, hi: &mut u64, v: u64) {
     *hi = (*hi).max(v);
 }
 
-/// A per-dimension predicate compiled against the column's encoding.
+/// A per-dimension predicate compiled against the column's range.
 enum Pred<'a> {
     /// Every row matches; the dimension drops out of the scan.
     All,
     /// No row can match; the whole leaf misses.
     Never,
-    /// Compare raw coordinates against the value range.
-    Raw { col: &'a [u64], lo: u64, hi: u64 },
-    /// Compare packed codes against the dictionary-code range.
-    Packed { codes: &'a PackedCodes, clo: u64, chi: u64 },
+    /// Compare each coordinate against the value range.
+    Test { col: &'a [u64], lo: u64, hi: u64 },
 }
 
 impl Column {
-    fn new() -> Self {
-        Column::raw(Vec::new())
-    }
-
-    /// A raw column over `vals`, its range computed from them.
-    fn raw(vals: Vec<u64>) -> Self {
+    /// A column over `vals`, its range computed from them.
+    fn new(vals: Vec<u64>) -> Self {
         let (mut lo, mut hi) = (u64::MAX, u64::MIN);
         for &v in &vals {
             widen(&mut lo, &mut hi, v);
         }
-        Column::Raw { vals, lo, hi }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Column::Raw { vals, .. } => vals.len(),
-            Column::Dict { codes, .. } => codes.len,
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> u64 {
-        match self {
-            Column::Raw { vals, .. } => vals[i],
-            Column::Dict { dict, codes } => dict[codes.get(i) as usize],
-        }
-    }
-
-    /// Mutable raw view — the values and their range — decoding a
-    /// dictionary column first. Point mutations are the hot ingest path;
-    /// they pay one O(rows) decode on the first touch of an encoded leaf and
-    /// the next split re-encodes wholesale. A caller adding values widens
-    /// the range over each.
-    fn make_raw(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64) {
-        if let Column::Dict { dict, codes } = self {
-            *self = Column::raw((0..codes.len).map(|i| dict[codes.get(i) as usize]).collect());
-        }
-        match self {
-            Column::Raw { vals, lo, hi } => (vals, lo, hi),
-            Column::Dict { .. } => unreachable!("decoded above"),
-        }
+        Column { vals, lo, hi }
     }
 
     fn push(&mut self, v: u64) {
-        match self {
-            Column::Raw { vals, lo, hi } => {
-                vals.push(v);
-                widen(lo, hi, v);
-            }
-            Column::Dict { dict, codes } => {
-                // Appending a value the dictionary already knows keeps the
-                // encoding; anything else decays to raw.
-                if let Ok(code) = dict.binary_search(&v) {
-                    codes.push(code as u64);
-                } else {
-                    let (vals, lo, hi) = self.make_raw();
-                    vals.push(v);
-                    widen(lo, hi, v);
-                }
-            }
-        }
+        self.vals.push(v);
+        widen(&mut self.lo, &mut self.hi, v);
     }
 
     fn insert(&mut self, pos: usize, v: u64) {
-        let (vals, lo, hi) = self.make_raw();
-        vals.insert(pos, v);
-        widen(lo, hi, v);
+        self.vals.insert(pos, v);
+        widen(&mut self.lo, &mut self.hi, v);
     }
 
     fn splice_at(&mut self, pos: usize, new: impl Iterator<Item = u64>) {
-        let (vals, lo, hi) = self.make_raw();
+        let Column { vals, lo, hi } = self;
         vals.splice(pos..pos, new.inspect(|&v| widen(lo, hi, v)));
     }
 
-    /// Re-choose this column's encoding from its current values: build the
-    /// sorted distinct dictionary, pick the narrowest width that fits, and
-    /// keep the encoding only when packed codes plus dictionary take at most
-    /// half the raw footprint (and the cardinality is within [`MAX_DICT`]).
-    /// Deterministic in the values alone, so a serialized shard re-encodes
-    /// identically on the receiving worker.
-    fn encode(&mut self) {
-        let n = self.len();
-        if n == 0 {
-            return;
-        }
-        let mut dict: Vec<u64> = (0..n).map(|i| self.get(i)).collect();
-        dict.sort_unstable();
-        dict.dedup();
-        let width = WIDTHS.into_iter().find(|&w| dict.len() <= 1usize << w);
-        let worth = dict.len() <= MAX_DICT
-            && width.is_some_and(|w| (n * w + dict.len() * 64) * 2 <= n * 64);
-        if worth {
-            let width = width.unwrap();
-            let mut codes = PackedCodes::with_capacity(width, n);
-            for i in 0..n {
-                codes.push(dict.binary_search(&self.get(i)).unwrap() as u64);
-            }
-            *self = Column::Dict { dict, codes };
-        } else if matches!(self, Column::Dict { .. }) {
-            // A re-check after a split can decide a small half is no longer
-            // worth its dictionary.
-            self.make_raw();
-        }
-    }
-
-    fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
-        match self {
-            Column::Raw { vals, .. } => Column::raw(vals[r].to_vec()),
-            Column::Dict { dict, codes } => {
-                // Repack the code subrange against the same dictionary.
-                // Entries absent from this half go stale — they cost bytes,
-                // never correctness — and the encode pass that follows every
-                // split rebuilds a tight dictionary.
-                let mut sub = PackedCodes::with_capacity(codes.width, r.len());
-                for i in r {
-                    sub.push(codes.get(i));
-                }
-                Column::Dict { dict: dict.clone(), codes: sub }
-            }
-        }
-    }
-
-    /// Compile a value range into an encoding-aware predicate, proving
-    /// `Never` (no row matches) before `All` (every row does). A raw column
-    /// proves both from its stored range. For a dictionary column the range
-    /// check becomes a rank check: `clo` is the rank of the first dict value
-    /// `>= lo`, `chi` the rank of the last `<= hi`, and an empty or full rank
-    /// range is the proof. A raw range is exact (mutations widen it, decodes
-    /// and splits recompute it); a dictionary may hold stale entries after a
-    /// split, which only widen the rank range, so that proof stays
-    /// conservative and correct.
+    /// Compile a value range into a predicate, proving `Never` (no row
+    /// matches) before `All` (every row does) from the column's range, which
+    /// is exact: mutations widen it and splits recompute it.
     ///
     /// The proof uses only state read under the leaf's own lock, never the
     /// parent's slot key: an insert can extend that key and add a row here
     /// between a reader's parent and child visits, and an `All` proven from
     /// the old key would count the new row even where it lies outside `q`.
     fn pred(&self, lo: u64, hi: u64) -> Pred<'_> {
-        match self {
-            Column::Raw { vals, lo: vlo, hi: vhi } => {
-                if *vhi < lo || hi < *vlo {
-                    Pred::Never
-                } else if lo <= *vlo && *vhi <= hi {
-                    Pred::All
-                } else {
-                    Pred::Raw { col: vals, lo, hi }
-                }
-            }
-            Column::Dict { dict, codes } => {
-                let clo = dict.partition_point(|&d| d < lo);
-                let chi = dict.partition_point(|&d| d <= hi);
-                if clo == chi {
-                    Pred::Never
-                } else if clo == 0 && chi == dict.len() {
-                    Pred::All
-                } else {
-                    Pred::Packed { codes, clo: clo as u64, chi: (chi - 1) as u64 }
-                }
-            }
-        }
-    }
-}
-
-/// Encoding footprint of a column set, accumulated over many leaves.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnStats {
-    /// Coordinate columns observed.
-    pub columns: u64,
-    /// Columns currently dictionary-encoded.
-    pub dict_columns: u64,
-    /// Total dictionary entries across encoded columns.
-    pub dict_entries: u64,
-    /// Bytes the coordinate columns would occupy raw (8 per row per dim).
-    pub plain_bytes: u64,
-    /// Bytes they actually occupy (packed words plus dictionaries for
-    /// encoded columns, raw vectors otherwise).
-    pub stored_bytes: u64,
-}
-
-impl ColumnStats {
-    /// Compression ratio `plain / stored` (1.0 when nothing is stored).
-    pub fn ratio(&self) -> f64 {
-        if self.stored_bytes == 0 {
-            1.0
+        if self.hi < lo || hi < self.lo {
+            Pred::Never
+        } else if lo <= self.lo && self.hi <= hi {
+            Pred::All
         } else {
-            self.plain_bytes as f64 / self.stored_bytes as f64
-        }
-    }
-
-    /// Mean stored bits per coordinate value (64.0 when raw everywhere).
-    pub fn bits_per_value(&self) -> f64 {
-        if self.plain_bytes == 0 {
-            64.0
-        } else {
-            self.stored_bytes as f64 * 8.0 / (self.plain_bytes as f64 / 8.0)
+            Pred::Test { col: &self.vals, lo, hi }
         }
     }
 }
@@ -353,7 +107,7 @@ impl ColumnStats {
 /// by it; under the geometric policy every hkey is `None`.
 #[derive(Clone)]
 pub struct LeafColumns {
-    /// `cols[d].get(i)` is the coordinate of row `i` along dimension `d`.
+    /// `cols[d].vals[i]` is the coordinate of row `i` along dimension `d`.
     cols: Vec<Column>,
     /// `measures[i]` is the measure of row `i`.
     measures: Vec<f64>,
@@ -364,7 +118,7 @@ pub struct LeafColumns {
 impl LeafColumns {
     pub fn new(dims: usize) -> Self {
         Self {
-            cols: (0..dims).map(|_| Column::new()).collect(),
+            cols: (0..dims).map(|_| Column::new(Vec::new())).collect(),
             measures: Vec::new(),
             hkeys: Vec::new(),
         }
@@ -475,66 +229,39 @@ impl LeafColumns {
     }
 
     /// Copy rows `r` into a fresh column set — the Hilbert split path, which
-    /// duplicates each side with a handful of column memcpys (or code
-    /// repacks) instead of one interchange [`Entry`] per row.
-    pub(crate) fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
+    /// duplicates each side with a handful of column memcpys instead of one
+    /// interchange [`Entry`] per row.
+    pub fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
         Self {
-            cols: self.cols.iter().map(|c| c.clone_range(r.clone())).collect(),
+            cols: self.cols.iter().map(|c| Column::new(c.vals[r.clone()].to_vec())).collect(),
             measures: self.measures[r.clone()].to_vec(),
             hkeys: self.hkeys[r.clone()].to_vec(),
         }
     }
 
-    /// Re-choose every column's encoding from its current values. Called at
-    /// build and split time; never on the per-insert path.
-    pub fn encode(&mut self) {
-        for col in &mut self.cols {
-            col.encode();
-        }
-    }
-
     /// Check the leaf's invariants: every column holds [`Self::len`] rows,
-    /// and every raw column's stored range contains each of its values.
+    /// and every column's stored range contains each of its values.
     pub fn check(&self) -> Result<(), String> {
         let n = self.len();
         if self.hkeys.len() != n {
             return Err(format!("{} hkeys for {n} rows", self.hkeys.len()));
         }
-        for (d, col) in self.cols.iter().enumerate() {
-            if col.len() != n {
-                return Err(format!("column {d} holds {} values for {n} rows", col.len()));
+        for (d, Column { vals, lo, hi }) in self.cols.iter().enumerate() {
+            if vals.len() != n {
+                return Err(format!("column {d} holds {} values for {n} rows", vals.len()));
             }
-            if let Column::Raw { vals, lo, hi } = col {
-                if let Some(v) = vals.iter().find(|&&v| v < *lo || v > *hi) {
-                    return Err(format!("column {d}: value {v} outside its range [{lo}, {hi}]"));
-                }
+            if let Some(v) = vals.iter().find(|&&v| v < *lo || v > *hi) {
+                return Err(format!("column {d}: value {v} outside its range [{lo}, {hi}]"));
             }
         }
         Ok(())
-    }
-
-    /// Accumulate this leaf's encoding footprint into `out`.
-    pub fn column_stats(&self, out: &mut ColumnStats) {
-        for col in &self.cols {
-            let n = col.len() as u64;
-            out.columns += 1;
-            out.plain_bytes += 8 * n;
-            match col {
-                Column::Raw { .. } => out.stored_bytes += 8 * n,
-                Column::Dict { dict, codes } => {
-                    out.dict_columns += 1;
-                    out.dict_entries += dict.len() as u64;
-                    out.stored_bytes += 8 * (codes.words.len() as u64 + dict.len() as u64);
-                }
-            }
-        }
     }
 
     /// Overwrite `item` with row `i` (reusing its coordinate buffer).
     pub(crate) fn read_row_into(&self, i: usize, item: &mut Item) {
         debug_assert_eq!(item.coords.len(), self.cols.len());
         for (slot, col) in item.coords.iter_mut().zip(self.cols.iter()) {
-            *slot = col.get(i);
+            *slot = col.vals[i];
         }
         item.measure = self.measures[i];
     }
@@ -542,7 +269,7 @@ impl LeafColumns {
     /// Rebuild row `i` as an interchange [`Entry`].
     pub(crate) fn entry(&self, i: usize) -> Entry {
         Entry {
-            coords: self.cols.iter().map(|col| col.get(i)).collect(),
+            coords: self.cols.iter().map(|col| col.vals[i]).collect(),
             measure: self.measures[i],
             hkey: self.hkeys[i].clone(),
         }
@@ -555,7 +282,7 @@ impl LeafColumns {
 
     /// Row `i` as an [`Item`].
     pub fn item(&self, i: usize) -> Item {
-        Item { coords: self.cols.iter().map(|col| col.get(i)).collect(), measure: self.measures[i] }
+        Item { coords: self.cols.iter().map(|col| col.vals[i]).collect(), measure: self.measures[i] }
     }
 
     pub(crate) fn append_items(&self, out: &mut Vec<Item>) {
@@ -568,8 +295,8 @@ impl LeafColumns {
     /// misses short-circuits the leaf, one that provably covers it drops out,
     /// and a leaf covered on every dimension aggregates the measure column
     /// straight. The survivors run over 256-row blocks of four 64-row lanes:
-    /// each dimension ANDs its range-check bitmask into the lanes — reading
-    /// packed words directly for encoded columns — and a block whose four
+    /// each dimension ANDs its range-check bitmask into the lanes, and a
+    /// block whose four
     /// lanes reach zero skips its remaining dimensions. Only rows surviving
     /// all dimensions touch the measure column.
     pub fn scan(&self, q: &QueryBox, agg: &mut Aggregate) {
@@ -578,15 +305,15 @@ impl LeafColumns {
         if n == 0 {
             return;
         }
-        let mut preds: Vec<Pred<'_>> = Vec::with_capacity(self.cols.len());
+        let mut tests: Vec<(&[u64], u64, u64)> = Vec::with_capacity(self.cols.len());
         for (col, &(lo, hi)) in self.cols.iter().zip(q.ranges.iter()) {
             match col.pred(lo, hi) {
                 Pred::Never => return,
                 Pred::All => {}
-                p => preds.push(p),
+                Pred::Test { col, lo, hi } => tests.push((col, lo, hi)),
             }
         }
-        if preds.is_empty() {
+        if tests.is_empty() {
             for &m in &self.measures {
                 agg.add(m);
             }
@@ -601,7 +328,7 @@ impl LeafColumns {
                 let rows = (block - l * 64).min(64);
                 *lane = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
             }
-            'dims: for p in &preds {
+            'dims: for &(col, lo, hi) in &tests {
                 let mut any = 0u64;
                 for (l, lane) in lanes.iter_mut().enumerate().take(nlanes) {
                     if *lane == 0 {
@@ -609,12 +336,7 @@ impl LeafColumns {
                     }
                     let lbase = base + l * 64;
                     let rows = (n - lbase).min(64);
-                    let m = match *p {
-                        Pred::Raw { col, lo, hi } => mask64_raw(&col[lbase..lbase + rows], lo, hi),
-                        Pred::Packed { codes, clo, chi } => codes.mask64(lbase, rows, clo, chi),
-                        Pred::All | Pred::Never => unreachable!("filtered during compilation"),
-                    };
-                    *lane &= m;
+                    *lane &= mask64(&col[lbase..lbase + rows], lo, hi);
                     any |= *lane;
                 }
                 if any == 0 {
@@ -693,77 +415,20 @@ mod tests {
             vec![(31, 31), (0, 0)], // almost certainly empty result
         ];
         check_queries(&leaf, &rows, &queries);
-    }
-
-    #[test]
-    fn encoded_scan_matches_raw_scan() {
-        // 300 rows spans multiple blocks; dim 0 packs at width 8 (32
-        // distinct values), dim 1 at width 4 (6 distinct).
-        let (mut leaf, rows) = lcg_rows(300, [32, 6]);
+        // 300 rows spans two blocks; dim 1 holds 6 distinct values.
+        let (leaf, rows) = lcg_rows(300, [32, 6]);
         let queries = vec![
-            vec![(0, 31), (0, 5)],   // all-rows-match on both dims
-            vec![(0, 31), (2, 4)],   // dim 0 AllMatch, dim 1 packed
+            vec![(0, 31), (0, 5)],  // All on both dims: the measure column straight
+            vec![(0, 31), (2, 4)],  // dim 0 All, dim 1 tested
             vec![(5, 12), (0, 5)],
             vec![(8, 8), (3, 3)],
-            vec![(40, 50), (0, 5)],  // outside dim 0's domain: Never
-            vec![(31, 31), (0, 0)],
-            vec![(0, 0), (5, 5)],    // dictionary boundary: exact min/max hits
+            vec![(40, 50), (0, 5)], // past dim 0's range: Never
+            vec![(0, 0), (5, 5)],   // exact range ends
         ];
         check_queries(&leaf, &rows, &queries);
-        leaf.encode();
-        let mut st = ColumnStats::default();
-        leaf.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 2, "both low-cardinality columns encode");
-        assert!(st.stored_bytes * 2 <= st.plain_bytes, "heuristic guarantees 2x");
-        check_queries(&leaf, &rows, &queries);
     }
 
-    #[test]
-    fn mutation_decays_encoding_and_stays_correct() {
-        let (mut leaf, mut rows) = lcg_rows(100, [8, 8]);
-        leaf.encode();
-        // Push a known value: the dictionary absorbs it without decaying.
-        leaf.push(entry(&rows[0].0.clone(), 123.0));
-        rows.push((rows[0].0.clone(), 123.0));
-        let mut st = ColumnStats::default();
-        leaf.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 2, "known values append to the dictionary");
-        // Push a brand-new value: the column decays to raw.
-        leaf.push(entry(&[63, 63], 7.0));
-        rows.push((vec![63, 63], 7.0));
-        st = ColumnStats::default();
-        leaf.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 0, "unknown values decay the encoding");
-        check_queries(&leaf, &rows, &[vec![(0, 63), (0, 63)], vec![(2, 6), (0, 63)]]);
-    }
-
-    #[test]
-    fn clone_range_preserves_encoding() {
-        let (mut leaf, rows) = lcg_rows(128, [4, 4]);
-        leaf.encode();
-        let half = leaf.clone_range(0..64);
-        let mut st = ColumnStats::default();
-        half.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 2, "split halves keep their packed codes");
-        let half_rows: Vec<(Vec<u64>, f64)> = rows[..64].to_vec();
-        check_queries(&half, &half_rows, &[vec![(0, 3), (1, 2)], vec![(2, 2), (0, 3)]]);
-    }
-
-    #[test]
-    fn high_cardinality_stays_raw() {
-        let mut leaf = LeafColumns::new(1);
-        for i in 0..200u64 {
-            // All-distinct values: a dictionary would be as large as the data.
-            leaf.push(entry(&[i * 1_000_003], i as f64));
-        }
-        leaf.encode();
-        let mut st = ColumnStats::default();
-        leaf.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 0);
-        assert_eq!(st.plain_bytes, st.stored_bytes);
-    }
-
-    /// Every row of `leaf` against boxes drawn at its raw ranges' edges:
+    /// Every row of `leaf` against boxes drawn at its ranges' edges:
     /// exactly the range (`All`), one past each end (`Never`), touching
     /// either end, and nested strictly inside.
     fn check_at_edges(leaf: &LeafColumns) {
@@ -823,16 +488,13 @@ mod tests {
             .collect();
         leaf.insert_run(&items, &mut keyed);
         check_at_edges(&leaf);
-        // Encode, then split: the low half keeps a stale dictionary on dim 0.
-        leaf.encode();
+        // Split: each half recomputes its ranges from its own rows.
         let mut half = leaf.clone_range(0..10);
         check_at_edges(&half);
-        // A value the dictionary does not know decays it to raw.
+        check_at_edges(&leaf.clone_range(10..leaf.len()));
+        // A push past the half's ranges widens them.
         half.push(keyed_entry(&[1_000, 1_000], 99_999));
         check_at_edges(&half);
-        let mut st = ColumnStats::default();
-        half.column_stats(&mut st);
-        assert_eq!(st.dict_columns, 0);
         // push_row on an empty leaf: the empty range admits the first value.
         let mut fresh = LeafColumns::new(2);
         fresh.push_row(&[u64::MAX, 0], 1.0);

@@ -49,7 +49,7 @@ pub mod store;
 pub mod tree;
 
 pub use array::ArrayStore;
-pub use leaf::{ColumnStats, LeafColumns};
+pub use leaf::LeafColumns;
 pub use split::SplitPlan;
 pub use store::{build_store, deserialize_store, ShardStore, StoreKind, StoreStats};
 pub use tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig};

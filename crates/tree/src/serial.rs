@@ -32,7 +32,8 @@ pub fn encode_items(schema: &Schema, items: &[Item]) -> Vec<u8> {
 /// Decode a blob produced by [`encode_items`].
 ///
 /// Returns an error string on any structural mismatch (bad magic, truncated
-/// payload, wrong dimensionality).
+/// payload, wrong dimensionality) or an item outside the schema's domain
+/// ([`Item::check`]).
 pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
     let mut buf = Bytes::copy_from_slice(blob);
     if buf.remaining() < 14 {
@@ -57,8 +58,9 @@ pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
         let coords: Vec<u64> = (0..dims).map(|_| buf.get_u64()).collect();
-        let measure = buf.get_f64();
-        items.push(Item::new(coords, measure));
+        let item = Item::new(coords, buf.get_f64());
+        item.check(schema)?;
+        items.push(item);
     }
     Ok(items)
 }
@@ -166,6 +168,9 @@ mod tests {
         let other = Schema::uniform(5, 2, 8);
         assert!(decode_items(&other, &blob).is_err());
         assert!(decode_items(&schema, &[]).is_err());
+        // Coordinate 64 is one past dimension 0's domain of 8 x 8 leaves.
+        let outside = encode_items(&schema, &[Item::new(vec![64, 0, 0, 0], 1.0)]);
+        assert!(decode_items(&schema, &outside).is_err());
     }
 
     #[test]
@@ -217,32 +222,39 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_maintains_encodings() {
+    fn bulk_load_of_low_cardinality_data_matches_row_filter() {
         let schema = Schema::uniform(3, 2, 8);
         let tree: ConcurrentTree<Mds> = ConcurrentTree::new(
             schema.clone(),
             InsertPolicy::Hilbert { expand: true },
             TreeConfig::default(),
         );
-        // Dictionary-friendly data: 8 distinct values per dimension.
+        // 8 distinct values per dimension: many rows tie on every column.
         let data: Vec<Item> = items(2000, &schema)
             .into_iter()
             .map(|it| Item::new(it.coords.iter().map(|c| c % 8).collect(), it.measure))
             .collect();
         bulk_load(&tree, data.clone());
-        let q = QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]);
-        let agg = tree.query(&q);
-        let mut expect = Aggregate::empty();
-        for it in data.iter().filter(|it| q.contains_item(it)) {
-            expect.add(it.measure);
+        assert_eq!(tree.len(), data.len() as u64);
+        let mut leaves = 0;
+        tree.for_each_leaf(|leaf| {
+            leaf.check().unwrap();
+            leaves += 1;
+        });
+        assert!(leaves > 1, "2000 items pack into many leaves");
+        for q in [
+            QueryBox::from_ranges(vec![(0, 7), (0, 63), (0, 63)]),
+            QueryBox::from_ranges(vec![(2, 5), (0, 3), (7, 7)]),
+            QueryBox::from_ranges(vec![(8, 63), (0, 63), (0, 63)]),
+        ] {
+            let agg = tree.query(&q);
+            let mut expect = Aggregate::empty();
+            for it in data.iter().filter(|it| q.contains_item(it)) {
+                expect.add(it.measure);
+            }
+            assert_eq!(agg.count, expect.count);
+            assert!((agg.sum - expect.sum).abs() < 1e-6);
         }
-        assert_eq!(agg.count, expect.count);
-        assert!((agg.sum - expect.sum).abs() < 1e-6);
-        // Bulk-built leaves choose dictionary encodings for low-cardinality
-        // columns.
-        let st = tree.structure();
-        assert!(st.col_stats.dict_columns > 0, "low-cardinality columns must encode");
-        assert!(st.col_stats.stored_bytes * 2 <= st.col_stats.plain_bytes);
     }
 
     #[test]

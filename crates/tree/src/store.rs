@@ -3,7 +3,6 @@
 use volap_dims::{Aggregate, Item, Key, Mbr, Mds, QueryBox, Schema};
 
 use crate::array::ArrayStore;
-use crate::leaf::ColumnStats;
 use crate::serial::{bulk_load, decode_items, encode_items};
 use crate::split::SplitPlan;
 use crate::tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig};
@@ -107,31 +106,18 @@ pub struct StoreStats {
     /// Cumulative tree node splits performed by inserts (0 for the array
     /// store, which never splits nodes).
     pub node_splits: u64,
-    /// Leaf column encoding footprint (zeroed for the array store, which has
-    /// no columnar leaves).
-    pub col_stats: ColumnStats,
 }
 
 impl StoreStats {
-    /// These statistics as trace-span `key:value` annotations — what a
-    /// `tree_exec` span reports about the structure it scanned, including
-    /// the per-column encoding wins (`shard_split` events carry these so
-    /// heat/audit tooling can see memory savings).
+    /// These statistics as `key:value` annotations — the shape a
+    /// `shard_split` event reports about the shard it split.
     pub fn annotations(&self) -> Vec<(String, String)> {
-        let mut out = vec![
+        vec![
             ("items".into(), self.items.to_string()),
             ("dirs".into(), self.dirs.to_string()),
             ("leaves".into(), self.leaves.to_string()),
             ("height".into(), self.height.to_string()),
-        ];
-        if self.col_stats.columns > 0 {
-            let c = &self.col_stats;
-            out.push(("enc_dict_cols".into(), format!("{}/{}", c.dict_columns, c.columns)));
-            out.push(("enc_dict_entries".into(), c.dict_entries.to_string()));
-            out.push(("enc_bits_per_value".into(), format!("{:.1}", c.bits_per_value())));
-            out.push(("enc_ratio".into(), format!("{:.2}", c.ratio())));
-        }
-        out
+        ]
     }
 }
 
@@ -266,7 +252,6 @@ impl<K: Key> ShardStore for TreeShard<K> {
             leaves: s.leaves,
             height: s.height,
             node_splits: self.tree.node_splits(),
-            col_stats: s.col_stats,
         }
     }
     fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>) {
@@ -320,7 +305,6 @@ impl ShardStore for ArrayShard {
             leaves: 1,
             height: 1,
             node_splits: 0,
-            col_stats: ColumnStats::default(),
         }
     }
     fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>) {
@@ -404,13 +388,13 @@ mod tests {
     }
 
     #[test]
-    fn serialize_roundtrip_reencodes_columns() {
-        // A migrated shard must not silently degrade to raw columns: the
-        // blob carries raw items, so the receiving worker's deserialize path
-        // must re-run the (deterministic) encoding pass and land on the same
-        // footprint as the sender.
+    fn serialize_roundtrip_rebuilds_the_same_tree() {
+        // A migrated shard is rebuilt from the raw items its blob carries:
+        // the receiving worker must hold the same items in the same order,
+        // packed into as many leaves, with the same full-query aggregate.
         let schema = Schema::uniform(3, 2, 8);
-        // Dictionary-friendly data: 8 distinct values per dimension.
+        // Low-cardinality data: 8 distinct values per dimension, so many
+        // rows share coordinates and Hilbert keys.
         let data: Vec<Item> = items(2000, &schema)
             .into_iter()
             .map(|it| Item::new(it.coords.iter().map(|c| c % 8).collect(), it.measure))
@@ -418,12 +402,15 @@ mod tests {
         let cfg = TreeConfig::default();
         let store = build_store(StoreKind::HilbertPdcMds, &schema, &cfg);
         store.bulk_insert(data);
-        let sent = store.stats();
-        assert!(sent.col_stats.dict_columns > 0, "sender must have encoded columns");
         let back = deserialize_store(StoreKind::HilbertPdcMds, &schema, &cfg, &store.serialize())
             .unwrap();
-        let got = back.stats();
-        assert_eq!(got.col_stats, sent.col_stats, "migration must preserve the encoding footprint");
+        assert_eq!(back.items(), store.items());
+        assert_eq!(back.stats().leaves, store.stats().leaves);
+        let q = QueryBox::all(&schema);
+        let (got, sent) = (back.query(&q), store.query(&q));
+        assert_eq!(got.count, sent.count);
+        assert_eq!(got.sum.to_bits(), sent.sum.to_bits());
+        assert_eq!((got.min.to_bits(), got.max.to_bits()), (sent.min.to_bits(), sent.max.to_bits()));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use volap_dims::{Aggregate, HilbertMapper, Item, Key, Mbr, QueryBox, Schema};
 use volap_hilbert::BigIndex;
 use volap_obs::lock::{LockClass, ObsArcRwLockWriteGuard, ObsMutex, ObsRwLock};
 
-use crate::leaf::{ColumnStats, LeafColumns};
+use crate::leaf::LeafColumns;
 
 /// The tree layer's slice of the global lock hierarchy (DESIGN.md §11.1).
 /// The root pointer is taken before any node; node locks are chainable
@@ -31,10 +31,6 @@ pub struct TreeConfig {
     /// the paper's *conventional* R-tree baselines (Figure 5), which must
     /// visit every item a query covers.
     pub aggregate_cache: bool,
-    /// Whether leaf coordinate columns choose dictionary/bit-packed
-    /// encodings at build and split time (see [`crate::leaf`]). Purely a
-    /// memory/scan-speed trade; results are identical either way.
-    pub column_compression: bool,
 }
 
 impl Default for TreeConfig {
@@ -44,7 +40,6 @@ impl Default for TreeConfig {
             dir_cap: 16,
             min_fill: 0.35,
             aggregate_cache: true,
-            column_compression: true,
         }
     }
 }
@@ -582,20 +577,14 @@ impl<K: Key> ConcurrentTree<K> {
                 }
             }
         }
-        let mut cols = LeafColumns::from_entries(self.schema.dims(), entries);
-        if self.cfg.column_compression {
-            cols.encode();
-        }
+        let cols = LeafColumns::from_entries(self.schema.dims(), entries);
         DirEntry { key, lhv, node: new_leaf(cols, agg) }
     }
 
     /// Parent slot for an already-key-sorted columnar leaf (Hilbert policy):
     /// the LHV is simply the last row's key, and the slot key is built by
     /// streaming rows through one reused coordinate buffer.
-    fn make_hilbert_leaf_slot(&self, mut cols: LeafColumns) -> DirEntry<K> {
-        if self.cfg.column_compression {
-            cols.encode();
-        }
+    fn make_hilbert_leaf_slot(&self, cols: LeafColumns) -> DirEntry<K> {
         let n = cols.len();
         let mut key = K::empty(&self.schema);
         let mut agg = Aggregate::empty();
@@ -869,7 +858,6 @@ impl<K: Key> ConcurrentTree<K> {
             NodeChildren::Leaf(entries) => {
                 s.leaves += 1;
                 s.leaf_entries += entries.len() as u64;
-                entries.column_stats(&mut s.col_stats);
             }
             NodeChildren::Dir(entries) => {
                 s.dirs += 1;
@@ -925,8 +913,6 @@ pub struct TreeStructure {
     pub leaf_entries: u64,
     /// Tree height (1 = a single leaf).
     pub height: u32,
-    /// Leaf column encoding footprint, accumulated over every leaf.
-    pub col_stats: ColumnStats,
 }
 
 /// Sort leaf entries along the dimension with the widest coordinate spread

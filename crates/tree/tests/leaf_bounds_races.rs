@@ -19,7 +19,7 @@
 //! The same check pins a race in the walk itself: a directory split away
 //! under a reader keeps stale slot keys while its children, shared with its
 //! halves, keep growing, so it must never answer a child from the child's
-//! cached aggregate (`NodeInner::retired`, DESIGN §12.2).
+//! cached aggregate (`NodeInner::retired`, DESIGN §9.1).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -1,16 +1,16 @@
-//! Property tests for the raw-column range proof: leaves built through every
-//! mutation path — `push_row`, bulk load (`from_entries` + `encode`), Hilbert
-//! point inserts into encoded leaves (decay) and through splits
-//! (`clone_range` of encoded leaves), `insert_batch` runs that splice into
-//! the middle of leaves, geometric inserts — keep every raw column's stored
-//! range around its values, and every leaf's `scan` equals a brute-force row
+//! Property tests for the column range proof: leaves built through every
+//! mutation path — `push_row`, bulk load (`from_entries`), Hilbert point
+//! inserts into bulk-loaded leaves and through splits (`clone_range`),
+//! `insert_batch` runs that splice into the middle of leaves, geometric
+//! inserts — keep every column's stored range around its values, and
+//! every leaf's `scan` equals a brute-force row
 //! filter in count, sum, min and max on boxes that are disjoint from,
 //! touching, nested in or unconstrained on each dimension of the leaf.
 
 use proptest::prelude::*;
 use volap_dims::{Aggregate, Item, Key, Mbr, Mds, QueryBox, Schema};
 use volap_tree::serial::bulk_load;
-use volap_tree::{ColumnStats, ConcurrentTree, InsertPolicy, LeafColumns, TreeConfig};
+use volap_tree::{ConcurrentTree, InsertPolicy, LeafColumns, TreeConfig};
 
 const DIMS: usize = 3;
 
@@ -19,8 +19,8 @@ fn schema() -> Schema {
 }
 
 fn cfg() -> TreeConfig {
-    // Leaves of 16 rows split often, and a 3-value dimension 0 makes every
-    // bulk-loaded or split leaf of more than a handful of rows encode it.
+    // Leaves of 16 rows split often, and a 3-value dimension 0 makes many
+    // leaves hold one value there, so `All` and `Never` proofs fire often.
     TreeConfig {
         leaf_cap: 16,
         dir_cap: 4,
@@ -101,16 +101,16 @@ fn check_leaf(
 }
 
 /// [`check_leaf`] on every leaf, and whole-tree queries against the row
-/// filter over `stored`; returns the leaves' encoding footprint.
+/// filter over `stored`; returns the number of leaves.
 fn check_tree<K: Key>(
     tree: &ConcurrentTree<K>,
     stored: &[Item],
     picks: &mut impl Iterator<Item = u64>,
-) -> Result<ColumnStats, TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let mut result = Ok(());
-    let mut stats = ColumnStats::default();
+    let mut leaves = 0;
     tree.for_each_leaf(|leaf| {
-        leaf.column_stats(&mut stats);
+        leaves += 1;
         if result.is_ok() {
             result = check_leaf(leaf, picks);
         }
@@ -126,7 +126,7 @@ fn check_tree<K: Key>(
         let q = QueryBox::from_ranges(ranges);
         same(&tree.query(&q), &brute(stored, &q))?;
     }
-    Ok(stats)
+    Ok(leaves)
 }
 
 /// A deterministic stream of selectors from the case's seed.
@@ -143,21 +143,24 @@ fn picks(seed: u64) -> impl Iterator<Item = u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `push_row` into a raw leaf, `encode`, then a `push_row` that may
-    /// decay the encoding.
+    /// `push_row` into a leaf, a split into two halves that recompute their
+    /// ranges, then `push_row`s that may widen a half's ranges.
     #[test]
     fn pushed_rows_keep_their_ranges(
         items in items_strategy(150),
         extra in items_strategy(4),
+        cut in 0usize..=150,
         seed in any::<u64>(),
     ) {
         let mut picks = picks(seed);
-        let mut leaf = LeafColumns::new(DIMS);
+        let mut whole = LeafColumns::new(DIMS);
         for it in &items {
-            leaf.push_row(&it.coords, it.measure);
+            whole.push_row(&it.coords, it.measure);
         }
-        check_leaf(&leaf, &mut picks)?;
-        leaf.encode();
+        check_leaf(&whole, &mut picks)?;
+        let cut = cut.min(items.len());
+        check_leaf(&whole.clone_range(cut..items.len()), &mut picks)?;
+        let mut leaf = whole.clone_range(0..cut);
         check_leaf(&leaf, &mut picks)?;
         for it in &extra {
             leaf.push_row(&it.coords, it.measure);
@@ -165,8 +168,8 @@ proptest! {
         }
     }
 
-    /// Hilbert trees: a bulk load (encoded leaves), point inserts that
-    /// decay and split them, then a batch whose runs splice into leaves.
+    /// Hilbert trees: a bulk load, point inserts that grow and split its
+    /// leaves, then a batch whose runs splice into leaves.
     #[test]
     fn hilbert_leaves_keep_their_ranges(
         loaded in items_strategy(200),
@@ -178,9 +181,9 @@ proptest! {
         let tree = ConcurrentTree::<Mds>::new(schema(), InsertPolicy::Hilbert { expand: true }, cfg());
         let mut stored = loaded.clone();
         bulk_load(&tree, loaded.clone());
-        let stats = check_tree(&tree, &stored, &mut picks)?;
+        let leaves = check_tree(&tree, &stored, &mut picks)?;
         if loaded.len() >= 64 {
-            prop_assert!(stats.dict_columns > 0, "a bulk load encodes the 3-value dimension");
+            prop_assert!(leaves > 1, "a bulk load of 64 rows packs several leaves");
         }
         for it in &points {
             tree.insert(it);

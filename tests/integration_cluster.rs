@@ -5,6 +5,7 @@ use std::time::Duration;
 use volap::{Cluster, VolapConfig};
 use volap_data::{coverage, DataGen, QueryGen};
 use volap_dims::{Aggregate, Item, QueryBox, Schema};
+use volap_net::NetError;
 
 fn small_cfg(schema: Schema) -> VolapConfig {
     let mut cfg = VolapConfig::new(schema);
@@ -187,5 +188,50 @@ fn client_bulk_insert_equals_point_inserts() {
     }
     // Empty batches are fine.
     client.bulk_insert(Vec::new()).unwrap();
+    cluster.shutdown();
+}
+
+#[test]
+fn out_of_domain_inserts_are_rejected_and_every_acked_insert_counts() {
+    let schema = Schema::tpcds();
+    let cluster = Cluster::start(small_cfg(schema.clone()));
+    let client = cluster.client();
+    let good = DataGen::new(&schema, 31, 1.5).items(3);
+    let mut past_end = good[0].clone();
+    past_end.coords[0] = schema.dim(0).ordinal_end() + 5;
+    let mut at_end = good[1].clone();
+    at_end.coords[1] = schema.dim(1).ordinal_end();
+    let saturated = Item::new(vec![u64::MAX; schema.dims()], 1.0);
+
+    client.insert(&good[0]).unwrap();
+    for bad in [&past_end, &at_end, &saturated] {
+        assert!(client.insert(bad).is_err(), "{:?} was acked", bad.coords);
+    }
+    client.insert(&good[1]).unwrap();
+    // One bad item rejects its whole batch, so nothing of it is acked.
+    assert!(client.bulk_insert(vec![good[2].clone(), saturated.clone()]).is_err());
+
+    let acked = &good[..2];
+    let (agg, _) = client.query(&QueryBox::all(&schema)).unwrap();
+    let expect = brute(acked, &QueryBox::all(&schema));
+    assert_eq!(agg.count, expect.count);
+    assert!((agg.sum - expect.sum).abs() < 1e-9);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_dropped_session_leaves_the_fabric() {
+    let schema = Schema::tpcds();
+    let cluster = Cluster::start(small_cfg(schema.clone()));
+    let probe = cluster.network().endpoint("probe");
+    // The cluster's first session is `client-0`.
+    let session = cluster.client();
+    session.query(&QueryBox::all(&schema)).unwrap();
+    assert!(probe.send("client-0", Vec::new()).is_ok());
+    drop(session);
+    assert!(matches!(probe.send("client-0", Vec::new()), Err(NetError::UnknownEndpoint(_))));
+    // Sessions that come and go, as `settle` probes do, leave nothing behind.
+    cluster.settle(Duration::from_secs(5));
+    assert!(matches!(probe.send("client-1", Vec::new()), Err(NetError::UnknownEndpoint(_))));
     cluster.shutdown();
 }

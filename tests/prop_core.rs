@@ -1,9 +1,15 @@
 //! Property-based tests for the system layer: wire codec robustness and
 //! server-index invariants.
+//!
+//! Every decoder that reads bytes off the fabric — requests, responses,
+//! shard records, shard blobs — returns an error rather than panicking on
+//! arbitrary bytes and on every truncation of a valid encoding.
 
 use proptest::prelude::*;
 use volap::{Request, Response, ServerIndex, ShardRecord};
 use volap_dims::{Item, Key, Mbr, QueryBox, Schema};
+use volap_tree::serial::{decode_items, encode_items, SHARD_MAGIC};
+use volap_tree::{deserialize_store, StoreKind, TreeConfig};
 
 fn schema() -> Schema {
     Schema::uniform(2, 2, 16)
@@ -11,6 +17,23 @@ fn schema() -> Schema {
 
 fn mbr(lo0: u64, hi0: u64, lo1: u64, hi1: u64) -> Mbr {
     Mbr::from_ranges(vec![(lo0.min(hi0), lo0.max(hi0)), (lo1.min(hi1), lo1.max(hi1))])
+}
+
+/// Items inside [`schema`]'s domain of 256 leaves per dimension.
+fn items_strategy() -> impl Strategy<Value = Vec<Item>> {
+    prop::collection::vec((0u64..256, 0u64..256, 0u32..1000), 0..40)
+        .prop_map(|raw| raw.into_iter().map(|(a, b, m)| Item::new(vec![a, b], m as f64)).collect())
+}
+
+/// [`decode_items`] on `blob`, and when it accepts, a store rebuilt from the
+/// same blob holding exactly those items.
+fn decode_shard_blob(blob: &[u8]) -> Result<Vec<Item>, String> {
+    let s = schema();
+    let items = decode_items(&s, blob)?;
+    let store = deserialize_store(StoreKind::HilbertPdcMds, &s, &TreeConfig::default(), blob)
+        .expect("deserialize_store accepts what decode_items accepts");
+    assert_eq!(store.len(), items.len() as u64);
+    Ok(items)
 }
 
 proptest! {
@@ -33,6 +56,79 @@ proptest! {
             let re = Response::decode(&s, &resp.encode()).unwrap();
             prop_assert_eq!(re, resp);
         }
+    }
+
+    /// Checked request decoding never panics on arbitrary bytes, and what it
+    /// accepts carries only items inside the schema's domain.
+    #[test]
+    fn request_decode_checked_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let s = schema();
+        if let Ok(req) = Request::decode_checked(&bytes, &s) {
+            if let Request::BulkInsert { items, .. } | Request::ClientBulkInsert { items, .. } = &req {
+                for it in items {
+                    prop_assert!(it.check(&s).is_ok());
+                }
+            }
+            prop_assert_eq!(Request::decode_checked(&req.encode(), &s).unwrap(), req);
+        }
+    }
+
+    /// Every strict prefix of a valid bulk insert is rejected.
+    #[test]
+    fn request_decode_checked_rejects_truncations(items in items_strategy(), principal in any::<u32>()) {
+        let s = schema();
+        let req = Request::ClientBulkInsert { items, principal };
+        let bytes = req.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Request::decode_checked(&bytes[..cut], &s).is_err(), "prefix of {} bytes", cut);
+        }
+        prop_assert_eq!(Request::decode_checked(&bytes, &s).unwrap(), req);
+    }
+
+    /// Shard-record decoding never panics on arbitrary bytes or on any
+    /// truncation of a valid record.
+    #[test]
+    fn shard_record_decode_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..128),
+        id in any::<u64>(),
+        worker in "[a-z0-9-]{0,16}",
+        r in prop::collection::vec((0u64..256, 0u64..256), 2),
+    ) {
+        let s = schema();
+        let _ = ShardRecord::decode(&s, &bytes);
+        let rec = ShardRecord { id, worker, len: 7, mbr: mbr(r[0].0, r[0].1, r[1].0, r[1].1) };
+        let valid = rec.encode();
+        for cut in 0..valid.len() {
+            prop_assert!(ShardRecord::decode(&s, &valid[..cut]).is_err(), "prefix of {} bytes", cut);
+        }
+    }
+
+    /// Shard-blob decoding never panics on arbitrary bytes, with or without
+    /// a valid header in front of them.
+    #[test]
+    fn decode_items_never_panics(header in any::<bool>(), tail in prop::collection::vec(any::<u8>(), 0..256)) {
+        let mut blob = Vec::new();
+        if header {
+            blob.extend_from_slice(SHARD_MAGIC);
+            blob.extend_from_slice(&(schema().dims() as u16).to_be_bytes());
+        }
+        blob.extend_from_slice(&tail);
+        if let Ok(items) = decode_shard_blob(&blob) {
+            for it in &items {
+                prop_assert!(it.check(&schema()).is_ok());
+            }
+        }
+    }
+
+    /// Every strict prefix of a valid shard blob is rejected, and the whole
+    /// blob decodes to its items.
+    #[test]
+    fn decode_items_rejects_truncations(items in items_strategy()) {
+        let blob = encode_items(&schema(), &items);
+        for cut in 0..blob.len() {
+            prop_assert!(decode_shard_blob(&blob[..cut]).is_err(), "prefix of {} bytes", cut);
+        }
+        prop_assert_eq!(decode_shard_blob(&blob).unwrap(), items);
     }
 
     /// Shard records survive encode/decode for arbitrary contents.
