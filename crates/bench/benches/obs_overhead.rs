@@ -9,7 +9,7 @@
 //! primitive.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use volap_obs::{Obs, ObsConfig, Registry, TraceConfig, Tracer};
+use volap_obs::{Obs, ObsConfig, Registry};
 
 fn bench_record_path(c: &mut Criterion) {
     let reg = Registry::new(true);
@@ -78,30 +78,5 @@ fn bench_contended_histogram(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_trace_path(c: &mut Criterion) {
-    let off = Tracer::new(TraceConfig { sample: 0, ..TraceConfig::default() });
-    let sampled = Tracer::new(TraceConfig { sample: 64, ..TraceConfig::default() });
-    let always = Tracer::new(TraceConfig { sample: 1, ..TraceConfig::default() });
-    let ctx = always.sample_root().expect("always-on samples");
-
-    let mut group = c.benchmark_group("obs_trace");
-    group.throughput(Throughput::Elements(1));
-    // The cost every unsampled request pays: one relaxed load + a branch.
-    group.bench_function("sample_root_off", |b| b.iter(|| off.sample_root().is_none()));
-    // Amortized decision cost at the production rate (63 misses + 1 hit).
-    group.bench_function("sample_root_1_in_64", |b| {
-        b.iter(|| sampled.sample_root().is_some())
-    });
-    // Full span lifecycle for a sampled request: child ctx + guard + record.
-    group.bench_function("span_record", |b| {
-        b.iter(|| {
-            let child = always.child(&ctx);
-            let mut span = always.span(&child, "bench");
-            span.annotate("k", "v");
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_record_path, bench_contended_histogram, bench_trace_path);
+criterion_group!(benches, bench_record_path, bench_contended_histogram);
 criterion_main!(benches);

@@ -7,6 +7,8 @@
 //! and writes machine-readable results so the ingest trajectory is tracked
 //! from PR to PR. Single-threaded on purpose: the batched speedup must come
 //! from sorted runs and amortized descents, not from extra cores.
+//!
+//! `bench_insert` takes no arguments.
 
 use std::time::Instant;
 
@@ -40,14 +42,32 @@ fn load(tree: &ConcurrentTree<Mds>, items: &[Item], batched: bool) -> f64 {
     items.len() as f64 / t.elapsed().as_secs_f64()
 }
 
+/// The `"headline"` fragment of the JSON: the one number a dashboard should
+/// plot for this bench, with its name and direction. Panics on a non-finite
+/// value — a bench must never publish `NaN` as its headline.
+fn headline(metric: &str, value: f64, higher_is_better: bool) -> String {
+    assert!(value.is_finite(), "headline {metric} is not finite: {value}");
+    format!(
+        "\"headline\": {{\"metric\": \"{metric}\", \"value\": {value}, \
+         \"higher_is_better\": {higher_is_better}}}"
+    )
+}
+
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        panic!("unknown argument {arg:?} (bench_insert takes none)");
+    }
     let schema = Schema::tpcds();
     let rounds = 3;
     // Deliberately a one-thread bench (the batched win comes from sorted
-    // runs, not parallelism); BenchEnv still parses the common flags and
-    // records the machine size.
-    let env = volap_bench::BenchEnv::setup("bench_insert");
-    let cores = env.cores;
+    // runs, not parallelism); the JSON still records the machine size.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores == 1 {
+        eprintln!(
+            "WARNING: bench_insert is running on a single core; treat absolute throughput \
+             numbers with suspicion on a loaded shared core."
+        );
+    }
     let mut rows = Vec::new();
     println!("# insert_item_vs_batch ({cores} cores, chunk {CHUNK}, best of {rounds}, 1 thread)");
     println!("{:<10} {:>14} {:>14} {:>9}", "items", "item/s", "batch/s", "speedup");
@@ -77,7 +97,7 @@ fn main() {
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(&format!(
         "  {},\n",
-        env.headline("batch_per_s", best.batch_per_s.round(), true)
+        headline("batch_per_s", best.batch_per_s.round(), true)
     ));
     json.push_str(&format!("  \"chunk\": {CHUNK},\n"));
     json.push_str("  \"results\": [\n");
@@ -94,4 +114,17 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write("BENCH_insert.json", &json).expect("write BENCH_insert.json");
     println!("wrote BENCH_insert.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn headline_fragment_names_metric_and_direction() {
+        let h = headline("ingest_per_s", 123456.0, true);
+        assert!(h.contains("\"metric\": \"ingest_per_s\""));
+        assert!(h.contains("\"value\": 123456"));
+        assert!(h.contains("\"higher_is_better\": true"));
+    }
 }

@@ -29,8 +29,7 @@
 //! invalid run and on any row that is not `pass`.
 //!
 //! Every section runs at its shipped default, which is what `bench_e2e`
-//! measures too; the exception is `traces`, off by default, measured at the
-//! documented production rate of one request in 64.
+//! measures too.
 
 use std::time::{Duration, Instant};
 
@@ -62,7 +61,7 @@ struct Feature {
 }
 
 /// Tolerances start from the ones the per-feature gates this bin replaces
-/// claimed: 5 % histograms, 3 % locks and traces, 1 % heat and accounting.
+/// claimed: 5 % histograms, 3 % locks, 1 % heat and accounting.
 /// The last two are **2 %** here, because 1 % was never
 /// demonstrable: a `pass` needs an interval no wider than the tolerance, and
 /// on the 2-core box this was sized on 150 s of pairs narrowed those rows
@@ -88,7 +87,6 @@ const FEATURES: &[Feature] = &[
     Feature { section: Some(Section::Heat), tolerance: 0.02, cap: Duration::from_secs(120) },
     Feature { section: Some(Section::Locks), tolerance: 0.05, cap: Duration::from_secs(60) },
     Feature { section: Some(Section::Accounting), tolerance: 0.02, cap: Duration::from_secs(120) },
-    Feature { section: Some(Section::Traces), tolerance: 0.03, cap: Duration::from_secs(60) },
 ];
 
 impl Feature {
@@ -153,27 +151,25 @@ struct Rig {
     cluster: Cluster,
     client: ClientSession,
     items: usize,
-    trace_sample: u32,
 }
 
 impl Rig {
-    fn start_cluster(schema: &Schema, trace_sample: u32) -> (Cluster, ClientSession) {
+    fn start_cluster(schema: &Schema) -> (Cluster, ClientSession) {
         let mut cfg = VolapConfig::new(schema.clone());
         cfg.servers = 1;
         cfg.workers = 1;
         cfg.initial_shards_per_worker = 2;
         cfg.manager_enabled = false;
-        cfg.obs.trace.sample = trace_sample;
         let cluster = Cluster::start(cfg);
         let client = cluster.client();
         (cluster, client)
     }
 
-    fn new(trace_sample: u32) -> Self {
+    fn new() -> Self {
         let schema = Schema::uniform(3, 2, 8);
-        let (cluster, client) = Self::start_cluster(&schema, trace_sample);
+        let (cluster, client) = Self::start_cluster(&schema);
         let gen = DataGen::new(&schema, 17, 1.3);
-        let mut rig = Self { schema, gen, cluster, client, items: 0, trace_sample };
+        let mut rig = Self { schema, gen, cluster, client, items: 0 };
         rig.warm_up();
         rig
     }
@@ -202,7 +198,7 @@ impl Rig {
     /// One off/on pair through the section's switch; `ln(t_on / t_off)`.
     fn pair(&mut self, section: Option<Section>, on_first: bool) -> f64 {
         if self.items >= MAX_ITEMS {
-            let (cluster, client) = Self::start_cluster(&self.schema, self.trace_sample);
+            let (cluster, client) = Self::start_cluster(&self.schema);
             std::mem::replace(&mut self.cluster, cluster).shutdown();
             self.client = client;
             self.items = 0;
@@ -220,8 +216,7 @@ impl Rig {
 }
 
 fn measure(feature: &'static Feature) -> Row {
-    let trace_sample = if feature.section == Some(Section::Traces) { 64 } else { 0 };
-    let mut rig = Rig::new(trace_sample);
+    let mut rig = Rig::new();
     let mut log_ratios = Vec::new();
     let mut order = 0x9E37_79B9_7F4A_7C15u64; // xorshift64 state: which block of a pair goes first
     let start = Instant::now();

@@ -9,14 +9,9 @@
 //! (`Snapshot::is_populated`) — all three derived from the one section list
 //! in `volap_obs::snapshot`. On top, each mode checks what only it knows:
 //! that the snapshot accounts for the workload this binary just issued.
-//! Usage: `volap-stat [--json | --prom | --traces | --heat | --locks |
-//! --snapshot | --tenants]` (default: human summary + the Prometheus
-//! exposition).
+//! Usage: `volap-stat [--json | --prom | --heat | --locks | --snapshot |
+//! --tenants]` (default: human summary + the Prometheus exposition).
 //!
-//! * `--traces` forces causal tracing on (sample every request, zero slow
-//!   threshold), prints the slow-query flight recorder as indented span
-//!   trees, and fails on an empty recorder, a trace without a root span, or
-//!   a Perfetto export that does not parse back losslessly.
 //! * `--heat` prints the per-shard heat table; fails unless the published
 //!   totals account for every workload insert.
 //! * `--locks` prints the per-class lock contention table, hottest first;
@@ -300,16 +295,17 @@ fn run_tenants() {
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
+    const MODES: [&str; 7] =
+        ["", "--json", "--prom", "--heat", "--locks", "--snapshot", "--tenants"];
+    if !MODES.contains(&mode.as_str()) {
+        fail(&format!("unknown mode {mode:?} (expected one of {:?})", &MODES[1..]));
+    }
     if mode == "--tenants" {
         run_tenants();
         return;
     }
     let schema = Schema::uniform(3, 2, 8);
     let mut cfg = base_config(&schema);
-    if mode == "--traces" {
-        cfg.obs.trace.sample = 1;
-        cfg.obs.trace.slow_threshold = Duration::ZERO;
-    }
     if mode == "--heat" {
         // A migrated shard restarts its heat totals on the adopting worker,
         // so the exact-total check below needs a stable shard set.
@@ -361,36 +357,7 @@ fn main() {
         }
     }
     let snap = cluster.snapshot();
-    let slow = cluster.slow_traces();
     cluster.shutdown();
-
-    if mode == "--traces" {
-        // Self-validate the tracing pipeline; CI relies on the exit code.
-        if slow.is_empty() {
-            fail("tracing forced on but the flight recorder is empty");
-        }
-        match export::traces_from_perfetto(&export::traces_to_perfetto(&slow)) {
-            Ok(parsed) if parsed == slow => {}
-            Ok(_) => fail("Perfetto trace export did not round-trip losslessly"),
-            Err(e) => fail(&format!("Perfetto trace export malformed: {e}")),
-        }
-        println!(
-            "# volap-stat: slow-query flight recorder ({} trace(s), oldest first)",
-            slow.len()
-        );
-        for trace in &slow {
-            if trace.root().is_none() {
-                fail(&format!("trace {} has no root span", trace.trace_id));
-            }
-            println!("#");
-            println!("# trace {:#018x}", trace.trace_id);
-            for line in trace.render_tree().lines() {
-                println!("#   {line}");
-            }
-        }
-        eprintln!("volap-stat: OK (Perfetto export round-trips)");
-        return;
-    }
 
     // Self-validate before printing anything: CI runs this binary and
     // relies on the exit code.

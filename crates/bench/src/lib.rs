@@ -212,54 +212,6 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
     out
 }
 
-/// Per-binary environment of a bench binary (`bench_insert`): core
-/// accounting and the `--check` flag.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchEnv {
-    /// Machine cores (`available_parallelism`).
-    pub cores: usize,
-    /// Whether `--check` was passed (gate thresholds instead of just
-    /// reporting).
-    pub check: bool,
-}
-
-impl BenchEnv {
-    /// Parse the common bench flags and warn when the machine has a single
-    /// core. Panics on unknown arguments (`--quick` is accepted and read
-    /// separately by [`quick_mode`]).
-    pub fn setup(bin: &str) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut check = false;
-        for a in std::env::args().skip(1) {
-            match a.as_str() {
-                "--check" => check = true,
-                "--quick" => {}
-                other => panic!("unknown argument {other:?} (expected --check or --quick)"),
-            }
-        }
-        if cores == 1 {
-            eprintln!(
-                "WARNING: {bin} is running on a single core; treat absolute throughput \
-                 numbers with suspicion on a loaded shared core."
-            );
-        }
-        Self { cores, check }
-    }
-
-    /// The uniform `"headline"` fragment every `BENCH_*.json` carries: the
-    /// one number a dashboard should plot for this bench, with its name and
-    /// direction, so tooling never needs per-bench knowledge to trend a
-    /// result. Panics on a non-finite value — a bench must never publish
-    /// `NaN` as its headline.
-    pub fn headline(&self, metric: &str, value: f64, higher_is_better: bool) -> String {
-        assert!(value.is_finite(), "headline {metric} is not finite: {value}");
-        format!(
-            "\"headline\": {{\"metric\": \"{metric}\", \"value\": {value}, \
-             \"higher_is_better\": {higher_is_better}}}"
-        )
-    }
-}
-
 /// Whether `--quick` / `VOLAP_QUICK=1` was passed (CI-speed runs).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
@@ -301,15 +253,6 @@ mod tests {
         assert_eq!(map.lines().count(), 13); // header + 10 rows + axis + label
         assert!(map.contains('@') || map.contains('#') || map.contains('.'));
         assert_eq!(heatmap(&[], 5, 5, "x", "y"), "(no data)");
-    }
-
-    #[test]
-    fn headline_fragment_names_metric_and_direction() {
-        let env = BenchEnv { cores: 4, check: false };
-        let h = env.headline("ingest_per_s", 123456.0, true);
-        assert!(h.contains("\"metric\": \"ingest_per_s\""));
-        assert!(h.contains("\"value\": 123456"));
-        assert!(h.contains("\"higher_is_better\": true"));
     }
 
     #[test]

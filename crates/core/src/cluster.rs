@@ -13,7 +13,7 @@ use volap_coord::CoordService;
 use volap_dims::{Aggregate, Item, QueryBox, Schema};
 use volap_net::{Endpoint, Network};
 use volap_obs::lock::{CheckMode, LockClass, ObsMutex};
-use volap_obs::{Obs, Snapshot, Trace, Tracer};
+use volap_obs::{Obs, Snapshot};
 
 /// Handle list of the harness itself; held only for push/remove, never
 /// while any component lock is taken, but it ranks lowest so it could be.
@@ -55,7 +55,6 @@ impl Cluster {
         let coord = CoordService::new();
         let obs = Obs::new(cfg.obs.clone());
         net.attach_obs(obs.registry());
-        net.attach_tracer(obs.tracer());
         // Lock-order violations (Record mode) land in this deployment's
         // event log alongside the rest of the structured events.
         obs.install_lock_hook();
@@ -182,11 +181,6 @@ impl Cluster {
         self.obs().snapshot()
     }
 
-    /// The causal tracer: runtime sampling control and span inspection.
-    pub fn tracer(&self) -> &Tracer {
-        self.obs().tracer()
-    }
-
     /// The per-shard heat map: EWMA insert/query rates and box volumes
     /// published by worker stats threads, ordered by shard id. Empty until
     /// the first stats period elapses.
@@ -207,14 +201,6 @@ impl Cluster {
     /// snapshot via [`volap_obs::Accounting::snapshot`] or `Snapshot::accounting`.
     pub fn accounting(&self) -> &volap_obs::Accounting {
         self.obs().accounting()
-    }
-
-    /// The slow-query flight recorder: the most recent sampled traces whose
-    /// root span exceeded `obs.trace.slow_threshold`, oldest
-    /// first. Render one with `Trace::render_tree` or export the lot with
-    /// `volap_obs::export::traces_to_perfetto`.
-    pub fn slow_traces(&self) -> Vec<Trace> {
-        self.obs().tracer().slow_traces()
     }
 
     /// `(splits, migrations)` performed so far by the manager.

@@ -118,8 +118,6 @@ mod tests {
     fn shipped_observability_defaults_are_pinned() {
         let cfg = VolapConfig::new(Schema::uniform(2, 2, 8));
         assert!(cfg.obs.histograms);
-        assert_eq!(cfg.obs.trace.sample, 0);
-        assert_eq!(cfg.obs.trace.slow_threshold, Duration::from_millis(100));
         assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
         assert_eq!(volap_obs::account::TOPK, 8);
         assert_eq!(cfg.heat_halflife, Duration::from_secs(2));

@@ -14,9 +14,9 @@ use std::time::Instant;
 
 use volap_coord::EventKind;
 use volap_dims::{Aggregate, Item, Key, Mbr, QueryBox, Schema};
-use volap_net::{Endpoint, Incoming, Network, ReqCtx};
-use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Accounting, CostVec, Counter, Histogram, PrincipalId, StalenessProbe, TraceCtx, Tracer};
+use volap_net::{Endpoint, Incoming, Network};
+use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
+use volap_obs::{Accounting, CostVec, Counter, Histogram, PrincipalId, StalenessProbe};
 
 /// Server slice of the global lock hierarchy (DESIGN.md §11.1). The
 /// routing paths hold `index` while updating `locations` (bootstrap, image
@@ -83,9 +83,6 @@ struct ServerState {
     /// churn and joined to staleness-probe data.
     generation: AtomicU64,
     obs: ServerObs,
-    /// Causal tracer: client requests are the trace roots (head-based
-    /// sampling happens here; workers inherit the decision).
-    tracer: Tracer,
     /// Per-principal workload accounting: tagged requests charge their
     /// measured cost here as they complete.
     accounting: Accounting,
@@ -122,7 +119,6 @@ pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         dirty: ObsMutex::new(&DIRTY_CLASS, HashMap::new()),
         generation: AtomicU64::new(0),
         obs: ServerObs::new(image, name),
-        tracer: image.obs().tracer().clone(),
         accounting: image.obs().accounting().clone(),
     });
     // Watch before the initial load so no update can slip between them.
@@ -254,63 +250,20 @@ impl Bill {
 }
 
 /// Dispatch one client op: open a [`Bill`] when the request is tagged, run
-/// the op under a (possibly sampled) trace root, then settle the bill and
-/// reply. The op receives the request's [`ReqCtx`] — everything it forwards
-/// to workers — and the bill's cost vector. The untagged path takes the
-/// `None` bill branch: no clock reads, no encoding detour.
+/// the op, then settle the bill and reply. The op receives the bill's cost
+/// vector. The untagged path takes the `None` bill branch: no clock reads,
+/// no encoding detour.
 fn dispatch(
     st: &Arc<ServerState>,
     msg: Incoming,
     p: PrincipalId,
-    op: &str,
-    f: impl FnOnce(ReqCtx, Option<&mut CostVec>) -> Response,
+    f: impl FnOnce(Option<&mut CostVec>) -> Response,
 ) {
     let mut bill = Bill::open(st, p, &msg);
-    let resp = traced_root(st, op, p, |t| {
-        f(ReqCtx { trace: t, principal: p.0 }, bill.as_mut().map(|b| &mut b.cost))
-    });
+    let resp = f(bill.as_mut().map(|b| &mut b.cost));
     match bill {
         Some(b) => b.settle(st, &msg, resp),
         None => reply(&msg, resp),
-    }
-}
-
-/// Run one client operation under a (possibly sampled) trace root. When the
-/// head-based sampler picks this request, the whole operation becomes the
-/// `server_route` root span (annotated with the op, server, and — for tagged
-/// requests — the accounting principal, so flight-recorder entries say who
-/// a slow request belonged to), the context flows into `f`, and on
-/// completion the tracer decides whether the assembled trace enters the
-/// slow-query flight recorder.
-fn traced_root<R>(
-    st: &Arc<ServerState>,
-    op: &str,
-    principal: PrincipalId,
-    f: impl FnOnce(Option<TraceCtx>) -> R,
-) -> R {
-    match st.tracer.sample_root() {
-        Some(ctx) => {
-            let mut span = st.tracer.span(&ctx, "server_route");
-            span.annotate("op", op);
-            span.annotate("server", st.name.clone());
-            if principal.is_tagged() {
-                let who = st
-                    .accounting
-                    .name(principal)
-                    .unwrap_or_else(|| principal.0.to_string());
-                span.annotate("principal", who);
-            }
-            let wait0 = lock::thread_wait_ns();
-            let out = f(Some(ctx));
-            let waited = lock::thread_wait_ns() - wait0;
-            if waited > 0 {
-                span.annotate("held_lock_wait_us", (waited / 1_000).to_string());
-            }
-            let dur = span.finish();
-            st.tracer.complete_root(&ctx, dur);
-            out
-        }
-        None => f(None),
     }
 }
 
@@ -325,24 +278,16 @@ fn handle(st: &Arc<ServerState>, msg: Incoming) {
     match req {
         Request::Ping => reply(&msg, Response::Ack),
         Request::ClientInsert { item, principal } => {
-            dispatch(st, msg, PrincipalId(principal), "insert", |ctx, c| {
-                route_insert(st, item, ctx, c)
-            });
+            dispatch(st, msg, PrincipalId(principal), |c| route_insert(st, item, c));
         }
         Request::ClientBulkInsert { items, principal } => {
-            dispatch(st, msg, PrincipalId(principal), "bulk_insert", |ctx, c| {
-                route_bulk_insert(st, items, ctx, c)
-            });
+            dispatch(st, msg, PrincipalId(principal), |c| route_bulk_insert(st, items, c));
         }
         Request::ClientQuery { query, principal } => {
-            dispatch(st, msg, PrincipalId(principal), "query", |ctx, c| {
-                route_query(st, &query, ctx, false, c)
-            });
+            dispatch(st, msg, PrincipalId(principal), |c| route_query(st, &query, false, c));
         }
         Request::ClientQueryAnalyze { query, principal } => {
-            dispatch(st, msg, PrincipalId(principal), "query_analyze", |ctx, c| {
-                route_query(st, &query, ctx, true, c)
-            });
+            dispatch(st, msg, PrincipalId(principal), |c| route_query(st, &query, true, c));
         }
         other => reply(&msg, Response::Err(format!("unsupported server request: {other:?}"))),
     }
@@ -415,7 +360,6 @@ struct Delivered {
 fn deliver_inserts(
     st: &Arc<ServerState>,
     mut items: Vec<Item>,
-    ctx: ReqCtx,
     encode: impl Fn(u64, Vec<Item>) -> Request,
 ) -> Vec<Delivered> {
     let mut out = Vec::new();
@@ -431,7 +375,7 @@ fn deliver_inserts(
                 None => items.extend(group),
             }
         }
-        let replies = st.endpoint.request_many_ctx(&requests, st.cfg.request_timeout, ctx);
+        let replies = st.endpoint.request_many(&requests, st.cfg.request_timeout);
         for (reply, (dest, _)) in replies.into_iter().zip(&requests) {
             let resp = match reply {
                 Ok(bytes) => match Response::decode(&st.schema, &bytes) {
@@ -452,19 +396,14 @@ fn deliver_inserts(
     out
 }
 
-fn route_insert(
-    st: &Arc<ServerState>,
-    item: Item,
-    ctx: ReqCtx,
-    cost: Option<&mut CostVec>,
-) -> Response {
+fn route_insert(st: &Arc<ServerState>, item: Item, cost: Option<&mut CostVec>) -> Response {
     let _timer = st.obs.insert_seconds.start();
     st.obs.inserts.inc();
     let point_request = |shard, mut group: Vec<Item>| Request::Insert {
         shard,
         item: group.pop().expect("a point insert routes exactly one item"),
     };
-    let done = deliver_inserts(st, vec![item], ctx, point_request)
+    let done = deliver_inserts(st, vec![item], point_request)
         .pop()
         .expect("one item has one outcome");
     if let (Some(c), true) = (cost, done.sent) {
@@ -480,7 +419,6 @@ fn route_insert(
 fn route_bulk_insert(
     st: &Arc<ServerState>,
     items: Vec<Item>,
-    ctx: ReqCtx,
     cost: Option<&mut CostVec>,
 ) -> Response {
     if items.is_empty() {
@@ -491,7 +429,7 @@ fn route_bulk_insert(
     let bulk_request = |shard, items| Request::BulkInsert { shard, items };
     let mut sent = 0u64;
     let mut resp = Response::Ack;
-    for done in deliver_inserts(st, items, ctx, bulk_request) {
+    for done in deliver_inserts(st, items, bulk_request) {
         sent += u64::from(done.sent);
         if matches!(resp, Response::Ack) {
             resp = done.resp;
@@ -514,7 +452,6 @@ fn route_bulk_insert(
 fn route_query(
     st: &Arc<ServerState>,
     query: &QueryBox,
-    ctx: ReqCtx,
     analyze: bool,
     cost: Option<&mut CostVec>,
 ) -> Response {
@@ -560,7 +497,7 @@ fn route_query(
             (dest, Request::worker_query(shards, query.clone(), want_plan).encode())
         })
         .collect();
-    let replies = st.endpoint.request_many_ctx(&requests, st.cfg.request_timeout, ctx);
+    let replies = st.endpoint.request_many(&requests, st.cfg.request_timeout);
     let mut agg = Aggregate::empty();
     let mut searched = 0u32;
     for (reply, (dest, _)) in replies.into_iter().zip(&requests) {

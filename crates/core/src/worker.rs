@@ -15,9 +15,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Sender};
 use volap_dims::{Aggregate, Item, Key, QueryBox, Schema};
-use volap_net::{Endpoint, Incoming, Network, ReqCtx};
-use volap_obs::lock::{self, LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma, TraceCtx, Tracer};
+use volap_net::{Endpoint, Incoming, Network};
+use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
+use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma};
 
 /// Worker slice of the global lock hierarchy (DESIGN.md §11.1). Stats and
 /// alias resolution hold the slot map while reading individual slot states,
@@ -142,9 +142,6 @@ struct WorkerState {
     /// Per-shard EWMA state, touched only by the stats thread.
     heat_track: ObsMutex<HashMap<u64, HeatTrack>>,
     obs: WorkerObs,
-    /// Causal tracer: workers inherit sampled contexts from envelopes and
-    /// record queue-wait, op, and per-shard execution spans under them.
-    tracer: Tracer,
 }
 
 /// Handle to a running worker: name plus the machinery to stop it.
@@ -186,7 +183,6 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         heat: image.obs().heat().clone(),
         heat_track: ObsMutex::new(&HEAT_TRACK_CLASS, HashMap::new()),
         obs: WorkerObs::new(image, name),
-        tracer: image.obs().tracer().clone(),
     });
     // Statistics publisher: lets the manager plan and keeps image lens fresh.
     let st = Arc::clone(&state);
@@ -287,38 +283,6 @@ fn reply(msg: &Incoming, resp: Response) {
     let _ = msg.reply(resp.encode());
 }
 
-/// Run one data op under the context its envelope carried and reply. For a
-/// sampled request this records the `worker_queue` span (the measured time
-/// the envelope waited in the receive queue) as a sibling of the op, then
-/// runs the op inside its own span; the context handed to `f` — and on to
-/// any forward — is the op's (children hang off it), with the envelope's
-/// principal unchanged.
-fn serve(
-    st: &Arc<WorkerState>,
-    msg: &Incoming,
-    op: &'static str,
-    f: impl FnOnce(ReqCtx) -> Response,
-) {
-    let span = msg.ctx.trace.map(|ctx| {
-        let now = st.tracer.now_us();
-        let queued_us = micros(msg.queued);
-        let mut notes = vec![("worker".into(), st.name.clone())];
-        if msg.ctx.principal != 0 {
-            // Queue wait is a charged cost dimension; stamping who the envelope
-            // belonged to lets a slow trace show whose work clogged the queue.
-            notes.push(("principal".into(), msg.ctx.principal.to_string()));
-        }
-        st.tracer.record_manual(&ctx, "worker_queue", now.saturating_sub(queued_us), now, notes);
-        let child = st.tracer.child(&ctx);
-        let mut span = st.tracer.span(&child, op);
-        span.annotate("worker", st.name.clone());
-        span
-    });
-    let resp = f(ReqCtx { trace: span.as_ref().map(|s| *s.ctx()), ..msg.ctx });
-    drop(span);
-    reply(msg, resp);
-}
-
 fn handle(st: &Arc<WorkerState>, msg: Incoming) {
     let req = match Request::decode_checked(&msg.payload, &st.schema) {
         Ok(r) => r,
@@ -329,27 +293,30 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
     };
     match req {
         Request::Ping => reply(&msg, Response::Ack),
+        // The insert timers stop before the reply is encoded and sent.
         Request::Insert { shard, item } => {
-            serve(st, &msg, "worker_insert", |ctx| {
+            let resp = {
                 let _timer = st.obs.insert_seconds.start();
                 st.obs.inserts.inc();
-                insert_group(st, shard, vec![item], ctx)
-            });
+                insert_group(st, shard, vec![item])
+            };
+            reply(&msg, resp);
         }
         Request::BulkInsert { shard, items } => {
-            serve(st, &msg, "worker_bulk_insert", |ctx| {
+            let resp = {
                 let _timer = st.obs.bulk_insert_seconds.start();
                 st.obs.bulk_items.add(items.len() as u64);
-                insert_group(st, shard, items, ctx)
-            });
+                insert_group(st, shard, items)
+            };
+            reply(&msg, resp);
         }
         Request::Query { shards, query } => {
-            serve(st, &msg, "worker_query", |ctx| local_query(st, &shards, &query, ctx, false));
+            let resp = local_query(st, &shards, &query, false);
+            reply(&msg, resp);
         }
         Request::QueryAnalyze { shards, query } => {
-            serve(st, &msg, "worker_query_analyze", |ctx| {
-                local_query(st, &shards, &query, ctx, true)
-            });
+            let resp = local_query(st, &shards, &query, true);
+            reply(&msg, resp);
         }
         Request::SplitShard { shard, left_id, right_id } => {
             let resp = do_split(st, shard, left_id, right_id);
@@ -383,12 +350,7 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
 /// the store's batch path in one call; a split alias partitions the group
 /// by its hyperplane into two child groups; a moved shard forwards its
 /// whole group as one `BulkInsert`.
-fn insert_group(
-    st: &Arc<WorkerState>,
-    shard: u64,
-    items: Vec<Item>,
-    ctx: ReqCtx,
-) -> Response {
+fn insert_group(st: &Arc<WorkerState>, shard: u64, items: Vec<Item>) -> Response {
     let mut work: Vec<(u64, Vec<Item>, u32)> = vec![(shard, items, 0)];
     while let Some((id, group, depth)) = work.pop() {
         if group.is_empty() {
@@ -419,18 +381,6 @@ fn insert_group(
                 if st.heat.enabled() {
                     slot.heat.inserts.fetch_add(group.len() as u64, Ordering::Relaxed);
                 }
-                // Mark the insertion-queue detour so a trace shows these
-                // items rode out a split/migration in the queue (§III-E).
-                if let Some(trace) = &ctx.trace {
-                    let now = st.tracer.now_us();
-                    st.tracer.record_manual(
-                        trace,
-                        "insertion_queue",
-                        now,
-                        now,
-                        vec![("shard".into(), id.to_string()), ("items".into(), group.len().to_string())],
-                    );
-                }
                 queue.bulk_insert(group);
             }
             SlotState::SplitInto { left, right, plan } => {
@@ -443,7 +393,7 @@ fn insert_group(
                 let dest = dest.clone();
                 drop(guard);
                 if let Response::Err(e) =
-                    forward(st, &dest, &Request::BulkInsert { shard: id, items: group }, ctx)
+                    forward(st, &dest, &Request::BulkInsert { shard: id, items: group })
                 {
                     return Response::Err(e);
                 }
@@ -456,7 +406,7 @@ fn insert_group(
 /// One local store (plus its in-flight insertion queue, if splitting or
 /// migrating) that a query must scan.
 struct ScanTarget {
-    /// Shard id (names the `tree_exec` span and the plan row).
+    /// Shard id (names the plan row).
     id: u64,
     store: Arc<dyn ShardStore>,
     queue: Option<Arc<dyn ShardStore>>,
@@ -465,9 +415,8 @@ struct ScanTarget {
 impl ScanTarget {
     /// Aggregate `q` over the store and, when the shard is splitting or
     /// migrating, its insertion queue ("queried along with the shard
-    /// itself", §III-E). A sampled request (`trace`) records a `tree_exec`
-    /// span under it and an ANALYZE'd one (`want_plan`) gets the
-    /// [`ShardExec`] row back, both carrying the exact traversal counters
+    /// itself", §III-E). An ANALYZE'd query (`want_plan`) gets the
+    /// [`ShardExec`] row back, carrying the exact traversal counters
     /// ([`volap_tree::QueryTrace`]) the tree layer maintains on every
     /// query. Everything reported is such a counter or an O(1) read — never
     /// a structure walk (`ShardStore::stats`) — and a plain query reads no
@@ -479,13 +428,10 @@ impl ScanTarget {
     fn scan(
         &self,
         q: &QueryBox,
-        tracer: &Tracer,
-        trace: Option<&TraceCtx>,
         want_plan: bool,
         at_root: bool,
     ) -> Option<(Aggregate, Option<ShardExec>)> {
-        let observed =
-            (trace.is_some() || want_plan).then(|| (tracer.now_us(), lock::thread_wait_ns()));
+        let start = want_plan.then(Instant::now);
         let walk = |s: &Arc<dyn ShardStore>| {
             if at_root {
                 s.query_at_root(q)
@@ -499,45 +445,21 @@ impl ScanTarget {
             agg.merge(&a);
             qt.merge(&t);
         }
-        let Some((start, wait0)) = observed else { return Some((agg, None)) };
-        let end = tracer.now_us();
-        let items = self.store.len();
-        if let Some(parent) = trace {
-            let waited = lock::thread_wait_ns() - wait0;
-            let mut ann = vec![
-                ("shard".into(), self.id.to_string()),
-                ("items".into(), items.to_string()),
-                ("nodes_visited".into(), qt.nodes_visited.to_string()),
-                ("covered_hits".into(), qt.covered_hits.to_string()),
-                ("items_scanned".into(), qt.items_scanned.to_string()),
-                ("pruned".into(), qt.pruned.to_string()),
-            ];
-            if waited > 0 {
-                ann.push(("held_lock_wait_us".into(), (waited / 1_000).to_string()));
-            }
-            tracer.record_manual(parent, "tree_exec", start, end, ann);
-        }
-        let exec = want_plan.then(|| ShardExec {
+        let exec = start.map(|start| ShardExec {
             shard: self.id,
-            items,
+            items: self.store.len(),
             nodes_visited: qt.nodes_visited,
             covered_hits: qt.covered_hits,
             items_scanned: qt.items_scanned,
             pruned: qt.pruned,
-            wall_us: end.saturating_sub(start),
+            wall_us: micros(start.elapsed()),
         });
         Some((agg, exec))
     }
 
     /// [`ScanTarget::scan`] with a walk allowed to go as deep as it needs.
-    fn descend(
-        &self,
-        q: &QueryBox,
-        tracer: &Tracer,
-        trace: Option<&TraceCtx>,
-        want_plan: bool,
-    ) -> (Aggregate, Option<ShardExec>) {
-        self.scan(q, tracer, trace, want_plan, false).expect("an unbounded walk always completes")
+    fn descend(&self, q: &QueryBox, want_plan: bool) -> (Aggregate, Option<ShardExec>) {
+        self.scan(q, want_plan, false).expect("an unbounded walk always completes")
     }
 }
 
@@ -556,7 +478,6 @@ fn local_query(
     st: &Arc<WorkerState>,
     shards: &[u64],
     query: &QueryBox,
-    ctx: ReqCtx,
     want_plan: bool,
 ) -> Response {
     let _timer = st.obs.query_seconds.start();
@@ -616,10 +537,8 @@ fn local_query(
     // descent but the first goes to the worker's scan threads and answers
     // over a reply channel built for this query, the first runs here.
     let mut searched = scans.len() as u32;
-    let tracer = &st.tracer;
-    let trace = ctx.trace;
     let mut out = (Aggregate::empty(), Vec::new());
-    scans.retain(|t| match t.scan(query, tracer, trace.as_ref(), want_plan, true) {
+    scans.retain(|t| match t.scan(query, want_plan, true) {
         Some(done) => {
             absorb(&mut out, done);
             false
@@ -634,14 +553,14 @@ fn local_query(
         let replies = (handed_off > 0).then(|| {
             let (reply, replies) = channel::unbounded();
             for t in descents {
-                let (reply, q, tracer) = (reply.clone(), query.clone(), tracer.clone());
+                let (reply, q) = (reply.clone(), query.clone());
                 let _ = st.scan_jobs.send(Box::new(move || {
-                    let _ = reply.send(t.descend(&q, &tracer, trace.as_ref(), want_plan));
+                    let _ = reply.send(t.descend(&q, want_plan));
                 }));
             }
             replies
         });
-        absorb(&mut out, first.descend(query, tracer, trace.as_ref(), want_plan));
+        absorb(&mut out, first.descend(query, want_plan));
         if let Some(replies) = replies {
             for _ in 0..handed_off {
                 // Only the jobs hold reply senders, so a job that died
@@ -657,7 +576,7 @@ fn local_query(
     let mut forwards: Vec<WorkerExec> = Vec::new();
     for (dest, shards) in remote {
         let req = Request::worker_query(shards, query.clone(), want_plan);
-        match (forward(st, &dest, &req, ctx), want_plan) {
+        match (forward(st, &dest, &req), want_plan) {
             (Response::Agg { agg: a, shards_searched }, false) => {
                 agg.merge(&a);
                 searched += shards_searched;
@@ -691,10 +610,9 @@ fn local_query(
     Response::AggExec { agg, shards_searched: searched, exec }
 }
 
-/// Send `req` on to the worker a shard moved to, under the same request
-/// context, so the principal and the trace survive the extra hop.
-fn forward(st: &Arc<WorkerState>, dest: &str, req: &Request, ctx: ReqCtx) -> Response {
-    match st.endpoint.request_ctx(dest, req.encode(), st.cfg.request_timeout, ctx) {
+/// Send `req` on to the worker a shard moved to.
+fn forward(st: &Arc<WorkerState>, dest: &str, req: &Request) -> Response {
+    match st.endpoint.request(dest, req.encode(), st.cfg.request_timeout) {
         Ok(bytes) => Response::decode(&st.schema, &bytes)
             .unwrap_or_else(|e| Response::Err(format!("bad forwarded response: {e}"))),
         Err(e) => Response::Err(format!("forward to {dest} failed: {e}")),
@@ -834,7 +752,7 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
     };
     // Ship the serialized shard.
     let blob = store.serialize();
-    match forward(st, dest, &Request::Adopt { shard, blob }, ReqCtx::default()) {
+    match forward(st, dest, &Request::Adopt { shard, blob }) {
         Response::Ack => {}
         Response::Err(e) => {
             revert_busy(st, &slot);
@@ -856,7 +774,7 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
     st.heat_track.lock().remove(&shard);
     if !queued.is_empty() {
         if let Response::Err(e) =
-            forward(st, dest, &Request::BulkInsert { shard, items: queued }, ReqCtx::default())
+            forward(st, dest, &Request::BulkInsert { shard, items: queued })
         {
             return Response::Err(format!("queue drain failed: {e}"));
         }

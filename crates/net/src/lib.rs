@@ -27,15 +27,10 @@
 //! requester, never through the request queue — exactly the two-socket
 //! pattern the paper describes per thread.
 //!
-//! **Request context** rides on the fabric: an [`Envelope`] carries a
-//! [`ReqCtx`] — the optional [`TraceCtx`] of a sampled request plus its
-//! accounting principal — next to its correlation ID, so both survive every
-//! hop. [`Endpoint::request_ctx`] / [`Endpoint::request_many_ctx`] wrap each
-//! hop of a sampled request in a `net_hop` span (once a [`Tracer`] is
-//! attached via [`Network::attach_tracer`]), and [`Incoming`] exposes the
-//! propagated context plus the measured time the envelope spent in the
-//! receive queue — the `worker_queue` stage of the paper's latency
-//! breakdown.
+//! An envelope carries its sender, a correlation ID and the payload, as a
+//! ZeroMQ request/reply message does. [`Incoming`] also exposes the
+//! measured time the envelope spent in the receive queue — the
+//! `worker_queue` stage of the paper's latency breakdown.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Counter, Histogram, Registry, SpanGuard, TraceCtx, Tracer};
+use volap_obs::{Counter, Histogram, Registry};
 
 /// The fabric's slice of the global lock hierarchy (DESIGN.md §11.1): routing
 /// holds the endpoint registry's read lock across the delay-queue send or
@@ -62,7 +57,7 @@ struct NetObs {
     messages: Counter,
     /// Payload bytes routed.
     bytes: Counter,
-    /// Requests issued via `request_ctx`/`request_many_ctx`.
+    /// Requests issued via `request`/`request_many`.
     requests: Counter,
     /// Requests that timed out waiting for their reply.
     timeouts: Counter,
@@ -98,17 +93,6 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// What a request carries besides its payload: the only way trace identity
-/// and cost attribution travel between processes. The default is the
-/// context-free request (unsampled, untagged).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReqCtx {
-    /// Trace context (sampled requests only).
-    pub trace: Option<TraceCtx>,
-    /// Accounting principal (0 = untagged).
-    pub principal: u32,
-}
-
 /// A routed message.
 #[derive(Debug, Clone)]
 struct Envelope {
@@ -116,8 +100,6 @@ struct Envelope {
     correlation: u64,
     /// `true` when this is a reply to an outstanding request.
     is_reply: bool,
-    /// Propagated request context (default on replies and one-way sends).
-    ctx: ReqCtx,
     /// Stamped at delivery into the destination queue, so receive-side
     /// queue-wait measurements exclude injected wire latency.
     queued_at: Option<Instant>,
@@ -176,7 +158,6 @@ struct NetworkInner {
     /// default) delivers on the sender's thread and takes no lock for it.
     delay: Option<(Duration, DelayQueue)>,
     obs: OnceLock<NetObs>,
-    tracer: OnceLock<Tracer>,
 }
 
 /// The fabric: a registry of endpoints plus the delivery path.
@@ -203,7 +184,6 @@ impl Network {
                 endpoints: ObsRwLock::new(&ENDPOINTS_CLASS, HashMap::new()),
                 delay,
                 obs: OnceLock::new(),
-                tracer: OnceLock::new(),
             }),
         }
     }
@@ -265,18 +245,8 @@ impl Network {
         });
     }
 
-    /// Attach a causal tracer (idempotent; the first call wins). Until
-    /// attached, requests propagate their context but record no spans.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        let _ = self.inner.tracer.set(tracer.clone());
-    }
-
     fn obs(&self) -> Option<&NetObs> {
         self.inner.obs.get()
-    }
-
-    fn tracer(&self) -> Option<&Tracer> {
-        self.inner.tracer.get()
     }
 
     /// Remove an endpoint from the registry: messages to it start failing,
@@ -311,8 +281,6 @@ pub struct Incoming {
     pub from: String,
     /// Correlation ID (echoed in the reply).
     pub correlation: u64,
-    /// Propagated request context (trace of a sampled request, principal).
-    pub ctx: ReqCtx,
     /// Time this envelope spent in the receive queue before `recv` picked
     /// it up (excludes injected wire latency) — the `worker_queue` stage.
     pub queued: Duration,
@@ -327,7 +295,6 @@ impl Incoming {
         Incoming {
             from: env.from,
             correlation: env.correlation,
-            ctx: env.ctx,
             queued: env.queued_at.map(|t| t.elapsed()).unwrap_or_default(),
             payload: env.payload,
             net,
@@ -343,7 +310,6 @@ impl Incoming {
                 from: self.to_name.clone(),
                 correlation: self.correlation,
                 is_reply: true,
-                ctx: ReqCtx::default(),
                 queued_at: None,
                 payload,
             },
@@ -378,34 +344,18 @@ impl Endpoint {
                 from: self.core.name.clone(),
                 correlation: 0,
                 is_reply: false,
-                ctx: ReqCtx::default(),
                 queued_at: None,
                 payload,
             },
         )
     }
 
-    /// Send a context-free request and block for the correlated reply.
+    /// Send a request and block for the correlated reply.
     pub fn request(&self, to: &str, payload: Vec<u8>, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        self.request_ctx(to, payload, timeout, ReqCtx::default())
-    }
-
-    /// Send a request under `ctx` and block for the correlated reply. The
-    /// principal rides the envelope as is; when `ctx.trace` is set and a
-    /// tracer is attached, the hop gets a child context (propagated in the
-    /// envelope) and records a `net_hop` span covering the round trip.
-    pub fn request_ctx(
-        &self,
-        to: &str,
-        payload: Vec<u8>,
-        timeout: Duration,
-        ctx: ReqCtx,
-    ) -> Result<Vec<u8>, NetError> {
         let _timer = self.net.obs().map(|o| {
             o.requests.inc();
             o.request_seconds.start()
         });
-        let (hop_ctx, mut hop_span) = self.hop_span(ctx, to);
         let corr = self.core.next_corr.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = bounded(1);
         self.core.pending.lock().insert(corr, tx);
@@ -415,16 +365,12 @@ impl Endpoint {
                 from: self.core.name.clone(),
                 correlation: corr,
                 is_reply: false,
-                ctx: hop_ctx,
                 queued_at: None,
                 payload,
             },
         );
         if let Err(e) = sent {
             self.core.pending.lock().remove(&corr);
-            if let Some(span) = hop_span.as_mut() {
-                span.annotate("error", e.to_string());
-            }
             return Err(e);
         }
         // On a timeout, whoever removes the pending entry decides: if it is
@@ -440,56 +386,19 @@ impl Endpoint {
                 if let Some(obs) = self.net.obs() {
                     obs.timeouts.inc();
                 }
-                if let Some(span) = hop_span.as_mut() {
-                    span.annotate("error", "timeout");
-                }
                 Err(NetError::Timeout)
             }
         }
     }
 
-    /// The context one hop to `dest` carries, plus its `net_hop` span: a
-    /// sampled request with a tracer attached gets a child context and a
-    /// span (annotated with the principal, so slow traces show who the hop
-    /// was for); anything else propagates `ctx` unchanged.
-    fn hop_span(&self, ctx: ReqCtx, dest: &str) -> (ReqCtx, Option<SpanGuard>) {
-        match (ctx.trace, self.net.tracer()) {
-            (Some(parent), Some(tracer)) => {
-                let child = tracer.child(&parent);
-                let mut span = tracer.span(&child, "net_hop");
-                span.annotate("dest", dest);
-                if ctx.principal != 0 {
-                    span.annotate("principal", ctx.principal.to_string());
-                }
-                (ReqCtx { trace: Some(child), ..ctx }, Some(span))
-            }
-            _ => (ctx, None),
-        }
-    }
-
-    /// Issue several context-free requests concurrently (see
-    /// [`Endpoint::request_many_ctx`]).
+    /// Issue several requests concurrently and block until every reply has
+    /// arrived (or the shared deadline passes). Returns one result per
+    /// request, in order. This is the scatter/gather primitive servers use
+    /// to query many workers in one round trip without spawning threads.
     pub fn request_many(
         &self,
         requests: &[(String, Vec<u8>)],
         timeout: Duration,
-    ) -> Vec<Result<Vec<u8>, NetError>> {
-        self.request_many_ctx(requests, timeout, ReqCtx::default())
-    }
-
-    /// Issue several requests concurrently under `ctx` and block until
-    /// every reply has arrived (or the shared deadline passes). Returns one
-    /// result per request, in order. This is the scatter/gather primitive
-    /// servers use to query many workers in one round trip without spawning
-    /// threads. Each fan-out leg of a sampled request gets its own child
-    /// context and `net_hop` span, closed as its reply arrives (stragglers
-    /// close at the deadline with an `error` annotation), so an assembled
-    /// trace shows exactly which worker a scatter waited on.
-    pub fn request_many_ctx(
-        &self,
-        requests: &[(String, Vec<u8>)],
-        timeout: Duration,
-        ctx: ReqCtx,
     ) -> Vec<Result<Vec<u8>, NetError>> {
         if requests.is_empty() {
             return Vec::new();
@@ -503,7 +412,6 @@ impl Endpoint {
         let mut corr_to_idx = HashMap::with_capacity(n);
         let mut results: Vec<Result<Vec<u8>, NetError>> =
             (0..n).map(|_| Err(NetError::Timeout)).collect();
-        let mut hop_spans: Vec<Option<SpanGuard>> = (0..n).map(|_| None).collect();
         let mut outstanding = 0usize;
         // Reserve a contiguous correlation block and register every entry
         // under a single pending-lock acquisition — one lock round per
@@ -518,15 +426,12 @@ impl Endpoint {
         }
         for (i, (to, payload)) in requests.iter().enumerate() {
             let corr = base + i as u64;
-            let (hop_ctx, hop_span) = self.hop_span(ctx, to);
-            hop_spans[i] = hop_span;
             let sent = self.net.route(
                 to,
                 Envelope {
                     from: self.core.name.clone(),
                     correlation: corr,
                     is_reply: false,
-                    ctx: hop_ctx,
                     queued_at: None,
                     payload: payload.clone(),
                 },
@@ -538,10 +443,6 @@ impl Endpoint {
                 }
                 Err(e) => {
                     self.core.pending.lock().remove(&corr);
-                    if let Some(span) = hop_spans[i].as_mut() {
-                        span.annotate("error", e.to_string());
-                    }
-                    hop_spans[i] = None; // record the failed hop now
                     results[i] = Err(e);
                 }
             }
@@ -556,7 +457,6 @@ impl Endpoint {
                 Ok(env) => {
                     if let Some(&i) = corr_to_idx.get(&env.correlation) {
                         results[i] = Ok(env.payload);
-                        hop_spans[i] = None; // close this leg's span
                         outstanding -= 1;
                     }
                 }
@@ -573,13 +473,6 @@ impl Endpoint {
         if outstanding > 0 {
             if let Some(obs) = self.net.obs() {
                 obs.timeouts.add(outstanding as u64);
-            }
-            for (i, span) in hop_spans.iter_mut().enumerate() {
-                if let Some(span) = span.as_mut() {
-                    if results[i].is_err() {
-                        span.annotate("error", "timeout");
-                    }
-                }
             }
         }
         results
@@ -682,29 +575,6 @@ mod tests {
             .request("server", vec![], Duration::from_millis(50))
             .unwrap_err();
         assert_eq!(err, NetError::Timeout);
-    }
-
-    #[test]
-    fn principal_tag_propagates_to_the_receiver() {
-        let net = Network::new();
-        let client = net.endpoint("client");
-        let server = net.endpoint("server");
-        let handle = thread::spawn(move || {
-            let tagged = server.recv(Duration::from_secs(2)).unwrap();
-            let principal = tagged.ctx.principal;
-            tagged.reply(vec![]).unwrap();
-            let untagged = server.recv(Duration::from_secs(2)).unwrap();
-            let none = untagged.ctx.principal;
-            untagged.reply(vec![]).unwrap();
-            (principal, none)
-        });
-        client
-            .request_ctx("server", vec![1], Duration::from_secs(2), ReqCtx { trace: None, principal: 7 })
-            .unwrap();
-        client.request("server", vec![2], Duration::from_secs(2)).unwrap();
-        let (principal, none) = handle.join().unwrap();
-        assert_eq!(principal, 7, "tag must ride the envelope to the handler");
-        assert_eq!(none, 0, "untagged requests arrive with principal 0");
     }
 
     #[test]
@@ -865,81 +735,6 @@ mod tests {
         let req = slow.recv(Duration::from_secs(1)).unwrap();
         req.reply(b"late".to_vec()).unwrap();
         assert_eq!(reg.counter("volap_net_late_replies_total").get(), 1);
-    }
-
-    #[test]
-    fn trace_ctx_propagates_and_hops_record_spans() {
-        use volap_obs::{TraceConfig, Tracer};
-        let net = Network::new();
-        let tracer = Tracer::new(TraceConfig { sample: 1, ..TraceConfig::default() });
-        net.attach_tracer(&tracer);
-        let client = net.endpoint("client");
-        let server = net.endpoint("server");
-        let root = tracer.sample_root().unwrap();
-        let h = thread::spawn(move || {
-            let req = server.recv(Duration::from_secs(2)).unwrap();
-            let ctx = req.ctx.trace.expect("context must propagate in the envelope");
-            req.reply(b"ok".to_vec()).unwrap();
-            ctx
-        });
-        let reply = client
-            .request_ctx("server", b"ping".to_vec(), Duration::from_secs(2), ReqCtx { trace: Some(root), principal: 0 })
-            .unwrap();
-        assert_eq!(reply, b"ok");
-        let seen = h.join().unwrap();
-        assert_eq!(seen.trace_id, root.trace_id);
-        assert_eq!(seen.parent_span_id, root.span_id, "hop is a child of the root");
-        let trace = tracer.assemble(root.trace_id).expect("hop span recorded");
-        assert_eq!(trace.spans.len(), 1);
-        assert_eq!(trace.spans[0].name, "net_hop");
-        assert_eq!(trace.spans[0].annotation("dest"), Some("server"));
-        // Untraced requests stay contextless even with a tracer attached.
-        let h2 = thread::spawn({
-            let server2 = net.endpoint("server2");
-            move || {
-                let req = server2.recv(Duration::from_secs(2)).unwrap();
-                assert_eq!(req.ctx, ReqCtx::default());
-                req.reply(vec![]).unwrap();
-            }
-        });
-        client.request("server2", vec![], Duration::from_secs(2)).unwrap();
-        h2.join().unwrap();
-    }
-
-    #[test]
-    fn sampled_request_many_spans_every_leg() {
-        use volap_obs::{TraceConfig, Tracer};
-        let net = Network::new();
-        let tracer = Tracer::new(TraceConfig { sample: 1, ..TraceConfig::default() });
-        net.attach_tracer(&tracer);
-        let client = net.endpoint("client");
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            let server = net.endpoint(format!("s{i}"));
-            handles.push(thread::spawn(move || {
-                let req = server.recv(Duration::from_secs(2)).unwrap();
-                let ctx = req.ctx.trace.expect("fan-out leg carries a context");
-                req.reply(vec![]).unwrap();
-                ctx
-            }));
-        }
-        let root = tracer.sample_root().unwrap();
-        let reqs: Vec<(String, Vec<u8>)> = (0..3).map(|i| (format!("s{i}"), vec![i])).collect();
-        let replies =
-            client.request_many_ctx(&reqs, Duration::from_secs(2), ReqCtx { trace: Some(root), principal: 0 });
-        assert!(replies.iter().all(Result::is_ok));
-        let mut leg_spans = std::collections::HashSet::new();
-        for h in handles {
-            let ctx = h.join().unwrap();
-            assert_eq!(ctx.trace_id, root.trace_id);
-            assert_eq!(ctx.parent_span_id, root.span_id);
-            leg_spans.insert(ctx.span_id);
-        }
-        assert_eq!(leg_spans.len(), 3, "every leg gets its own span id");
-        let trace = tracer.assemble(root.trace_id).unwrap();
-        let hops: Vec<_> = trace.spans.iter().filter(|s| s.name == "net_hop").collect();
-        assert_eq!(hops.len(), 3);
-        assert!(hops.iter().all(|s| s.parent_span_id == root.span_id));
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! Every other surface in this crate answers *what* the cluster spent
 //! (latency histograms, counters, heat). This module answers *who* spent
 //! it. A client-supplied principal tag (an interned [`PrincipalId`]) rides
-//! each client proto op and the `volap_net` envelope alongside the trace
-//! context; when a tagged request completes, the server folds a
+//! each client proto op; when a tagged request completes, the server folds a
 //! [`CostVec`] — rows scanned, tree nodes visited, queue wait, wall
 //! time, bytes encoded, net hops, fan-out — into:
 //!

@@ -6,10 +6,9 @@
 //! `Display`, so `parse::<f64>()` recovers them bit-exactly; `u64` counters
 //! are written as integers and never pass through `f64`.
 
-use crate::json::{self, Field, Record};
+use crate::json::{self, Record};
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::snapshot::Snapshot;
-use crate::trace::{SpanRecord, Trace};
 
 // ---------------------------------------------------------------------------
 // Prometheus text exposition
@@ -277,111 +276,6 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
     Snapshot::read_members(&json::parse(text)?)
 }
 
-// ---------------------------------------------------------------------------
-// Chrome/Perfetto trace_event JSON
-// ---------------------------------------------------------------------------
-
-crate::record! {
-    /// What the `trace_event` format has no slot for: trace and span identity,
-    /// the exact end time, and the raw annotations.
-    struct SpanArgs {
-        trace_id: u64,
-        span_id: u64,
-        parent_span_id: u64,
-        end_us: u64,
-        ann: Vec<(String, String)>,
-    }
-}
-
-crate::record! {
-    /// One complete (`"ph": "X"`) event: a span as `trace_event` spells it —
-    /// the trace as the process, the span as the thread.
-    struct TraceEvent {
-        ph: String,
-        name: String,
-        ts: u64,
-        dur: u64,
-        pid: u64,
-        tid: u64,
-        args: SpanArgs,
-    }
-}
-
-impl From<&SpanRecord> for TraceEvent {
-    fn from(s: &SpanRecord) -> Self {
-        TraceEvent {
-            ph: "X".into(),
-            name: s.name.clone(),
-            ts: s.start_us,
-            dur: s.duration_us(),
-            pid: s.trace_id,
-            tid: s.span_id,
-            args: SpanArgs {
-                trace_id: s.trace_id,
-                span_id: s.span_id,
-                parent_span_id: s.parent_span_id,
-                end_us: s.end_us,
-                ann: s.annotations.clone(),
-            },
-        }
-    }
-}
-
-impl TryFrom<TraceEvent> for SpanRecord {
-    type Error = String;
-
-    fn try_from(ev: TraceEvent) -> Result<Self, String> {
-        if ev.ph != "X" {
-            return Err(format!("unsupported event phase {:?}", ev.ph));
-        }
-        let span = SpanRecord {
-            trace_id: ev.args.trace_id,
-            span_id: ev.args.span_id,
-            parent_span_id: ev.args.parent_span_id,
-            name: ev.name,
-            start_us: ev.ts,
-            end_us: ev.args.end_us,
-            annotations: ev.args.ann,
-        };
-        if span.duration_us() != ev.dur {
-            return Err(format!("dur {} disagrees with ts {}..{}", ev.dur, ev.ts, span.end_us));
-        }
-        Ok(span)
-    }
-}
-
-/// Render traces in the Chrome/Perfetto `trace_event` JSON format: one
-/// complete (`"ph": "X"`) event per span, timestamps and durations in
-/// microseconds. Load the output in `ui.perfetto.dev` or
-/// `chrome://tracing`. Trace and span identity (trace/span/parent ids and
-/// the raw annotations) ride in each event's `args`, so the export is
-/// **lossless**: [`traces_from_perfetto`] recovers the exact input.
-pub fn traces_to_perfetto(traces: &[Trace]) -> String {
-    let events: Vec<TraceEvent> =
-        traces.iter().flat_map(|t| &t.spans).map(TraceEvent::from).collect();
-    let mut out = String::from("{\"traceEvents\": ");
-    json::write_rows(&events, "", &mut out);
-    out.push_str("}\n");
-    out
-}
-
-/// Parse Perfetto JSON produced by [`traces_to_perfetto`] back into traces,
-/// grouped by `trace_id` in first-seen order. Any malformed or non-`X`
-/// event is an error — this is the validator `volap-stat --traces` and CI
-/// run over exported traces.
-pub fn traces_from_perfetto(text: &str) -> Result<Vec<Trace>, String> {
-    let root = json::parse(text)?;
-    let mut traces: Vec<Trace> = Vec::new();
-    for ev in Vec::<TraceEvent>::read(root.get("traceEvents")?)? {
-        let span = SpanRecord::try_from(ev)?;
-        match traces.iter_mut().find(|t| t.trace_id == span.trace_id) {
-            Some(t) => t.spans.push(span),
-            None => traces.push(Trace { trace_id: span.trace_id, spans: vec![span] }),
-        }
-    }
-    Ok(traces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,9 +415,6 @@ mod tests {
         let prom = include_str!("../tests/golden/snapshot.prom");
         assert_eq!(to_prometheus(&snap), prom);
         assert_eq!(from_prometheus(prom).unwrap(), snap.metrics_only());
-        let perfetto = include_str!("../tests/golden/traces.perfetto.json");
-        assert_eq!(traces_to_perfetto(&sample_traces()), perfetto);
-        assert_eq!(traces_from_perfetto(perfetto).unwrap(), sample_traces());
     }
 
     #[test]
@@ -533,64 +424,5 @@ mod tests {
         assert!(from_json("{").is_err());
         assert!(from_json("{}").is_err(), "missing keys");
         assert!(from_json(&(to_json(&sample_snapshot()) + "x")).is_err(), "trailing bytes");
-    }
-
-    fn sample_traces() -> Vec<Trace> {
-        vec![
-            Trace {
-                trace_id: 7,
-                spans: vec![
-                    SpanRecord {
-                        trace_id: 7,
-                        span_id: 1,
-                        parent_span_id: 0,
-                        name: "server_route".into(),
-                        start_us: 10,
-                        end_us: 90,
-                        annotations: vec![("server".into(), "s0".into())],
-                    },
-                    SpanRecord {
-                        trace_id: 7,
-                        span_id: 2,
-                        parent_span_id: 1,
-                        name: "net_hop".into(),
-                        start_us: 12,
-                        end_us: 80,
-                        annotations: vec![("dest".into(), "w \"quoted\"\n1".into())],
-                    },
-                ],
-            },
-            Trace {
-                trace_id: 9,
-                spans: vec![SpanRecord {
-                    trace_id: 9,
-                    span_id: 3,
-                    parent_span_id: 0,
-                    name: "op".into(),
-                    start_us: 100,
-                    end_us: 100,
-                    annotations: Vec::new(),
-                }],
-            },
-        ]
-    }
-
-    #[test]
-    fn perfetto_round_trip_is_lossless() {
-        let traces = sample_traces();
-        let text = traces_to_perfetto(&traces);
-        let back = traces_from_perfetto(&text).unwrap();
-        assert_eq!(back, traces);
-    }
-
-    #[test]
-    fn malformed_perfetto_is_rejected() {
-        assert!(traces_from_perfetto("{").is_err());
-        assert!(traces_from_perfetto("{\"traceEvents\": [{\"ph\": \"B\"}]}").is_err());
-        let good = traces_to_perfetto(&sample_traces());
-        assert!(traces_from_perfetto(&(good.clone() + "x")).is_err(), "trailing bytes");
-        // A corrupted duration must not pass the dur/ts consistency check.
-        let bad = good.replace("\"dur\": 80", "\"dur\": 81");
-        assert!(traces_from_perfetto(&bad).is_err());
     }
 }

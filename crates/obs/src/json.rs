@@ -1,6 +1,6 @@
 //! A minimal JSON value model with an exactness-preserving parser, shared by
-//! every hand-rolled exporter in the workspace (snapshot JSON, Perfetto
-//! traces, and the core crate's `QueryPlan` encoding).
+//! every hand-rolled exporter in the workspace (snapshot JSON and the core
+//! crate's `QueryPlan` encoding).
 //!
 //! Numbers keep their **lexeme** (the exact byte sequence from the input)
 //! instead of eagerly converting to `f64`, so integers larger than 2^53 and

@@ -38,7 +38,6 @@ pub mod registry;
 mod ring;
 pub mod snapshot;
 pub mod staleness;
-pub mod trace;
 
 pub use account::{
     Accounting, AccountingSnapshot, CostVec, DimTop, PrincipalId, PrincipalTotals, SpaceSaving,
@@ -57,7 +56,6 @@ pub use registry::{
 };
 pub use snapshot::{Section, SectionData, Snapshot};
 pub use staleness::{StalenessProbe, StalenessSnapshot};
-pub use trace::{SpanGuard, SpanRecord, Trace, TraceConfig, TraceCtx, Tracer};
 
 /// Structured events retained across the event ring's shards.
 pub const EVENT_CAPACITY: usize = 4096;
@@ -77,13 +75,11 @@ pub struct ObsConfig {
     /// events only); a histogram additionally costs two `Instant::now()`
     /// calls per timed operation.
     pub histograms: bool,
-    /// Causal-tracing sampling and sizing.
-    pub trace: TraceConfig,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self { histograms: true, trace: TraceConfig::default() }
+        Self { histograms: true }
     }
 }
 
@@ -94,7 +90,6 @@ pub struct Obs {
     registry: Registry,
     events: EventLog,
     staleness: StalenessProbe,
-    tracer: Tracer,
     heat: HeatMap,
     audit: AuditLog,
     accounting: Accounting,
@@ -117,7 +112,6 @@ impl Obs {
             registry,
             events: EventLog::new(EVENT_CAPACITY),
             staleness,
-            tracer: Tracer::new(cfg.trace),
             heat: HeatMap::default(),
             audit: AuditLog::new(AUDIT_CAPACITY),
             accounting: Accounting::default(),
@@ -140,11 +134,6 @@ impl Obs {
         &self.staleness
     }
 
-    /// The causal tracer (span collector + slow-query flight recorder).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The per-shard heat map.
     pub fn heat(&self) -> &HeatMap {
         &self.heat
@@ -164,16 +153,14 @@ impl Obs {
     /// Returns `false`, doing nothing, for a section that has no switch
     /// (its record path is a relaxed atomic or fires on rare events only).
     /// A paused section costs its record path one relaxed load and a branch
-    /// — the load an enabled section already pays. Sections start enabled;
-    /// traces resume at the configured [`TraceConfig::sample`] rate (so stay
-    /// off when that is 0), and lock telemetry is process-global.
+    /// — the load an enabled section already pays. Sections start enabled,
+    /// and lock telemetry is process-global.
     pub fn set_enabled(&self, section: Section, on: bool) -> bool {
         match section {
             Section::Histograms => self.registry.set_histograms_enabled(on),
             Section::Heat => self.heat.set_enabled(on),
             Section::Locks => lock::set_telemetry_enabled(on),
             Section::Accounting => self.accounting.set_enabled(on),
-            Section::Traces => self.tracer.set_enabled(on),
             Section::Counters
             | Section::Gauges
             | Section::Events
@@ -293,7 +280,7 @@ mod tests {
 
     #[test]
     fn histograms_knob_disables_recording() {
-        let obs = Obs::new(ObsConfig { histograms: false, ..ObsConfig::default() });
+        let obs = Obs::new(ObsConfig { histograms: false });
         let h = obs.registry().histogram("volap_h_seconds");
         h.observe_ns(5);
         assert_eq!(h.count(), 0);

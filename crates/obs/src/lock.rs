@@ -27,7 +27,7 @@
 //! deepest held rank (same-class reacquisition of a
 //! [`LockClass::new_chainable`] class excepted — hand-over-hand tree
 //! descent) records a [`LockOrderViolation`] with both class names and
-//! backtrace-lite context (thread ordinal and name, current traced span)
+//! backtrace-lite context (thread ordinal and name)
 //! and, in the default [`CheckMode::Panic`], panics so tests fail loudly.
 //! Release builds compile the checker out entirely.
 
@@ -77,13 +77,6 @@ static HOOK: Mutex<Option<ViolationHook>> = Mutex::new(None);
 /// Observer invoked on every recorded lock-order violation.
 pub type ViolationHook = Box<dyn Fn(&LockOrderViolation) + Send + Sync>;
 
-std::thread_local! {
-    /// Cumulative nanoseconds this thread has spent blocked on contended
-    /// instrumented locks. Sampled spans diff it around an operation to
-    /// annotate `held_lock_wait_us`.
-    static THREAD_WAIT_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Turn lock telemetry on or off process-wide (default: on;
 /// [`crate::Obs::set_enabled`]). Off, every wrapper call is a plain
 /// `parking_lot` acquisition behind one relaxed load and branch.
@@ -96,13 +89,6 @@ pub(crate) fn set_telemetry_enabled(on: bool) {
 /// and diagnostics, not production.
 pub fn set_always_time(on: bool) {
     ALWAYS_TIME.store(on, Ordering::Relaxed);
-}
-
-/// Cumulative nanoseconds the *calling thread* has spent blocked on
-/// contended instrumented locks. Monotone; diff around an operation to
-/// attribute lock wait to it.
-pub fn thread_wait_ns() -> u64 {
-    THREAD_WAIT_NS.with(|c| c.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +241,6 @@ impl LockClass {
         self.contended.fetch_add(1, Ordering::Relaxed);
         let ns = wait.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.wait.observe_ns(ns);
-        THREAD_WAIT_NS.with(|c| c.set(c.get().saturating_add(ns)));
         Some(Instant::now())
     }
 
@@ -305,9 +290,6 @@ pub struct LockOrderViolation {
     pub thread_ordinal: usize,
     /// Thread name, when set.
     pub thread_name: String,
-    /// `(trace_id, span_id)` of the span open on this thread, if the
-    /// operation was being traced.
-    pub span: Option<(u64, u64)>,
 }
 
 impl fmt::Display for LockOrderViolation {
@@ -321,11 +303,7 @@ impl fmt::Display for LockOrderViolation {
             self.holding_rank,
             self.thread_ordinal,
             self.thread_name,
-        )?;
-        if let Some((t, s)) = self.span {
-            write!(f, " in trace {t} span {s}")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -425,7 +403,6 @@ mod checker {
                             .name()
                             .unwrap_or("<unnamed>")
                             .to_string(),
-                        span: crate::trace::current_span(),
                     },
                     mode == CheckMode::Panic,
                 );
@@ -1121,23 +1098,5 @@ mod tests {
         let me = locks.iter().find(|l| l.class == "test.timed").unwrap();
         assert!(me.hold_count >= 1);
         assert!(me.hold_sum_seconds >= 0.001);
-    }
-
-    #[test]
-    fn thread_wait_counter_accumulates_on_contention() {
-        let _s = serial();
-        static C: LockClass = LockClass::new("test.wait_tls", 9170);
-        let m = Arc::new(ObsMutex::new(&C, ()));
-        let g = m.lock();
-        let m2 = Arc::clone(&m);
-        let t = std::thread::spawn(move || {
-            let before = thread_wait_ns();
-            let _g = m2.lock();
-            thread_wait_ns() - before
-        });
-        std::thread::sleep(Duration::from_millis(15));
-        drop(g);
-        let waited = t.join().unwrap();
-        assert!(waited > 5_000_000, "blocked thread must accumulate wait ns, got {waited}");
     }
 }

@@ -1,5 +1,5 @@
-//! The bounded, per-thread-sharded ring behind the event log, the audit
-//! trail and the span collector.
+//! The bounded, per-thread-sharded ring behind the event log and the audit
+//! trail.
 //!
 //! Writers append to **per-thread ring shards**: each thread is assigned a
 //! fixed shard (by a cached thread ordinal), so in steady state a shard's

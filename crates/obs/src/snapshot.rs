@@ -116,20 +116,16 @@ macro_rules! sections {
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum Section {
             $( $(#[$doc])* $Var, )*
-            /// Sampled causal traces. Exported on their own (Perfetto), so not
-            /// a snapshot member.
-            Traces,
         }
 
         impl Section {
             /// Every section, in snapshot order.
-            pub const ALL: &'static [Section] = &[$(Section::$Var,)* Section::Traces];
+            pub const ALL: &'static [Section] = &[$(Section::$Var,)*];
 
             /// The section's name: its key in the JSON snapshot.
             pub fn name(self) -> &'static str {
                 match self {
                     $( Section::$Var => stringify!($field), )*
-                    Section::Traces => "traces",
                 }
             }
         }
@@ -139,7 +135,6 @@ macro_rules! sections {
             pub fn is_populated(&self, section: Section) -> bool {
                 match section {
                     $( Section::$Var => !SectionData::is_empty(&self.$field), )*
-                    Section::Traces => false,
                 }
             }
 

@@ -149,11 +149,7 @@ proptest! {
         }
         let snap = obs.snapshot();
         for &section in Section::ALL {
-            let expected = match section {
-                Section::Events => !events.is_empty(),
-                Section::Traces => false, // not a snapshot member
-                _ => true,
-            };
+            let expected = section != Section::Events || !events.is_empty();
             prop_assert_eq!(snap.is_populated(section), expected, "{}", section.name());
         }
         prop_assert_eq!(snap.validate(), Ok(()));
@@ -394,10 +390,9 @@ proptest! {
         cut in any::<usize>(),
     ) {
         type Decode = fn(&str) -> bool;
-        let decoders: [(&str, Decode); 3] = [
+        let decoders: [(&str, Decode); 2] = [
             (include_str!("golden/snapshot.json"), |t| export::from_json(t).is_ok()),
             (include_str!("golden/snapshot.prom"), |t| export::from_prometheus(t).is_ok()),
-            (include_str!("golden/traces.perfetto.json"), |t| export::traces_from_perfetto(t).is_ok()),
         ];
         for (golden, decode) in decoders {
             prop_assert!(decode(golden), "the undamaged document decodes");

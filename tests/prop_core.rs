@@ -6,8 +6,8 @@
 //! arbitrary bytes and on every truncation of a valid encoding.
 
 use proptest::prelude::*;
-use volap::{Request, Response, ServerIndex, ShardRecord};
-use volap_dims::{Item, Key, Mbr, QueryBox, Schema};
+use volap::{Request, Response, ServerIndex, ShardExec, ShardRecord, WorkerExec};
+use volap_dims::{Aggregate, Item, Key, Mbr, QueryBox, Schema};
 use volap_tree::serial::{decode_items, encode_items, SHARD_MAGIC};
 use volap_tree::{deserialize_store, StoreKind, TreeConfig};
 
@@ -34,6 +34,37 @@ fn decode_shard_blob(blob: &[u8]) -> Result<Vec<Item>, String> {
         .expect("deserialize_store accepts what decode_items accepts");
     assert_eq!(store.len(), items.len() as u64);
     Ok(items)
+}
+
+/// A worker execution with one [`ShardExec`] row per seven counters in
+/// `rows`, forwarding to `forwards`.
+fn worker_exec(worker: &str, rows: &[Vec<u64>], forwards: Vec<WorkerExec>) -> WorkerExec {
+    let shards: Vec<ShardExec> = rows
+        .iter()
+        .map(|v| ShardExec {
+            shard: v[0],
+            items: v[1],
+            nodes_visited: v[2],
+            covered_hits: v[3],
+            items_scanned: v[4],
+            pruned: v[5],
+            wall_us: v[6],
+        })
+        .collect();
+    WorkerExec {
+        worker: worker.into(),
+        requested: shards.iter().map(|s| s.shard).collect(),
+        alias_chases: forwards.len() as u32,
+        fanout: shards.len() as u32,
+        wall_us: rows.len() as u64 * 17,
+        shards,
+        forwards,
+    }
+}
+
+/// Rows of seven counters for [`worker_exec`].
+fn rows_strategy(max: usize) -> impl Strategy<Value = Vec<Vec<u64>>> {
+    prop::collection::vec(prop::collection::vec(any::<u64>(), 7), 0..max)
 }
 
 proptest! {
@@ -83,6 +114,60 @@ proptest! {
             prop_assert!(Request::decode_checked(&bytes[..cut], &s).is_err(), "prefix of {} bytes", cut);
         }
         prop_assert_eq!(Request::decode_checked(&bytes, &s).unwrap(), req);
+    }
+
+    /// Every strict prefix of a valid response is rejected, and the whole
+    /// encoding decodes to the response: aggregates, worker executions with
+    /// several shard rows and nested forwards, worker stats and errors.
+    #[test]
+    fn response_decode_rejects_truncations(
+        kind in 0u8..4,
+        agg in (any::<u64>(), 0u32..1_000_000, 0u32..1000, any::<u32>()),
+        rows in rows_strategy(5),
+        forwards in prop::collection::vec((rows_strategy(3), rows_strategy(3)), 0..3),
+        text in "[a-z0-9 -]{0,24}",
+        records in prop::collection::vec(
+            (any::<u64>(), prop::collection::vec((0u64..256, 0u64..256), 2)),
+            0..4,
+        ),
+    ) {
+        let s = schema();
+        let (count, sum, min, shards_searched) = agg;
+        let agg = Aggregate { count, sum: sum as f64, min: min as f64, max: (min + 1) as f64 };
+        let resp = match kind {
+            0 => Response::Agg { agg, shards_searched },
+            1 => {
+                // Each forward nests one more execution of its own.
+                let forwards = forwards
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (outer, inner))| {
+                        let nested = worker_exec(&format!("{text}-{i}-n"), inner, Vec::new());
+                        worker_exec(&format!("{text}-{i}"), outer, vec![nested])
+                    })
+                    .collect();
+                let exec = worker_exec(&text, &rows, forwards);
+                Response::AggExec { agg, shards_searched, exec }
+            }
+            2 => Response::WorkerStats {
+                shards: records
+                    .iter()
+                    .map(|(id, r)| ShardRecord {
+                        id: *id,
+                        worker: text.clone(),
+                        len: id / 3,
+                        mbr: mbr(r[0].0, r[0].1, r[1].0, r[1].1),
+                    })
+                    .collect(),
+            },
+            _ => Response::Err(text),
+        };
+        let bytes = resp.encode();
+        for cut in 0..bytes.len() {
+            let prefix = Response::decode(&s, &bytes[..cut]);
+            prop_assert!(prefix.is_err(), "prefix of {} bytes of {:?}", cut, resp);
+        }
+        prop_assert_eq!(Response::decode(&s, &bytes).unwrap(), resp);
     }
 
     /// Shard-record decoding never panics on arbitrary bytes or on any
