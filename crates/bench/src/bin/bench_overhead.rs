@@ -61,7 +61,7 @@ struct Feature {
 }
 
 /// Tolerances start from the ones the per-feature gates this bin replaces
-/// claimed: 5 % histograms, 3 % locks, 1 % heat and accounting.
+/// claimed: 5 % histograms, 1 % heat and accounting.
 /// The last two are **2 %** here, because 1 % was never
 /// demonstrable: a `pass` needs an interval no wider than the tolerance, and
 /// on the 2-core box this was sized on 150 s of pairs narrowed those rows
@@ -69,23 +69,10 @@ struct Feature {
 /// claim is likely true — it is just not shown). An interval narrower than
 /// 3 % takes 10–30 s of pairs there and one narrower than 2 % about a
 /// minute; the caps leave twice that.
-///
-/// `locks` is **5 %**: its cost is real and sits at the old 3 %. Twelve
-/// runs on the same 2-core box put the median at +0.6 to +4.2 % (typically
-/// +2 to +2.5 %) with upper bounds up to +5.1 %, so 3 % passed or failed by
-/// luck. About half of it was the one shared per-class acquisition counter
-/// every uncontended acquire increments, whose cache line bounced between
-/// the cores of the client, server and worker threads: without that
-/// increment five runs measured −0.8 to +1.5 %. The counter is now striped
-/// over 16 thread-ordinal cache lines; on the same kind of 2-core box three
-/// `--feature locks` runs measured +2.1, +0.2 and +0.9 % (unstriped, run
-/// alternately: +2.7, +1.4, +2.5 %), but a full `--check` at 3 % still came
-/// out inconclusive (+2.6 % [+2.0, +3.3]), so the tolerance stays 5 %.
 const FEATURES: &[Feature] = &[
     Feature { section: None, tolerance: 0.03, cap: Duration::from_secs(60) },
     Feature { section: Some(Section::Histograms), tolerance: 0.05, cap: Duration::from_secs(60) },
     Feature { section: Some(Section::Heat), tolerance: 0.02, cap: Duration::from_secs(120) },
-    Feature { section: Some(Section::Locks), tolerance: 0.05, cap: Duration::from_secs(60) },
     Feature { section: Some(Section::Accounting), tolerance: 0.02, cap: Duration::from_secs(120) },
 ];
 

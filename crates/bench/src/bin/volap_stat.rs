@@ -9,16 +9,14 @@
 //! (`Snapshot::is_populated`) — all three derived from the one section list
 //! in `volap_obs::snapshot`. On top, each mode checks what only it knows:
 //! that the snapshot accounts for the workload this binary just issued.
-//! Usage: `volap-stat [--json | --prom | --heat | --locks | --snapshot |
-//! --tenants]` (default: human summary + the Prometheus exposition).
+//! Usage: `volap-stat [--json | --prom | --heat | --snapshot | --tenants]`
+//! (default: human summary + the Prometheus exposition).
 //!
 //! * `--heat` prints the per-shard heat table; fails unless the published
 //!   totals account for every workload insert.
-//! * `--locks` prints the per-class lock contention table, hottest first;
-//!   fails if a class the workload must touch was never acquired.
 //! * `--snapshot` shrinks the split threshold so the manager acts, and
-//!   emits the JSON document; fails unless heat, locks and a successful
-//!   split in the audit trail are present.
+//!   emits the JSON document; fails unless heat and a successful split in
+//!   the audit trail are present.
 //! * `--tenants` runs a *tagged* workload (three principals of different
 //!   weights plus untagged traffic) and prints the per-principal totals and
 //!   heavy-hitter tables; fails if a principal's accounted requests disagree
@@ -81,37 +79,6 @@ fn heat_table(snap: &Snapshot) -> String {
             e.insert_rate,
             e.query_rate,
             e.volume_frac,
-        );
-    }
-    out
-}
-
-/// The `--locks` table: classes by total wait, hottest first.
-fn locks_table(snap: &Snapshot) -> String {
-    let mut locks = snap.locks.clone();
-    locks.sort_by(|a, b| {
-        b.wait_sum_seconds
-            .total_cmp(&a.wait_sum_seconds)
-            .then_with(|| b.acquisitions.cmp(&a.acquisitions))
-    });
-    let mut out =
-        format!("# volap-stat: lock contention ({} classes, hottest first)\n", locks.len());
-    let _ = writeln!(
-        out,
-        "# {:<20} {:>4} {:>12} {:>10} {:>9} {:>12} {:>12}",
-        "class", "rank", "acquisitions", "contended", "cont%", "wait_ms", "hold_ms"
-    );
-    for l in &locks {
-        let _ = writeln!(
-            out,
-            "# {:<20} {:>4} {:>12} {:>10} {:>8.2}% {:>12.3} {:>12.3}",
-            l.class,
-            l.rank,
-            l.acquisitions,
-            l.contended,
-            l.contention_frac() * 100.0,
-            l.wait_sum_seconds * 1e3,
-            l.hold_sum_seconds * 1e3,
         );
     }
     out
@@ -295,8 +262,7 @@ fn run_tenants() {
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
-    const MODES: [&str; 7] =
-        ["", "--json", "--prom", "--heat", "--locks", "--snapshot", "--tenants"];
+    const MODES: [&str; 6] = ["", "--json", "--prom", "--heat", "--snapshot", "--tenants"];
     if !MODES.contains(&mode.as_str()) {
         fail(&format!("unknown mode {mode:?} (expected one of {:?})", &MODES[1..]));
     }
@@ -363,8 +329,7 @@ fn main() {
     // relies on the exit code.
     let shows: &[Section] = match mode.as_str() {
         "--heat" => &[Section::Heat],
-        "--locks" => &[Section::Locks],
-        "--snapshot" => &[Section::Heat, Section::Locks, Section::Audit],
+        "--snapshot" => &[Section::Heat, Section::Audit],
         _ => &[Section::Histograms, Section::Staleness],
     };
     let (prom, json) = check(&snap, shows);
@@ -387,14 +352,6 @@ fn main() {
                 fail(&format!("heat insert totals {inserts} do not account for the 4000-insert workload"));
             }
             print!("{}", heat_table(&snap));
-        }
-        "--locks" => {
-            for class in ["server.index", "worker.slot_state", "tree.node"] {
-                if snap.lock_class(class).is_none_or(|l| l.acquisitions == 0) {
-                    fail(&format!("lock class {class} was never acquired"));
-                }
-            }
-            print!("{}", locks_table(&snap));
         }
         "--snapshot" => {
             if !snap.audit.iter().any(|d| d.action == "split" && d.outcome == "ok") {
@@ -444,7 +401,6 @@ mod tests {
         let snap = export::from_json(include_str!("../../../obs/tests/golden/snapshot.json"))
             .expect("fixture parses");
         assert_eq!(heat_table(&snap), include_str!("../../tests/golden/heat.txt"));
-        assert_eq!(locks_table(&snap), include_str!("../../tests/golden/locks.txt"));
         assert_eq!(tenants_table(&snap.accounting), include_str!("../../tests/golden/tenants.txt"));
     }
 }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use volap_coord::CoordService;
 use volap_dims::{Aggregate, Item, QueryBox, Schema};
 use volap_net::{Endpoint, Network};
-use volap_obs::lock::{CheckMode, LockClass, ObsMutex};
+use volap_obs::lock::{LockClass, ObsMutex};
 use volap_obs::{Obs, Snapshot};
 
 /// Handle list of the harness itself; held only for push/remove, never
@@ -44,10 +44,6 @@ impl Cluster {
     /// shards, then servers (which bootstrap from the image), then the
     /// manager.
     pub fn start(cfg: VolapConfig) -> Self {
-        // Arm (or disarm) the debug-build lock-order checker before the
-        // first service thread takes a lock. Release builds compile the
-        // checker out; setting the mode there is a no-op.
-        volap_obs::lock::set_check_mode(if cfg.lock_check { CheckMode::Panic } else { CheckMode::Off });
         let net = match cfg.net_latency {
             Some(lat) => Network::with_latency(lat),
             None => Network::new(),
@@ -55,7 +51,7 @@ impl Cluster {
         let coord = CoordService::new();
         let obs = Obs::new(cfg.obs.clone());
         net.attach_obs(obs.registry());
-        // Lock-order violations (Record mode) land in this deployment's
+        // Lock-order violations (debug builds) land in this deployment's
         // event log alongside the rest of the structured events.
         obs.install_lock_hook();
         let image = ImageStore::with_obs(coord, cfg.schema.clone(), obs);

@@ -55,23 +55,17 @@ pub struct VolapConfig {
     pub net_latency: Option<Duration>,
     /// Directory fanout of the server routing index.
     pub index_dir_cap: usize,
-    /// Observability knobs — histograms and tracing — declared once, in
+    /// The observability knob — histograms — declared once, in
     /// [`volap_obs::ObsConfig`].
     /// Everything else `volap_obs` records is always armed at start and
     /// sized by its constants; `Obs::set_enabled` is the runtime switch.
+    /// The lock-order checker is no knob: every debug build runs it, and
+    /// release builds compile it out.
     pub obs: volap_obs::ObsConfig,
     /// Half-life of the heat EWMAs: after this long with no activity a
     /// shard's measured rate decays to half. Shorter reacts faster;
     /// longer smooths bursts.
     pub heat_halflife: Duration,
-    /// Whether the runtime lock-order checker is armed (debug builds only;
-    /// release builds compile the checker out entirely). On, every lock
-    /// acquisition is validated against the global lock hierarchy
-    /// (DESIGN.md §11.1) via a thread-local held-lock stack, and a violation
-    /// panics with both class names. Off, acquisitions skip the check but
-    /// lock *telemetry* (contention counters and wait/hold histograms)
-    /// stays on — that is the `locks` section's runtime switch.
-    pub lock_check: bool,
 }
 
 impl VolapConfig {
@@ -98,7 +92,6 @@ impl VolapConfig {
             index_dir_cap: 8,
             obs: volap_obs::ObsConfig::default(),
             heat_halflife: Duration::from_secs(2),
-            lock_check: true,
         }
     }
 
@@ -121,7 +114,6 @@ mod tests {
         assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
         assert_eq!(volap_obs::account::TOPK, 8);
         assert_eq!(cfg.heat_halflife, Duration::from_secs(2));
-        assert!(cfg.lock_check);
         let obs = volap_obs::Obs::new(cfg.obs.clone());
         assert!(obs.heat().enabled() && obs.accounting().enabled(), "sections start armed");
     }

@@ -211,8 +211,8 @@ fn reply(msg: &Incoming, resp: Response) {
 }
 
 /// Everything needed to charge one tagged client request when it
-/// completes. Opened before routing (stamping the measured queue wait and
-/// request bytes), carried through the route so it can accumulate scan and
+/// completes. Opened before routing (stamping the start time and request
+/// bytes), carried through the route so it can accumulate scan and
 /// fan-out counters, settled after the reply is encoded. Untagged requests
 /// (or a disabled accounting core) never construct one — their dispatch
 /// path costs one branch.
@@ -230,11 +230,7 @@ impl Bill {
         Some(Bill {
             principal: p,
             started: Instant::now(),
-            cost: CostVec {
-                queue_wait_us: micros(msg.queued),
-                bytes: msg.payload.len() as u64,
-                ..CostVec::default()
-            },
+            cost: CostVec { bytes: msg.payload.len() as u64, ..CostVec::default() },
         })
     }
 

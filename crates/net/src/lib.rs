@@ -28,9 +28,7 @@
 //! pattern the paper describes per thread.
 //!
 //! An envelope carries its sender, a correlation ID and the payload, as a
-//! ZeroMQ request/reply message does. [`Incoming`] also exposes the
-//! measured time the envelope spent in the receive queue — the
-//! `worker_queue` stage of the paper's latency breakdown.
+//! ZeroMQ request/reply message does, and nothing more.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,9 +98,6 @@ struct Envelope {
     correlation: u64,
     /// `true` when this is a reply to an outstanding request.
     is_reply: bool,
-    /// Stamped at delivery into the destination queue, so receive-side
-    /// queue-wait measurements exclude injected wire latency.
-    queued_at: Option<Instant>,
     payload: Vec<u8>,
 }
 
@@ -123,7 +118,7 @@ struct Route {
 }
 
 impl Route {
-    fn deliver(&self, mut env: Envelope, obs: Option<&NetObs>) {
+    fn deliver(&self, env: Envelope, obs: Option<&NetObs>) {
         if env.is_reply {
             // Route straight to the requester. If it already gave up
             // (timeout removed the pending entry), the reply is *late*:
@@ -143,7 +138,6 @@ impl Route {
                 }
             }
         } else {
-            env.queued_at = Some(Instant::now());
             let _ = self.queue_tx.send(env);
         }
     }
@@ -281,9 +275,6 @@ pub struct Incoming {
     pub from: String,
     /// Correlation ID (echoed in the reply).
     pub correlation: u64,
-    /// Time this envelope spent in the receive queue before `recv` picked
-    /// it up (excludes injected wire latency) — the `worker_queue` stage.
-    pub queued: Duration,
     /// Message body.
     pub payload: Vec<u8>,
     net: Network,
@@ -295,7 +286,6 @@ impl Incoming {
         Incoming {
             from: env.from,
             correlation: env.correlation,
-            queued: env.queued_at.map(|t| t.elapsed()).unwrap_or_default(),
             payload: env.payload,
             net,
             to_name,
@@ -310,7 +300,6 @@ impl Incoming {
                 from: self.to_name.clone(),
                 correlation: self.correlation,
                 is_reply: true,
-                queued_at: None,
                 payload,
             },
         )
@@ -344,7 +333,6 @@ impl Endpoint {
                 from: self.core.name.clone(),
                 correlation: 0,
                 is_reply: false,
-                queued_at: None,
                 payload,
             },
         )
@@ -365,7 +353,6 @@ impl Endpoint {
                 from: self.core.name.clone(),
                 correlation: corr,
                 is_reply: false,
-                queued_at: None,
                 payload,
             },
         );
@@ -432,8 +419,7 @@ impl Endpoint {
                     from: self.core.name.clone(),
                     correlation: corr,
                     is_reply: false,
-                    queued_at: None,
-                    payload: payload.clone(),
+                        payload: payload.clone(),
                 },
             );
             match sent {
@@ -735,17 +721,6 @@ mod tests {
         let req = slow.recv(Duration::from_secs(1)).unwrap();
         req.reply(b"late".to_vec()).unwrap();
         assert_eq!(reg.counter("volap_net_late_replies_total").get(), 1);
-    }
-
-    #[test]
-    fn queue_wait_is_measured() {
-        let net = Network::new();
-        let a = net.endpoint("a");
-        let b = net.endpoint("b");
-        a.send("b", vec![1]).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let msg = b.recv(Duration::from_secs(1)).unwrap();
-        assert!(msg.queued >= Duration::from_millis(15), "queue wait {:?}", msg.queued);
     }
 
     #[test]

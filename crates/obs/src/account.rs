@@ -5,8 +5,8 @@
 //! (latency histograms, counters, heat). This module answers *who* spent
 //! it. A client-supplied principal tag (an interned [`PrincipalId`]) rides
 //! each client proto op; when a tagged request completes, the server folds a
-//! [`CostVec`] — rows scanned, tree nodes visited, queue wait, wall
-//! time, bytes encoded, net hops, fan-out — into:
+//! [`CostVec`] — rows scanned, tree nodes visited, wall time, bytes
+//! encoded, net hops, fan-out — into:
 //!
 //! * **exact per-principal totals** (and a request count) in a registry
 //!   keyed by the interned id, and
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of cost dimensions in a [`CostVec`].
-pub const COST_DIMS: usize = 7;
+pub const COST_DIMS: usize = 6;
 
 /// An interned principal tag. `0` is reserved for "untagged" — the hot
 /// path branches on it before touching any accounting state. Ids are
@@ -91,9 +91,6 @@ cost_dims! {
     rows_scanned,
     /// Tree nodes visited across all shards touched.
     nodes_visited,
-    /// Microseconds the request sat in the server's inbound queue before
-    /// a handler picked it up.
-    queue_wait_us,
     /// Route + execute wall time on the server, microseconds.
     wall_us,
     /// Request payload bytes decoded at the server (what the client's

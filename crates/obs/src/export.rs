@@ -283,7 +283,6 @@ mod tests {
     use crate::audit::BalanceDecision;
     use crate::events::Event;
     use crate::heat::HeatEntry;
-    use crate::lock::LockClassSnapshot;
     use crate::staleness::StalenessSnapshot;
 
     fn sample_snapshot() -> Snapshot {
@@ -338,16 +337,6 @@ mod tests {
                 outcome: "ok".into(),
                 duration_us: 1234,
             }],
-            locks: vec![LockClassSnapshot {
-                class: "server.index".into(),
-                rank: 21,
-                acquisitions: u64::MAX,
-                contended: 12,
-                wait_count: 12,
-                wait_sum_seconds: 0.001953125,
-                hold_count: 12,
-                hold_sum_seconds: 3.25,
-            }],
             staleness: StalenessSnapshot { count: 2, samples_seconds: vec![0.001, 0.25] },
             accounting: AccountingSnapshot {
                 enabled: true,
@@ -359,7 +348,6 @@ mod tests {
                         cost: CostVec {
                             rows_scanned: u64::MAX,
                             nodes_visited: 7,
-                            queue_wait_us: 1234,
                             wall_us: 5678,
                             bytes: 4096,
                             net_hops: 9,

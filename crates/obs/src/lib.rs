@@ -47,8 +47,8 @@ pub use audit::{AuditLog, BalanceDecision};
 pub use events::{Event, EventLog};
 pub use heat::{HeatEntry, HeatMap, RateEwma};
 pub use lock::{
-    CheckMode, LockClass, LockClassSnapshot, LockOrderViolation, ObsMutex, ObsMutexGuard,
-    ObsRwLock, ObsRwLockReadGuard, ObsRwLockWriteGuard,
+    CheckMode, LockClass, LockOrderViolation, ObsMutex, ObsMutexGuard, ObsRwLock,
+    ObsRwLockReadGuard, ObsRwLockWriteGuard,
 };
 pub use registry::{
     bucket_index, bucket_le_seconds, Counter, Gauge, Histogram, HistogramSnapshot, MetricId,
@@ -153,13 +153,11 @@ impl Obs {
     /// Returns `false`, doing nothing, for a section that has no switch
     /// (its record path is a relaxed atomic or fires on rare events only).
     /// A paused section costs its record path one relaxed load and a branch
-    /// — the load an enabled section already pays. Sections start enabled,
-    /// and lock telemetry is process-global.
+    /// — the load an enabled section already pays. Sections start enabled.
     pub fn set_enabled(&self, section: Section, on: bool) -> bool {
         match section {
             Section::Histograms => self.registry.set_histograms_enabled(on),
             Section::Heat => self.heat.set_enabled(on),
-            Section::Locks => lock::set_telemetry_enabled(on),
             Section::Accounting => self.accounting.set_enabled(on),
             Section::Counters
             | Section::Gauges
@@ -171,8 +169,8 @@ impl Obs {
     }
 
     /// Route lock-order violations into this core's event log as
-    /// `lock_order_violation` events. The hook is process-global (lock
-    /// telemetry itself is); the cluster installs it once at start.
+    /// `lock_order_violation` events. The hook is process-global (the
+    /// debug-build checker is); the cluster installs it once at start.
     pub fn install_lock_hook(&self) {
         let events = self.events.clone();
         lock::set_violation_hook(Some(Box::new(move |v| {
@@ -181,16 +179,11 @@ impl Obs {
     }
 
     /// One coherent snapshot of metrics, events, heat, balance decisions,
-    /// lock contention, and measured staleness. Lock telemetry is
-    /// process-global, so its per-class metrics appear identically in every
-    /// core's snapshot.
+    /// measured staleness and accounting.
     pub fn snapshot(&self) -> Snapshot {
-        let (mut counters, mut gauges, mut histograms) = self.registry.snapshot();
-        let locks = lock::export_into(&mut counters, &mut histograms);
+        let (counters, mut gauges, histograms) = self.registry.snapshot();
         gauges.push(build_info_gauge());
-        counters.sort_by(|a, b| a.id.cmp(&b.id));
         gauges.sort_by(|a, b| a.id.cmp(&b.id));
-        histograms.sort_by(|a, b| a.id.cmp(&b.id));
         let captured_unix_us = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
@@ -204,7 +197,6 @@ impl Obs {
             events: self.events.snapshot(),
             heat: self.heat.snapshot(),
             audit: self.audit.snapshot(),
-            locks,
             staleness: self.staleness.snapshot(),
             accounting: self.accounting.snapshot(),
         }

@@ -17,7 +17,6 @@ use crate::account::AccountingSnapshot;
 use crate::audit::BalanceDecision;
 use crate::events::Event;
 use crate::heat::HeatEntry;
-use crate::lock::LockClassSnapshot;
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::staleness::StalenessSnapshot;
 
@@ -170,10 +169,6 @@ sections! {
     Heat heat: Vec<HeatEntry> = rows,
     /// Recent load-balance decisions in global sequence order.
     Audit audit: Vec<BalanceDecision> = rows,
-    /// Per-class lock contention summaries, ordered by rank then name (the
-    /// full wait/hold distributions are in `histograms` as
-    /// `volap_lock_{wait,hold}_seconds{class=..}`).
-    Locks locks: Vec<LockClassSnapshot> = rows,
     /// Measured image-staleness samples.
     Staleness staleness: StalenessSnapshot,
     /// Per-principal workload accounting: exact totals plus the
@@ -230,10 +225,5 @@ impl Snapshot {
     /// Events of one kind.
     pub fn events_of<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Event> + 'a {
         self.events.iter().filter(move |e| e.kind == kind)
-    }
-
-    /// The lock-class summary with this name.
-    pub fn lock_class(&self, name: &str) -> Option<&LockClassSnapshot> {
-        self.locks.iter().find(|l| l.class == name)
     }
 }

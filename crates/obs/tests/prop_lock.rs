@@ -5,13 +5,14 @@
 //! The checker's mode and violation log are process-global, so every test
 //! here holds one serialization lock and restores `CheckMode::Panic` (the
 //! debug-build default) on exit. The inversion tests are compiled only
-//! under `debug_assertions`: release builds compile the checker out, and
-//! the same code must then run to completion without recording anything.
+//! under `debug_assertions`: release builds compile the checker out.
 
 use std::sync::{Mutex, MutexGuard};
 
 use proptest::prelude::*;
-use volap_obs::lock::{self, CheckMode, LockClass, ObsMutex, ObsRwLock};
+use volap_obs::lock::{self, LockClass, ObsRwLock};
+#[cfg(debug_assertions)]
+use volap_obs::lock::{CheckMode, ObsMutex};
 
 /// Eight classes with strictly ascending ranks for the interleaving
 /// property: acquiring any subset in index order is always hierarchy-legal.
@@ -26,7 +27,9 @@ static LADDER: [LockClass; 8] = [
     LockClass::new("proplock.l7", 217),
 ];
 
+#[cfg(debug_assertions)]
 static ABBA_A: LockClass = LockClass::new("proplock.abba_a", 220);
+#[cfg(debug_assertions)]
 static ABBA_B: LockClass = LockClass::new("proplock.abba_b", 221);
 
 #[cfg(debug_assertions)]
@@ -45,8 +48,10 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 /// RAII restore of the default Panic mode, so a failing test cannot leave
-/// the process in Record/Off for its neighbors.
+/// the process in Record mode for its neighbors.
+#[cfg(debug_assertions)]
 struct ModeGuard;
+#[cfg(debug_assertions)]
 impl Drop for ModeGuard {
     fn drop(&mut self) {
         lock::set_check_mode(CheckMode::Panic);
@@ -100,7 +105,8 @@ proptest! {
 /// Thread 2 runs strictly after thread 1 finishes, so the test always
 /// completes; the checker must still flag thread 2's acquisition every
 /// time. In release builds (checker compiled out) the same interleaving
-/// runs silently — which is also what `CheckMode::Off` must do.
+/// runs silently.
+#[cfg(debug_assertions)]
 fn run_abba() -> (u64, Vec<lock::LockOrderViolation>) {
     let before = lock::violation_count();
     let a = ObsMutex::new(&ABBA_A, 0u32);
@@ -136,18 +142,6 @@ fn seeded_abba_inversion_always_fires() {
         assert_eq!(v.acquiring, "proplock.abba_a");
         assert_eq!(v.holding, "proplock.abba_b");
         assert!(v.acquiring_rank < v.holding_rank);
-    }
-}
-
-#[test]
-fn abba_passes_with_checker_disabled() {
-    let _g = serial();
-    let _restore = ModeGuard;
-    lock::set_check_mode(CheckMode::Off);
-    let _ = lock::take_violations();
-    for _ in 0..16 {
-        let (fired, _) = run_abba();
-        assert_eq!(fired, 0, "disabled checker must record nothing");
     }
 }
 

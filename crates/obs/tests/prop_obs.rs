@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use volap_obs::{
-    bucket_index, export, AuditLog, BalanceDecision, CostVec, EventLog, HeatEntry, HeatMap,
-    LockClass, Obs, ObsConfig, ObsMutex, RateEwma, Registry, Section, COST_DIMS, HIST_BUCKETS,
+    bucket_index, export, AuditLog, BalanceDecision, CostVec, EventLog, HeatEntry, HeatMap, Obs,
+    ObsConfig, RateEwma, Registry, Section, COST_DIMS, HIST_BUCKETS,
 };
 
 /// Names that exercise the JSON escaper: quotes, a backslash, a control
@@ -96,8 +96,6 @@ proptest! {
             1u64..4,
         ),
     ) {
-        static LOCK: LockClass = LockClass::new("prop.exported", 9500);
-        drop(ObsMutex::new(&LOCK, ()).lock());
         let obs = Obs::new(ObsConfig::default());
         for (shard, worker, total, insert_rate, query_rate, volume) in heat {
             obs.heat().publish(HeatEntry {
@@ -149,7 +147,11 @@ proptest! {
         }
         let snap = obs.snapshot();
         for &section in Section::ALL {
-            let expected = section != Section::Events || !events.is_empty();
+            let expected = match section {
+                Section::Events => !events.is_empty(),
+                Section::Counters => !counters.is_empty(),
+                _ => true,
+            };
             prop_assert_eq!(snap.is_populated(section), expected, "{}", section.name());
         }
         prop_assert_eq!(snap.validate(), Ok(()));
