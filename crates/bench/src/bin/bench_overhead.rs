@@ -1,14 +1,14 @@
 //! The observability overhead gate, recorded to `BENCH_overhead.json`: one
-//! row per switchable section of `volap_obs`, saying what having the section
-//! armed costs a client, with a confidence interval — and a verdict that
-//! can fail.
+//! row per runtime switch of `volap_obs` — today only the latency
+//! histograms — saying what having it armed costs a client, with a
+//! confidence interval — and a verdict that can fail.
 //!
-//! `bench_overhead [--feature <section>] [--check]`
+//! `bench_overhead [--check]`
 //!
-//! The kernel is the same for every section. One long-lived cluster (one
+//! The kernel is the same for every row. One long-lived cluster (one
 //! server, one worker, no manager) runs short blocks of client operations
-//! from one untagged session; each **pair** runs one block with the section
-//! paused and one with it armed, through `Obs::set_enabled`, in a seeded
+//! from one session; each **pair** runs one block with the feature
+//! paused and one with it armed, through its runtime switch, in a seeded
 //! random order (strict alternation can beat against the cluster's periodic
 //! threads and show up as a bias). Each pair yields `ln(t_on / t_off)`, so
 //! the slow drift of a growing tree and most scheduler noise — which hit
@@ -16,7 +16,7 @@
 //! the estimate.
 //! The statistic is the median of those log-ratios with its order-statistic
 //! 95 % interval. Pairs are added until the interval is narrower than the
-//! section's tolerance and lies on one side of it, or the section's time cap
+//! row's tolerance and lies on one side of it, or the row's time cap
 //! runs out:
 //!
 //! * `pass` — upper bound below the tolerance, interval no wider than it;
@@ -24,11 +24,11 @@
 //! * `inconclusive` — neither, at the cap.
 //!
 //! The `none` row toggles nothing: it is the kernel's A/A. Its interval must
-//! contain 0, or the machine was too uneven for the other rows to mean
+//! contain 0, or the machine was too uneven for the histograms row to mean
 //! anything and the run is marked invalid. `--check` exits non-zero on an
 //! invalid run and on any row that is not `pass`.
 //!
-//! Every section runs at its shipped default, which is what `bench_e2e`
+//! Every feature runs at its shipped default, which is what `bench_e2e`
 //! measures too.
 
 use std::time::{Duration, Instant};
@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use volap::{ClientSession, Cluster, VolapConfig};
 use volap_data::DataGen;
 use volap_dims::{QueryBox, Schema};
-use volap_obs::Section;
 
 /// Client operations per block: every fifth is a full-space query (answered
 /// from cached aggregates, so its cost is the request path's), the rest are
@@ -52,35 +51,22 @@ const LOOK_EVERY: usize = 10;
 /// gate's memory however long a row runs. Pairs never span a restart.
 const MAX_ITEMS: usize = 400_000;
 
-/// One gated feature: the section its switch belongs to (`None`: the A/A
-/// row), the overhead it may cost, and how long the row may run.
+/// One gated feature: its name, whether a pair flips the histogram switch
+/// (`false`: the A/A row, which flips nothing), the overhead it may cost,
+/// and how long the row may run.
 struct Feature {
-    section: Option<Section>,
+    name: &'static str,
+    histograms: bool,
     tolerance: f64,
     cap: Duration,
 }
 
-/// Tolerances start from the ones the per-feature gates this bin replaces
-/// claimed: 5 % histograms, 1 % heat and accounting.
-/// The last two are **2 %** here, because 1 % was never
-/// demonstrable: a `pass` needs an interval no wider than the tolerance, and
-/// on the 2-core box this was sized on 150 s of pairs narrowed those rows
-/// only to 1.2–1.3 % (each with an upper bound below +0.4 %, so the old
-/// claim is likely true — it is just not shown). An interval narrower than
-/// 3 % takes 10–30 s of pairs there and one narrower than 2 % about a
-/// minute; the caps leave twice that.
+/// An interval narrower than 3 % takes 10–30 s of pairs on the 2-core box
+/// this was sized on; the caps leave twice that.
 const FEATURES: &[Feature] = &[
-    Feature { section: None, tolerance: 0.03, cap: Duration::from_secs(60) },
-    Feature { section: Some(Section::Histograms), tolerance: 0.05, cap: Duration::from_secs(60) },
-    Feature { section: Some(Section::Heat), tolerance: 0.02, cap: Duration::from_secs(120) },
-    Feature { section: Some(Section::Accounting), tolerance: 0.02, cap: Duration::from_secs(120) },
+    Feature { name: "none", histograms: false, tolerance: 0.03, cap: Duration::from_secs(60) },
+    Feature { name: "histograms", histograms: true, tolerance: 0.05, cap: Duration::from_secs(60) },
 ];
-
-impl Feature {
-    fn name(&self) -> &'static str {
-        self.section.map_or("none", Section::name)
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Verdict {
@@ -182,8 +168,9 @@ impl Rig {
         t.elapsed().as_secs_f64()
     }
 
-    /// One off/on pair through the section's switch; `ln(t_on / t_off)`.
-    fn pair(&mut self, section: Option<Section>, on_first: bool) -> f64 {
+    /// One off/on pair through the histogram switch (or, for the A/A row,
+    /// none); `ln(t_on / t_off)`.
+    fn pair(&mut self, histograms: bool, on_first: bool) -> f64 {
         if self.items >= MAX_ITEMS {
             let (cluster, client) = Self::start_cluster(&self.schema);
             std::mem::replace(&mut self.cluster, cluster).shutdown();
@@ -193,8 +180,8 @@ impl Rig {
         }
         let mut seconds = [0.0; 2];
         for on in [on_first, !on_first] {
-            if let Some(section) = section {
-                assert!(self.cluster.obs().set_enabled(section, on), "section has a switch");
+            if histograms {
+                self.cluster.obs().registry().set_histograms_enabled(on);
             }
             seconds[usize::from(on)] = self.block();
         }
@@ -211,7 +198,7 @@ fn measure(feature: &'static Feature) -> Row {
         order ^= order << 13;
         order ^= order >> 7;
         order ^= order << 17;
-        log_ratios.push(rig.pair(feature.section, order & 1 == 0));
+        log_ratios.push(rig.pair(feature.histograms, order & 1 == 0));
         if log_ratios.len() < MIN_PAIRS || log_ratios.len() % LOOK_EVERY != 0 {
             continue;
         }
@@ -222,41 +209,26 @@ fn measure(feature: &'static Feature) -> Row {
         }
     };
     let seconds = start.elapsed().as_secs_f64();
-    if let Some(section) = feature.section {
-        rig.cluster.obs().set_enabled(section, true); // lock telemetry is process-global
-    }
     rig.cluster.shutdown();
     Row { feature, pairs: log_ratios.len(), seconds, estimate, verdict }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
-    let mut only = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--check" => check = true,
-            "--feature" => only = Some(it.next().expect("--feature needs a section name").clone()),
-            other => panic!("unknown argument {other:?} (expected --check or --feature <section>)"),
+            other => panic!("unknown argument {other:?} (expected --check)"),
         }
-    }
-    if let Some(name) = &only {
-        let known = FEATURES.iter().any(|f| f.section.is_some() && f.name() == name);
-        assert!(known, "no switchable section named {name:?}");
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows = Vec::new();
     for feature in FEATURES {
-        // The A/A row always runs: it is what makes the other rows readable.
-        if feature.section.is_some() && only.as_deref().is_some_and(|o| o != feature.name()) {
-            continue;
-        }
         let row = measure(feature);
         println!(
             "{:<11} {:>+6.2}% [{:>+6.2}%, {:>+6.2}%]  tolerance {:.0}%  {:>4} pairs {:>5.0} s  {:?}",
-            feature.name(),
+            feature.name,
             row.estimate.median * 100.0,
             row.estimate.lower * 100.0,
             row.estimate.upper * 100.0,
@@ -280,7 +252,7 @@ fn main() {
                 "    {{\"feature\": \"{}\", \"pairs\": {}, \"seconds\": {:.1}, \
                  \"overhead_frac_median\": {:.4}, \"ci95\": [{:.4}, {:.4}], \
                  \"tolerance_frac\": {}, \"verdict\": \"{}\"}}",
-                r.feature.name(),
+                r.feature.name,
                 r.pairs,
                 r.seconds,
                 r.estimate.median,

@@ -145,8 +145,6 @@ impl Cluster {
             server,
             schema: self.cfg.schema.clone(),
             timeout: self.cfg.request_timeout,
-            accounting: self.obs().accounting().clone(),
-            principal: volap_obs::PrincipalId::NONE,
         }
     }
 
@@ -159,8 +157,6 @@ impl Cluster {
             server: format!("server-{}", server_idx % self.servers.len()),
             schema: self.cfg.schema.clone(),
             timeout: self.cfg.request_timeout,
-            accounting: self.obs().accounting().clone(),
-            principal: volap_obs::PrincipalId::NONE,
         }
     }
 
@@ -177,26 +173,11 @@ impl Cluster {
         self.obs().snapshot()
     }
 
-    /// The per-shard heat map: EWMA insert/query rates and box volumes
-    /// published by worker stats threads, ordered by shard id. Empty until
-    /// the first stats period elapses.
-    pub fn heatmap(&self) -> Vec<volap_obs::HeatEntry> {
-        self.obs().heat().snapshot()
-    }
-
     /// The load-balance audit trail: every manager decision (split,
     /// migration, orphan reap) with the inputs that drove it, sequence
     /// ordered, bounded by `volap_obs::AUDIT_CAPACITY`.
     pub fn balance_audit(&self) -> Vec<volap_obs::BalanceDecision> {
         self.obs().audit().snapshot()
-    }
-
-    /// Per-principal workload accounting: exact per-tenant cost totals plus
-    /// the top-K heavy-hitter sketch per cost dimension. Tag a
-    /// session with [`ClientSession::with_principal`] to start attributing;
-    /// snapshot via [`volap_obs::Accounting::snapshot`] or `Snapshot::accounting`.
-    pub fn accounting(&self) -> &volap_obs::Accounting {
-        self.obs().accounting()
     }
 
     /// `(splits, migrations)` performed so far by the manager.
@@ -286,8 +267,6 @@ pub struct ClientSession {
     server: String,
     schema: Schema,
     timeout: Duration,
-    accounting: volap_obs::Accounting,
-    principal: volap_obs::PrincipalId,
 }
 
 /// A dropped session takes its `client-N` endpoint off the fabric, so
@@ -305,28 +284,13 @@ impl ClientSession {
         &self.server
     }
 
-    /// Tag every request from this session with an accounting principal
-    /// (tenant/user/job name): its measured cost is charged to that name in
-    /// [`Cluster::accounting`]. The empty string untags. Interning is
-    /// per-deployment, so two sessions using the same name share totals.
-    pub fn with_principal(mut self, name: &str) -> Self {
-        self.principal = self.accounting.intern(name);
-        self
-    }
-
-    /// The interned principal this session stamps on requests
-    /// (`PrincipalId::NONE` when untagged).
-    pub fn principal(&self) -> volap_obs::PrincipalId {
-        self.principal
-    }
-
     /// Bulk-ingest a batch: routed in one pass on the server and shipped
     /// to workers as per-shard bulk loads. Far faster than per-item
     /// round trips (paper §IV-C).
     pub fn bulk_insert(&self, items: Vec<Item>) -> Result<(), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientBulkInsert { items, principal: self.principal.0 }.encode(), self.timeout)
+            .request(&self.server, Request::ClientBulkInsert { items, principal: 0 }.encode(), self.timeout)
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
             Response::Ack => Ok(()),
@@ -339,7 +303,7 @@ impl ClientSession {
     pub fn insert(&self, item: &Item) -> Result<(), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientInsert { item: item.clone(), principal: self.principal.0 }.encode(), self.timeout)
+            .request(&self.server, Request::ClientInsert { item: item.clone(), principal: 0 }.encode(), self.timeout)
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
             Response::Ack => Ok(()),
@@ -353,7 +317,7 @@ impl ClientSession {
     pub fn query(&self, q: &QueryBox) -> Result<(Aggregate, u32), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientQuery { query: q.clone(), principal: self.principal.0 }.encode(), self.timeout)
+            .request(&self.server, Request::ClientQuery { query: q.clone(), principal: 0 }.encode(), self.timeout)
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
             Response::Agg { agg, shards_searched } => Ok((agg, shards_searched)),
@@ -374,7 +338,7 @@ impl ClientSession {
             .endpoint
             .request(
                 &self.server,
-                Request::ClientQueryAnalyze { query: q.clone(), principal: self.principal.0 }.encode(),
+                Request::ClientQueryAnalyze { query: q.clone(), principal: 0 }.encode(),
                 self.timeout,
             )
             .map_err(|e| e.to_string())?;

@@ -20,8 +20,8 @@ pub struct VolapConfig {
     /// Shard data structure (the paper recommends
     /// [`StoreKind::HilbertPdcMds`]).
     pub store_kind: StoreKind,
-    /// Tree configuration shard stores are built with — node sizing,
-    /// aggregate caching, leaf column compression (see [`TreeConfig`]).
+    /// Tree configuration shard stores are built with — node sizing and
+    /// aggregate caching (see [`TreeConfig`]).
     pub tree: TreeConfig,
     /// Number of servers (`m`).
     pub servers: usize,
@@ -57,15 +57,10 @@ pub struct VolapConfig {
     pub index_dir_cap: usize,
     /// The observability knob — histograms — declared once, in
     /// [`volap_obs::ObsConfig`].
-    /// Everything else `volap_obs` records is always armed at start and
-    /// sized by its constants; `Obs::set_enabled` is the runtime switch.
-    /// The lock-order checker is no knob: every debug build runs it, and
-    /// release builds compile it out.
+    /// Everything else `volap_obs` records is always on and sized by its
+    /// constants. The lock-order checker is no knob: every debug build runs
+    /// it, and release builds compile it out.
     pub obs: volap_obs::ObsConfig,
-    /// Half-life of the heat EWMAs: after this long with no activity a
-    /// shard's measured rate decays to half. Shorter reacts faster;
-    /// longer smooths bursts.
-    pub heat_halflife: Duration,
 }
 
 impl VolapConfig {
@@ -91,7 +86,6 @@ impl VolapConfig {
             net_latency: None,
             index_dir_cap: 8,
             obs: volap_obs::ObsConfig::default(),
-            heat_halflife: Duration::from_secs(2),
         }
     }
 
@@ -112,9 +106,5 @@ mod tests {
         let cfg = VolapConfig::new(Schema::uniform(2, 2, 8));
         assert!(cfg.obs.histograms);
         assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
-        assert_eq!(volap_obs::account::TOPK, 8);
-        assert_eq!(cfg.heat_halflife, Duration::from_secs(2));
-        let obs = volap_obs::Obs::new(cfg.obs.clone());
-        assert!(obs.heat().enabled() && obs.accounting().enabled(), "sections start armed");
     }
 }

@@ -101,16 +101,6 @@ pub fn balance_round(
         return;
     }
     let audit = image.obs().audit();
-    // One heat snapshot per round: the EWMA rates become decision inputs so
-    // the audit trail explains *why* a shard was picked, not just that it
-    // was over threshold.
-    let heat: HashMap<u64, (f64, f64)> = image
-        .obs()
-        .heat()
-        .snapshot()
-        .into_iter()
-        .map(|e| (e.shard, (e.insert_rate, e.query_rate)))
-        .collect();
 
     // Phase 0: drop records of shards stranded on dead workers (VOLAP has
     // no replication; the record removal restores routing for the rest).
@@ -154,16 +144,14 @@ pub fn balance_round(
             if ok {
                 stats.splits.inc();
             }
-            let mut inputs = vec![
-                ("len".into(), rec.len.to_string()),
-                ("max_shard_items".into(), cfg.max_shard_items.to_string()),
-            ];
-            push_heat_inputs(&mut inputs, &heat, rec.id);
             audit.record(BalanceDecision {
                 action: "split".into(),
                 shard: rec.id,
                 src: rec.worker.clone(),
-                inputs,
+                inputs: vec![
+                    ("len".into(), rec.len.to_string()),
+                    ("max_shard_items".into(), cfg.max_shard_items.to_string()),
+                ],
                 result_shards: vec![ids.start, ids.start + 1],
                 outcome: if ok { "ok".into() } else { "split_failed".into() },
                 duration_us: elapsed_us(t0),
@@ -218,22 +206,20 @@ pub fn balance_round(
         if ok {
             stats.migrations.inc();
         }
-        let mut inputs = vec![
-            ("src_load".into(), src_load.to_string()),
-            ("dst_load".into(), dst_load.to_string()),
-            ("mean".into(), format!("{mean:.1}")),
-            ("hi".into(), format!("{hi:.1}")),
-            ("lo".into(), format!("{lo:.1}")),
-            ("gap".into(), gap.to_string()),
-            ("len".into(), len.to_string()),
-        ];
-        push_heat_inputs(&mut inputs, &heat, shard);
         audit.record(BalanceDecision {
             action: "migrate".into(),
             shard,
             src: src.to_string(),
             dest: dst.to_string(),
-            inputs,
+            inputs: vec![
+                ("src_load".into(), src_load.to_string()),
+                ("dst_load".into(), dst_load.to_string()),
+                ("mean".into(), format!("{mean:.1}")),
+                ("hi".into(), format!("{hi:.1}")),
+                ("lo".into(), format!("{lo:.1}")),
+                ("gap".into(), gap.to_string()),
+                ("len".into(), len.to_string()),
+            ],
             result_shards: vec![shard],
             outcome: if ok { "ok".into() } else { "migrate_failed".into() },
             duration_us: elapsed_us(t0),
@@ -254,14 +240,4 @@ pub fn balance_round(
 
 fn elapsed_us(t0: Instant) -> u64 {
     t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-/// Append a shard's EWMA rates to a decision's inputs, when the heat map
-/// has an entry for it (it may not: heat disabled, or the shard is younger
-/// than one stats period).
-fn push_heat_inputs(inputs: &mut Vec<(String, String)>, heat: &HashMap<u64, (f64, f64)>, shard: u64) {
-    if let Some(&(ir, qr)) = heat.get(&shard) {
-        inputs.push(("insert_rate".into(), format!("{ir:.3}")));
-        inputs.push(("query_rate".into(), format!("{qr:.3}")));
-    }
 }

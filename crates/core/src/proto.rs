@@ -59,7 +59,7 @@ pub enum Request {
     ClientInsert {
         /// The item.
         item: Item,
-        /// Interned accounting principal (0 = untagged).
+        /// Ignored by the server; kept so the wire format stays the one `bench_e2e` encodes.
         principal: u32,
     },
     /// Server: client-facing bulk ingestion — the batch is routed in one
@@ -68,14 +68,14 @@ pub enum Request {
     ClientBulkInsert {
         /// The items.
         items: Vec<Item>,
-        /// Interned accounting principal (0 = untagged).
+        /// Ignored by the server; kept so the wire format stays the one `bench_e2e` encodes.
         principal: u32,
     },
     /// Server: client-facing aggregate query.
     ClientQuery {
         /// The query box.
         query: QueryBox,
-        /// Interned accounting principal (0 = untagged).
+        /// Ignored by the server; kept so the wire format stays the one `bench_e2e` encodes.
         principal: u32,
     },
     /// Server: client-facing ANALYZE'd query — same routing and execution
@@ -84,7 +84,7 @@ pub enum Request {
     ClientQueryAnalyze {
         /// The query box.
         query: QueryBox,
-        /// Interned accounting principal (0 = untagged).
+        /// Ignored by the server; kept so the wire format stays the one `bench_e2e` encodes.
         principal: u32,
     },
     /// Worker: like [`Request::Query`] but returning per-shard execution

@@ -16,7 +16,7 @@ use volap_coord::EventKind;
 use volap_dims::{Aggregate, Item, Key, Mbr, QueryBox, Schema};
 use volap_net::{Endpoint, Incoming, Network};
 use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Accounting, CostVec, Counter, Histogram, PrincipalId, StalenessProbe};
+use volap_obs::{Counter, Histogram, StalenessProbe};
 
 /// Server slice of the global lock hierarchy (DESIGN.md §11.1). The
 /// routing paths hold `index` while updating `locations` (bootstrap, image
@@ -83,9 +83,6 @@ struct ServerState {
     /// churn and joined to staleness-probe data.
     generation: AtomicU64,
     obs: ServerObs,
-    /// Per-principal workload accounting: tagged requests charge their
-    /// measured cost here as they complete.
-    accounting: Accounting,
 }
 
 /// Handle to a running server.
@@ -119,7 +116,6 @@ pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         dirty: ObsMutex::new(&DIRTY_CLASS, HashMap::new()),
         generation: AtomicU64::new(0),
         obs: ServerObs::new(image, name),
-        accounting: image.obs().accounting().clone(),
     });
     // Watch before the initial load so no update can slip between them.
     let watch_rx = image.coord().watch_prefix(SHARDS_PREFIX);
@@ -210,59 +206,6 @@ fn reply(msg: &Incoming, resp: Response) {
     let _ = msg.reply(resp.encode());
 }
 
-/// Everything needed to charge one tagged client request when it
-/// completes. Opened before routing (stamping the start time and request
-/// bytes), carried through the route so it can accumulate scan and
-/// fan-out counters, settled after the reply is encoded. Untagged requests
-/// (or a disabled accounting core) never construct one — their dispatch
-/// path costs one branch.
-struct Bill {
-    principal: PrincipalId,
-    started: Instant,
-    cost: CostVec,
-}
-
-impl Bill {
-    fn open(st: &ServerState, p: PrincipalId, msg: &Incoming) -> Option<Bill> {
-        if !p.is_tagged() || !st.accounting.enabled() {
-            return None;
-        }
-        Some(Bill {
-            principal: p,
-            started: Instant::now(),
-            cost: CostVec { bytes: msg.payload.len() as u64, ..CostVec::default() },
-        })
-    }
-
-    /// Encode the response, fold in reply bytes and end-to-end wall time,
-    /// charge the principal, and send the reply.
-    fn settle(mut self, st: &ServerState, msg: &Incoming, resp: Response) {
-        let bytes = resp.encode();
-        self.cost.bytes = self.cost.bytes.saturating_add(bytes.len() as u64);
-        self.cost.wall_us = micros(self.started.elapsed());
-        st.accounting.charge(self.principal, &self.cost);
-        let _ = msg.reply(bytes);
-    }
-}
-
-/// Dispatch one client op: open a [`Bill`] when the request is tagged, run
-/// the op, then settle the bill and reply. The op receives the bill's cost
-/// vector. The untagged path takes the `None` bill branch: no clock reads,
-/// no encoding detour.
-fn dispatch(
-    st: &Arc<ServerState>,
-    msg: Incoming,
-    p: PrincipalId,
-    f: impl FnOnce(Option<&mut CostVec>) -> Response,
-) {
-    let mut bill = Bill::open(st, p, &msg);
-    let resp = f(bill.as_mut().map(|b| &mut b.cost));
-    match bill {
-        Some(b) => b.settle(st, &msg, resp),
-        None => reply(&msg, resp),
-    }
-}
-
 fn handle(st: &Arc<ServerState>, msg: Incoming) {
     let req = match Request::decode_checked(&msg.payload, &st.schema) {
         Ok(r) => r,
@@ -273,18 +216,10 @@ fn handle(st: &Arc<ServerState>, msg: Incoming) {
     };
     match req {
         Request::Ping => reply(&msg, Response::Ack),
-        Request::ClientInsert { item, principal } => {
-            dispatch(st, msg, PrincipalId(principal), |c| route_insert(st, item, c));
-        }
-        Request::ClientBulkInsert { items, principal } => {
-            dispatch(st, msg, PrincipalId(principal), |c| route_bulk_insert(st, items, c));
-        }
-        Request::ClientQuery { query, principal } => {
-            dispatch(st, msg, PrincipalId(principal), |c| route_query(st, &query, false, c));
-        }
-        Request::ClientQueryAnalyze { query, principal } => {
-            dispatch(st, msg, PrincipalId(principal), |c| route_query(st, &query, true, c));
-        }
+        Request::ClientInsert { item, .. } => reply(&msg, route_insert(st, item)),
+        Request::ClientBulkInsert { items, .. } => reply(&msg, route_bulk_insert(st, items)),
+        Request::ClientQuery { query, .. } => reply(&msg, route_query(st, &query, false)),
+        Request::ClientQueryAnalyze { query, .. } => reply(&msg, route_query(st, &query, true)),
         other => reply(&msg, Response::Err(format!("unsupported server request: {other:?}"))),
     }
 }
@@ -335,17 +270,10 @@ fn route_items(st: &Arc<ServerState>, items: Vec<Item>) -> Option<Routed> {
     Some(by_shard)
 }
 
-/// What became of one group of routed items.
-struct Delivered {
-    /// The owning worker's answer (`Ack` or `Err`), or the routing error.
-    resp: Response,
-    /// Whether a worker request went out for the group (a charged net hop).
-    sent: bool,
-}
-
 /// Route `items` and deliver every per-shard group to the worker owning
 /// its shard, all groups in flight at once; `encode` builds the worker
-/// request for one group.
+/// request for one group. Returns, per group, the owning worker's answer
+/// (`Ack` or `Err`) or the routing error.
 ///
 /// Routing and location lookup are two steps under different locks, so a
 /// concurrent split can retire a routed shard in between (its record
@@ -357,11 +285,11 @@ fn deliver_inserts(
     st: &Arc<ServerState>,
     mut items: Vec<Item>,
     encode: impl Fn(u64, Vec<Item>) -> Request,
-) -> Vec<Delivered> {
+) -> Vec<Response> {
     let mut out = Vec::new();
     for _ in 0..4 {
         let Some(by_shard) = route_items(st, std::mem::take(&mut items)) else {
-            out.push(Delivered { resp: Response::Err("no shards available".into()), sent: false });
+            out.push(Response::Err("no shards available".into()));
             return out;
         };
         let mut requests: Vec<(String, Vec<u8>)> = Vec::with_capacity(by_shard.len());
@@ -381,83 +309,54 @@ fn deliver_inserts(
                 },
                 Err(e) => Response::Err(format!("insert to {dest} failed: {e}")),
             };
-            out.push(Delivered { resp, sent: true });
+            out.push(resp);
         }
         if items.is_empty() {
             return out;
         }
     }
-    let resp = Response::Err("no location for routed shard after re-route retries".into());
-    out.push(Delivered { resp, sent: false });
+    out.push(Response::Err("no location for routed shard after re-route retries".into()));
     out
 }
 
-fn route_insert(st: &Arc<ServerState>, item: Item, cost: Option<&mut CostVec>) -> Response {
+fn route_insert(st: &Arc<ServerState>, item: Item) -> Response {
     let _timer = st.obs.insert_seconds.start();
     st.obs.inserts.inc();
     let point_request = |shard, mut group: Vec<Item>| Request::Insert {
         shard,
         item: group.pop().expect("a point insert routes exactly one item"),
     };
-    let done = deliver_inserts(st, vec![item], point_request)
-        .pop()
-        .expect("one item has one outcome");
-    if let (Some(c), true) = (cost, done.sent) {
-        c.net_hops += 1;
-        c.fanout = c.fanout.max(1);
-    }
-    done.resp
+    deliver_inserts(st, vec![item], point_request).pop().expect("one item has one outcome")
 }
 
 /// Route a whole batch: one routing pass over the local image, then one
 /// bulk request per shard. Answers with the first error any shard group
 /// met, `Ack` when every group landed.
-fn route_bulk_insert(
-    st: &Arc<ServerState>,
-    items: Vec<Item>,
-    cost: Option<&mut CostVec>,
-) -> Response {
+fn route_bulk_insert(st: &Arc<ServerState>, items: Vec<Item>) -> Response {
     if items.is_empty() {
         return Response::Ack;
     }
     let _timer = st.obs.bulk_insert_seconds.start();
     st.obs.inserts.add(items.len() as u64);
     let bulk_request = |shard, items| Request::BulkInsert { shard, items };
-    let mut sent = 0u64;
-    let mut resp = Response::Ack;
-    for done in deliver_inserts(st, items, bulk_request) {
-        sent += u64::from(done.sent);
-        if matches!(resp, Response::Ack) {
-            resp = done.resp;
-        }
-    }
-    if let Some(c) = cost {
-        c.net_hops += sent;
-        c.fanout = c.fanout.max(sent);
-    }
-    resp
+    deliver_inserts(st, items, bulk_request)
+        .into_iter()
+        .find(|resp| !matches!(resp, Response::Ack))
+        .unwrap_or(Response::Ack)
 }
 
 /// Route one query: read the local image, group the matching shards by
-/// worker, scatter, gather, merge. An ANALYZE'd query (`analyze`) and a
-/// tagged one (`cost`) are the same query plus a flag: workers are asked
-/// for their per-shard execution stats, assembled here into a [`QueryPlan`]
-/// that is returned (`analyze`), charged to the principal (`cost`), or
-/// both. The response shape is chosen at the very end; a plain query reads
-/// no clock and builds no plan.
-fn route_query(
-    st: &Arc<ServerState>,
-    query: &QueryBox,
-    analyze: bool,
-    cost: Option<&mut CostVec>,
-) -> Response {
+/// worker, scatter, gather, merge. An ANALYZE'd query (`analyze`) is the
+/// same query plus a flag: workers are asked for their per-shard execution
+/// stats, assembled here into the [`QueryPlan`] that is returned. A plain
+/// query reads no clock and builds no plan.
+fn route_query(st: &Arc<ServerState>, query: &QueryBox, analyze: bool) -> Response {
     let _timer = st.obs.query_seconds.start();
     st.obs.queries.inc();
-    let want_plan = analyze || cost.is_some();
     // Stamp the decision context *before* routing so the plan reflects what
     // the server knew when it chose: the image generation and the measured
     // staleness at decision time.
-    let mut plan = want_plan.then(|| {
+    let mut plan = analyze.then(|| {
         let staleness = st.obs.staleness.snapshot();
         let plan = QueryPlan {
             server: st.name.clone(),
@@ -490,7 +389,7 @@ fn route_query(
     let requests: Vec<(String, Vec<u8>)> = by_worker
         .into_iter()
         .map(|(dest, shards)| {
-            (dest, Request::worker_query(shards, query.clone(), want_plan).encode())
+            (dest, Request::worker_query(shards, query.clone(), analyze).encode())
         })
         .collect();
     let replies = st.endpoint.request_many(&requests, st.cfg.request_timeout);
@@ -521,16 +420,5 @@ fn route_query(
     };
     plan.workers.sort_by(|a, b| a.worker.cmp(&b.worker));
     plan.wall_us = micros(wall.elapsed());
-    if let Some(cost) = cost {
-        let totals = plan.totals();
-        cost.rows_scanned += totals.items_scanned;
-        cost.nodes_visited += totals.nodes_visited;
-        cost.net_hops += requests.len() as u64;
-        cost.fanout = cost.fanout.max(requests.len() as u64);
-    }
-    if analyze {
-        Response::AggPlan { agg, shards_searched: searched, plan }
-    } else {
-        Response::Agg { agg, shards_searched: searched }
-    }
+    Response::AggPlan { agg, shards_searched: searched, plan }
 }

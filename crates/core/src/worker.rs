@@ -9,15 +9,14 @@
 //! two halves; after a migration it forwards to the destination worker.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Sender};
-use volap_dims::{Aggregate, Item, Key, QueryBox, Schema};
+use volap_dims::{Aggregate, Item, QueryBox, Schema};
 use volap_net::{Endpoint, Incoming, Network};
-use volap_obs::lock::{LockClass, ObsMutex, ObsRwLock};
-use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma};
+use volap_obs::lock::{LockClass, ObsRwLock};
+use volap_obs::{Counter, Gauge, Histogram};
 
 /// Worker slice of the global lock hierarchy (DESIGN.md §11.1). Stats and
 /// alias resolution hold the slot map while reading individual slot states,
@@ -25,7 +24,6 @@ use volap_obs::{Counter, Gauge, HeatEntry, HeatMap, Histogram, RateEwma};
 /// that take tree locks (ranks 50+), so slot_state < every tree class.
 static SLOTS_CLASS: LockClass = LockClass::new("worker.slots", 30);
 static SLOT_STATE_CLASS: LockClass = LockClass::new("worker.slot_state", 31);
-static HEAT_TRACK_CLASS: LockClass = LockClass::new("worker.heat_track", 32);
 use volap_tree::{build_store, deserialize_store, serial::encode_items, ShardStore, SplitPlan};
 
 use crate::config::VolapConfig;
@@ -95,36 +93,14 @@ enum SlotState {
     MovedTo { dest: String },
 }
 
-/// Per-shard activity counters bumped on the hot path — relaxed atomics,
-/// gated behind [`HeatMap::enabled`] so a disabled heat map costs one load
-/// and a branch. The stats publisher folds the deltas into EWMA rates.
-#[derive(Default)]
-struct SlotHeat {
-    inserts: AtomicU64,
-    queries: AtomicU64,
-}
-
 struct Slot {
     state: ObsRwLock<SlotState>,
-    heat: SlotHeat,
 }
 
 impl Slot {
     fn new(state: SlotState) -> Arc<Self> {
-        Arc::new(Self {
-            state: ObsRwLock::new(&SLOT_STATE_CLASS, state),
-            heat: SlotHeat::default(),
-        })
+        Arc::new(Self { state: ObsRwLock::new(&SLOT_STATE_CLASS, state) })
     }
-}
-
-/// EWMA state the stats thread keeps per shard between publishes.
-struct HeatTrack {
-    last: Instant,
-    prev_inserts: u64,
-    prev_queries: u64,
-    insert_rate: RateEwma,
-    query_rate: RateEwma,
 }
 
 struct WorkerState {
@@ -137,10 +113,6 @@ struct WorkerState {
     /// Queue of the worker's scan threads: a query with several shards to
     /// descend into scans all but one of them there, side by side.
     scan_jobs: Sender<Box<dyn FnOnce() + Send>>,
-    /// Cluster-wide heat view this worker publishes into.
-    heat: HeatMap,
-    /// Per-shard EWMA state, touched only by the stats thread.
-    heat_track: ObsMutex<HashMap<u64, HeatTrack>>,
     obs: WorkerObs,
 }
 
@@ -180,8 +152,6 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         image: image.clone(),
         slots: ObsRwLock::new(&SLOTS_CLASS, HashMap::new()),
         scan_jobs,
-        heat: image.obs().heat().clone(),
-        heat_track: ObsMutex::new(&HEAT_TRACK_CLASS, HashMap::new()),
         obs: WorkerObs::new(image, name),
     });
     // Statistics publisher: lets the manager plan and keeps image lens fresh.
@@ -218,10 +188,9 @@ fn publish_stats(st: &WorkerState) {
     let slots: Vec<(u64, Arc<Slot>)> =
         st.slots.read().iter().map(|(&id, s)| (id, Arc::clone(s))).collect();
     let (mut live, mut items, mut queued) = (0i64, 0i64, 0i64);
-    let heat_on = st.heat.enabled();
     for (id, slot) in slots {
         // The state guard stays held across the publish: `do_split` and
-        // `do_migrate` retire a shard's record and heat entry right after
+        // `do_migrate` retire a shard's record right after
         // swapping the slot to an alias under the write lock, so a record
         // built from the old state but merged after that swap would
         // resurrect the retired shard in the image for good.
@@ -234,49 +203,11 @@ fn publish_stats(st: &WorkerState) {
         if let SlotState::Busy { queue, .. } = &*guard {
             queued += queue.len() as i64;
         }
-        let rec = shard_record(st, id, store);
-        if heat_on {
-            publish_heat(st, id, &slot, &rec);
-        }
-        st.image.merge_shard(&rec);
+        st.image.merge_shard(&shard_record(st, id, store));
     }
     st.obs.shards.set(live);
     st.obs.items.set(items);
     st.obs.queue_depth.set(queued);
-}
-
-/// Fold one shard's hot-path counter deltas into its EWMA rates and publish
-/// the resulting [`HeatEntry`]. A shard seen for the first time gets a
-/// synthetic previous observation one stats period back, so its very first
-/// rate reflects real elapsed time rather than an arbitrary epoch.
-fn publish_heat(st: &WorkerState, id: u64, slot: &Slot, rec: &ShardRecord) {
-    let now = Instant::now();
-    let inserts = slot.heat.inserts.load(Ordering::Relaxed);
-    let queries = slot.heat.queries.load(Ordering::Relaxed);
-    let mut track = st.heat_track.lock();
-    let tr = track.entry(id).or_insert_with(|| HeatTrack {
-        last: now.checked_sub(st.cfg.stats_period).unwrap_or(now),
-        prev_inserts: 0,
-        prev_queries: 0,
-        insert_rate: RateEwma::default(),
-        query_rate: RateEwma::default(),
-    });
-    let dt = now.duration_since(tr.last);
-    tr.insert_rate.update(inserts.saturating_sub(tr.prev_inserts), dt, st.cfg.heat_halflife);
-    tr.query_rate.update(queries.saturating_sub(tr.prev_queries), dt, st.cfg.heat_halflife);
-    tr.last = now;
-    tr.prev_inserts = inserts;
-    tr.prev_queries = queries;
-    st.heat.publish(HeatEntry {
-        shard: id,
-        worker: st.name.clone(),
-        items: rec.len,
-        inserts_total: inserts,
-        queries_total: queries,
-        insert_rate: tr.insert_rate.rate(),
-        query_rate: tr.query_rate.rate(),
-        volume_frac: rec.mbr.volume_frac(&st.schema),
-    });
 }
 
 fn reply(msg: &Incoming, resp: Response) {
@@ -370,17 +301,9 @@ fn insert_group(st: &Arc<WorkerState>, shard: u64, items: Vec<Item>) -> Response
         // land in an already-captured store or an already-drained queue and
         // vanish.
         match &*guard {
-            SlotState::Active { store } => {
-                if st.heat.enabled() {
-                    slot.heat.inserts.fetch_add(group.len() as u64, Ordering::Relaxed);
-                }
-                store.bulk_insert(group);
-            }
+            SlotState::Active { store } => store.bulk_insert(group),
             SlotState::Busy { queue, .. } => {
                 st.obs.queue_inserts.add(group.len() as u64);
-                if st.heat.enabled() {
-                    slot.heat.inserts.fetch_add(group.len() as u64, Ordering::Relaxed);
-                }
                 queue.bulk_insert(group);
             }
             SlotState::SplitInto { left, right, plan } => {
@@ -495,7 +418,6 @@ fn local_query(
     let mut seen: HashSet<u64> = HashSet::new();
     let mut alias_chases: u32 = 0;
     let mut hops = 0;
-    let heat_on = st.heat.enabled();
     while let Some(id) = pending.pop() {
         if !seen.insert(id) {
             continue;
@@ -511,9 +433,6 @@ fn local_query(
         let guard = slot.state.read();
         match &*guard {
             SlotState::Active { store } | SlotState::Busy { store, .. } => {
-                if heat_on {
-                    slot.heat.queries.fetch_add(1, Ordering::Relaxed);
-                }
                 let queue = match &*guard {
                     SlotState::Busy { queue, .. } => Some(Arc::clone(queue)),
                     _ => None,
@@ -706,8 +625,6 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
         }
         *guard = SlotState::SplitInto { left: left_id, right: right_id, plan };
     }
-    st.heat.retire(shard, &st.name);
-    st.heat_track.lock().remove(&shard);
     // Update the global image: old record out, halves in.
     let left_rec = shard_record(st, left_id, &left);
     let right_rec = shard_record(st, right_id, &right);
@@ -770,8 +687,6 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
         *guard = SlotState::MovedTo { dest: dest.to_string() };
         queued
     };
-    st.heat.retire(shard, &st.name);
-    st.heat_track.lock().remove(&shard);
     if !queued.is_empty() {
         if let Response::Err(e) =
             forward(st, dest, &Request::BulkInsert { shard, items: queued })

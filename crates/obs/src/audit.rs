@@ -2,7 +2,7 @@
 //!
 //! Every manager action — orphan reap, shard split, migration — is recorded
 //! as one structured [`BalanceDecision`]: the inputs that drove it (shard
-//! sizes, heat rates, thresholds), the chosen action, the resulting shard
+//! sizes, thresholds), the chosen action, the resulting shard
 //! ids, and the outcome with its duration. The decisions live in the same
 //! [`Ring`] as the event log (uncontended per-thread shards, global
 //! sequencing, counted oldest-first eviction), so a snapshot always knows
@@ -31,7 +31,7 @@ crate::record! {
         /// Destination worker (migrations) or empty.
         dest: String,
         /// The inputs that drove the decision, as ordered `(key, value)` pairs
-        /// (shard sizes, thresholds, heat rates — values pre-rendered).
+        /// (shard sizes, thresholds — values pre-rendered).
         inputs: Vec<(String, String)>,
         /// Shard ids that exist because of this decision (split halves; the
         /// moved shard for migrations).

@@ -58,10 +58,9 @@ fn type_line(out: &mut String, last: &mut Option<String>, name: &str, kind: &str
 }
 
 /// Render the metric part of a snapshot as Prometheus text exposition.
-/// Renders [`Snapshot::metrics_only`], so capture time, uptime and the
-/// exact per-principal accounting totals appear as the synthetic
-/// `volap_captured_unix_microseconds` / `volap_uptime_microseconds` /
-/// `volap_accounting_*_total{principal=..}` series.
+/// Renders [`Snapshot::metrics_only`], so capture time and uptime appear as
+/// the synthetic `volap_captured_unix_microseconds` /
+/// `volap_uptime_microseconds` gauges.
 pub fn to_prometheus(snap: &Snapshot) -> String {
     let snap = snap.metrics_only();
     let mut out = String::new();
@@ -279,10 +278,8 @@ pub fn from_json(text: &str) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::account::{AccountingSnapshot, CostVec, DimTop, PrincipalTotals, TopEntry};
     use crate::audit::BalanceDecision;
     use crate::events::Event;
-    use crate::heat::HeatEntry;
     use crate::staleness::StalenessSnapshot;
 
     fn sample_snapshot() -> Snapshot {
@@ -312,16 +309,6 @@ mod tests {
                 kind: "shard_split".into(),
                 detail: "shard=1 \"quoted\"\nline".into(),
             }],
-            heat: vec![HeatEntry {
-                shard: 4,
-                worker: "worker \"w0\"".into(),
-                items: 120,
-                inserts_total: u64::MAX,
-                queries_total: 7,
-                insert_rate: 123.456789012345,
-                query_rate: 0.25,
-                volume_frac: 0.001953125,
-            }],
             audit: vec![BalanceDecision {
                 seq: 3,
                 ts_us: 99,
@@ -338,41 +325,6 @@ mod tests {
                 duration_us: 1234,
             }],
             staleness: StalenessSnapshot { count: 2, samples_seconds: vec![0.001, 0.25] },
-            accounting: AccountingSnapshot {
-                enabled: true,
-                topk: 4,
-                principals: vec![
-                    PrincipalTotals {
-                        principal: "tenant \"a\"\n".into(),
-                        requests: 12,
-                        cost: CostVec {
-                            rows_scanned: u64::MAX,
-                            nodes_visited: 7,
-                            wall_us: 5678,
-                            bytes: 4096,
-                            net_hops: 9,
-                            fanout: 4,
-                        },
-                    },
-                    PrincipalTotals {
-                        principal: "tenant-b".into(),
-                        requests: 1,
-                        cost: CostVec { rows_scanned: 17, ..CostVec::default() },
-                    },
-                ],
-                top: vec![DimTop {
-                    dim: "rows_scanned".into(),
-                    offered: 123.456789,
-                    entries: vec![
-                        TopEntry {
-                            principal: "tenant \"a\"\n".into(),
-                            count: 100.25,
-                            err: 0.5,
-                        },
-                        TopEntry { principal: "tenant-b".into(), count: 17.0, err: 0.0 },
-                    ],
-                }],
-            },
         }
     }
 

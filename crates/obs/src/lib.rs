@@ -20,18 +20,16 @@
 //! * [`Snapshot`] + [`export`] — one coherent view of everything, rendered
 //!   as Prometheus text exposition or JSON; both exporters have parsers so
 //!   output round-trips and CI can validate it. Every exported section is
-//!   declared once ([`snapshot`]); the codecs, the validation and
-//!   [`Obs::set_enabled`]'s key are derived from that list.
+//!   declared once ([`snapshot`]); the codecs and the validation are
+//!   derived from that list.
 //!
 //! [`Obs`] bundles the instruments; the cluster crate owns one `Obs` per
 //! deployment (shared through its `ImageStore`) and surfaces it as
 //! `Cluster::snapshot()`.
 
-pub mod account;
 pub mod audit;
 pub mod events;
 pub mod export;
-pub mod heat;
 pub mod json;
 pub mod lock;
 pub mod registry;
@@ -39,13 +37,8 @@ mod ring;
 pub mod snapshot;
 pub mod staleness;
 
-pub use account::{
-    Accounting, AccountingSnapshot, CostVec, DimTop, PrincipalId, PrincipalTotals, SpaceSaving,
-    TopEntry, COST_DIMS, COST_DIM_NAMES,
-};
 pub use audit::{AuditLog, BalanceDecision};
 pub use events::{Event, EventLog};
-pub use heat::{HeatEntry, HeatMap, RateEwma};
 pub use lock::{
     CheckMode, LockClass, LockOrderViolation, ObsMutex, ObsMutexGuard, ObsRwLock,
     ObsRwLockReadGuard, ObsRwLockWriteGuard,
@@ -65,9 +58,8 @@ pub const AUDIT_CAPACITY: usize = 1024;
 
 /// The knobs of one [`Obs`] instance — each decision declared here and
 /// nowhere else (`VolapConfig::obs` upstream is this struct). Everything not
-/// listed is a constant ([`EVENT_CAPACITY`], [`AUDIT_CAPACITY`],
-/// [`account::TOPK`]) and starts enabled; [`Obs::set_enabled`] is the
-/// runtime switch.
+/// listed is a constant ([`EVENT_CAPACITY`], [`AUDIT_CAPACITY`]) and always
+/// records; [`Registry::set_histograms_enabled`] flips this one at runtime.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
     /// Whether latency histograms record at all. Counters, gauges, events
@@ -90,9 +82,7 @@ pub struct Obs {
     registry: Registry,
     events: EventLog,
     staleness: StalenessProbe,
-    heat: HeatMap,
     audit: AuditLog,
-    accounting: Accounting,
     /// When this core was built: `Snapshot::uptime_us` counts from it.
     epoch: std::time::Instant,
 }
@@ -112,9 +102,7 @@ impl Obs {
             registry,
             events: EventLog::new(EVENT_CAPACITY),
             staleness,
-            heat: HeatMap::default(),
             audit: AuditLog::new(AUDIT_CAPACITY),
-            accounting: Accounting::default(),
             epoch: std::time::Instant::now(),
         }
     }
@@ -134,38 +122,9 @@ impl Obs {
         &self.staleness
     }
 
-    /// The per-shard heat map.
-    pub fn heat(&self) -> &HeatMap {
-        &self.heat
-    }
-
     /// The load-balance decision audit trail.
     pub fn audit(&self) -> &AuditLog {
         &self.audit
-    }
-
-    /// The per-principal workload accounting core.
-    pub fn accounting(&self) -> &Accounting {
-        &self.accounting
-    }
-
-    /// The one runtime on/off call: pause or resume a section's recording.
-    /// Returns `false`, doing nothing, for a section that has no switch
-    /// (its record path is a relaxed atomic or fires on rare events only).
-    /// A paused section costs its record path one relaxed load and a branch
-    /// — the load an enabled section already pays. Sections start enabled.
-    pub fn set_enabled(&self, section: Section, on: bool) -> bool {
-        match section {
-            Section::Histograms => self.registry.set_histograms_enabled(on),
-            Section::Heat => self.heat.set_enabled(on),
-            Section::Accounting => self.accounting.set_enabled(on),
-            Section::Counters
-            | Section::Gauges
-            | Section::Events
-            | Section::Audit
-            | Section::Staleness => return false,
-        }
-        true
     }
 
     /// Route lock-order violations into this core's event log as
@@ -178,8 +137,8 @@ impl Obs {
         })));
     }
 
-    /// One coherent snapshot of metrics, events, heat, balance decisions,
-    /// measured staleness and accounting.
+    /// One coherent snapshot of metrics, events, balance decisions and
+    /// measured staleness.
     pub fn snapshot(&self) -> Snapshot {
         let (counters, mut gauges, histograms) = self.registry.snapshot();
         gauges.push(build_info_gauge());
@@ -195,10 +154,8 @@ impl Obs {
             gauges,
             histograms,
             events: self.events.snapshot(),
-            heat: self.heat.snapshot(),
             audit: self.audit.snapshot(),
             staleness: self.staleness.snapshot(),
-            accounting: self.accounting.snapshot(),
         }
     }
 }

@@ -297,9 +297,10 @@ impl Registry {
         }
     }
 
-    /// Arm or disarm every histogram handed out by this registry
-    /// ([`crate::Obs::set_enabled`]).
-    pub(crate) fn set_histograms_enabled(&self, on: bool) {
+    /// Arm or disarm every histogram handed out by this registry at
+    /// runtime. A disarmed histogram costs its record path one relaxed load
+    /// and a branch — the load an armed one already pays.
+    pub fn set_histograms_enabled(&self, on: bool) {
         self.inner.hist_enabled.store(on, Ordering::Relaxed);
     }
 

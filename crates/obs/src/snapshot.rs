@@ -4,19 +4,15 @@
 //! A section is declared once: its record type carries the field list
 //! ([`record!`](crate::record): JSON writer and parser), and that type's
 //! [`SectionData`] impl carries what else the section means — how to tell it
-//! is empty, its structural validation, and the synthetic metrics it folds
-//! into the Prometheus exposition. The [`sections!`] list below names each
-//! section once; the [`Snapshot`] struct and its JSON codec, [`Section`] (the
-//! key of the one runtime switch, [`crate::Obs::set_enabled`], and of the
-//! overhead gate's rows), [`Snapshot::metrics_only`], [`Snapshot::validate`]
-//! and [`Snapshot::is_populated`] are all derived from it.
+//! is empty, and its structural validation. The [`sections!`] list below names each
+//! section once; the [`Snapshot`] struct and its JSON codec, [`Section`],
+//! [`Snapshot::metrics_only`], [`Snapshot::validate`] and
+//! [`Snapshot::is_populated`] are all derived from it.
 
 use std::fmt::Debug;
 
-use crate::account::AccountingSnapshot;
 use crate::audit::BalanceDecision;
 use crate::events::Event;
-use crate::heat::HeatEntry;
 use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
 use crate::staleness::StalenessSnapshot;
 
@@ -31,30 +27,12 @@ pub trait SectionData {
     fn validate(&self) -> Result<(), String> {
         Ok(())
     }
-
-    /// Fold the section's headline numbers into the metric lists as
-    /// synthetic series — the part of it the Prometheus text exposition can
-    /// represent. Most sections have none.
-    fn fold(
-        &self,
-        _counters: &mut Vec<ScalarSnapshot<u64>>,
-        _gauges: &mut Vec<ScalarSnapshot<i64>>,
-    ) {
-    }
 }
 
 /// One row of a list-shaped section; `Vec<Row>` is the [`SectionData`].
 pub trait Row {
     /// Check this row, and its order against the row before it.
     fn check(&self, prev: Option<&Self>) -> Result<(), String>;
-
-    /// This row's share of [`SectionData::fold`].
-    fn fold(
-        &self,
-        _counters: &mut Vec<ScalarSnapshot<u64>>,
-        _gauges: &mut Vec<ScalarSnapshot<i64>>,
-    ) {
-    }
 }
 
 impl<T: Row> SectionData for Vec<T> {
@@ -69,16 +47,6 @@ impl<T: Row> SectionData for Vec<T> {
             prev = Some(row);
         }
         Ok(())
-    }
-
-    fn fold(
-        &self,
-        counters: &mut Vec<ScalarSnapshot<u64>>,
-        gauges: &mut Vec<ScalarSnapshot<i64>>,
-    ) {
-        for row in self {
-            row.fold(counters, gauges);
-        }
     }
 }
 
@@ -110,8 +78,7 @@ macro_rules! sections {
             }
         }
 
-        /// One exported thing, by name: the key of [`crate::Obs::set_enabled`]
-        /// and of the overhead gate's rows.
+        /// One exported thing, by name.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]
         pub enum Section {
             $( $(#[$doc])* $Var, )*
@@ -144,14 +111,6 @@ macro_rules! sections {
                     .map_err(|e| format!("{}: {e}", stringify!($field)))?; )*
                 Ok(())
             }
-
-            fn fold_sections(
-                &self,
-                counters: &mut Vec<ScalarSnapshot<u64>>,
-                gauges: &mut Vec<ScalarSnapshot<i64>>,
-            ) {
-                $( SectionData::fold(&self.$field, counters, gauges); )*
-            }
         }
     };
 }
@@ -165,27 +124,19 @@ sections! {
     Histograms histograms: Vec<HistogramSnapshot> = rows,
     /// Recent events in global sequence order.
     Events events: Vec<Event> = rows,
-    /// Per-shard heat, ordered by shard id.
-    Heat heat: Vec<HeatEntry> = rows,
     /// Recent load-balance decisions in global sequence order.
     Audit audit: Vec<BalanceDecision> = rows,
     /// Measured image-staleness samples.
     Staleness staleness: StalenessSnapshot,
-    /// Per-principal workload accounting: exact totals plus the
-    /// per-dimension top-K tables.
-    Accounting accounting: AccountingSnapshot,
 }
 
 impl Snapshot {
     /// This snapshot reduced to what the Prometheus text exposition can
     /// represent: counters, gauges and histograms, with every other section
-    /// stripped and its [`SectionData::fold`] series *folded in* — capture
-    /// time and uptime (`volap_captured_unix_microseconds`,
-    /// `volap_uptime_microseconds`) and the exact per-principal accounting
-    /// totals —
-    /// so the exposition still carries the headline telemetry. Folding is
-    /// idempotent: re-folding an already-folded snapshot (the exporter
-    /// round-trip) changes nothing.
+    /// stripped and capture time and uptime folded in as the gauges
+    /// `volap_captured_unix_microseconds` and `volap_uptime_microseconds`.
+    /// Folding is idempotent: re-folding an already-folded snapshot (the
+    /// exporter round-trip) changes nothing.
     pub fn metrics_only(&self) -> Snapshot {
         let mut out = Snapshot {
             counters: self.counters.clone(),
@@ -200,8 +151,6 @@ impl Snapshot {
             ] {
                 out.gauges.push(ScalarSnapshot { id: MetricId::plain(name), value: value as i64 });
             }
-            self.fold_sections(&mut out.counters, &mut out.gauges);
-            out.counters.sort_by(|a, b| a.id.cmp(&b.id));
             out.gauges.sort_by(|a, b| a.id.cmp(&b.id));
         }
         out

@@ -3,22 +3,16 @@
 //! text decoders that reject damaged input without panicking.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use volap_obs::{
-    bucket_index, export, AuditLog, BalanceDecision, CostVec, EventLog, HeatEntry, HeatMap, Obs,
-    ObsConfig, RateEwma, Registry, Section, COST_DIMS, HIST_BUCKETS,
+    bucket_index, export, AuditLog, BalanceDecision, EventLog, Obs, ObsConfig, Registry, Section,
+    HIST_BUCKETS,
 };
 
 /// Names that exercise the JSON escaper: quotes, a backslash, a control
 /// character and multi-byte UTF-8 beside realistic name characters.
 const NAME: &str = "[a-z0-9_\"\\\u{1}\u{e9}\u{4e16}-]{1,10}";
-
-/// Any finite non-negative float (a rate or a weight), bit-exact.
-fn rate() -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(|bits| f64::from_bits(bits >> 1)).prop_filter("finite", |f| f.is_finite())
-}
 
 /// Hammer one histogram from many threads and check that not a single
 /// observation is lost or double-counted: total count, total sum, and the
@@ -84,31 +78,13 @@ proptest! {
         gauges in prop::collection::vec(("[a-z_]{1,12}", any::<i64>()), 0..6),
         observations in prop::collection::vec(any::<u64>(), 0..64),
         events in prop::collection::vec(("[a-z_]{1,8}", "[ -~]{0,24}"), 0..8),
-        (heat, decisions) in (
-            prop::collection::vec((0u64..16, NAME, any::<u64>(), rate(), rate(), 0u64..=1 << 53), 1..6),
-            prop::collection::vec(
-                (NAME, NAME, prop::collection::vec((NAME, NAME), 0..3), prop::collection::vec(any::<u64>(), 0..3)),
-                1..4,
-            ),
+        decisions in prop::collection::vec(
+            (NAME, NAME, prop::collection::vec((NAME, NAME), 0..3), prop::collection::vec(any::<u64>(), 0..3)),
+            1..4,
         ),
-        (tenants, expansions) in (
-            prop::collection::vec((NAME, prop::collection::vec(any::<u64>(), COST_DIMS)), 1..5),
-            1u64..4,
-        ),
+        expansions in 1u64..4,
     ) {
         let obs = Obs::new(ObsConfig::default());
-        for (shard, worker, total, insert_rate, query_rate, volume) in heat {
-            obs.heat().publish(HeatEntry {
-                shard,
-                worker,
-                items: total / 2,
-                inserts_total: total,
-                queries_total: total / 3,
-                insert_rate,
-                query_rate,
-                volume_frac: volume as f64 / (1u64 << 53) as f64,
-            });
-        }
         for (action, dest, inputs, result_shards) in decisions {
             obs.audit().record(BalanceDecision {
                 action,
@@ -120,11 +96,6 @@ proptest! {
                 outcome: "ok".into(),
                 ..BalanceDecision::default()
             });
-        }
-        for (name, dims) in &tenants {
-            let mut cost = [0u64; COST_DIMS];
-            cost.copy_from_slice(dims);
-            obs.accounting().charge(obs.accounting().intern(name), &CostVec::from_array(cost));
         }
         for key in 0..expansions {
             obs.staleness().expansion(key, "s0");
@@ -288,94 +259,6 @@ fn audit_ring_eviction_under_contention_is_exact() {
         assert_eq!(d.result_shards.len(), 2);
         assert_eq!(d.inputs.len(), 1);
         assert!(d.src.starts_with("worker-"));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The half-life EWMA: the first observation seeds the estimate exactly,
-    /// one silent half-life halves it, and the estimate always stays inside
-    /// the [min, max] envelope of the instantaneous rates it was fed.
-    #[test]
-    fn rate_ewma_seeds_halves_and_stays_in_envelope(
-        seed_events in 1u64..100_000,
-        feeds in prop::collection::vec((0u64..100_000, 1u64..5_000), 1..32),
-        hl_ms in 50u64..5_000,
-    ) {
-        let hl = Duration::from_millis(hl_ms);
-        let mut e = RateEwma::default();
-
-        // Seeding: the first observation becomes the rate verbatim.
-        e.update(seed_events, Duration::from_millis(250), hl);
-        let seeded = seed_events as f64 / 0.25;
-        prop_assert_eq!(e.rate(), seeded);
-
-        // Decay: one silent half-life halves the estimate exactly.
-        let mut h = e;
-        h.update(0, hl, hl);
-        prop_assert!((h.rate() - seeded / 2.0).abs() <= seeded * 1e-9);
-
-        // Envelope: however the feed sequence looks, the smoothed rate can
-        // never leave the span of the instantaneous rates seen so far.
-        let mut lo = seeded;
-        let mut hi = seeded;
-        for &(events, dt_ms) in &feeds {
-            let dt = Duration::from_millis(dt_ms);
-            e.update(events, dt, hl);
-            let inst = events as f64 / dt.as_secs_f64();
-            lo = lo.min(inst);
-            hi = hi.max(inst);
-            prop_assert!(
-                e.rate() >= lo - 1e-9 && e.rate() <= hi + 1e-9,
-                "rate {} left envelope [{}, {}]", e.rate(), lo, hi
-            );
-        }
-
-        // Zero-dt feeds are ignored entirely.
-        let before = e.rate();
-        e.update(123, Duration::ZERO, hl);
-        prop_assert_eq!(e.rate(), before);
-    }
-
-    /// HeatMap semantics under arbitrary publish/retire interleavings: the
-    /// snapshot is exactly the last publish per shard id, ordered by id,
-    /// minus shards whose current owner retired them. A retire by a stale
-    /// owner is always a no-op.
-    #[test]
-    fn heat_map_is_last_writer_wins_with_owner_guarded_retire(
-        ops in prop::collection::vec(
-            (0u64..8, 0u8..4, any::<bool>(), 1u64..1_000_000),
-            0..64,
-        ),
-    ) {
-        let map = HeatMap::default();
-        let mut model: std::collections::BTreeMap<u64, HeatEntry> = Default::default();
-        for &(shard, worker, is_publish, items) in &ops {
-            let worker_name = format!("w{worker}");
-            if is_publish {
-                let entry = HeatEntry {
-                    shard,
-                    worker: worker_name,
-                    items,
-                    inserts_total: items * 2,
-                    queries_total: items / 2,
-                    insert_rate: items as f64,
-                    query_rate: items as f64 / 4.0,
-                    volume_frac: 0.5,
-                };
-                map.publish(entry.clone());
-                model.insert(shard, entry);
-            } else {
-                map.retire(shard, &worker_name);
-                if model.get(&shard).is_some_and(|e| e.worker == worker_name) {
-                    model.remove(&shard);
-                }
-            }
-        }
-        let snap = map.snapshot();
-        let expect: Vec<HeatEntry> = model.into_values().collect();
-        prop_assert_eq!(snap, expect);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Query introspection integration: distributed EXPLAIN/ANALYZE plans,
-//! per-shard heat maps, and the load-balance audit trail.
+//! Query introspection integration: distributed EXPLAIN/ANALYZE plans and
+//! the load-balance audit trail.
 //!
 //! The acceptance workload: an ANALYZE'd query over ≥ 2 servers / ≥ 4
 //! shards must return a [`QueryPlan`] whose per-shard rows equal what each
@@ -15,7 +15,6 @@ use volap_coord::CoordService;
 use volap_data::{DataGen, QueryGen};
 use volap_dims::{Aggregate, Item, QueryBox, Schema};
 use volap_net::{Endpoint, Network};
-use volap_obs::Section;
 use volap_tree::build_store;
 
 fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -255,85 +254,6 @@ fn single_shard_analyze_equals_local_traced_run() {
     w.stop();
 }
 
-/// Heat accounting is exact under simultaneous insert and query load
-/// across 4 shards: no bump is lost, totals published by the stats thread
-/// converge to the precise workload counts, and the runtime toggle freezes
-/// the counters.
-#[test]
-fn heat_totals_are_exact_under_concurrent_load() {
-    let schema = Schema::uniform(3, 2, 8);
-    let mut cfg = VolapConfig::new(schema.clone());
-    cfg.servers = 2;
-    cfg.workers = 2;
-    cfg.initial_shards_per_worker = 2; // 4 shards
-    cfg.manager_enabled = false;
-    cfg.stats_period = Duration::from_millis(25);
-    cfg.heat_halflife = Duration::from_millis(500);
-    let cluster = Cluster::start(cfg);
-    let ingest = cluster.client_on(0);
-    for item in corner_items() {
-        ingest.insert(&item).expect("corner insert");
-    }
-
-    const THREADS: u64 = 4;
-    const PER_THREAD: u64 = 500;
-    const QUERIES: u64 = 60;
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let client = cluster.client_on(t as usize % 2);
-            let schema = schema.clone();
-            s.spawn(move || {
-                let mut gen = DataGen::new(&schema, 100 + t, 1.2);
-                for item in gen.items(PER_THREAD as usize) {
-                    client.insert(&item).expect("insert");
-                }
-            });
-        }
-        for t in 0..2 {
-            let client = cluster.client_on(t);
-            let schema = schema.clone();
-            s.spawn(move || {
-                for _ in 0..QUERIES / 2 {
-                    client.query(&QueryBox::all(&schema)).expect("query");
-                }
-            });
-        }
-    });
-
-    const INSERTS: u64 = THREADS * PER_THREAD + 4;
-    let insert_total =
-        |c: &Cluster| c.heatmap().iter().map(|e| e.inserts_total).sum::<u64>();
-    assert!(
-        eventually(Duration::from_secs(10), || insert_total(&cluster) == INSERTS),
-        "published heat never converged to the exact insert count: {} != {INSERTS}",
-        insert_total(&cluster)
-    );
-    let heat = cluster.heatmap();
-    assert_eq!(heat.len(), 4, "one entry per live shard");
-    assert!(heat.windows(2).all(|w| w[0].shard < w[1].shard), "ordered by shard id");
-    let query_total: u64 = heat.iter().map(|e| e.queries_total).sum();
-    // Every full-space query scans every non-empty shard; the early ones may
-    // have seen fewer than 4 shards populated, hence >= and a sane cap.
-    assert!(query_total >= QUERIES, "queries counted: {query_total}");
-    assert!(query_total <= QUERIES * 4 + 16);
-    for e in &heat {
-        assert!(e.worker.starts_with("worker-"));
-        assert!(e.items > 0);
-        assert!((0.0..=1.0).contains(&e.volume_frac) && e.volume_frac > 0.0);
-        assert!(e.insert_rate.is_finite() && e.insert_rate >= 0.0);
-        assert!(e.query_rate.is_finite() && e.query_rate >= 0.0);
-    }
-
-    // Runtime toggle: disabled heat stops counting and publishing; totals
-    // freeze at their exact values.
-    assert!(cluster.obs().set_enabled(Section::Heat, false));
-    let mut gen = DataGen::new(&schema, 999, 1.2);
-    ingest.bulk_insert(gen.items(300)).expect("bulk");
-    std::thread::sleep(Duration::from_millis(150)); // a few stats periods
-    assert_eq!(insert_total(&cluster), INSERTS, "disabled heat counts nothing");
-    cluster.shutdown();
-}
-
 /// The manager's split decisions land in the audit trail with the inputs
 /// that drove them, the resulting shard ids, and an outcome.
 #[test]
@@ -369,9 +289,6 @@ fn balance_audit_records_split_decisions() {
     let max: u64 = input("max_shard_items").expect("threshold input").parse().unwrap();
     assert!(len > max, "the audited inputs justify the decision: {len} <= {max}");
     assert_eq!(max, 400);
-    // Heat was on (the default), so by the time a shard grew past the
-    // threshold at least one stats period had published its rates.
-    assert!(input("insert_rate").is_some(), "decision carries heat inputs: {:?}", split.inputs);
     // The split decision joins to the resulting shards in the image.
     let shards: Vec<u64> = cluster.image().shards().iter().map(|r| r.id).collect();
     assert!(

@@ -104,11 +104,37 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a valid bulk insert is rejected.
+    /// Every strict prefix of a valid request is rejected, and the whole
+    /// encoding decodes to the request, for every variant.
     #[test]
-    fn request_decode_checked_rejects_truncations(items in items_strategy(), principal in any::<u32>()) {
+    fn request_decode_checked_rejects_truncations(
+        kind in 0u8..13,
+        items in items_strategy(),
+        ids in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>()),
+        shards in prop::collection::vec(any::<u64>(), 0..6),
+        ranges in ((0u64..256, 0u64..256), (0u64..256, 0u64..256)),
+        (dest, blob) in ("[a-z0-9-]{0,16}", prop::collection::vec(any::<u8>(), 0..64)),
+    ) {
         let s = schema();
-        let req = Request::ClientBulkInsert { items, principal };
+        let (shard, left_id, right_id, principal) = ids;
+        let ((a0, b0), (a1, b1)) = ranges;
+        let query = QueryBox::from_ranges(vec![(a0.min(b0), a0.max(b0)), (a1.min(b1), a1.max(b1))]);
+        let item = items.first().cloned().unwrap_or_else(|| Item::new(vec![0, 0], 1.0));
+        let req = match kind {
+            0 => Request::Insert { shard, item },
+            1 => Request::BulkInsert { shard, items },
+            2 => Request::Query { shards, query },
+            3 => Request::QueryAnalyze { shards, query },
+            4 => Request::SplitShard { shard, left_id, right_id },
+            5 => Request::Migrate { shard, dest },
+            6 => Request::Adopt { shard, blob },
+            7 => Request::ClientInsert { item, principal },
+            8 => Request::ClientBulkInsert { items, principal },
+            9 => Request::ClientQuery { query, principal },
+            10 => Request::ClientQueryAnalyze { query, principal },
+            11 => Request::GetWorkerStats,
+            _ => Request::Ping,
+        };
         let bytes = req.encode();
         for cut in 0..bytes.len() {
             prop_assert!(Request::decode_checked(&bytes[..cut], &s).is_err(), "prefix of {} bytes", cut);
