@@ -93,14 +93,10 @@ enum SlotState {
     MovedTo { dest: String },
 }
 
-struct Slot {
-    state: ObsRwLock<SlotState>,
-}
+type Slot = ObsRwLock<SlotState>;
 
-impl Slot {
-    fn new(state: SlotState) -> Arc<Self> {
-        Arc::new(Self { state: ObsRwLock::new(&SLOT_STATE_CLASS, state) })
-    }
+fn new_slot(state: SlotState) -> Arc<Slot> {
+    Arc::new(ObsRwLock::new(&SLOT_STATE_CLASS, state))
 }
 
 struct WorkerState {
@@ -190,11 +186,11 @@ fn publish_stats(st: &WorkerState) {
     let (mut live, mut items, mut queued) = (0i64, 0i64, 0i64);
     for (id, slot) in slots {
         // The state guard stays held across the publish: `do_split` and
-        // `do_migrate` retire a shard's record right after
-        // swapping the slot to an alias under the write lock, so a record
-        // built from the old state but merged after that swap would
-        // resurrect the retired shard in the image for good.
-        let guard = slot.state.read();
+        // `do_migrate` retire a shard's record right after swapping the
+        // slot to an alias under the write lock, so a record built from the
+        // old state but merged after that swap would resurrect the retired
+        // shard in the image for good.
+        let guard = slot.read();
         let (SlotState::Active { store } | SlotState::Busy { store, .. }) = &*guard else {
             continue;
         };
@@ -264,7 +260,7 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
         Request::GetWorkerStats => {
             let mut shards = Vec::new();
             for (&id, slot) in st.slots.read().iter() {
-                let guard = slot.state.read();
+                let guard = slot.read();
                 if let SlotState::Active { store } | SlotState::Busy { store, .. } = &*guard {
                     shards.push(shard_record(st, id, store));
                 }
@@ -294,7 +290,7 @@ fn insert_group(st: &Arc<WorkerState>, shard: u64, items: Vec<Item>) -> Response
             Some(s) => Arc::clone(s),
             None => return Response::Err(format!("unknown shard {id} on {}", st.name)),
         };
-        let guard = slot.state.read();
+        let guard = slot.read();
         // The state guard stays held across the Active/Busy inserts:
         // `do_split` snapshots the store's items and drains the queue under
         // the write lock, so a group inserted after the guard dropped could
@@ -430,7 +426,7 @@ fn local_query(
             Some(s) => Arc::clone(s),
             None => continue, // stale routing: shard no longer known here
         };
-        let guard = slot.state.read();
+        let guard = slot.read();
         match &*guard {
             SlotState::Active { store } | SlotState::Busy { store, .. } => {
                 let queue = match &*guard {
@@ -543,7 +539,7 @@ fn forward(st: &Arc<WorkerState>, dest: &str, req: &Request) -> Response {
 /// with the store. Returns the shard's store, or the error to reply with
 /// when the shard is not Active.
 fn enter_busy(st: &WorkerState, slot: &Slot, shard: u64) -> Result<Arc<dyn ShardStore>, String> {
-    let mut guard = slot.state.write();
+    let mut guard = slot.write();
     let SlotState::Active { store } = &*guard else {
         return Err(format!("shard {shard} busy or gone"));
     };
@@ -560,7 +556,7 @@ fn enter_busy(st: &WorkerState, slot: &Slot, shard: u64) -> Result<Arc<dyn Shard
 /// captured the `(store, queue)` pair and would count the queued items
 /// twice if they moved into `store`.
 fn revert_busy(st: &WorkerState, slot: &Slot) {
-    let mut guard = slot.state.write();
+    let mut guard = slot.write();
     let SlotState::Busy { store, queue } = &*guard else { return };
     let queued = queue.items();
     let store = if queued.is_empty() {
@@ -604,14 +600,14 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
     // while reading slot states.
     {
         let mut slots = st.slots.write();
-        slots.insert(left_id, Slot::new(SlotState::Active { store: Arc::clone(&left) }));
-        slots.insert(right_id, Slot::new(SlotState::Active { store: Arc::clone(&right) }));
+        slots.insert(left_id, new_slot(SlotState::Active { store: Arc::clone(&left) }));
+        slots.insert(right_id, new_slot(SlotState::Active { store: Arc::clone(&right) }));
     }
     // Swap in the alias and drain the queue by hyperplane side. Holding the
     // state lock exclusively makes drain + alias swap atomic against
     // inserters, so no queued item is lost or double-counted.
     {
-        let mut guard = slot.state.write();
+        let mut guard = slot.write();
         let queued = match &*guard {
             SlotState::Busy { queue, .. } => queue.items(),
             _ => Vec::new(),
@@ -679,7 +675,7 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
     }
     // Cut over: capture the queue, mark moved, ship the tail.
     let queued = {
-        let mut guard = slot.state.write();
+        let mut guard = slot.write();
         let queued = match &*guard {
             SlotState::Busy { queue, .. } => queue.items(),
             _ => Vec::new(),
@@ -714,7 +710,7 @@ fn do_adopt(st: &Arc<WorkerState>, shard: u64, blob: &[u8]) -> Response {
         Ok(store) => {
             let store: Arc<dyn ShardStore> = store.into();
             let rec = shard_record(st, shard, &store);
-            st.slots.write().insert(shard, Slot::new(SlotState::Active { store }));
+            st.slots.write().insert(shard, new_slot(SlotState::Active { store }));
             st.image.merge_shard(&rec);
             st.obs.adoptions.inc();
             // `gen=` stamps the adopter's image generation so the event joins
