@@ -35,7 +35,12 @@ fn bench_mapper(c: &mut Criterion) {
     let mut group = c.benchmark_group("tpcds_mapper");
     group.throughput(Throughput::Elements(items.len() as u64));
     group.bench_function("expanded", |b| {
-        b.iter(|| items.iter().map(|it| expanded.key(it).bit_len()).sum::<u32>())
+        b.iter(|| {
+            items
+                .iter()
+                .map(|it| expanded.key(it).bit_len())
+                .sum::<u32>()
+        })
     });
     group.bench_function("raw", |b| {
         b.iter(|| items.iter().map(|it| raw.key(it).bit_len()).sum::<u32>())

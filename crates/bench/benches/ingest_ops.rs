@@ -12,7 +12,11 @@ use volap_dims::{HilbertMapper, Mds, Schema};
 use volap_tree::{ConcurrentTree, InsertPolicy, TreeConfig};
 
 fn fresh(schema: &Schema) -> ConcurrentTree<Mds> {
-    ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, TreeConfig::default())
+    ConcurrentTree::new(
+        schema.clone(),
+        InsertPolicy::Hilbert { expand: true },
+        TreeConfig::default(),
+    )
 }
 
 fn bench_insert_batch(c: &mut Criterion) {

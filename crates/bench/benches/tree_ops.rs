@@ -41,7 +41,11 @@ fn bench_queries(c: &mut Criterion) {
     let queries: Vec<_> = (0..64).map(|_| qg.query(sample)).collect();
     let mut group = c.benchmark_group("query");
     group.throughput(Throughput::Elements(queries.len() as u64));
-    for kind in [StoreKind::PdcMds, StoreKind::HilbertPdcMds, StoreKind::HilbertRTree] {
+    for kind in [
+        StoreKind::PdcMds,
+        StoreKind::HilbertPdcMds,
+        StoreKind::HilbertRTree,
+    ] {
         let store = build_store(kind, &schema, &TreeConfig::default());
         store.bulk_insert(items.clone());
         group.bench_with_input(BenchmarkId::new("seq", kind), &queries, |b, queries| {
@@ -92,5 +96,11 @@ fn bench_split_and_serialize(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_inserts, bench_queries, bench_bulk_load, bench_split_and_serialize);
+criterion_group!(
+    benches,
+    bench_inserts,
+    bench_queries,
+    bench_bulk_load,
+    bench_split_and_serialize
+);
 criterion_main!(benches);

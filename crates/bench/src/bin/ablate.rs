@@ -118,7 +118,10 @@ fn ablate_split(schema: &Schema, w: &Workload) {
         ("narrow band (min_fill 0.2)", 0.2),
         ("forced half split (min_fill 0.5)", 0.5),
     ] {
-        let cfg = TreeConfig { min_fill, ..TreeConfig::default() };
+        let cfg = TreeConfig {
+            min_fill,
+            ..TreeConfig::default()
+        };
         let tree: ConcurrentTree<Mds> =
             ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, cfg);
         let (i, b) = bench_tree(&tree, w);
@@ -130,7 +133,10 @@ fn ablate_leafcap(schema: &Schema, w: &Workload) {
     println!("\n== ablation: leaf capacity sweep ==");
     header();
     for leaf_cap in [16, 32, 64, 128, 256] {
-        let cfg = TreeConfig { leaf_cap, ..TreeConfig::default() };
+        let cfg = TreeConfig {
+            leaf_cap,
+            ..TreeConfig::default()
+        };
         let tree: ConcurrentTree<Mds> =
             ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, cfg);
         let (i, b) = bench_tree(&tree, w);
@@ -160,8 +166,14 @@ fn main() {
     let n = scaled(150_000, 20_000);
     let per_band = scaled(40, 10);
     let w = workload(&schema, n, per_band);
-    println!("# Ablations over TPC-DS, N = {n}, {} queries/band", per_band);
-    let studies: Vec<String> = std::env::args().skip(1).filter(|a| a != "--quick").collect();
+    println!(
+        "# Ablations over TPC-DS, N = {n}, {} queries/band",
+        per_band
+    );
+    let studies: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| a != "--quick")
+        .collect();
     let want = |s: &str| studies.is_empty() || studies.iter().any(|x| x == s);
     if want("keys") {
         ablate_keys(&schema, &w);

@@ -25,7 +25,11 @@ struct Row {
 }
 
 fn fresh(schema: &Schema) -> ConcurrentTree<Mds> {
-    ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, TreeConfig::default())
+    ConcurrentTree::new(
+        schema.clone(),
+        InsertPolicy::Hilbert { expand: true },
+        TreeConfig::default(),
+    )
 }
 
 fn load(tree: &ConcurrentTree<Mds>, items: &[Item], batched: bool) -> f64 {
@@ -46,7 +50,10 @@ fn load(tree: &ConcurrentTree<Mds>, items: &[Item], batched: bool) -> f64 {
 /// plot for this bench, with its name and direction. Panics on a non-finite
 /// value — a bench must never publish `NaN` as its headline.
 fn headline(metric: &str, value: f64, higher_is_better: bool) -> String {
-    assert!(value.is_finite(), "headline {metric} is not finite: {value}");
+    assert!(
+        value.is_finite(),
+        "headline {metric} is not finite: {value}"
+    );
     format!(
         "\"headline\": {{\"metric\": \"{metric}\", \"value\": {value}, \
          \"higher_is_better\": {higher_is_better}}}"
@@ -70,7 +77,10 @@ fn main() {
     }
     let mut rows = Vec::new();
     println!("# insert_item_vs_batch ({cores} cores, chunk {CHUNK}, best of {rounds}, 1 thread)");
-    println!("{:<10} {:>14} {:>14} {:>9}", "items", "item/s", "batch/s", "speedup");
+    println!(
+        "{:<10} {:>14} {:>14} {:>9}",
+        "items", "item/s", "batch/s", "speedup"
+    );
     for n in [10_000usize, 500_000] {
         let mut gen = DataGen::new(&schema, 11, 1.5);
         let items = gen.items(n);
@@ -89,7 +99,11 @@ fn main() {
             "{n:<10} {item_per_s:>14.0} {batch_per_s:>14.0} {:>8.2}x",
             batch_per_s / item_per_s
         );
-        rows.push(Row { items: n, item_per_s, batch_per_s });
+        rows.push(Row {
+            items: n,
+            item_per_s,
+            batch_per_s,
+        });
     }
     let best = rows.last().expect("at least one size measured");
     let mut json = String::new();

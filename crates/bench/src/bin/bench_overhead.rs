@@ -64,8 +64,18 @@ struct Feature {
 /// An interval narrower than 3 % takes 10–30 s of pairs on the 2-core box
 /// this was sized on; the caps leave twice that.
 const FEATURES: &[Feature] = &[
-    Feature { name: "none", histograms: false, tolerance: 0.03, cap: Duration::from_secs(60) },
-    Feature { name: "histograms", histograms: true, tolerance: 0.05, cap: Duration::from_secs(60) },
+    Feature {
+        name: "none",
+        histograms: false,
+        tolerance: 0.03,
+        cap: Duration::from_secs(60),
+    },
+    Feature {
+        name: "histograms",
+        histograms: true,
+        tolerance: 0.05,
+        cap: Duration::from_secs(60),
+    },
 ];
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,7 +105,11 @@ impl Estimate {
         let hi = ((1.0 + n as f64 / 2.0 + half_width).ceil() as usize).clamp(1, n) - 1;
         let median = (sorted[(n - 1) / 2] + sorted[n / 2]) / 2.0;
         let frac = |log_ratio: f64| log_ratio.exp() - 1.0;
-        Self { median: frac(median), lower: frac(sorted[lo]), upper: frac(sorted[hi]) }
+        Self {
+            median: frac(median),
+            lower: frac(sorted[lo]),
+            upper: frac(sorted[hi]),
+        }
     }
 
     fn verdict(&self, tolerance: f64) -> Verdict {
@@ -142,7 +156,13 @@ impl Rig {
         let schema = Schema::uniform(3, 2, 8);
         let (cluster, client) = Self::start_cluster(&schema);
         let gen = DataGen::new(&schema, 17, 1.3);
-        let mut rig = Self { schema, gen, cluster, client, items: 0 };
+        let mut rig = Self {
+            schema,
+            gen,
+            cluster,
+            client,
+            items: 0,
+        };
         rig.warm_up();
         rig
     }
@@ -210,7 +230,13 @@ fn measure(feature: &'static Feature) -> Row {
     };
     let seconds = start.elapsed().as_secs_f64();
     rig.cluster.shutdown();
-    Row { feature, pairs: log_ratios.len(), seconds, estimate, verdict }
+    Row {
+        feature,
+        pairs: log_ratios.len(),
+        seconds,
+        estimate,
+        verdict,
+    }
 }
 
 fn main() {
@@ -283,7 +309,9 @@ mod tests {
     fn interval_brackets_the_median_and_narrows_with_pairs() {
         // A deterministic spread of log-ratios around ln(1.02).
         let sample = |n: usize| -> Vec<f64> {
-            (0..n).map(|i| 1.02f64.ln() + ((i * 37 % 101) as f64 - 50.0) * 1e-3).collect()
+            (0..n)
+                .map(|i| 1.02f64.ln() + ((i * 37 % 101) as f64 - 50.0) * 1e-3)
+                .collect()
         };
         let few = Estimate::from_log_ratios(&sample(40));
         let many = Estimate::from_log_ratios(&sample(1000));
@@ -301,10 +329,22 @@ mod tests {
 
     #[test]
     fn verdict_follows_from_interval_and_tolerance() {
-        let e = |lower, upper| Estimate { median: (lower + upper) / 2.0, lower, upper };
+        let e = |lower, upper| Estimate {
+            median: (lower + upper) / 2.0,
+            lower,
+            upper,
+        };
         assert_eq!(e(-0.004, 0.005).verdict(0.01), Verdict::Pass);
         assert_eq!(e(0.012, 0.03).verdict(0.01), Verdict::Fail);
-        assert_eq!(e(0.005, 0.012).verdict(0.01), Verdict::Inconclusive, "straddles the tolerance");
-        assert_eq!(e(-0.02, 0.005).verdict(0.01), Verdict::Inconclusive, "wider than the tolerance");
+        assert_eq!(
+            e(0.005, 0.012).verdict(0.01),
+            Verdict::Inconclusive,
+            "straddles the tolerance"
+        );
+        assert_eq!(
+            e(-0.02, 0.005).verdict(0.01),
+            Verdict::Inconclusive,
+            "wider than the tolerance"
+        );
     }
 }

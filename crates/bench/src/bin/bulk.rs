@@ -36,8 +36,16 @@ fn main() {
 
     assert_eq!(point.len(), bulk.len());
     println!("{:<28} {:>14} {:>14}", "path", "items_per_s", "vs_point");
-    println!("{:<28} {:>14.0} {:>14.2}", "tree point insert", point_rate, 1.0);
-    println!("{:<28} {:>14.0} {:>14.2}", "tree bulk load", bulk_rate, bulk_rate / point_rate);
+    println!(
+        "{:<28} {:>14.0} {:>14.2}",
+        "tree point insert", point_rate, 1.0
+    );
+    println!(
+        "{:<28} {:>14.0} {:>14.2}",
+        "tree bulk load",
+        bulk_rate,
+        bulk_rate / point_rate
+    );
 
     // Level 2: through the cluster (parallel sessions).
     let cluster_n = scaled(60_000, 10_000);
@@ -50,9 +58,7 @@ fn main() {
     let cluster_point = res.throughput();
     println!(
         "{:<28} {:>14.0} {:>14}",
-        "cluster point insert (8 sessions)",
-        cluster_point,
-        "-"
+        "cluster point insert (8 sessions)", cluster_point, "-"
     );
     // System-level bulk ingestion: batches routed once per server pass and
     // shipped as per-shard bulk loads (paper: > 400 k items/s).

@@ -43,7 +43,11 @@ fn main() {
     // Expansion probability of a *mature* database: measure over the last
     // 20% of the load only (young databases expand boxes constantly; the
     // rate decays as boxes converge to the populated space).
-    let warm: Vec<Op> = gen.items(preload * 4 / 5).into_iter().map(Op::Insert).collect();
+    let warm: Vec<Op> = gen
+        .items(preload * 4 / 5)
+        .into_iter()
+        .map(Op::Insert)
+        .collect();
     let warm_res = drive(&cluster, 8, &warm);
     let tail_snapshot = cluster.expansion_counts();
     let tail_ops: Vec<Op> = gen.items(preload / 5).into_iter().map(Op::Insert).collect();
@@ -61,8 +65,10 @@ fn main() {
 mature tail (last 20% of load) = {expansion_prob:.6}",
         latencies.len()
     );
-    println!("# (the rate decays with database size; the paper's 1-billion-item system sits far \
-further down this curve)");
+    println!(
+        "# (the rate decays with database size; the paper's 1-billion-item system sits far \
+further down this curve)"
+    );
 
     let sim = FreshnessSim {
         insert_rate: 50_000.0,
@@ -78,7 +84,10 @@ further down this curve)");
     let mut rare = sim.clone();
     rare.expansion_prob = rare.expansion_prob.max(1e-5);
     println!("\n(a) avg missed inserts vs elapsed time (coverage 50%)");
-    println!("{:>12} {:>18} {:>24}", "elapsed_s", "avg_missed", "avg_missed(rare-exp)");
+    println!(
+        "{:>12} {:>18} {:>24}",
+        "elapsed_s", "avg_missed", "avg_missed(rare-exp)"
+    );
     for e in [
         0.0, 0.01, 0.025, 0.05, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0,
     ] {
@@ -101,7 +110,10 @@ further down this curve)");
         let pb = s.missed_pmf(0.25, 4, trials, 3);
         let pc = s.missed_pmf(1.0, 4, trials, 4);
         println!("  coverage {:.0}%:", coverage * 100.0);
-        println!("  {:>3} {:>12} {:>12} {:>12}", "k", "@0.005s", "@0.25s", "@1s");
+        println!(
+            "  {:>3} {:>12} {:>12} {:>12}",
+            "k", "@0.005s", "@0.25s", "@1s"
+        );
         for k in 1..=4 {
             println!("  {k:>3} {:>12.6} {:>12.6} {:>12.6}", pa[k], pb[k], pc[k]);
         }

@@ -31,7 +31,10 @@ fn main() {
         .map(|&k| build_store(k, &schema, &TreeConfig::default()))
         .collect();
 
-    println!("# Figure 4: query time vs database size (single tree, TPC-DS, {} dims)", schema.dims());
+    println!(
+        "# Figure 4: query time vs database size (single tree, TPC-DS, {} dims)",
+        schema.dims()
+    );
     println!(
         "{:<10} {:<22} {:<8} {:>12} {:>12} {:>10}",
         "size", "tree", "band", "mean_ms", "p95_ms", "checksum"

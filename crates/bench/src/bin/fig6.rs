@@ -46,7 +46,10 @@ fn main() {
     // Shape checks mirrored in EXPERIMENTS.md.
     let max_workers = result.samples.iter().map(|s| s.workers).max().unwrap_or(0);
     let final_ = result.samples.last().expect("samples");
-    println!("# final: workers={max_workers} splits={} migrations={}", final_.splits, final_.migrations);
+    println!(
+        "# final: workers={max_workers} splits={} migrations={}",
+        final_.splits, final_.migrations
+    );
     let dropped_to_zero = result
         .samples
         .windows(2)

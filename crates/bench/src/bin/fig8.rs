@@ -25,7 +25,10 @@ fn main() {
     cfg.servers = 2;
     cfg.max_shard_items = scaled(20_000, 4_000) as u64;
     cfg.sync_period = Duration::from_millis(40);
-    println!("# Figure 8: performance vs workload mix (N = {preload}, p = {}, m = {})", cfg.workers, cfg.servers);
+    println!(
+        "# Figure 8: performance vs workload mix (N = {preload}, p = {}, m = {})",
+        cfg.workers, cfg.servers
+    );
     if quick_mode() {
         println!("# (quick mode)");
     }
@@ -67,7 +70,11 @@ fn main() {
             println!(
                 "{:>6.0} {:<8} {:>14.0} {:>14.0} {:>12.4} {:>12.4}",
                 mix * 100.0,
-                if mix >= 1.0 { "-".to_string() } else { band.to_string() },
+                if mix >= 1.0 {
+                    "-".to_string()
+                } else {
+                    band.to_string()
+                },
                 res.throughput(),
                 q_tput,
                 q_lat.mean * 1e3,
@@ -75,6 +82,8 @@ fn main() {
             );
         }
     }
-    println!("# paper shape: linear tput-vs-mix; insert ~3x faster than query; bands nearly identical");
+    println!(
+        "# paper shape: linear tput-vs-mix; insert ~3x faster than query; bands nearly identical"
+    );
     cluster.shutdown();
 }

@@ -25,7 +25,10 @@ fn main() {
     cfg.workers = 8;
     cfg.servers = 2;
     cfg.max_shard_items = scaled(8_000, 2_500) as u64;
-    println!("# Figure 9: coverage impact (N = {preload}, p = {})", cfg.workers);
+    println!(
+        "# Figure 9: coverage impact (N = {preload}, p = {})",
+        cfg.workers
+    );
     if quick_mode() {
         println!("# (quick mode)");
     }
@@ -76,9 +79,15 @@ fn main() {
     }
 
     println!("\n(a) query time vs coverage");
-    println!("{}", heatmap(&time_points, 60, 16, "coverage", "query time (s)"));
+    println!(
+        "{}",
+        heatmap(&time_points, 60, 16, "coverage", "query time (s)")
+    );
     println!("(b) shards searched vs coverage");
-    println!("{}", heatmap(&shard_points, 60, 16, "coverage", "shards searched"));
+    println!(
+        "{}",
+        heatmap(&shard_points, 60, 16, "coverage", "shards searched")
+    );
     println!("# paper shape: (a) fast everywhere, low-coverage outliers; (b) ~linear in coverage");
     cluster.shutdown();
 }

@@ -65,7 +65,10 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_default();
     const MODES: [&str; 4] = ["", "--json", "--prom", "--snapshot"];
     if !MODES.contains(&mode.as_str()) {
-        fail(&format!("unknown mode {mode:?} (expected one of {:?})", &MODES[1..]));
+        fail(&format!(
+            "unknown mode {mode:?} (expected one of {:?})",
+            &MODES[1..]
+        ));
     }
     let schema = Schema::uniform(3, 2, 8);
     let mut cfg = base_config(&schema);
@@ -81,13 +84,22 @@ fn main() {
     // plus one bulk batch per server.
     let mut gen = DataGen::new(&schema, 42, 1.3);
     for (i, item) in gen.items(2_000).into_iter().enumerate() {
-        cluster.client_on(i % 2).insert(&item).unwrap_or_else(|e| fail(&e));
+        cluster
+            .client_on(i % 2)
+            .insert(&item)
+            .unwrap_or_else(|e| fail(&e));
     }
     for s in 0..2 {
-        cluster.client_on(s).bulk_insert(gen.items(1_000)).unwrap_or_else(|e| fail(&e));
+        cluster
+            .client_on(s)
+            .bulk_insert(gen.items(1_000))
+            .unwrap_or_else(|e| fail(&e));
     }
     for i in 0..50 {
-        cluster.client_on(i % 2).query(&QueryBox::all(&schema)).unwrap_or_else(|e| fail(&e));
+        cluster
+            .client_on(i % 2)
+            .query(&QueryBox::all(&schema))
+            .unwrap_or_else(|e| fail(&e));
     }
     // Give the sync threads a few rounds so the staleness probe observes
     // cross-server applies.
@@ -96,7 +108,9 @@ fn main() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let split_audited = |audit: &[BalanceDecision]| {
-        audit.iter().any(|d| d.action == "split" && d.outcome == "ok")
+        audit
+            .iter()
+            .any(|d| d.action == "split" && d.outcome == "ok")
     };
     if mode == "--snapshot" {
         while !split_audited(&cluster.balance_audit()) && Instant::now() < deadline {
@@ -116,7 +130,10 @@ fn main() {
     if snap.counter("volap_server_inserts_total") != 4_000 {
         fail("server insert counter does not match the workload");
     }
-    if snap.histogram("volap_server_insert_seconds").is_none_or(|h| h.count == 0) {
+    if snap
+        .histogram("volap_server_insert_seconds")
+        .is_none_or(|h| h.count == 0)
+    {
         fail("insert latency histogram is missing or empty");
     }
     if snap.captured_unix_us == 0 || snap.uptime_us == 0 {

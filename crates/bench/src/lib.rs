@@ -32,7 +32,13 @@ impl LatencyStats {
     /// Compute from raw (unsorted) samples in seconds.
     pub fn from_samples(mut samples: Vec<f64>) -> Self {
         if samples.is_empty() {
-            return Self { n: 0, mean: 0.0, p50: 0.0, p95: 0.0, max: 0.0 };
+            return Self {
+                n: 0,
+                mean: 0.0,
+                p50: 0.0,
+                p95: 0.0,
+                max: 0.0,
+            };
         }
         samples.sort_by(f64::total_cmp);
         let n = samples.len();
@@ -145,7 +151,10 @@ pub fn drive(cluster: &Cluster, sessions: usize, ops: &[Op]) -> DriveResult {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("driver thread")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("driver thread"))
+            .collect()
     });
     let elapsed = start.elapsed();
     let mut out = DriveResult {
@@ -167,7 +176,13 @@ pub fn drive(cluster: &Cluster, sessions: usize, ops: &[Op]) -> DriveResult {
 
 /// Render a y-flipped ASCII heat map of `(x, y)` points (both normalized to
 /// their bounds) as the paper's Figure 9 does with colour.
-pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y_label: &str) -> String {
+pub fn heatmap(
+    points: &[(f64, f64)],
+    cols: usize,
+    rows: usize,
+    x_label: &str,
+    y_label: &str,
+) -> String {
     const SHADES: &[u8] = b" .:-=+*#%@";
     if points.is_empty() {
         return "(no data)".to_string();
@@ -190,7 +205,9 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
     }
     let peak = *grid.iter().max().unwrap() as f64;
     let mut out = String::new();
-    out.push_str(&format!("{y_label} (top = {y_max:.4}, bottom = {y_min:.4})\n"));
+    out.push_str(&format!(
+        "{y_label} (top = {y_max:.4}, bottom = {y_min:.4})\n"
+    ));
     for r in (0..rows).rev() {
         out.push_str("  |");
         for c in 0..cols {
@@ -215,7 +232,9 @@ pub fn heatmap(points: &[(f64, f64)], cols: usize, rows: usize, x_label: &str, y
 /// Whether `--quick` / `VOLAP_QUICK=1` was passed (CI-speed runs).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("VOLAP_QUICK").map(|v| v == "1").unwrap_or(false)
+        || std::env::var("VOLAP_QUICK")
+            .map(|v| v == "1")
+            .unwrap_or(false)
 }
 
 /// Scale a full-size parameter down in quick mode.

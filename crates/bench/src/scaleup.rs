@@ -174,7 +174,10 @@ pub fn run(params: &ScaleUpParams) -> ScaleUpResult {
 
     stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler");
-    let samples = Arc::try_unwrap(samples).expect("sampler done").into_inner().unwrap();
+    let samples = Arc::try_unwrap(samples)
+        .expect("sampler done")
+        .into_inner()
+        .unwrap();
     match Arc::try_unwrap(cluster) {
         Ok(c) => c.shutdown(),
         Err(_) => panic!("cluster still referenced"),

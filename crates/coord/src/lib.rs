@@ -62,8 +62,15 @@ impl std::fmt::Display for CoordError {
         match self {
             CoordError::NoNode(p) => write!(f, "no node at {p}"),
             CoordError::NodeExists(p) => write!(f, "node already exists at {p}"),
-            CoordError::BadVersion { path, expected, actual } => {
-                write!(f, "bad version at {path}: expected {expected}, actual {actual}")
+            CoordError::BadVersion {
+                path,
+                expected,
+                actual,
+            } => {
+                write!(
+                    f,
+                    "bad version at {path}: expected {expected}, actual {actual}"
+                )
             }
         }
     }
@@ -152,7 +159,12 @@ impl CoordService {
         let mut watches = self.inner.watches.write();
         watches.retain(|(prefix, tx)| {
             if path.starts_with(prefix.as_str()) {
-                tx.send(WatchEvent { path: path.to_string(), kind, version }).is_ok()
+                tx.send(WatchEvent {
+                    path: path.to_string(),
+                    kind,
+                    version,
+                })
+                .is_ok()
             } else {
                 true
             }
@@ -167,7 +179,14 @@ impl CoordService {
             if nodes.contains_key(path) {
                 return Err(CoordError::NodeExists(path.to_string()));
             }
-            nodes.insert(path.to_string(), Znode { data, version: 1, owner: None });
+            nodes.insert(
+                path.to_string(),
+                Znode {
+                    data,
+                    version: 1,
+                    owner: None,
+                },
+            );
         }
         self.notify(path, EventKind::Created, 1);
         Ok(1)
@@ -181,7 +200,14 @@ impl CoordService {
             let mut seq = self.inner.seq.write();
             *seq += 1;
             let path = format!("{prefix}{:010}", *seq);
-            self.inner.nodes.write().insert(path.clone(), Znode { data, version: 1, owner: None });
+            self.inner.nodes.write().insert(
+                path.clone(),
+                Znode {
+                    data,
+                    version: 1,
+                    owner: None,
+                },
+            );
             path
         };
         self.notify(&path, EventKind::Created, 1);
@@ -223,7 +249,14 @@ impl CoordService {
                             actual: 0,
                         });
                     }
-                    nodes.insert(path.to_string(), Znode { data, version: 1, owner: None });
+                    nodes.insert(
+                        path.to_string(),
+                        Znode {
+                            data,
+                            version: 1,
+                            owner: None,
+                        },
+                    );
                     (EventKind::Created, 1)
                 }
             }
@@ -234,7 +267,11 @@ impl CoordService {
 
     /// Read a node's data and version.
     pub fn get(&self, path: &str) -> Option<(Vec<u8>, u64)> {
-        self.inner.nodes.read().get(path).map(|z| (z.data.clone(), z.version))
+        self.inner
+            .nodes
+            .read()
+            .get(path)
+            .map(|z| (z.data.clone(), z.version))
     }
 
     /// Whether a node exists.
@@ -300,10 +337,13 @@ impl CoordService {
             *next += 1;
             SessionId(*next)
         };
-        self.inner
-            .sessions
-            .write()
-            .insert(id, SessionState { last_seen: std::time::Instant::now(), ttl });
+        self.inner.sessions.write().insert(
+            id,
+            SessionState {
+                last_seen: std::time::Instant::now(),
+                ttl,
+            },
+        );
         id
     }
 
@@ -351,7 +391,14 @@ impl CoordService {
             if nodes.contains_key(path) {
                 return Err(CoordError::NodeExists(path.to_string()));
             }
-            nodes.insert(path.to_string(), Znode { data, version: 1, owner: Some(session) });
+            nodes.insert(
+                path.to_string(),
+                Znode {
+                    data,
+                    version: 1,
+                    owner: Some(session),
+                },
+            );
         }
         self.notify(path, EventKind::Created, 1);
         Ok(1)
@@ -406,8 +453,14 @@ impl CoordService {
 }
 
 fn validate_path(path: &str) {
-    assert!(path.starts_with('/'), "paths must be absolute (start with '/'): {path:?}");
-    assert!(!path.contains("//"), "paths must not contain empty segments: {path:?}");
+    assert!(
+        path.starts_with('/'),
+        "paths must be absolute (start with '/'): {path:?}"
+    );
+    assert!(
+        !path.contains("//"),
+        "paths must not contain empty segments: {path:?}"
+    );
 }
 
 #[cfg(test)]
@@ -419,7 +472,10 @@ mod tests {
     fn create_get_set_delete() {
         let c = CoordService::new();
         assert_eq!(c.create("/a", b"1".to_vec()), Ok(1));
-        assert_eq!(c.create("/a", b"2".to_vec()), Err(CoordError::NodeExists("/a".into())));
+        assert_eq!(
+            c.create("/a", b"2".to_vec()),
+            Err(CoordError::NodeExists("/a".into()))
+        );
         assert_eq!(c.get("/a"), Some((b"1".to_vec(), 1)));
         assert_eq!(c.set("/a", b"2".to_vec(), None), Ok(2));
         assert_eq!(c.get("/a"), Some((b"2".to_vec(), 2)));
@@ -437,7 +493,11 @@ mod tests {
         let err = c.set("/cfg", b"z".to_vec(), Some(1)).unwrap_err();
         assert_eq!(
             err,
-            CoordError::BadVersion { path: "/cfg".into(), expected: 1, actual: 2 }
+            CoordError::BadVersion {
+                path: "/cfg".into(),
+                expected: 1,
+                actual: 2
+            }
         );
         // CAS against a missing node also fails.
         assert!(matches!(
@@ -468,7 +528,10 @@ mod tests {
         c.create("/workers/w1", vec![]).unwrap();
         c.create("/workers/w2", vec![]).unwrap();
         c.create("/servers/s1", vec![]).unwrap();
-        assert_eq!(c.list("/workers/"), vec!["/workers/w1".to_string(), "/workers/w2".to_string()]);
+        assert_eq!(
+            c.list("/workers/"),
+            vec!["/workers/w1".to_string(), "/workers/w2".to_string()]
+        );
         assert_eq!(c.list_with_data("/servers/").len(), 1);
         assert_eq!(c.list("/nothing/"), Vec::<String>::new());
     }
@@ -537,7 +600,8 @@ mod tests {
         let c = CoordService::new();
         let rx = c.watch_prefix("/live/");
         let session = c.open_session(Duration::from_millis(60));
-        c.create_ephemeral("/live/w0", b"hi".to_vec(), session).unwrap();
+        c.create_ephemeral("/live/w0", b"hi".to_vec(), session)
+            .unwrap();
         assert!(c.exists("/live/w0"));
         assert!(c.session_alive(session));
         // Heartbeats keep it alive past the raw TTL.

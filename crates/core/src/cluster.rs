@@ -290,7 +290,15 @@ impl ClientSession {
     pub fn bulk_insert(&self, items: Vec<Item>) -> Result<(), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientBulkInsert { items, principal: 0 }.encode(), self.timeout)
+            .request(
+                &self.server,
+                Request::ClientBulkInsert {
+                    items,
+                    principal: 0,
+                }
+                .encode(),
+                self.timeout,
+            )
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
             Response::Ack => Ok(()),
@@ -303,7 +311,15 @@ impl ClientSession {
     pub fn insert(&self, item: &Item) -> Result<(), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientInsert { item: item.clone(), principal: 0 }.encode(), self.timeout)
+            .request(
+                &self.server,
+                Request::ClientInsert {
+                    item: item.clone(),
+                    principal: 0,
+                }
+                .encode(),
+                self.timeout,
+            )
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
             Response::Ack => Ok(()),
@@ -317,10 +333,21 @@ impl ClientSession {
     pub fn query(&self, q: &QueryBox) -> Result<(Aggregate, u32), String> {
         let bytes = self
             .endpoint
-            .request(&self.server, Request::ClientQuery { query: q.clone(), principal: 0 }.encode(), self.timeout)
+            .request(
+                &self.server,
+                Request::ClientQuery {
+                    query: q.clone(),
+                    principal: 0,
+                }
+                .encode(),
+                self.timeout,
+            )
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
-            Response::Agg { agg, shards_searched } => Ok((agg, shards_searched)),
+            Response::Agg {
+                agg,
+                shards_searched,
+            } => Ok((agg, shards_searched)),
             Response::Err(e) => Err(e),
             other => Err(format!("unexpected response: {other:?}")),
         }
@@ -333,17 +360,28 @@ impl ClientSession {
     /// every contacted worker the alias chases, parallel fan-out, and
     /// per-shard traversal counters. The non-analyzed path is untouched:
     /// introspection cost is paid only by this call.
-    pub fn query_analyze(&self, q: &QueryBox) -> Result<(Aggregate, u32, crate::QueryPlan), String> {
+    pub fn query_analyze(
+        &self,
+        q: &QueryBox,
+    ) -> Result<(Aggregate, u32, crate::QueryPlan), String> {
         let bytes = self
             .endpoint
             .request(
                 &self.server,
-                Request::ClientQueryAnalyze { query: q.clone(), principal: 0 }.encode(),
+                Request::ClientQueryAnalyze {
+                    query: q.clone(),
+                    principal: 0,
+                }
+                .encode(),
                 self.timeout,
             )
             .map_err(|e| e.to_string())?;
         match Response::decode(&self.schema, &bytes).map_err(|e| e.to_string())? {
-            Response::AggPlan { agg, shards_searched, plan } => Ok((agg, shards_searched, plan)),
+            Response::AggPlan {
+                agg,
+                shards_searched,
+                plan,
+            } => Ok((agg, shards_searched, plan)),
             Response::Err(e) => Err(e),
             other => Err(format!("unexpected response: {other:?}")),
         }

@@ -105,6 +105,9 @@ mod tests {
     fn shipped_observability_defaults_are_pinned() {
         let cfg = VolapConfig::new(Schema::uniform(2, 2, 8));
         assert!(cfg.obs.histograms);
-        assert_eq!((volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY), (4096, 1024));
+        assert_eq!(
+            (volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY),
+            (4096, 1024)
+        );
     }
 }

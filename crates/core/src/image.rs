@@ -69,7 +69,12 @@ impl ShardRecord {
         }
         let len = data.get_u64();
         let mbr = wire::get_mbr(&mut data, schema)?;
-        Ok(Self { id, worker, len, mbr })
+        Ok(Self {
+            id,
+            worker,
+            len,
+            mbr,
+        })
     }
 }
 
@@ -101,7 +106,14 @@ impl ImageStore {
         let merges = reg.counter("volap_image_merges_total");
         let cas_retries = reg.counter("volap_image_cas_retries_total");
         let removes = reg.counter("volap_image_removes_total");
-        Self { coord, schema, obs, merges, cas_retries, removes }
+        Self {
+            coord,
+            schema,
+            obs,
+            merges,
+            cas_retries,
+            removes,
+        }
     }
 
     /// The underlying coordination service.
@@ -183,7 +195,11 @@ impl ImageStore {
                         }
                         Err(_) => rec.clone(),
                     };
-                    if self.coord.set(&path, merged.encode(), Some(version)).is_ok() {
+                    if self
+                        .coord
+                        .set(&path, merged.encode(), Some(version))
+                        .is_ok()
+                    {
                         self.record_merge(attempts);
                         return;
                     }
@@ -203,7 +219,9 @@ impl ImageStore {
     /// Overwrite a shard record unconditionally (used when a split replaces
     /// a shard).
     pub fn put_shard(&self, rec: &ShardRecord) {
-        let _ = self.coord.set(&ShardRecord::path(rec.id), rec.encode(), None);
+        let _ = self
+            .coord
+            .set(&ShardRecord::path(rec.id), rec.encode(), None);
     }
 
     /// Remove a shard record.
@@ -232,7 +250,9 @@ impl ImageStore {
 
     /// Register a worker persistently (bootstrap/testing path).
     pub fn add_worker(&self, name: &str) {
-        let _ = self.coord.set(&format!("{WORKERS_PREFIX}{name}"), Vec::new(), None);
+        let _ = self
+            .coord
+            .set(&format!("{WORKERS_PREFIX}{name}"), Vec::new(), None);
     }
 
     /// Register a worker under a coordination session: the membership node
@@ -255,7 +275,9 @@ impl ImageStore {
 
     /// Register a server.
     pub fn add_server(&self, name: &str) {
-        let _ = self.coord.set(&format!("{SERVERS_PREFIX}{name}"), Vec::new(), None);
+        let _ = self
+            .coord
+            .set(&format!("{SERVERS_PREFIX}{name}"), Vec::new(), None);
     }
 
     /// Registered server names.
@@ -284,10 +306,20 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let s = schema();
-        let rec = ShardRecord { id: 7, worker: "worker-1".into(), len: 42, mbr: mbr_of(&s, 3, 9) };
+        let rec = ShardRecord {
+            id: 7,
+            worker: "worker-1".into(),
+            len: 42,
+            mbr: mbr_of(&s, 3, 9),
+        };
         let back = ShardRecord::decode(&s, &rec.encode()).unwrap();
         assert_eq!(back, rec);
-        let empty = ShardRecord { id: 8, worker: "w".into(), len: 0, mbr: Mbr::empty(&s) };
+        let empty = ShardRecord {
+            id: 8,
+            worker: "w".into(),
+            len: 0,
+            mbr: Mbr::empty(&s),
+        };
         assert_eq!(ShardRecord::decode(&s, &empty.encode()).unwrap(), empty);
         assert!(ShardRecord::decode(&s, &rec.encode()[..5]).is_err());
     }
@@ -317,8 +349,18 @@ mod tests {
     fn merge_unions_boxes_and_keeps_max_len() {
         let s = schema();
         let store = ImageStore::new(CoordService::new(), s.clone());
-        store.merge_shard(&ShardRecord { id: 1, worker: "w1".into(), len: 10, mbr: mbr_of(&s, 0, 5) });
-        store.merge_shard(&ShardRecord { id: 1, worker: String::new(), len: 4, mbr: mbr_of(&s, 8, 9) });
+        store.merge_shard(&ShardRecord {
+            id: 1,
+            worker: "w1".into(),
+            len: 10,
+            mbr: mbr_of(&s, 0, 5),
+        });
+        store.merge_shard(&ShardRecord {
+            id: 1,
+            worker: String::new(),
+            len: 4,
+            mbr: mbr_of(&s, 8, 9),
+        });
         let rec = store.shard(1).unwrap();
         assert_eq!(rec.worker, "w1", "empty worker must not clobber");
         assert_eq!(rec.len, 10);
@@ -340,7 +382,12 @@ mod tests {
         let s = schema();
         let store = ImageStore::new(CoordService::new(), s.clone());
         for id in [3u64, 1, 2] {
-            store.put_shard(&ShardRecord { id, worker: "w".into(), len: id, mbr: Mbr::empty(&s) });
+            store.put_shard(&ShardRecord {
+                id,
+                worker: "w".into(),
+                len: id,
+                mbr: Mbr::empty(&s),
+            });
         }
         let ids: Vec<u64> = store.shards().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![1, 2, 3], "zero-padded paths keep numeric order");

@@ -71,11 +71,21 @@ impl ManagerHandle {
 
 /// Spawn the manager thread: one [`balance_round`] every
 /// `cfg.manager_period`, asleep in between.
-pub fn spawn_manager(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> ManagerHandle {
+pub fn spawn_manager(
+    net: &Network,
+    image: &ImageStore,
+    cfg: &VolapConfig,
+    name: &str,
+) -> ManagerHandle {
     let endpoint = net.endpoint(name.to_string());
     let stats = Arc::new(BalanceStats::new(image.obs()));
     let process = {
-        let (ep, image, cfg, stats) = (endpoint.clone(), image.clone(), cfg.clone(), Arc::clone(&stats));
+        let (ep, image, cfg, stats) = (
+            endpoint.clone(),
+            image.clone(),
+            cfg.clone(),
+            Arc::clone(&stats),
+        );
         Process::start(&endpoint, name.to_string(), cfg.manager_period, move || {
             balance_round(&ep, &image, &cfg, &stats)
         })
@@ -153,7 +163,11 @@ pub fn balance_round(
                     ("max_shard_items".into(), cfg.max_shard_items.to_string()),
                 ],
                 result_shards: vec![ids.start, ids.start + 1],
-                outcome: if ok { "ok".into() } else { "split_failed".into() },
+                outcome: if ok {
+                    "ok".into()
+                } else {
+                    "split_failed".into()
+                },
                 duration_us: elapsed_us(t0),
                 ..Default::default()
             });
@@ -167,7 +181,10 @@ pub fn balance_round(
     for rec in &shards {
         if let Some(l) = load.get_mut(rec.worker.as_str()) {
             *l += rec.len;
-            by_worker.entry(rec.worker.as_str()).or_default().push((rec.id, rec.len));
+            by_worker
+                .entry(rec.worker.as_str())
+                .or_default()
+                .push((rec.id, rec.len));
         }
     }
     let total: u64 = load.values().sum();
@@ -179,14 +196,21 @@ pub fn balance_round(
     let lo = mean * (1.0 - cfg.migrate_slack);
 
     for _ in 0..cfg.max_moves_per_round {
-        let Some((&src, &src_load)) = load.iter().max_by_key(|(_, &l)| l) else { break };
-        let Some((&dst, &dst_load)) = load.iter().min_by_key(|(_, &l)| l) else { break };
+        let Some((&src, &src_load)) = load.iter().max_by_key(|(_, &l)| l) else {
+            break;
+        };
+        let Some((&dst, &dst_load)) = load.iter().min_by_key(|(_, &l)| l) else {
+            break;
+        };
         if src == dst || (src_load as f64) <= hi || (dst_load as f64) >= lo {
             break;
         }
         // Largest shard that fits in half the gap (avoids ping-ponging).
         let gap = src_load - dst_load;
-        let candidates = by_worker.get_mut(src).map(std::mem::take).unwrap_or_default();
+        let candidates = by_worker
+            .get_mut(src)
+            .map(std::mem::take)
+            .unwrap_or_default();
         let pick = candidates
             .iter()
             .filter(|&&(_, len)| len > 0 && len <= gap / 2 + 1)
@@ -196,7 +220,10 @@ pub fn balance_round(
             by_worker.insert(src, candidates);
             break;
         };
-        let req = Request::Migrate { shard, dest: dst.to_string() };
+        let req = Request::Migrate {
+            shard,
+            dest: dst.to_string(),
+        };
         let t0 = Instant::now();
         let ok = endpoint
             .request(src, req.encode(), cfg.request_timeout)
@@ -221,7 +248,11 @@ pub fn balance_round(
                 ("len".into(), len.to_string()),
             ],
             result_shards: vec![shard],
-            outcome: if ok { "ok".into() } else { "migrate_failed".into() },
+            outcome: if ok {
+                "ok".into()
+            } else {
+                "migrate_failed".into()
+            },
             duration_us: elapsed_us(t0),
             ..Default::default()
         });
@@ -233,7 +264,13 @@ pub fn balance_round(
         }
         *load.get_mut(src).unwrap() -= len;
         *load.get_mut(dst).unwrap() += len;
-        by_worker.insert(src, candidates.into_iter().filter(|&(s, _)| s != shard).collect());
+        by_worker.insert(
+            src,
+            candidates
+                .into_iter()
+                .filter(|&(s, _)| s != shard)
+                .collect(),
+        );
         by_worker.entry(dst).or_default().push((shard, len));
     }
 }

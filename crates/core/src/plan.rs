@@ -207,7 +207,11 @@ impl QueryPlan {
     /// decoder, rejects forward chains deeper than any real execution.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let plan = Self::read(&json::parse(text)?)?;
-        if plan.workers.iter().any(|w| forward_depth(w) > MAX_FORWARD_DEPTH) {
+        if plan
+            .workers
+            .iter()
+            .any(|w| forward_depth(w) > MAX_FORWARD_DEPTH)
+        {
             return Err(format!("plan forward nesting exceeds {MAX_FORWARD_DEPTH}"));
         }
         Ok(plan)
@@ -249,7 +253,10 @@ impl WorkerExec {
 
 fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), WireError> {
     if buf.len() < n {
-        Err(format!("truncated plan: need {n} bytes for {what}, have {}", buf.len()))
+        Err(format!(
+            "truncated plan: need {n} bytes for {what}, have {}",
+            buf.len()
+        ))
     } else {
         Ok(())
     }
@@ -266,7 +273,11 @@ fn worker_totals(w: &WorkerExec, t: &mut QueryTrace) {
 
 /// Forward levels below `w` (0 when it forwarded nothing).
 fn forward_depth(w: &WorkerExec) -> usize {
-    w.forwards.iter().map(|f| 1 + forward_depth(f)).max().unwrap_or(0)
+    w.forwards
+        .iter()
+        .map(|f| 1 + forward_depth(f))
+        .max()
+        .unwrap_or(0)
 }
 
 fn collect_shards(w: &WorkerExec, out: &mut Vec<u64>) {
@@ -333,7 +344,15 @@ fn decode_worker(buf: &mut &[u8], depth: usize) -> Result<WorkerExec, WireError>
     for _ in 0..n {
         forwards.push(decode_worker(buf, depth + 1)?);
     }
-    Ok(WorkerExec { worker, requested, alias_chases, fanout, wall_us, shards, forwards })
+    Ok(WorkerExec {
+        worker,
+        requested,
+        alias_chases,
+        fanout,
+        wall_us,
+        shards,
+        forwards,
+    })
 }
 
 fn render_worker(w: &WorkerExec, depth: usize, out: &mut String) {
@@ -345,13 +364,7 @@ fn render_worker(w: &WorkerExec, depth: usize, out: &mut String) {
     for s in &w.shards {
         out.push_str(&format!(
             "{pad}  shard {} ({} items): visited {}, covered {}, scanned {}, pruned {}, {} us\n",
-            s.shard,
-            s.items,
-            s.nodes_visited,
-            s.covered_hits,
-            s.items_scanned,
-            s.pruned,
-            s.wall_us
+            s.shard, s.items, s.nodes_visited, s.covered_hits, s.items_scanned, s.pruned, s.wall_us
         ));
     }
     for f in &w.forwards {
@@ -389,7 +402,11 @@ mod tests {
                             pruned: 5,
                             wall_us: 80,
                         },
-                        ShardExec { shard: 12, items: u64::MAX, ..Default::default() },
+                        ShardExec {
+                            shard: 12,
+                            items: u64::MAX,
+                            ..Default::default()
+                        },
                     ],
                     forwards: vec![WorkerExec {
                         worker: "worker-1".into(),
@@ -406,7 +423,11 @@ mod tests {
                         ..Default::default()
                     }],
                 },
-                WorkerExec { worker: "worker-2".into(), requested: vec![2], ..Default::default() },
+                WorkerExec {
+                    worker: "worker-2".into(),
+                    requested: vec![2],
+                    ..Default::default()
+                },
             ],
         }
     }
@@ -437,9 +458,15 @@ mod tests {
         let chain = |levels: usize| {
             let mut w = WorkerExec::default();
             for _ in 0..levels {
-                w = WorkerExec { forwards: vec![w], ..Default::default() };
+                w = WorkerExec {
+                    forwards: vec![w],
+                    ..Default::default()
+                };
             }
-            QueryPlan { workers: vec![w], ..Default::default() }
+            QueryPlan {
+                workers: vec![w],
+                ..Default::default()
+            }
         };
         let deepest = chain(MAX_FORWARD_DEPTH);
         assert_eq!(QueryPlan::from_json(&deepest.to_json()).unwrap(), deepest);
@@ -467,11 +494,17 @@ mod tests {
     fn malformed_encodings_are_rejected() {
         let good = sample_plan().encode();
         for cut in 0..good.len() {
-            assert!(QueryPlan::decode(&good[..cut]).is_err(), "cut at {cut} must fail");
+            assert!(
+                QueryPlan::decode(&good[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
         }
         let mut padded = good.clone();
         padded.push(0);
-        assert!(QueryPlan::decode(&padded).is_err(), "trailing bytes must fail");
+        assert!(
+            QueryPlan::decode(&padded).is_err(),
+            "trailing bytes must fail"
+        );
         assert!(QueryPlan::from_json("{}").is_err());
         assert!(QueryPlan::from_json(&(sample_plan().to_json() + "x")).is_err());
     }

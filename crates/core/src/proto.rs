@@ -230,7 +230,11 @@ impl Request {
                 }
                 wire::put_query(&mut buf, query);
             }
-            Request::SplitShard { shard, left_id, right_id } => {
+            Request::SplitShard {
+                shard,
+                left_id,
+                right_id,
+            } => {
                 buf.put_u8(T_SPLIT);
                 buf.put_u64(*shard);
                 buf.put_u64(*left_id);
@@ -297,7 +301,9 @@ impl Request {
             | Request::ClientQuery { query, .. }
             | Request::ClientQueryAnalyze { query, .. } => match query.dims() {
                 n if n == dims => Ok(()),
-                n => Err(format!("query has {n} ranges, schema has {dims} dimensions")),
+                n => Err(format!(
+                    "query has {n} ranges, schema has {dims} dimensions"
+                )),
             },
             Request::SplitShard { .. }
             | Request::Migrate { .. }
@@ -319,7 +325,10 @@ impl Request {
                 if buf.len() < 8 {
                     return Err("truncated insert".into());
                 }
-                Request::Insert { shard: buf.get_u64(), item: wire::get_item(buf)? }
+                Request::Insert {
+                    shard: buf.get_u64(),
+                    item: wire::get_item(buf)?,
+                }
             }
             T_BULK => {
                 if buf.len() < 12 {
@@ -327,7 +336,9 @@ impl Request {
                 }
                 let shard = buf.get_u64();
                 let n = buf.get_u32() as usize;
-                let items = (0..n).map(|_| wire::get_item(buf)).collect::<Result<_, _>>()?;
+                let items = (0..n)
+                    .map(|_| wire::get_item(buf))
+                    .collect::<Result<_, _>>()?;
                 Request::BulkInsert { shard, items }
             }
             T_QUERY | T_QANALYZE => {
@@ -360,25 +371,39 @@ impl Request {
                 if buf.len() < 8 {
                     return Err("truncated migrate".into());
                 }
-                Request::Migrate { shard: buf.get_u64(), dest: wire::get_str(buf)? }
+                Request::Migrate {
+                    shard: buf.get_u64(),
+                    dest: wire::get_str(buf)?,
+                }
             }
             T_ADOPT => {
                 if buf.len() < 8 {
                     return Err("truncated adopt".into());
                 }
-                Request::Adopt { shard: buf.get_u64(), blob: wire::get_bytes(buf)? }
+                Request::Adopt {
+                    shard: buf.get_u64(),
+                    blob: wire::get_bytes(buf)?,
+                }
             }
             T_CINSERT => {
                 let item = wire::get_item(buf)?;
-                Request::ClientInsert { item, principal: get_principal(buf)? }
+                Request::ClientInsert {
+                    item,
+                    principal: get_principal(buf)?,
+                }
             }
             T_CBULK => {
                 if buf.len() < 4 {
                     return Err("truncated client bulk insert".into());
                 }
                 let n = buf.get_u32() as usize;
-                let items = (0..n).map(|_| wire::get_item(buf)).collect::<Result<_, _>>()?;
-                Request::ClientBulkInsert { items, principal: get_principal(buf)? }
+                let items = (0..n)
+                    .map(|_| wire::get_item(buf))
+                    .collect::<Result<_, _>>()?;
+                Request::ClientBulkInsert {
+                    items,
+                    principal: get_principal(buf)?,
+                }
             }
             T_CQUERY | T_CANALYZE => {
                 let query = wire::get_query(buf)?;
@@ -402,7 +427,10 @@ impl Response {
         let mut buf = Vec::with_capacity(16);
         match self {
             Response::Ack => buf.put_u8(R_ACK),
-            Response::Agg { agg, shards_searched } => {
+            Response::Agg {
+                agg,
+                shards_searched,
+            } => {
                 buf.put_u8(R_AGG);
                 wire::put_agg(&mut buf, agg);
                 buf.put_u32(*shards_searched);
@@ -419,13 +447,21 @@ impl Response {
                     wire::put_bytes(&mut buf, &s.encode());
                 }
             }
-            Response::AggPlan { agg, shards_searched, plan } => {
+            Response::AggPlan {
+                agg,
+                shards_searched,
+                plan,
+            } => {
                 buf.put_u8(R_AGGPLAN);
                 wire::put_agg(&mut buf, agg);
                 buf.put_u32(*shards_searched);
                 plan.encode_into(&mut buf);
             }
-            Response::AggExec { agg, shards_searched, exec } => {
+            Response::AggExec {
+                agg,
+                shards_searched,
+                exec,
+            } => {
                 buf.put_u8(R_AGGEXEC);
                 wire::put_agg(&mut buf, agg);
                 buf.put_u32(*shards_searched);
@@ -453,7 +489,10 @@ impl Response {
                 if buf.len() < 4 {
                     return Err("truncated agg response".into());
                 }
-                Response::Agg { agg, shards_searched: buf.get_u32() }
+                Response::Agg {
+                    agg,
+                    shards_searched: buf.get_u32(),
+                }
             }
             R_SPLIT => {
                 let left = ShardRecord::decode(schema, &wire::get_bytes(buf)?)?;
@@ -476,7 +515,11 @@ impl Response {
                     return Err("truncated agg-plan response".into());
                 }
                 let shards_searched = buf.get_u32();
-                Response::AggPlan { agg, shards_searched, plan: QueryPlan::decode_from(buf)? }
+                Response::AggPlan {
+                    agg,
+                    shards_searched,
+                    plan: QueryPlan::decode_from(buf)?,
+                }
             }
             R_AGGEXEC => {
                 let agg = wire::get_agg(buf)?;
@@ -484,7 +527,11 @@ impl Response {
                     return Err("truncated agg-exec response".into());
                 }
                 let shards_searched = buf.get_u32();
-                Response::AggExec { agg, shards_searched, exec: WorkerExec::decode_from(buf)? }
+                Response::AggExec {
+                    agg,
+                    shards_searched,
+                    exec: WorkerExec::decode_from(buf)?,
+                }
             }
             R_ERR => Response::Err(wire::get_str(buf)?),
             other => return Err(format!("unknown response tag {other}")),
@@ -504,7 +551,10 @@ mod tests {
     #[test]
     fn all_requests_roundtrip() {
         let reqs = vec![
-            Request::Insert { shard: 3, item: Item::new(vec![1, 2], 5.0) },
+            Request::Insert {
+                shard: 3,
+                item: Item::new(vec![1, 2], 5.0),
+            },
             Request::BulkInsert {
                 shard: 4,
                 items: vec![Item::new(vec![0, 0], 1.0), Item::new(vec![63, 63], 2.0)],
@@ -513,10 +563,23 @@ mod tests {
                 shards: vec![1, 2, 9],
                 query: QueryBox::from_ranges(vec![(0, 5), (1, 63)]),
             },
-            Request::SplitShard { shard: 8, left_id: 20, right_id: 21 },
-            Request::Migrate { shard: 8, dest: "worker-5".into() },
-            Request::Adopt { shard: 9, blob: vec![1, 2, 3, 4] },
-            Request::ClientInsert { item: Item::new(vec![7, 7], 9.0), principal: 0 },
+            Request::SplitShard {
+                shard: 8,
+                left_id: 20,
+                right_id: 21,
+            },
+            Request::Migrate {
+                shard: 8,
+                dest: "worker-5".into(),
+            },
+            Request::Adopt {
+                shard: 9,
+                blob: vec![1, 2, 3, 4],
+            },
+            Request::ClientInsert {
+                item: Item::new(vec![7, 7], 9.0),
+                principal: 0,
+            },
             Request::ClientBulkInsert {
                 items: vec![Item::new(vec![1, 1], 2.0), Item::new(vec![2, 2], 3.0)],
                 principal: 3,
@@ -547,7 +610,12 @@ mod tests {
         let s = schema();
         let mut mbr = Mbr::empty(&s);
         mbr.extend_item(&s, &Item::new(vec![2, 3], 1.0));
-        let rec = |id: u64| ShardRecord { id, worker: format!("w{id}"), len: id * 10, mbr: mbr.clone() };
+        let rec = |id: u64| ShardRecord {
+            id,
+            worker: format!("w{id}"),
+            len: id * 10,
+            mbr: mbr.clone(),
+        };
         let exec = WorkerExec {
             worker: "worker-1".into(),
             requested: vec![5, 6],
@@ -563,7 +631,10 @@ mod tests {
                 pruned: 2,
                 wall_us: 30,
             }],
-            forwards: vec![WorkerExec { worker: "worker-2".into(), ..Default::default() }],
+            forwards: vec![WorkerExec {
+                worker: "worker-2".into(),
+                ..Default::default()
+            }],
         };
         let plan = QueryPlan {
             server: "server-0".into(),
@@ -577,11 +648,27 @@ mod tests {
         };
         let resps = vec![
             Response::Ack,
-            Response::Agg { agg: Aggregate::of(4.0), shards_searched: 17 },
-            Response::SplitDone { left: rec(1), right: rec(2) },
-            Response::WorkerStats { shards: vec![rec(5), rec(6)] },
-            Response::AggPlan { agg: Aggregate::of(2.0), shards_searched: 2, plan },
-            Response::AggExec { agg: Aggregate::of(3.0), shards_searched: 1, exec },
+            Response::Agg {
+                agg: Aggregate::of(4.0),
+                shards_searched: 17,
+            },
+            Response::SplitDone {
+                left: rec(1),
+                right: rec(2),
+            },
+            Response::WorkerStats {
+                shards: vec![rec(5), rec(6)],
+            },
+            Response::AggPlan {
+                agg: Aggregate::of(2.0),
+                shards_searched: 2,
+                plan,
+            },
+            Response::AggExec {
+                agg: Aggregate::of(3.0),
+                shards_searched: 1,
+                exec,
+            },
             Response::Err("boom".into()),
         ];
         for r in resps {
@@ -595,22 +682,37 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[250]).is_err());
         assert!(Response::decode(&schema(), &[7]).is_err());
-        let good = Request::Insert { shard: 1, item: Item::new(vec![1, 2], 0.0) }.encode();
+        let good = Request::Insert {
+            shard: 1,
+            item: Item::new(vec![1, 2], 0.0),
+        }
+        .encode();
         assert!(Request::decode(&good[..good.len() - 1]).is_err());
         // Dropping the trailing principal tag must not decode as untagged.
-        let tagged =
-            Request::ClientInsert { item: Item::new(vec![1, 2], 0.0), principal: 7 }.encode();
+        let tagged = Request::ClientInsert {
+            item: Item::new(vec![1, 2], 0.0),
+            principal: 7,
+        }
+        .encode();
         assert!(Request::decode(&tagged[..tagged.len() - 1]).is_err());
     }
 
     #[test]
     fn decode_checked_rejects_items_outside_the_schema() {
         let s = schema();
-        let edge = Request::ClientInsert { item: Item::new(vec![63, 0], 0.0), principal: 0 }.encode();
+        let edge = Request::ClientInsert {
+            item: Item::new(vec![63, 0], 0.0),
+            principal: 0,
+        }
+        .encode();
         assert!(Request::decode_checked(&edge, &s).is_ok());
         for coords in [vec![64, 0], vec![u64::MAX, u64::MAX], vec![1]] {
             let items = vec![Item::new(vec![1, 1], 0.0), Item::new(coords, 0.0)];
-            let bad = Request::ClientBulkInsert { items, principal: 0 }.encode();
+            let bad = Request::ClientBulkInsert {
+                items,
+                principal: 0,
+            }
+            .encode();
             assert!(Request::decode_checked(&bad, &s).is_err());
         }
     }

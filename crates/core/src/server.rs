@@ -102,7 +102,12 @@ impl ServerHandle {
 /// Spawn a server: `cfg.server_threads` service threads, which sleep in the
 /// endpoint's `serve` until a request arrives, plus a sync thread that wakes
 /// every `cfg.sync_period`.
-pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> ServerHandle {
+pub fn spawn_server(
+    net: &Network,
+    image: &ImageStore,
+    cfg: &VolapConfig,
+    name: &str,
+) -> ServerHandle {
     let endpoint = net.endpoint(name.to_string());
     image.add_server(name);
     let state = Arc::new(ServerState {
@@ -111,7 +116,10 @@ pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
         cfg: cfg.clone(),
         endpoint: endpoint.clone(),
         image: image.clone(),
-        index: ObsRwLock::new(&INDEX_CLASS, ServerIndex::new(cfg.schema.clone(), cfg.index_dir_cap)),
+        index: ObsRwLock::new(
+            &INDEX_CLASS,
+            ServerIndex::new(cfg.schema.clone(), cfg.index_dir_cap),
+        ),
         locations: ObsRwLock::new(&LOCATIONS_CLASS, HashMap::new()),
         dirty: ObsMutex::new(&DIRTY_CLASS, HashMap::new()),
         generation: AtomicU64::new(0),
@@ -123,17 +131,27 @@ pub fn spawn_server(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
 
     // Synchronization thread: push dirty expansions, apply watch events.
     let st = Arc::clone(&state);
-    let mut process = Process::start(&endpoint, format!("{name}-sync"), cfg.sync_period, move || {
-        push_dirty(&st);
-        while let Ok(ev) = watch_rx.try_recv() {
-            apply_event(&st, &ev.path, ev.kind);
-        }
-    });
+    let mut process = Process::start(
+        &endpoint,
+        format!("{name}-sync"),
+        cfg.sync_period,
+        move || {
+            push_dirty(&st);
+            while let Ok(ev) = watch_rx.try_recv() {
+                apply_event(&st, &ev.path, ev.kind);
+            }
+        },
+    );
     for t in 0..cfg.server_threads.max(1) {
         let st = Arc::clone(&state);
-        process.spawn(format!("{name}-svc{t}"), move || st.endpoint.serve(|msg| handle(&st, msg)));
+        process.spawn(format!("{name}-svc{t}"), move || {
+            st.endpoint.serve(|msg| handle(&st, msg))
+        });
     }
-    ServerHandle { name: name.to_string(), process }
+    ServerHandle {
+        name: name.to_string(),
+        process,
+    }
 }
 
 fn bootstrap(st: &Arc<ServerState>) {
@@ -158,13 +176,18 @@ fn push_dirty(st: &Arc<ServerState>) {
     }
     let pushed = dirty.len();
     for (id, mbr) in dirty {
-        st.image.merge_shard(&ShardRecord { id, worker: String::new(), len: 0, mbr });
+        st.image.merge_shard(&ShardRecord {
+            id,
+            worker: String::new(),
+            len: 0,
+            mbr,
+        });
         st.obs.staleness.pushed(id, &st.name);
     }
-    st.image
-        .obs()
-        .events()
-        .record("image_sync", format!("server={} shards_pushed={pushed}", st.name));
+    st.image.obs().events().record(
+        "image_sync",
+        format!("server={} shards_pushed={pushed}", st.name),
+    );
 }
 
 /// Apply one global-image change to the local image.
@@ -220,14 +243,23 @@ fn handle(st: &Arc<ServerState>, msg: Incoming) {
         Request::ClientBulkInsert { items, .. } => reply(&msg, route_bulk_insert(st, items)),
         Request::ClientQuery { query, .. } => reply(&msg, route_query(st, &query, false)),
         Request::ClientQueryAnalyze { query, .. } => reply(&msg, route_query(st, &query, true)),
-        other => reply(&msg, Response::Err(format!("unsupported server request: {other:?}"))),
+        other => reply(
+            &msg,
+            Response::Err(format!("unsupported server request: {other:?}")),
+        ),
     }
 }
 
 /// Resolve a shard's worker from the local map, falling back to the global
 /// image (and caching the answer) when the local map is stale.
 fn shard_location(st: &Arc<ServerState>, shard: u64) -> Option<String> {
-    if let Some(d) = st.locations.read().get(&shard).filter(|d| !d.is_empty()).cloned() {
+    if let Some(d) = st
+        .locations
+        .read()
+        .get(&shard)
+        .filter(|d| !d.is_empty())
+        .cloned()
+    {
         return Some(d);
     }
     // Local map is stale: fall back to the global image.
@@ -241,7 +273,11 @@ fn shard_location(st: &Arc<ServerState>, shard: u64) -> Option<String> {
             st.image.generation()
         ),
     );
-    let w = st.image.shard(shard).map(|r| r.worker).filter(|w| !w.is_empty())?;
+    let w = st
+        .image
+        .shard(shard)
+        .map(|r| r.worker)
+        .filter(|w| !w.is_empty())?;
     st.locations.write().insert(shard, w.clone());
     Some(w)
 }
@@ -315,7 +351,9 @@ fn deliver_inserts(
             return out;
         }
     }
-    out.push(Response::Err("no location for routed shard after re-route retries".into()));
+    out.push(Response::Err(
+        "no location for routed shard after re-route retries".into(),
+    ));
     out
 }
 
@@ -326,7 +364,9 @@ fn route_insert(st: &Arc<ServerState>, item: Item) -> Response {
         shard,
         item: group.pop().expect("a point insert routes exactly one item"),
     };
-    deliver_inserts(st, vec![item], point_request).pop().expect("one item has one outcome")
+    deliver_inserts(st, vec![item], point_request)
+        .pop()
+        .expect("one item has one outcome")
 }
 
 /// Route a whole batch: one routing pass over the local image, then one
@@ -389,7 +429,10 @@ fn route_query(st: &Arc<ServerState>, query: &QueryBox, analyze: bool) -> Respon
     let requests: Vec<(String, Vec<u8>)> = by_worker
         .into_iter()
         .map(|(dest, shards)| {
-            (dest, Request::worker_query(shards, query.clone(), analyze).encode())
+            (
+                dest,
+                Request::worker_query(shards, query.clone(), analyze).encode(),
+            )
         })
         .collect();
     let replies = st.endpoint.request_many(&requests, st.cfg.request_timeout);
@@ -402,11 +445,24 @@ fn route_query(st: &Arc<ServerState>, query: &QueryBox, analyze: bool) -> Respon
             Err(e) => Response::Err(format!("query to {dest} failed: {e}")),
         };
         match (resp, plan.as_mut()) {
-            (Response::Agg { agg: a, shards_searched }, None) => {
+            (
+                Response::Agg {
+                    agg: a,
+                    shards_searched,
+                },
+                None,
+            ) => {
                 agg.merge(&a);
                 searched += shards_searched;
             }
-            (Response::AggExec { agg: a, shards_searched, exec }, Some((_, plan))) => {
+            (
+                Response::AggExec {
+                    agg: a,
+                    shards_searched,
+                    exec,
+                },
+                Some((_, plan)),
+            ) => {
                 agg.merge(&a);
                 searched += shards_searched;
                 plan.workers.push(exec);
@@ -416,9 +472,16 @@ fn route_query(st: &Arc<ServerState>, query: &QueryBox, analyze: bool) -> Respon
         }
     }
     let Some((wall, mut plan)) = plan else {
-        return Response::Agg { agg, shards_searched: searched };
+        return Response::Agg {
+            agg,
+            shards_searched: searched,
+        };
     };
     plan.workers.sort_by(|a, b| a.worker.cmp(&b.worker));
     plan.wall_us = micros(wall.elapsed());
-    Response::AggPlan { agg, shards_searched: searched, plan }
+    Response::AggPlan {
+        agg,
+        shards_searched: searched,
+        plan,
+    }
 }

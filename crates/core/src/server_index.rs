@@ -59,7 +59,14 @@ impl ServerIndex {
             level: 1,
             kind: IdxKind::Dir(Vec::new()),
         };
-        Self { schema, dir_cap, nodes: vec![root], free: Vec::new(), root: 0, leaf_of: HashMap::new() }
+        Self {
+            schema,
+            dir_cap,
+            nodes: vec![root],
+            free: Vec::new(),
+            root: 0,
+            leaf_of: HashMap::new(),
+        }
     }
 
     /// Number of shards (leaves).
@@ -98,8 +105,16 @@ impl ServerIndex {
     /// Register a new shard (synchronization path). Splits internal nodes
     /// as needed.
     pub fn add_shard(&mut self, id: u64, mbr: Mbr) {
-        assert!(!self.leaf_of.contains_key(&id), "shard {id} already indexed");
-        let leaf = self.alloc(IdxNode { key: mbr.clone(), parent: NO_PARENT, level: 0, kind: IdxKind::Leaf(id) });
+        assert!(
+            !self.leaf_of.contains_key(&id),
+            "shard {id} already indexed"
+        );
+        let leaf = self.alloc(IdxNode {
+            key: mbr.clone(),
+            parent: NO_PARENT,
+            level: 0,
+            kind: IdxKind::Leaf(id),
+        });
         self.leaf_of.insert(id, leaf);
         // Descend to the level-1 directory with least overlap increase.
         let mut cur = self.root;
@@ -124,7 +139,9 @@ impl ServerIndex {
     /// Remove a shard leaf (it was replaced by split halves). Keys are left
     /// conservative (boxes never shrink in VOLAP).
     pub fn remove_shard(&mut self, id: u64) -> bool {
-        let Some(leaf) = self.leaf_of.remove(&id) else { return false };
+        let Some(leaf) = self.leaf_of.remove(&id) else {
+            return false;
+        };
         let mut parent = self.nodes[leaf].parent;
         if let IdxKind::Dir(c) = &mut self.nodes[parent].kind {
             c.retain(|&n| n != leaf);
@@ -150,7 +167,9 @@ impl ServerIndex {
     /// ID and propagate upward (the unique bottom-up operation of §III-C).
     /// Returns `false` for unknown shards.
     pub fn expand_shard(&mut self, id: u64, mbr: &Mbr) -> bool {
-        let Some(&leaf) = self.leaf_of.get(&id) else { return false };
+        let Some(&leaf) = self.leaf_of.get(&id) else {
+            return false;
+        };
         let mut cur = leaf;
         loop {
             self.nodes[cur].key.extend_mbr(mbr);
@@ -176,11 +195,16 @@ impl ServerIndex {
                 IdxKind::Dir(c) => c.clone(),
                 IdxKind::Leaf(_) => unreachable!("descent stops at level 1"),
             };
-            debug_assert!(!children.is_empty(), "directories on a routing path are non-empty");
+            debug_assert!(
+                !children.is_empty(),
+                "directories on a routing path are non-empty"
+            );
             let next = self.choose_for_item(&children, item);
             if self.nodes[next].level == 0 {
                 let changed = self.nodes[next].key.extend_item(&self.schema, item);
-                let IdxKind::Leaf(id) = self.nodes[next].kind else { unreachable!() };
+                let IdxKind::Leaf(id) = self.nodes[next].kind else {
+                    unreachable!()
+                };
                 return Some((id, changed));
             }
             cur = next;
@@ -381,7 +405,11 @@ impl ServerIndex {
                 IdxKind::Dir(c) => {
                     for &child in c {
                         assert_eq!(self.nodes[child].parent, n, "broken parent link");
-                        assert_eq!(self.nodes[child].level + 1, self.nodes[n].level, "level mismatch");
+                        assert_eq!(
+                            self.nodes[child].level + 1,
+                            self.nodes[n].level,
+                            "level mismatch"
+                        );
                         if let (Some(pk), Some(ck)) =
                             (self.nodes[n].key.ranges(), self.nodes[child].key.ranges())
                         {
@@ -493,7 +521,10 @@ mod tests {
         idx.check_invariants();
         let q = QueryBox::from_ranges(vec![(125, 128), (125, 128)]);
         assert!(idx.route_query(&q).contains(&3), "expanded box must route");
-        assert!(!idx.expand_shard(99, &boxed(0, 1)), "unknown shard rejected");
+        assert!(
+            !idx.expand_shard(99, &boxed(0, 1)),
+            "unknown shard rejected"
+        );
     }
 
     #[test]

@@ -37,7 +37,12 @@ impl Process {
                 tick();
             }
         });
-        Self { endpoint: endpoint.clone(), stop, periodic, threads: Vec::new() }
+        Self {
+            endpoint: endpoint.clone(),
+            stop,
+            periodic,
+            threads: Vec::new(),
+        }
     }
 
     /// Spawn a thread for `stop` to join after it closes the endpoint: it
@@ -61,7 +66,10 @@ impl Process {
 }
 
 fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
-    std::thread::Builder::new().name(name).spawn(body).expect("spawn thread")
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn thread")
 }
 
 /// Whole microseconds of `d`, saturating (the unit every plan, span and

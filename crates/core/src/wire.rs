@@ -13,7 +13,10 @@ pub type WireError = String;
 
 fn need(buf: &impl Buf, n: usize, what: &str) -> Result<(), WireError> {
     if buf.remaining() < n {
-        Err(format!("truncated message: need {n} bytes for {what}, have {}", buf.remaining()))
+        Err(format!(
+            "truncated message: need {n} bytes for {what}, have {}",
+            buf.remaining()
+        ))
     } else {
         Ok(())
     }
@@ -138,7 +141,12 @@ pub fn put_agg(buf: &mut Vec<u8>, a: &Aggregate) {
 /// Read an aggregate.
 pub fn get_agg(buf: &mut &[u8]) -> Result<Aggregate, WireError> {
     need(buf, 32, "aggregate")?;
-    Ok(Aggregate { count: buf.get_u64(), sum: buf.get_f64(), min: buf.get_f64(), max: buf.get_f64() })
+    Ok(Aggregate {
+        count: buf.get_u64(),
+        sum: buf.get_f64(),
+        min: buf.get_f64(),
+        max: buf.get_f64(),
+    })
 }
 
 #[cfg(test)]

@@ -67,7 +67,11 @@ impl WorkerObs {
             queries: reg.counter_labeled("volap_worker_queries_total", "worker", name),
             queue_inserts: reg.counter_labeled("volap_worker_queue_inserts_total", "worker", name),
             splits: reg.counter_labeled("volap_worker_splits_total", "worker", name),
-            migrations_out: reg.counter_labeled("volap_worker_migrations_out_total", "worker", name),
+            migrations_out: reg.counter_labeled(
+                "volap_worker_migrations_out_total",
+                "worker",
+                name,
+            ),
             adoptions: reg.counter_labeled("volap_worker_adoptions_total", "worker", name),
             shards: reg.gauge_labeled("volap_worker_shards", "worker", name),
             queue_depth: reg.gauge_labeled("volap_worker_queue_depth", "worker", name),
@@ -86,9 +90,16 @@ enum SlotState {
     Active { store: Arc<dyn ShardStore> },
     /// Split or migration in progress: inserts land in `queue`; queries
     /// search `store` *and* `queue` (paper §III-E).
-    Busy { store: Arc<dyn ShardStore>, queue: Arc<dyn ShardStore> },
+    Busy {
+        store: Arc<dyn ShardStore>,
+        queue: Arc<dyn ShardStore>,
+    },
     /// This shard was split; route by hyperplane to the two halves.
-    SplitInto { left: u64, right: u64, plan: SplitPlan },
+    SplitInto {
+        left: u64,
+        right: u64,
+        plan: SplitPlan,
+    },
     /// This shard now lives on another worker; forward.
     MovedTo { dest: String },
 }
@@ -131,7 +142,12 @@ impl WorkerHandle {
 /// the endpoint's `serve` until a request arrives, a statistics publisher
 /// that wakes every `cfg.stats_period`, and one scan thread per available
 /// core, which sleeps until a query hands it a shard to scan.
-pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: &str) -> WorkerHandle {
+pub fn spawn_worker(
+    net: &Network,
+    image: &ImageStore,
+    cfg: &VolapConfig,
+    name: &str,
+) -> WorkerHandle {
     let endpoint = net.endpoint(name.to_string());
     // Liveness: membership is an ephemeral node under a heartbeated
     // session; if this worker dies, the node expires and the manager
@@ -152,13 +168,20 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
     });
     // Statistics publisher: lets the manager plan and keeps image lens fresh.
     let st = Arc::clone(&state);
-    let mut process = Process::start(&endpoint, format!("{name}-stats"), cfg.stats_period, move || {
-        st.image.coord().heartbeat(session);
-        publish_stats(&st);
-    });
+    let mut process = Process::start(
+        &endpoint,
+        format!("{name}-stats"),
+        cfg.stats_period,
+        move || {
+            st.image.coord().heartbeat(session);
+            publish_stats(&st);
+        },
+    );
     for t in 0..cfg.worker_threads.max(1) {
         let st = Arc::clone(&state);
-        process.spawn(format!("{name}-svc{t}"), move || st.endpoint.serve(|msg| handle(&st, msg)));
+        process.spawn(format!("{name}-svc{t}"), move || {
+            st.endpoint.serve(|msg| handle(&st, msg))
+        });
     }
     // Scan threads are joined last: they exit only once the last
     // `WorkerState`, and with it their job sender, is dropped. So a scan
@@ -172,17 +195,29 @@ pub fn spawn_worker(net: &Network, image: &ImageStore, cfg: &VolapConfig, name: 
             }
         });
     }
-    WorkerHandle { name: name.to_string(), process }
+    WorkerHandle {
+        name: name.to_string(),
+        process,
+    }
 }
 
 /// The image record of a store this worker serves under shard `id`.
 fn shard_record(st: &WorkerState, id: u64, store: &Arc<dyn ShardStore>) -> ShardRecord {
-    ShardRecord { id, worker: st.name.clone(), len: store.len(), mbr: store.mbr() }
+    ShardRecord {
+        id,
+        worker: st.name.clone(),
+        len: store.len(),
+        mbr: store.mbr(),
+    }
 }
 
 fn publish_stats(st: &WorkerState) {
-    let slots: Vec<(u64, Arc<Slot>)> =
-        st.slots.read().iter().map(|(&id, s)| (id, Arc::clone(s))).collect();
+    let slots: Vec<(u64, Arc<Slot>)> = st
+        .slots
+        .read()
+        .iter()
+        .map(|(&id, s)| (id, Arc::clone(s)))
+        .collect();
     let (mut live, mut items, mut queued) = (0i64, 0i64, 0i64);
     for (id, slot) in slots {
         // The state guard stays held across the publish: `do_split` and
@@ -245,7 +280,11 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
             let resp = local_query(st, &shards, &query, true);
             reply(&msg, resp);
         }
-        Request::SplitShard { shard, left_id, right_id } => {
+        Request::SplitShard {
+            shard,
+            left_id,
+            right_id,
+        } => {
             let resp = do_split(st, shard, left_id, right_id);
             reply(&msg, resp);
         }
@@ -267,7 +306,10 @@ fn handle(st: &Arc<WorkerState>, msg: Incoming) {
             }
             reply(&msg, Response::WorkerStats { shards });
         }
-        other => reply(&msg, Response::Err(format!("unsupported worker request: {other:?}"))),
+        other => reply(
+            &msg,
+            Response::Err(format!("unsupported worker request: {other:?}")),
+        ),
     }
 }
 
@@ -311,9 +353,14 @@ fn insert_group(st: &Arc<WorkerState>, shard: u64, items: Vec<Item>) -> Response
             SlotState::MovedTo { dest } => {
                 let dest = dest.clone();
                 drop(guard);
-                if let Response::Err(e) =
-                    forward(st, &dest, &Request::BulkInsert { shard: id, items: group })
-                {
+                if let Response::Err(e) = forward(
+                    st,
+                    &dest,
+                    &Request::BulkInsert {
+                        shard: id,
+                        items: group,
+                    },
+                ) {
                     return Response::Err(e);
                 }
             }
@@ -378,7 +425,8 @@ impl ScanTarget {
 
     /// [`ScanTarget::scan`] with a walk allowed to go as deep as it needs.
     fn descend(&self, q: &QueryBox, want_plan: bool) -> (Aggregate, Option<ShardExec>) {
-        self.scan(q, want_plan, false).expect("an unbounded walk always completes")
+        self.scan(q, want_plan, false)
+            .expect("an unbounded walk always completes")
     }
 }
 
@@ -433,7 +481,11 @@ fn local_query(
                     SlotState::Busy { queue, .. } => Some(Arc::clone(queue)),
                     _ => None,
                 };
-                scans.push(ScanTarget { id, store: Arc::clone(store), queue });
+                scans.push(ScanTarget {
+                    id,
+                    store: Arc::clone(store),
+                    queue,
+                });
             }
             SlotState::SplitInto { left, right, .. } => {
                 alias_chases += 1;
@@ -492,11 +544,24 @@ fn local_query(
     for (dest, shards) in remote {
         let req = Request::worker_query(shards, query.clone(), want_plan);
         match (forward(st, &dest, &req), want_plan) {
-            (Response::Agg { agg: a, shards_searched }, false) => {
+            (
+                Response::Agg {
+                    agg: a,
+                    shards_searched,
+                },
+                false,
+            ) => {
                 agg.merge(&a);
                 searched += shards_searched;
             }
-            (Response::AggExec { agg: a, shards_searched, exec }, true) => {
+            (
+                Response::AggExec {
+                    agg: a,
+                    shards_searched,
+                    exec,
+                },
+                true,
+            ) => {
                 agg.merge(&a);
                 searched += shards_searched;
                 forwards.push(exec);
@@ -506,7 +571,10 @@ fn local_query(
         }
     }
     let Some(wall) = wall else {
-        return Response::Agg { agg, shards_searched: searched };
+        return Response::Agg {
+            agg,
+            shards_searched: searched,
+        };
     };
     shard_execs.sort_by_key(|e| e.shard);
     forwards.sort_by(|a, b| a.worker.cmp(&b.worker));
@@ -522,12 +590,19 @@ fn local_query(
         shards: shard_execs,
         forwards,
     };
-    Response::AggExec { agg, shards_searched: searched, exec }
+    Response::AggExec {
+        agg,
+        shards_searched: searched,
+        exec,
+    }
 }
 
 /// Send `req` on to the worker a shard moved to.
 fn forward(st: &Arc<WorkerState>, dest: &str, req: &Request) -> Response {
-    match st.endpoint.request(dest, req.encode(), st.cfg.request_timeout) {
+    match st
+        .endpoint
+        .request(dest, req.encode(), st.cfg.request_timeout)
+    {
         Ok(bytes) => Response::decode(&st.schema, &bytes)
             .unwrap_or_else(|e| Response::Err(format!("bad forwarded response: {e}"))),
         Err(e) => Response::Err(format!("forward to {dest} failed: {e}")),
@@ -546,7 +621,10 @@ fn enter_busy(st: &WorkerState, slot: &Slot, shard: u64) -> Result<Arc<dyn Shard
     let store = Arc::clone(store);
     let queue: Arc<dyn ShardStore> =
         build_store(st.cfg.store_kind, &st.schema, &st.cfg.tree_config()).into();
-    *guard = SlotState::Busy { store: Arc::clone(&store), queue };
+    *guard = SlotState::Busy {
+        store: Arc::clone(&store),
+        queue,
+    };
     Ok(store)
 }
 
@@ -557,7 +635,9 @@ fn enter_busy(st: &WorkerState, slot: &Slot, shard: u64) -> Result<Arc<dyn Shard
 /// twice if they moved into `store`.
 fn revert_busy(st: &WorkerState, slot: &Slot) {
     let mut guard = slot.write();
-    let SlotState::Busy { store, queue } = &*guard else { return };
+    let SlotState::Busy { store, queue } = &*guard else {
+        return;
+    };
     let queued = queue.items();
     let store = if queued.is_empty() {
         Arc::clone(store)
@@ -600,8 +680,18 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
     // while reading slot states.
     {
         let mut slots = st.slots.write();
-        slots.insert(left_id, new_slot(SlotState::Active { store: Arc::clone(&left) }));
-        slots.insert(right_id, new_slot(SlotState::Active { store: Arc::clone(&right) }));
+        slots.insert(
+            left_id,
+            new_slot(SlotState::Active {
+                store: Arc::clone(&left),
+            }),
+        );
+        slots.insert(
+            right_id,
+            new_slot(SlotState::Active {
+                store: Arc::clone(&right),
+            }),
+        );
     }
     // Swap in the alias and drain the queue by hyperplane side. Holding the
     // state lock exclusively makes drain + alias swap atomic against
@@ -619,7 +709,11 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
                 left.insert(it);
             }
         }
-        *guard = SlotState::SplitInto { left: left_id, right: right_id, plan };
+        *guard = SlotState::SplitInto {
+            left: left_id,
+            right: right_id,
+            plan,
+        };
     }
     // Update the global image: old record out, halves in.
     let left_rec = shard_record(st, left_id, &left);
@@ -646,7 +740,10 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
             st.name, left_rec.len, right_rec.len
         ),
     );
-    Response::SplitDone { left: left_rec, right: right_rec }
+    Response::SplitDone {
+        left: left_rec,
+        right: right_rec,
+    }
 }
 
 /// Migrate a shard to `dest` while continuing to serve it.
@@ -680,13 +777,20 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
             SlotState::Busy { queue, .. } => queue.items(),
             _ => Vec::new(),
         };
-        *guard = SlotState::MovedTo { dest: dest.to_string() };
+        *guard = SlotState::MovedTo {
+            dest: dest.to_string(),
+        };
         queued
     };
     if !queued.is_empty() {
-        if let Response::Err(e) =
-            forward(st, dest, &Request::BulkInsert { shard, items: queued })
-        {
+        if let Response::Err(e) = forward(
+            st,
+            dest,
+            &Request::BulkInsert {
+                shard,
+                items: queued,
+            },
+        ) {
             return Response::Err(format!("queue drain failed: {e}"));
         }
     }
@@ -700,7 +804,11 @@ fn do_migrate(st: &Arc<WorkerState>, shard: u64, dest: &str) -> Response {
     st.obs.migrations_out.inc();
     st.image.obs().events().record(
         "shard_migrate",
-        format!("worker={} shard={shard} dest={dest} items={}", st.name, store.len()),
+        format!(
+            "worker={} shard={shard} dest={dest} items={}",
+            st.name,
+            store.len()
+        ),
     );
     Response::Ack
 }
@@ -710,7 +818,9 @@ fn do_adopt(st: &Arc<WorkerState>, shard: u64, blob: &[u8]) -> Response {
         Ok(store) => {
             let store: Arc<dyn ShardStore> = store.into();
             let rec = shard_record(st, shard, &store);
-            st.slots.write().insert(shard, new_slot(SlotState::Active { store }));
+            st.slots
+                .write()
+                .insert(shard, new_slot(SlotState::Active { store }));
             st.image.merge_shard(&rec);
             st.obs.adoptions.inc();
             // `gen=` stamps the adopter's image generation so the event joins

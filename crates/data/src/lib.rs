@@ -62,7 +62,11 @@ impl DataGen {
                     .collect()
             })
             .collect();
-        Self { schema: schema.clone(), rng: StdRng::seed_from_u64(seed), tables }
+        Self {
+            schema: schema.clone(),
+            rng: StdRng::seed_from_u64(seed),
+            tables,
+        }
     }
 
     /// The schema items are generated for.
@@ -161,7 +165,11 @@ impl QueryGen {
     /// Create a query generator.
     pub fn new(schema: &Schema, seed: u64, root_prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&root_prob));
-        Self { schema: schema.clone(), rng: StdRng::seed_from_u64(seed), root_prob }
+        Self {
+            schema: schema.clone(),
+            rng: StdRng::seed_from_u64(seed),
+            root_prob,
+        }
     }
 
     /// Generate one query anchored on `sample` (non-empty).
@@ -221,7 +229,10 @@ impl QueryGen {
     ) -> Vec<Vec<(f64, QueryBox)>> {
         let mut bins = vec![Vec::new(); nbins];
         for _ in 0..max_attempts {
-            if bins.iter().all(|b: &Vec<(f64, QueryBox)>| b.len() >= per_bin) {
+            if bins
+                .iter()
+                .all(|b: &Vec<(f64, QueryBox)>| b.len() >= per_bin)
+            {
                 break;
             }
             let q = self.query(sample);
@@ -301,9 +312,15 @@ mod tests {
         let count_zero = |items: &[Item]| items.iter().filter(|i| i.coords[0] == 0).count();
         let s = skewed.items(4000);
         let u = uniform.items(4000);
-        assert!(count_zero(&s) > 2 * count_zero(&u), "skew must concentrate on child 0");
+        assert!(
+            count_zero(&s) > 2 * count_zero(&u),
+            "skew must concentrate on child 0"
+        );
         let uz = count_zero(&u) as f64 / 4000.0;
-        assert!((uz - 1.0 / 16.0).abs() < 0.03, "uniform should spread evenly, got {uz}");
+        assert!(
+            (uz - 1.0 / 16.0).abs() < 0.03,
+            "uniform should spread evenly, got {uz}"
+        );
     }
 
     #[test]
@@ -314,7 +331,10 @@ mod tests {
         let mut qg = QueryGen::new(&schema, 2, 0.6);
         for _ in 0..50 {
             let q = qg.query(&sample);
-            assert!(coverage(&sample, &q) > 0.0, "anchored queries must hit data");
+            assert!(
+                coverage(&sample, &q) > 0.0,
+                "anchored queries must hit data"
+            );
         }
     }
 
@@ -326,7 +346,11 @@ mod tests {
         let mut qg = QueryGen::new(&schema, 3, 0.7);
         let bins = qg.binned(&sample, 10, 50_000);
         for (band, bin) in CoverageBand::all().iter().zip(&bins) {
-            assert!(bin.len() >= 10, "band {band} only has {} queries", bin.len());
+            assert!(
+                bin.len() >= 10,
+                "band {band} only has {} queries",
+                bin.len()
+            );
             for q in bin {
                 assert_eq!(CoverageBand::of(coverage(&sample, q)), *band);
             }
@@ -351,7 +375,10 @@ mod tests {
         let mut qg = QueryGen::new(&schema, 6, 0.6);
         let queries: Vec<QueryBox> = (0..20).map(|_| qg.query(&sample)).collect();
         let stream = mixed_stream(&mut dg, &queries, 0.25, 4000, 9);
-        let inserts = stream.iter().filter(|op| matches!(op, Op::Insert(_))).count();
+        let inserts = stream
+            .iter()
+            .filter(|op| matches!(op, Op::Insert(_)))
+            .count();
         let frac = inserts as f64 / stream.len() as f64;
         assert!((frac - 0.25).abs() < 0.05, "got insert fraction {frac}");
     }
@@ -375,7 +402,10 @@ mod tests {
             for (c, _) in bin {
                 let lo = i as f64 / 10.0;
                 let hi = (i + 1) as f64 / 10.0;
-                assert!(*c > lo - 1e-9 && *c <= hi + 1e-9, "coverage {c} outside bin {i}");
+                assert!(
+                    *c > lo - 1e-9 && *c <= hi + 1e-9,
+                    "coverage {c} outside bin {i}"
+                );
             }
         }
         // At least the low bins must fill for this workload.

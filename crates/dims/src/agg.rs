@@ -29,13 +29,23 @@ impl Aggregate {
     /// The identity element.
     #[inline]
     pub const fn empty() -> Self {
-        Self { count: 0, sum: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self {
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
 
     /// Aggregate of a single measure.
     #[inline]
     pub fn of(measure: f64) -> Self {
-        Self { count: 1, sum: measure, min: measure, max: measure }
+        Self {
+            count: 1,
+            sum: measure,
+            min: measure,
+            max: measure,
+        }
     }
 
     /// Whether any item has been folded in.

@@ -61,7 +61,11 @@ impl HilbertMapper {
             widths.push(exp_width);
             plan.push(level_plan);
         }
-        Self { curve: HilbertCurve::new(&widths), plan, expand }
+        Self {
+            curve: HilbertCurve::new(&widths),
+            plan,
+            expand,
+        }
     }
 
     /// Whether the Figure-3 expansion is applied.
@@ -81,7 +85,11 @@ impl HilbertMapper {
     pub fn expand_ordinal(&self, d: usize, ordinal: u64) -> u64 {
         let mut out = 0u64;
         for &(src_shift, bits, dst_shift) in &self.plan[d] {
-            let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+            let mask = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
             out |= ((ordinal >> src_shift) & mask) << dst_shift;
         }
         out

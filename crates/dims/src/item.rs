@@ -21,7 +21,10 @@ pub struct Item {
 impl Item {
     /// Create an item from per-dimension leaf ordinals.
     pub fn new(coords: Vec<u64>, measure: f64) -> Self {
-        Self { coords: coords.into_boxed_slice(), measure }
+        Self {
+            coords: coords.into_boxed_slice(),
+            measure,
+        }
     }
 
     /// Create an item from full per-dimension paths (component lists).
@@ -31,7 +34,11 @@ impl Item {
     /// Panics if the number of paths differs from the schema's dimension
     /// count or any path is not at leaf level.
     pub fn from_paths(schema: &Schema, paths: &[Vec<u64>], measure: f64) -> Self {
-        assert_eq!(paths.len(), schema.dims(), "one path per dimension required");
+        assert_eq!(
+            paths.len(),
+            schema.dims(),
+            "one path per dimension required"
+        );
         let coords = paths
             .iter()
             .enumerate()
@@ -55,7 +62,9 @@ impl Item {
         for (d, &c) in self.coords.iter().enumerate() {
             let last = schema.dim(d).ordinal_end() - 1;
             if c > last {
-                return Err(format!("coordinate {c} of dimension {d} is outside [0, {last}]"));
+                return Err(format!(
+                    "coordinate {c} of dimension {d} is outside [0, {last}]"
+                ));
             }
         }
         Ok(())
@@ -95,14 +104,14 @@ mod tests {
     fn from_paths_packs_ordinals() {
         let s = Schema::tpcds();
         let paths: Vec<Vec<u64>> = vec![
-            vec![1, 2, 3],    // Store
-            vec![40, 5, 20],  // Customer
-            vec![3, 7, 11],   // Item
-            vec![9, 6, 20],   // Date
-            vec![2, 8, 30],   // Address
-            vec![13],         // Household
-            vec![200],        // Promotion
-            vec![17, 42],     // Time
+            vec![1, 2, 3],   // Store
+            vec![40, 5, 20], // Customer
+            vec![3, 7, 11],  // Item
+            vec![9, 6, 20],  // Date
+            vec![2, 8, 30],  // Address
+            vec![13],        // Household
+            vec![200],       // Promotion
+            vec![17, 42],    // Time
         ];
         let item = Item::from_paths(&s, &paths, 19.99);
         assert_eq!(item.dims(), 8);

@@ -33,7 +33,10 @@ impl Mbr {
             assert!(lo <= hi, "MBR range must be non-empty");
         }
         let dims = ranges.len();
-        Self { ranges: Some(ranges.into_boxed_slice()), dims }
+        Self {
+            ranges: Some(ranges.into_boxed_slice()),
+            dims,
+        }
     }
 
     /// The per-dimension intervals (`None` when empty).
@@ -194,7 +197,10 @@ mod tests {
         assert!(m.is_empty());
         assert!(m.extend_item(&s, &item(&s, 3, 7)));
         assert!(m.extend_item(&s, &item(&s, 9, 2)));
-        assert!(!m.extend_item(&s, &item(&s, 5, 5)), "interior point changes nothing");
+        assert!(
+            !m.extend_item(&s, &item(&s, 5, 5)),
+            "interior point changes nothing"
+        );
         assert_eq!(m.ranges().unwrap(), &[(3, 9), (2, 7)]);
         assert!(m.contains_item(&item(&s, 4, 4)));
         assert!(!m.contains_item(&item(&s, 2, 4)));

@@ -40,7 +40,7 @@ impl Mds {
         let dim = schema.dim(d);
         let diff = a ^ b;
         let needed = 64 - diff.leading_zeros(); // 0 when a == b
-        // Deepest level whose subtree span covers `needed` bits.
+                                                // Deepest level whose subtree span covers `needed` bits.
         let mut level = dim.depth();
         while dim.remaining_bits(level) < needed {
             level -= 1; // remaining_bits(0) == total_bits >= needed always
@@ -122,7 +122,9 @@ impl Mds {
 
 impl Key for Mds {
     fn empty(schema: &Schema) -> Self {
-        Self { dims: vec![Vec::new(); schema.dims()].into_boxed_slice() }
+        Self {
+            dims: vec![Vec::new(); schema.dims()].into_boxed_slice(),
+        }
     }
 
     fn extend_item(&mut self, schema: &Schema, item: &Item) -> bool {
@@ -149,16 +151,20 @@ impl Key for Mds {
         if self.is_empty() {
             return false;
         }
-        self.dims.iter().zip(q.ranges.iter()).all(|(list, &(qlo, qhi))| {
-            let pos = list.partition_point(|&(_, rhi)| rhi < qlo);
-            list.get(pos).is_some_and(|&(rlo, _)| rlo <= qhi)
-        })
+        self.dims
+            .iter()
+            .zip(q.ranges.iter())
+            .all(|(list, &(qlo, qhi))| {
+                let pos = list.partition_point(|&(_, rhi)| rhi < qlo);
+                list.get(pos).is_some_and(|&(rlo, _)| rlo <= qhi)
+            })
     }
 
     fn covered_by_query(&self, q: &QueryBox) -> bool {
-        self.dims.iter().zip(q.ranges.iter()).all(|(list, &(qlo, qhi))| {
-            list.iter().all(|&(rlo, rhi)| qlo <= rlo && rhi <= qhi)
-        })
+        self.dims
+            .iter()
+            .zip(q.ranges.iter())
+            .all(|(list, &(qlo, qhi))| list.iter().all(|&(rlo, rhi)| qlo <= rlo && rhi <= qhi))
     }
 
     fn contains_item(&self, item: &Item) -> bool {
@@ -271,8 +277,15 @@ mod tests {
         assert!(ranges.len() <= 2);
         for &(lo, hi) in ranges {
             let len = hi - lo + 1;
-            assert!(len.is_power_of_two(), "aligned blocks have power-of-two size");
-            assert_eq!(lo % len, 0, "aligned blocks start at a multiple of their size");
+            assert!(
+                len.is_power_of_two(),
+                "aligned blocks have power-of-two size"
+            );
+            assert_eq!(
+                lo % len,
+                0,
+                "aligned blocks start at a multiple of their size"
+            );
         }
     }
 

@@ -19,7 +19,10 @@ pub struct DimPath {
 impl DimPath {
     /// The ALL root of dimension `dim`.
     pub fn root(dim: usize) -> Self {
-        Self { dim, components: Vec::new() }
+        Self {
+            dim,
+            components: Vec::new(),
+        }
     }
 
     /// A path in dimension `dim` with the given components.
@@ -50,13 +53,19 @@ impl DimPath {
         } else {
             let mut c = self.components.clone();
             c.pop();
-            Some(Self { dim: self.dim, components: c })
+            Some(Self {
+                dim: self.dim,
+                components: c,
+            })
         }
     }
 
     /// The full leaf path that contains `ordinal`.
     pub fn leaf_of(schema: &Schema, dim: usize, ordinal: u64) -> Self {
-        Self { dim, components: schema.dim(dim).components(ordinal) }
+        Self {
+            dim,
+            components: schema.dim(dim).components(ordinal),
+        }
     }
 
     /// Whether `other`'s subtree is contained in (or equal to) this path's

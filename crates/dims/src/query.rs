@@ -23,7 +23,9 @@ impl QueryBox {
         let ranges = (0..schema.dims())
             .map(|d| (0, schema.dim(d).ordinal_end() - 1))
             .collect::<Vec<_>>();
-        Self { ranges: ranges.into_boxed_slice() }
+        Self {
+            ranges: ranges.into_boxed_slice(),
+        }
     }
 
     /// Build a query from one hierarchy path per dimension (in schema
@@ -34,7 +36,11 @@ impl QueryBox {
     /// Panics if the number of paths differs from the schema's dimensions or
     /// a path's `dim` is out of order.
     pub fn from_paths(schema: &Schema, paths: &[DimPath]) -> Self {
-        assert_eq!(paths.len(), schema.dims(), "one path per dimension required");
+        assert_eq!(
+            paths.len(),
+            schema.dims(),
+            "one path per dimension required"
+        );
         let ranges = paths
             .iter()
             .enumerate()
@@ -43,7 +49,9 @@ impl QueryBox {
                 p.range(schema)
             })
             .collect::<Vec<_>>();
-        Self { ranges: ranges.into_boxed_slice() }
+        Self {
+            ranges: ranges.into_boxed_slice(),
+        }
     }
 
     /// Build directly from ranges (used by tests and deserialization).
@@ -51,7 +59,9 @@ impl QueryBox {
         for &(lo, hi) in &ranges {
             assert!(lo <= hi, "query range must be non-empty");
         }
-        Self { ranges: ranges.into_boxed_slice() }
+        Self {
+            ranges: ranges.into_boxed_slice(),
+        }
     }
 
     /// Number of dimensions.

@@ -19,7 +19,10 @@ impl LevelDef {
     /// Create a level definition.
     pub fn new(name: impl Into<String>, fanout: u64) -> Self {
         assert!(fanout >= 2, "level fanout must be at least 2");
-        Self { name: name.into(), fanout }
+        Self {
+            name: name.into(),
+            fanout,
+        }
     }
 
     /// Number of ordinal bits this level occupies.
@@ -58,7 +61,12 @@ impl DimensionDef {
             below -= l.bits();
             shifts.push(below);
         }
-        Self { name: name.into(), levels, shifts, total_bits }
+        Self {
+            name: name.into(),
+            levels,
+            shifts,
+            total_bits,
+        }
     }
 
     /// Number of hierarchy levels (excluding the implicit ALL root).
@@ -107,7 +115,12 @@ impl DimensionDef {
         assert_eq!(components.len(), self.depth(), "path must reach leaf level");
         let mut ord = 0u64;
         for (i, (&c, l)) in components.iter().zip(&self.levels).enumerate() {
-            assert!(c < l.fanout, "component {c} exceeds fanout {} at level {}", l.fanout, i + 1);
+            assert!(
+                c < l.fanout,
+                "component {c} exceeds fanout {} at level {}",
+                l.fanout,
+                i + 1
+            );
             ord |= c << self.shifts[i];
         }
         ord
@@ -126,10 +139,18 @@ impl DimensionDef {
     /// the path prefix `components` (may be shorter than `depth()`; empty
     /// means the ALL root).
     pub fn prefix_range(&self, components: &[u64]) -> (u64, u64) {
-        assert!(components.len() <= self.depth(), "path deeper than hierarchy");
+        assert!(
+            components.len() <= self.depth(),
+            "path deeper than hierarchy"
+        );
         let mut prefix = 0u64;
         for (i, (&c, l)) in components.iter().zip(&self.levels).enumerate() {
-            assert!(c < l.fanout, "component {c} exceeds fanout {} at level {}", l.fanout, i + 1);
+            assert!(
+                c < l.fanout,
+                "component {c} exceeds fanout {} at level {}",
+                l.fanout,
+                i + 1
+            );
             prefix |= c << self.shifts[i];
         }
         let rem = self.remaining_bits(components.len());
@@ -190,7 +211,13 @@ impl Schema {
                     .unwrap()
             })
             .collect();
-        Self { inner: Arc::new(SchemaInner { dims, max_level_bits, mds_cap }) }
+        Self {
+            inner: Arc::new(SchemaInner {
+                dims,
+                max_level_bits,
+                mds_cap,
+            }),
+        }
     }
 
     /// Number of dimensions.
@@ -335,7 +362,11 @@ mod tests {
     fn ordinal_roundtrip() {
         let dim = DimensionDef::new(
             "Date",
-            vec![LevelDef::new("Year", 16), LevelDef::new("Month", 12), LevelDef::new("Day", 31)],
+            vec![
+                LevelDef::new("Year", 16),
+                LevelDef::new("Month", 12),
+                LevelDef::new("Day", 31),
+            ],
         );
         assert_eq!(dim.total_bits(), 4 + 4 + 5);
         let ord = dim.ordinal(&[5, 11, 30]);
@@ -348,7 +379,11 @@ mod tests {
     fn prefix_ranges_nest() {
         let dim = DimensionDef::new(
             "Date",
-            vec![LevelDef::new("Year", 16), LevelDef::new("Month", 12), LevelDef::new("Day", 31)],
+            vec![
+                LevelDef::new("Year", 16),
+                LevelDef::new("Month", 12),
+                LevelDef::new("Day", 31),
+            ],
         );
         let (alo, ahi) = dim.prefix_range(&[]);
         let (ylo, yhi) = dim.prefix_range(&[7]);
@@ -364,10 +399,7 @@ mod tests {
 
     #[test]
     fn sibling_prefixes_are_disjoint_and_ordered() {
-        let dim = DimensionDef::new(
-            "D",
-            vec![LevelDef::new("A", 4), LevelDef::new("B", 8)],
-        );
+        let dim = DimensionDef::new("D", vec![LevelDef::new("A", 4), LevelDef::new("B", 8)]);
         let mut last_hi = None;
         for a in 0..4u64 {
             let (lo, hi) = dim.prefix_range(&[a]);
@@ -385,7 +417,16 @@ mod tests {
         let names: Vec<_> = s.dimensions().iter().map(|d| d.name.as_str()).collect();
         assert_eq!(
             names,
-            ["Store", "Customer", "Item", "Date", "Address", "Household", "Promotion", "Time"]
+            [
+                "Store",
+                "Customer",
+                "Item",
+                "Date",
+                "Address",
+                "Household",
+                "Promotion",
+                "Time"
+            ]
         );
         assert_eq!(s.dim(5).depth(), 1); // Household → IncomeBand
         assert_eq!(s.dim(7).depth(), 2); // Time → Hour → Minute

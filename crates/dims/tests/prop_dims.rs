@@ -38,8 +38,7 @@ fn items_for(schema: &Schema, seed: u64, n: usize) -> Vec<Item> {
             let coords: Vec<u64> = (0..schema.dims())
                 .map(|d| {
                     let dim = schema.dim(d);
-                    let comps: Vec<u64> =
-                        dim.levels.iter().map(|l| next() % l.fanout).collect();
+                    let comps: Vec<u64> = dim.levels.iter().map(|l| next() % l.fanout).collect();
                     dim.ordinal(&comps)
                 })
                 .collect();

@@ -75,7 +75,10 @@ impl Limbs {
 
 impl Default for Limbs {
     fn default() -> Self {
-        Limbs::Inline { buf: [0; INLINE_LIMBS], len: 0 }
+        Limbs::Inline {
+            buf: [0; INLINE_LIMBS],
+            len: 0,
+        }
     }
 }
 
@@ -105,7 +108,10 @@ impl BigIndex {
         if limb_count <= INLINE_LIMBS {
             Self::new()
         } else {
-            Self { limbs: Limbs::Heap(Vec::with_capacity(limb_count)), bit_len: 0 }
+            Self {
+                limbs: Limbs::Heap(Vec::with_capacity(limb_count)),
+                bit_len: 0,
+            }
         }
     }
 
@@ -113,11 +119,17 @@ impl BigIndex {
     pub fn zero(bits: u32) -> Self {
         let limb_count = bits.div_ceil(64) as usize;
         let limbs = if limb_count <= INLINE_LIMBS {
-            Limbs::Inline { buf: [0; INLINE_LIMBS], len: limb_count as u8 }
+            Limbs::Inline {
+                buf: [0; INLINE_LIMBS],
+                len: limb_count as u8,
+            }
         } else {
             Limbs::Heap(vec![0; limb_count])
         };
-        Self { limbs, bit_len: bits }
+        Self {
+            limbs,
+            bit_len: bits,
+        }
     }
 
     /// The all-ones (maximum) value of width `bits`.
@@ -126,7 +138,14 @@ impl BigIndex {
         let mut remaining = bits;
         while remaining > 0 {
             let take = remaining.min(64);
-            v.push_bits(if take == 64 { u64::MAX } else { (1u64 << take) - 1 }, take);
+            v.push_bits(
+                if take == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << take) - 1
+                },
+                take,
+            );
             remaining -= take;
         }
         v
@@ -179,7 +198,11 @@ impl BigIndex {
         let free = if used == 0 { 0 } else { 64 - used };
         if free == 0 {
             // Start a new limb, value left-aligned.
-            self.limbs.push(if nbits == 64 { value } else { value << (64 - nbits) });
+            self.limbs.push(if nbits == 64 {
+                value
+            } else {
+                value << (64 - nbits)
+            });
         } else if nbits <= free {
             let limb = self.limbs.last_mut().expect("non-empty when bits used");
             *limb |= value << (free - nbits);
@@ -233,7 +256,11 @@ impl BigIndex {
     /// Rebuild from raw parts (used by shard deserialization). Limb counts
     /// within [`INLINE_LIMBS`] are copied into the inline buffer.
     pub fn from_raw(limbs: Vec<u64>, bit_len: u32) -> Self {
-        assert_eq!(limbs.len(), bit_len.div_ceil(64) as usize, "limb count mismatch");
+        assert_eq!(
+            limbs.len(),
+            bit_len.div_ceil(64) as usize,
+            "limb count mismatch"
+        );
         if !bit_len.is_multiple_of(64) {
             if let Some(last) = limbs.last() {
                 let pad = 64 - bit_len % 64;
@@ -243,7 +270,10 @@ impl BigIndex {
         let limbs = if limbs.len() <= INLINE_LIMBS {
             let mut buf = [0u64; INLINE_LIMBS];
             buf[..limbs.len()].copy_from_slice(&limbs);
-            Limbs::Inline { buf, len: limbs.len() as u8 }
+            Limbs::Inline {
+                buf,
+                len: limbs.len() as u8,
+            }
         } else {
             Limbs::Heap(limbs)
         };

@@ -143,10 +143,7 @@ mod tests {
                 let r = gray_rank(mask, w, n);
                 let pi = gray_code(w) & !mask;
                 let back = gray_rank_inverse(mask, pi, r, n);
-                assert_eq!(
-                    back, w,
-                    "mask={mask:05b} w={w:05b} r={r:b} pi={pi:05b}"
-                );
+                assert_eq!(back, w, "mask={mask:05b} w={w:05b} r={r:b} pi={pi:05b}");
             }
         }
     }

@@ -85,13 +85,16 @@ impl HilbertCurve {
         let total_bits: u32 = bits.iter().sum();
         let masks = (0..max_bits)
             .map(|i| {
-                bits.iter().enumerate().fold(0u64, |m, (j, &b)| {
-                    if b > i {
-                        m | (1u64 << j)
-                    } else {
-                        m
-                    }
-                })
+                bits.iter().enumerate().fold(
+                    0u64,
+                    |m, (j, &b)| {
+                        if b > i {
+                            m | (1u64 << j)
+                        } else {
+                            m
+                        }
+                    },
+                )
             })
             .collect();
         Self {
@@ -345,11 +348,7 @@ mod tests {
                 cells[h as usize] = p;
             }
             for w in cells.windows(2) {
-                let dist: u64 = w[0]
-                    .iter()
-                    .zip(&w[1])
-                    .map(|(a, b)| a.abs_diff(*b))
-                    .sum();
+                let dist: u64 = w[0].iter().zip(&w[1]).map(|(a, b)| a.abs_diff(*b)).sum();
                 assert_eq!(
                     dist, 1,
                     "cells {:?} and {:?} are consecutive on the curve but not adjacent",

@@ -22,8 +22,11 @@ impl VecModel {
         let used = self.bit_len % 64;
         let free = if used == 0 { 0 } else { 64 - used };
         if free == 0 {
-            self.limbs
-                .push(if nbits == 64 { value } else { value << (64 - nbits) });
+            self.limbs.push(if nbits == 64 {
+                value
+            } else {
+                value << (64 - nbits)
+            });
         } else if nbits <= free {
             *self.limbs.last_mut().unwrap() |= value << (free - nbits);
         } else {

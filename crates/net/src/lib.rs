@@ -220,10 +220,16 @@ impl Network {
             pending: ObsMutex::new(&PENDING_CLASS, HashMap::new()),
             next_corr: AtomicU64::new(1),
         });
-        let route = Route { core: Arc::clone(&core), queue_tx };
+        let route = Route {
+            core: Arc::clone(&core),
+            queue_tx,
+        };
         let prev = self.inner.endpoints.write().insert(name.clone(), route);
         assert!(prev.is_none(), "endpoint name {name:?} already registered");
-        Endpoint { net: self.clone(), core }
+        Endpoint {
+            net: self.clone(),
+            core,
+        }
     }
 
     /// Attach fabric metrics to a registry (idempotent; the first call
@@ -256,11 +262,14 @@ impl Network {
             obs.bytes.add(env.payload.len() as u64);
         }
         let endpoints = self.inner.endpoints.read();
-        let target = endpoints.get(to).ok_or_else(|| NetError::UnknownEndpoint(to.to_string()))?;
+        let target = endpoints
+            .get(to)
+            .ok_or_else(|| NetError::UnknownEndpoint(to.to_string()))?;
         match &self.inner.delay {
-            Some((lat, tx)) => {
-                tx.lock().send((Instant::now() + *lat, to.to_string(), env)).map_err(|_| NetError::Closed)
-            }
+            Some((lat, tx)) => tx
+                .lock()
+                .send((Instant::now() + *lat, to.to_string(), env))
+                .map_err(|_| NetError::Closed),
             None => {
                 target.deliver(env, self.obs());
                 Ok(())
@@ -339,7 +348,12 @@ impl Endpoint {
     }
 
     /// Send a request and block for the correlated reply.
-    pub fn request(&self, to: &str, payload: Vec<u8>, timeout: Duration) -> Result<Vec<u8>, NetError> {
+    pub fn request(
+        &self,
+        to: &str,
+        payload: Vec<u8>,
+        timeout: Duration,
+    ) -> Result<Vec<u8>, NetError> {
         let _timer = self.net.obs().map(|o| {
             o.requests.inc();
             o.request_seconds.start()
@@ -363,10 +377,12 @@ impl Endpoint {
         // On a timeout, whoever removes the pending entry decides: if it is
         // still ours the request timed out (a reply from here on is late);
         // if `deliver` took it first, the reply is already in `rx`.
-        let reply = rx.recv_timeout(timeout).or_else(|e| match self.core.pending.lock().remove(&corr) {
-            Some(_) => Err(e),
-            None => rx.recv_timeout(Duration::ZERO),
-        });
+        let reply =
+            rx.recv_timeout(timeout)
+                .or_else(|e| match self.core.pending.lock().remove(&corr) {
+                    Some(_) => Err(e),
+                    None => rx.recv_timeout(Duration::ZERO),
+                });
         match reply {
             Ok(env) => Ok(env.payload),
             Err(_) => {
@@ -419,7 +435,7 @@ impl Endpoint {
                     from: self.core.name.clone(),
                     correlation: corr,
                     is_reply: false,
-                        payload: payload.clone(),
+                    payload: payload.clone(),
                 },
             );
             match sent {
@@ -547,9 +563,14 @@ mod tests {
             let req = server.recv(Duration::from_secs(2)).unwrap();
             req.reply(b"pong".to_vec()).unwrap();
         });
-        client.request("server", b"ping".to_vec(), Duration::from_secs(2)).unwrap();
+        client
+            .request("server", b"ping".to_vec(), Duration::from_secs(2))
+            .unwrap();
         h.join().unwrap();
-        assert!(client.recv(Duration::ZERO).is_err(), "reply must not appear as a request");
+        assert!(
+            client.recv(Duration::ZERO).is_err(),
+            "reply must not appear as a request"
+        );
     }
 
     #[test]
@@ -586,7 +607,11 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(counts.iter().sum::<usize>(), 100, "every message consumed exactly once");
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            100,
+            "every message consumed exactly once"
+        );
     }
 
     #[test]
@@ -603,8 +628,16 @@ mod tests {
         // A round trip pays the wire both ways (and, in debug builds, walks
         // endpoints < delay < pending under the lock-order checker).
         let start = Instant::now();
-        let h = thread::spawn(move || b.recv(Duration::from_secs(2)).unwrap().reply(vec![7]).unwrap());
-        assert_eq!(a.request("b", vec![], Duration::from_secs(2)).unwrap(), vec![7]);
+        let h = thread::spawn(move || {
+            b.recv(Duration::from_secs(2))
+                .unwrap()
+                .reply(vec![7])
+                .unwrap()
+        });
+        assert_eq!(
+            a.request("b", vec![], Duration::from_secs(2)).unwrap(),
+            vec![7]
+        );
         assert!(start.elapsed() >= Duration::from_millis(110));
         h.join().unwrap();
     }
@@ -627,7 +660,11 @@ mod tests {
             (0..4).map(|i| (format!("s{i}"), vec![i as u8])).collect();
         let replies = client.request_many(&reqs, Duration::from_secs(2));
         for (i, r) in replies.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &vec![i as u8, 0xFF], "reply order preserved");
+            assert_eq!(
+                r.as_ref().unwrap(),
+                &vec![i as u8, 0xFF],
+                "reply order preserved"
+            );
         }
         for h in handles {
             h.join().unwrap();
@@ -660,7 +697,9 @@ mod tests {
     fn request_many_empty_is_noop() {
         let net = Network::new();
         let client = net.endpoint("client");
-        assert!(client.request_many(&[], Duration::from_millis(10)).is_empty());
+        assert!(client
+            .request_many(&[], Duration::from_millis(10))
+            .is_empty());
     }
 
     #[test]
@@ -671,22 +710,36 @@ mod tests {
         let client = net.endpoint("client");
         let server = net.endpoint("server");
         // Regression: a timed-out request must not leak its correlation.
-        let err = client.request("server", b"slow".to_vec(), Duration::from_millis(30)).unwrap_err();
+        let err = client
+            .request("server", b"slow".to_vec(), Duration::from_millis(30))
+            .unwrap_err();
         assert_eq!(err, NetError::Timeout);
-        assert_eq!(client.pending_len(), 0, "timeout must remove the pending entry");
+        assert_eq!(
+            client.pending_len(),
+            0,
+            "timeout must remove the pending entry"
+        );
         // The server answers *after* the client gave up: the late reply is
         // counted, not silently dropped, and must not resurrect the entry.
         let req = server.recv(Duration::from_secs(1)).unwrap();
         req.reply(b"too late".to_vec()).unwrap();
         assert_eq!(reg.counter("volap_net_late_replies_total").get(), 1);
         assert_eq!(client.pending_len(), 0);
-        assert!(client.recv(Duration::ZERO).is_err(), "late reply must not enter the request queue");
+        assert!(
+            client.recv(Duration::ZERO).is_err(),
+            "late reply must not enter the request queue"
+        );
         // A fresh request still works (correlation space is unpoisoned).
         let h = thread::spawn(move || {
             let req = server.recv(Duration::from_secs(2)).unwrap();
             req.reply(b"ok".to_vec()).unwrap();
         });
-        assert_eq!(client.request("server", vec![], Duration::from_secs(2)).unwrap(), b"ok");
+        assert_eq!(
+            client
+                .request("server", vec![], Duration::from_secs(2))
+                .unwrap(),
+            b"ok"
+        );
         h.join().unwrap();
     }
 
@@ -729,7 +782,10 @@ mod tests {
         let a = net.endpoint("a");
         let _b = net.endpoint("b");
         net.unregister("b");
-        assert!(matches!(a.send("b", vec![]), Err(NetError::UnknownEndpoint(_))));
+        assert!(matches!(
+            a.send("b", vec![]),
+            Err(NetError::UnknownEndpoint(_))
+        ));
     }
 
     #[test]
@@ -751,9 +807,19 @@ mod tests {
             a.send("b", vec![i]).unwrap();
         }
         net.unregister("b");
-        let mut got: Vec<u8> = servers.into_iter().flat_map(|s| s.join().unwrap()).collect();
+        let mut got: Vec<u8> = servers
+            .into_iter()
+            .flat_map(|s| s.join().unwrap())
+            .collect();
         got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>(), "every delivered request is served before the loop ends");
-        assert!(matches!(b.recv(Duration::from_secs(10)), Err(NetError::Closed)), "a closed queue does not wait");
+        assert_eq!(
+            got,
+            (0..10).collect::<Vec<_>>(),
+            "every delivered request is served before the loop ends"
+        );
+        assert!(
+            matches!(b.recv(Duration::from_secs(10)), Err(NetError::Closed)),
+            "a closed queue does not wait"
+        );
     }
 }

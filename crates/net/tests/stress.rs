@@ -52,8 +52,13 @@ fn round_trips_never_time_out_under_oversubscription() {
                 let ep = net.endpoint(format!("client-{r}"));
                 s.spawn(move || {
                     for i in 0..ROUND_TRIPS {
-                        let reply = ep.request("server", i.to_le_bytes().to_vec(), Duration::from_secs(2));
-                        assert_eq!(reply, Ok(i.to_le_bytes().to_vec()), "requester {r}, round trip {i}");
+                        let reply =
+                            ep.request("server", i.to_le_bytes().to_vec(), Duration::from_secs(2));
+                        assert_eq!(
+                            reply,
+                            Ok(i.to_le_bytes().to_vec()),
+                            "requester {r}, round trip {i}"
+                        );
                     }
                     assert_eq!(ep.pending_len(), 0);
                 })
@@ -64,7 +69,10 @@ fn round_trips_never_time_out_under_oversubscription() {
         }
         stop.store(true, Ordering::SeqCst);
     });
-    assert_eq!(reg.counter("volap_net_requests_total").get(), REQUESTERS as u64 * ROUND_TRIPS as u64);
+    assert_eq!(
+        reg.counter("volap_net_requests_total").get(),
+        REQUESTERS as u64 * ROUND_TRIPS as u64
+    );
     assert_eq!(reg.counter("volap_net_timeouts_total").get(), 0);
     assert_eq!(reg.counter("volap_net_late_replies_total").get(), 0);
 }
@@ -92,7 +100,9 @@ fn answered_is_ok_plus_late(legs: usize, rounds: u64) {
                 s.spawn(move || serve(ep, stop, |i| Duration::from_micros(60 + i % 81)))
             })
             .collect();
-        let reqs: Vec<(String, Vec<u8>)> = (0..legs).map(|i| (format!("s{i}"), vec![i as u8])).collect();
+        let reqs: Vec<(String, Vec<u8>)> = (0..legs)
+            .map(|i| (format!("s{i}"), vec![i as u8]))
+            .collect();
         for _ in 0..rounds {
             let replies = match legs {
                 1 => vec![client.request("s0", vec![0], TIMEOUT)],
@@ -110,9 +120,22 @@ fn answered_is_ok_plus_late(legs: usize, rounds: u64) {
     });
     let late = reg.counter("volap_net_late_replies_total").get();
     let timeouts = reg.counter("volap_net_timeouts_total").get();
-    assert_eq!(answered, rounds * legs as u64, "every request reaches its server");
-    assert_eq!(ok + late, answered, "{} answered replies were dropped uncounted ({timeouts} timeouts)", answered - ok - late);
-    assert_eq!(ok + timeouts, answered, "a request is Ok or a timeout, never both");
+    assert_eq!(
+        answered,
+        rounds * legs as u64,
+        "every request reaches its server"
+    );
+    assert_eq!(
+        ok + late,
+        answered,
+        "{} answered replies were dropped uncounted ({timeouts} timeouts)",
+        answered - ok - late
+    );
+    assert_eq!(
+        ok + timeouts,
+        answered,
+        "a request is Ok or a timeout, never both"
+    );
     assert_eq!(client.pending_len(), 0);
 }
 

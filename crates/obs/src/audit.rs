@@ -63,14 +63,28 @@ pub struct AuditLog {
 impl AuditLog {
     /// A ring retaining roughly `capacity` decisions in total.
     pub fn new(capacity: usize) -> Self {
-        Self { inner: Arc::new(AuditLogInner { epoch: Instant::now(), ring: Ring::new(capacity) }) }
+        Self {
+            inner: Arc::new(AuditLogInner {
+                epoch: Instant::now(),
+                ring: Ring::new(capacity),
+            }),
+        }
     }
 
     /// Record one decision. `seq` and `ts_us` are stamped here; whatever the
     /// caller put in those fields is overwritten.
     pub fn record(&self, decision: BalanceDecision) {
-        let ts_us = self.inner.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.inner.ring.push(|seq| BalanceDecision { seq, ts_us, ..decision });
+        let ts_us = self
+            .inner
+            .epoch
+            .elapsed()
+            .as_micros()
+            .min(u128::from(u64::MAX)) as u64;
+        self.inner.ring.push(|seq| BalanceDecision {
+            seq,
+            ts_us,
+            ..decision
+        });
     }
 
     /// Total decisions ever recorded.
@@ -98,7 +112,10 @@ mod tests {
             action: "split".into(),
             shard,
             src: "worker-0".into(),
-            inputs: vec![("len".into(), "21000".into()), ("max".into(), "20000".into())],
+            inputs: vec![
+                ("len".into(), "21000".into()),
+                ("max".into(), "20000".into()),
+            ],
             result_shards: vec![shard + 100, shard + 101],
             outcome: "ok".into(),
             duration_us: 42,
@@ -110,7 +127,10 @@ mod tests {
     fn structured_fields_survive() {
         let log = AuditLog::new(16);
         log.record(decision(6));
-        log.record(BalanceDecision { seq: 99, ..decision(7) });
+        log.record(BalanceDecision {
+            seq: 99,
+            ..decision(7)
+        });
         let d = &log.snapshot()[1];
         assert_eq!(d.seq, 1, "the ring's own stamp overwrites the caller's seq");
         assert_eq!(d.action, "split");

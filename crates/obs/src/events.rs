@@ -46,13 +46,28 @@ pub struct EventLog {
 impl EventLog {
     /// A log retaining roughly `capacity` events in total.
     pub fn new(capacity: usize) -> Self {
-        Self { inner: Arc::new(EventLogInner { epoch: Instant::now(), ring: Ring::new(capacity) }) }
+        Self {
+            inner: Arc::new(EventLogInner {
+                epoch: Instant::now(),
+                ring: Ring::new(capacity),
+            }),
+        }
     }
 
     /// Record one event.
     pub fn record(&self, kind: &str, detail: String) {
-        let ts_us = self.inner.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.inner.ring.push(|seq| Event { seq, ts_us, kind: kind.to_string(), detail });
+        let ts_us = self
+            .inner
+            .epoch
+            .elapsed()
+            .as_micros()
+            .min(u128::from(u64::MAX)) as u64;
+        self.inner.ring.push(|seq| Event {
+            seq,
+            ts_us,
+            kind: kind.to_string(),
+            detail,
+        });
     }
 
     /// Total events ever recorded.

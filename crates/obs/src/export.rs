@@ -15,7 +15,9 @@ use crate::snapshot::Snapshot;
 // ---------------------------------------------------------------------------
 
 fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn unescape_label(v: &str) -> String {
@@ -67,11 +69,21 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     let mut last = None;
     for c in &snap.counters {
         type_line(&mut out, &mut last, &c.id.name, "counter");
-        out.push_str(&format!("{}{} {}\n", c.id.name, label_block(&c.id, None), c.value));
+        out.push_str(&format!(
+            "{}{} {}\n",
+            c.id.name,
+            label_block(&c.id, None),
+            c.value
+        ));
     }
     for g in &snap.gauges {
         type_line(&mut out, &mut last, &g.id.name, "gauge");
-        out.push_str(&format!("{}{} {}\n", g.id.name, label_block(&g.id, None), g.value));
+        out.push_str(&format!(
+            "{}{} {}\n",
+            g.id.name,
+            label_block(&g.id, None),
+            g.value
+        ));
     }
     for h in &snap.histograms {
         type_line(&mut out, &mut last, &h.id.name, "histogram");
@@ -112,13 +124,18 @@ fn parse_series(s: &str) -> Result<(String, Vec<(String, String)>), String> {
         Some(open) => {
             let name = s[..open].to_string();
             let rest = &s[open + 1..];
-            let close = rest.rfind('}').ok_or_else(|| format!("unclosed label block: {s}"))?;
+            let close = rest
+                .rfind('}')
+                .ok_or_else(|| format!("unclosed label block: {s}"))?;
             let mut labels = Vec::new();
             let body = &rest[..close];
             let mut i = 0;
             let bytes = body.as_bytes();
             while i < bytes.len() {
-                let eq = body[i..].find('=').ok_or_else(|| format!("bad label in {s}"))? + i;
+                let eq = body[i..]
+                    .find('=')
+                    .ok_or_else(|| format!("bad label in {s}"))?
+                    + i;
                 let key = body[i..eq].trim_start_matches(',').to_string();
                 if bytes.get(eq + 1) != Some(&b'"') {
                     return Err(format!("label value not quoted: {s}"));
@@ -176,7 +193,9 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
         if line.starts_with('#') {
             continue; // other comments
         }
-        let sp = line.rfind(' ').ok_or_else(|| format!("no value on line: {line}"))?;
+        let sp = line
+            .rfind(' ')
+            .ok_or_else(|| format!("no value on line: {line}"))?;
         let (series, value) = (&line[..sp], line[sp + 1..].trim());
         let (full_name, labels) = parse_series(series)?;
 
@@ -195,7 +214,10 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
             if id_labels.len() > 1 {
                 return Err(format!("more than one id label on {line}"));
             }
-            let id = MetricId { name: base, label: id_labels.into_iter().next() };
+            let id = MetricId {
+                name: base,
+                label: id_labels.into_iter().next(),
+            };
             let slot = match open_histos.iter_mut().find(|h| h.id == id) {
                 Some(h) => h,
                 None => {
@@ -215,11 +237,11 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
                         .find(|(k, _)| k == "le")
                         .ok_or_else(|| format!("bucket without le: {line}"))?
                         .1;
-                    let count: u64 =
-                        value.parse().map_err(|e| format!("bad bucket count {value}: {e}"))?;
+                    let count: u64 = value
+                        .parse()
+                        .map_err(|e| format!("bad bucket count {value}: {e}"))?;
                     if le != "+Inf" {
-                        let le: f64 =
-                            le.parse().map_err(|e| format!("bad le {le}: {e}"))?;
+                        let le: f64 = le.parse().map_err(|e| format!("bad le {le}: {e}"))?;
                         slot.buckets.push((le, count));
                     }
                 }
@@ -228,7 +250,9 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
                         value.parse().map_err(|e| format!("bad sum {value}: {e}"))?;
                 }
                 "_count" => {
-                    slot.count = value.parse().map_err(|e| format!("bad count {value}: {e}"))?;
+                    slot.count = value
+                        .parse()
+                        .map_err(|e| format!("bad count {value}: {e}"))?;
                 }
                 _ => unreachable!(),
             }
@@ -238,15 +262,22 @@ pub fn from_prometheus(text: &str) -> Result<Snapshot, String> {
         if labels.len() > 1 {
             return Err(format!("more than one label on {line}"));
         }
-        let id = MetricId { name: full_name.clone(), label: labels.into_iter().next() };
+        let id = MetricId {
+            name: full_name.clone(),
+            label: labels.into_iter().next(),
+        };
         match types.get(&full_name).map(String::as_str) {
             Some("counter") => snap.counters.push(ScalarSnapshot {
                 id,
-                value: value.parse().map_err(|e| format!("bad counter {value}: {e}"))?,
+                value: value
+                    .parse()
+                    .map_err(|e| format!("bad counter {value}: {e}"))?,
             }),
             Some("gauge") => snap.gauges.push(ScalarSnapshot {
                 id,
-                value: value.parse().map_err(|e| format!("bad gauge {value}: {e}"))?,
+                value: value
+                    .parse()
+                    .map_err(|e| format!("bad gauge {value}: {e}"))?,
             }),
             Some(other) => return Err(format!("{full_name}: unexpected sample for {other}")),
             None => return Err(format!("sample before TYPE line: {line}")),
@@ -287,7 +318,10 @@ mod tests {
             captured_unix_us: 1_754_000_000_123_456,
             uptime_us: 9_876_543,
             counters: vec![
-                ScalarSnapshot { id: MetricId::plain("volap_a_total"), value: 3 },
+                ScalarSnapshot {
+                    id: MetricId::plain("volap_a_total"),
+                    value: 3,
+                },
                 ScalarSnapshot {
                     id: MetricId::labeled("volap_b_total", "server", "server-0"),
                     value: u64::MAX,
@@ -324,7 +358,10 @@ mod tests {
                 outcome: "ok".into(),
                 duration_us: 1234,
             }],
-            staleness: StalenessSnapshot { count: 2, samples_seconds: vec![0.001, 0.25] },
+            staleness: StalenessSnapshot {
+                count: 2,
+                samples_seconds: vec![0.001, 0.25],
+            },
         }
     }
 
@@ -359,10 +396,16 @@ mod tests {
 
     #[test]
     fn malformed_inputs_are_rejected() {
-        assert!(from_prometheus("volap_x_total 5").is_err(), "sample before TYPE");
+        assert!(
+            from_prometheus("volap_x_total 5").is_err(),
+            "sample before TYPE"
+        );
         assert!(from_prometheus("# TYPE volap_x_total counter\nvolap_x_total five").is_err());
         assert!(from_json("{").is_err());
         assert!(from_json("{}").is_err(), "missing keys");
-        assert!(from_json(&(to_json(&sample_snapshot()) + "x")).is_err(), "trailing bytes");
+        assert!(
+            from_json(&(to_json(&sample_snapshot()) + "x")).is_err(),
+            "trailing bytes"
+        );
     }
 }

@@ -96,7 +96,11 @@ pub fn escape(s: &str) -> String {
 /// Parse one complete JSON document. Trailing non-whitespace bytes are an
 /// error — every caller is a validator, so partial parses must not pass.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+    let mut parser = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     let root = parser.value()?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
@@ -120,7 +124,10 @@ impl<'a> Parser<'a> {
 
     fn peek(&mut self) -> Result<u8, String> {
         self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of JSON".to_string())
+        self.bytes
+            .get(self.pos)
+            .copied()
+            .ok_or_else(|| "unexpected end of JSON".to_string())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -183,7 +190,11 @@ impl<'a> Parser<'a> {
                 }
                 self.depth += 1;
                 self.pos += 1;
-                let container = if open == b'{' { self.object() } else { self.array() };
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
                 self.depth -= 1;
                 container
             }
@@ -257,7 +268,10 @@ impl<'a> Parser<'a> {
             _ => {
                 let start = self.pos;
                 while self.pos < self.bytes.len()
-                    && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+                    && matches!(
+                        self.bytes[self.pos],
+                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
+                    )
                 {
                     self.pos += 1;
                 }
@@ -366,7 +380,10 @@ impl<A: Field, B: Field> Field for (A, B) {
     fn read(v: &Json) -> Result<Self, String> {
         match v.arr()? {
             [a, b] => Ok((A::read(a)?, B::read(b)?)),
-            other => Err(format!("expected a 2-element pair, got {} elements", other.len())),
+            other => Err(format!(
+                "expected a 2-element pair, got {} elements",
+                other.len()
+            )),
         }
     }
 }
@@ -523,9 +540,15 @@ mod tests {
 
     #[test]
     fn records_write_their_layouts_and_read_back() {
-        let inner = |k: &str| Inner { key: k.into(), pair: Some(("a\"b".into(), "c".into())) };
+        let inner = |k: &str| Inner {
+            key: k.into(),
+            pair: Some(("a\"b".into(), "c".into())),
+        };
         let rec = Outer {
-            id: Inner { key: "k".into(), pair: None },
+            id: Inner {
+                key: "k".into(),
+                pair: None,
+            },
             value: u64::MAX,
             on: true,
             list: vec![(0.5, 1), (1e-9, 2)],
@@ -543,7 +566,9 @@ mod tests {
         assert_eq!(Outer::<u64>::read(&parse(&text).unwrap()).unwrap(), rec);
         // Every member is required, pairs have exactly two elements.
         let missing = text.replace("\"on\": 1, ", "");
-        assert!(Outer::<u64>::read(&parse(&missing).unwrap()).unwrap_err().contains("missing key on"));
+        assert!(Outer::<u64>::read(&parse(&missing).unwrap())
+            .unwrap_err()
+            .contains("missing key on"));
         let triple = text.replace("[0.5,1]", "[0.5,1,2]");
         assert!(Outer::<u64>::read(&parse(&triple).unwrap()).is_err());
     }

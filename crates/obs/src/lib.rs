@@ -170,10 +170,17 @@ pub fn build_info_gauge() -> ScalarSnapshot<i64> {
     let build = format!(
         "volap {} {} {}",
         env!("CARGO_PKG_VERSION"),
-        if cfg!(debug_assertions) { "debug" } else { "release" },
+        if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
         env!("VOLAP_RUSTC_VERSION"),
     );
-    ScalarSnapshot { id: MetricId::labeled("volap_build_info", "build", &build), value: 1 }
+    ScalarSnapshot {
+        id: MetricId::labeled("volap_build_info", "build", &build),
+        value: 1,
+    }
 }
 
 #[cfg(test)]
@@ -184,7 +191,9 @@ mod tests {
     fn obs_snapshot_round_trips_through_both_exporters() {
         let obs = Obs::new(ObsConfig::default());
         obs.registry().counter("volap_x_total").add(9);
-        obs.registry().gauge_labeled("volap_g", "worker", "w0").set(3);
+        obs.registry()
+            .gauge_labeled("volap_g", "worker", "w0")
+            .set(3);
         obs.registry().histogram("volap_h_seconds").observe_ns(1500);
         obs.events().record("test_event", "k=v".into());
         obs.staleness().expansion(1, "s0");
@@ -199,7 +208,13 @@ mod tests {
         let prom_back = export::from_prometheus(&export::to_prometheus(&snap)).unwrap();
         assert_eq!(prom_back, snap.metrics_only());
         // The staleness distribution is in the exposition as a histogram.
-        assert_eq!(prom_back.histogram("volap_staleness_seconds").unwrap().count, 1);
+        assert_eq!(
+            prom_back
+                .histogram("volap_staleness_seconds")
+                .unwrap()
+                .count,
+            1
+        );
     }
 
     #[test]
@@ -211,18 +226,32 @@ mod tests {
             .iter()
             .find(|g| g.id.name == "volap_build_info")
             .expect("build info gauge present in every snapshot");
-        assert_eq!(info.value, 1, "build info uses the conventional constant value");
+        assert_eq!(
+            info.value, 1,
+            "build info uses the conventional constant value"
+        );
         let label = info.id.label.as_ref().expect("build label attached");
         assert_eq!(label.0, "build");
-        assert!(label.1.starts_with("volap "), "label folds crate version: {}", label.1);
+        assert!(
+            label.1.starts_with("volap "),
+            "label folds crate version: {}",
+            label.1
+        );
         assert!(
             label.1.contains("debug") || label.1.contains("release"),
             "label folds the build profile: {}",
             label.1
         );
-        assert!(label.1.contains("rustc"), "label folds the rustc version: {}", label.1);
+        assert!(
+            label.1.contains("rustc"),
+            "label folds the rustc version: {}",
+            label.1
+        );
         let prom = export::to_prometheus(&snap);
-        assert!(prom.contains("volap_build_info{build="), "exposition carries build info");
+        assert!(
+            prom.contains("volap_build_info{build="),
+            "exposition carries build info"
+        );
         let back = export::from_prometheus(&prom).unwrap();
         assert_eq!(back, snap.metrics_only(), "round trip preserves the gauge");
     }

@@ -45,13 +45,21 @@ pub struct LockClass {
 impl LockClass {
     /// A class at `rank` in the global hierarchy.
     pub const fn new(name: &'static str, rank: u16) -> Self {
-        Self { name, rank, chainable: false }
+        Self {
+            name,
+            rank,
+            chainable: false,
+        }
     }
 
     /// A class whose locks may be re-acquired while it is itself the deepest
     /// held class (same rank, same class): hand-over-hand lock coupling.
     pub const fn new_chainable(name: &'static str, rank: u16) -> Self {
-        Self { name, rank, chainable: true }
+        Self {
+            name,
+            rank,
+            chainable: true,
+        }
     }
 }
 
@@ -340,7 +348,10 @@ pub struct ObsMutex<T: ?Sized> {
 impl<T> ObsMutex<T> {
     /// A new mutex belonging to `class`.
     pub const fn new(class: &'static LockClass, value: T) -> Self {
-        Self { class, inner: parking_lot::Mutex::new(value) }
+        Self {
+            class,
+            inner: parking_lot::Mutex::new(value),
+        }
     }
 
     /// Consume the lock, returning the inner value.
@@ -353,14 +364,20 @@ impl<T: ?Sized> ObsMutex<T> {
     /// Acquire, enforcing the lock hierarchy in debug builds.
     pub fn lock(&self) -> ObsMutexGuard<'_, T> {
         let held = Held::checked(self.class);
-        ObsMutexGuard { guard: self.inner.lock(), _held: held }
+        ObsMutexGuard {
+            guard: self.inner.lock(),
+            _held: held,
+        }
     }
 
     /// Non-blocking acquire. Exempt from the order check (cannot block),
     /// but a held try-guard still constrains later blocking acquisitions.
     pub fn try_lock(&self) -> Option<ObsMutexGuard<'_, T>> {
         let guard = self.inner.try_lock()?;
-        Some(ObsMutexGuard { guard, _held: Held::unchecked(self.class) })
+        Some(ObsMutexGuard {
+            guard,
+            _held: Held::unchecked(self.class),
+        })
     }
 
     /// Access through exclusive borrow (no locking, no check).
@@ -412,7 +429,10 @@ pub struct ObsRwLock<T: ?Sized> {
 impl<T> ObsRwLock<T> {
     /// A new reader-writer lock belonging to `class`.
     pub const fn new(class: &'static LockClass, value: T) -> Self {
-        Self { class, inner: parking_lot::RwLock::new(value) }
+        Self {
+            class,
+            inner: parking_lot::RwLock::new(value),
+        }
     }
 
     /// Consume the lock, returning the inner value.
@@ -434,7 +454,11 @@ impl<T> ObsRwLock<T> {
         // lifetime is never exposed to callers.
         let guard: parking_lot::RwLockWriteGuard<'static, T> =
             unsafe { std::mem::transmute::<parking_lot::RwLockWriteGuard<'_, T>, _>(guard) };
-        ObsArcRwLockWriteGuard { guard: ManuallyDrop::new(guard), _held: held, _arc: arc }
+        ObsArcRwLockWriteGuard {
+            guard: ManuallyDrop::new(guard),
+            _held: held,
+            _arc: arc,
+        }
     }
 }
 
@@ -442,20 +466,29 @@ impl<T: ?Sized> ObsRwLock<T> {
     /// Acquire shared, enforcing the hierarchy in debug builds.
     pub fn read(&self) -> ObsRwLockReadGuard<'_, T> {
         let held = Held::checked(self.class);
-        ObsRwLockReadGuard { guard: self.inner.read(), _held: held }
+        ObsRwLockReadGuard {
+            guard: self.inner.read(),
+            _held: held,
+        }
     }
 
     /// Acquire exclusive, enforcing the hierarchy in debug builds.
     pub fn write(&self) -> ObsRwLockWriteGuard<'_, T> {
         let held = Held::checked(self.class);
-        ObsRwLockWriteGuard { guard: self.inner.write(), _held: held }
+        ObsRwLockWriteGuard {
+            guard: self.inner.write(),
+            _held: held,
+        }
     }
 
     /// Non-blocking shared acquire (order-check exempt, like
     /// [`ObsMutex::try_lock`]).
     pub fn try_read(&self) -> Option<ObsRwLockReadGuard<'_, T>> {
         let guard = self.inner.try_read()?;
-        Some(ObsRwLockReadGuard { guard, _held: Held::unchecked(self.class) })
+        Some(ObsRwLockReadGuard {
+            guard,
+            _held: Held::unchecked(self.class),
+        })
     }
 
     /// Access through exclusive borrow (no locking, no check).
@@ -585,7 +618,10 @@ mod tests {
             let _hi = hi.lock();
             let _lo = lo.lock(); // rank 9110 while holding 9111: must fire
         }));
-        assert!(result.is_err(), "inversion must panic under CheckMode::Panic");
+        assert!(
+            result.is_err(),
+            "inversion must panic under CheckMode::Panic"
+        );
         let viols = take_violations();
         let v = viols.iter().find(|v| v.acquiring == "test.inv_lo").unwrap();
         assert_eq!(v.holding, "test.inv_hi");
@@ -609,7 +645,9 @@ mod tests {
         }
         assert!(violation_count() > before);
         let viols = take_violations();
-        assert!(viols.iter().any(|v| v.acquiring == "test.rec_lo" && v.holding == "test.rec_hi"));
+        assert!(viols
+            .iter()
+            .any(|v| v.acquiring == "test.rec_lo" && v.holding == "test.rec_hi"));
     }
 
     #[test]
@@ -646,7 +684,11 @@ mod tests {
         static A: LockClass = LockClass::new("test.ooo_a", 9140);
         static B: LockClass = LockClass::new("test.ooo_b", 9141);
         static C: LockClass = LockClass::new("test.ooo_c", 9142);
-        let (a, b, c) = (ObsMutex::new(&A, ()), ObsMutex::new(&B, ()), ObsMutex::new(&C, ()));
+        let (a, b, c) = (
+            ObsMutex::new(&A, ()),
+            ObsMutex::new(&B, ()),
+            ObsMutex::new(&C, ()),
+        );
         let ga = a.lock();
         let gb = b.lock();
         let gc = c.lock();

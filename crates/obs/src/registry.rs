@@ -133,7 +133,10 @@ impl Histogram {
     /// Start a timer that records into this histogram when dropped.
     #[inline]
     pub fn start(&self) -> Timer {
-        Timer { hist: self.clone(), start: Instant::now() }
+        Timer {
+            hist: self.clone(),
+            start: Instant::now(),
+        }
     }
 
     /// Number of recorded observations.
@@ -188,12 +191,18 @@ crate::record! {
 impl MetricId {
     /// An unlabeled id.
     pub fn plain(name: impl Into<String>) -> Self {
-        Self { name: name.into(), label: None }
+        Self {
+            name: name.into(),
+            label: None,
+        }
     }
 
     /// A labeled id.
     pub fn labeled(name: impl Into<String>, k: impl Into<String>, v: impl Into<String>) -> Self {
-        Self { name: name.into(), label: Some((k.into(), v.into())) }
+        Self {
+            name: name.into(),
+            label: Some((k.into(), v.into())),
+        }
     }
 }
 
@@ -241,12 +250,18 @@ impl Row for HistogramSnapshot {
         let (mut last_le, mut last_n) = (f64::NEG_INFINITY, 0);
         for &(le, n) in &self.buckets {
             if le <= last_le || n < last_n {
-                return Err(format!("{}: bucket ({le}, {n}) is not cumulative", self.id.name));
+                return Err(format!(
+                    "{}: bucket ({le}, {n}) is not cumulative",
+                    self.id.name
+                ));
             }
             (last_le, last_n) = (le, n);
         }
         if last_n > self.count {
-            return Err(format!("{}: buckets hold {last_n} of {} samples", self.id.name, self.count));
+            return Err(format!(
+                "{}: buckets hold {last_n} of {} samples",
+                self.id.name, self.count
+            ));
         }
         Ok(())
     }
@@ -381,17 +396,25 @@ impl Registry {
     /// Snapshot every metric, sorted by id.
     pub fn snapshot(
         &self,
-    ) -> (Vec<ScalarSnapshot<u64>>, Vec<ScalarSnapshot<i64>>, Vec<HistogramSnapshot>) {
+    ) -> (
+        Vec<ScalarSnapshot<u64>>,
+        Vec<ScalarSnapshot<i64>>,
+        Vec<HistogramSnapshot>,
+    ) {
         let slots = self.inner.slots.lock().unwrap();
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histos = Vec::new();
         for (id, slot) in slots.iter() {
             match slot {
-                Slot::Counter(c) => {
-                    counters.push(ScalarSnapshot { id: id.clone(), value: c.get() })
-                }
-                Slot::Gauge(g) => gauges.push(ScalarSnapshot { id: id.clone(), value: g.get() }),
+                Slot::Counter(c) => counters.push(ScalarSnapshot {
+                    id: id.clone(),
+                    value: c.get(),
+                }),
+                Slot::Gauge(g) => gauges.push(ScalarSnapshot {
+                    id: id.clone(),
+                    value: g.get(),
+                }),
                 Slot::Histogram(h) => {
                     let per_bucket = h.bucket_counts();
                     let mut cum = 0u64;
@@ -423,7 +446,11 @@ mod tests {
         let c = reg.counter("volap_test_total");
         c.inc();
         c.add(4);
-        assert_eq!(reg.counter("volap_test_total").get(), 5, "handles share state");
+        assert_eq!(
+            reg.counter("volap_test_total").get(),
+            5,
+            "handles share state"
+        );
         let g = reg.gauge_labeled("volap_depth", "worker", "w0");
         g.set(7);
         g.add(-2);
@@ -494,6 +521,10 @@ mod tests {
             assert!(c >= prev, "cumulative buckets are monotone");
             prev = c;
         }
-        assert_eq!(hs.buckets.last().unwrap().1, 2, "finite buckets cover both samples");
+        assert_eq!(
+            hs.buckets.last().unwrap().1,
+            2,
+            "finite buckets cover both samples"
+        );
     }
 }

@@ -144,12 +144,19 @@ impl Snapshot {
             histograms: self.histograms.clone(),
             ..Snapshot::default()
         };
-        if !out.gauges.iter().any(|g| g.id.name == "volap_captured_unix_microseconds") {
+        if !out
+            .gauges
+            .iter()
+            .any(|g| g.id.name == "volap_captured_unix_microseconds")
+        {
             for (name, value) in [
                 ("volap_captured_unix_microseconds", self.captured_unix_us),
                 ("volap_uptime_microseconds", self.uptime_us),
             ] {
-                out.gauges.push(ScalarSnapshot { id: MetricId::plain(name), value: value as i64 });
+                out.gauges.push(ScalarSnapshot {
+                    id: MetricId::plain(name),
+                    value: value as i64,
+                });
             }
             out.gauges.sort_by(|a, b| a.id.cmp(&b.id));
         }
@@ -158,12 +165,20 @@ impl Snapshot {
 
     /// Sum of all counters with this name, across labels.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().filter(|c| c.id.name == name).map(|c| c.value).sum()
+        self.counters
+            .iter()
+            .filter(|c| c.id.name == name)
+            .map(|c| c.value)
+            .sum()
     }
 
     /// Sum of all gauges with this name, across labels.
     pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.iter().filter(|g| g.id.name == name).map(|g| g.value).sum()
+        self.gauges
+            .iter()
+            .filter(|g| g.id.name == name)
+            .map(|g| g.value)
+            .sum()
     }
 
     /// The first histogram with this name (unlabeled histograms are unique).

@@ -88,9 +88,15 @@ impl StalenessProbe {
     /// `owner` pushed its dirty box for `key` to the global image.
     pub fn pushed(&self, key: u64, _owner: &str) {
         let mut inner = self.inner.lock().unwrap();
-        let Some(state) = inner.keys.get_mut(&key) else { return };
+        let Some(state) = inner.keys.get_mut(&key) else {
+            return;
+        };
         if let Some((origin, owner)) = state.pending.take() {
-            state.published = Some(Published { origin, owner, observers: HashSet::new() });
+            state.published = Some(Published {
+                origin,
+                owner,
+                observers: HashSet::new(),
+            });
         }
     }
 
@@ -99,8 +105,12 @@ impl StalenessProbe {
     pub fn applied(&self, key: u64, server: &str) {
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap();
-        let Some(state) = inner.keys.get_mut(&key) else { return };
-        let Some(p) = state.published.as_mut() else { return };
+        let Some(state) = inner.keys.get_mut(&key) else {
+            return;
+        };
+        let Some(p) = state.published.as_mut() else {
+            return;
+        };
         if p.owner == server || !p.observers.insert(server.to_string()) {
             return;
         }
@@ -110,7 +120,8 @@ impl StalenessProbe {
         }
         inner.samples.push_back(delay);
         inner.count += 1;
-        self.hist.observe_ns((delay * 1e9).min(u64::MAX as f64) as u64);
+        self.hist
+            .observe_ns((delay * 1e9).min(u64::MAX as f64) as u64);
     }
 
     /// Total staleness samples recorded.
@@ -146,9 +157,17 @@ impl SectionData for StalenessSnapshot {
 
     fn validate(&self) -> Result<(), String> {
         if self.samples_seconds.len() as u64 > self.count {
-            return Err(format!("{} samples retained of {}", self.samples_seconds.len(), self.count));
+            return Err(format!(
+                "{} samples retained of {}",
+                self.samples_seconds.len(),
+                self.count
+            ));
         }
-        match self.samples_seconds.iter().find(|s| !s.is_finite() || **s < 0.0) {
+        match self
+            .samples_seconds
+            .iter()
+            .find(|s| !s.is_finite() || **s < 0.0)
+        {
             Some(s) => Err(format!("sample {s} is not a delay")),
             None => Ok(()),
         }
@@ -197,7 +216,7 @@ mod tests {
         let probe = StalenessProbe::new(Histogram::detached());
         probe.expansion(7, "server-0");
         probe.expansion(7, "server-0"); // coalesces into same window
-        // Applies before the push must not count (record predates expansion).
+                                        // Applies before the push must not count (record predates expansion).
         probe.applied(7, "server-1");
         assert_eq!(probe.count(), 0);
         probe.pushed(7, "server-0");
@@ -223,6 +242,8 @@ mod tests {
         for w in curve.windows(2) {
             assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
         }
-        assert!((snap.quantile(0.5) - 0.02).abs() < 1e-12 || (snap.quantile(0.5) - 0.03).abs() < 1e-12);
+        assert!(
+            (snap.quantile(0.5) - 0.02).abs() < 1e-12 || (snap.quantile(0.5) - 0.03).abs() < 1e-12
+        );
     }
 }

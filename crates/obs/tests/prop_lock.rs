@@ -174,7 +174,11 @@ fn held_stack_survives_out_of_order_drops() {
     // hi (232) is still the deepest live rank: re-acquiring mid (231) is a
     // violation even though mid itself was released...
     let g_mid2 = mid.lock();
-    assert_eq!(lock::violation_count() - before, 1, "231 under live 232 must fire");
+    assert_eq!(
+        lock::violation_count() - before,
+        1,
+        "231 under live 232 must fire"
+    );
     drop(g_mid2);
     // ...while going deeper stays legal.
     let g_top = top.lock();

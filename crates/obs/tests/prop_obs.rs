@@ -60,7 +60,10 @@ fn histogram_is_exact_under_concurrent_recording() {
         running += expected[i];
         assert_eq!(cum, running, "cumulative bucket {i} (le={le})");
         if i > 0 {
-            assert!(le > snap.buckets[i - 1].0, "bucket bounds strictly increase");
+            assert!(
+                le > snap.buckets[i - 1].0,
+                "bucket bounds strictly increase"
+            );
         }
     }
 }
@@ -190,7 +193,10 @@ fn event_ring_eviction_under_contention_is_exact() {
     assert_eq!(log.recorded(), total, "every record counted");
     let snapshot = log.snapshot();
     assert!(!snapshot.is_empty(), "overflow must not evict everything");
-    assert!(snapshot.len() <= 128, "capacity bound held under contention");
+    assert!(
+        snapshot.len() <= 128,
+        "capacity bound held under contention"
+    );
     assert_eq!(
         snapshot.len() as u64 + log.dropped(),
         total,
@@ -199,9 +205,17 @@ fn event_ring_eviction_under_contention_is_exact() {
     // Global sequencing stays monotone and collision-free across shards.
     let seqs: Vec<u64> = snapshot.iter().map(|e| e.seq).collect();
     for w in seqs.windows(2) {
-        assert!(w[0] < w[1], "seq strictly increasing: {} then {}", w[0], w[1]);
+        assert!(
+            w[0] < w[1],
+            "seq strictly increasing: {} then {}",
+            w[0],
+            w[1]
+        );
     }
-    assert!(seqs.iter().all(|&s| s < total), "seq values within the issued range");
+    assert!(
+        seqs.iter().all(|&s| s < total),
+        "seq values within the issued range"
+    );
     // Eviction drops oldest-first per shard, so what survives skews recent:
     // every shard's retained run must be a suffix of what that thread wrote.
     let max_seq = *seqs.iter().max().unwrap();
@@ -241,7 +255,10 @@ fn audit_ring_eviction_under_contention_is_exact() {
     assert_eq!(log.recorded(), total, "every decision counted");
     let snapshot = log.snapshot();
     assert!(!snapshot.is_empty(), "overflow must not evict everything");
-    assert!(snapshot.len() <= 128, "capacity bound held under contention");
+    assert!(
+        snapshot.len() <= 128,
+        "capacity bound held under contention"
+    );
     assert_eq!(
         snapshot.len() as u64 + log.dropped(),
         total,
@@ -249,10 +266,21 @@ fn audit_ring_eviction_under_contention_is_exact() {
     );
     let seqs: Vec<u64> = snapshot.iter().map(|d| d.seq).collect();
     for w in seqs.windows(2) {
-        assert!(w[0] < w[1], "seq strictly increasing: {} then {}", w[0], w[1]);
+        assert!(
+            w[0] < w[1],
+            "seq strictly increasing: {} then {}",
+            w[0],
+            w[1]
+        );
     }
-    assert!(seqs.iter().all(|&s| s < total), "seq values within the issued range");
-    assert!(*seqs.iter().max().unwrap() >= total - 128, "newest decisions survive eviction");
+    assert!(
+        seqs.iter().all(|&s| s < total),
+        "seq values within the issued range"
+    );
+    assert!(
+        *seqs.iter().max().unwrap() >= total - 128,
+        "newest decisions survive eviction"
+    );
     // Structured payloads survive the ring untouched.
     for d in &snapshot {
         assert_eq!(d.action, "split");

@@ -32,7 +32,11 @@ impl ArrayStore {
             schema,
             inner: ObsRwLock::new(
                 &ARRAY_CLASS,
-                ArrayInner { items: Vec::new(), total: Aggregate::empty(), mbr },
+                ArrayInner {
+                    items: Vec::new(),
+                    total: Aggregate::empty(),
+                    mbr,
+                },
             ),
         }
     }

@@ -95,7 +95,11 @@ impl Column {
         } else if lo <= self.lo && self.hi <= hi {
             Pred::All
         } else {
-            Pred::Test { col: &self.vals, lo, hi }
+            Pred::Test {
+                col: &self.vals,
+                lo,
+                hi,
+            }
         }
     }
 }
@@ -178,7 +182,8 @@ impl LeafColumns {
     /// First index whose hkey is strictly greater than `h` (Hilbert insert
     /// position).
     pub(crate) fn hkey_partition_point(&self, h: &BigIndex) -> usize {
-        self.hkeys.partition_point(|k| k.as_ref().is_some_and(|k| k <= h))
+        self.hkeys
+            .partition_point(|k| k.as_ref().is_some_and(|k| k <= h))
     }
 
     /// Insert a run of items pre-sorted by Hilbert key (`keyed` pairs each
@@ -192,8 +197,14 @@ impl LeafColumns {
     /// Only meaningful under a Hilbert policy: every existing row must
     /// already carry a key.
     pub(crate) fn insert_run(&mut self, items: &[Item], keyed: &mut [(BigIndex, u32)]) {
-        debug_assert!(keyed.windows(2).all(|w| w[0].0 <= w[1].0), "run must be sorted");
-        debug_assert!(self.hkeys.iter().all(|k| k.is_some()), "run insert into keyless leaf");
+        debug_assert!(
+            keyed.windows(2).all(|w| w[0].0 <= w[1].0),
+            "run must be sorted"
+        );
+        debug_assert!(
+            self.hkeys.iter().all(|k| k.is_some()),
+            "run insert into keyless leaf"
+        );
         let mut pos = 0;
         let mut i = 0;
         while i < keyed.len() {
@@ -213,12 +224,25 @@ impl LeafColumns {
             };
             let group = i..group_end;
             for (d, col) in self.cols.iter_mut().enumerate() {
-                col.splice_at(pos, keyed[group.clone()].iter().map(|&(_, r)| items[r as usize].coords[d]));
+                col.splice_at(
+                    pos,
+                    keyed[group.clone()]
+                        .iter()
+                        .map(|&(_, r)| items[r as usize].coords[d]),
+                );
             }
-            self.measures
-                .splice(pos..pos, keyed[group.clone()].iter().map(|&(_, r)| items[r as usize].measure));
-            self.hkeys
-                .splice(pos..pos, keyed[group.clone()].iter_mut().map(|(k, _)| Some(std::mem::take(k))));
+            self.measures.splice(
+                pos..pos,
+                keyed[group.clone()]
+                    .iter()
+                    .map(|&(_, r)| items[r as usize].measure),
+            );
+            self.hkeys.splice(
+                pos..pos,
+                keyed[group.clone()]
+                    .iter_mut()
+                    .map(|(k, _)| Some(std::mem::take(k))),
+            );
             pos += group_end - i;
             i = group_end;
         }
@@ -233,7 +257,11 @@ impl LeafColumns {
     /// interchange [`Entry`] per row.
     pub fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
         Self {
-            cols: self.cols.iter().map(|c| Column::new(c.vals[r.clone()].to_vec())).collect(),
+            cols: self
+                .cols
+                .iter()
+                .map(|c| Column::new(c.vals[r.clone()].to_vec()))
+                .collect(),
             measures: self.measures[r.clone()].to_vec(),
             hkeys: self.hkeys[r.clone()].to_vec(),
         }
@@ -248,10 +276,15 @@ impl LeafColumns {
         }
         for (d, Column { vals, lo, hi }) in self.cols.iter().enumerate() {
             if vals.len() != n {
-                return Err(format!("column {d} holds {} values for {n} rows", vals.len()));
+                return Err(format!(
+                    "column {d} holds {} values for {n} rows",
+                    vals.len()
+                ));
             }
             if let Some(v) = vals.iter().find(|&&v| v < *lo || v > *hi) {
-                return Err(format!("column {d}: value {v} outside its range [{lo}, {hi}]"));
+                return Err(format!(
+                    "column {d}: value {v} outside its range [{lo}, {hi}]"
+                ));
             }
         }
         Ok(())
@@ -282,7 +315,10 @@ impl LeafColumns {
 
     /// Row `i` as an [`Item`].
     pub fn item(&self, i: usize) -> Item {
-        Item { coords: self.cols.iter().map(|col| col.vals[i]).collect(), measure: self.measures[i] }
+        Item {
+            coords: self.cols.iter().map(|col| col.vals[i]).collect(),
+            measure: self.measures[i],
+        }
     }
 
     pub(crate) fn append_items(&self, out: &mut Vec<Item>) {
@@ -326,7 +362,11 @@ impl LeafColumns {
             let mut lanes = [0u64; 4];
             for (l, lane) in lanes.iter_mut().enumerate().take(nlanes) {
                 let rows = (block - l * 64).min(64);
-                *lane = if rows == 64 { u64::MAX } else { (1u64 << rows) - 1 };
+                *lane = if rows == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << rows) - 1
+                };
             }
             'dims: for &(col, lo, hi) in &tests {
                 let mut any = 0u64;
@@ -362,13 +402,21 @@ mod tests {
     use super::*;
 
     fn entry(coords: &[u64], measure: f64) -> Entry {
-        Entry { coords: coords.into(), measure, hkey: None }
+        Entry {
+            coords: coords.into(),
+            measure,
+            hkey: None,
+        }
     }
 
     fn brute(rows: &[(&[u64], f64)], q: &QueryBox) -> Aggregate {
         let mut agg = Aggregate::empty();
         for (coords, m) in rows {
-            if coords.iter().zip(q.ranges.iter()).all(|(&c, &(lo, hi))| lo <= c && c <= hi) {
+            if coords
+                .iter()
+                .zip(q.ranges.iter())
+                .all(|(&c, &(lo, hi))| lo <= c && c <= hi)
+            {
                 agg.add(*m);
             }
         }
@@ -395,7 +443,9 @@ mod tests {
         let mut rows: Vec<(Vec<u64>, f64)> = Vec::new();
         let mut state = 99u64;
         for i in 0..n {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let coords = vec![state % dims_mod[0], (state >> 20) % dims_mod[1]];
             rows.push((coords.clone(), i as f64));
             leaf.push(entry(&coords, i as f64));
@@ -418,8 +468,8 @@ mod tests {
         // 300 rows spans two blocks; dim 1 holds 6 distinct values.
         let (leaf, rows) = lcg_rows(300, [32, 6]);
         let queries = vec![
-            vec![(0, 31), (0, 5)],  // All on both dims: the measure column straight
-            vec![(0, 31), (2, 4)],  // dim 0 All, dim 1 tested
+            vec![(0, 31), (0, 5)], // All on both dims: the measure column straight
+            vec![(0, 31), (2, 4)], // dim 0 All, dim 1 tested
             vec![(5, 12), (0, 5)],
             vec![(8, 8), (3, 3)],
             vec![(40, 50), (0, 5)], // past dim 0's range: Never
@@ -433,8 +483,9 @@ mod tests {
     /// either end, and nested strictly inside.
     fn check_at_edges(leaf: &LeafColumns) {
         leaf.check().unwrap();
-        let rows: Vec<(Vec<u64>, f64)> =
-            (0..leaf.len()).map(|i| (leaf.item(i).coords.to_vec(), leaf.item(i).measure)).collect();
+        let rows: Vec<(Vec<u64>, f64)> = (0..leaf.len())
+            .map(|i| (leaf.item(i).coords.to_vec(), leaf.item(i).measure))
+            .collect();
         let dims = leaf.cols.len();
         let (mut mins, mut maxs) = (vec![u64::MAX; dims], vec![0u64; dims]);
         for (c, _) in &rows {
@@ -464,13 +515,19 @@ mod tests {
     }
 
     fn keyed_entry(coords: &[u64], h: u64) -> Entry {
-        Entry { coords: coords.into(), measure: h as f64, hkey: Some(BigIndex::from(h)) }
+        Entry {
+            coords: coords.into(),
+            measure: h as f64,
+            hkey: Some(BigIndex::from(h)),
+        }
     }
 
     #[test]
     fn raw_ranges_follow_every_mutation_path() {
         // from_entries, then a Hilbert insert in the middle.
-        let entries = (0..40).map(|h| keyed_entry(&[h % 5, 100 + h], h * 10)).collect();
+        let entries = (0..40)
+            .map(|h| keyed_entry(&[h % 5, 100 + h], h * 10))
+            .collect();
         let mut leaf = LeafColumns::from_entries(2, entries);
         check_at_edges(&leaf);
         let pos = leaf.hkey_partition_point(&BigIndex::from(155));
@@ -503,8 +560,9 @@ mod tests {
 
     #[test]
     fn roundtrip_entries() {
-        let entries: Vec<Entry> =
-            (0..10).map(|i| entry(&[i, i * 2, 63 - i], i as f64 * 0.5)).collect();
+        let entries: Vec<Entry> = (0..10)
+            .map(|i| entry(&[i, i * 2, 63 - i], i as f64 * 0.5))
+            .collect();
         let leaf = LeafColumns::from_entries(3, entries.clone());
         assert_eq!(leaf.len(), 10);
         let back = leaf.to_entries();

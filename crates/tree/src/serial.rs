@@ -46,14 +46,20 @@ pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
     }
     let dims = buf.get_u16() as usize;
     if dims != schema.dims() {
-        return Err(format!("shard has {dims} dims, schema has {}", schema.dims()));
+        return Err(format!(
+            "shard has {dims} dims, schema has {}",
+            schema.dims()
+        ));
     }
     let count = buf.get_u64() as usize;
     let need = count
         .checked_mul(dims * 8 + 8)
         .ok_or_else(|| "shard item count overflows".to_string())?;
     if buf.remaining() < need {
-        return Err(format!("shard blob truncated: need {need} bytes, have {}", buf.remaining()));
+        return Err(format!(
+            "shard blob truncated: need {need} bytes, have {}",
+            buf.remaining()
+        ));
     }
     let mut items = Vec::with_capacity(count);
     for _ in 0..count {
@@ -135,7 +141,9 @@ mod tests {
     fn items(n: u64, schema: &Schema) -> Vec<Item> {
         let mut state = 0xABCDEF12345u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 11
         };
         (0..n)
@@ -177,12 +185,21 @@ mod tests {
     fn bulk_load_equals_point_inserts() {
         let schema = Schema::uniform(3, 2, 8);
         let data = items(2000, &schema);
-        let cfg = TreeConfig { leaf_cap: 16, dir_cap: 6, ..TreeConfig::default() };
-        for policy in [InsertPolicy::Geometric, InsertPolicy::Hilbert { expand: true }] {
-            let bulk: ConcurrentTree<Mds> = ConcurrentTree::new(schema.clone(), policy, cfg.clone());
+        let cfg = TreeConfig {
+            leaf_cap: 16,
+            dir_cap: 6,
+            ..TreeConfig::default()
+        };
+        for policy in [
+            InsertPolicy::Geometric,
+            InsertPolicy::Hilbert { expand: true },
+        ] {
+            let bulk: ConcurrentTree<Mds> =
+                ConcurrentTree::new(schema.clone(), policy, cfg.clone());
             bulk_load(&bulk, data.clone());
             assert_eq!(bulk.len(), data.len() as u64);
-            let point: ConcurrentTree<Mds> = ConcurrentTree::new(schema.clone(), policy, cfg.clone());
+            let point: ConcurrentTree<Mds> =
+                ConcurrentTree::new(schema.clone(), policy, cfg.clone());
             for it in &data {
                 point.insert(it);
             }

@@ -64,7 +64,10 @@ impl SplitPlan {
                     None => continue, // all equal in this dimension
                 }
             }
-            return Some(Self { dim: d, threshold: t });
+            return Some(Self {
+                dim: d,
+                threshold: t,
+            });
         }
         None
     }

@@ -177,10 +177,14 @@ pub fn build_store(kind: StoreKind, schema: &Schema, cfg: &TreeConfig) -> Box<dy
     let mut cfg = cfg.clone();
     cfg.aggregate_cache = cfg.aggregate_cache && kind.caches_aggregates();
     match kind {
-        StoreKind::Array => Box::new(ArrayShard { store: ArrayStore::new(schema.clone()), cfg }),
-        StoreKind::PdcMbr | StoreKind::HilbertPdcMbr | StoreKind::HilbertRTree | StoreKind::RTree => {
-            Box::new(TreeShard::<Mbr>::new(kind, schema.clone(), cfg))
-        }
+        StoreKind::Array => Box::new(ArrayShard {
+            store: ArrayStore::new(schema.clone()),
+            cfg,
+        }),
+        StoreKind::PdcMbr
+        | StoreKind::HilbertPdcMbr
+        | StoreKind::HilbertRTree
+        | StoreKind::RTree => Box::new(TreeShard::<Mbr>::new(kind, schema.clone(), cfg)),
         StoreKind::PdcMds | StoreKind::HilbertPdcMds => {
             Box::new(TreeShard::<Mds>::new(kind, schema.clone(), cfg))
         }
@@ -209,7 +213,11 @@ struct TreeShard<K: Key> {
 impl<K: Key> TreeShard<K> {
     fn new(kind: StoreKind, schema: Schema, cfg: TreeConfig) -> Self {
         let policy = kind.policy().expect("tree shard kinds have a policy");
-        Self { kind, tree: ConcurrentTree::new(schema, policy, cfg.clone()), cfg }
+        Self {
+            kind,
+            tree: ConcurrentTree::new(schema, policy, cfg.clone()),
+            cfg,
+        }
     }
 }
 
@@ -308,8 +316,11 @@ impl ShardStore for ArrayShard {
         }
     }
     fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>) {
-        let (left, right): (Vec<Item>, Vec<Item>) =
-            self.store.items().into_iter().partition(|it| !plan.side(it));
+        let (left, right): (Vec<Item>, Vec<Item>) = self
+            .store
+            .items()
+            .into_iter()
+            .partition(|it| !plan.side(it));
         let l = build_store(StoreKind::Array, self.schema(), &self.cfg);
         let r = build_store(StoreKind::Array, self.schema(), &self.cfg);
         l.bulk_insert(left);
@@ -325,7 +336,9 @@ mod tests {
     fn items(n: u64, schema: &Schema) -> Vec<Item> {
         let mut state = 7u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 11
         };
         (0..n)
@@ -402,22 +415,29 @@ mod tests {
         let cfg = TreeConfig::default();
         let store = build_store(StoreKind::HilbertPdcMds, &schema, &cfg);
         store.bulk_insert(data);
-        let back = deserialize_store(StoreKind::HilbertPdcMds, &schema, &cfg, &store.serialize())
-            .unwrap();
+        let back =
+            deserialize_store(StoreKind::HilbertPdcMds, &schema, &cfg, &store.serialize()).unwrap();
         assert_eq!(back.items(), store.items());
         assert_eq!(back.stats().leaves, store.stats().leaves);
         let q = QueryBox::all(&schema);
         let (got, sent) = (back.query(&q), store.query(&q));
         assert_eq!(got.count, sent.count);
         assert_eq!(got.sum.to_bits(), sent.sum.to_bits());
-        assert_eq!((got.min.to_bits(), got.max.to_bits()), (sent.min.to_bits(), sent.max.to_bits()));
+        assert_eq!(
+            (got.min.to_bits(), got.max.to_bits()),
+            (sent.min.to_bits(), sent.max.to_bits())
+        );
     }
 
     #[test]
     fn split_partitions_by_hyperplane() {
         let schema = Schema::uniform(2, 2, 16);
         let data = items(500, &schema);
-        for kind in [StoreKind::HilbertPdcMds, StoreKind::Array, StoreKind::PdcMbr] {
+        for kind in [
+            StoreKind::HilbertPdcMds,
+            StoreKind::Array,
+            StoreKind::PdcMbr,
+        ] {
             let store = build_store(kind, &schema, &TreeConfig::default());
             store.bulk_insert(data.clone());
             let plan = store.split_query().expect("split must be possible");

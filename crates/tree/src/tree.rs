@@ -82,7 +82,10 @@ pub(crate) struct Entry {
 
 impl Entry {
     fn to_item(&self) -> Item {
-        Item { coords: self.coords.clone(), measure: self.measure }
+        Item {
+            coords: self.coords.clone(),
+            measure: self.measure,
+        }
     }
 }
 
@@ -96,7 +99,11 @@ pub(crate) struct DirEntry<K> {
 
 impl<K: Key> Clone for DirEntry<K> {
     fn clone(&self) -> Self {
-        Self { key: self.key.clone(), lhv: self.lhv.clone(), node: Arc::clone(&self.node) }
+        Self {
+            key: self.key.clone(),
+            lhv: self.lhv.clone(),
+            node: Arc::clone(&self.node),
+        }
     }
 }
 
@@ -123,12 +130,20 @@ pub(crate) struct NodeInner<K> {
 pub(crate) type Node<K> = ObsRwLock<NodeInner<K>>;
 
 pub(crate) fn new_leaf<K: Key>(entries: LeafColumns, agg: Aggregate) -> Arc<Node<K>> {
-    let inner = NodeInner { agg, children: NodeChildren::Leaf(entries), retired: false };
+    let inner = NodeInner {
+        agg,
+        children: NodeChildren::Leaf(entries),
+        retired: false,
+    };
     Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, inner))
 }
 
 pub(crate) fn new_dir<K: Key>(entries: Vec<DirEntry<K>>, agg: Aggregate) -> Arc<Node<K>> {
-    let inner = NodeInner { agg, children: NodeChildren::Dir(entries), retired: false };
+    let inner = NodeInner {
+        agg,
+        children: NodeChildren::Dir(entries),
+        retired: false,
+    };
     Arc::new(ObsRwLock::new(&TREE_NODE_CLASS, inner))
 }
 
@@ -357,7 +372,10 @@ impl<K: Key> ConcurrentTree<K> {
         keyed.sort_unstable();
         // Scratch reused across runs so steady-state batching allocates
         // nothing per run.
-        let mut scratch = RunScratch { path: Vec::new(), slots: Vec::new() };
+        let mut scratch = RunScratch {
+            path: Vec::new(),
+            slots: Vec::new(),
+        };
         let mut start = 0;
         while start < keyed.len() {
             start += self.insert_run(items, &mut keyed, start, &mut scratch);
@@ -415,7 +433,10 @@ impl<K: Key> ConcurrentTree<K> {
                             if let Some(l) = entries[idx].lhv.as_ref() {
                                 run_end =
                                     start + keyed[start..run_end].partition_point(|(k, _)| k <= l);
-                                debug_assert!(run_end > start, "chosen child must accept the run head");
+                                debug_assert!(
+                                    run_end > start,
+                                    "chosen child must accept the run head"
+                                );
                             }
                         }
                         Some((idx, Arc::clone(&entries[idx].node)))
@@ -474,7 +495,9 @@ impl<K: Key> ConcurrentTree<K> {
                         Some(union) => entries[idx].key.extend_key(&self.schema, union),
                         None => {
                             for &(_, i) in keyed[start..start + k].iter() {
-                                entries[idx].key.extend_item(&self.schema, &items[i as usize]);
+                                entries[idx]
+                                    .key
+                                    .extend_item(&self.schema, &items[i as usize]);
                             }
                         }
                     }
@@ -524,7 +547,10 @@ impl<K: Key> ConcurrentTree<K> {
                 // a full key per row. Splits sit on both ingest hot paths, so
                 // this is where allocation pressure matters most.
                 let n = cols.len();
-                let mut scratch = Item { coords: vec![0u64; self.schema.dims()].into(), measure: 0.0 };
+                let mut scratch = Item {
+                    coords: vec![0u64; self.schema.dims()].into(),
+                    measure: 0.0,
+                };
                 let split = self.best_split_rows(n, self.cfg.min_leaf(), |key, i| {
                     cols.read_row_into(i, &mut scratch);
                     key.extend_item(&self.schema, &scratch);
@@ -547,7 +573,10 @@ impl<K: Key> ConcurrentTree<K> {
                     acc.extend_key(&self.schema, &keys[i]);
                 });
                 let right_entries = sorted.split_off(split);
-                (self.make_leaf_slot(sorted), self.make_leaf_slot(right_entries))
+                (
+                    self.make_leaf_slot(sorted),
+                    self.make_leaf_slot(right_entries),
+                )
             }
             NodeChildren::Dir(entries) => {
                 let mut sorted: Vec<DirEntry<K>> = entries.clone();
@@ -558,7 +587,10 @@ impl<K: Key> ConcurrentTree<K> {
                     acc.extend_key(&self.schema, &sorted[i].key);
                 });
                 let right_entries = sorted.split_off(split);
-                (self.make_dir_slot(sorted), self.make_dir_slot(right_entries))
+                (
+                    self.make_dir_slot(sorted),
+                    self.make_dir_slot(right_entries),
+                )
             }
         }
     }
@@ -578,7 +610,11 @@ impl<K: Key> ConcurrentTree<K> {
             }
         }
         let cols = LeafColumns::from_entries(self.schema.dims(), entries);
-        DirEntry { key, lhv, node: new_leaf(cols, agg) }
+        DirEntry {
+            key,
+            lhv,
+            node: new_leaf(cols, agg),
+        }
     }
 
     /// Parent slot for an already-key-sorted columnar leaf (Hilbert policy):
@@ -588,15 +624,25 @@ impl<K: Key> ConcurrentTree<K> {
         let n = cols.len();
         let mut key = K::empty(&self.schema);
         let mut agg = Aggregate::empty();
-        let mut scratch = Item { coords: vec![0u64; self.schema.dims()].into(), measure: 0.0 };
+        let mut scratch = Item {
+            coords: vec![0u64; self.schema.dims()].into(),
+            measure: 0.0,
+        };
         for i in 0..n {
             cols.read_row_into(i, &mut scratch);
             key.extend_item(&self.schema, &scratch);
             agg.add(scratch.measure);
         }
         let lhv = n.checked_sub(1).and_then(|i| cols.hkey(i).cloned());
-        debug_assert!(lhv.is_some(), "hilbert leaf split produced an empty or keyless side");
-        DirEntry { key, lhv, node: new_leaf(cols, agg) }
+        debug_assert!(
+            lhv.is_some(),
+            "hilbert leaf split produced an empty or keyless side"
+        );
+        DirEntry {
+            key,
+            lhv,
+            node: new_leaf(cols, agg),
+        }
     }
 
     pub(crate) fn make_dir_slot(&self, entries: Vec<DirEntry<K>>) -> DirEntry<K> {
@@ -613,7 +659,11 @@ impl<K: Key> ConcurrentTree<K> {
                 }
             }
         }
-        DirEntry { key, lhv, node: new_dir(entries, agg) }
+        DirEntry {
+            key,
+            lhv,
+            node: new_dir(entries, agg),
+        }
     }
 
     /// Least-overlap split index over an ordered sequence of `n` rows, where
@@ -883,7 +933,9 @@ impl<K: Key> ConcurrentTree<K> {
         if !matches!(&guard.children, NodeChildren::Leaf(rows) if rows.is_empty()) {
             return false;
         }
-        *guard = Arc::into_inner(packed).expect("a packed root is unshared").into_inner();
+        *guard = Arc::into_inner(packed)
+            .expect("a packed root is unshared")
+            .into_inner();
         self.len.fetch_add(len, Ordering::AcqRel);
         true
     }
@@ -963,7 +1015,9 @@ fn sort_dir_geometric<K: Key>(schema: &Schema, entries: &mut Vec<DirEntry<K>>) {
         .drain(..)
         .zip(hulls)
         .map(|(e, h)| {
-            let center = h.ranges().map_or(0, |r| r[best_dim].0 / 2 + r[best_dim].1 / 2);
+            let center = h
+                .ranges()
+                .map_or(0, |r| r[best_dim].0 / 2 + r[best_dim].1 / 2);
             (center, e)
         })
         .collect();
@@ -977,14 +1031,20 @@ mod tests {
     use volap_dims::Mds;
 
     fn small_cfg() -> TreeConfig {
-        TreeConfig { leaf_cap: 8, dir_cap: 4, ..TreeConfig::default() }
+        TreeConfig {
+            leaf_cap: 8,
+            dir_cap: 4,
+            ..TreeConfig::default()
+        }
     }
 
     fn items_grid(schema: &Schema, n: u64) -> Vec<Item> {
         // Deterministic pseudo-random items via a simple LCG.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 11
         };
         (0..n)
@@ -1000,8 +1060,12 @@ mod tests {
     #[test]
     fn insert_then_total_matches() {
         let schema = Schema::uniform(3, 2, 8);
-        for policy in [InsertPolicy::Geometric, InsertPolicy::Hilbert { expand: true }] {
-            let tree: ConcurrentTree<Mds> = ConcurrentTree::new(schema.clone(), policy, small_cfg());
+        for policy in [
+            InsertPolicy::Geometric,
+            InsertPolicy::Hilbert { expand: true },
+        ] {
+            let tree: ConcurrentTree<Mds> =
+                ConcurrentTree::new(schema.clone(), policy, small_cfg());
             let items = items_grid(&schema, 500);
             let mut expect = Aggregate::empty();
             for it in &items {
@@ -1032,8 +1096,10 @@ mod tests {
             InsertPolicy::Hilbert { expand: true },
             InsertPolicy::Hilbert { expand: false },
         ] {
-            let mbr_tree: ConcurrentTree<Mbr> = ConcurrentTree::new(schema.clone(), policy, small_cfg());
-            let mds_tree: ConcurrentTree<Mds> = ConcurrentTree::new(schema.clone(), policy, small_cfg());
+            let mbr_tree: ConcurrentTree<Mbr> =
+                ConcurrentTree::new(schema.clone(), policy, small_cfg());
+            let mds_tree: ConcurrentTree<Mds> =
+                ConcurrentTree::new(schema.clone(), policy, small_cfg());
             for it in &items {
                 mbr_tree.insert(it);
                 mds_tree.insert(it);
@@ -1045,7 +1111,10 @@ mod tests {
                 }
                 for (name, got) in [("mbr", mbr_tree.query(q)), ("mds", mds_tree.query(q))] {
                     assert_eq!(got.count, expect.count, "{name} {policy:?} count mismatch");
-                    assert!((got.sum - expect.sum).abs() < 1e-6, "{name} {policy:?} sum mismatch");
+                    assert!(
+                        (got.sum - expect.sum).abs() < 1e-6,
+                        "{name} {policy:?} sum mismatch"
+                    );
                 }
             }
         }
@@ -1054,8 +1123,11 @@ mod tests {
     #[test]
     fn full_coverage_uses_cached_aggregates() {
         let schema = Schema::uniform(2, 2, 16);
-        let tree: ConcurrentTree<Mds> =
-            ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, small_cfg());
+        let tree: ConcurrentTree<Mds> = ConcurrentTree::new(
+            schema.clone(),
+            InsertPolicy::Hilbert { expand: true },
+            small_cfg(),
+        );
         for it in items_grid(&schema, 2000) {
             tree.insert(&it);
         }
@@ -1068,8 +1140,12 @@ mod tests {
     #[test]
     fn structure_is_balanced_by_construction() {
         let schema = Schema::uniform(2, 2, 16);
-        for policy in [InsertPolicy::Geometric, InsertPolicy::Hilbert { expand: true }] {
-            let tree: ConcurrentTree<Mbr> = ConcurrentTree::new(schema.clone(), policy, small_cfg());
+        for policy in [
+            InsertPolicy::Geometric,
+            InsertPolicy::Hilbert { expand: true },
+        ] {
+            let tree: ConcurrentTree<Mbr> =
+                ConcurrentTree::new(schema.clone(), policy, small_cfg());
             for it in items_grid(&schema, 3000) {
                 tree.insert(&it);
             }
@@ -1110,7 +1186,11 @@ mod tests {
                 let mut last = 0;
                 for _ in 0..200 {
                     let (agg, _) = qtree.query_traced(&q);
-                    assert!(agg.count >= last, "total count went backwards: {last} -> {}", agg.count);
+                    assert!(
+                        agg.count >= last,
+                        "total count went backwards: {last} -> {}",
+                        agg.count
+                    );
                     last = agg.count;
                 }
             });
@@ -1154,8 +1234,9 @@ mod tests {
             let g = node.read();
             match &g.children {
                 NodeChildren::Leaf(entries) => {
-                    let keys: Vec<_> =
-                        (0..entries.len()).map(|i| entries.hkey(i).cloned().unwrap()).collect();
+                    let keys: Vec<_> = (0..entries.len())
+                        .map(|i| entries.hkey(i).cloned().unwrap())
+                        .collect();
                     for w in keys.windows(2) {
                         assert!(w[0] <= w[1], "leaf entries out of Hilbert order");
                     }
@@ -1185,8 +1266,11 @@ mod tests {
     #[test]
     fn empty_tree_queries_are_empty() {
         let schema = Schema::uniform(2, 2, 8);
-        let tree: ConcurrentTree<Mds> =
-            ConcurrentTree::new(schema.clone(), InsertPolicy::Hilbert { expand: true }, small_cfg());
+        let tree: ConcurrentTree<Mds> = ConcurrentTree::new(
+            schema.clone(),
+            InsertPolicy::Hilbert { expand: true },
+            small_cfg(),
+        );
         assert!(tree.is_empty());
         let agg = tree.query(&QueryBox::all(&schema));
         assert!(agg.is_empty());

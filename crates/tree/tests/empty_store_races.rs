@@ -17,7 +17,11 @@ use volap_tree::{build_store, ShardStore, StoreKind, TreeConfig};
 
 /// Rounds per case: enough for the loser to land inside the window on a
 /// single core, small enough to stay well under two seconds in release.
-const ROUNDS: usize = if cfg!(debug_assertions) { 1_000 } else { 10_000 };
+const ROUNDS: usize = if cfg!(debug_assertions) {
+    1_000
+} else {
+    10_000
+};
 
 /// What races the 100-item bulk load.
 #[derive(Clone, Copy, Debug)]

@@ -12,7 +12,11 @@ use volap_tree::{ConcurrentTree, InsertPolicy, TreeConfig};
 fn small_cfg() -> TreeConfig {
     // leaf_cap 8 / dir_cap 4: a few hundred items force several levels of
     // splits, so batches routinely split mid-run.
-    TreeConfig { leaf_cap: 8, dir_cap: 4, ..TreeConfig::default() }
+    TreeConfig {
+        leaf_cap: 8,
+        dir_cap: 4,
+        ..TreeConfig::default()
+    }
 }
 
 fn schema() -> Schema {

@@ -5,7 +5,11 @@ use volap_dims::{Aggregate, DimPath, Item, QueryBox, Schema};
 use volap_tree::{build_store, SplitPlan, StoreKind, TreeConfig};
 
 fn small_cfg() -> TreeConfig {
-    TreeConfig { leaf_cap: 8, dir_cap: 4, ..TreeConfig::default() }
+    TreeConfig {
+        leaf_cap: 8,
+        dir_cap: 4,
+        ..TreeConfig::default()
+    }
 }
 
 fn schema() -> Schema {
@@ -14,11 +18,7 @@ fn schema() -> Schema {
 
 /// Random items as (coords, measure) tuples.
 fn items_strategy(n: usize) -> impl Strategy<Value = Vec<Item>> {
-    prop::collection::vec(
-        (prop::collection::vec(0u64..16, 3), 0u32..100),
-        1..=n,
-    )
-    .prop_map(|raw| {
+    prop::collection::vec((prop::collection::vec(0u64..16, 3), 0u32..100), 1..=n).prop_map(|raw| {
         raw.into_iter()
             .map(|(coords, m)| Item::new(coords, m as f64))
             .collect()
@@ -45,7 +45,12 @@ fn query_strategy() -> impl Strategy<Value = QueryBox> {
 /// Random query with arbitrary (not level-aligned) bounds per dimension.
 fn ragged_query_strategy() -> impl Strategy<Value = QueryBox> {
     prop::collection::vec((0u64..16, 0u64..16), 3).prop_map(|per_dim| {
-        QueryBox::from_ranges(per_dim.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect())
+        QueryBox::from_ranges(
+            per_dim
+                .into_iter()
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect(),
+        )
     })
 }
 

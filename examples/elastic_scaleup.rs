@@ -57,7 +57,11 @@ fn main() {
             let settled = wait_balanced(&cluster, Duration::from_secs(20));
             print_loads(
                 &cluster,
-                if settled { "after balancing" } else { "balancing (timeout)" },
+                if settled {
+                    "after balancing"
+                } else {
+                    "balancing (timeout)"
+                },
             );
         }
         println!("\n-- phase {phase}: loading {phase_items} items");

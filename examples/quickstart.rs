@@ -19,7 +19,10 @@ fn main() {
     let mut cfg = VolapConfig::new(schema.clone());
     cfg.workers = 4;
     cfg.servers = 2;
-    println!("starting VOLAP: {} workers, {} servers, shard store = {}", cfg.workers, cfg.servers, cfg.store_kind);
+    println!(
+        "starting VOLAP: {} workers, {} servers, shard store = {}",
+        cfg.workers, cfg.servers, cfg.store_kind
+    );
     let cluster = Cluster::start(cfg);
     let client = cluster.client();
 

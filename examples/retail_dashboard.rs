@@ -35,16 +35,25 @@ fn main() {
         panel.push(("total revenue", QueryBox::all(&schema)));
         let mut p = root(&schema);
         p[0] = DimPath::new(0, vec![0]);
-        panel.push(("revenue in store-country 0", QueryBox::from_paths(&schema, &p)));
+        panel.push((
+            "revenue in store-country 0",
+            QueryBox::from_paths(&schema, &p),
+        ));
         let mut p = root(&schema);
         p[2] = DimPath::new(2, vec![0]);
-        panel.push(("revenue in item-category 0", QueryBox::from_paths(&schema, &p)));
+        panel.push((
+            "revenue in item-category 0",
+            QueryBox::from_paths(&schema, &p),
+        ));
         let mut p = root(&schema);
         p[7] = DimPath::new(7, vec![9]);
         panel.push(("revenue in hour 9", QueryBox::from_paths(&schema, &p)));
         let mut p = root(&schema);
         p[3] = DimPath::new(3, vec![0, 5]);
-        panel.push(("revenue in year 0 / month 5", QueryBox::from_paths(&schema, &p)));
+        panel.push((
+            "revenue in year 0 / month 5",
+            QueryBox::from_paths(&schema, &p),
+        ));
         panel
     };
 

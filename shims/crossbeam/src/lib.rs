@@ -193,7 +193,9 @@ pub mod channel {
         /// Take the head of the queue (waking a sender blocked on a full
         /// one), or hand the guard back if there is none.
         fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
-            let Some(v) = st.queue.pop_front() else { return Err(st) };
+            let Some(v) = st.queue.pop_front() else {
+                return Err(st);
+            };
             let wake = st.parked_senders > 0;
             drop(st);
             if wake {
@@ -242,10 +244,12 @@ pub mod channel {
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            self.shared.pop(self.shared.state.lock().unwrap()).map_err(|st| match st.senders {
-                0 => TryRecvError::Disconnected,
-                _ => TryRecvError::Empty,
-            })
+            self.shared
+                .pop(self.shared.state.lock().unwrap())
+                .map_err(|st| match st.senders {
+                    0 => TryRecvError::Disconnected,
+                    _ => TryRecvError::Empty,
+                })
         }
 
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
@@ -329,20 +333,36 @@ pub mod channel {
         fn recv_timeout_honours_its_deadline_on_an_empty_queue() {
             let (_tx, rx) = unbounded::<u8>();
             // Shorter than, equal to and longer than the polling window.
-            for timeout in [Duration::ZERO, SPIN / 5, SPIN, SPIN * 4, Duration::from_millis(5)] {
+            for timeout in [
+                Duration::ZERO,
+                SPIN / 5,
+                SPIN,
+                SPIN * 4,
+                Duration::from_millis(5),
+            ] {
                 let mut fastest = Duration::MAX;
                 for _ in 0..20 {
                     let start = Instant::now();
                     assert_eq!(rx.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
                     let took = start.elapsed();
-                    assert!(took >= timeout, "returned after {took:?}, before its {timeout:?} deadline");
+                    assert!(
+                        took >= timeout,
+                        "returned after {took:?}, before its {timeout:?} deadline"
+                    );
                     fastest = fastest.min(took);
                 }
                 // The best of 20 tries shows the mechanism, not the scheduler:
                 // polling stops at the caller's deadline when that comes first
                 // (the kernel's timer slack only enters once parked).
-                let slack = if timeout <= SPIN { SPIN } else { Duration::from_millis(50) };
-                assert!(fastest < timeout + slack, "{timeout:?} took {fastest:?} at best");
+                let slack = if timeout <= SPIN {
+                    SPIN
+                } else {
+                    Duration::from_millis(50)
+                };
+                assert!(
+                    fastest < timeout + slack,
+                    "{timeout:?} took {fastest:?} at best"
+                );
             }
             assert_eq!(rx.shared.state.lock().unwrap().parked_receivers, 0);
         }
@@ -351,7 +371,10 @@ pub mod channel {
         fn await_parked<T>(rx: &Receiver<T>, n: usize) {
             let start = Instant::now();
             while rx.shared.state.lock().unwrap().parked_receivers != n {
-                assert!(start.elapsed() < Duration::from_secs(10), "receivers never parked");
+                assert!(
+                    start.elapsed() < Duration::from_secs(10),
+                    "receivers never parked"
+                );
                 thread::yield_now();
             }
         }
@@ -385,7 +408,10 @@ pub mod channel {
                 drop(tx);
                 assert_eq!(a.join().unwrap(), Err(RecvError));
                 assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
-                assert!(start.elapsed() < Duration::from_secs(5), "disconnect must not wait out the timeout");
+                assert!(
+                    start.elapsed() < Duration::from_secs(5),
+                    "disconnect must not wait out the timeout"
+                );
                 assert_eq!(rx.shared.state.lock().unwrap().parked_receivers, 0);
             }
         }

@@ -82,8 +82,10 @@ fn every_message_once_in_order_and_no_consumer_is_left_asleep() {
                     let mut rng = 0xD1B5_4A32_D192_ED03 ^ (c as u64 + 1);
                     let mut got = Vec::new();
                     let enter = |limit: Duration| {
-                        me.limit_us.store(limit.as_micros() as u64, Ordering::SeqCst);
-                        me.since.store(t0.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
+                        me.limit_us
+                            .store(limit.as_micros() as u64, Ordering::SeqCst);
+                        me.since
+                            .store(t0.elapsed().as_micros() as u64 + 1, Ordering::SeqCst);
                     };
                     loop {
                         let msg = match next(&mut rng) % 3 {
@@ -94,7 +96,8 @@ fn every_message_once_in_order_and_no_consumer_is_left_asleep() {
                             1 => {
                                 let timeout = Duration::from_micros(50 + next(&mut rng) % 4950);
                                 enter(timeout);
-                                rx.recv_timeout(timeout).map_err(|e| e == RecvTimeoutError::Disconnected)
+                                rx.recv_timeout(timeout)
+                                    .map_err(|e| e == RecvTimeoutError::Disconnected)
                             }
                             _ => rx.try_recv().map_err(|e| e == TryRecvError::Disconnected),
                         };
@@ -142,14 +145,20 @@ fn every_message_once_in_order_and_no_consumer_is_left_asleep() {
     for got in &seen {
         let mut last = [None; PRODUCERS as usize];
         for &(p, seq) in got {
-            assert!(last[p as usize] < Some(seq), "producer {p}: {seq} after {:?}", last[p as usize]);
+            assert!(
+                last[p as usize] < Some(seq),
+                "producer {p}: {seq} after {:?}",
+                last[p as usize]
+            );
             last[p as usize] = Some(seq);
         }
     }
     // ...and every message consumed exactly once.
     let mut all: Vec<(u64, u64)> = seen.into_iter().flatten().collect();
     all.sort_unstable();
-    let expected: Vec<(u64, u64)> = (0..PRODUCERS).flat_map(|p| (0..PER_PRODUCER).map(move |i| (p, i))).collect();
+    let expected: Vec<(u64, u64)> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER_PRODUCER).map(move |i| (p, i)))
+        .collect();
     assert_eq!(all.len(), expected.len());
     assert!(all == expected, "a message was lost or delivered twice");
 }

@@ -31,9 +31,7 @@ impl<T> Mutex<T> {
     }
 
     pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -104,9 +102,7 @@ impl<T> RwLock<T> {
     }
 
     pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Acquire an owned write guard through an `Arc`, as provided by the
@@ -123,8 +119,7 @@ impl<T> RwLock<T> {
         // guard. `ArcRwLockWriteGuard::drop` releases the guard before the
         // `Arc`, so the borrow never outlives the allocation. The `'static`
         // lifetime is never exposed to callers.
-        let guard: std::sync::RwLockWriteGuard<'static, T> =
-            unsafe { std::mem::transmute(guard) };
+        let guard: std::sync::RwLockWriteGuard<'static, T> = unsafe { std::mem::transmute(guard) };
         ArcRwLockWriteGuard {
             guard: ManuallyDrop::new(guard),
             _arc: arc,

@@ -205,7 +205,10 @@ where
                 return v;
             }
         }
-        panic!("prop_filter {:?} rejected 10000 consecutive samples", self.whence);
+        panic!(
+            "prop_filter {:?} rejected 10000 consecutive samples",
+            self.whence
+        );
     }
 }
 
@@ -494,7 +497,9 @@ where
         .unwrap_or(0xC0FFEE_u64)
         ^ hash_name(name);
     for i in 0..config.cases {
-        let seed = base.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = base
+            .wrapping_add(i as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let mut rng = TestRng::seeded(seed);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng)));
         match outcome {
@@ -615,8 +620,8 @@ macro_rules! prop_assert_ne {
 
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, BoxedStrategy,
-        Just, ProptestConfig, Strategy, TestCaseError,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Arbitrary, BoxedStrategy, Just,
+        ProptestConfig, Strategy, TestCaseError,
     };
 
     /// Mirror of upstream's `prelude::prop` module path (`prop::collection`).

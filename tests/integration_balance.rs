@@ -53,7 +53,9 @@ fn new_workers_receive_data_via_migration() {
         let total: u64 = loads.iter().map(|(_, l)| l).sum();
         let min = loads.iter().map(|(_, l)| *l).min().unwrap_or(0);
         let max = loads.iter().map(|(_, l)| *l).max().unwrap_or(0);
-        total > 0 && min > 0 && (max - min) as f64 <= 0.8 * total as f64 / loads.len() as f64 + 600.0
+        total > 0
+            && min > 0
+            && (max - min) as f64 <= 0.8 * total as f64 / loads.len() as f64 + 600.0
     });
     let loads = cluster.worker_loads();
     assert!(balanced, "load never balanced: {loads:?}");
@@ -87,11 +89,18 @@ fn service_continues_during_balancing() {
         // Queries interleaved with in-flight splits/migrations must always
         // succeed and never observe more items than inserted.
         let (agg, _) = client.query(&q).unwrap();
-        assert!(agg.count <= inserted, "overcount at batch {batch}: {} > {inserted}", agg.count);
+        assert!(
+            agg.count <= inserted,
+            "overcount at batch {batch}: {} > {inserted}",
+            agg.count
+        );
     }
     assert!(
         eventually(Duration::from_secs(10), || {
-            client.query(&q).map(|(a, _)| a.count == inserted).unwrap_or(false)
+            client
+                .query(&q)
+                .map(|(a, _)| a.count == inserted)
+                .unwrap_or(false)
         }),
         "final convergence failed"
     );
@@ -117,7 +126,10 @@ fn balance_counters_are_monotone_and_bounded() {
     let mut last = (0, 0);
     for _ in 0..20 {
         let now = cluster.balance_counts();
-        assert!(now.0 >= last.0 && now.1 >= last.1, "counters must be monotone");
+        assert!(
+            now.0 >= last.0 && now.1 >= last.1,
+            "counters must be monotone"
+        );
         last = now;
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -90,7 +90,11 @@ fn queries_match_brute_force_across_servers() {
             let (got, _) = reader.query(&q).unwrap();
             got.count == expect.count && (got.sum - expect.sum).abs() < 1e-6
         });
-        assert!(ok, "query result diverged (coverage {})", coverage(&items, &q));
+        assert!(
+            ok,
+            "query result diverged (coverage {})",
+            coverage(&items, &q)
+        );
     }
     cluster.shutdown();
 }
@@ -174,7 +178,11 @@ fn client_bulk_insert_equals_point_inserts() {
         client.bulk_insert(chunk.to_vec()).unwrap();
     }
     let (agg, _) = client.query(&QueryBox::all(&schema)).unwrap();
-    assert_eq!(agg.count, items.len() as u64, "bulk path must not lose items");
+    assert_eq!(
+        agg.count,
+        items.len() as u64,
+        "bulk path must not lose items"
+    );
     // Exact agreement with brute force on a drill-down query.
     let mut qg = QueryGen::new(&schema, 52, 0.6);
     for _ in 0..10 {
@@ -209,7 +217,9 @@ fn out_of_domain_inserts_are_rejected_and_every_acked_insert_counts() {
     }
     client.insert(&good[1]).unwrap();
     // One bad item rejects its whole batch, so nothing of it is acked.
-    assert!(client.bulk_insert(vec![good[2].clone(), saturated.clone()]).is_err());
+    assert!(client
+        .bulk_insert(vec![good[2].clone(), saturated.clone()])
+        .is_err());
 
     let acked = &good[..2];
     let (agg, _) = client.query(&QueryBox::all(&schema)).unwrap();
@@ -229,9 +239,15 @@ fn a_dropped_session_leaves_the_fabric() {
     session.query(&QueryBox::all(&schema)).unwrap();
     assert!(probe.send("client-0", Vec::new()).is_ok());
     drop(session);
-    assert!(matches!(probe.send("client-0", Vec::new()), Err(NetError::UnknownEndpoint(_))));
+    assert!(matches!(
+        probe.send("client-0", Vec::new()),
+        Err(NetError::UnknownEndpoint(_))
+    ));
     // Sessions that come and go, as `settle` probes do, leave nothing behind.
     cluster.settle(Duration::from_secs(5));
-    assert!(matches!(probe.send("client-1", Vec::new()), Err(NetError::UnknownEndpoint(_))));
+    assert!(matches!(
+        probe.send("client-1", Vec::new()),
+        Err(NetError::UnknownEndpoint(_))
+    ));
     cluster.shutdown();
 }

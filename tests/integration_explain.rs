@@ -46,13 +46,23 @@ fn analyze_one_shard(
     shard: u64,
     q: &QueryBox,
 ) -> (Aggregate, ShardExec) {
-    let req = Request::QueryAnalyze { shards: vec![shard], query: q.clone() };
+    let req = Request::QueryAnalyze {
+        shards: vec![shard],
+        query: q.clone(),
+    };
     let bytes = driver
         .request(worker, req.encode(), Duration::from_secs(5))
         .expect("analyze request");
     match Response::decode(schema, &bytes).expect("decode") {
-        Response::AggExec { agg, shards_searched: 1, mut exec } if exec.shards.len() == 1 => {
-            assert!(exec.forwards.is_empty(), "a stable cluster forwards nothing");
+        Response::AggExec {
+            agg,
+            shards_searched: 1,
+            mut exec,
+        } if exec.shards.len() == 1 => {
+            assert!(
+                exec.forwards.is_empty(),
+                "a stable cluster forwards nothing"
+            );
             (agg, exec.shards.pop().unwrap())
         }
         other => panic!("unexpected single-shard answer from {worker}: {other:?}"),
@@ -105,7 +115,10 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
 
         // The ANALYZE'd run of the same query over the same (static) data.
         let (agg, shards_searched, plan) = client.query_analyze(q).expect("analyze");
-        assert_eq!(agg.count, plain_agg.count, "ANALYZE returns the same aggregate");
+        assert_eq!(
+            agg.count, plain_agg.count,
+            "ANALYZE returns the same aggregate"
+        );
         assert_eq!(agg.sum, plain_agg.sum);
         assert_eq!(shards_searched, 4);
 
@@ -117,14 +130,27 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
         leaves.sort_unstable();
         assert_eq!(plan.image_leaves, leaves, "image leaves arrive sorted");
         assert_eq!(plan.image_leaves.len(), 4);
-        let mut requested: Vec<u64> =
-            plan.workers.iter().flat_map(|w| w.requested.iter().copied()).collect();
+        let mut requested: Vec<u64> = plan
+            .workers
+            .iter()
+            .flat_map(|w| w.requested.iter().copied())
+            .collect();
         requested.sort_unstable();
-        assert_eq!(requested, plan.image_leaves, "workers were asked exactly the routed leaves");
+        assert_eq!(
+            requested, plan.image_leaves,
+            "workers were asked exactly the routed leaves"
+        );
         let executed = plan.executed_shards();
         assert_eq!(executed, plan.image_leaves, "every routed leaf was scanned");
-        assert_eq!(executed.len(), shards_searched as usize, "every searched shard is explained");
-        assert!(executed.windows(2).all(|w| w[0] < w[1]), "each shard appears exactly once");
+        assert_eq!(
+            executed.len(),
+            shards_searched as usize,
+            "every searched shard is explained"
+        );
+        assert!(
+            executed.windows(2).all(|w| w[0] < w[1]),
+            "each shard appears exactly once"
+        );
 
         // Worker sections: both workers, sorted, two local shards each, no
         // aliases or forwards in a stable cluster.
@@ -138,7 +164,10 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
                 assert!(s.items > 0, "seeded shards are non-empty");
             }
             if q == &full {
-                assert!(w.fanout <= 1, "root-resolved shards never reach a scan thread: {w:?}");
+                assert!(
+                    w.fanout <= 1,
+                    "root-resolved shards never reach a scan thread: {w:?}"
+                );
                 for s in &w.shards {
                     assert_eq!(s.nodes_visited, 1, "answered at the root: {s:?}");
                 }
@@ -156,16 +185,32 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
                 let (a, single) = analyze_one_shard(&driver, &schema, &w.worker, row.shard, q);
                 alone.merge(&a);
                 assert_eq!(single.shard, row.shard);
-                assert_eq!(single.items, row.items, "shard {} holds the same items", row.shard);
+                assert_eq!(
+                    single.items, row.items,
+                    "shard {} holds the same items",
+                    row.shard
+                );
                 assert_eq!(single.trace(), row.trace(), "shard {} counters", row.shard);
             }
         }
-        assert_eq!(alone.count, plain_agg.count, "per-shard answers sum to the plain query");
-        assert!(plan.totals().nodes_visited > 0, "the plan measured real traversal work");
+        assert_eq!(
+            alone.count, plain_agg.count,
+            "per-shard answers sum to the plain query"
+        );
+        assert!(
+            plan.totals().nodes_visited > 0,
+            "the plan measured real traversal work"
+        );
 
         // Both encodings are lossless on a real plan; the renderer shows it.
-        assert_eq!(QueryPlan::decode(&plan.encode()).expect("binary decodes"), plan);
-        assert_eq!(QueryPlan::from_json(&plan.to_json()).expect("JSON parses"), plan);
+        assert_eq!(
+            QueryPlan::decode(&plan.encode()).expect("binary decodes"),
+            plan
+        );
+        assert_eq!(
+            QueryPlan::from_json(&plan.to_json()).expect("JSON parses"),
+            plan
+        );
         let rendered = plan.render();
         assert!(rendered.contains(&plan.server));
         for w in &plan.workers {
@@ -179,8 +224,16 @@ fn analyze_plan_matches_independent_trace_across_cluster() {
     let adopts: Vec<_> = snap.events_of("shard_adopt").collect();
     assert!(!adopts.is_empty(), "bootstrap logged adoptions");
     for ev in &adopts {
-        assert!(ev.detail.contains("gen="), "shard_adopt enriched: {}", ev.detail);
-        assert!(ev.detail.contains("worker="), "shard_adopt names its worker: {}", ev.detail);
+        assert!(
+            ev.detail.contains("gen="),
+            "shard_adopt enriched: {}",
+            ev.detail
+        );
+        assert!(
+            ev.detail.contains("worker="),
+            "shard_adopt names its worker: {}",
+            ev.detail
+        );
     }
     for ev in snap.events_of("route_miss") {
         assert!(ev.detail.contains("server=") && ev.detail.contains("image_gen="));
@@ -211,7 +264,15 @@ fn single_shard_analyze_equals_local_traced_run() {
     let mut gen = DataGen::new(&schema, 21, 1.3);
     let items = gen.items(1500);
     let bytes = driver
-        .request("w0", Request::BulkInsert { shard: 1, items: items.clone() }.encode(), Duration::from_secs(5))
+        .request(
+            "w0",
+            Request::BulkInsert {
+                shard: 1,
+                items: items.clone(),
+            }
+            .encode(),
+            Duration::from_secs(5),
+        )
         .expect("bulk");
     assert_eq!(Response::decode(&schema, &bytes).unwrap(), Response::Ack);
 
@@ -229,12 +290,20 @@ fn single_shard_analyze_equals_local_traced_run() {
         let bytes = driver
             .request(
                 "w0",
-                Request::QueryAnalyze { shards: vec![1], query: q.clone() }.encode(),
+                Request::QueryAnalyze {
+                    shards: vec![1],
+                    query: q.clone(),
+                }
+                .encode(),
                 Duration::from_secs(5),
             )
             .expect("analyze request");
         let (agg, exec) = match Response::decode(&schema, &bytes).expect("decode") {
-            Response::AggExec { agg, shards_searched, exec } => {
+            Response::AggExec {
+                agg,
+                shards_searched,
+                exec,
+            } => {
                 assert_eq!(shards_searched, 1);
                 (agg, exec)
             }
@@ -246,7 +315,11 @@ fn single_shard_analyze_equals_local_traced_run() {
         let s = &exec.shards[0];
         assert_eq!(s.shard, 1);
         assert_eq!(s.items, mirror.len());
-        assert_eq!(s.trace(), mtrace, "ANALYZE counters equal the mirror's QueryTrace exactly");
+        assert_eq!(
+            s.trace(),
+            mtrace,
+            "ANALYZE counters equal the mirror's QueryTrace exactly"
+        );
         assert!(exec.forwards.is_empty());
         assert_eq!(exec.requested, vec![1]);
         assert_eq!(exec.fanout, 1, "single scan never fans out");
@@ -277,23 +350,41 @@ fn balance_audit_records_split_decisions() {
         "no successful split decision audited"
     );
     let audit = cluster.balance_audit();
-    assert!(audit.windows(2).all(|w| w[0].seq < w[1].seq), "sequence ordered");
-    let split = audit.iter().find(|d| d.action == "split" && d.outcome == "ok").unwrap();
-    assert!(split.src.starts_with("worker-"), "decision names the holding worker");
+    assert!(
+        audit.windows(2).all(|w| w[0].seq < w[1].seq),
+        "sequence ordered"
+    );
+    let split = audit
+        .iter()
+        .find(|d| d.action == "split" && d.outcome == "ok")
+        .unwrap();
+    assert!(
+        split.src.starts_with("worker-"),
+        "decision names the holding worker"
+    );
     assert_eq!(split.result_shards.len(), 2, "a split yields two shard ids");
     assert!(split.result_shards[0] < split.result_shards[1]);
     let input = |k: &str| {
-        split.inputs.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone())
+        split
+            .inputs
+            .iter()
+            .find(|(key, _)| key == k)
+            .map(|(_, v)| v.clone())
     };
     let len: u64 = input("len").expect("len input").parse().unwrap();
-    let max: u64 = input("max_shard_items").expect("threshold input").parse().unwrap();
-    assert!(len > max, "the audited inputs justify the decision: {len} <= {max}");
+    let max: u64 = input("max_shard_items")
+        .expect("threshold input")
+        .parse()
+        .unwrap();
+    assert!(
+        len > max,
+        "the audited inputs justify the decision: {len} <= {max}"
+    );
     assert_eq!(max, 400);
     // The split decision joins to the resulting shards in the image.
     let shards: Vec<u64> = cluster.image().shards().iter().map(|r| r.id).collect();
     assert!(
-        split.result_shards.iter().all(|s| shards.contains(s))
-            || cluster.balance_counts().0 > 1,
+        split.result_shards.iter().all(|s| shards.contains(s)) || cluster.balance_counts().0 > 1,
         "result shards exist (unless split again later)"
     );
     cluster.shutdown();

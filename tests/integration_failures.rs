@@ -22,12 +22,18 @@ fn dead_worker_yields_errors_not_hangs() {
         client.insert(&it).unwrap();
     }
     assert!(cluster.kill_worker("worker-0"));
-    assert!(!cluster.kill_worker("worker-0"), "double kill reports false");
+    assert!(
+        !cluster.kill_worker("worker-0"),
+        "double kill reports false"
+    );
     // Whole-space queries touch the dead worker's shard: error, fast.
     let t = std::time::Instant::now();
     let res = client.query(&QueryBox::all(&schema));
     assert!(res.is_err(), "query must surface the dead worker");
-    assert!(t.elapsed() < Duration::from_secs(2), "failure must be prompt");
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "failure must be prompt"
+    );
     // Inserts keep failing or succeeding depending on routing, but never
     // hang; run a batch and require completion within the timeout budget.
     let t = std::time::Instant::now();
@@ -68,7 +74,10 @@ fn garbage_requests_get_error_replies() {
             Duration::from_secs(2),
         )
         .expect("reply");
-    assert!(matches!(Response::decode(&schema, &bytes), Ok(Response::Err(_))));
+    assert!(matches!(
+        Response::decode(&schema, &bytes),
+        Ok(Response::Err(_))
+    ));
     cluster.shutdown();
 }
 
@@ -96,16 +105,76 @@ fn wrong_dimension_input_is_rejected_and_kills_nothing() {
     let no_ranges = QueryBox::from_ranges(vec![]);
     let five_ranges = QueryBox::from_ranges(vec![(0, 63); 5]);
     let bad: Vec<(&str, Request)> = vec![
-        ("server-0", Request::ClientInsert { item: wide.clone(), principal: 0 }),
-        ("server-0", Request::ClientBulkInsert { items: mixed.clone(), principal: 0 }),
-        ("server-0", Request::ClientQuery { query: no_ranges.clone(), principal: 0 }),
-        ("server-0", Request::ClientQuery { query: five_ranges.clone(), principal: 0 }),
-        ("server-0", Request::ClientQueryAnalyze { query: no_ranges.clone(), principal: 0 }),
-        ("worker-0", Request::Insert { shard: 0, item: wide }),
-        ("worker-0", Request::BulkInsert { shard: 0, items: mixed }),
-        ("worker-0", Request::Query { shards: vec![0], query: no_ranges.clone() }),
-        ("worker-0", Request::Query { shards: vec![0], query: five_ranges }),
-        ("worker-0", Request::QueryAnalyze { shards: vec![0], query: no_ranges }),
+        (
+            "server-0",
+            Request::ClientInsert {
+                item: wide.clone(),
+                principal: 0,
+            },
+        ),
+        (
+            "server-0",
+            Request::ClientBulkInsert {
+                items: mixed.clone(),
+                principal: 0,
+            },
+        ),
+        (
+            "server-0",
+            Request::ClientQuery {
+                query: no_ranges.clone(),
+                principal: 0,
+            },
+        ),
+        (
+            "server-0",
+            Request::ClientQuery {
+                query: five_ranges.clone(),
+                principal: 0,
+            },
+        ),
+        (
+            "server-0",
+            Request::ClientQueryAnalyze {
+                query: no_ranges.clone(),
+                principal: 0,
+            },
+        ),
+        (
+            "worker-0",
+            Request::Insert {
+                shard: 0,
+                item: wide,
+            },
+        ),
+        (
+            "worker-0",
+            Request::BulkInsert {
+                shard: 0,
+                items: mixed,
+            },
+        ),
+        (
+            "worker-0",
+            Request::Query {
+                shards: vec![0],
+                query: no_ranges.clone(),
+            },
+        ),
+        (
+            "worker-0",
+            Request::Query {
+                shards: vec![0],
+                query: five_ranges,
+            },
+        ),
+        (
+            "worker-0",
+            Request::QueryAnalyze {
+                shards: vec![0],
+                query: no_ranges,
+            },
+        ),
     ];
     let probe = cluster.network().endpoint("raw-probe");
     let ask = |target: &str, req: &Request| {
@@ -172,7 +241,10 @@ fn shutdown_is_prompt_even_with_long_periods() {
     }
     let t = std::time::Instant::now();
     cluster.shutdown();
-    assert!(t.elapsed() < Duration::from_secs(5), "shutdown hung on sleeping threads");
+    assert!(
+        t.elapsed() < Duration::from_secs(5),
+        "shutdown hung on sleeping threads"
+    );
 }
 
 #[test]
@@ -265,7 +337,10 @@ fn manager_reaps_shards_of_dead_workers() {
         if client.query(&QueryBox::all(&schema)).is_ok() {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "routing never recovered");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "routing never recovered"
+        );
         std::thread::sleep(Duration::from_millis(25));
     }
     cluster.shutdown();

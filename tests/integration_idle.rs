@@ -30,13 +30,22 @@ fn measure(wall: Duration) -> Window {
     let (secs, after) = (start.elapsed().as_secs_f64(), threads::stats());
     let mut by_name: BTreeMap<String, (Duration, u64)> = BTreeMap::new();
     for (tid, now) in after {
-        let (cpu0, wakes0) = before.get(&tid).map_or((Duration::ZERO, 0), |b| (b.cpu, b.wakes));
+        let (cpu0, wakes0) = before
+            .get(&tid)
+            .map_or((Duration::ZERO, 0), |b| (b.cpu, b.wakes));
         let row = by_name.entry(now.name).or_default();
         row.0 += now.cpu.saturating_sub(cpu0);
         row.1 += now.wakes.saturating_sub(wakes0);
     }
-    let cpu = by_name.values().map(|r| r.0).sum::<Duration>().div_f64(secs);
-    assert!(!cpu.is_zero(), "no scheduler statistics: nothing was measured");
+    let cpu = by_name
+        .values()
+        .map(|r| r.0)
+        .sum::<Duration>()
+        .div_f64(secs);
+    assert!(
+        !cpu.is_zero(),
+        "no scheduler statistics: nothing was measured"
+    );
     let mut rows: Vec<_> = by_name.into_iter().collect();
     rows.sort_by_key(|(_, (cpu, _))| std::cmp::Reverse(*cpu));
     let mut table = format!("{:<16} {:>10} {:>10}\n", "thread", "CPU ms/s", "wakes/s");
@@ -59,7 +68,10 @@ fn an_idle_cluster_uses_under_five_percent_of_a_core() {
     cfg.manager_enabled = true;
     let before = threads::count();
     let cluster = Cluster::start(cfg);
-    cluster.client().bulk_insert(DataGen::new(&schema, 1, 1.5).items(2_000)).expect("preload");
+    cluster
+        .client()
+        .bulk_insert(DataGen::new(&schema, 1, 1.5).items(2_000))
+        .expect("preload");
     cluster.settle(Duration::from_secs(5));
 
     // A poll loop that burns CPU burns it in every window; a manager round,

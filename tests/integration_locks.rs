@@ -125,7 +125,9 @@ fn bulk_routing_vs_image_sync_respects_lock_order() {
             let mut gen = DataGen::new(&schema, 42 + server as u64, 1.1);
             s.spawn(move || {
                 for _ in 0..batches {
-                    client.bulk_insert(gen.items(batch)).expect("bulk insert acked");
+                    client
+                        .bulk_insert(gen.items(batch))
+                        .expect("bulk insert acked");
                 }
             });
         }
@@ -135,7 +137,10 @@ fn bulk_routing_vs_image_sync_respects_lock_order() {
     let q = QueryBox::all(&schema);
     assert!(
         eventually(Duration::from_secs(10), || {
-            client.query(&q).map(|(a, _)| a.count == total).unwrap_or(false)
+            client
+                .query(&q)
+                .map(|(a, _)| a.count == total)
+                .unwrap_or(false)
         }),
         "not all bulk inserts landed"
     );
@@ -149,9 +154,16 @@ fn bulk_routing_vs_image_sync_respects_lock_order() {
     // The stress only means something if both servers routed through their
     // index (box expansions) and applied the other's changes (image sync).
     for server in ["server-0", "server-1"] {
-        for metric in ["volap_server_box_expansions_total", "volap_server_image_applies_total"] {
+        for metric in [
+            "volap_server_box_expansions_total",
+            "volap_server_image_applies_total",
+        ] {
             let id = MetricId::labeled(metric, "server", server);
-            let n = snap.counters.iter().find(|c| c.id == id).map_or(0, |c| c.value);
+            let n = snap
+                .counters
+                .iter()
+                .find(|c| c.id == id)
+                .map_or(0, |c| c.value);
             assert!(n > 0, "{server}: {metric} is 0 — stress ineffective");
         }
     }

@@ -44,8 +44,14 @@ fn snapshot_accounts_for_a_mixed_workload_exactly() {
     }
     // One bulk batch through each server.
     let mut gen = DataGen::new(&schema, 8, 1.2);
-    cluster.client_on(0).bulk_insert(gen.items(BULK_ITEMS as usize / 2)).expect("bulk");
-    cluster.client_on(1).bulk_insert(gen.items(BULK_ITEMS as usize / 2)).expect("bulk");
+    cluster
+        .client_on(0)
+        .bulk_insert(gen.items(BULK_ITEMS as usize / 2))
+        .expect("bulk");
+    cluster
+        .client_on(1)
+        .bulk_insert(gen.items(BULK_ITEMS as usize / 2))
+        .expect("bulk");
     // Queries spread over both servers.
     for i in 0..QUERIES {
         let c = cluster.client_on(i as usize % 2);
@@ -56,7 +62,10 @@ fn snapshot_accounts_for_a_mixed_workload_exactly() {
 
     // Counters: exact accounting of the workload, summed across labels.
     let snap = cluster.snapshot();
-    assert_eq!(snap.counter("volap_server_inserts_total"), ITEM_INSERTS + BULK_ITEMS);
+    assert_eq!(
+        snap.counter("volap_server_inserts_total"),
+        ITEM_INSERTS + BULK_ITEMS
+    );
     assert_eq!(snap.counter("volap_server_queries_total"), QUERIES);
     assert_eq!(snap.counter("volap_worker_inserts_total"), ITEM_INSERTS);
     assert_eq!(snap.counter("volap_worker_bulk_items_total"), BULK_ITEMS);
@@ -67,10 +76,24 @@ fn snapshot_accounts_for_a_mixed_workload_exactly() {
     assert_eq!(snap.counter("volap_net_timeouts_total"), 0);
 
     // Latency histograms: every timed operation recorded.
-    assert_eq!(snap.histogram("volap_server_insert_seconds").unwrap().count, ITEM_INSERTS);
-    assert_eq!(snap.histogram("volap_server_bulk_insert_seconds").unwrap().count, 2);
-    assert_eq!(snap.histogram("volap_server_query_seconds").unwrap().count, QUERIES);
-    assert_eq!(snap.histogram("volap_worker_insert_seconds").unwrap().count, ITEM_INSERTS);
+    assert_eq!(
+        snap.histogram("volap_server_insert_seconds").unwrap().count,
+        ITEM_INSERTS
+    );
+    assert_eq!(
+        snap.histogram("volap_server_bulk_insert_seconds")
+            .unwrap()
+            .count,
+        2
+    );
+    assert_eq!(
+        snap.histogram("volap_server_query_seconds").unwrap().count,
+        QUERIES
+    );
+    assert_eq!(
+        snap.histogram("volap_worker_insert_seconds").unwrap().count,
+        ITEM_INSERTS
+    );
     assert!(snap.histogram("volap_worker_query_seconds").unwrap().count >= QUERIES);
     let net_hist = snap.histogram("volap_net_request_seconds").unwrap();
     assert!(net_hist.count > 0 && net_hist.sum_seconds > 0.0);
@@ -79,7 +102,11 @@ fn snapshot_accounts_for_a_mixed_workload_exactly() {
     // servers, so after a few sync periods each server has applied the
     // other's pushes and the probe holds real samples.
     assert!(
-        eventually(Duration::from_secs(10), || cluster.obs().staleness().count() > 0),
+        eventually(Duration::from_secs(10), || cluster
+            .obs()
+            .staleness()
+            .count()
+            > 0),
         "staleness probe never recorded a remote apply"
     );
     let snap = cluster.snapshot();
@@ -92,7 +119,10 @@ fn snapshot_accounts_for_a_mixed_workload_exactly() {
     assert_eq!(probe_hist.count, snap.staleness.count);
 
     // Events: sync rounds were logged; box expansions exist.
-    assert!(snap.events_of("image_sync").next().is_some(), "sync events logged");
+    assert!(
+        snap.events_of("image_sync").next().is_some(),
+        "sync events logged"
+    );
     assert!(snap.counter("volap_server_box_expansions_total") > 0);
 
     // Both exporters round-trip this real snapshot.
@@ -124,8 +154,14 @@ fn histograms_knob_disables_timing_but_not_counting() {
     let snap = cluster.snapshot();
     assert_eq!(snap.counter("volap_server_inserts_total"), 50);
     assert_eq!(snap.counter("volap_server_queries_total"), 1);
-    assert_eq!(snap.histogram("volap_server_insert_seconds").unwrap().count, 0);
-    assert_eq!(snap.histogram("volap_server_query_seconds").unwrap().count, 0);
+    assert_eq!(
+        snap.histogram("volap_server_insert_seconds").unwrap().count,
+        0
+    );
+    assert_eq!(
+        snap.histogram("volap_server_query_seconds").unwrap().count,
+        0
+    );
     cluster.shutdown();
 }
 
@@ -152,29 +188,60 @@ fn split_and_migration_events_reach_the_log() {
         "manager never split"
     );
     let fresh = cluster.add_worker();
-    let holds_data = || cluster.worker_loads().iter().any(|(w, n)| *w == fresh && *n > 0);
+    let holds_data = || {
+        cluster
+            .worker_loads()
+            .iter()
+            .any(|(w, n)| *w == fresh && *n > 0)
+    };
     assert!(
         eventually(Duration::from_secs(15), holds_data),
         "manager never migrated onto the new worker"
     );
-    let reaped = || cluster.snapshot().counter("volap_manager_orphans_removed_total");
+    let reaped = || {
+        cluster
+            .snapshot()
+            .counter("volap_manager_orphans_removed_total")
+    };
     assert!(cluster.kill_worker(&fresh));
-    assert!(eventually(Duration::from_secs(15), || reaped() >= 1), "no orphan reaped");
+    assert!(
+        eventually(Duration::from_secs(15), || reaped() >= 1),
+        "no orphan reaped"
+    );
 
     // Stop the manager so no decision is half-recorded, then read the
     // shared core it recorded into.
     let obs = cluster.obs().clone();
     cluster.shutdown();
     let snap = obs.snapshot();
-    assert!(snap.events_of("shard_split").next().is_some(), "split event logged");
-    assert!(snap.events_of("shard_migrate").next().is_some(), "migrate event logged");
+    assert!(
+        snap.events_of("shard_split").next().is_some(),
+        "split event logged"
+    );
+    assert!(
+        snap.events_of("shard_migrate").next().is_some(),
+        "migrate event logged"
+    );
     assert!(snap.counter("volap_worker_splits_total") >= 1);
-    assert_eq!(obs.audit().dropped(), 0, "the audit ring kept every decision");
+    assert_eq!(
+        obs.audit().dropped(),
+        0,
+        "the audit ring kept every decision"
+    );
     let decided = |action: &str| {
-        snap.audit.iter().filter(|d| d.action == action && d.outcome == "ok").count() as u64
+        snap.audit
+            .iter()
+            .filter(|d| d.action == action && d.outcome == "ok")
+            .count() as u64
     };
     assert_eq!(decided("split"), snap.counter("volap_manager_splits_total"));
-    assert_eq!(decided("migrate"), snap.counter("volap_manager_migrations_total"));
-    assert_eq!(decided("orphan_reap"), snap.counter("volap_manager_orphans_removed_total"));
+    assert_eq!(
+        decided("migrate"),
+        snap.counter("volap_manager_migrations_total")
+    );
+    assert_eq!(
+        decided("orphan_reap"),
+        snap.counter("volap_manager_orphans_removed_total")
+    );
     assert!(decided("orphan_reap") >= 1);
 }

@@ -44,10 +44,32 @@ fn server_routes_and_pushes_expansions() {
 
     let mut gen = DataGen::new(&schema, 9, 1.0);
     for it in gen.items(50) {
-        assert_eq!(ask(&driver, "s0", Request::ClientInsert { item: it, principal: 0 }, &schema), Response::Ack);
+        assert_eq!(
+            ask(
+                &driver,
+                "s0",
+                Request::ClientInsert {
+                    item: it,
+                    principal: 0
+                },
+                &schema
+            ),
+            Response::Ack
+        );
     }
-    match ask(&driver, "s0", Request::ClientQuery { query: QueryBox::all(&schema), principal: 0 }, &schema) {
-        Response::Agg { agg, shards_searched } => {
+    match ask(
+        &driver,
+        "s0",
+        Request::ClientQuery {
+            query: QueryBox::all(&schema),
+            principal: 0,
+        },
+        &schema,
+    ) {
+        Response::Agg {
+            agg,
+            shards_searched,
+        } => {
             assert_eq!(agg.count, 50);
             assert_eq!(shards_searched, 1);
         }
@@ -79,12 +101,28 @@ fn server_learns_new_shards_through_watches() {
     let server = spawn_server(&net, &image, &cfg, "s0");
     let mut gen = DataGen::new(&schema, 10, 1.0);
     for it in gen.items(20) {
-        ask(&driver, "s0", Request::ClientInsert { item: it, principal: 0 }, &schema);
+        ask(
+            &driver,
+            "s0",
+            Request::ClientInsert {
+                item: it,
+                principal: 0,
+            },
+            &schema,
+        );
     }
     // A new shard appears (as if another server/manager created it).
     create_empty_shard(&driver, "w0", &schema, 2, TIMEOUT).unwrap();
     // Load it directly at the worker so it has content and a box.
-    ask(&driver, "w0", Request::BulkInsert { shard: 2, items: gen.items(30) }, &schema);
+    ask(
+        &driver,
+        "w0",
+        Request::BulkInsert {
+            shard: 2,
+            items: gen.items(30),
+        },
+        &schema,
+    );
     let rec = ShardRecord {
         id: 2,
         worker: "w0".into(),
@@ -95,8 +133,19 @@ fn server_learns_new_shards_through_watches() {
     // The server must pick it up via its watch and include it in queries.
     assert!(
         eventually(Duration::from_secs(5), || {
-            match ask(&driver, "s0", Request::ClientQuery { query: QueryBox::all(&schema), principal: 0 }, &schema) {
-                Response::Agg { agg, shards_searched } => agg.count == 50 && shards_searched == 2,
+            match ask(
+                &driver,
+                "s0",
+                Request::ClientQuery {
+                    query: QueryBox::all(&schema),
+                    principal: 0,
+                },
+                &schema,
+            ) {
+                Response::Agg {
+                    agg,
+                    shards_searched,
+                } => agg.count == 50 && shards_searched == 2,
                 _ => false,
             }
         }),
@@ -133,11 +182,16 @@ fn server_routes_concurrent_point_and_bulk_inserts() {
                         .collect()
                 } else {
                     (0..5)
-                        .map(|_| Request::ClientBulkInsert { items: gen.items(5), principal: 0 })
+                        .map(|_| Request::ClientBulkInsert {
+                            items: gen.items(5),
+                            principal: 0,
+                        })
                         .collect()
                 };
                 for req in requests {
-                    let bytes = client.request("s0", req.encode(), TIMEOUT).expect("request");
+                    let bytes = client
+                        .request("s0", req.encode(), TIMEOUT)
+                        .expect("request");
                     assert_eq!(
                         Response::decode(&schema, &bytes).expect("decode"),
                         Response::Ack
@@ -146,11 +200,25 @@ fn server_routes_concurrent_point_and_bulk_inserts() {
             });
         }
     });
-    match ask(&driver, "s0", Request::ClientQuery { query: QueryBox::all(&schema), principal: 0 }, &schema) {
+    match ask(
+        &driver,
+        "s0",
+        Request::ClientQuery {
+            query: QueryBox::all(&schema),
+            principal: 0,
+        },
+        &schema,
+    ) {
         Response::Agg { agg, .. } => assert_eq!(agg.count, 400),
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(image.obs().registry().sum_counters("volap_server_inserts_total"), 400);
+    assert_eq!(
+        image
+            .obs()
+            .registry()
+            .sum_counters("volap_server_inserts_total"),
+        400
+    );
     server.stop();
     worker.stop();
 }
@@ -164,12 +232,31 @@ fn server_with_no_shards_errors_cleanly() {
     let driver = net.endpoint("driver");
     let server = spawn_server(&net, &image, &cfg, "s0");
     let mut gen = DataGen::new(&schema, 11, 1.0);
-    match ask(&driver, "s0", Request::ClientInsert { item: gen.item(), principal: 0 }, &schema) {
+    match ask(
+        &driver,
+        "s0",
+        Request::ClientInsert {
+            item: gen.item(),
+            principal: 0,
+        },
+        &schema,
+    ) {
         Response::Err(e) => assert!(e.contains("no shards")),
         other => panic!("unexpected {other:?}"),
     }
-    match ask(&driver, "s0", Request::ClientQuery { query: QueryBox::all(&schema), principal: 0 }, &schema) {
-        Response::Agg { agg, shards_searched } => {
+    match ask(
+        &driver,
+        "s0",
+        Request::ClientQuery {
+            query: QueryBox::all(&schema),
+            principal: 0,
+        },
+        &schema,
+    ) {
+        Response::Agg {
+            agg,
+            shards_searched,
+        } => {
             assert!(agg.is_empty());
             assert_eq!(shards_searched, 0);
         }
@@ -190,10 +277,26 @@ fn server_metrics_count_operations() {
     let server = spawn_server(&net, &image, &cfg, "s0");
     let mut gen = DataGen::new(&schema, 12, 1.0);
     for it in gen.items(25) {
-        ask(&driver, "s0", Request::ClientInsert { item: it, principal: 0 }, &schema);
+        ask(
+            &driver,
+            "s0",
+            Request::ClientInsert {
+                item: it,
+                principal: 0,
+            },
+            &schema,
+        );
     }
     for _ in 0..5 {
-        ask(&driver, "s0", Request::ClientQuery { query: QueryBox::all(&schema), principal: 0 }, &schema);
+        ask(
+            &driver,
+            "s0",
+            Request::ClientQuery {
+                query: QueryBox::all(&schema),
+                principal: 0,
+            },
+            &schema,
+        );
     }
     let reg = image.obs().registry();
     let ins = reg.sum_counters("volap_server_inserts_total");
@@ -201,11 +304,20 @@ fn server_metrics_count_operations() {
     let exp = reg.sum_counters("volap_server_box_expansions_total");
     assert_eq!(ins, 25);
     assert_eq!(qs, 5);
-    assert!((1..=25).contains(&exp), "some early inserts must expand the empty box");
+    assert!(
+        (1..=25).contains(&exp),
+        "some early inserts must expand the empty box"
+    );
     // The shared insert/query latency histograms saw every operation.
     let snap = image.obs().snapshot();
-    assert_eq!(snap.histogram("volap_server_insert_seconds").unwrap().count, 25);
-    assert_eq!(snap.histogram("volap_server_query_seconds").unwrap().count, 5);
+    assert_eq!(
+        snap.histogram("volap_server_insert_seconds").unwrap().count,
+        25
+    );
+    assert_eq!(
+        snap.histogram("volap_server_query_seconds").unwrap().count,
+        5
+    );
     server.stop();
     worker.stop();
 }

@@ -38,7 +38,9 @@ fn a_cluster_sleeps_between_hour_long_periods_and_still_stops_at_once() {
     let before = threads::count();
     let cluster = Cluster::start(cfg);
     let session = cluster.client();
-    session.query(&QueryBox::all(&schema)).expect("the cluster serves");
+    session
+        .query(&QueryBox::all(&schema))
+        .expect("the cluster serves");
 
     // Nothing to do for an hour: no cluster thread should be woken. One that
     // polls for a stop signal wakes dozens of times in half a second.
@@ -53,11 +55,18 @@ fn a_cluster_sleeps_between_hour_long_periods_and_still_stops_at_once() {
         })
         .filter(|&(_, woke)| woke > 2)
         .collect();
-    assert!(woken.is_empty(), "threads woke with nothing to do in 500 ms: {woken:?}");
+    assert!(
+        woken.is_empty(),
+        "threads woke with nothing to do in 500 ms: {woken:?}"
+    );
 
     let start = Instant::now();
     cluster.shutdown();
-    assert!(start.elapsed() < Duration::from_secs(1), "shutdown took {:?}", start.elapsed());
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        start.elapsed()
+    );
     // A joined thread may stay listed for a moment after its join returns;
     // a leaked one stays for good.
     while threads::count() != before && start.elapsed() < Duration::from_secs(2) {
@@ -66,7 +75,9 @@ fn a_cluster_sleeps_between_hour_long_periods_and_still_stops_at_once() {
     assert_eq!(threads::count(), before, "threads outlived the cluster");
 
     let start = Instant::now();
-    let err = session.query(&QueryBox::all(&schema)).expect_err("the cluster is gone");
+    let err = session
+        .query(&QueryBox::all(&schema))
+        .expect_err("the cluster is gone");
     assert!(
         start.elapsed() < Duration::from_secs(1),
         "a session past shutdown waited {:?} to learn: {err}",

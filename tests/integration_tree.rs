@@ -112,7 +112,10 @@ fn high_coverage_hits_cached_aggregates() {
     let q = QueryBox::all(&schema);
     let (agg, trace) = store.query_traced(&q);
     assert_eq!(agg.count, items.len() as u64);
-    assert_eq!(trace.items_scanned, 0, "full coverage must use node caches only");
+    assert_eq!(
+        trace.items_scanned, 0,
+        "full coverage must use node caches only"
+    );
     assert!(trace.covered_hits > 0);
 }
 
@@ -129,7 +132,10 @@ fn expansion_changes_hilbert_order_on_tpcds() {
     let mut by_raw: Vec<usize> = (0..items.len()).collect();
     by_expanded.sort_by_key(|&i| expanded.key(&items[i]));
     by_raw.sort_by_key(|&i| raw.key(&items[i]));
-    assert_ne!(by_expanded, by_raw, "expansion must produce a different curve order");
+    assert_ne!(
+        by_expanded, by_raw,
+        "expansion must produce a different curve order"
+    );
 }
 
 #[test]

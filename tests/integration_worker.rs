@@ -36,16 +36,27 @@ fn insert_query_roundtrip_over_wire() {
 
     let mut gen = DataGen::new(&schema, 1, 1.0);
     for it in gen.items(100) {
-        let resp = ask(&driver, "w0", Request::Insert { shard: 1, item: it }, &schema);
+        let resp = ask(
+            &driver,
+            "w0",
+            Request::Insert { shard: 1, item: it },
+            &schema,
+        );
         assert_eq!(resp, Response::Ack);
     }
     match ask(
         &driver,
         "w0",
-        Request::Query { shards: vec![1], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![1],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
-        Response::Agg { agg, shards_searched } => {
+        Response::Agg {
+            agg,
+            shards_searched,
+        } => {
             assert_eq!(agg.count, 100);
             assert_eq!(shards_searched, 1);
         }
@@ -67,7 +78,10 @@ fn unknown_shard_and_garbage_are_rejected() {
     }
     // Garbage payload gets an error reply, not a hang.
     let bytes = driver.request("w0", vec![0xDE, 0xAD], TIMEOUT).unwrap();
-    assert!(matches!(Response::decode(&schema, &bytes), Ok(Response::Err(_))));
+    assert!(matches!(
+        Response::decode(&schema, &bytes),
+        Ok(Response::Err(_))
+    ));
     // Ping works.
     assert_eq!(ask(&driver, "w0", Request::Ping, &schema), Response::Ack);
     w.stop();
@@ -82,14 +96,26 @@ fn split_over_wire_updates_image_and_aliases() {
     let mut gen = DataGen::new(&schema, 3, 1.0);
     let items = gen.items(500);
     assert_eq!(
-        ask(&driver, "w0", Request::BulkInsert { shard: 1, items: items.clone() }, &schema),
+        ask(
+            &driver,
+            "w0",
+            Request::BulkInsert {
+                shard: 1,
+                items: items.clone()
+            },
+            &schema
+        ),
         Response::Ack
     );
     // Split 1 -> (10, 11).
     let (left, right) = match ask(
         &driver,
         "w0",
-        Request::SplitShard { shard: 1, left_id: 10, right_id: 11 },
+        Request::SplitShard {
+            shard: 1,
+            left_id: 10,
+            right_id: 11,
+        },
         &schema,
     ) {
         Response::SplitDone { left, right } => (left, right),
@@ -103,21 +129,44 @@ fn split_over_wire_updates_image_and_aliases() {
     assert_eq!(image.shard(11).unwrap().worker, "w0");
     // Old-ID traffic still works through the alias (bounded staleness).
     let it = gen.item();
-    assert_eq!(ask(&driver, "w0", Request::Insert { shard: 1, item: it }, &schema), Response::Ack);
+    assert_eq!(
+        ask(
+            &driver,
+            "w0",
+            Request::Insert { shard: 1, item: it },
+            &schema
+        ),
+        Response::Ack
+    );
     match ask(
         &driver,
         "w0",
-        Request::Query { shards: vec![1], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![1],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
-        Response::Agg { agg, shards_searched } => {
+        Response::Agg {
+            agg,
+            shards_searched,
+        } => {
             assert_eq!(agg.count, 501);
             assert_eq!(shards_searched, 2, "alias expands to both halves");
         }
         other => panic!("unexpected {other:?}"),
     }
     // Splitting an already-split shard fails gracefully.
-    match ask(&driver, "w0", Request::SplitShard { shard: 1, left_id: 20, right_id: 21 }, &schema) {
+    match ask(
+        &driver,
+        "w0",
+        Request::SplitShard {
+            shard: 1,
+            left_id: 20,
+            right_id: 21,
+        },
+        &schema,
+    ) {
         Response::Err(e) => assert!(e.contains("busy or gone")),
         other => panic!("unexpected {other:?}"),
     }
@@ -132,13 +181,25 @@ fn bulk_insert_through_split_and_migration_aliases() {
     let w1 = spawn_worker(&net, &image, &cfg, "w1");
     create_empty_shard(&driver, "w0", &schema, 1, TIMEOUT).unwrap();
     let mut gen = DataGen::new(&schema, 6, 1.0);
-    ask(&driver, "w0", Request::BulkInsert { shard: 1, items: gen.items(400) }, &schema);
+    ask(
+        &driver,
+        "w0",
+        Request::BulkInsert {
+            shard: 1,
+            items: gen.items(400),
+        },
+        &schema,
+    );
     // Split twice so the alias for 1 is a chain: 1 -> (10, 11), 10 -> (12, 13).
     for (shard, l, r) in [(1, 10, 11), (10, 12, 13)] {
         match ask(
             &driver,
             "w0",
-            Request::SplitShard { shard, left_id: l, right_id: r },
+            Request::SplitShard {
+                shard,
+                left_id: l,
+                right_id: r,
+            },
             &schema,
         ) {
             Response::SplitDone { left, right } => assert!(left.len > 0 && right.len > 0),
@@ -148,29 +209,62 @@ fn bulk_insert_through_split_and_migration_aliases() {
     // A bulk insert addressed to the pre-split ID must partition across the
     // whole alias chain in one request.
     assert_eq!(
-        ask(&driver, "w0", Request::BulkInsert { shard: 1, items: gen.items(200) }, &schema),
+        ask(
+            &driver,
+            "w0",
+            Request::BulkInsert {
+                shard: 1,
+                items: gen.items(200)
+            },
+            &schema
+        ),
         Response::Ack
     );
     match ask(
         &driver,
         "w0",
-        Request::Query { shards: vec![1], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![1],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
-        Response::Agg { agg, shards_searched } => {
+        Response::Agg {
+            agg,
+            shards_searched,
+        } => {
             assert_eq!(agg.count, 600);
-            assert_eq!(shards_searched, 3, "alias chain expands to all three leaves");
+            assert_eq!(
+                shards_searched, 3,
+                "alias chain expands to all three leaves"
+            );
         }
         other => panic!("unexpected {other:?}"),
     }
     // Move one leaf away: the partitioned group for it must be forwarded as
     // a single bulk request, the rest stay local.
     assert_eq!(
-        ask(&driver, "w0", Request::Migrate { shard: 12, dest: "w1".into() }, &schema),
+        ask(
+            &driver,
+            "w0",
+            Request::Migrate {
+                shard: 12,
+                dest: "w1".into()
+            },
+            &schema
+        ),
         Response::Ack
     );
     assert_eq!(
-        ask(&driver, "w0", Request::BulkInsert { shard: 1, items: gen.items(100) }, &schema),
+        ask(
+            &driver,
+            "w0",
+            Request::BulkInsert {
+                shard: 1,
+                items: gen.items(100)
+            },
+            &schema
+        ),
         Response::Ack
     );
     let mut total = 0;
@@ -178,14 +272,20 @@ fn bulk_insert_through_split_and_migration_aliases() {
         match ask(
             &driver,
             worker,
-            Request::Query { shards, query: QueryBox::all(&schema) },
+            Request::Query {
+                shards,
+                query: QueryBox::all(&schema),
+            },
             &schema,
         ) {
             Response::Agg { agg, .. } => total += agg.count,
             other => panic!("unexpected {other:?}"),
         }
     }
-    assert_eq!(total, 700, "every bulk item landed exactly once across the halves");
+    assert_eq!(
+        total, 700,
+        "every bulk item landed exactly once across the halves"
+    );
     w0.stop();
     w1.stop();
 }
@@ -199,10 +299,23 @@ fn migrate_over_wire_forwards_and_updates_image() {
     create_empty_shard(&driver, "w0", &schema, 5, TIMEOUT).unwrap();
     let mut gen = DataGen::new(&schema, 4, 1.0);
     let items = gen.items(300);
-    ask(&driver, "w0", Request::BulkInsert { shard: 5, items }, &schema);
+    ask(
+        &driver,
+        "w0",
+        Request::BulkInsert { shard: 5, items },
+        &schema,
+    );
 
     assert_eq!(
-        ask(&driver, "w0", Request::Migrate { shard: 5, dest: "w1".into() }, &schema),
+        ask(
+            &driver,
+            "w0",
+            Request::Migrate {
+                shard: 5,
+                dest: "w1".into()
+            },
+            &schema
+        ),
         Response::Ack
     );
     assert_eq!(image.shard(5).unwrap().worker, "w1");
@@ -210,7 +323,10 @@ fn migrate_over_wire_forwards_and_updates_image() {
     match ask(
         &driver,
         "w0",
-        Request::Query { shards: vec![5], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![5],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
         Response::Agg { agg, .. } => assert_eq!(agg.count, 300),
@@ -218,11 +334,22 @@ fn migrate_over_wire_forwards_and_updates_image() {
     }
     // Inserts through the old worker land on the new one.
     let it = gen.item();
-    assert_eq!(ask(&driver, "w0", Request::Insert { shard: 5, item: it }, &schema), Response::Ack);
+    assert_eq!(
+        ask(
+            &driver,
+            "w0",
+            Request::Insert { shard: 5, item: it },
+            &schema
+        ),
+        Response::Ack
+    );
     match ask(
         &driver,
         "w1",
-        Request::Query { shards: vec![5], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![5],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
         Response::Agg { agg, .. } => assert_eq!(agg.count, 301),
@@ -230,10 +357,26 @@ fn migrate_over_wire_forwards_and_updates_image() {
     }
     // Migrating to self is a no-op ack; to a dead worker an error.
     assert_eq!(
-        ask(&driver, "w1", Request::Migrate { shard: 5, dest: "w1".into() }, &schema),
+        ask(
+            &driver,
+            "w1",
+            Request::Migrate {
+                shard: 5,
+                dest: "w1".into()
+            },
+            &schema
+        ),
         Response::Ack
     );
-    match ask(&driver, "w1", Request::Migrate { shard: 5, dest: "ghost".into() }, &schema) {
+    match ask(
+        &driver,
+        "w1",
+        Request::Migrate {
+            shard: 5,
+            dest: "ghost".into(),
+        },
+        &schema,
+    ) {
         Response::Err(e) => assert!(e.contains("adopt failed")),
         other => panic!("unexpected {other:?}"),
     }
@@ -241,7 +384,10 @@ fn migrate_over_wire_forwards_and_updates_image() {
     match ask(
         &driver,
         "w1",
-        Request::Query { shards: vec![5], query: QueryBox::all(&schema) },
+        Request::Query {
+            shards: vec![5],
+            query: QueryBox::all(&schema),
+        },
         &schema,
     ) {
         Response::Agg { agg, .. } => assert_eq!(agg.count, 301),
@@ -259,8 +405,24 @@ fn worker_stats_reflect_contents() {
     create_empty_shard(&driver, "w0", &schema, 1, TIMEOUT).unwrap();
     create_empty_shard(&driver, "w0", &schema, 2, TIMEOUT).unwrap();
     let mut gen = DataGen::new(&schema, 5, 1.0);
-    ask(&driver, "w0", Request::BulkInsert { shard: 1, items: gen.items(40) }, &schema);
-    ask(&driver, "w0", Request::BulkInsert { shard: 2, items: gen.items(7) }, &schema);
+    ask(
+        &driver,
+        "w0",
+        Request::BulkInsert {
+            shard: 1,
+            items: gen.items(40),
+        },
+        &schema,
+    );
+    ask(
+        &driver,
+        "w0",
+        Request::BulkInsert {
+            shard: 2,
+            items: gen.items(7),
+        },
+        &schema,
+    );
     match ask(&driver, "w0", Request::GetWorkerStats, &schema) {
         Response::WorkerStats { mut shards } => {
             shards.sort_by_key(|r| r.id);
@@ -295,28 +457,61 @@ fn forwards_are_answered_by_the_new_owner() {
     // Drive the migration by hand: `second` adopts, w0 keeps a forward.
     std::thread::scope(|s| {
         let adopt = s.spawn(|| serve_one(Response::Ack));
-        let migrate = Request::Migrate { shard: 5, dest: "second".into() };
+        let migrate = Request::Migrate {
+            shard: 5,
+            dest: "second".into(),
+        };
         assert_eq!(ask(&driver, "w0", migrate, &schema), Response::Ack);
-        assert!(matches!(adopt.join().unwrap(), Request::Adopt { shard: 5, .. }));
+        assert!(matches!(
+            adopt.join().unwrap(),
+            Request::Adopt { shard: 5, .. }
+        ));
     });
     let item = DataGen::new(&schema, 8, 1.0).item();
     let query = QueryBox::all(&schema);
     // The new owner's answers carry a value w0 could not have made up.
     let owned = Aggregate::of(3.0);
-    let exec = WorkerExec { worker: "second".into(), requested: vec![5], ..WorkerExec::default() };
-    let query_req = Request::Query { shards: vec![5], query: query.clone() };
-    let analyze_req = Request::QueryAnalyze { shards: vec![5], query };
+    let exec = WorkerExec {
+        worker: "second".into(),
+        requested: vec![5],
+        ..WorkerExec::default()
+    };
+    let query_req = Request::Query {
+        shards: vec![5],
+        query: query.clone(),
+    };
+    let analyze_req = Request::QueryAnalyze {
+        shards: vec![5],
+        query,
+    };
     for (req, forwarded_as, answer) in [
         (
-            Request::Insert { shard: 5, item: item.clone() },
-            Request::BulkInsert { shard: 5, items: vec![item] },
+            Request::Insert {
+                shard: 5,
+                item: item.clone(),
+            },
+            Request::BulkInsert {
+                shard: 5,
+                items: vec![item],
+            },
             Response::Ack,
         ),
-        (query_req.clone(), query_req, Response::Agg { agg: owned, shards_searched: 1 }),
+        (
+            query_req.clone(),
+            query_req,
+            Response::Agg {
+                agg: owned,
+                shards_searched: 1,
+            },
+        ),
         (
             analyze_req.clone(),
             analyze_req,
-            Response::AggExec { agg: owned, shards_searched: 1, exec: exec.clone() },
+            Response::AggExec {
+                agg: owned,
+                shards_searched: 1,
+                exec: exec.clone(),
+            },
         ),
     ] {
         let (forwarded, got) = std::thread::scope(|s| {
@@ -327,9 +522,20 @@ fn forwards_are_answered_by_the_new_owner() {
         assert_eq!(forwarded, forwarded_as, "the forwarded request");
         match (got, answer) {
             // w0 nests the new owner's execution as a forward of its own.
-            (Response::AggExec { agg, shards_searched, exec: outer }, Response::AggExec { .. }) => {
+            (
+                Response::AggExec {
+                    agg,
+                    shards_searched,
+                    exec: outer,
+                },
+                Response::AggExec { .. },
+            ) => {
                 assert_eq!((agg, shards_searched), (owned, 1));
-                assert_eq!(outer.forwards, vec![exec.clone()], "the new owner's execution");
+                assert_eq!(
+                    outer.forwards,
+                    vec![exec.clone()],
+                    "the new owner's execution"
+                );
                 assert!(outer.shards.is_empty(), "w0 scanned nothing itself");
             }
             (got, answer) => assert_eq!(got, answer, "the sender gets the new owner's answer"),
@@ -360,11 +566,20 @@ fn racing_inserts_into_a_fresh_shard_are_all_answered_and_counted() {
             shard += 1;
             create_empty_shard(&driver, "w0", &schema, shard, TIMEOUT).unwrap();
             let first = if point {
-                Request::Insert { shard, item: gen.item() }
+                Request::Insert {
+                    shard,
+                    item: gen.item(),
+                }
             } else {
-                Request::BulkInsert { shard, items: gen.items(30) }
+                Request::BulkInsert {
+                    shard,
+                    items: gen.items(30),
+                }
             };
-            let second = Request::BulkInsert { shard, items: gen.items(100) };
+            let second = Request::BulkInsert {
+                shard,
+                items: gen.items(100),
+            };
             let want = if point { 101 } else { 130 };
             let start = Barrier::new(2);
             let answers: Vec<Result<Response, String>> = std::thread::scope(|s| {
@@ -376,7 +591,8 @@ fn racing_inserts_into_a_fresh_shard_are_all_answered_and_counted() {
                         s.spawn(move || {
                             let bytes = req.encode();
                             start.wait();
-                            let reply = ep.request("w0", bytes, short).map_err(|e| e.to_string())?;
+                            let reply =
+                                ep.request("w0", bytes, short).map_err(|e| e.to_string())?;
                             Response::decode(schema, &reply)
                         })
                     })
@@ -384,11 +600,26 @@ fn racing_inserts_into_a_fresh_shard_are_all_answered_and_counted() {
                 racers.into_iter().map(|h| h.join().unwrap()).collect()
             });
             for a in &answers {
-                assert_eq!(a, &Ok(Response::Ack), "point={point} round {round}: every request is acked");
+                assert_eq!(
+                    a,
+                    &Ok(Response::Ack),
+                    "point={point} round {round}: every request is acked"
+                );
             }
-            match ask(&driver, "w0", Request::Query { shards: vec![shard], query: QueryBox::all(&schema) }, &schema) {
+            match ask(
+                &driver,
+                "w0",
+                Request::Query {
+                    shards: vec![shard],
+                    query: QueryBox::all(&schema),
+                },
+                &schema,
+            ) {
                 Response::Agg { agg, .. } => {
-                    assert_eq!(agg.count, want, "point={point} round {round}: every item counted once")
+                    assert_eq!(
+                        agg.count, want,
+                        "point={point} round {round}: every item counted once"
+                    )
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -439,8 +670,11 @@ fn stats_publisher_never_resurrects_a_split_parent() {
                             if len < 2 {
                                 continue;
                             }
-                            let split =
-                                Request::SplitShard { shard, left_id: next_id, right_id: next_id + 1 };
+                            let split = Request::SplitShard {
+                                shard,
+                                left_id: next_id,
+                                right_id: next_id + 1,
+                            };
                             next_id += 2;
                             match ask(&driver, &name, split, schema) {
                                 Response::SplitDone { left, right } => {
@@ -459,7 +693,14 @@ fn stats_publisher_never_resurrects_a_split_parent() {
             .collect();
         lanes.into_iter().flat_map(|h| h.join().unwrap()).collect()
     });
-    let ghosts: Vec<u64> = parents.iter().copied().filter(|&p| image.shard(p).is_some()).collect();
+    let ghosts: Vec<u64> = parents
+        .iter()
+        .copied()
+        .filter(|&p| image.shard(p).is_some())
+        .collect();
     assert_eq!(parents.len() as u64, lanes * rounds * (seed_items - 1));
-    assert!(ghosts.is_empty(), "retired parents resurrected in the image: {ghosts:?}");
+    assert!(
+        ghosts.is_empty(),
+        "retired parents resurrected in the image: {ghosts:?}"
+    );
 }

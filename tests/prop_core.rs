@@ -16,13 +16,19 @@ fn schema() -> Schema {
 }
 
 fn mbr(lo0: u64, hi0: u64, lo1: u64, hi1: u64) -> Mbr {
-    Mbr::from_ranges(vec![(lo0.min(hi0), lo0.max(hi0)), (lo1.min(hi1), lo1.max(hi1))])
+    Mbr::from_ranges(vec![
+        (lo0.min(hi0), lo0.max(hi0)),
+        (lo1.min(hi1), lo1.max(hi1)),
+    ])
 }
 
 /// Items inside [`schema`]'s domain of 256 leaves per dimension.
 fn items_strategy() -> impl Strategy<Value = Vec<Item>> {
-    prop::collection::vec((0u64..256, 0u64..256, 0u32..1000), 0..40)
-        .prop_map(|raw| raw.into_iter().map(|(a, b, m)| Item::new(vec![a, b], m as f64)).collect())
+    prop::collection::vec((0u64..256, 0u64..256, 0u32..1000), 0..40).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(a, b, m)| Item::new(vec![a, b], m as f64))
+            .collect()
+    })
 }
 
 /// [`decode_items`] on `blob`, and when it accepts, a store rebuilt from the

@@ -45,15 +45,17 @@ fn arb_worker_leaf() -> impl Strategy<Value = WorkerExec> {
         any::<u64>(),
         prop::collection::vec(arb_shard_exec(), 0..4),
     )
-        .prop_map(|(worker, requested, alias_chases, fanout, wall_us, shards)| WorkerExec {
-            worker,
-            requested,
-            alias_chases,
-            fanout,
-            wall_us,
-            shards,
-            forwards: vec![],
-        })
+        .prop_map(
+            |(worker, requested, alias_chases, fanout, wall_us, shards)| WorkerExec {
+                worker,
+                requested,
+                alias_chases,
+                fanout,
+                wall_us,
+                shards,
+                forwards: vec![],
+            },
+        )
 }
 
 /// Up to `depth` levels of forward nesting — deeper than any stable cluster
@@ -62,7 +64,10 @@ fn arb_worker(depth: u32) -> BoxedStrategy<WorkerExec> {
     if depth == 0 {
         return arb_worker_leaf().boxed();
     }
-    (arb_worker_leaf(), prop::collection::vec(arb_worker(depth - 1), 0..3))
+    (
+        arb_worker_leaf(),
+        prop::collection::vec(arb_worker(depth - 1), 0..3),
+    )
         .prop_map(|(mut w, forwards)| {
             w.forwards = forwards;
             w

@@ -21,17 +21,31 @@ pub fn stats() -> HashMap<String, ThreadStat> {
     tasks
         .filter_map(|task| {
             let path = task.expect("task entry").path();
-            let name = std::fs::read_to_string(path.join("comm")).ok()?.trim().to_string();
+            let name = std::fs::read_to_string(path.join("comm"))
+                .ok()?
+                .trim()
+                .to_string();
             let stat = std::fs::read_to_string(path.join("schedstat")).ok()?;
-            let mut fields = stat.split_whitespace().map(|f| f.parse::<u64>().unwrap_or(0));
+            let mut fields = stat
+                .split_whitespace()
+                .map(|f| f.parse::<u64>().unwrap_or(0));
             let (cpu, _, wakes) = (fields.next()?, fields.next()?, fields.next()?);
             let tid = path.file_name()?.to_string_lossy().into_owned();
-            Some((tid, ThreadStat { name, cpu: Duration::from_nanos(cpu), wakes }))
+            Some((
+                tid,
+                ThreadStat {
+                    name,
+                    cpu: Duration::from_nanos(cpu),
+                    wakes,
+                },
+            ))
         })
         .collect()
 }
 
 /// Live threads of this process.
 pub fn count() -> usize {
-    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
 }
