@@ -326,11 +326,21 @@ mod tests {
                     id: MetricId::labeled("volap_b_total", "server", "server-0"),
                     value: u64::MAX,
                 },
+                ScalarSnapshot {
+                    id: MetricId::labeled("volap_c_total", "worker", "w \"q\" \\b\nn\tt\u{1}"),
+                    value: 7,
+                },
             ],
-            gauges: vec![ScalarSnapshot {
-                id: MetricId::labeled("volap_depth", "worker", "w-1"),
-                value: -17,
-            }],
+            gauges: vec![
+                ScalarSnapshot {
+                    id: MetricId::labeled("volap_depth", "worker", "w-1"),
+                    value: -17,
+                },
+                ScalarSnapshot {
+                    id: MetricId::plain("volap_floor"),
+                    value: i64::MIN,
+                },
+            ],
             histograms: vec![HistogramSnapshot {
                 id: MetricId::plain("volap_lat_seconds"),
                 count: 5,
@@ -341,7 +351,7 @@ mod tests {
                 seq: 0,
                 ts_us: 12,
                 kind: "shard_split".into(),
-                detail: "shard=1 \"quoted\"\nline".into(),
+                detail: "shard=1 \"quoted\"\nline\ttab \\back \u{1}ctl".into(),
             }],
             audit: vec![BalanceDecision {
                 seq: 3,
@@ -359,8 +369,8 @@ mod tests {
                 duration_us: 1234,
             }],
             staleness: StalenessSnapshot {
-                count: 2,
-                samples_seconds: vec![0.001, 0.25],
+                count: 3,
+                samples_seconds: vec![0.001, 0.25, 0.1 + 0.2],
             },
         }
     }
