@@ -1,23 +1,20 @@
 //! Criterion microbenchmarks: the observability record path.
 //!
 //! Measures the primitives every hot path pays per operation — counter
-//! increment, histogram observation (enabled and disabled), the drop-timer,
-//! and an event-log append — plus a contended 8-thread histogram hammer.
-//! `bench_overhead` (bin) measures each section's end-to-end overhead in
-//! `BENCH_overhead.json`; these benches watch the per-record cost at
-//! criterion precision so a regression is attributable to a specific
-//! primitive.
+//! increment, histogram observation, the drop-timer, and an event-log
+//! append — plus a contended 8-thread histogram hammer, at criterion
+//! precision, so a regression is attributable to a specific primitive.
+//! End to end, the histograms' cost shows in `bench_e2e`, which runs with
+//! every instrument recording.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use volap_obs::{Obs, ObsConfig, Registry};
+use volap_obs::{Obs, Registry};
 
 fn bench_record_path(c: &mut Criterion) {
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let counter = reg.counter("volap_bench_total");
     let hist = reg.histogram("volap_bench_seconds");
-    let reg_off = Registry::new(false);
-    let hist_off = reg_off.histogram("volap_bench_seconds");
-    let obs = Obs::new(ObsConfig::default());
+    let obs = Obs::new();
 
     let mut group = c.benchmark_group("obs_record");
     group.throughput(Throughput::Elements(1));
@@ -35,12 +32,6 @@ fn bench_record_path(c: &mut Criterion) {
             ns
         })
     });
-    group.bench_function("histogram_observe_disabled", |b| {
-        b.iter(|| {
-            hist_off.observe_ns(1234);
-            hist_off.count()
-        })
-    });
     group.bench_function("timer_start_drop", |b| {
         b.iter(|| {
             let _timer = hist.start();
@@ -55,7 +46,7 @@ fn bench_record_path(c: &mut Criterion) {
 fn bench_contended_histogram(c: &mut Criterion) {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let hist = reg.histogram("volap_contended_seconds");
     let mut group = c.benchmark_group("obs_contended");
     group.throughput(Throughput::Elements((THREADS as u64) * PER_THREAD));

@@ -49,7 +49,7 @@ impl Cluster {
             None => Network::new(),
         };
         let coord = CoordService::new();
-        let obs = Obs::new(cfg.obs.clone());
+        let obs = Obs::new();
         net.attach_obs(obs.registry());
         // Lock-order violations (debug builds) land in this deployment's
         // event log alongside the rest of the structured events.

@@ -13,6 +13,10 @@ use volap_tree::{StoreKind, TreeConfig};
 /// ([`VolapConfig::sync_period`]), and the manager's split/migration policy
 /// (§III-E). Defaults here shrink the time constants by ~30× so experiments
 /// complete in seconds while preserving every ratio that matters.
+///
+/// Observability has no knob: everything `volap_obs` records is always on
+/// and sized by its constants. Nor is the lock-order checker a knob: every
+/// debug build runs it, and release builds compile it out.
 #[derive(Clone)]
 pub struct VolapConfig {
     /// Dimension hierarchies.
@@ -55,12 +59,6 @@ pub struct VolapConfig {
     pub net_latency: Option<Duration>,
     /// Directory fanout of the server routing index.
     pub index_dir_cap: usize,
-    /// The observability knob — histograms — declared once, in
-    /// [`volap_obs::ObsConfig`].
-    /// Everything else `volap_obs` records is always on and sized by its
-    /// constants. The lock-order checker is no knob: every debug build runs
-    /// it, and release builds compile it out.
-    pub obs: volap_obs::ObsConfig,
 }
 
 impl VolapConfig {
@@ -85,7 +83,6 @@ impl VolapConfig {
             request_timeout: Duration::from_secs(10),
             net_latency: None,
             index_dir_cap: 8,
-            obs: volap_obs::ObsConfig::default(),
         }
     }
 
@@ -97,14 +94,10 @@ impl VolapConfig {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    /// `bench_e2e` sets no observability knob, so these literals are what
-    /// the benchmark measures; moving a knob must not move its value.
+    /// Observability has no knob, so these ring sizes are what `bench_e2e`
+    /// measures; moving one must be deliberate.
     #[test]
     fn shipped_observability_defaults_are_pinned() {
-        let cfg = VolapConfig::new(Schema::uniform(2, 2, 8));
-        assert!(cfg.obs.histograms);
         assert_eq!(
             (volap_obs::EVENT_CAPACITY, volap_obs::AUDIT_CAPACITY),
             (4096, 1024)

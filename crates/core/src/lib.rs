@@ -70,5 +70,5 @@ pub use plan::{QueryPlan, ShardExec, WorkerExec};
 pub use proto::{Request, Response};
 pub use server::ServerHandle;
 pub use server_index::ServerIndex;
-pub use volap_obs::{Obs, ObsConfig, Snapshot};
+pub use volap_obs::{Obs, Snapshot};
 pub use worker::WorkerHandle;

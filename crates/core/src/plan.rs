@@ -10,13 +10,13 @@
 //! `pruned`/`nodes_visited`/`items_scanned` sums in a plan equal an
 //! independently traced run of the same query over the same data.
 //!
-//! Plans have two lossless encodings: the binary wire form (rides the
-//! `AggPlan`/`AggExec` responses) and JSON (for tooling), derived from the
-//! `record!` declarations below like every `volap_obs` export; both
-//! round-trip exactly and both reject malformed input.
+//! Plans have two encodings. The binary wire form rides the
+//! `AggPlan`/`AggExec` responses; it is lossless, and its decoder rejects
+//! malformed input. JSON is a write-only document for tooling, derived from
+//! the `record!` declarations below like every `volap_obs` export.
 
 use bytes::{Buf, BufMut};
-use volap_obs::json::{self, Field};
+use volap_obs::json::Field;
 use volap_tree::QueryTrace;
 
 use crate::wire::{self, WireError};
@@ -193,28 +193,13 @@ impl QueryPlan {
         Ok(plan)
     }
 
-    /// Render as JSON (lossless; [`QueryPlan::from_json`] recovers the
-    /// exact plan). Writer and parser are derived from the record
+    /// Render as JSON, written by the writer derived from the record
     /// declarations above.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
         out.push('\n');
         out
-    }
-
-    /// Parse JSON produced by [`QueryPlan::to_json`]. Like the binary
-    /// decoder, rejects forward chains deeper than any real execution.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let plan = Self::read(&json::parse(text)?)?;
-        if plan
-            .workers
-            .iter()
-            .any(|w| forward_depth(w) > MAX_FORWARD_DEPTH)
-        {
-            return Err(format!("plan forward nesting exceeds {MAX_FORWARD_DEPTH}"));
-        }
-        Ok(plan)
     }
 
     /// Pretty-print the plan as an indented execution tree.
@@ -269,15 +254,6 @@ fn worker_totals(w: &WorkerExec, t: &mut QueryTrace) {
     for f in &w.forwards {
         worker_totals(f, t);
     }
-}
-
-/// Forward levels below `w` (0 when it forwarded nothing).
-fn forward_depth(w: &WorkerExec) -> usize {
-    w.forwards
-        .iter()
-        .map(|f| 1 + forward_depth(f))
-        .max()
-        .unwrap_or(0)
 }
 
 fn collect_shards(w: &WorkerExec, out: &mut Vec<u64>) {
@@ -438,21 +414,16 @@ mod tests {
         assert_eq!(QueryPlan::decode(&plan.encode()).unwrap(), plan);
     }
 
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let plan = sample_plan();
-        assert_eq!(QueryPlan::from_json(&plan.to_json()).unwrap(), plan);
-    }
-
-    /// `tests/golden/plan.json` holds the bytes the hand-written writer this
-    /// module replaced produced for `sample_plan()`.
+    /// `tests/golden/plan.json` holds the bytes the writer produces for
+    /// `sample_plan()`; any change to them is a format change.
     #[test]
     fn json_golden_is_reproduced_byte_for_byte() {
         let golden = include_str!("../../../tests/golden/plan.json");
         assert_eq!(sample_plan().to_json(), golden);
-        assert_eq!(QueryPlan::from_json(golden).unwrap(), sample_plan());
     }
 
+    /// The plan decoder and the standalone worker decoder (an `AggExec`
+    /// reply's) both bound the forward nesting.
     #[test]
     fn both_decoders_reject_runaway_forward_chains() {
         let chain = |levels: usize| {
@@ -463,17 +434,24 @@ mod tests {
                     ..Default::default()
                 };
             }
-            QueryPlan {
-                workers: vec![w],
-                ..Default::default()
-            }
+            w
+        };
+        let plan = |w: WorkerExec| QueryPlan {
+            workers: vec![w],
+            ..Default::default()
+        };
+        let worker = |w: &WorkerExec| {
+            let mut buf = Vec::new();
+            w.encode_into(&mut buf);
+            WorkerExec::decode_from(&mut buf.as_slice())
         };
         let deepest = chain(MAX_FORWARD_DEPTH);
-        assert_eq!(QueryPlan::from_json(&deepest.to_json()).unwrap(), deepest);
+        assert_eq!(worker(&deepest).unwrap(), deepest);
+        let deepest = plan(deepest);
         assert_eq!(QueryPlan::decode(&deepest.encode()).unwrap(), deepest);
         let runaway = chain(MAX_FORWARD_DEPTH + 1);
-        assert!(QueryPlan::from_json(&runaway.to_json()).is_err());
-        assert!(QueryPlan::decode(&runaway.encode()).is_err());
+        assert!(worker(&runaway).is_err());
+        assert!(QueryPlan::decode(&plan(runaway).encode()).is_err());
     }
 
     #[test]
@@ -505,8 +483,6 @@ mod tests {
             QueryPlan::decode(&padded).is_err(),
             "trailing bytes must fail"
         );
-        assert!(QueryPlan::from_json("{}").is_err());
-        assert!(QueryPlan::from_json(&(sample_plan().to_json() + "x")).is_err());
     }
 
     #[test]

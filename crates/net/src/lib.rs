@@ -705,7 +705,7 @@ mod tests {
     #[test]
     fn timeout_removes_pending_entry_and_late_reply_is_counted() {
         let net = Network::new();
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         net.attach_obs(&reg);
         let client = net.endpoint("client");
         let server = net.endpoint("server");
@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn request_many_timeout_drains_pending_and_counts_late_replies() {
         let net = Network::new();
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         net.attach_obs(&reg);
         let client = net.endpoint("client");
         let fast = net.endpoint("fast");

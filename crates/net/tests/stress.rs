@@ -39,7 +39,7 @@ fn round_trips_never_time_out_under_oversubscription() {
     const REQUESTERS: usize = 4;
     const ROUND_TRIPS: u32 = 50_000;
     let net = Network::new();
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     net.attach_obs(&reg);
     let server = net.endpoint("server");
     let stop = AtomicBool::new(false);
@@ -85,7 +85,7 @@ fn round_trips_never_time_out_under_oversubscription() {
 fn answered_is_ok_plus_late(legs: usize, rounds: u64) {
     const TIMEOUT: Duration = Duration::from_micros(100);
     let net = Network::new();
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     net.attach_obs(&reg);
     let client = net.endpoint("client");
     let servers: Vec<Endpoint> = (0..legs).map(|i| net.endpoint(format!("s{i}"))).collect();

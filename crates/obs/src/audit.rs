@@ -4,7 +4,7 @@
 //! as one structured [`BalanceDecision`]: the inputs that drove it (shard
 //! sizes, thresholds), the chosen action, the resulting shard ids, and the
 //! outcome with its duration. The decisions live in the same
-//! [`Ring`] as the event log (uncontended per-thread shards, global
+//! `Ring` as the event log (uncontended per-thread shards, global
 //! sequencing, counted oldest-first eviction), so a snapshot always knows
 //! how much history it is missing.
 

@@ -1,6 +1,6 @@
 //! A bounded ring-buffer log for structured events.
 //!
-//! Events land in a [`Ring`]: per-thread shards, so recording is an
+//! Events land in a `Ring`: per-thread shards, so recording is an
 //! uncontended lock and a push, merged back into global sequence order on
 //! [`EventLog::snapshot`]. Overflow drops the *oldest* events per shard and
 //! is counted, so a snapshot always says how much history it is missing.

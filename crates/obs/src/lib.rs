@@ -8,8 +8,7 @@
 //!
 //! * [`Registry`] — named [`Counter`]s, [`Gauge`]s, and fixed-bucket log2
 //!   latency [`Histogram`]s. Registration takes a mutex once; recording is
-//!   pure relaxed atomics. A registry-wide switch ([`ObsConfig::histograms`])
-//!   turns every histogram into a single load-and-branch.
+//!   pure relaxed atomics, and every histogram always records.
 //! * [`EventLog`] — a bounded ring-buffer log of structured events (shard
 //!   splits, migrations, sync rounds, route misses) with per-thread ring
 //!   shards and a merge-on-snapshot reader.
@@ -18,10 +17,9 @@
 //!   them into measured expansion-visibility delays — the measured
 //!   counterpart of the `FreshnessSim` Monte-Carlo model.
 //! * [`Snapshot`] + [`export`] — one coherent view of everything, rendered
-//!   as Prometheus text exposition or JSON; both exporters have parsers so
-//!   output round-trips and CI can validate it. Every exported section is
-//!   declared once ([`snapshot`]); the codecs and the validation are
-//!   derived from that list.
+//!   as Prometheus text exposition or JSON. Every exported section is
+//!   declared once ([`snapshot`]); the JSON writer and the structural
+//!   validation are derived from that list. Exports are write-only.
 //!
 //! [`Obs`] bundles the instruments; the cluster crate owns one `Obs` per
 //! deployment (shared through its `ImageStore`) and surfaces it as
@@ -56,27 +54,9 @@ pub const EVENT_CAPACITY: usize = 4096;
 /// Load-balance decisions retained across the audit ring's shards.
 pub const AUDIT_CAPACITY: usize = 1024;
 
-/// The knobs of one [`Obs`] instance — each decision declared here and
-/// nowhere else (`VolapConfig::obs` upstream is this struct). Everything not
-/// listed is a constant ([`EVENT_CAPACITY`], [`AUDIT_CAPACITY`]) and always
-/// records; [`Registry::set_histograms_enabled`] flips this one at runtime.
-#[derive(Clone, Debug)]
-pub struct ObsConfig {
-    /// Whether latency histograms record at all. Counters, gauges, events
-    /// and the staleness probe are always on (a relaxed atomic, or rare
-    /// events only); a histogram additionally costs two `Instant::now()`
-    /// calls per timed operation.
-    pub histograms: bool,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        Self { histograms: true }
-    }
-}
-
 /// The bundled observability core one cluster owns. Cheap to clone; clones
-/// share all state.
+/// share all state. It has no knobs: every instrument always records, and
+/// the rings are sized by [`EVENT_CAPACITY`] and [`AUDIT_CAPACITY`].
 #[derive(Clone)]
 pub struct Obs {
     registry: Registry,
@@ -89,14 +69,14 @@ pub struct Obs {
 
 impl Default for Obs {
     fn default() -> Self {
-        Self::new(ObsConfig::default())
+        Self::new()
     }
 }
 
 impl Obs {
     /// Build an observability core.
-    pub fn new(cfg: ObsConfig) -> Self {
-        let registry = Registry::new(cfg.histograms);
+    pub fn new() -> Self {
+        let registry = Registry::new();
         let staleness = StalenessProbe::new(registry.histogram("volap_staleness_seconds"));
         Self {
             registry,
@@ -163,9 +143,8 @@ impl Obs {
 /// The `volap_build_info` gauge: crate version, build profile, and rustc
 /// version folded into one label value (the registry carries at most one
 /// label pair per metric), with the conventional constant value 1. Present
-/// in every [`Obs::snapshot`], so both expositions carry it and the
-/// `from_prometheus ∘ to_prometheus` round trip preserves it like any
-/// other labeled gauge.
+/// in every [`Obs::snapshot`], so both expositions carry it like any other
+/// labeled gauge.
 pub fn build_info_gauge() -> ScalarSnapshot<i64> {
     let build = format!(
         "volap {} {} {}",
@@ -188,8 +167,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn obs_snapshot_round_trips_through_both_exporters() {
-        let obs = Obs::new(ObsConfig::default());
+    fn obs_snapshot_carries_every_instrument_into_both_exporters() {
+        let obs = Obs::new();
         obs.registry().counter("volap_x_total").add(9);
         obs.registry()
             .gauge_labeled("volap_g", "worker", "w0")
@@ -200,26 +179,30 @@ mod tests {
         obs.staleness().pushed(1, "s0");
         obs.staleness().applied(1, "s1");
         let snap = obs.snapshot();
+        assert_eq!(snap.validate(), Ok(()));
         assert_eq!(snap.counter("volap_x_total"), 9);
         assert_eq!(snap.staleness.count, 1);
         assert_eq!(snap.events.len(), 1);
-        let json_back = export::from_json(&export::to_json(&snap)).unwrap();
-        assert_eq!(json_back, snap);
-        let prom_back = export::from_prometheus(&export::to_prometheus(&snap)).unwrap();
-        assert_eq!(prom_back, snap.metrics_only());
-        // The staleness distribution is in the exposition as a histogram.
-        assert_eq!(
-            prom_back
-                .histogram("volap_staleness_seconds")
-                .unwrap()
-                .count,
-            1
-        );
+        // The staleness distribution is a histogram like any other.
+        assert_eq!(snap.histogram("volap_staleness_seconds").unwrap().count, 1);
+        let prom = export::to_prometheus(&snap);
+        for line in [
+            "volap_x_total 9\n",
+            "volap_g{worker=\"w0\"} 3\n",
+            "volap_h_seconds_count 1\n",
+            "volap_staleness_seconds_count 1\n",
+        ] {
+            assert!(prom.contains(line), "exposition lacks {line:?}:\n{prom}");
+        }
+        let json = export::to_json(&snap);
+        for member in ["\"kind\": \"test_event\"", "\"staleness\": {\"count\": 1"] {
+            assert!(json.contains(member), "JSON lacks {member:?}:\n{json}");
+        }
     }
 
     #[test]
-    fn build_info_gauge_rides_every_snapshot_and_round_trips() {
-        let obs = Obs::new(ObsConfig::default());
+    fn build_info_gauge_rides_every_snapshot() {
+        let obs = Obs::new();
         let snap = obs.snapshot();
         let info = snap
             .gauges
@@ -249,25 +232,8 @@ mod tests {
         );
         let prom = export::to_prometheus(&snap);
         assert!(
-            prom.contains("volap_build_info{build="),
+            prom.contains(&format!("volap_build_info{{build=\"{}\"}} 1\n", label.1)),
             "exposition carries build info"
         );
-        let back = export::from_prometheus(&prom).unwrap();
-        assert_eq!(back, snap.metrics_only(), "round trip preserves the gauge");
-    }
-
-    #[test]
-    fn histograms_knob_disables_recording() {
-        let obs = Obs::new(ObsConfig { histograms: false });
-        let h = obs.registry().histogram("volap_h_seconds");
-        h.observe_ns(5);
-        assert_eq!(h.count(), 0);
-        // Staleness raw samples still record; only its histogram is gated.
-        obs.staleness().expansion(1, "s0");
-        obs.staleness().pushed(1, "s0");
-        obs.staleness().applied(1, "s1");
-        let snap = obs.snapshot();
-        assert_eq!(snap.staleness.count, 1);
-        assert_eq!(snap.histogram("volap_staleness_seconds").unwrap().count, 0);
     }
 }

@@ -8,7 +8,7 @@
 //! component startup and stored, not looked up per operation.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -85,9 +85,6 @@ impl Gauge {
 
 #[derive(Debug)]
 struct HistoCore {
-    /// Shared with the owning registry: flipping it off turns every
-    /// `observe` into a single relaxed load and a branch.
-    enabled: Arc<AtomicBool>,
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -98,27 +95,19 @@ struct HistoCore {
 pub struct Histogram(Arc<HistoCore>);
 
 impl Histogram {
-    fn new(enabled: Arc<AtomicBool>) -> Self {
+    /// A histogram not attached to any registry.
+    pub fn detached() -> Self {
         Self(Arc::new(HistoCore {
-            enabled,
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
         }))
     }
 
-    /// A histogram not attached to any registry, always enabled.
-    pub fn detached() -> Self {
-        Self::new(Arc::new(AtomicBool::new(true)))
-    }
-
     /// Record one observation of `ns` nanoseconds.
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
         let core = &*self.0;
-        if !core.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         core.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
         core.sum_ns.fetch_add(ns, Ordering::Relaxed);
@@ -283,45 +272,24 @@ impl HistogramSnapshot {
     }
 }
 
-struct RegistryInner {
-    hist_enabled: Arc<AtomicBool>,
-    slots: Mutex<BTreeMap<MetricId, Slot>>,
-}
-
 /// The registry: a name → handle map. Cheap to clone (shared).
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<RegistryInner>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new(true)
-    }
+    slots: Arc<Mutex<BTreeMap<MetricId, Slot>>>,
 }
 
 impl Registry {
-    /// Create a registry; `histograms` arms or disarms every histogram it
-    /// ever hands out ([`crate::ObsConfig::histograms`]).
-    pub fn new(histograms: bool) -> Self {
-        Self {
-            inner: Arc::new(RegistryInner {
-                hist_enabled: Arc::new(AtomicBool::new(histograms)),
-                slots: Mutex::new(BTreeMap::new()),
-            }),
-        }
+    /// Create an empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Arm or disarm every histogram handed out by this registry at
-    /// runtime. A disarmed histogram costs its record path one relaxed load
-    /// and a branch — the load an armed one already pays.
-    pub fn set_histograms_enabled(&self, on: bool) {
-        self.inner.hist_enabled.store(on, Ordering::Relaxed);
-    }
-
-    fn slot_for(&self, id: MetricId, make: impl FnOnce(&Self) -> Slot) -> Slot {
-        let mut slots = self.inner.slots.lock().unwrap();
-        let slot = slots.entry(id).or_insert_with(|| make(self));
+    fn slot_for(&self, id: MetricId, make: impl FnOnce() -> Slot) -> Slot {
+        let mut slots = self
+            .slots
+            .lock()
+            .expect("a thread panicked while registering a metric");
+        let slot = slots.entry(id).or_insert_with(make);
         match slot {
             Slot::Counter(c) => Slot::Counter(c.clone()),
             Slot::Gauge(g) => Slot::Gauge(g.clone()),
@@ -341,7 +309,7 @@ impl Registry {
 
     /// Get or register a counter by full id.
     pub fn counter_id(&self, id: MetricId) -> Counter {
-        match self.slot_for(id.clone(), |_| Slot::Counter(Counter::default())) {
+        match self.slot_for(id.clone(), || Slot::Counter(Counter::default())) {
             Slot::Counter(c) => c,
             _ => panic!("metric {id:?} already registered with a different kind"),
         }
@@ -359,7 +327,7 @@ impl Registry {
 
     /// Get or register a gauge by full id.
     pub fn gauge_id(&self, id: MetricId) -> Gauge {
-        match self.slot_for(id.clone(), |_| Slot::Gauge(Gauge::default())) {
+        match self.slot_for(id.clone(), || Slot::Gauge(Gauge::default())) {
             Slot::Gauge(g) => g,
             _ => panic!("metric {id:?} already registered with a different kind"),
         }
@@ -372,9 +340,7 @@ impl Registry {
 
     /// Get or register a histogram by full id.
     pub fn histogram_id(&self, id: MetricId) -> Histogram {
-        let make =
-            |reg: &Self| Slot::Histogram(Histogram::new(Arc::clone(&reg.inner.hist_enabled)));
-        match self.slot_for(id.clone(), make) {
+        match self.slot_for(id.clone(), || Slot::Histogram(Histogram::detached())) {
             Slot::Histogram(h) => h,
             _ => panic!("metric {id:?} already registered with a different kind"),
         }
@@ -382,7 +348,10 @@ impl Registry {
 
     /// Sum of all counters with the given name across labels.
     pub fn sum_counters(&self, name: &str) -> u64 {
-        let slots = self.inner.slots.lock().unwrap();
+        let slots = self
+            .slots
+            .lock()
+            .expect("a thread panicked while registering a metric");
         slots
             .iter()
             .filter(|(id, _)| id.name == name)
@@ -401,7 +370,10 @@ impl Registry {
         Vec<ScalarSnapshot<i64>>,
         Vec<HistogramSnapshot>,
     ) {
-        let slots = self.inner.slots.lock().unwrap();
+        let slots = self
+            .slots
+            .lock()
+            .expect("a thread panicked while registering a metric");
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histos = Vec::new();
@@ -442,7 +414,7 @@ mod tests {
 
     #[test]
     fn counters_and_gauges() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         let c = reg.counter("volap_test_total");
         c.inc();
         c.add(4);
@@ -463,8 +435,8 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_disable() {
-        let reg = Registry::new(true);
+    fn histogram_buckets_and_timer() {
+        let reg = Registry::new();
         let h = reg.histogram("volap_lat_seconds");
         h.observe_ns(0);
         h.observe_ns(1);
@@ -476,10 +448,6 @@ mod tests {
         assert_eq!(b[1], 1);
         assert_eq!(b[2], 1);
         assert_eq!(b[21], 1);
-        reg.set_histograms_enabled(false);
-        h.observe_ns(5);
-        assert_eq!(h.count(), 4, "disabled histogram must not record");
-        reg.set_histograms_enabled(true);
         {
             let _t = h.start();
         }
@@ -505,7 +473,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_cumulative_and_sorted() {
-        let reg = Registry::new(true);
+        let reg = Registry::new();
         reg.counter("volap_b_total").inc();
         reg.counter("volap_a_total").inc();
         let h = reg.histogram("volap_h_seconds");

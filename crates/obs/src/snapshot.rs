@@ -2,18 +2,18 @@
 //! knows, and the **one list of sections** it is made of.
 //!
 //! A section is declared once: its record type carries the field list
-//! ([`record!`](crate::record): JSON writer and parser), and that type's
+//! ([`record!`](crate::record): the JSON writer), and that type's
 //! [`SectionData`] impl carries what else the section means — how to tell it
-//! is empty, and its structural validation. The [`sections!`] list below names each
-//! section once; the [`Snapshot`] struct and its JSON codec, [`Section`],
-//! [`Snapshot::metrics_only`], [`Snapshot::validate`] and
-//! [`Snapshot::is_populated`] are all derived from it.
+//! is empty, and its structural validation. The `sections!` list below names
+//! each section once; the [`Snapshot`] struct and its JSON writer,
+//! [`Section`], [`Snapshot::validate`] and [`Snapshot::is_populated`] are
+//! all derived from it.
 
 use std::fmt::Debug;
 
 use crate::audit::BalanceDecision;
 use crate::events::Event;
-use crate::registry::{HistogramSnapshot, MetricId, ScalarSnapshot};
+use crate::registry::{HistogramSnapshot, ScalarSnapshot};
 use crate::staleness::StalenessSnapshot;
 
 /// What a snapshot section declares beyond its record fields.
@@ -66,8 +66,7 @@ pub(crate) fn ascending<K: PartialOrd + Debug>(
 macro_rules! sections {
     ($( $(#[$doc:meta])* $Var:ident $field:ident : $ty:ty $(= $layout:ident)? ),* $(,)?) => {
         crate::record! {
-            /// One full observability snapshot. `PartialEq` + the exporter
-            /// parsers in [`crate::export`] give exact round-trip tests.
+            /// One full observability snapshot, rendered by [`crate::export`].
             #[derive(Clone, Debug, Default, PartialEq)]
             pub struct Snapshot {
                 /// Wall-clock capture time, µs since the Unix epoch.
@@ -131,38 +130,6 @@ sections! {
 }
 
 impl Snapshot {
-    /// This snapshot reduced to what the Prometheus text exposition can
-    /// represent: counters, gauges and histograms, with every other section
-    /// stripped and capture time and uptime folded in as the gauges
-    /// `volap_captured_unix_microseconds` and `volap_uptime_microseconds`.
-    /// Folding is idempotent: re-folding an already-folded snapshot (the
-    /// exporter round-trip) changes nothing.
-    pub fn metrics_only(&self) -> Snapshot {
-        let mut out = Snapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-            ..Snapshot::default()
-        };
-        if !out
-            .gauges
-            .iter()
-            .any(|g| g.id.name == "volap_captured_unix_microseconds")
-        {
-            for (name, value) in [
-                ("volap_captured_unix_microseconds", self.captured_unix_us),
-                ("volap_uptime_microseconds", self.uptime_us),
-            ] {
-                out.gauges.push(ScalarSnapshot {
-                    id: MetricId::plain(name),
-                    value: value as i64,
-                });
-            }
-            out.gauges.sort_by(|a, b| a.id.cmp(&b.id));
-        }
-        out
-    }
-
     /// Sum of all counters with this name, across labels.
     pub fn counter(&self, name: &str) -> u64 {
         self.counters

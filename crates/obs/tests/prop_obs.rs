@@ -1,12 +1,12 @@
 //! Property-based tests for the observability core: histogram correctness
-//! under concurrency, exporter round-trip fidelity over every section, and
-//! text decoders that reject damaged input without panicking.
+//! under concurrency, structural validation and population over every
+//! section, and bounded, ordered rings under contention.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use volap_obs::{
-    bucket_index, export, AuditLog, BalanceDecision, EventLog, Obs, ObsConfig, Registry, Section,
+    bucket_index, export, json, AuditLog, BalanceDecision, EventLog, Obs, Registry, Section,
     HIST_BUCKETS,
 };
 
@@ -21,7 +21,7 @@ const NAME: &str = "[a-z0-9_\"\\\u{1}\u{e9}\u{4e16}-]{1,10}";
 fn histogram_is_exact_under_concurrent_recording() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 20_000;
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let hist = reg.histogram("volap_hammer_seconds");
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -72,11 +72,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Any snapshot assembled from arbitrary activity in **every** section
-    /// survives the JSON exporter losslessly and the Prometheus exporter up
-    /// to its defined scope (metrics plus each section's fold), and passes
-    /// the structural validation each section declares.
+    /// passes the structural validation each section declares, reports
+    /// exactly the sections that carry data, and is written by both
+    /// exporters with every string escaped.
     #[test]
-    fn exporters_round_trip_arbitrary_snapshots(
+    fn arbitrary_snapshots_validate_and_export(
         counters in prop::collection::vec(("[a-z_]{1,12}", any::<u64>()), 0..6),
         gauges in prop::collection::vec(("[a-z_]{1,12}", any::<i64>()), 0..6),
         observations in prop::collection::vec(any::<u64>(), 0..64),
@@ -87,15 +87,15 @@ proptest! {
         ),
         expansions in 1u64..4,
     ) {
-        let obs = Obs::new(ObsConfig::default());
-        for (action, dest, inputs, result_shards) in decisions {
+        let obs = Obs::new();
+        for (action, dest, inputs, result_shards) in &decisions {
             obs.audit().record(BalanceDecision {
-                action,
+                action: action.clone(),
                 shard: result_shards.len() as u64,
                 src: "worker-0".into(),
-                dest,
-                inputs,
-                result_shards,
+                dest: dest.clone(),
+                inputs: inputs.clone(),
+                result_shards: result_shards.clone(),
                 outcome: "ok".into(),
                 ..BalanceDecision::default()
             });
@@ -129,10 +129,16 @@ proptest! {
             prop_assert_eq!(snap.is_populated(section), expected, "{}", section.name());
         }
         prop_assert_eq!(snap.validate(), Ok(()));
-        let json_back = export::from_json(&export::to_json(&snap)).unwrap();
-        prop_assert_eq!(&json_back, &snap, "JSON must be lossless");
-        let prom_back = export::from_prometheus(&export::to_prometheus(&snap)).unwrap();
-        prop_assert_eq!(prom_back, snap.metrics_only(), "exposition must cover all metrics");
+        let doc = export::to_json(&snap);
+        for (_, dest, _, _) in &decisions {
+            let member = format!("\"dest\": \"{}\"", json::escape(dest));
+            prop_assert!(doc.contains(&member), "JSON lacks {}", member);
+        }
+        let prom = export::to_prometheus(&snap);
+        for (name, _) in &counters {
+            let line = format!("# TYPE volap_{name}_total counter\n");
+            prop_assert!(prom.contains(&line), "exposition lacks {}", line);
+        }
     }
 
     /// Bucket indexing is monotone in the observed value and every value
@@ -290,45 +296,11 @@ fn audit_ring_eviction_under_contention_is_exact() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Every text decoder turns damaged input — the golden documents with a
-    /// few bytes overwritten, or cut short — into `Ok` or `Err`, never a
-    /// panic. (Unbounded nesting, the one input that used to kill the
-    /// process, has its own test in `json.rs`.)
-    #[test]
-    fn text_decoders_never_panic_on_mutated_or_truncated_text(
-        edits in prop::collection::vec((any::<usize>(), 0u8..128), 1..4),
-        cut in any::<usize>(),
-    ) {
-        type Decode = fn(&str) -> bool;
-        let decoders: [(&str, Decode); 2] = [
-            (include_str!("golden/snapshot.json"), |t| export::from_json(t).is_ok()),
-            (include_str!("golden/snapshot.prom"), |t| export::from_prometheus(t).is_ok()),
-        ];
-        for (golden, decode) in decoders {
-            prop_assert!(decode(golden), "the undamaged document decodes");
-            // The goldens are ASCII, so overwriting bytes with ASCII keeps
-            // the text valid UTF-8.
-            let mut bytes = golden.as_bytes().to_vec();
-            for &(at, byte) in &edits {
-                let at = at % bytes.len();
-                bytes[at] = byte;
-            }
-            let mutated = String::from_utf8(bytes).expect("ASCII stays UTF-8");
-            decode(&mutated);
-            decode(&mutated[..cut % mutated.len()]);
-            decode(&golden[..cut % golden.len()]);
-        }
-    }
-}
-
 /// A cloned histogram handle observes into the same series (handles are
 /// cached at component startup and cloned across threads).
 #[test]
 fn cloned_handles_share_state() {
-    let reg = Registry::new(true);
+    let reg = Registry::new();
     let h1 = reg.histogram("volap_h_seconds");
     let h2 = reg.histogram("volap_h_seconds");
     let h3 = Arc::new(h1.clone());

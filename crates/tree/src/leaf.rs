@@ -1,7 +1,7 @@
 //! Columnar leaf storage and the branch-free containment-scan kernel.
 //!
 //! Leaves keep their items in structure-of-arrays form: one coordinate
-//! [`Column`] per dimension plus a parallel measure column. A column is its
+//! `Column` per dimension plus a parallel measure column. A column is its
 //! values plus `[lo, hi]`, their range, which every mutation widens.
 //!
 //! The containment test against a query box first compiles each dimension's
@@ -254,7 +254,7 @@ impl LeafColumns {
 
     /// Copy rows `r` into a fresh column set — the Hilbert split path, which
     /// duplicates each side with a handful of column memcpys instead of one
-    /// interchange [`Entry`] per row.
+    /// interchange `Entry` per row.
     pub fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
         Self {
             cols: self
