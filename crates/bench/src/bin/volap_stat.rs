@@ -8,7 +8,7 @@
 //! carrying data (`Snapshot::is_populated`) — both derived from the one
 //! section list in `volap_obs::snapshot`. On top, each mode checks what only
 //! it knows: that the snapshot accounts for the workload this binary just
-//! issued. The exporters' bytes are pinned by golden-file tests instead.
+//! issued. The exporters' bytes are pinned by golden-file tests.
 //! Usage: `volap-stat [--json | --prom | --snapshot]`
 //! (default: human summary + the Prometheus exposition).
 //!

@@ -53,25 +53,14 @@ macro_rules! number_fields {
         }
     )*};
 }
-number_fields!(u16, u32, u64, i64, f64);
+number_fields!(u32, u64, i64, f64);
 
-/// Flags are exported as `0` / `1`.
-impl Field for bool {
-    fn write(&self, out: &mut String) {
-        out.push(if *self { '1' } else { '0' });
-    }
-}
-
-/// Append `s` as a quoted, escaped JSON string.
-pub fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    out.push_str(&escape(s));
-    out.push('"');
-}
-
+/// A quoted, escaped JSON string.
 impl Field for String {
     fn write(&self, out: &mut String) {
-        write_str(self, out);
+        out.push('"');
+        out.push_str(&escape(self));
+        out.push('"');
     }
 }
 
@@ -223,7 +212,6 @@ mod tests {
         pub struct Outer<T> {
             id: Inner = flat,
             value: T,
-            on: bool,
             list: Vec<(f64, u64)>,
             table: Vec<Inner> = rows,
         }
@@ -241,7 +229,6 @@ mod tests {
                 pair: None,
             },
             value: u64::MAX,
-            on: true,
             list: vec![(0.5, 1), (1e-9, 2)],
             table: vec![inner("x"), inner("y")],
         };
@@ -249,7 +236,7 @@ mod tests {
         rec.write(&mut text);
         assert_eq!(
             text,
-            "{\"key\": \"k\", \"pair\": null, \"value\": 18446744073709551615, \"on\": 1, \
+            "{\"key\": \"k\", \"pair\": null, \"value\": 18446744073709551615, \
              \"list\": [[0.5,1],[0.000000001,2]], \"table\": [\
              \n    {\"key\": \"x\", \"pair\": [\"a\\\"b\",\"c\"]},\
              \n    {\"key\": \"y\", \"pair\": [\"a\\\"b\",\"c\"]}\n  ]}"
