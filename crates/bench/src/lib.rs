@@ -52,13 +52,6 @@ impl LatencyStats {
     }
 }
 
-/// Time a closure.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed())
-}
-
 /// Outcome of driving an operation stream against a cluster.
 #[derive(Debug)]
 pub struct DriveResult {
@@ -244,11 +237,6 @@ pub fn scaled(full: usize, quick: usize) -> usize {
     } else {
         full
     }
-}
-
-/// Pretty-print a duration as milliseconds with 3 decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]

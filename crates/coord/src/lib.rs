@@ -11,7 +11,7 @@
 //!
 //! * slash-separated paths holding opaque byte payloads,
 //! * per-node versions with optional compare-and-set,
-//! * sequential node creation (for ID allocation),
+//! * ephemeral nodes owned by expiring sessions,
 //! * child listing by prefix, and
 //! * prefix **watches** delivering [`WatchEvent`]s over a channel.
 //!
@@ -28,14 +28,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use volap_obs::lock::{LockClass, ObsRwLock};
 
 /// Coordination-store slice of the global lock hierarchy (DESIGN.md §11.1).
-/// `create_sequential` holds the sequence counter while inserting into the
-/// node map, so seq < nodes; every other pair is acquired sequentially via
-/// scoped blocks. Watch notification always runs with the node map already
-/// released, but watches still ranks last so a future combined path stays
-/// legal.
+/// Every pair is acquired sequentially via scoped blocks. Watch
+/// notification always runs with the node map already released, but
+/// watches still ranks last so a future combined path stays legal.
 static NEXT_SESSION_CLASS: LockClass = LockClass::new("coord.next_session", 70);
 static SESSIONS_CLASS: LockClass = LockClass::new("coord.sessions", 71);
-static SEQ_CLASS: LockClass = LockClass::new("coord.seq", 72);
 static NODES_CLASS: LockClass = LockClass::new("coord.nodes", 73);
 static WATCHES_CLASS: LockClass = LockClass::new("coord.watches", 74);
 
@@ -124,7 +121,6 @@ struct SessionState {
 struct CoordInner {
     nodes: ObsRwLock<BTreeMap<String, Znode>>,
     watches: ObsRwLock<Vec<(String, Sender<WatchEvent>)>>,
-    seq: ObsRwLock<u64>,
     sessions: ObsRwLock<std::collections::HashMap<SessionId, SessionState>>,
     next_session: ObsRwLock<u64>,
 }
@@ -148,7 +144,6 @@ impl CoordService {
             inner: Arc::new(CoordInner {
                 nodes: ObsRwLock::new(&NODES_CLASS, BTreeMap::new()),
                 watches: ObsRwLock::new(&WATCHES_CLASS, Vec::new()),
-                seq: ObsRwLock::new(&SEQ_CLASS, 0),
                 sessions: ObsRwLock::new(&SESSIONS_CLASS, std::collections::HashMap::new()),
                 next_session: ObsRwLock::new(&NEXT_SESSION_CLASS, 0),
             }),
@@ -190,28 +185,6 @@ impl CoordService {
         }
         self.notify(path, EventKind::Created, 1);
         Ok(1)
-    }
-
-    /// Create a node under `prefix` with a unique ascending sequence number
-    /// appended (Zookeeper's sequential nodes); returns the full path.
-    pub fn create_sequential(&self, prefix: &str, data: Vec<u8>) -> String {
-        validate_path(prefix);
-        let path = {
-            let mut seq = self.inner.seq.write();
-            *seq += 1;
-            let path = format!("{prefix}{:010}", *seq);
-            self.inner.nodes.write().insert(
-                path.clone(),
-                Znode {
-                    data,
-                    version: 1,
-                    owner: None,
-                },
-            );
-            path
-        };
-        self.notify(&path, EventKind::Created, 1);
-        path
     }
 
     /// Write a node, creating it if absent. With `expected_version`, the
@@ -274,11 +247,6 @@ impl CoordService {
             .map(|z| (z.data.clone(), z.version))
     }
 
-    /// Whether a node exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.inner.nodes.read().contains_key(path)
-    }
-
     /// Delete a node. Fails if absent.
     pub fn delete(&self, path: &str) -> Result<(), CoordError> {
         {
@@ -322,11 +290,6 @@ impl CoordService {
         rx
     }
 
-    /// Number of stored nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.inner.nodes.read().len()
-    }
-
     /// Open a session with the given time-to-live. The session stays alive
     /// as long as [`CoordService::heartbeat`] is called within every `ttl`
     /// window; when it expires, all its ephemeral nodes are deleted (with
@@ -358,18 +321,6 @@ impl CoordService {
             }
             None => false,
         }
-    }
-
-    /// Whether a session is currently alive.
-    pub fn session_alive(&self, id: SessionId) -> bool {
-        self.reap_expired();
-        self.inner.sessions.read().contains_key(&id)
-    }
-
-    /// Close a session explicitly, deleting its ephemeral nodes.
-    pub fn close_session(&self, id: SessionId) {
-        self.inner.sessions.write().remove(&id);
-        self.delete_owned_by(id);
     }
 
     /// Create an ephemeral node owned by `session`. Fails like
@@ -479,9 +430,8 @@ mod tests {
         assert_eq!(c.get("/a"), Some((b"1".to_vec(), 1)));
         assert_eq!(c.set("/a", b"2".to_vec(), None), Ok(2));
         assert_eq!(c.get("/a"), Some((b"2".to_vec(), 2)));
-        assert!(c.exists("/a"));
         assert_eq!(c.delete("/a"), Ok(()));
-        assert!(!c.exists("/a"));
+        assert_eq!(c.get("/a"), None);
         assert_eq!(c.delete("/a"), Err(CoordError::NoNode("/a".into())));
     }
 
@@ -511,15 +461,6 @@ mod tests {
         let c = CoordService::new();
         assert_eq!(c.set("/fresh", b"v".to_vec(), None), Ok(1));
         assert_eq!(c.get("/fresh"), Some((b"v".to_vec(), 1)));
-    }
-
-    #[test]
-    fn sequential_nodes_ascend() {
-        let c = CoordService::new();
-        let p1 = c.create_sequential("/shards/shard-", vec![1]);
-        let p2 = c.create_sequential("/shards/shard-", vec![2]);
-        assert!(p1 < p2);
-        assert_eq!(c.list("/shards/"), vec![p1, p2]);
     }
 
     #[test]
@@ -602,19 +543,17 @@ mod tests {
         let session = c.open_session(Duration::from_millis(60));
         c.create_ephemeral("/live/w0", b"hi".to_vec(), session)
             .unwrap();
-        assert!(c.exists("/live/w0"));
-        assert!(c.session_alive(session));
+        assert!(c.get("/live/w0").is_some());
         // Heartbeats keep it alive past the raw TTL.
         for _ in 0..4 {
             std::thread::sleep(Duration::from_millis(30));
             assert!(c.heartbeat(session));
         }
-        assert!(c.exists("/live/w0"));
+        assert!(c.get("/live/w0").is_some());
         // Stop heartbeating: the node disappears and a Deleted event fires.
         std::thread::sleep(Duration::from_millis(120));
         c.reap_expired();
-        assert!(!c.exists("/live/w0"));
-        assert!(!c.session_alive(session));
+        assert!(c.get("/live/w0").is_none());
         assert!(!c.heartbeat(session), "expired sessions cannot be revived");
         let kinds: Vec<EventKind> = std::iter::from_fn(|| rx.try_recv().ok())
             .map(|e| e.kind)
@@ -623,24 +562,25 @@ mod tests {
     }
 
     #[test]
-    fn close_session_removes_nodes_immediately() {
+    fn expiry_removes_only_the_expired_sessions_nodes() {
         let c = CoordService::new();
-        let s1 = c.open_session(Duration::from_secs(60));
+        let s1 = c.open_session(Duration::from_millis(1));
         let s2 = c.open_session(Duration::from_secs(60));
         c.create_ephemeral("/m/a", vec![], s1).unwrap();
         c.create_ephemeral("/m/b", vec![], s2).unwrap();
         c.create("/m/p", vec![]).unwrap(); // persistent survives
-        c.close_session(s1);
-        assert!(!c.exists("/m/a"));
-        assert!(c.exists("/m/b"), "other sessions unaffected");
-        assert!(c.exists("/m/p"));
+        std::thread::sleep(Duration::from_millis(20));
+        c.reap_expired();
+        assert!(c.get("/m/a").is_none());
+        assert!(c.get("/m/b").is_some(), "other sessions unaffected");
+        assert!(c.get("/m/p").is_some());
     }
 
     #[test]
     fn ephemeral_create_requires_live_session() {
         let c = CoordService::new();
-        let s = c.open_session(Duration::from_secs(60));
-        c.close_session(s);
+        let s = c.open_session(Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(20));
         assert!(matches!(
             c.create_ephemeral("/x/a", vec![], s),
             Err(CoordError::NoNode(_))

@@ -24,8 +24,8 @@ pub struct VolapConfig {
     /// Shard data structure (the paper recommends
     /// [`StoreKind::HilbertPdcMds`]).
     pub store_kind: StoreKind,
-    /// Tree configuration shard stores are built with — node sizing and
-    /// aggregate caching (see [`TreeConfig`]).
+    /// Tree configuration shard stores are built with: node sizing (see
+    /// [`TreeConfig`]).
     pub tree: TreeConfig,
     /// Number of servers (`m`).
     pub servers: usize,
@@ -46,11 +46,6 @@ pub struct VolapConfig {
     pub manager_enabled: bool,
     /// Split any shard exceeding this many items.
     pub max_shard_items: u64,
-    /// Trigger migrations when a worker's load exceeds the mean by this
-    /// fraction (and another is below by the same).
-    pub migrate_slack: f64,
-    /// Cap on migrations per manager round.
-    pub max_moves_per_round: usize,
     /// Empty shards seeded per worker at bootstrap.
     pub initial_shards_per_worker: usize,
     /// Request/reply timeout.
@@ -77,8 +72,6 @@ impl VolapConfig {
             manager_period: Duration::from_millis(100),
             manager_enabled: true,
             max_shard_items: 20_000,
-            migrate_slack: 0.25,
-            max_moves_per_round: 4,
             initial_shards_per_worker: 1,
             request_timeout: Duration::from_secs(10),
             net_latency: None,

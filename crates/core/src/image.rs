@@ -216,14 +216,6 @@ impl ImageStore {
         }
     }
 
-    /// Overwrite a shard record unconditionally (used when a split replaces
-    /// a shard).
-    pub fn put_shard(&self, rec: &ShardRecord) {
-        let _ = self
-            .coord
-            .set(&ShardRecord::path(rec.id), rec.encode(), None);
-    }
-
     /// Remove a shard record.
     pub fn remove_shard(&self, id: u64) -> Result<(), CoordError> {
         let res = self.coord.delete(&ShardRecord::path(id));
@@ -382,7 +374,7 @@ mod tests {
         let s = schema();
         let store = ImageStore::new(CoordService::new(), s.clone());
         for id in [3u64, 1, 2] {
-            store.put_shard(&ShardRecord {
+            store.merge_shard(&ShardRecord {
                 id,
                 worker: "w".into(),
                 len: id,

@@ -25,6 +25,12 @@ use crate::image::ImageStore;
 use crate::proto::{Request, Response};
 use crate::util::Process;
 
+/// Migrations start when a worker's load exceeds the mean by this fraction
+/// and another's is below it by the same.
+const MIGRATE_SLACK: f64 = 0.25;
+/// Cap on migrations per manager round.
+const MAX_MOVES_PER_ROUND: usize = 4;
+
 /// Cumulative counts of load-balancing operations (the right-hand axis of
 /// Figure 6), backed by the deployment's metrics registry so they appear in
 /// cluster snapshots alongside every other metric.
@@ -192,10 +198,10 @@ pub fn balance_round(
         return;
     }
     let mean = total as f64 / workers.len() as f64;
-    let hi = mean * (1.0 + cfg.migrate_slack);
-    let lo = mean * (1.0 - cfg.migrate_slack);
+    let hi = mean * (1.0 + MIGRATE_SLACK);
+    let lo = mean * (1.0 - MIGRATE_SLACK);
 
-    for _ in 0..cfg.max_moves_per_round {
+    for _ in 0..MAX_MOVES_PER_ROUND {
         let Some((&src, &src_load)) = load.iter().max_by_key(|(_, &l)| l) else {
             break;
         };

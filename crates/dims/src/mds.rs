@@ -29,11 +29,6 @@ impl Mds {
         &self.dims[d]
     }
 
-    /// Total entries across dimensions (space accounting).
-    pub fn entry_count(&self) -> usize {
-        self.dims.iter().map(Vec::len).sum()
-    }
-
     /// The smallest hierarchy-aligned block of dimension `d` that contains
     /// both ordinals, returned as `(lo, hi)`.
     fn lca_block(schema: &Schema, d: usize, a: u64, b: u64) -> (u64, u64) {

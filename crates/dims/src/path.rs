@@ -36,11 +36,6 @@ impl DimPath {
         self.components.len()
     }
 
-    /// Whether the path reaches the leaf level of its dimension.
-    pub fn is_leaf(&self, schema: &Schema) -> bool {
-        self.level() == schema.dim(self.dim).depth()
-    }
-
     /// Inclusive leaf-ordinal range `[lo, hi]` covered by this path.
     pub fn range(&self, schema: &Schema) -> (u64, u64) {
         schema.dim(self.dim).prefix_range(&self.components)
@@ -103,7 +98,7 @@ mod tests {
         let ord = s.dim(3).ordinal(&[9, 6, 20]);
         let leaf = DimPath::leaf_of(&s, 3, ord);
         assert_eq!(leaf.components, vec![9, 6, 20]);
-        assert!(leaf.is_leaf(&s));
+        assert_eq!(leaf.level(), s.dim(3).depth());
         let (lo, hi) = leaf.range(&s);
         assert_eq!((lo, hi), (ord, ord));
     }

@@ -79,21 +79,6 @@ impl QueryBox {
             .zip(self.ranges.iter())
             .all(|(&c, &(lo, hi))| lo <= c && c <= hi)
     }
-
-    /// Natural log of the fraction of the ordinal space this query covers
-    /// (`0.0` = everything). Useful as a cheap *geometric* selectivity
-    /// proxy; true data coverage is measured by the workload generator.
-    pub fn log_selectivity(&self, schema: &Schema) -> f64 {
-        self.ranges
-            .iter()
-            .enumerate()
-            .map(|(d, &(lo, hi))| {
-                let len = (hi - lo + 1) as f64;
-                let dom = schema.dim(d).ordinal_end() as f64;
-                (len / dom).ln()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +104,6 @@ mod tests {
             1.0,
         );
         assert!(q.contains_item(&item));
-        assert_eq!(q.log_selectivity(&s), 0.0);
     }
 
     #[test]
@@ -159,7 +143,6 @@ mod tests {
         );
         assert!(q.contains_item(&inside));
         assert!(!q.contains_item(&outside));
-        assert!(q.log_selectivity(&s) < 0.0);
     }
 
     #[test]

@@ -257,16 +257,6 @@ impl Schema {
         self.inner.mds_cap
     }
 
-    /// Natural logarithm of the total ordinal-space volume; used to
-    /// normalize box volumes so they stay in `[0, 1]` even at 64 dimensions.
-    pub fn log_domain_volume(&self) -> f64 {
-        self.inner
-            .dims
-            .iter()
-            .map(|d| d.total_bits() as f64 * std::f64::consts::LN_2)
-            .sum()
-    }
-
     /// The TPC-DS schema of the paper's Figure 1: 8 hierarchical dimensions.
     ///
     /// Fanouts are modelled after the TPC-DS specification's domain sizes

@@ -132,25 +132,6 @@ impl BigIndex {
         }
     }
 
-    /// The all-ones (maximum) value of width `bits`.
-    pub fn max_value(bits: u32) -> Self {
-        let mut v = Self::with_bit_capacity(bits);
-        let mut remaining = bits;
-        while remaining > 0 {
-            let take = remaining.min(64);
-            v.push_bits(
-                if take == 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << take) - 1
-                },
-                take,
-            );
-            remaining -= take;
-        }
-        v
-    }
-
     /// Total number of bits appended so far.
     #[inline]
     pub fn bit_len(&self) -> u32 {
@@ -389,7 +370,7 @@ mod tests {
     #[test]
     fn zero_and_max() {
         let z = BigIndex::zero(130);
-        let m = BigIndex::max_value(130);
+        let m = BigIndex::from_raw(vec![u64::MAX, u64::MAX, 0b11 << 62], 130);
         assert_eq!(z.bit_len(), 130);
         assert_eq!(m.bit_len(), 130);
         assert!(z < m);
@@ -483,8 +464,8 @@ mod tests {
         inline.push_bits(7, 64);
         let raw = BigIndex::from_raw(vec![42, 7], 128);
         assert_eq!(inline, raw);
-        let mut wide_lo = BigIndex::max_value(320);
-        let wide_hi = BigIndex::max_value(320);
+        let mut wide_lo = BigIndex::from_raw(vec![u64::MAX; 5], 320);
+        let wide_hi = BigIndex::from_raw(vec![u64::MAX; 5], 320);
         assert!(wide_lo.heap_bytes() > 0);
         assert_eq!(wide_lo, wide_hi);
         wide_lo.clear();

@@ -111,12 +111,6 @@ impl HilbertCurve {
         self.bits.len()
     }
 
-    /// Per-dimension bit widths.
-    #[inline]
-    pub fn bit_widths(&self) -> &[u32] {
-        &self.bits
-    }
-
     /// Exact bit width of every index produced by [`Self::index`].
     #[inline]
     pub fn total_bits(&self) -> u32 {

@@ -31,33 +31,6 @@ pub enum StoreKind {
 }
 
 impl StoreKind {
-    /// Stable wire code (used in serialized shards and the system image).
-    pub fn code(self) -> u8 {
-        match self {
-            StoreKind::Array => 0,
-            StoreKind::PdcMbr => 1,
-            StoreKind::PdcMds => 2,
-            StoreKind::HilbertPdcMbr => 3,
-            StoreKind::HilbertPdcMds => 4,
-            StoreKind::HilbertRTree => 5,
-            StoreKind::RTree => 6,
-        }
-    }
-
-    /// Inverse of [`StoreKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => StoreKind::Array,
-            1 => StoreKind::PdcMbr,
-            2 => StoreKind::PdcMds,
-            3 => StoreKind::HilbertPdcMbr,
-            4 => StoreKind::HilbertPdcMds,
-            5 => StoreKind::HilbertRTree,
-            6 => StoreKind::RTree,
-            _ => return None,
-        })
-    }
-
     /// Whether this kind keeps (and uses) per-node cached aggregates.
     pub fn caches_aggregates(self) -> bool {
         !matches!(self, StoreKind::RTree | StoreKind::HilbertRTree)
@@ -174,8 +147,7 @@ pub trait ShardStore: Send + Sync {
 
 /// Build an empty store of the given kind.
 pub fn build_store(kind: StoreKind, schema: &Schema, cfg: &TreeConfig) -> Box<dyn ShardStore> {
-    let mut cfg = cfg.clone();
-    cfg.aggregate_cache = cfg.aggregate_cache && kind.caches_aggregates();
+    let cfg = cfg.clone();
     match kind {
         StoreKind::Array => Box::new(ArrayShard {
             store: ArrayStore::new(schema.clone()),
@@ -213,11 +185,9 @@ struct TreeShard<K: Key> {
 impl<K: Key> TreeShard<K> {
     fn new(kind: StoreKind, schema: Schema, cfg: TreeConfig) -> Self {
         let policy = kind.policy().expect("tree shard kinds have a policy");
-        Self {
-            kind,
-            tree: ConcurrentTree::new(schema, policy, cfg.clone()),
-            cfg,
-        }
+        let mut tree = ConcurrentTree::new(schema, policy, cfg.clone());
+        tree.aggregate_cache = kind.caches_aggregates();
+        Self { kind, tree, cfg }
     }
 }
 
@@ -364,6 +334,20 @@ mod tests {
     }
 
     #[test]
+    fn only_caching_kinds_answer_from_cached_aggregates() {
+        let schema = Schema::uniform(3, 2, 8);
+        let data = items(600, &schema);
+        let q = QueryBox::all(&schema);
+        for kind in all_kinds().into_iter().filter(|&k| k != StoreKind::Array) {
+            let store = build_store(kind, &schema, &TreeConfig::default());
+            store.bulk_insert(data.clone());
+            let (agg, trace) = store.query_traced(&q);
+            assert_eq!(agg.count, 600, "{kind}");
+            assert_eq!(trace.covered_hits > 0, kind.caches_aggregates(), "{kind}");
+        }
+    }
+
+    #[test]
     fn every_kind_agrees_with_brute_force() {
         let schema = Schema::uniform(3, 2, 8);
         let data = items(600, &schema);
@@ -456,14 +440,6 @@ mod tests {
             merged.merge(&r.query(&q));
             assert_eq!(merged.count, store.query(&q).count, "{kind}");
         }
-    }
-
-    #[test]
-    fn kind_codes_roundtrip() {
-        for kind in all_kinds() {
-            assert_eq!(StoreKind::from_code(kind.code()), Some(kind));
-        }
-        assert_eq!(StoreKind::from_code(99), None);
     }
 
     #[test]

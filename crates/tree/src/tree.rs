@@ -26,11 +26,6 @@ pub struct TreeConfig {
     pub dir_cap: usize,
     /// Minimum fraction of a node kept on each side of a split.
     pub min_fill: f64,
-    /// Whether queries may answer covered subtrees from cached node
-    /// aggregates. `true` for the whole DC/PDC-tree lineage; `false` models
-    /// the paper's *conventional* R-tree baselines (Figure 5), which must
-    /// visit every item a query covers.
-    pub aggregate_cache: bool,
 }
 
 impl Default for TreeConfig {
@@ -39,7 +34,6 @@ impl Default for TreeConfig {
             leaf_cap: 64,
             dir_cap: 16,
             min_fill: 0.35,
-            aggregate_cache: true,
         }
     }
 }
@@ -192,6 +186,11 @@ impl QueryTrace {
 pub struct ConcurrentTree<K: Key> {
     schema: Schema,
     cfg: TreeConfig,
+    /// Whether queries may answer covered subtrees from cached node
+    /// aggregates. `true` for the whole DC/PDC-tree lineage; `false` models
+    /// the paper's *conventional* R-tree baselines (Figure 5), which must
+    /// visit every item a query covers. Set from the store kind.
+    pub(crate) aggregate_cache: bool,
     mapper: Option<HilbertMapper>,
     root: ObsRwLock<Arc<Node<K>>>,
     len: AtomicU64,
@@ -220,6 +219,7 @@ impl<K: Key> ConcurrentTree<K> {
             ),
             schema,
             cfg,
+            aggregate_cache: true,
             mapper,
             len: AtomicU64::new(0),
             node_splits: AtomicU64::new(0),
@@ -817,7 +817,7 @@ impl<K: Key> ConcurrentTree<K> {
                     entries.scan(q, &mut agg);
                 }
                 NodeChildren::Dir(entries) => {
-                    let may_cover = self.cfg.aggregate_cache && !guard.retired;
+                    let may_cover = self.aggregate_cache && !guard.retired;
                     for e in entries {
                         if !e.key.overlaps_query(q) {
                             trace.pruned += 1;

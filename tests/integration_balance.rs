@@ -14,7 +14,6 @@ fn cfg(schema: Schema) -> VolapConfig {
     cfg.stats_period = Duration::from_millis(25);
     cfg.manager_period = Duration::from_millis(40);
     cfg.max_shard_items = 600;
-    cfg.migrate_slack = 0.25;
     cfg
 }
 

@@ -47,6 +47,9 @@ fn every_store_kind_is_exact_on_tpcds() {
     }
 }
 
+/// Per-item inserts, one bulk load, and a bulk load in chunks (the first
+/// chunk packs the empty tree, later ones take `insert_batch`) build stores
+/// with the same contents.
 #[test]
 fn point_inserts_and_bulk_load_agree_on_tpcds() {
     let schema = Schema::tpcds();
@@ -54,14 +57,26 @@ fn point_inserts_and_bulk_load_agree_on_tpcds() {
     let items = gen.items(2_000);
     let point = build_store(StoreKind::HilbertPdcMds, &schema, &TreeConfig::default());
     let bulk = build_store(StoreKind::HilbertPdcMds, &schema, &TreeConfig::default());
+    let chunked = build_store(StoreKind::HilbertPdcMds, &schema, &TreeConfig::default());
     for it in &items {
         point.insert(it);
     }
     bulk.bulk_insert(items.clone());
+    for chunk in items.chunks(256) {
+        chunked.bulk_insert(chunk.to_vec());
+    }
+    let total = point.total();
+    for store in [&bulk, &chunked] {
+        assert_eq!(store.len(), point.len());
+        assert_eq!(store.total().count, total.count);
+        assert!((store.total().sum - total.sum).abs() < 1e-6);
+    }
     let mut qg = QueryGen::new(&schema, 80, 0.5);
     for _ in 0..20 {
         let q = qg.query(&items);
-        assert_eq!(point.query(&q).count, bulk.query(&q).count);
+        let count = point.query(&q).count;
+        assert_eq!(bulk.query(&q).count, count);
+        assert_eq!(chunked.query(&q).count, count);
     }
 }
 
