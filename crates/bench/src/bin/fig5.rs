@@ -39,6 +39,7 @@ fn main() {
         "{:<6} {:<18} {:>14} {:>14} {:>14}",
         "dims", "tree", "insert_us", "query_ms", "query_p95_ms"
     );
+    let mut disagreements = Vec::new();
     for &d in &dims {
         let schema = Schema::uniform(d, 2, 16);
         // Skewed data with anchored queries so coverage stays meaningful at
@@ -52,6 +53,7 @@ fn main() {
         let mut qg = QueryGen::new(&schema, 700 + d as u64, root_prob);
         let queries: Vec<_> = (0..n_queries).map(|_| qg.query(sample)).collect();
 
+        let mut checksums = Vec::with_capacity(kinds.len());
         for (name, kind) in kinds {
             let store = build_store(kind, &schema, &TreeConfig::default());
             let t = Instant::now();
@@ -75,8 +77,20 @@ fn main() {
                 st.mean * 1e3,
                 st.p95 * 1e3
             );
+            checksums.push(checksum);
+        }
+        // Every kind answers the same queries over the same items.
+        if checksums.iter().any(|&c| c != checksums[0]) {
+            disagreements.push(format!("dims {d}: checksums {checksums:?}"));
         }
     }
     println!("# paper shape: R-tree query latency explodes past ~16 dims; PDC variants stay flat;");
     println!("# geometric insert cost rises with dims, Hilbert insert cost stays nearly flat");
+    if !disagreements.is_empty() {
+        eprintln!(
+            "fig5: the tree kinds disagree: {}",
+            disagreements.join("; ")
+        );
+        std::process::exit(1);
+    }
 }

@@ -702,13 +702,11 @@ fn do_split(st: &Arc<WorkerState>, shard: u64, left_id: u64, right_id: u64) -> R
             SlotState::Busy { queue, .. } => queue.items(),
             _ => Vec::new(),
         };
-        for it in &queued {
-            if plan.side(it) {
-                right.insert(it);
-            } else {
-                left.insert(it);
-            }
-        }
+        // Two batches, not one insert per item: inserters wait on this lock.
+        let (to_right, to_left): (Vec<Item>, Vec<Item>) =
+            queued.into_iter().partition(|it| plan.side(it));
+        left.bulk_insert(to_left);
+        right.bulk_insert(to_right);
         *guard = SlotState::SplitInto {
             left: left_id,
             right: right_id,

@@ -2,7 +2,7 @@
 
 use crate::item::Item;
 use crate::schema::Schema;
-use volap_hilbert::{BigIndex, HilbertCurve};
+use volap_hilbert::{HilbertCurve, MAX_DIMS};
 
 /// Maps items to compact Hilbert keys, optionally applying the paper's
 /// level expansion (Figure 3).
@@ -95,55 +95,33 @@ impl HilbertMapper {
         out
     }
 
-    /// The compact Hilbert key of an item.
-    pub fn key(&self, item: &Item) -> BigIndex {
-        self.key_of_coords(&item.coords)
-    }
-
-    /// The compact Hilbert key of raw per-dimension ordinals.
-    pub fn key_of_coords(&self, coords: &[u64]) -> BigIndex {
-        self.batch().key_of_coords(coords)
-    }
-
-    /// Start a batch key computation that reuses the level-expansion buffer
-    /// across items. Keys themselves are inline (no heap) for widths up to
-    /// 256 bits, so this makes the whole per-item key path allocation-free.
-    pub fn batch(&self) -> KeyBatch<'_> {
-        KeyBatch {
-            mapper: self,
-            expanded: Vec::with_capacity(self.plan.len()),
-        }
-    }
-}
-
-/// Reusable scratch for computing many Hilbert keys: the expanded-coordinate
-/// buffer is allocated once and shared by every [`KeyBatch::key`] call.
-#[derive(Debug)]
-pub struct KeyBatch<'a> {
-    mapper: &'a HilbertMapper,
-    expanded: Vec<u64>,
-}
-
-impl KeyBatch<'_> {
-    /// The compact Hilbert key of an item.
+    /// Words per key ([`HilbertCurve::limbs`]): the stride at which a tree
+    /// stores its keys.
     #[inline]
-    pub fn key(&mut self, item: &Item) -> BigIndex {
-        self.key_of_coords(&item.coords)
+    pub fn limbs(&self) -> usize {
+        self.curve.limbs()
     }
 
-    /// The compact Hilbert key of raw per-dimension ordinals.
-    pub fn key_of_coords(&mut self, coords: &[u64]) -> BigIndex {
-        debug_assert_eq!(coords.len(), self.mapper.plan.len());
-        self.expanded.clear();
-        self.expanded.extend(
-            coords
-                .iter()
-                .enumerate()
-                .map(|(d, &c)| self.mapper.expand_ordinal(d, c)),
-        );
-        let mut out = BigIndex::with_bit_capacity(self.mapper.curve.total_bits());
-        self.mapper.curve.index_into(&self.expanded, &mut out);
-        out
+    /// The compact Hilbert key of an item, as [`Self::limbs`] fresh words.
+    pub fn key(&self, item: &Item) -> Vec<u64> {
+        let mut key = vec![0; self.limbs()];
+        self.key_into(&item.coords, &mut key);
+        key
+    }
+
+    /// Write the compact Hilbert key of raw per-dimension ordinals into
+    /// `out` ([`Self::limbs`] words). The level expansion goes through a
+    /// stack buffer, so this allocates nothing.
+    pub fn key_into(&self, coords: &[u64], out: &mut [u64]) {
+        debug_assert_eq!(coords.len(), self.plan.len());
+        if !self.expand {
+            return self.curve.index_into(coords, out);
+        }
+        let mut expanded = [0u64; MAX_DIMS];
+        for (d, (slot, &c)) in expanded.iter_mut().zip(coords).enumerate() {
+            *slot = self.expand_ordinal(d, c);
+        }
+        self.curve.index_into(&expanded[..coords.len()], out);
     }
 }
 
@@ -199,6 +177,7 @@ mod tests {
         // Level maxima are 8/6/6 (Promotion, Minute, City): 3-level dims
         // widen to 20 bits, Household to 8, Promotion to 8, Time to 14.
         assert_eq!(m.key_bits(), 20 * 5 + 8 + 8 + 14);
+        assert_eq!(m.limbs(), 3);
     }
 
     #[test]
@@ -211,19 +190,21 @@ mod tests {
         assert_ne!(m.key(&a), m.key(&b));
     }
 
+    /// Keys written one after another into one reused buffer, as a batch
+    /// insert computes them, match one-shot keys.
     #[test]
     fn batch_keys_match_one_shot_keys() {
         let schema = Schema::tpcds();
         for expand in [true, false] {
             let m = HilbertMapper::new(&schema, expand);
-            let mut batch = m.batch();
+            let mut scratch = vec![u64::MAX; m.limbs()];
             for i in 0..200u64 {
                 let coords: Vec<u64> = (0..schema.dims())
                     .map(|d| (i * 7 + d as u64 * 13) % schema.dim(d).ordinal_end())
                     .collect();
                 let item = Item::new(coords.clone(), i as f64);
-                assert_eq!(batch.key(&item), m.key(&item));
-                assert_eq!(batch.key_of_coords(&coords), m.key_of_coords(&coords));
+                m.key_into(&coords, &mut scratch);
+                assert_eq!(scratch, m.key(&item));
             }
         }
     }

@@ -22,23 +22,23 @@ pub fn gray_code_inverse(g: u64) -> u64 {
     i
 }
 
-/// Number of trailing set bits of `i`; equivalently `g(i)` such that
-/// `gc(i) ^ gc(i + 1) == 1 << g(i)`.
-#[inline]
-pub fn trailing_set_bits(i: u64) -> u32 {
-    (!i).trailing_zeros()
-}
-
 /// The *intra* sub-hypercube direction `d(w)` for the `w`-th sub-cube of an
-/// order-1 curve in `n` dimensions.
+/// order-1 curve in `n` dimensions, for an `n`-bit `w`: the number of
+/// trailing set bits of `w` (odd `w`) or of `w - 1` (even `w`), modulo `n`.
+/// That count is at most `n`, so the modulus is one compare.
 #[inline]
 pub fn direction(w: u64, n: u32) -> u32 {
-    if w == 0 {
+    let g = if w & 1 == 1 {
+        w.trailing_ones()
+    } else if w == 0 {
         0
-    } else if w & 1 == 0 {
-        trailing_set_bits(w - 1) % n
     } else {
-        trailing_set_bits(w) % n
+        w.trailing_zeros()
+    };
+    if g >= n {
+        g - n
+    } else {
+        g
     }
 }
 
@@ -53,22 +53,22 @@ pub fn entry(w: u64) -> u64 {
 }
 
 /// Gray-code rank (Hamilton, Algorithm 4): pack the bits of `w` located at
-/// positions where `mask` is set, preserving their relative (high-to-low)
-/// order. `mask` and `w` are `n`-bit words.
+/// positions where `mask` is set, preserving their relative order. Walks
+/// the set bits of `mask` only, lowest first.
 #[inline]
-pub fn gray_rank(mask: u64, w: u64, n: u32) -> u64 {
-    let mut r = 0u64;
-    for k in (0..n).rev() {
-        if (mask >> k) & 1 == 1 {
-            r = (r << 1) | ((w >> k) & 1);
-        }
+pub fn gray_rank(mask: u64, w: u64) -> u64 {
+    let (mut r, mut m, mut k) = (0u64, mask, 0u32);
+    while m != 0 {
+        r |= ((w >> m.trailing_zeros()) & 1) << k;
+        k += 1;
+        m &= m - 1;
     }
     r
 }
 
 /// Inverse Gray-code rank (Hamilton, Algorithm 5).
 ///
-/// Reconstructs `w` such that `gray_rank(mask, w, n) == r` and, for every
+/// Reconstructs `w` such that `gray_rank(mask, w) == r` and, for every
 /// position `k` where `mask` is clear, the bit of `gc(w)` equals the bit of
 /// `pi` (the pattern forced by the current curve orientation).
 #[inline]
@@ -111,8 +111,27 @@ mod tests {
         for i in 0..4095u64 {
             let diff = gray_code(i) ^ gray_code(i + 1);
             assert_eq!(diff.count_ones(), 1);
-            assert_eq!(diff, 1 << trailing_set_bits(i));
+            assert_eq!(diff, 1 << i.trailing_ones());
         }
+    }
+
+    /// The compare-based modulus agrees with Hamilton's definition,
+    /// `tsb(w or w - 1) % n`, on every `n`-bit word.
+    #[test]
+    fn direction_matches_its_definition() {
+        for n in 1..=8u32 {
+            for w in 0..(1u64 << n) {
+                let tsb = if w == 0 {
+                    0
+                } else if w & 1 == 0 {
+                    (w - 1).trailing_ones()
+                } else {
+                    w.trailing_ones()
+                };
+                assert_eq!(direction(w, n), tsb % n, "w={w:b} n={n}");
+            }
+        }
+        assert_eq!(direction(u64::MAX, 64), 0);
     }
 
     #[test]
@@ -128,11 +147,11 @@ mod tests {
     fn rank_packs_masked_bits() {
         // mask selects bits 0 and 2 of a 3-bit word.
         let mask = 0b101;
-        assert_eq!(gray_rank(mask, 0b000, 3), 0b00);
-        assert_eq!(gray_rank(mask, 0b001, 3), 0b01);
-        assert_eq!(gray_rank(mask, 0b100, 3), 0b10);
-        assert_eq!(gray_rank(mask, 0b101, 3), 0b11);
-        assert_eq!(gray_rank(mask, 0b111, 3), 0b11);
+        assert_eq!(gray_rank(mask, 0b000), 0b00);
+        assert_eq!(gray_rank(mask, 0b001), 0b01);
+        assert_eq!(gray_rank(mask, 0b100), 0b10);
+        assert_eq!(gray_rank(mask, 0b101), 0b11);
+        assert_eq!(gray_rank(mask, 0b111), 0b11);
     }
 
     #[test]
@@ -140,7 +159,7 @@ mod tests {
         let n = 5u32;
         for mask in 0..32u64 {
             for w in 0..32u64 {
-                let r = gray_rank(mask, w, n);
+                let r = gray_rank(mask, w);
                 let pi = gray_code(w) & !mask;
                 let back = gray_rank_inverse(mask, pi, r, n);
                 assert_eq!(back, w, "mask={mask:05b} w={w:05b} r={r:b} pi={pi:05b}");
@@ -151,7 +170,7 @@ mod tests {
     #[test]
     fn full_mask_rank_is_identity() {
         for w in 0..256u64 {
-            assert_eq!(gray_rank(0xff, w, 8), w);
+            assert_eq!(gray_rank(0xff, w), w);
             assert_eq!(gray_rank_inverse(0xff, 0, w, 8), w);
         }
     }

@@ -1,42 +1,8 @@
 //! Property-based tests for the compact Hilbert machinery.
 
 use proptest::prelude::*;
-use volap_hilbert::{BigIndex, HilbertCurve};
-
-/// The pre-inline `Vec`-backed bit string: a straight re-implementation of
-/// `push_bits` over a plain `Vec<u64>`, kept as the reference model for the
-/// inline-storage representation.
-#[derive(Default, Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct VecModel {
-    // Field order matters: the derived `Ord` compares `bit_len` first, then
-    // limbs — the same shorter-width-sorts-first rule as `BigIndex`.
-    bit_len: u32,
-    limbs: Vec<u64>,
-}
-
-impl VecModel {
-    fn push_bits(&mut self, value: u64, nbits: u32) {
-        if nbits == 0 {
-            return;
-        }
-        let used = self.bit_len % 64;
-        let free = if used == 0 { 0 } else { 64 - used };
-        if free == 0 {
-            self.limbs.push(if nbits == 64 {
-                value
-            } else {
-                value << (64 - nbits)
-            });
-        } else if nbits <= free {
-            *self.limbs.last_mut().unwrap() |= value << (free - nbits);
-        } else {
-            let hi = nbits - free;
-            *self.limbs.last_mut().unwrap() |= value >> hi;
-            self.limbs.push(value << (64 - hi));
-        }
-        self.bit_len += nbits;
-    }
-}
+use volap_hilbert::bigindex::{extract_bits, push_bits};
+use volap_hilbert::HilbertCurve;
 
 /// Strategy: a small width vector whose total bits stay enumerable.
 fn small_widths() -> impl Strategy<Value = Vec<u32>> {
@@ -67,8 +33,9 @@ proptest! {
         // Odometer over the whole domain.
         loop {
             let h = curve.index(&point);
-            prop_assert_eq!(h.bit_len(), total);
-            let v = h.extract_bits(0, total) as usize;
+            prop_assert_eq!(h.len(), 1);
+            prop_assert_eq!(h[0] << total, 0, "bits below the index are zero");
+            let v = extract_bits(&h, 0, total) as usize;
             prop_assert!(!seen[v], "index {} visited twice", v);
             seen[v] = true;
             // increment odometer
@@ -90,13 +57,17 @@ proptest! {
         }
     }
 
-    /// index/point round-trip at arbitrary dimensionality and widths.
+    /// index/point round-trip at arbitrary dimensionality and widths, and
+    /// `index_into` over a dirty buffer equals `index`.
     #[test]
     fn index_point_roundtrip((widths, coords) in wide_point()) {
         let curve = HilbertCurve::new(&widths);
         let h = curve.index(&coords);
-        prop_assert_eq!(h.bit_len(), widths.iter().sum::<u32>());
-        prop_assert_eq!(curve.point(&h), coords);
+        prop_assert_eq!(h.len(), widths.iter().sum::<u32>().div_ceil(64) as usize);
+        prop_assert_eq!(curve.point(&h), coords.clone());
+        let mut dirty = vec![u64::MAX; h.len()];
+        curve.index_into(&coords, &mut dirty);
+        prop_assert_eq!(dirty, h);
     }
 
     /// The compact index orders points exactly as the enclosing-cube
@@ -119,67 +90,37 @@ proptest! {
         prop_assert_eq!(compact, enclosing);
     }
 
-    /// BigIndex push/extract are mutually inverse for arbitrary chunkings.
+    /// push/extract are mutually inverse for arbitrary chunkings.
     #[test]
     fn bigindex_push_extract(chunks in prop::collection::vec((0u64..u64::MAX, 1u32..=64), 1..12)) {
-        let mut b = BigIndex::new();
+        let total: u32 = chunks.iter().map(|c| c.1).sum();
+        let mut words = vec![0u64; total.div_ceil(64) as usize];
+        let mut pos = 0;
         let mut expected = Vec::new();
         for &(v, bits) in &chunks {
             let v = if bits == 64 { v } else { v & ((1u64 << bits) - 1) };
-            b.push_bits(v, bits);
+            push_bits(&mut words, &mut pos, v, bits);
             expected.push((v, bits));
         }
+        prop_assert_eq!(pos, total);
         let mut offset = 0;
         for (v, bits) in expected {
-            prop_assert_eq!(b.extract_bits(offset, bits), v);
+            prop_assert_eq!(extract_bits(&words, offset, bits), v);
             offset += bits;
         }
-        prop_assert_eq!(b.bit_len(), offset);
-        // Raw round-trip.
-        let r = BigIndex::from_raw(b.limbs().to_vec(), b.bit_len());
-        prop_assert_eq!(r, b);
     }
 
-    /// The inline-limb representation is observationally identical to the
-    /// `Vec` representation: same limbs, same width, same ordering — across
-    /// the inline→heap spill boundary (chunk counts up to 12 reach ~768
-    /// bits, well past the 4-limb inline buffer).
-    #[test]
-    fn inline_storage_matches_vec_model(
-        chunks_a in prop::collection::vec((0u64..u64::MAX, 1u32..=64), 1..12),
-        chunks_b in prop::collection::vec((0u64..u64::MAX, 1u32..=64), 1..12),
-    ) {
-        let build = |chunks: &[(u64, u32)]| {
-            let mut real = BigIndex::new();
-            let mut model = VecModel::default();
-            for &(v, bits) in chunks {
-                let v = if bits == 64 { v } else { v & ((1u64 << bits) - 1) };
-                real.push_bits(v, bits);
-                model.push_bits(v, bits);
-            }
-            (real, model)
-        };
-        let (ra, ma) = build(&chunks_a);
-        let (rb, mb) = build(&chunks_b);
-        prop_assert_eq!(ra.limbs(), &ma.limbs[..]);
-        prop_assert_eq!(ra.bit_len(), ma.bit_len);
-        prop_assert_eq!(ra.cmp(&rb), ma.cmp(&mb));
-        prop_assert_eq!(ra == rb, ma == mb);
-        // heap_bytes is zero exactly while the value fits the inline buffer.
-        prop_assert_eq!(ra.heap_bytes() == 0, ma.limbs.len() <= 4);
-        // from_raw on the model's limbs reproduces the real value.
-        prop_assert_eq!(BigIndex::from_raw(ma.limbs, ma.bit_len), ra);
-    }
-
-    /// BigIndex ordering at equal widths equals numeric ordering of the
+    /// Word-slice ordering at equal widths equals numeric ordering of the
     /// underlying big-endian bit strings.
     #[test]
     fn bigindex_order_is_numeric(a in 0u64..1 << 40, b in 0u64..1 << 40, hi in 0u64..8) {
         let mk = |hi: u64, lo: u64| {
-            let mut x = BigIndex::new();
-            x.push_bits(hi, 24);
-            x.push_bits(lo, 40);
-            x
+            let mut w = [0u64; 2];
+            let mut pos = 0;
+            push_bits(&mut w, &mut pos, hi, 24);
+            push_bits(&mut w, &mut pos, lo, 40);
+            push_bits(&mut w, &mut pos, 0, 1);
+            w
         };
         let x = mk(hi, a);
         let y = mk(hi, b);

@@ -14,9 +14,6 @@
 //! remaining dimensions.
 
 use volap_dims::{Aggregate, Item, QueryBox};
-use volap_hilbert::BigIndex;
-
-use crate::tree::Entry;
 
 /// Range-test up to 64 coordinates.
 #[inline]
@@ -106,36 +103,46 @@ impl Column {
 
 /// Rows of a leaf node in column-major layout.
 ///
-/// Invariant: every column (and `hkeys`) has the same length. Under a
-/// Hilbert insert policy every row has `Some` hkey and rows are kept sorted
-/// by it; under the geometric policy every hkey is `None`.
+/// Invariant: every column holds [`Self::len`] rows, and `hkeys` holds
+/// `limbs` words per row. Under a Hilbert insert policy `limbs` is the
+/// tree's key width and rows are kept sorted by key; under the geometric
+/// policy `limbs` is 0 and no key is stored.
+///
+/// Columns are built at their exact size and a column that must grow goes
+/// straight to `cap` rows (the tree's `leaf_cap`, which no leaf exceeds),
+/// never doubling past it.
 #[derive(Clone)]
 pub struct LeafColumns {
     /// `cols[d].vals[i]` is the coordinate of row `i` along dimension `d`.
     cols: Vec<Column>,
     /// `measures[i]` is the measure of row `i`.
     measures: Vec<f64>,
-    /// Compact Hilbert key per row (`None` under the geometric policy).
-    hkeys: Vec<Option<BigIndex>>,
+    /// Compact Hilbert key of row `i` at `hkeys[i * limbs..(i + 1) * limbs]`.
+    hkeys: Vec<u64>,
+    /// Words per key.
+    limbs: usize,
+    /// Rows a growing column makes room for at once.
+    cap: usize,
 }
 
 impl LeafColumns {
-    pub fn new(dims: usize) -> Self {
-        Self {
-            cols: (0..dims).map(|_| Column::new(Vec::new())).collect(),
-            measures: Vec::new(),
-            hkeys: Vec::new(),
-        }
+    /// An empty leaf of `dims` columns and `limbs`-word keys that grows
+    /// straight to `cap` rows.
+    pub fn new(dims: usize, limbs: usize, cap: usize) -> Self {
+        Self::with_capacity(dims, limbs, cap, 0)
     }
 
-    pub(crate) fn from_entries(dims: usize, entries: Vec<Entry>) -> Self {
-        let mut out = Self::new(dims);
-        out.measures.reserve(entries.len());
-        out.hkeys.reserve(entries.len());
-        for e in entries {
-            out.push(e);
+    /// [`Self::new`] with room for exactly `rows` rows.
+    pub fn with_capacity(dims: usize, limbs: usize, cap: usize, rows: usize) -> Self {
+        Self {
+            cols: (0..dims)
+                .map(|_| Column::new(Vec::with_capacity(rows)))
+                .collect(),
+            measures: Vec::with_capacity(rows),
+            hkeys: Vec::with_capacity(rows * limbs),
+            limbs,
+            cap,
         }
-        out
     }
 
     #[inline]
@@ -147,114 +154,127 @@ impl LeafColumns {
         self.measures.is_empty()
     }
 
-    /// Append a row from plain parts (the benchmark/test entry point; the
-    /// tree inserts interchange `Entry` values instead).
-    pub fn push_row(&mut self, coords: &[u64], measure: f64) {
+    /// Make room for `extra` more rows: straight to `cap` rows while that
+    /// suffices, by doubling past it.
+    fn reserve(&mut self, extra: usize) {
+        let (len, need) = (self.len(), self.len() + extra);
+        if need <= self.measures.capacity() {
+            return;
+        }
+        let more = if need <= self.cap {
+            self.cap
+        } else {
+            need.max(2 * len)
+        } - len;
+        for col in &mut self.cols {
+            col.vals.reserve_exact(more);
+        }
+        self.measures.reserve_exact(more);
+        self.hkeys.reserve_exact(more * self.limbs);
+    }
+
+    /// Append a row; `hkey` has `limbs` words.
+    pub fn push_row(&mut self, coords: &[u64], measure: f64, hkey: &[u64]) {
         debug_assert_eq!(coords.len(), self.cols.len());
-        for (col, &c) in self.cols.iter_mut().zip(coords.iter()) {
+        debug_assert_eq!(hkey.len(), self.limbs);
+        self.reserve(1);
+        for (col, &c) in self.cols.iter_mut().zip(coords) {
             col.push(c);
         }
         self.measures.push(measure);
-        self.hkeys.push(None);
-    }
-
-    /// Append a row.
-    pub(crate) fn push(&mut self, e: Entry) {
-        debug_assert_eq!(e.coords.len(), self.cols.len());
-        for (col, &c) in self.cols.iter_mut().zip(e.coords.iter()) {
-            col.push(c);
-        }
-        self.measures.push(e.measure);
-        self.hkeys.push(e.hkey);
+        self.hkeys.extend_from_slice(hkey);
     }
 
     /// Insert a row at `pos`, shifting later rows (leaves are small, so the
     /// per-column shift is cheap and keeps Hilbert order intact).
-    pub(crate) fn insert(&mut self, pos: usize, e: Entry) {
-        debug_assert_eq!(e.coords.len(), self.cols.len());
-        for (col, &c) in self.cols.iter_mut().zip(e.coords.iter()) {
+    pub(crate) fn insert(&mut self, pos: usize, item: &Item, hkey: &[u64]) {
+        debug_assert_eq!(item.coords.len(), self.cols.len());
+        debug_assert_eq!(hkey.len(), self.limbs);
+        self.reserve(1);
+        for (col, &c) in self.cols.iter_mut().zip(item.coords.iter()) {
             col.insert(pos, c);
         }
-        self.measures.insert(pos, e.measure);
-        self.hkeys.insert(pos, e.hkey);
+        self.measures.insert(pos, item.measure);
+        self.key_gap(pos, 1).copy_from_slice(hkey);
     }
 
-    /// First index whose hkey is strictly greater than `h` (Hilbert insert
-    /// position).
-    pub(crate) fn hkey_partition_point(&self, h: &BigIndex) -> usize {
-        self.hkeys
-            .partition_point(|k| k.as_ref().is_some_and(|k| k <= h))
+    /// Open room for `rows` keys before row `pos` and return it.
+    fn key_gap(&mut self, pos: usize, rows: usize) -> &mut [u64] {
+        let (l, old) = (self.limbs, self.hkeys.len());
+        self.hkeys.resize(old + rows * l, 0);
+        self.hkeys.copy_within(pos * l..old, (pos + rows) * l);
+        &mut self.hkeys[pos * l..(pos + rows) * l]
     }
 
-    /// Insert a run of items pre-sorted by Hilbert key (`keyed` pairs each
-    /// key with its index into `items`), equivalent to inserting them one by
-    /// one. The search for each insert position resumes after the previous
-    /// one, and keys falling between the same pair of existing rows are
-    /// spliced into each column in one contiguous group instead of one
-    /// element-shifting insert per row. Keys are moved out of `keyed`
-    /// (batch-insert leaves never recompute them).
+    /// The key of row `i` (empty under the geometric policy).
+    #[inline]
+    pub fn hkey(&self, i: usize) -> &[u64] {
+        &self.hkeys[i * self.limbs..(i + 1) * self.limbs]
+    }
+
+    /// First row at or after `from` whose key is strictly greater than `h`
+    /// (the Hilbert insert position; the end under the geometric policy,
+    /// where every key is empty).
+    pub(crate) fn hkey_partition_point(&self, from: usize, h: &[u64]) -> usize {
+        let (mut lo, mut hi) = (from, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.hkey(mid) <= h {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Insert a run of items pre-sorted by Hilbert key, equivalent to
+    /// inserting them one by one: `run` lists indices into `items`, and the
+    /// key of item `r` is `keys[r * limbs..(r + 1) * limbs]`. The search for
+    /// each insert position resumes after the previous one, and keys falling
+    /// between the same pair of existing rows are spliced into each column
+    /// in one contiguous group instead of one element-shifting insert per
+    /// row.
     ///
-    /// Only meaningful under a Hilbert policy: every existing row must
-    /// already carry a key.
-    pub(crate) fn insert_run(&mut self, items: &[Item], keyed: &mut [(BigIndex, u32)]) {
+    /// Only meaningful under a Hilbert policy.
+    pub(crate) fn insert_run(&mut self, items: &[Item], keys: &[u64], run: &[u32]) {
+        let l = self.limbs;
+        debug_assert!(l > 0, "run insert into a keyless leaf");
+        let key = |r: u32| &keys[r as usize * l..(r as usize + 1) * l];
         debug_assert!(
-            keyed.windows(2).all(|w| w[0].0 <= w[1].0),
+            run.windows(2).all(|w| key(w[0]) <= key(w[1])),
             "run must be sorted"
         );
-        debug_assert!(
-            self.hkeys.iter().all(|k| k.is_some()),
-            "run insert into keyless leaf"
-        );
+        self.reserve(run.len());
         let mut pos = 0;
         let mut i = 0;
-        while i < keyed.len() {
-            let h = &keyed[i].0;
-            pos += self.hkeys[pos..].partition_point(|k| k.as_ref().is_some_and(|k| k <= h));
+        while i < run.len() {
+            pos = self.hkey_partition_point(pos, key(run[i]));
             // Everything strictly below the existing row at `pos` lands in
             // this same gap (appending at the end takes the whole tail).
-            let group_end = match self.hkeys.get(pos).and_then(|k| k.as_ref()) {
-                None => keyed.len(),
-                Some(ex) => {
-                    let mut j = i + 1;
-                    while j < keyed.len() && keyed[j].0 < *ex {
-                        j += 1;
-                    }
-                    j
-                }
+            let group_end = if pos == self.len() {
+                run.len()
+            } else {
+                let ex = self.hkey(pos);
+                i + 1 + run[i + 1..].partition_point(|&r| key(r) < ex)
             };
-            let group = i..group_end;
+            let group = &run[i..group_end];
             for (d, col) in self.cols.iter_mut().enumerate() {
-                col.splice_at(
-                    pos,
-                    keyed[group.clone()]
-                        .iter()
-                        .map(|&(_, r)| items[r as usize].coords[d]),
-                );
+                col.splice_at(pos, group.iter().map(|&r| items[r as usize].coords[d]));
             }
-            self.measures.splice(
-                pos..pos,
-                keyed[group.clone()]
-                    .iter()
-                    .map(|&(_, r)| items[r as usize].measure),
-            );
-            self.hkeys.splice(
-                pos..pos,
-                keyed[group.clone()]
-                    .iter_mut()
-                    .map(|(k, _)| Some(std::mem::take(k))),
-            );
-            pos += group_end - i;
+            self.measures
+                .splice(pos..pos, group.iter().map(|&r| items[r as usize].measure));
+            let gap = self.key_gap(pos, group.len());
+            for (dst, &r) in gap.chunks_exact_mut(l).zip(group) {
+                dst.copy_from_slice(key(r));
+            }
+            pos += group.len();
             i = group_end;
         }
     }
 
-    pub(crate) fn hkey(&self, i: usize) -> Option<&BigIndex> {
-        self.hkeys[i].as_ref()
-    }
-
     /// Copy rows `r` into a fresh column set — the Hilbert split path, which
-    /// duplicates each side with a handful of column memcpys instead of one
-    /// interchange `Entry` per row.
+    /// duplicates each side with a handful of column memcpys.
     pub fn clone_range(&self, r: std::ops::Range<usize>) -> Self {
         Self {
             cols: self
@@ -263,16 +283,43 @@ impl LeafColumns {
                 .map(|c| Column::new(c.vals[r.clone()].to_vec()))
                 .collect(),
             measures: self.measures[r.clone()].to_vec(),
-            hkeys: self.hkeys[r.clone()].to_vec(),
+            hkeys: self.hkeys[r.start * self.limbs..r.end * self.limbs].to_vec(),
+            limbs: self.limbs,
+            cap: self.cap,
         }
     }
 
+    /// Copy the listed rows, in that order, into a fresh column set — the
+    /// geometric split path.
+    pub(crate) fn gather(&self, rows: &[u32]) -> Self {
+        let mut out = Self::with_capacity(self.cols.len(), self.limbs, self.cap, rows.len());
+        let mut scratch = Item {
+            coords: vec![0; self.cols.len()].into(),
+            measure: 0.0,
+        };
+        for &i in rows {
+            self.read_row_into(i as usize, &mut scratch);
+            out.push_row(&scratch.coords, scratch.measure, self.hkey(i as usize));
+        }
+        out
+    }
+
+    /// The coordinates of every row along dimension `d`.
+    pub(crate) fn column(&self, d: usize) -> &[u64] {
+        &self.cols[d].vals
+    }
+
     /// Check the leaf's invariants: every column holds [`Self::len`] rows,
-    /// and every column's stored range contains each of its values.
+    /// the keys `limbs` words per row, and every column's stored range
+    /// contains each of its values.
     pub fn check(&self) -> Result<(), String> {
         let n = self.len();
-        if self.hkeys.len() != n {
-            return Err(format!("{} hkeys for {n} rows", self.hkeys.len()));
+        if self.hkeys.len() != n * self.limbs {
+            return Err(format!(
+                "{} key words for {n} rows of {} words",
+                self.hkeys.len(),
+                self.limbs
+            ));
         }
         for (d, Column { vals, lo, hi }) in self.cols.iter().enumerate() {
             if vals.len() != n {
@@ -297,20 +344,6 @@ impl LeafColumns {
             *slot = col.vals[i];
         }
         item.measure = self.measures[i];
-    }
-
-    /// Rebuild row `i` as an interchange [`Entry`].
-    pub(crate) fn entry(&self, i: usize) -> Entry {
-        Entry {
-            coords: self.cols.iter().map(|col| col.vals[i]).collect(),
-            measure: self.measures[i],
-            hkey: self.hkeys[i].clone(),
-        }
-    }
-
-    /// All rows as interchange entries (split path).
-    pub(crate) fn to_entries(&self) -> Vec<Entry> {
-        (0..self.len()).map(|i| self.entry(i)).collect()
     }
 
     /// Row `i` as an [`Item`].
@@ -401,14 +434,6 @@ impl LeafColumns {
 mod tests {
     use super::*;
 
-    fn entry(coords: &[u64], measure: f64) -> Entry {
-        Entry {
-            coords: coords.into(),
-            measure,
-            hkey: None,
-        }
-    }
-
     fn brute(rows: &[(&[u64], f64)], q: &QueryBox) -> Aggregate {
         let mut agg = Aggregate::empty();
         for (coords, m) in rows {
@@ -439,7 +464,7 @@ mod tests {
     }
 
     fn lcg_rows(n: u64, dims_mod: [u64; 2]) -> (LeafColumns, Vec<(Vec<u64>, f64)>) {
-        let mut leaf = LeafColumns::new(2);
+        let mut leaf = LeafColumns::new(2, 0, 64);
         let mut rows: Vec<(Vec<u64>, f64)> = Vec::new();
         let mut state = 99u64;
         for i in 0..n {
@@ -448,7 +473,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let coords = vec![state % dims_mod[0], (state >> 20) % dims_mod[1]];
             rows.push((coords.clone(), i as f64));
-            leaf.push(entry(&coords, i as f64));
+            leaf.push_row(&coords, i as f64, &[]);
         }
         (leaf, rows)
     }
@@ -514,62 +539,99 @@ mod tests {
         check_queries(leaf, &rows, &queries);
     }
 
-    fn keyed_entry(coords: &[u64], h: u64) -> Entry {
-        Entry {
-            coords: coords.into(),
-            measure: h as f64,
-            hkey: Some(BigIndex::from(h)),
+    /// A one-word-key leaf of `n` rows from `row(h)`, keyed `h * 10`.
+    fn keyed_leaf(n: u64, cap: usize, row: impl Fn(u64) -> [u64; 2]) -> LeafColumns {
+        let mut leaf = LeafColumns::with_capacity(2, 1, cap, n as usize);
+        for h in 0..n {
+            leaf.push_row(&row(h), h as f64, &[h * 10]);
         }
+        leaf
     }
 
     #[test]
     fn raw_ranges_follow_every_mutation_path() {
-        // from_entries, then a Hilbert insert in the middle.
-        let entries = (0..40)
-            .map(|h| keyed_entry(&[h % 5, 100 + h], h * 10))
-            .collect();
-        let mut leaf = LeafColumns::from_entries(2, entries);
+        // A packed leaf, then a Hilbert insert in the middle.
+        let mut leaf = keyed_leaf(40, 64, |h| [h % 5, 100 + h]);
         check_at_edges(&leaf);
-        let pos = leaf.hkey_partition_point(&BigIndex::from(155));
-        leaf.insert(pos, keyed_entry(&[7, 3], 155));
+        let pos = leaf.hkey_partition_point(0, &[155]);
+        assert_eq!(pos, 16);
+        leaf.insert(pos, &Item::new(vec![7, 3], 155.0), &[155]);
         check_at_edges(&leaf);
         // A run whose groups splice between existing rows and past the end.
         let items: Vec<Item> = [[9u64, 1], [0, 500], [2, 2], [11, 0]]
             .iter()
             .map(|c| Item::new(c.to_vec(), 1.0))
             .collect();
-        let mut keyed: Vec<(BigIndex, u32)> = [5u64, 205, 206, 9_999]
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| (BigIndex::from(h), i as u32))
-            .collect();
-        leaf.insert_run(&items, &mut keyed);
+        leaf.insert_run(&items, &[5, 205, 206, 9_999], &[0, 1, 2, 3]);
         check_at_edges(&leaf);
+        let keys: Vec<u64> = (0..leaf.len()).map(|i| leaf.hkey(i)[0]).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{keys:?}");
+        assert_eq!(keys.len(), 45);
         // Split: each half recomputes its ranges from its own rows.
         let mut half = leaf.clone_range(0..10);
         check_at_edges(&half);
         check_at_edges(&leaf.clone_range(10..leaf.len()));
         // A push past the half's ranges widens them.
-        half.push(keyed_entry(&[1_000, 1_000], 99_999));
+        half.push_row(&[1_000, 1_000], 1.0, &[99_999]);
         check_at_edges(&half);
         // push_row on an empty leaf: the empty range admits the first value.
-        let mut fresh = LeafColumns::new(2);
-        fresh.push_row(&[u64::MAX, 0], 1.0);
+        let mut fresh = LeafColumns::new(2, 0, 64);
+        fresh.push_row(&[u64::MAX, 0], 1.0, &[]);
         check_at_edges(&fresh);
     }
 
     #[test]
     fn roundtrip_entries() {
-        let entries: Vec<Entry> = (0..10)
-            .map(|i| entry(&[i, i * 2, 63 - i], i as f64 * 0.5))
+        let mut leaf = LeafColumns::new(3, 0, 64);
+        let rows: Vec<Item> = (0..10)
+            .map(|i| Item::new(vec![i, i * 2, 63 - i], i as f64 * 0.5))
             .collect();
-        let leaf = LeafColumns::from_entries(3, entries.clone());
+        for it in &rows {
+            leaf.push_row(&it.coords, it.measure, &[]);
+        }
         assert_eq!(leaf.len(), 10);
-        let back = leaf.to_entries();
-        for (a, b) in entries.iter().zip(&back) {
-            assert_eq!(a.coords, b.coords);
-            assert_eq!(a.measure, b.measure);
+        let mut back = Vec::new();
+        leaf.append_items(&mut back);
+        assert_eq!(back, rows);
+        let order = [9, 0, 4];
+        let picked = leaf.gather(&order);
+        picked.check().unwrap();
+        for (i, &r) in order.iter().enumerate() {
+            assert_eq!(picked.item(i), rows[r as usize]);
         }
         assert_eq!(leaf.item(3).coords.as_ref(), &[3, 6, 60]);
+    }
+
+    /// Every column's capacity, in rows.
+    fn capacities(leaf: &LeafColumns) -> Vec<usize> {
+        let mut caps: Vec<usize> = leaf.cols.iter().map(|c| c.vals.capacity()).collect();
+        caps.push(leaf.measures.capacity());
+        caps.push(leaf.hkeys.capacity() / leaf.limbs);
+        caps
+    }
+
+    /// A packed leaf is built at its exact size and, filled by inserts and
+    /// runs, grows straight to `leaf_cap` rows: no column outgrows it.
+    #[test]
+    fn packed_leaf_columns_never_outgrow_leaf_cap() {
+        let cap = 64;
+        let mut leaf = keyed_leaf(48, cap, |h| [h % 7, h]);
+        assert_eq!(capacities(&leaf), vec![48; 4]);
+        leaf.insert(3, &Item::new(vec![1, 1], 1.0), &[25]);
+        assert_eq!(capacities(&leaf), vec![cap; 4]);
+        let items: Vec<Item> = (0..14).map(|i| Item::new(vec![i, i], 1.0)).collect();
+        let keys: Vec<u64> = (0..14).map(|i| i * 37).collect();
+        let run: Vec<u32> = (0..14).collect();
+        leaf.insert_run(&items, &keys, &run);
+        while leaf.len() < cap {
+            leaf.insert(leaf.len(), &Item::new(vec![2, 2], 1.0), &[u64::MAX]);
+        }
+        leaf.check().unwrap();
+        assert_eq!(capacities(&leaf), vec![cap; 4]);
+        // A split half is exact too, and grows straight back to the cap.
+        let mut half = leaf.clone_range(0..32);
+        assert_eq!(capacities(&half), vec![32; 4]);
+        half.push_row(&[0, 0], 0.0, &[u64::MAX]);
+        assert_eq!(capacities(&half), vec![cap; 4]);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use volap_dims::{Item, Key, Schema};
 
-use crate::tree::{ConcurrentTree, DirEntry, Entry, Node};
+use crate::tree::{ConcurrentTree, DirEntry, Node};
 
 /// Magic bytes prefixing every serialized shard blob.
 pub const SHARD_MAGIC: &[u8; 4] = b"VOLS";
@@ -95,23 +95,13 @@ pub fn bulk_load<K: Key>(tree: &ConcurrentTree<K>, items: Vec<Item>) {
 
 /// Pack non-empty `items` into a fresh, unshared root node.
 fn pack<K: Key>(tree: &ConcurrentTree<K>, items: &[Item]) -> Arc<Node<K>> {
-    let mut entries: Vec<Entry> = items.iter().map(|it| tree.entry_of(it)).collect();
-    if tree.mapper().is_some() {
-        entries.sort_by(|a, b| a.hkey.cmp(&b.hkey));
-    } else {
-        entries.sort_by(|a, b| a.coords.cmp(&b.coords));
-    }
+    let (keys, order) = tree.sorted_rows(items);
     let leaf_fill = (tree.cfg().leaf_cap * 3 / 4).max(1);
     let dir_fill = (tree.cfg().dir_cap * 3 / 4).max(2);
-    let mut slots: Vec<DirEntry<K>> = Vec::with_capacity(entries.len() / leaf_fill + 1);
-    let mut it = entries.into_iter();
-    loop {
-        let chunk: Vec<Entry> = it.by_ref().take(leaf_fill).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        slots.push(tree.make_leaf_slot(chunk));
-    }
+    let mut slots: Vec<DirEntry<K>> = order
+        .chunks(leaf_fill)
+        .map(|rows| tree.pack_leaf(items, &keys, rows))
+        .collect();
     while slots.len() > 1 {
         let mut next = Vec::with_capacity(slots.len() / dir_fill + 1);
         let mut it = slots.into_iter();

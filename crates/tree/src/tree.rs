@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use volap_dims::{Aggregate, HilbertMapper, Item, Key, Mbr, QueryBox, Schema};
-use volap_hilbert::BigIndex;
+use volap_hilbert::MAX_LIMBS;
 use volap_obs::lock::{LockClass, ObsArcRwLockWriteGuard, ObsMutex, ObsRwLock};
 
 use crate::leaf::LeafColumns;
@@ -65,29 +65,13 @@ pub enum InsertPolicy {
     },
 }
 
-/// One item as stored in a leaf.
-#[derive(Debug, Clone)]
-pub(crate) struct Entry {
-    pub coords: Box<[u64]>,
-    pub measure: f64,
-    /// Compact Hilbert key; `None` under the geometric policy.
-    pub hkey: Option<BigIndex>,
-}
-
-impl Entry {
-    fn to_item(&self) -> Item {
-        Item {
-            coords: self.coords.clone(),
-            measure: self.measure,
-        }
-    }
-}
-
 /// A directory slot: the child's key and maximum Hilbert value (LHV) live
 /// in the parent (R-tree style), so routing never locks children.
 pub(crate) struct DirEntry<K> {
     pub key: K,
-    pub lhv: Option<BigIndex>,
+    /// The largest key beneath the slot, in the tree's key words (empty
+    /// under the geometric policy).
+    pub lhv: Box<[u64]>,
     pub node: Arc<Node<K>>,
 }
 
@@ -192,6 +176,9 @@ pub struct ConcurrentTree<K: Key> {
     /// visit every item a query covers. Set from the store kind.
     pub(crate) aggregate_cache: bool,
     mapper: Option<HilbertMapper>,
+    /// Words per Hilbert key: the mapper's [`HilbertMapper::limbs`], 0
+    /// without one.
+    limbs: usize,
     root: ObsRwLock<Arc<Node<K>>>,
     len: AtomicU64,
     /// Cumulative node splits (root, preventive, and overflow), for
@@ -212,15 +199,20 @@ impl<K: Key> ConcurrentTree<K> {
             InsertPolicy::Geometric => None,
             InsertPolicy::Hilbert { expand } => Some(HilbertMapper::new(&schema, expand)),
         };
+        let limbs = mapper.as_ref().map_or(0, HilbertMapper::limbs);
         Self {
             root: ObsRwLock::new(
                 &TREE_ROOT_CLASS,
-                new_leaf(LeafColumns::new(schema.dims()), Aggregate::empty()),
+                new_leaf(
+                    LeafColumns::new(schema.dims(), limbs, cfg.leaf_cap),
+                    Aggregate::empty(),
+                ),
             ),
             schema,
             cfg,
             aggregate_cache: true,
             mapper,
+            limbs,
             len: AtomicU64::new(0),
             node_splits: AtomicU64::new(0),
             stack_pool: ObsMutex::new(&STACK_POOL_CLASS, Vec::new()),
@@ -247,12 +239,30 @@ impl<K: Key> ConcurrentTree<K> {
         self.node_splits.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn entry_of(&self, item: &Item) -> Entry {
-        Entry {
-            hkey: self.mapper.as_ref().map(|m| m.key_of_coords(&item.coords)),
-            coords: item.coords.clone(),
-            measure: item.measure,
+    /// An empty leaf's columns with room for exactly `rows` rows.
+    pub(crate) fn leaf_columns(&self, rows: usize) -> LeafColumns {
+        LeafColumns::with_capacity(self.schema.dims(), self.limbs, self.cfg.leaf_cap, rows)
+    }
+
+    /// The Hilbert key of every item, `limbs` words each in item order (none
+    /// under the geometric policy), and the item indices in the order a
+    /// packed tree stores them: by key under a Hilbert policy, by
+    /// coordinates otherwise, ties by index.
+    pub(crate) fn sorted_rows(&self, items: &[Item]) -> (Vec<u64>, Vec<u32>) {
+        let mut order: Vec<u32> = (0..items.len() as u32).collect();
+        let Some(mapper) = &self.mapper else {
+            order.sort_by(|&a, &b| items[a as usize].coords.cmp(&items[b as usize].coords));
+            return (Vec::new(), order);
+        };
+        let l = self.limbs;
+        let mut keys = vec![0u64; items.len() * l];
+        for (it, key) in items.iter().zip(keys.chunks_exact_mut(l)) {
+            debug_assert_eq!(it.coords.len(), self.schema.dims());
+            mapper.key_into(&it.coords, key);
         }
+        let key = |i: u32| &keys[i as usize * l..(i as usize + 1) * l];
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        (keys, order)
     }
 
     fn is_full(&self, inner: &NodeInner<K>) -> bool {
@@ -269,14 +279,18 @@ impl<K: Key> ConcurrentTree<K> {
     /// visible to later queries.
     pub fn insert(&self, item: &Item) {
         debug_assert_eq!(item.coords.len(), self.schema.dims());
-        let entry = self.entry_of(item);
-        self.insert_entry(item, entry);
+        let mut buf = [0u64; MAX_LIMBS];
+        let hkey = &mut buf[..self.limbs];
+        if let Some(mapper) = &self.mapper {
+            mapper.key_into(&item.coords, hkey);
+        }
+        self.insert_keyed(item, hkey);
     }
 
-    /// The per-item insert path, with the entry (and its Hilbert key)
-    /// already computed — shared by [`Self::insert`] and the batch path's
-    /// split fallback, which must not recompute keys.
-    fn insert_entry(&self, item: &Item, entry: Entry) {
+    /// The per-item insert path, with the Hilbert key (empty under the
+    /// geometric policy) already computed — shared by [`Self::insert`] and
+    /// the batch path's split fallback, which must not recompute keys.
+    fn insert_keyed(&self, item: &Item, hkey: &[u64]) {
         'retry: loop {
             let root_arc = Arc::clone(&self.root.read());
             let mut cur = ObsRwLock::write_arc(&root_arc);
@@ -285,22 +299,16 @@ impl<K: Key> ConcurrentTree<K> {
                 self.split_root(&root_arc);
                 continue 'retry;
             }
-            cur.agg.add(entry.measure);
+            cur.agg.add(item.measure);
             loop {
                 let next = match &mut cur.children {
-                    NodeChildren::Leaf(entries) => {
-                        match &entry.hkey {
-                            Some(h) => {
-                                let pos = entries.hkey_partition_point(h);
-                                entries.insert(pos, entry);
-                            }
-                            None => entries.push(entry),
-                        }
+                    NodeChildren::Leaf(rows) => {
+                        rows.insert(rows.hkey_partition_point(0, hkey), item, hkey);
                         self.len.fetch_add(1, Ordering::AcqRel);
                         return;
                     }
                     NodeChildren::Dir(entries) => loop {
-                        let idx = self.choose_child(entries, &entry);
+                        let idx = self.choose_child(entries, item, hkey);
                         let child_arc = Arc::clone(&entries[idx].node);
                         let mut child_guard = ObsRwLock::write_arc(&child_arc);
                         if self.is_full(&child_guard) {
@@ -317,17 +325,12 @@ impl<K: Key> ConcurrentTree<K> {
                         // Route through this child: grow its key (and LHV)
                         // in the parent slot before handing the lock over.
                         entries[idx].key.extend_item(&self.schema, item);
-                        if let Some(h) = &entry.hkey {
-                            match &mut entries[idx].lhv {
-                                Some(l) if *h <= *l => {}
-                                slot => *slot = Some(h.clone()),
-                            }
-                        }
+                        raise_lhv(&mut entries[idx].lhv, hkey);
                         break child_guard;
                     },
                 };
                 let mut next = next;
-                next.agg.add(entry.measure);
+                next.agg.add(item.measure);
                 cur = next; // parent guard released here
             }
         }
@@ -335,7 +338,7 @@ impl<K: Key> ConcurrentTree<K> {
 
     /// Insert a batch of items. Equivalent to calling [`Self::insert`] on
     /// each item, but amortized: all Hilbert keys are computed up front
-    /// (through one reusable key scratch), the batch is sorted by key, and
+    /// into one flat buffer, the batch is sorted by key, and
     /// key-adjacent runs descend the tree once per run instead of once per
     /// item, updating the aggregates and keys of each path node once per
     /// run.
@@ -351,25 +354,13 @@ impl<K: Key> ConcurrentTree<K> {
     /// The geometric policy has no key order to exploit and degenerates to
     /// the per-item loop.
     pub fn insert_batch(&self, items: &[Item]) {
-        let use_runs = self.mapper.is_some() && items.len() >= 2;
-        if !use_runs {
+        if self.mapper.is_none() || items.len() < 2 {
             for it in items {
-                debug_assert_eq!(it.coords.len(), self.schema.dims());
-                let entry = self.entry_of(it);
-                self.insert_entry(it, entry);
+                self.insert(it);
             }
             return;
         }
-        let mut keys = self.mapper.as_ref().unwrap().batch();
-        let mut keyed: Vec<(BigIndex, u32)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| {
-                debug_assert_eq!(it.coords.len(), self.schema.dims());
-                (keys.key(it), i as u32)
-            })
-            .collect();
-        keyed.sort_unstable();
+        let (keys, order) = self.sorted_rows(items);
         // Scratch reused across runs so steady-state batching allocates
         // nothing per run.
         let mut scratch = RunScratch {
@@ -377,13 +368,15 @@ impl<K: Key> ConcurrentTree<K> {
             slots: Vec::new(),
         };
         let mut start = 0;
-        while start < keyed.len() {
-            start += self.insert_run(items, &mut keyed, start, &mut scratch);
+        while start < order.len() {
+            start += self.insert_run(items, &keys, &order, start, &mut scratch);
         }
     }
 
-    /// Insert one key-adjacent run starting at `keyed[start]` with a single
-    /// locked descent; returns how many items were consumed (≥ 1).
+    /// Insert one key-adjacent run starting at `order[start]` with a single
+    /// locked descent; returns how many items were consumed (≥ 1). `order`
+    /// lists item indices sorted by key, and item `i`'s key is
+    /// `keys[i * limbs..(i + 1) * limbs]`.
     ///
     /// The descent retains the write guard of every node on the path. At
     /// each directory it narrows the run to the keys the chosen child's LHV
@@ -398,10 +391,14 @@ impl<K: Key> ConcurrentTree<K> {
     fn insert_run(
         &self,
         items: &[Item],
-        keyed: &mut [(BigIndex, u32)],
+        keys: &[u64],
+        order: &[u32],
         start: usize,
         scratch: &mut RunScratch<K>,
     ) -> usize {
+        let l = self.limbs;
+        let item_key = |i: u32| &keys[i as usize * l..(i as usize + 1) * l];
+        let key = |p: usize| item_key(order[p]);
         'retry: loop {
             let root_arc = Arc::clone(&self.root.read());
             let root_guard = ObsRwLock::write_arc(&root_arc);
@@ -416,28 +413,20 @@ impl<K: Key> ConcurrentTree<K> {
             // Chosen child index per directory level of `path`.
             let slots = &mut scratch.slots;
             slots.clear();
-            let mut run_end = keyed.len();
+            let mut run_end = order.len();
             loop {
                 let step = match &path.last().unwrap().children {
                     NodeChildren::Leaf(_) => None,
                     NodeChildren::Dir(entries) => {
-                        let h = &keyed[start].0;
-                        let idx = entries
-                            .iter()
-                            .position(|e| e.lhv.as_ref().is_some_and(|l| l >= h))
-                            .unwrap_or(entries.len() - 1);
+                        let idx = hilbert_child(entries, key(start));
                         // Keys above this child's LHV route to a later
                         // sibling — unless this is the last child, which
                         // takes everything that reaches it.
                         if idx + 1 < entries.len() {
-                            if let Some(l) = entries[idx].lhv.as_ref() {
-                                run_end =
-                                    start + keyed[start..run_end].partition_point(|(k, _)| k <= l);
-                                debug_assert!(
-                                    run_end > start,
-                                    "chosen child must accept the run head"
-                                );
-                            }
+                            let lhv = &*entries[idx].lhv;
+                            run_end = start
+                                + order[start..run_end].partition_point(|&i| item_key(i) <= lhv);
+                            debug_assert!(run_end > start, "chosen child must accept the run head");
                         }
                         Some((idx, Arc::clone(&entries[idx].node)))
                     }
@@ -451,13 +440,7 @@ impl<K: Key> ConcurrentTree<K> {
                     // preventive split; the batch loop then resumes.
                     drop(child_guard);
                     path.clear();
-                    let i = keyed[start].1 as usize;
-                    let entry = Entry {
-                        coords: items[i].coords.clone(),
-                        measure: items[i].measure,
-                        hkey: Some(std::mem::take(&mut keyed[start].0)),
-                    };
-                    self.insert_entry(&items[i], entry);
+                    self.insert_keyed(&items[order[start] as usize], key(start));
                     return 1;
                 }
                 slots.push(idx);
@@ -470,23 +453,24 @@ impl<K: Key> ConcurrentTree<K> {
             };
             let k = (run_end - start).min(self.cfg.leaf_cap - leaf_len);
             debug_assert!(k >= 1);
+            let run = &order[start..start + k];
             // Build the run's aggregate once; every path node merges it in
             // one step instead of once per item. The key union is only
             // materialized for longer runs — for a handful of items,
             // extending each slot key directly is cheaper than building and
             // merging an intermediate key.
             let mut run_agg = Aggregate::empty();
-            for &(_, i) in keyed[start..start + k].iter() {
+            for &i in run {
                 run_agg.add(items[i as usize].measure);
             }
             let run_key = (k >= RUN_KEY_MIN).then(|| {
                 let mut union = K::empty(&self.schema);
-                for &(_, i) in keyed[start..start + k].iter() {
+                for &i in run {
                     union.extend_item(&self.schema, &items[i as usize]);
                 }
                 union
             });
-            let run_max = keyed[start + k - 1].0.clone();
+            let run_max = key(start + k - 1);
             for (depth, guard) in path.iter_mut().enumerate() {
                 guard.agg.merge(&run_agg);
                 if let NodeChildren::Dir(entries) = &mut guard.children {
@@ -494,21 +478,18 @@ impl<K: Key> ConcurrentTree<K> {
                     match &run_key {
                         Some(union) => entries[idx].key.extend_key(&self.schema, union),
                         None => {
-                            for &(_, i) in keyed[start..start + k].iter() {
+                            for &i in run {
                                 entries[idx]
                                     .key
                                     .extend_item(&self.schema, &items[i as usize]);
                             }
                         }
                     }
-                    match &mut entries[idx].lhv {
-                        Some(l) if run_max <= *l => {}
-                        slot => *slot = Some(run_max.clone()),
-                    }
+                    raise_lhv(&mut entries[idx].lhv, run_max);
                 }
             }
             if let NodeChildren::Leaf(leaf) = &mut path.last_mut().unwrap().children {
-                leaf.insert_run(items, &mut keyed[start..start + k]);
+                leaf.insert_run(items, keys, run);
             }
             path.clear(); // release leaf-to-root, after all updates
             self.len.fetch_add(k as u64, Ordering::AcqRel);
@@ -540,42 +521,42 @@ impl<K: Key> ConcurrentTree<K> {
         self.node_splits.fetch_add(1, Ordering::Relaxed);
         inner.retired = true;
         match &inner.children {
-            NodeChildren::Leaf(cols) if self.mapper.is_some() => {
-                // Hilbert rows are already key-ordered: choose the split over
-                // the rows in place and duplicate each side with a few column
-                // memcpys, instead of materializing an interchange Entry and
-                // a full key per row. Splits sit on both ingest hot paths, so
-                // this is where allocation pressure matters most.
+            NodeChildren::Leaf(cols) => {
                 let n = cols.len();
                 let mut scratch = Item {
                     coords: vec![0u64; self.schema.dims()].into(),
                     measure: 0.0,
                 };
-                let split = self.best_split_rows(n, self.cfg.min_leaf(), |key, i| {
-                    cols.read_row_into(i, &mut scratch);
-                    key.extend_item(&self.schema, &scratch);
-                });
-                (
-                    self.make_hilbert_leaf_slot(cols.clone_range(0..split)),
-                    self.make_hilbert_leaf_slot(cols.clone_range(split..n)),
-                )
-            }
-            NodeChildren::Leaf(entries) => {
-                // Geometric policy: rows carry no global order, so sort
-                // interchange entries along the longest dimension first.
-                let mut sorted: Vec<Entry> = entries.to_entries();
-                sort_entries_geometric(&self.schema, &mut sorted);
-                let keys: Vec<K> = sorted
+                if self.mapper.is_some() {
+                    // Hilbert rows are already key-ordered: choose the split
+                    // over the rows in place and duplicate each side with a
+                    // few column memcpys. Splits sit on both ingest hot
+                    // paths, so this is where allocation pressure matters.
+                    let split = self.best_split_rows(n, self.cfg.min_leaf(), |key, i| {
+                        cols.read_row_into(i, &mut scratch);
+                        key.extend_item(&self.schema, &scratch);
+                    });
+                    return (
+                        self.leaf_slot(cols.clone_range(0..split)),
+                        self.leaf_slot(cols.clone_range(split..n)),
+                    );
+                }
+                // Geometric policy: rows carry no global order, so order
+                // them along the widest dimension first.
+                let order = geometric_order(&self.schema, cols);
+                let keys: Vec<K> = order
                     .iter()
-                    .map(|e| K::from_item(&self.schema, &e.to_item()))
+                    .map(|&i| {
+                        cols.read_row_into(i as usize, &mut scratch);
+                        K::from_item(&self.schema, &scratch)
+                    })
                     .collect();
-                let split = self.best_split_rows(keys.len(), self.cfg.min_leaf(), |acc, i| {
+                let split = self.best_split_rows(n, self.cfg.min_leaf(), |acc, i| {
                     acc.extend_key(&self.schema, &keys[i]);
                 });
-                let right_entries = sorted.split_off(split);
                 (
-                    self.make_leaf_slot(sorted),
-                    self.make_leaf_slot(right_entries),
+                    self.leaf_slot(cols.gather(&order[..split])),
+                    self.leaf_slot(cols.gather(&order[split..])),
                 )
             }
             NodeChildren::Dir(entries) => {
@@ -595,33 +576,28 @@ impl<K: Key> ConcurrentTree<K> {
         }
     }
 
-    pub(crate) fn make_leaf_slot(&self, entries: Vec<Entry>) -> DirEntry<K> {
-        let mut key = K::empty(&self.schema);
-        let mut agg = Aggregate::empty();
-        let mut lhv: Option<BigIndex> = None;
-        for e in &entries {
-            key.extend_item(&self.schema, &e.to_item());
-            agg.add(e.measure);
-            if let Some(h) = &e.hkey {
-                match &mut lhv {
-                    Some(l) if *h <= *l => {}
-                    slot => *slot = Some(h.clone()),
-                }
-            }
+    /// Parent slot for a leaf of `items[rows]`, in that order, whose keys
+    /// are at the stride of [`Self::sorted_rows`] — the bulk pack path.
+    pub(crate) fn pack_leaf(&self, items: &[Item], keys: &[u64], rows: &[u32]) -> DirEntry<K> {
+        let l = self.limbs;
+        let mut cols = self.leaf_columns(rows.len());
+        for &i in rows {
+            let i = i as usize;
+            cols.push_row(
+                &items[i].coords,
+                items[i].measure,
+                &keys[i * l..(i + 1) * l],
+            );
         }
-        let cols = LeafColumns::from_entries(self.schema.dims(), entries);
-        DirEntry {
-            key,
-            lhv,
-            node: new_leaf(cols, agg),
-        }
+        self.leaf_slot(cols)
     }
 
-    /// Parent slot for an already-key-sorted columnar leaf (Hilbert policy):
-    /// the LHV is simply the last row's key, and the slot key is built by
-    /// streaming rows through one reused coordinate buffer.
-    fn make_hilbert_leaf_slot(&self, cols: LeafColumns) -> DirEntry<K> {
+    /// Parent slot for a leaf: the slot key is built by streaming rows
+    /// through one reused coordinate buffer, and the LHV is the last row's
+    /// key (Hilbert rows are key-sorted; geometric rows have none).
+    fn leaf_slot(&self, cols: LeafColumns) -> DirEntry<K> {
         let n = cols.len();
+        debug_assert!(n > 0, "a split or pack produced an empty leaf");
         let mut key = K::empty(&self.schema);
         let mut agg = Aggregate::empty();
         let mut scratch = Item {
@@ -633,14 +609,9 @@ impl<K: Key> ConcurrentTree<K> {
             key.extend_item(&self.schema, &scratch);
             agg.add(scratch.measure);
         }
-        let lhv = n.checked_sub(1).and_then(|i| cols.hkey(i).cloned());
-        debug_assert!(
-            lhv.is_some(),
-            "hilbert leaf split produced an empty or keyless side"
-        );
         DirEntry {
             key,
-            lhv,
+            lhv: cols.hkey(n - 1).into(),
             node: new_leaf(cols, agg),
         }
     }
@@ -648,17 +619,16 @@ impl<K: Key> ConcurrentTree<K> {
     pub(crate) fn make_dir_slot(&self, entries: Vec<DirEntry<K>>) -> DirEntry<K> {
         let mut key = K::empty(&self.schema);
         let mut agg = Aggregate::empty();
-        let mut lhv: Option<BigIndex> = None;
         for e in &entries {
             key.extend_key(&self.schema, &e.key);
             agg.merge(&e.node.read().agg);
-            if let Some(h) = &e.lhv {
-                match &mut lhv {
-                    Some(l) if *h <= *l => {}
-                    slot => *slot = Some(h.clone()),
-                }
-            }
         }
+        let lhv = entries
+            .iter()
+            .map(|e| &e.lhv)
+            .max()
+            .cloned()
+            .unwrap_or_default();
         DirEntry {
             key,
             lhv,
@@ -721,57 +691,48 @@ impl<K: Key> ConcurrentTree<K> {
         best
     }
 
-    fn choose_child(&self, entries: &[DirEntry<K>], entry: &Entry) -> usize {
+    fn choose_child(&self, entries: &[DirEntry<K>], item: &Item, hkey: &[u64]) -> usize {
         debug_assert!(!entries.is_empty());
-        match &entry.hkey {
-            Some(h) => {
-                // Hilbert descent: first child whose LHV bounds the key.
-                entries
-                    .iter()
-                    .position(|e| e.lhv.as_ref().is_some_and(|l| l >= h))
-                    .unwrap_or(entries.len() - 1)
-            }
-            None => {
-                let item = entry.to_item();
-                // Prefer a child that already contains the item (smallest
-                // volume wins), mirroring R*-style descent.
-                let mut best_contained: Option<(usize, f64)> = None;
-                for (i, e) in entries.iter().enumerate() {
-                    if e.key.contains_item(&item) {
-                        let v = e.key.volume_frac(&self.schema);
-                        if best_contained.is_none_or(|(_, bv)| v < bv) {
-                            best_contained = Some((i, v));
-                        }
-                    }
+        if !hkey.is_empty() {
+            return hilbert_child(entries, hkey);
+        }
+        // Prefer a child that already contains the item (smallest
+        // volume wins), mirroring R*-style descent.
+        let mut best_contained: Option<(usize, f64)> = None;
+        for (i, e) in entries.iter().enumerate() {
+            if e.key.contains_item(item) {
+                let v = e.key.volume_frac(&self.schema);
+                if best_contained.is_none_or(|(_, bv)| v < bv) {
+                    best_contained = Some((i, v));
                 }
-                if let Some((i, _)) = best_contained {
-                    return i;
-                }
-                // Otherwise minimize the overlap increase against siblings
-                // ("the high global cost of overlap dominates", §III-C).
-                let mut best = 0usize;
-                let mut best_cost = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-                for (i, e) in entries.iter().enumerate() {
-                    let mut grown = e.key.clone();
-                    grown.extend_item(&self.schema, &item);
-                    let mut inc = 0.0;
-                    for (j, other) in entries.iter().enumerate() {
-                        if i != j {
-                            inc += grown.overlap_frac(&self.schema, &other.key)
-                                - e.key.overlap_frac(&self.schema, &other.key);
-                        }
-                    }
-                    let enlarge = grown.volume_frac(&self.schema) - e.key.volume_frac(&self.schema);
-                    let vol = e.key.volume_frac(&self.schema);
-                    let cost = (inc, enlarge, vol);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best = i;
-                    }
-                }
-                best
             }
         }
+        if let Some((i, _)) = best_contained {
+            return i;
+        }
+        // Otherwise minimize the overlap increase against siblings
+        // ("the high global cost of overlap dominates", §III-C).
+        let mut best = 0usize;
+        let mut best_cost = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, e) in entries.iter().enumerate() {
+            let mut grown = e.key.clone();
+            grown.extend_item(&self.schema, item);
+            let mut inc = 0.0;
+            for (j, other) in entries.iter().enumerate() {
+                if i != j {
+                    inc += grown.overlap_frac(&self.schema, &other.key)
+                        - e.key.overlap_frac(&self.schema, &other.key);
+                }
+            }
+            let enlarge = grown.volume_frac(&self.schema) - e.key.volume_frac(&self.schema);
+            let vol = e.key.volume_frac(&self.schema);
+            let cost = (inc, enlarge, vol);
+            if cost < best_cost {
+                best_cost = cost;
+                best = i;
+            }
+        }
+        best
     }
 
     /// Aggregate every item inside `q`.
@@ -893,6 +854,67 @@ impl<K: Key> ConcurrentTree<K> {
         }
     }
 
+    /// Check the tree's invariants at rest: every leaf passes
+    /// [`LeafColumns::check`], and under a Hilbert policy every row stores
+    /// the key of its coordinates, every leaf is sorted by key, and every
+    /// slot's LHV is the largest key beneath it, so sibling LHVs ascend.
+    /// Takes each node's read lock in turn, so concurrent inserts can make
+    /// it report a transient violation.
+    pub fn check(&self) -> Result<(), String> {
+        let root = Arc::clone(&self.root.read());
+        self.check_node(&root).map(drop)
+    }
+
+    /// [`Self::check`] on the subtree at `node`; returns its largest key.
+    fn check_node(&self, node: &Arc<Node<K>>) -> Result<Box<[u64]>, String> {
+        let guard = node.read();
+        let slots: Vec<_> = match &guard.children {
+            NodeChildren::Leaf(rows) => {
+                rows.check()?;
+                let mut key = vec![0; self.limbs];
+                for i in 0..rows.len() {
+                    if let Some(mapper) = &self.mapper {
+                        mapper.key_into(&rows.item(i).coords, &mut key);
+                        if rows.hkey(i) != key {
+                            return Err(format!(
+                                "row {i} stores key {:x?}, its coordinates map to {key:x?}",
+                                rows.hkey(i)
+                            ));
+                        }
+                    }
+                    if i > 0 && rows.hkey(i - 1) > rows.hkey(i) {
+                        return Err(format!("leaf rows {} and {i} out of key order", i - 1));
+                    }
+                }
+                return Ok(rows
+                    .len()
+                    .checked_sub(1)
+                    .map_or(Box::default(), |i| rows.hkey(i).into()));
+            }
+            NodeChildren::Dir(entries) => entries
+                .iter()
+                .map(|e| (e.lhv.clone(), Arc::clone(&e.node)))
+                .collect(),
+        };
+        drop(guard);
+        let mut last = Box::default();
+        for (i, (lhv, child)) in slots.into_iter().enumerate() {
+            let max = self.check_node(&child)?;
+            if lhv != max {
+                return Err(format!(
+                    "slot {i}'s LHV {lhv:x?} is not the largest key beneath it, {max:x?}"
+                ));
+            }
+            if lhv < last {
+                return Err(format!(
+                    "slot {i}'s LHV {lhv:x?} is below its left sibling's"
+                ));
+            }
+            last = lhv;
+        }
+        Ok(last)
+    }
+
     /// Structural statistics (node counts, height).
     pub fn structure(&self) -> TreeStructure {
         let root = Arc::clone(&self.root.read());
@@ -943,15 +965,6 @@ impl<K: Key> ConcurrentTree<K> {
     pub(crate) fn cfg(&self) -> &TreeConfig {
         &self.cfg
     }
-
-    pub(crate) fn mapper(&self) -> Option<&HilbertMapper> {
-        self.mapper.as_ref()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn root_arc(&self) -> Arc<Node<K>> {
-        Arc::clone(&self.root.read())
-    }
 }
 
 /// Structural statistics of a tree.
@@ -967,17 +980,33 @@ pub struct TreeStructure {
     pub height: u32,
 }
 
-/// Sort leaf entries along the dimension with the widest coordinate spread
-/// (classic linear split axis choice).
-fn sort_entries_geometric(schema: &Schema, entries: &mut [Entry]) {
-    let dims = schema.dims();
+/// Hilbert descent: the first child whose LHV bounds `hkey`, else the last.
+fn hilbert_child<K>(entries: &[DirEntry<K>], hkey: &[u64]) -> usize {
+    entries
+        .iter()
+        .position(|e| *e.lhv >= *hkey)
+        .unwrap_or(entries.len() - 1)
+}
+
+/// Raise a slot's LHV to `hkey` if that is larger (a no-op on the empty
+/// keys of the geometric policy).
+#[inline]
+fn raise_lhv(lhv: &mut [u64], hkey: &[u64]) {
+    if hkey > &*lhv {
+        lhv.copy_from_slice(hkey);
+    }
+}
+
+/// A leaf's rows ordered along the dimension with the widest coordinate
+/// spread (classic linear split axis choice), ties in row order.
+fn geometric_order(schema: &Schema, cols: &LeafColumns) -> Vec<u32> {
     let mut best_dim = 0usize;
     let mut best_spread = -1.0f64;
-    for d in 0..dims {
+    for d in 0..schema.dims() {
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in entries.iter() {
-            lo = lo.min(e.coords[d]);
-            hi = hi.max(e.coords[d]);
+        for &c in cols.column(d) {
+            lo = lo.min(c);
+            hi = hi.max(c);
         }
         let spread = (hi.saturating_sub(lo)) as f64 / schema.dim(d).ordinal_end() as f64;
         if spread > best_spread {
@@ -985,7 +1014,10 @@ fn sort_entries_geometric(schema: &Schema, entries: &mut [Entry]) {
             best_dim = d;
         }
     }
-    entries.sort_by_key(|e| e.coords[best_dim]);
+    let col = cols.column(best_dim);
+    let mut order: Vec<u32> = (0..cols.len() as u32).collect();
+    order.sort_by_key(|&i| col[i as usize]);
+    order
 }
 
 /// Sort directory entries by their key hull's center along the widest axis.
@@ -1078,6 +1110,7 @@ mod tests {
             assert!((total.sum - expect.sum).abs() < 1e-6);
             assert_eq!(total.min, expect.min);
             assert_eq!(total.max, expect.max);
+            tree.check().unwrap();
         }
     }
 
@@ -1227,40 +1260,9 @@ mod tests {
         for it in items_grid(&schema, 1000) {
             tree.insert(&it);
         }
-        // Walk leaves: within every leaf, entries must be sorted by hkey;
-        // across directory levels, subtree maxima must be non-decreasing and
-        // bounded by the stored LHV.
-        fn walk(node: &Arc<Node<Mbr>>) -> Option<BigIndex> {
-            let g = node.read();
-            match &g.children {
-                NodeChildren::Leaf(entries) => {
-                    let keys: Vec<_> = (0..entries.len())
-                        .map(|i| entries.hkey(i).cloned().unwrap())
-                        .collect();
-                    for w in keys.windows(2) {
-                        assert!(w[0] <= w[1], "leaf entries out of Hilbert order");
-                    }
-                    keys.last().cloned()
-                }
-                NodeChildren::Dir(entries) => {
-                    let mut last: Option<BigIndex> = None;
-                    for e in entries {
-                        let sub_max = walk(&e.node);
-                        if let (Some(prev), Some(cur)) = (&last, &sub_max) {
-                            assert!(prev <= cur, "directory children out of LHV order");
-                        }
-                        if let Some(cur) = sub_max {
-                            if let Some(lhv) = &e.lhv {
-                                assert!(*lhv >= cur, "LHV does not bound subtree");
-                            }
-                            last = Some(cur);
-                        }
-                    }
-                    last
-                }
-            }
-        }
-        walk(&tree.root_arc());
+        // Within every leaf, rows are sorted by key; across directory
+        // levels, every LHV is its subtree's largest key, ascending.
+        tree.check().unwrap();
     }
 
     #[test]

@@ -153,6 +153,100 @@ fn expansion_changes_hilbert_order_on_tpcds() {
     );
 }
 
+/// Hilbert PDC keys of `DataGen` items (seed 2016, skew 1.5) as hex words,
+/// most significant first: the first items of TPC-DS (130-bit keys) and of
+/// the widest Figure-5 schema, 64 dimensions of 2 levels x fanout 16
+/// (512-bit keys). They pin the key bits, and so the order of every Hilbert
+/// tree, across changes to how a key is computed or stored.
+const GOLDEN_TPCDS: [&str; 32] = [
+    "78df4043f83cc4021ed000cfc2e1c6364000000000000000",
+    "fc3d2f638e38cdb43f303f30c0d1f801c000000000000000",
+    "fc26126dc840c3c4abc3302340e0f1c44000000000000000",
+    "fff143630f2cb2f5b13020cc40d7dfcd8000000000000000",
+    "002f30000000007640efc0bffff831c70000000000000000",
+    "03cd3000000ececd4f2e383dc72822060000000000000000",
+    "fc62e4bce03f9e714000000001c9d8f30000000000000000",
+    "78c0078d0f2ff55a603fa03fffe0305c0000000000000000",
+    "003f0f03f83ebbf1bba0005fcfa61bc60000000000000000",
+    "03ddfdb20fb0978c2ebfc00fe0c83ff30000000000000000",
+    "7f391000000f9a7420a03fa0205bdc3c0000000000000000",
+    "03b98c7a0f3701cffbdc23c001ae33bac000000000000000",
+    "003efcf3bc3f3339b85f303f303f5020c000000000000000",
+    "0001e871cc3b3c17e2043c3fff180e3ac000000000000000",
+    "fff1ff43f03efa463dd83e0fdc20af504000000000000000",
+    "19f91b930f3ff271dfc79fcfac3cd21fc000000000000000",
+    "0000000000037d1b38cccfff34cfa0d0c000000000000000",
+    "80c960bce03f6342afa03fbff03f2fff0000000000000000",
+    "001f775dc850f37a043c33c3c3c3c0d00000000000000000",
+    "03c2ee9c4c1cd1f23cce38207ffc3e7f0000000000000000",
+    "78d135b30f36d995de3831c627ded43cc000000000000000",
+    "00313000000001c20c5c3c33c05e26390000000000000000",
+    "00d8f871cc3cc0dda1303f3038823f4f0000000000000000",
+    "000ecc780ffefa725021303fffa3fc3ec000000000000000",
+    "032d900000035aed303f303f1000cfcf0000000000000000",
+    "ffffd0000000fbce9fbe3839a05042398000000000000000",
+    "00338e03f83ebe33cf307020b821d7ce4000000000000000",
+    "0bb4ff81cc23439730032fff33fbfec74000000000000000",
+    "003d6a63e03ede03edc72fc0f7dacc64c000000000000000",
+    "7b50afff0f20f9fca33038c8463a5979c000000000000000",
+    "78c0e863e823130fc1d820395fbff8320000000000000000",
+    "0002beb3c87f8c182a383e242cd1d9b1c000000000000000",
+];
+const GOLDEN_UNIFORM_64: [&str; 8] = [
+    concat!(
+        "0fffffffc02fc3bf1ce007ff80005f87263fefff68fbf1f04bca0f8b834839af",
+        "f62da384bfc189417ffbf308c0fc821c0e03816907e06fc1059fdc7a51cbff9f",
+    ),
+    concat!(
+        "00ffff8fffffffff7fe03ffff1c6f0034200e791c0ffdee019f7948ef003db63",
+        "2c80f31deb1fe773ce1003e00000000321c7ff83f7f70de75c08631af74170af",
+    ),
+    concat!(
+        "43ff818000fff7ffe0120007ffe0007ea303e000e9f87c3071f7f0f8f9be1c3a",
+        "60f7ffe1c04f9809403fff0fe7e01818e023f80bc1a0418ee13ce5020c486e63",
+    ),
+    concat!(
+        "00001fffffffffff7ffe3ffe3c18381f477ff907f82f806fb1fbf218074681c4",
+        "c80ffdbd00e8c030b8dc601fff3ffc78e38e0607ad7fd74686a2020e125fc60f",
+    ),
+    concat!(
+        "3e02be3fe000fbff7fca204811ef1fdf41f227fea03f428ffc539ee67212c598",
+        "1763c0e65a4d60217ff3e03f017f00e084c0cf70f0243fcf600207d867b811e6",
+    ),
+    concat!(
+        "0000007f80003fefcfffc0007c003ff0f21f17f87c260de0e7f6836fdb8920c7",
+        "6210900f7fa0658fe9f200005fe01ff1e9ec1fc36fc6011e497dd670cdd9fea2",
+    ),
+    concat!(
+        "000f1fe000fff800ffde400e01ffc03f7c07e27e0bfb93f010e0111078bec373",
+        "342cfbc48fe3dbe281fff869e03ffffcc7cffe7cc000d8dca1b81bd7240f1ffa",
+    ),
+    concat!(
+        "00000f07ffffffff4001fef8e04f9f2c87ff37e0fe57f3f425ff0ec6302101bf",
+        "8e3801df8399ea032f8e7200000e3bf33c39f3bbc3fe3f7f648254c2c3c56068",
+    ),
+];
+
+#[test]
+fn hilbert_keys_match_golden_values() {
+    for (schema, golden) in [
+        (Schema::tpcds(), &GOLDEN_TPCDS[..]),
+        (Schema::uniform(64, 2, 16), &GOLDEN_UNIFORM_64[..]),
+    ] {
+        let mapper = HilbertMapper::new(&schema, true);
+        assert_eq!(mapper.limbs() * 16, golden[0].len());
+        let mut gen = DataGen::new(&schema, 2016, 1.5);
+        for (i, (item, want)) in gen.items(golden.len()).iter().zip(golden).enumerate() {
+            let hex: String = mapper
+                .key(item)
+                .iter()
+                .map(|w| format!("{w:016x}"))
+                .collect();
+            assert_eq!(&hex, want, "item {i}: {:?}", item.coords);
+        }
+    }
+}
+
 #[test]
 fn coverage_bands_partition_generated_queries() {
     let schema = Schema::tpcds();
