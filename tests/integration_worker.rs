@@ -704,3 +704,90 @@ fn stats_publisher_never_resurrects_a_split_parent() {
         "retired parents resurrected in the image: {ghosts:?}"
     );
 }
+
+/// Bulk inserts race a split: the split drains the items queued meanwhile
+/// into its halves. Every acked item is counted exactly once across the
+/// halves, and no item sits on the wrong side of the split's hyperplane.
+#[test]
+fn bulk_inserts_racing_a_split_land_once_on_their_side() {
+    let schema = Schema::uniform(3, 2, 8);
+    let (net, image, cfg, driver) = setup(&schema);
+    let w = spawn_worker(&net, &image, &cfg, "w0");
+    create_empty_shard(&driver, "w0", &schema, 1, TIMEOUT).unwrap();
+    let mut gen = DataGen::new(&schema, 21, 1.0);
+    let loaded = 20_000;
+    let bulk = Request::BulkInsert {
+        shard: 1,
+        items: gen.items(loaded),
+    };
+    assert_eq!(ask(&driver, "w0", bulk, &schema), Response::Ack);
+    let chunks: Vec<_> = (0..200).map(|_| gen.items(50)).collect();
+    let racer = net.endpoint("racer");
+    let (acked, split) = std::thread::scope(|s| {
+        let inserts = s.spawn(|| {
+            let mut acked = 0;
+            for items in &chunks {
+                let req = Request::BulkInsert {
+                    shard: 1,
+                    items: items.clone(),
+                };
+                assert_eq!(ask(&racer, "w0", req, &schema), Response::Ack);
+                acked += items.len();
+            }
+            acked
+        });
+        let split = Request::SplitShard {
+            shard: 1,
+            left_id: 10,
+            right_id: 11,
+        };
+        let split = ask(&driver, "w0", split, &schema);
+        (inserts.join().unwrap(), split)
+    });
+    assert!(
+        matches!(split, Response::SplitDone { .. }),
+        "unexpected {split:?}"
+    );
+    let count = |shard: u64, ranges: Vec<(u64, u64)>| {
+        let query = QueryBox::from_ranges(ranges);
+        match ask(
+            &driver,
+            "w0",
+            Request::Query {
+                shards: vec![shard],
+                query,
+            },
+            &schema,
+        ) {
+            Response::Agg { agg, .. } => agg.count,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let all = || vec![(0, u64::MAX); schema.dims()];
+    assert_eq!(
+        count(10, all()) + count(11, all()),
+        (loaded + acked) as u64,
+        "every acked item is counted once"
+    );
+    // Some dimension separates the halves: along it, the right half holds
+    // nothing at or below the left half's largest coordinate.
+    let range = |d: usize, r: (u64, u64)| {
+        let mut ranges = all();
+        ranges[d] = r;
+        ranges
+    };
+    let separated = (0..schema.dims()).any(|d| {
+        let (mut lo, mut hi) = (0, schema.dim(d).ordinal_end() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if count(10, range(d, (mid + 1, u64::MAX))) == 0 {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        count(11, range(d, (0, lo))) == 0
+    });
+    assert!(separated, "an item sits on the wrong side of the split");
+    w.stop();
+}
