@@ -1,5 +1,5 @@
 //! Property tests for the column range proof: leaves built through every
-//! mutation path — `push_row`, bulk load (`from_entries`), Hilbert point
+//! mutation path — `push_row`, bulk load (`pack`), Hilbert point
 //! inserts into bulk-loaded leaves and through splits (`clone_range`),
 //! `insert_batch` runs that splice into the middle of leaves, geometric
 //! inserts — keep every column's stored range around its values, and
