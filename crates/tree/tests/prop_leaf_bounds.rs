@@ -6,12 +6,12 @@
 //! every leaf's `scan` equals a brute-force row
 //! filter in count, sum, min and max on boxes that are disjoint from,
 //! touching, nested in or unconstrained on each dimension of the leaf.
-//! Hilbert trees also keep their keys: every row stores the mapper's key of
-//! its coordinates, leaves are sorted by key, and every slot's LHV is the
-//! largest key beneath it.
+//! Hilbert trees also keep their keys, as `ConcurrentTree::check` verifies:
+//! every row stores the mapper's key of its coordinates, leaves are sorted
+//! by key, and every slot's LHV is the largest key beneath it.
 
 use proptest::prelude::*;
-use volap_dims::{Aggregate, HilbertMapper, Item, Key, Mbr, Mds, QueryBox, Schema};
+use volap_dims::{Aggregate, Item, Key, Mbr, Mds, QueryBox, Schema};
 use volap_tree::serial::bulk_load;
 use volap_tree::{ConcurrentTree, InsertPolicy, LeafColumns, TreeConfig};
 
@@ -103,29 +103,11 @@ fn check_leaf(
     Ok(())
 }
 
-/// Under a Hilbert policy, `leaf`'s rows store `mapper`'s keys of their
-/// coordinates, in ascending order.
-fn check_keys(leaf: &LeafColumns, mapper: &HilbertMapper) -> Result<(), TestCaseError> {
-    for i in 0..leaf.len() {
-        prop_assert_eq!(leaf.hkey(i), &mapper.key(&leaf.item(i))[..], "row {}", i);
-        if i > 0 {
-            prop_assert!(
-                leaf.hkey(i - 1) <= leaf.hkey(i),
-                "rows {} and {} out of key order",
-                i - 1,
-                i
-            );
-        }
-    }
-    Ok(())
-}
-
-/// [`check_leaf`] (and [`check_keys`] under `mapper`) on every leaf, the
-/// tree's own invariant check (LHVs included), and whole-tree queries
+/// [`check_leaf`] on every leaf, the tree's own invariant check (under a
+/// Hilbert policy: row keys, key order and LHVs), and whole-tree queries
 /// against the row filter over `stored`; returns the number of leaves.
 fn check_tree<K: Key>(
     tree: &ConcurrentTree<K>,
-    mapper: Option<&HilbertMapper>,
     stored: &[Item],
     picks: &mut impl Iterator<Item = u64>,
 ) -> Result<usize, TestCaseError> {
@@ -135,9 +117,6 @@ fn check_tree<K: Key>(
         leaves += 1;
         if result.is_ok() {
             result = check_leaf(leaf, picks);
-        }
-        if let (Ok(()), Some(m)) = (&result, mapper) {
-            result = check_keys(leaf, m);
         }
     });
     result?;
@@ -205,11 +184,9 @@ proptest! {
     ) {
         let mut picks = picks(seed);
         let tree = ConcurrentTree::<Mds>::new(schema(), InsertPolicy::Hilbert { expand: true }, cfg());
-        let mapper = HilbertMapper::new(&schema(), true);
-        let mapper = Some(&mapper);
         let mut stored = loaded.clone();
         bulk_load(&tree, loaded.clone());
-        let leaves = check_tree(&tree, mapper, &stored, &mut picks)?;
+        let leaves = check_tree(&tree, &stored, &mut picks)?;
         if loaded.len() >= 64 {
             prop_assert!(leaves > 1, "a bulk load of 64 rows packs several leaves");
         }
@@ -217,10 +194,10 @@ proptest! {
             tree.insert(it);
             stored.push(it.clone());
         }
-        check_tree(&tree, mapper, &stored, &mut picks)?;
+        check_tree(&tree, &stored, &mut picks)?;
         tree.insert_batch(&batch);
         stored.extend(batch.iter().cloned());
-        check_tree(&tree, mapper, &stored, &mut picks)?;
+        check_tree(&tree, &stored, &mut picks)?;
     }
 
     /// Geometric trees: appended rows and entry-rebuilt split halves.
@@ -231,6 +208,6 @@ proptest! {
         for it in &items {
             tree.insert(it);
         }
-        check_tree(&tree, None, &items, &mut picks)?;
+        check_tree(&tree, &items, &mut picks)?;
     }
 }

@@ -1,6 +1,7 @@
 //! Direct worker-protocol tests: drive a single worker over the wire
 //! without servers or manager, exercising the §III-E state machine.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use volap::worker::{create_empty_shard, spawn_worker};
@@ -706,8 +707,10 @@ fn stats_publisher_never_resurrects_a_split_parent() {
 }
 
 /// Bulk inserts race a split: the split drains the items queued meanwhile
-/// into its halves. Every acked item is counted exactly once across the
-/// halves, and no item sits on the wrong side of the split's hyperplane.
+/// into its halves. The racer sends chunks until the split has answered,
+/// and at least one chunk must have reached the split's queue. Every acked
+/// item is counted exactly once across the halves, and no item sits on the
+/// wrong side of the split's hyperplane.
 #[test]
 fn bulk_inserts_racing_a_split_land_once_on_their_side() {
     let schema = Schema::uniform(3, 2, 8);
@@ -721,18 +724,21 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
         items: gen.items(loaded),
     };
     assert_eq!(ask(&driver, "w0", bulk, &schema), Response::Ack);
-    let chunks: Vec<_> = (0..200).map(|_| gen.items(50)).collect();
     let racer = net.endpoint("racer");
+    let split_done = AtomicBool::new(false);
     let (acked, split) = std::thread::scope(|s| {
         let inserts = s.spawn(|| {
             let mut acked = 0;
-            for items in &chunks {
+            for _ in 0..2_000 {
+                if split_done.load(Ordering::Acquire) {
+                    break;
+                }
                 let req = Request::BulkInsert {
                     shard: 1,
-                    items: items.clone(),
+                    items: gen.items(50),
                 };
                 assert_eq!(ask(&racer, "w0", req, &schema), Response::Ack);
-                acked += items.len();
+                acked += 50;
             }
             acked
         });
@@ -742,6 +748,7 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
             right_id: 11,
         };
         let split = ask(&driver, "w0", split, &schema);
+        split_done.store(true, Ordering::Release);
         (inserts.join().unwrap(), split)
     });
     assert!(
@@ -789,5 +796,10 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
         count(11, range(d, (0, lo))) == 0
     });
     assert!(separated, "an item sits on the wrong side of the split");
+    let queued = image
+        .obs()
+        .registry()
+        .sum_counters("volap_worker_queue_inserts_total");
+    assert!(queued > 0, "no bulk insert reached the split's queue");
     w.stop();
 }
