@@ -10,12 +10,13 @@ pub fn gray_code(i: u64) -> u64 {
     i ^ (i >> 1)
 }
 
-/// Inverse of [`gray_code`].
+/// Inverse of [`gray_code`] for a `g` of at most `n` bits: `⌈log2 n⌉`
+/// shift-xor steps.
 #[inline]
-pub fn gray_code_inverse(g: u64) -> u64 {
+pub fn gray_code_inverse(g: u64, n: u32) -> u64 {
     let mut i = g;
     let mut shift = 1;
-    while shift < 64 {
+    while shift < n {
         i ^= i >> shift;
         shift <<= 1;
     }
@@ -25,16 +26,12 @@ pub fn gray_code_inverse(g: u64) -> u64 {
 /// The *intra* sub-hypercube direction `d(w)` for the `w`-th sub-cube of an
 /// order-1 curve in `n` dimensions, for an `n`-bit `w`: the number of
 /// trailing set bits of `w` (odd `w`) or of `w - 1` (even `w`), modulo `n`.
-/// That count is at most `n`, so the modulus is one compare.
+/// That count is at most `n`, so the modulus is one compare. Branch-free:
+/// `w` is the curve's next sub-cube, which no predictor guesses.
 #[inline]
 pub fn direction(w: u64, n: u32) -> u32 {
-    let g = if w & 1 == 1 {
-        w.trailing_ones()
-    } else if w == 0 {
-        0
-    } else {
-        w.trailing_zeros()
-    };
+    let g = w.wrapping_sub(!w & 1).trailing_ones();
+    let g = if w == 0 { 0 } else { g };
     if g >= n {
         g - n
     } else {
@@ -42,14 +39,11 @@ pub fn direction(w: u64, n: u32) -> u32 {
     }
 }
 
-/// The entry point `e(w)` of the `w`-th sub-cube of an order-1 curve.
+/// The entry point `e(w)` of the `w`-th sub-cube of an order-1 curve:
+/// the Gray code of `2⌊(w - 1) / 2⌋`, and 0 for `w = 0`.
 #[inline]
 pub fn entry(w: u64) -> u64 {
-    if w == 0 {
-        0
-    } else {
-        gray_code(2 * ((w - 1) / 2))
-    }
+    gray_code(w.saturating_sub(1) & !1)
 }
 
 /// Gray-code rank (Hamilton, Algorithm 4): pack the bits of `w` located at
@@ -101,9 +95,9 @@ mod tests {
     #[test]
     fn gray_code_roundtrip() {
         for i in 0..4096u64 {
-            assert_eq!(gray_code_inverse(gray_code(i)), i);
+            assert_eq!(gray_code_inverse(gray_code(i), 64), i);
         }
-        assert_eq!(gray_code_inverse(gray_code(u64::MAX)), u64::MAX);
+        assert_eq!(gray_code_inverse(gray_code(u64::MAX), 64), u64::MAX);
     }
 
     #[test]
@@ -139,7 +133,7 @@ mod tests {
         // e(w) must be a vertex the order-1 curve can enter: all entry points
         // have even Gray-code inverse.
         for w in 0..64u64 {
-            assert_eq!(gray_code_inverse(entry(w)) % 2, 0);
+            assert_eq!(gray_code_inverse(entry(w), 64) % 2, 0);
         }
     }
 

@@ -191,7 +191,7 @@ impl HilbertCurve {
         for i in (0..self.max_bits as usize).rev() {
             let mu = rotr(self.masks[i], d, n);
             // Transform into the local frame: T_{(e,d)}(l) = rotr(l ^ e, d).
-            let w = gray_code_inverse(rotr(planes[i] ^ e, d, n));
+            let w = gray_code_inverse(rotr(planes[i] ^ e, d, n), n);
             push_bits(out, &mut pos, gray_rank(mu, w), mu.count_ones());
             (e, d) = descend(e, d, w, n);
         }
@@ -243,7 +243,7 @@ impl HilbertCurve {
         let mut e: u64 = 0;
         let mut d: u32 = if n >= 2 { 1 } else { 0 };
         for i in (0..self.max_bits as usize).rev() {
-            let w = gray_code_inverse(rotr(planes[i] ^ e, d, n));
+            let w = gray_code_inverse(rotr(planes[i] ^ e, d, n), n);
             push_bits(&mut h, &mut pos, w, n);
             (e, d) = descend(e, d, w, n);
         }
@@ -292,23 +292,21 @@ fn mask_n(n: u32) -> u64 {
     }
 }
 
-/// Rotate the low `n` bits of `x` right by `r` (`r < n`).
+/// Rotate the low `n` bits of `x` right by `r` (`r < n`). Branch-free: for
+/// `r = 0` the left shift moves every bit above the mask (or, for `n = 64`,
+/// is by 0).
 #[inline]
 fn rotr(x: u64, r: u32, n: u32) -> u64 {
     let x = x & mask_n(n);
-    if r == 0 {
-        return x;
-    }
-    ((x >> r) | (x << (n - r))) & mask_n(n)
+    ((x >> r) | (x << ((n - r) & 63))) & mask_n(n)
 }
 
-/// Rotate the low `n` bits of `x` left by `r` (`r < n`).
+/// Rotate the low `n` bits of `x` left by `r` (`r < n`), branch-free like
+/// [`rotr`].
 #[inline]
 fn rotl(x: u64, r: u32, n: u32) -> u64 {
-    if r == 0 {
-        return x & mask_n(n);
-    }
-    rotr(x, n - r, n)
+    let x = x & mask_n(n);
+    ((x << r) | (x >> ((n - r) & 63))) & mask_n(n)
 }
 
 #[cfg(test)]
