@@ -222,12 +222,9 @@ pub fn heatmap(
     out
 }
 
-/// Whether `--quick` / `VOLAP_QUICK=1` was passed (CI-speed runs).
+/// Whether `--quick` was passed (CI-speed runs).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("VOLAP_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
 }
 
 /// Scale a full-size parameter down in quick mode.

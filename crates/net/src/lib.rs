@@ -354,44 +354,8 @@ impl Endpoint {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> Result<Vec<u8>, NetError> {
-        let _timer = self.net.obs().map(|o| {
-            o.requests.inc();
-            o.request_seconds.start()
-        });
-        let corr = self.core.next_corr.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.core.pending.lock().insert(corr, tx);
-        let sent = self.net.route(
-            to,
-            Envelope {
-                from: self.core.name.clone(),
-                correlation: corr,
-                is_reply: false,
-                payload,
-            },
-        );
-        if let Err(e) = sent {
-            self.core.pending.lock().remove(&corr);
-            return Err(e);
-        }
-        // On a timeout, whoever removes the pending entry decides: if it is
-        // still ours the request timed out (a reply from here on is late);
-        // if `deliver` took it first, the reply is already in `rx`.
-        let reply =
-            rx.recv_timeout(timeout)
-                .or_else(|e| match self.core.pending.lock().remove(&corr) {
-                    Some(_) => Err(e),
-                    None => rx.recv_timeout(Duration::ZERO),
-                });
-        match reply {
-            Ok(env) => Ok(env.payload),
-            Err(_) => {
-                if let Some(obs) = self.net.obs() {
-                    obs.timeouts.inc();
-                }
-                Err(NetError::Timeout)
-            }
-        }
+        let mut results = self.exchange([(to, payload)].into_iter(), timeout);
+        results.pop().expect("one request, one result")
     }
 
     /// Issue several requests concurrently and block until every reply has
@@ -403,19 +367,31 @@ impl Endpoint {
         requests: &[(String, Vec<u8>)],
         timeout: Duration,
     ) -> Vec<Result<Vec<u8>, NetError>> {
-        if requests.is_empty() {
+        self.exchange(
+            requests
+                .iter()
+                .map(|(to, payload)| (to.as_str(), payload.clone())),
+            timeout,
+        )
+    }
+
+    /// The body of [`Self::request`] and [`Self::request_many`]: send each
+    /// owned payload under its own correlation and gather the replies, in
+    /// request order, until the shared deadline.
+    fn exchange<'a>(
+        &self,
+        requests: impl ExactSizeIterator<Item = (&'a str, Vec<u8>)>,
+        timeout: Duration,
+    ) -> Vec<Result<Vec<u8>, NetError>> {
+        let n = requests.len();
+        if n == 0 {
             return Vec::new();
         }
-        let n = requests.len();
         let _timer = self.net.obs().map(|o| {
             o.requests.add(n as u64);
             o.request_seconds.start()
         });
         let (tx, rx) = bounded(n);
-        let mut corr_to_idx = HashMap::with_capacity(n);
-        let mut results: Vec<Result<Vec<u8>, NetError>> =
-            (0..n).map(|_| Err(NetError::Timeout)).collect();
-        let mut outstanding = 0usize;
         // Reserve a contiguous correlation block and register every entry
         // under a single pending-lock acquisition — one lock round per
         // batch instead of one per request, so a wide scatter doesn't
@@ -427,7 +403,9 @@ impl Endpoint {
                 pending.insert(base + off, tx.clone());
             }
         }
-        for (i, (to, payload)) in requests.iter().enumerate() {
+        // `None` while request `i`, correlation `base + i`, awaits its reply.
+        let mut results: Vec<Option<Result<Vec<u8>, NetError>>> = Vec::with_capacity(n);
+        for (i, (to, payload)) in requests.enumerate() {
             let corr = base + i as u64;
             let sent = self.net.route(
                 to,
@@ -435,20 +413,15 @@ impl Endpoint {
                     from: self.core.name.clone(),
                     correlation: corr,
                     is_reply: false,
-                    payload: payload.clone(),
+                    payload,
                 },
             );
-            match sent {
-                Ok(()) => {
-                    corr_to_idx.insert(corr, i);
-                    outstanding += 1;
-                }
-                Err(e) => {
-                    self.core.pending.lock().remove(&corr);
-                    results[i] = Err(e);
-                }
-            }
+            results.push(sent.err().map(|e| {
+                self.core.pending.lock().remove(&corr);
+                Err(e)
+            }));
         }
+        let mut outstanding = results.iter().filter(|r| r.is_none()).count();
         // Gather until the deadline, then forget the stragglers and take
         // once more without waiting: a reply `deliver` handed over before
         // the sweep removed its entry is in `rx`, not late (see `deliver`).
@@ -457,15 +430,16 @@ impl Endpoint {
         while outstanding > 0 {
             match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
                 Ok(env) => {
-                    if let Some(&i) = corr_to_idx.get(&env.correlation) {
-                        results[i] = Ok(env.payload);
+                    let i = env.correlation.wrapping_sub(base) as usize;
+                    if let Some(slot @ None) = results.get_mut(i) {
+                        *slot = Some(Ok(env.payload));
                         outstanding -= 1;
                     }
                 }
                 Err(_) if !swept => {
                     let mut pending = self.core.pending.lock();
-                    for &corr in corr_to_idx.keys() {
-                        pending.remove(&corr);
+                    for (i, _) in results.iter().enumerate().filter(|(_, r)| r.is_none()) {
+                        pending.remove(&(base + i as u64));
                     }
                     swept = true;
                 }
@@ -478,6 +452,9 @@ impl Endpoint {
             }
         }
         results
+            .into_iter()
+            .map(|r| r.unwrap_or(Err(NetError::Timeout)))
+            .collect()
     }
 
     /// Number of correlations still registered awaiting replies. Exposed so

@@ -185,6 +185,17 @@ impl LeafColumns {
         self.hkeys.extend_from_slice(hkey);
     }
 
+    /// Append row `i` of `src`, with its key.
+    pub(crate) fn push_from(&mut self, src: &Self, i: usize) {
+        debug_assert_eq!(src.limbs, self.limbs);
+        self.reserve(1);
+        for (col, from) in self.cols.iter_mut().zip(&src.cols) {
+            col.push(from.vals[i]);
+        }
+        self.measures.push(src.measures[i]);
+        self.hkeys.extend_from_slice(src.hkey(i));
+    }
+
     /// Insert a row at `pos`, shifting later rows (leaves are small, so the
     /// per-column shift is cheap and keeps Hilbert order intact).
     pub(crate) fn insert(&mut self, pos: usize, item: &Item, hkey: &[u64]) {
@@ -293,15 +304,25 @@ impl LeafColumns {
     /// geometric split path.
     pub(crate) fn gather(&self, rows: &[u32]) -> Self {
         let mut out = Self::with_capacity(self.cols.len(), self.limbs, self.cap, rows.len());
-        let mut scratch = Item {
-            coords: vec![0; self.cols.len()].into(),
-            measure: 0.0,
-        };
         for &i in rows {
-            self.read_row_into(i as usize, &mut scratch);
-            out.push_row(&scratch.coords, scratch.measure, self.hkey(i as usize));
+            out.push_from(self, i as usize);
         }
         out
+    }
+
+    /// These rows sorted by their coordinates, compared dimension by
+    /// dimension, ties in row order: the order a geometric tree packs.
+    pub(crate) fn sorted_by_coords(&self) -> Self {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            self.cols
+                .iter()
+                .map(|c| c.vals[a].cmp(&c.vals[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        self.gather(&order)
     }
 
     /// The coordinates of every row along dimension `d`.

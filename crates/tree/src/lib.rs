@@ -2,9 +2,10 @@
 //! baselines.
 //!
 //! The paper's workers store every shard in one of five in-memory structures
-//! (§III-D): a flat array (benchmark baseline), the PDC tree with MDS or MBR
-//! keys, and the novel **Hilbert PDC tree** with MDS or MBR keys. Figure 5
-//! additionally benchmarks conventional and Hilbert **R-trees**. All of them
+//! (§III-D): a flat array (a benchmark baseline, which no experiment here
+//! measures and which is not built), the PDC tree with MDS or MBR keys, and
+//! the novel **Hilbert PDC tree** with MDS or MBR keys. Figure 5
+//! additionally benchmarks conventional and Hilbert **R-trees**. These six
 //! are instances of one concurrent tree, [`ConcurrentTree`], generic over
 //!
 //! * the **key type** ([`volap_dims::Mbr`] for R-tree-style keys,
@@ -25,6 +26,11 @@
 //!
 //! The [`ShardStore`] trait is the object-safe facade the distributed layer
 //! uses; [`build_store`] constructs any of the variants by [`StoreKind`].
+//! Every bulk rebuild — a bulk load into an empty store, a migrated shard's
+//! adoption, and the two halves of a shard `Split` — goes through one pack
+//! path ([`serial`]): rows in storage order, cut into leaves at fixed ranks,
+//! directories assembled bottom-up. A split packs the tree's own rows with
+//! their stored keys, so it recomputes no key and sorts no Hilbert row.
 //!
 //! # Example
 //!
@@ -41,14 +47,12 @@
 //! assert_eq!(agg.sum, 42.0);
 //! ```
 
-pub mod array;
 pub mod leaf;
 pub mod serial;
 pub mod split;
 pub mod store;
 pub mod tree;
 
-pub use array::ArrayStore;
 pub use leaf::LeafColumns;
 pub use split::SplitPlan;
 pub use store::{build_store, deserialize_store, ShardStore, StoreKind, StoreStats};

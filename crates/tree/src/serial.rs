@@ -1,11 +1,13 @@
-//! Shard serialization (`SerializeShard` / `DeserializeShard`, §III-E) and
-//! bulk loading.
+//! Shard serialization (`SerializeShard` / `DeserializeShard`, §III-E),
+//! bulk loading and `Split`, which build a tree by one pack path.
 
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use volap_dims::{Item, Key, Schema};
 
+use crate::leaf::LeafColumns;
+use crate::split::SplitPlan;
 use crate::tree::{ConcurrentTree, DirEntry, Node};
 
 /// Magic bytes prefixing every serialized shard blob.
@@ -75,10 +77,9 @@ pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
 ///
 /// Items are sorted by their compact Hilbert key (for Hilbert-policy trees;
 /// geometric trees sort lexicographically by coordinates, which still yields
-/// spatially coherent runs), packed into ~3/4-full leaves, and directory
-/// levels are assembled bottom-up. This is the fast path behind the paper's
-/// 400 k items/s bulk-ingestion number — no per-item descent, no node
-/// splits, no lock traffic.
+/// spatially coherent runs) and packed, as [`split`] packs its halves. This
+/// is the fast path behind the paper's 400 k items/s bulk-ingestion number —
+/// no per-item descent, no node splits, no lock traffic.
 ///
 /// A tree that holds items — or gains some while the packed tree is built,
 /// from a concurrent insert — takes the batch through
@@ -87,20 +88,53 @@ pub fn decode_items(schema: &Schema, blob: &[u8]) -> Result<Vec<Item>, String> {
 /// first.
 pub fn bulk_load<K: Key>(tree: &ConcurrentTree<K>, items: Vec<Item>) {
     let n = items.len() as u64;
-    if n == 0 || (tree.is_empty() && tree.install_bulk(pack(tree, &items), n)) {
+    if n == 0 || (tree.is_empty() && tree.install_bulk(pack(tree, &tree.storage_rows(&items)), n)) {
         return;
     }
     tree.insert_batch(&items);
 }
 
-/// Pack non-empty `items` into a fresh, unshared root node.
-fn pack<K: Key>(tree: &ConcurrentTree<K>, items: &[Item]) -> Arc<Node<K>> {
-    let (keys, order) = tree.sorted_rows(items);
+/// `Split` (§III-E): the rows on each side of `plan`'s hyperplane, packed
+/// into two fresh trees like `tree` (left: `coords[dim] <= threshold`).
+///
+/// One walk over the leaves sends each row, with its stored key, to its
+/// side. The partition is stable, so a Hilbert half stays key-sorted; a
+/// geometric half is sorted by coordinates, as a bulk load sorts it. Both
+/// halves are therefore the trees a bulk load of each side's items would
+/// build, without recomputing a key. `tree` must be at rest (a worker
+/// splits a shard whose inserts go to its insertion queue).
+pub fn split<K: Key>(tree: &ConcurrentTree<K>, plan: &SplitPlan) -> [ConcurrentTree<K>; 2] {
+    let mut sides = [tree.leaf_columns(0), tree.leaf_columns(0)];
+    tree.for_each_leaf(|leaf| {
+        for (i, &c) in leaf.column(plan.dim).iter().enumerate() {
+            sides[(c > plan.threshold) as usize].push_from(leaf, i);
+        }
+    });
+    sides.map(|rows| {
+        let half = tree.empty_like();
+        let rows = if tree.is_hilbert() {
+            rows
+        } else {
+            rows.sorted_by_coords()
+        };
+        if !rows.is_empty() {
+            let installed = half.install_bulk(pack(&half, &rows), rows.len() as u64);
+            debug_assert!(installed, "a fresh tree is empty");
+        }
+        half
+    })
+}
+
+/// Pack non-empty `rows`, already in the tree's storage order, into a
+/// fresh, unshared root node: leaves of ~3/4 capacity cut at consecutive
+/// ranks, then directory levels assembled bottom-up.
+fn pack<K: Key>(tree: &ConcurrentTree<K>, rows: &LeafColumns) -> Arc<Node<K>> {
+    let n = rows.len();
     let leaf_fill = (tree.cfg().leaf_cap * 3 / 4).max(1);
     let dir_fill = (tree.cfg().dir_cap * 3 / 4).max(2);
-    let mut slots: Vec<DirEntry<K>> = order
-        .chunks(leaf_fill)
-        .map(|rows| tree.pack_leaf(items, &keys, rows))
+    let mut slots: Vec<DirEntry<K>> = (0..n)
+        .step_by(leaf_fill)
+        .map(|start| tree.leaf_slot(rows.clone_range(start..(start + leaf_fill).min(n))))
         .collect();
     while slots.len() > 1 {
         let mut next = Vec::with_capacity(slots.len() / dir_fill + 1);
@@ -119,7 +153,7 @@ fn pack<K: Key>(tree: &ConcurrentTree<K>, items: &[Item]) -> Arc<Node<K>> {
         }
         slots = next;
     }
-    slots.pop().expect("non-empty items yield a root").node
+    slots.pop().expect("non-empty rows yield a root").node
 }
 
 #[cfg(test)]

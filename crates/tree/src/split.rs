@@ -22,24 +22,29 @@ impl SplitPlan {
         item.coords[self.dim] > self.threshold
     }
 
-    /// Plan a median split of `items`: pick the dimension with the widest
-    /// normalized spread and cut at its median coordinate, guaranteeing a
-    /// non-degenerate split whenever one exists in any dimension.
+    /// Plan a median split of a shard's rows, given as one coordinate
+    /// column per dimension (`columns[d][i]` is row `i`'s coordinate along
+    /// `d`): pick the dimension with the widest normalized spread and cut at
+    /// its median coordinate, guaranteeing a non-degenerate split whenever
+    /// one exists in any dimension.
     ///
-    /// Returns `None` for fewer than 2 items or when every item shares the
-    /// same coordinates in all dimensions (no hyperplane can separate them).
-    pub fn plan_median(schema: &Schema, items: &[Item]) -> Option<Self> {
-        if items.len() < 2 {
+    /// Returns `None` for fewer than 2 rows or when every row has the same
+    /// coordinates in all dimensions (no hyperplane can separate them).
+    pub fn plan_median(schema: &Schema, mut columns: Vec<Vec<u64>>) -> Option<Self> {
+        debug_assert_eq!(columns.len(), schema.dims());
+        if columns.first().map_or(0, Vec::len) < 2 {
             return None;
         }
         // Rank candidate dimensions by spread so we can fall back when the
         // median cut would be degenerate (all coordinates equal).
-        let mut dims: Vec<(f64, usize)> = (0..schema.dims())
-            .map(|d| {
+        let mut dims: Vec<(f64, usize)> = columns
+            .iter()
+            .enumerate()
+            .map(|(d, col)| {
                 let (mut lo, mut hi) = (u64::MAX, 0u64);
-                for it in items {
-                    lo = lo.min(it.coords[d]);
-                    hi = hi.max(it.coords[d]);
+                for &c in col {
+                    lo = lo.min(c);
+                    hi = hi.max(c);
                 }
                 let spread = hi.saturating_sub(lo) as f64 / schema.dim(d).ordinal_end() as f64;
                 (spread, d)
@@ -50,7 +55,7 @@ impl SplitPlan {
             if spread == 0.0 {
                 break;
             }
-            let mut coords: Vec<u64> = items.iter().map(|it| it.coords[d]).collect();
+            let coords = &mut columns[d];
             let mid = coords.len() / 2;
             coords.sort_unstable();
             // Choose the largest threshold strictly below the maximum that
@@ -85,11 +90,18 @@ mod tests {
         Item::new(vec![a, b], 1.0)
     }
 
+    fn median(s: &Schema, items: &[Item]) -> Option<SplitPlan> {
+        let columns = (0..s.dims())
+            .map(|d| items.iter().map(|it| it.coords[d]).collect())
+            .collect();
+        SplitPlan::plan_median(s, columns)
+    }
+
     #[test]
     fn median_split_balances() {
         let s = schema();
         let items: Vec<Item> = (0..100).map(|i| item(i % 256, 7)).collect();
-        let plan = SplitPlan::plan_median(&s, &items).unwrap();
+        let plan = median(&s, &items).unwrap();
         assert_eq!(plan.dim, 0, "dimension 0 has all the spread");
         let right = items.iter().filter(|it| plan.side(it)).count();
         let left = items.len() - right;
@@ -103,7 +115,7 @@ mod tests {
         // 90 duplicates at the max plus a few below the median.
         let mut items: Vec<Item> = (0..90).map(|_| item(200, 0)).collect();
         items.extend((0..10).map(|i| item(i, 0)));
-        let plan = SplitPlan::plan_median(&s, &items).unwrap();
+        let plan = median(&s, &items).unwrap();
         let right = items.iter().filter(|it| plan.side(it)).count();
         assert!(right > 0 && right < items.len());
     }
@@ -112,15 +124,15 @@ mod tests {
     fn identical_items_cannot_split() {
         let s = schema();
         let items: Vec<Item> = (0..10).map(|_| item(5, 5)).collect();
-        assert!(SplitPlan::plan_median(&s, &items).is_none());
-        assert!(SplitPlan::plan_median(&s, &items[..1]).is_none());
+        assert!(median(&s, &items).is_none());
+        assert!(median(&s, &items[..1]).is_none());
     }
 
     #[test]
     fn picks_widest_dimension() {
         let s = schema();
         let items: Vec<Item> = (0..50).map(|i| item(i % 4, (i * 5) % 256)).collect();
-        let plan = SplitPlan::plan_median(&s, &items).unwrap();
+        let plan = median(&s, &items).unwrap();
         assert_eq!(plan.dim, 1);
     }
 }

@@ -2,17 +2,15 @@
 
 use volap_dims::{Aggregate, Item, Key, Mbr, Mds, QueryBox, Schema};
 
-use crate::array::ArrayStore;
-use crate::serial::{bulk_load, decode_items, encode_items};
+use crate::serial::{bulk_load, decode_items, encode_items, split};
 use crate::split::SplitPlan;
 use crate::tree::{ConcurrentTree, InsertPolicy, QueryTrace, TreeConfig};
 
 /// The shard data-structure variants of the paper (§III-D plus the Figure-5
-/// baselines).
+/// baselines). The paper's flat-array baseline is not built here: no
+/// experiment measures it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StoreKind {
-    /// Flat array (benchmark baseline).
-    Array,
     /// PDC tree with MBR keys — an R-tree *with* cached aggregates.
     PdcMbr,
     /// PDC tree with MDS keys (the CR-OLAP / DC-tree lineage).
@@ -36,16 +34,13 @@ impl StoreKind {
         !matches!(self, StoreKind::RTree | StoreKind::HilbertRTree)
     }
 
-    fn policy(self) -> Option<InsertPolicy> {
+    fn policy(self) -> InsertPolicy {
         match self {
-            StoreKind::Array => None,
-            StoreKind::PdcMbr | StoreKind::PdcMds | StoreKind::RTree => {
-                Some(InsertPolicy::Geometric)
-            }
+            StoreKind::PdcMbr | StoreKind::PdcMds | StoreKind::RTree => InsertPolicy::Geometric,
             StoreKind::HilbertPdcMbr | StoreKind::HilbertPdcMds => {
-                Some(InsertPolicy::Hilbert { expand: true })
+                InsertPolicy::Hilbert { expand: true }
             }
-            StoreKind::HilbertRTree => Some(InsertPolicy::Hilbert { expand: false }),
+            StoreKind::HilbertRTree => InsertPolicy::Hilbert { expand: false },
         }
     }
 }
@@ -53,7 +48,6 @@ impl StoreKind {
 impl std::fmt::Display for StoreKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            StoreKind::Array => "Array",
             StoreKind::PdcMbr => "PDC-Tree(MBR)",
             StoreKind::PdcMds => "PDC-Tree",
             StoreKind::HilbertPdcMbr => "Hilbert PDC-Tree(MBR)",
@@ -70,14 +64,13 @@ impl std::fmt::Display for StoreKind {
 pub struct StoreStats {
     /// Stored items.
     pub items: u64,
-    /// Directory nodes (0 for the array store).
+    /// Directory nodes.
     pub dirs: u64,
-    /// Leaf nodes (1 for the array store).
+    /// Leaf nodes.
     pub leaves: u64,
-    /// Height (1 for the array store).
+    /// Height (1 for a single leaf).
     pub height: u32,
-    /// Cumulative tree node splits performed by inserts (0 for the array
-    /// store, which never splits nodes).
+    /// Cumulative tree node splits performed by inserts.
     pub node_splits: u64,
 }
 
@@ -115,10 +108,8 @@ pub trait ShardStore: Send + Sync {
     fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace);
     /// [`Self::query_traced`] when `q` is answered without descending below
     /// the root (cached aggregates, pruning, a leaf root);
-    /// `None` when it needs a descent, or always for a store without a root.
-    fn query_at_root(&self, _q: &QueryBox) -> Option<(Aggregate, QueryTrace)> {
-        None
-    }
+    /// `None` when it needs a descent.
+    fn query_at_root(&self, q: &QueryBox) -> Option<(Aggregate, QueryTrace)>;
     /// Item count.
     fn len(&self) -> u64;
     /// Whether the store is empty.
@@ -133,10 +124,10 @@ pub trait ShardStore: Send + Sync {
     fn items(&self) -> Vec<Item>;
     /// Structural statistics.
     fn stats(&self) -> StoreStats;
+    /// Check the structure's invariants at rest ([`ConcurrentTree::check`]).
+    fn check(&self) -> Result<(), String>;
     /// `SplitQuery`: plan a roughly size-balanced hyperplane split.
-    fn split_query(&self) -> Option<SplitPlan> {
-        SplitPlan::plan_median(self.schema(), &self.items())
-    }
+    fn split_query(&self) -> Option<SplitPlan>;
     /// `Split`: partition into two fresh stores of the same kind.
     fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>);
     /// `SerializeShard`: flat blob suitable for network transmission.
@@ -149,10 +140,6 @@ pub trait ShardStore: Send + Sync {
 pub fn build_store(kind: StoreKind, schema: &Schema, cfg: &TreeConfig) -> Box<dyn ShardStore> {
     let cfg = cfg.clone();
     match kind {
-        StoreKind::Array => Box::new(ArrayShard {
-            store: ArrayStore::new(schema.clone()),
-            cfg,
-        }),
         StoreKind::PdcMbr
         | StoreKind::HilbertPdcMbr
         | StoreKind::HilbertRTree
@@ -179,15 +166,13 @@ pub fn deserialize_store(
 struct TreeShard<K: Key> {
     kind: StoreKind,
     tree: ConcurrentTree<K>,
-    cfg: TreeConfig,
 }
 
 impl<K: Key> TreeShard<K> {
     fn new(kind: StoreKind, schema: Schema, cfg: TreeConfig) -> Self {
-        let policy = kind.policy().expect("tree shard kinds have a policy");
-        let mut tree = ConcurrentTree::new(schema, policy, cfg.clone());
+        let mut tree = ConcurrentTree::new(schema, kind.policy(), cfg);
         tree.aggregate_cache = kind.caches_aggregates();
-        Self { kind, tree, cfg }
+        Self { kind, tree }
     }
 }
 
@@ -232,70 +217,20 @@ impl<K: Key> ShardStore for TreeShard<K> {
             node_splits: self.tree.node_splits(),
         }
     }
-    fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>) {
-        let (left, right): (Vec<Item>, Vec<Item>) =
-            self.items().into_iter().partition(|it| !plan.side(it));
-        let l = build_store(self.kind, self.schema(), &self.cfg);
-        let r = build_store(self.kind, self.schema(), &self.cfg);
-        l.bulk_insert(left);
-        r.bulk_insert(right);
-        (l, r)
+    fn check(&self) -> Result<(), String> {
+        self.tree.check()
     }
-}
-
-struct ArrayShard {
-    store: ArrayStore,
-    cfg: TreeConfig,
-}
-
-impl ShardStore for ArrayShard {
-    fn kind(&self) -> StoreKind {
-        StoreKind::Array
-    }
-    fn schema(&self) -> &Schema {
-        self.store.schema()
-    }
-    fn insert(&self, item: &Item) {
-        self.store.insert(item);
-    }
-    fn bulk_insert(&self, items: Vec<Item>) {
-        self.store.bulk_insert(items);
-    }
-    fn query_traced(&self, q: &QueryBox) -> (Aggregate, QueryTrace) {
-        self.store.query_traced(q)
-    }
-    fn len(&self) -> u64 {
-        self.store.len()
-    }
-    fn total(&self) -> Aggregate {
-        self.store.total()
-    }
-    fn mbr(&self) -> Mbr {
-        self.store.mbr()
-    }
-    fn items(&self) -> Vec<Item> {
-        self.store.items()
-    }
-    fn stats(&self) -> StoreStats {
-        StoreStats {
-            items: self.store.len(),
-            dirs: 0,
-            leaves: 1,
-            height: 1,
-            node_splits: 0,
-        }
+    fn split_query(&self) -> Option<SplitPlan> {
+        SplitPlan::plan_median(self.schema(), self.tree.columns())
     }
     fn split(&self, plan: &SplitPlan) -> (Box<dyn ShardStore>, Box<dyn ShardStore>) {
-        let (left, right): (Vec<Item>, Vec<Item>) = self
-            .store
-            .items()
-            .into_iter()
-            .partition(|it| !plan.side(it));
-        let l = build_store(StoreKind::Array, self.schema(), &self.cfg);
-        let r = build_store(StoreKind::Array, self.schema(), &self.cfg);
-        l.bulk_insert(left);
-        r.bulk_insert(right);
-        (l, r)
+        let [left, right] = split(&self.tree, plan).map(|tree| {
+            Box::new(TreeShard {
+                kind: self.kind,
+                tree,
+            }) as Box<dyn ShardStore>
+        });
+        (left, right)
     }
 }
 
@@ -321,9 +256,8 @@ mod tests {
             .collect()
     }
 
-    fn all_kinds() -> [StoreKind; 7] {
+    fn all_kinds() -> [StoreKind; 6] {
         [
-            StoreKind::Array,
             StoreKind::PdcMbr,
             StoreKind::PdcMds,
             StoreKind::HilbertPdcMbr,
@@ -338,7 +272,7 @@ mod tests {
         let schema = Schema::uniform(3, 2, 8);
         let data = items(600, &schema);
         let q = QueryBox::all(&schema);
-        for kind in all_kinds().into_iter().filter(|&k| k != StoreKind::Array) {
+        for kind in all_kinds() {
             let store = build_store(kind, &schema, &TreeConfig::default());
             store.bulk_insert(data.clone());
             let (agg, trace) = store.query_traced(&q);
@@ -417,11 +351,7 @@ mod tests {
     fn split_partitions_by_hyperplane() {
         let schema = Schema::uniform(2, 2, 16);
         let data = items(500, &schema);
-        for kind in [
-            StoreKind::HilbertPdcMds,
-            StoreKind::Array,
-            StoreKind::PdcMbr,
-        ] {
+        for kind in [StoreKind::HilbertPdcMds, StoreKind::PdcMbr] {
             let store = build_store(kind, &schema, &TreeConfig::default());
             store.bulk_insert(data.clone());
             let plan = store.split_query().expect("split must be possible");

@@ -175,6 +175,7 @@ pub struct ConcurrentTree<K: Key> {
     /// the paper's *conventional* R-tree baselines (Figure 5), which must
     /// visit every item a query covers. Set from the store kind.
     pub(crate) aggregate_cache: bool,
+    policy: InsertPolicy,
     mapper: Option<HilbertMapper>,
     /// Words per Hilbert key: the mapper's [`HilbertMapper::limbs`], 0
     /// without one.
@@ -211,6 +212,7 @@ impl<K: Key> ConcurrentTree<K> {
             schema,
             cfg,
             aggregate_cache: true,
+            policy,
             mapper,
             limbs,
             len: AtomicU64::new(0),
@@ -239,9 +241,39 @@ impl<K: Key> ConcurrentTree<K> {
         self.node_splits.load(Ordering::Relaxed)
     }
 
+    /// An empty tree of the same schema, policy, configuration and
+    /// aggregate caching.
+    pub(crate) fn empty_like(&self) -> Self {
+        let mut tree = Self::new(self.schema.clone(), self.policy, self.cfg.clone());
+        tree.aggregate_cache = self.aggregate_cache;
+        tree
+    }
+
+    /// Whether rows are kept in Hilbert-key order.
+    pub(crate) fn is_hilbert(&self) -> bool {
+        self.mapper.is_some()
+    }
+
     /// An empty leaf's columns with room for exactly `rows` rows.
     pub(crate) fn leaf_columns(&self, rows: usize) -> LeafColumns {
         LeafColumns::with_capacity(self.schema.dims(), self.limbs, self.cfg.leaf_cap, rows)
+    }
+
+    /// `items` as one column set in the order a packed tree stores them
+    /// (see [`Self::sorted_rows`]), each row with its key.
+    pub(crate) fn storage_rows(&self, items: &[Item]) -> LeafColumns {
+        let (keys, order) = self.sorted_rows(items);
+        let l = self.limbs;
+        let mut rows = self.leaf_columns(items.len());
+        for &i in &order {
+            let i = i as usize;
+            rows.push_row(
+                &items[i].coords,
+                items[i].measure,
+                &keys[i * l..(i + 1) * l],
+            );
+        }
+        rows
     }
 
     /// The Hilbert key of every item, `limbs` words each in item order (none
@@ -576,26 +608,10 @@ impl<K: Key> ConcurrentTree<K> {
         }
     }
 
-    /// Parent slot for a leaf of `items[rows]`, in that order, whose keys
-    /// are at the stride of [`Self::sorted_rows`] — the bulk pack path.
-    pub(crate) fn pack_leaf(&self, items: &[Item], keys: &[u64], rows: &[u32]) -> DirEntry<K> {
-        let l = self.limbs;
-        let mut cols = self.leaf_columns(rows.len());
-        for &i in rows {
-            let i = i as usize;
-            cols.push_row(
-                &items[i].coords,
-                items[i].measure,
-                &keys[i * l..(i + 1) * l],
-            );
-        }
-        self.leaf_slot(cols)
-    }
-
     /// Parent slot for a leaf: the slot key is built by streaming rows
     /// through one reused coordinate buffer, and the LHV is the last row's
     /// key (Hilbert rows are key-sorted; geometric rows have none).
-    fn leaf_slot(&self, cols: LeafColumns) -> DirEntry<K> {
+    pub(crate) fn leaf_slot(&self, cols: LeafColumns) -> DirEntry<K> {
         let n = cols.len();
         debug_assert!(n > 0, "a split or pack produced an empty leaf");
         let mut key = K::empty(&self.schema);
@@ -827,11 +843,26 @@ impl<K: Key> ConcurrentTree<K> {
         self.root.read().read().agg
     }
 
-    /// Snapshot every item (used by splits, migration and tests).
+    /// Snapshot every item, in leaf order (used by migration and tests).
     pub fn items(&self) -> Vec<Item> {
         let mut out = Vec::with_capacity(self.len() as usize);
         self.for_each_leaf(|leaf| leaf.append_items(&mut out));
         out
+    }
+
+    /// Every row's coordinates, one column per dimension, in leaf order:
+    /// what [`crate::SplitPlan::plan_median`] reads.
+    pub(crate) fn columns(&self) -> Vec<Vec<u64>> {
+        let n = self.len() as usize;
+        let mut cols: Vec<Vec<u64>> = (0..self.schema.dims())
+            .map(|_| Vec::with_capacity(n))
+            .collect();
+        self.for_each_leaf(|leaf| {
+            for (d, col) in cols.iter_mut().enumerate() {
+                col.extend_from_slice(leaf.column(d));
+            }
+        });
+        cols
     }
 
     /// Call `f` on every leaf, left to right, each under its own read guard.

@@ -1,8 +1,8 @@
 //! Property-based tests: every tree variant against a brute-force oracle.
 
 use proptest::prelude::*;
-use volap_dims::{Aggregate, DimPath, Item, QueryBox, Schema};
-use volap_tree::{build_store, SplitPlan, StoreKind, TreeConfig};
+use volap_dims::{Aggregate, DimPath, Item, Key, QueryBox, Schema};
+use volap_tree::{build_store, ShardStore, SplitPlan, StoreKind, TreeConfig};
 
 fn small_cfg() -> TreeConfig {
     TreeConfig {
@@ -62,9 +62,8 @@ fn brute(items: &[Item], q: &QueryBox) -> Aggregate {
     a
 }
 
-fn all_kinds() -> [StoreKind; 7] {
+fn all_kinds() -> [StoreKind; 6] {
     [
-        StoreKind::Array,
         StoreKind::PdcMbr,
         StoreKind::PdcMds,
         StoreKind::HilbertPdcMbr,
@@ -72,6 +71,86 @@ fn all_kinds() -> [StoreKind; 7] {
         StoreKind::HilbertRTree,
         StoreKind::RTree,
     ]
+}
+
+/// A store of `kind` holding `items`, loaded in one bulk insert or one
+/// insert at a time.
+fn load(kind: StoreKind, cfg: &TreeConfig, items: &[Item], bulk: bool) -> Box<dyn ShardStore> {
+    let store = build_store(kind, &schema(), cfg);
+    if bulk {
+        store.bulk_insert(items.to_vec());
+    } else {
+        for it in items {
+            store.insert(it);
+        }
+    }
+    store
+}
+
+/// The median split planned over whole items: the reference that
+/// `split_query`, which reads the tree's columns, must agree with.
+fn plan_median_over_items(schema: &Schema, items: &[Item]) -> Option<SplitPlan> {
+    if items.len() < 2 {
+        return None;
+    }
+    let mut dims: Vec<(f64, usize)> = (0..schema.dims())
+        .map(|d| {
+            let (mut lo, mut hi) = (u64::MAX, 0u64);
+            for it in items {
+                lo = lo.min(it.coords[d]);
+                hi = hi.max(it.coords[d]);
+            }
+            let spread = hi.saturating_sub(lo) as f64 / schema.dim(d).ordinal_end() as f64;
+            (spread, d)
+        })
+        .collect();
+    dims.sort_by(|a, b| b.0.total_cmp(&a.0));
+    for &(spread, d) in &dims {
+        if spread == 0.0 {
+            break;
+        }
+        let mut coords: Vec<u64> = items.iter().map(|it| it.coords[d]).collect();
+        let mid = coords.len() / 2;
+        coords.sort_unstable();
+        let mut t = coords[mid.saturating_sub(1)];
+        let max = *coords.last().unwrap();
+        if t == max {
+            match coords.iter().rev().find(|&&c| c < max) {
+                Some(&below) => t = below,
+                None => continue,
+            }
+        }
+        return Some(SplitPlan {
+            dim: d,
+            threshold: t,
+        });
+    }
+    None
+}
+
+/// `got` and `want` hold the same items in the same order, packed into as
+/// many leaves, with bit-equal full-query aggregates, and `got` passes its
+/// structural check.
+fn same_store(
+    got: &dyn ShardStore,
+    want: &dyn ShardStore,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.items(), want.items(), "{} items", what);
+    prop_assert_eq!(got.stats().leaves, want.stats().leaves, "{} leaves", what);
+    let q = QueryBox::all(&schema());
+    let (a, b) = (got.query(&q), want.query(&q));
+    prop_assert_eq!(a.count, b.count, "{} count", what);
+    prop_assert_eq!(
+        (a.sum.to_bits(), a.min.to_bits(), a.max.to_bits()),
+        (b.sum.to_bits(), b.min.to_bits(), b.max.to_bits()),
+        "{} aggregate",
+        what
+    );
+    if let Err(e) = got.check() {
+        prop_assert!(false, "{}: {}", what, e);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -114,14 +193,7 @@ proptest! {
         let s = schema();
         let cfg = TreeConfig { leaf_cap: caps.0, dir_cap: caps.1, ..TreeConfig::default() };
         for kind in all_kinds() {
-            let store = build_store(kind, &s, &cfg);
-            if bulk {
-                store.bulk_insert(items.clone());
-            } else {
-                for it in &items {
-                    store.insert(it);
-                }
-            }
+            let store = load(kind, &cfg, &items, bulk);
             for q in [&aligned, &ragged, &QueryBox::all(&s)] {
                 let at_root = store.query_at_root(q);
                 let full = store.query_traced(q);
@@ -135,7 +207,7 @@ proptest! {
                 match at_root {
                     Some(got) => prop_assert_eq!(got, full, "{} answered at the root", kind),
                     None => prop_assert!(
-                        kind == StoreKind::Array || full.1.nodes_visited > 1,
+                        full.1.nodes_visited > 1,
                         "{} declined a query resolved at its root: {:?}",
                         kind,
                         full.1
@@ -183,27 +255,72 @@ proptest! {
     }
 
     /// Splitting by any legal hyperplane preserves the multiset of items
-    /// and partitions strictly by side.
+    /// and partitions strictly by side, and each half's `mbr()` (what its
+    /// shard record carries) contains all of its rows. For MBR keys the
+    /// two halves' boxes are strictly apart along the split dimension; an
+    /// MDS key's hull may cross the plane (see `Key::to_mbr`), so it is
+    /// not checked there.
     #[test]
     fn split_partitions_and_preserves(items in items_strategy(100), dim in 0usize..3, t in 0u64..15) {
         let s = schema();
-        let store = build_store(StoreKind::HilbertPdcMds, &s, &small_cfg());
-        store.bulk_insert(items.clone());
         let plan = SplitPlan { dim, threshold: t };
-        let (l, r) = store.split(&plan);
-        prop_assert_eq!(l.len() + r.len(), store.len());
-        for it in l.items() {
-            prop_assert!(it.coords[dim] <= t);
+        for kind in all_kinds() {
+            let store = load(kind, &small_cfg(), &items, true);
+            let (l, r) = store.split(&plan);
+            prop_assert_eq!(l.len() + r.len(), store.len());
+            let (l_items, r_items) = (l.items(), r.items());
+            for it in &l_items {
+                prop_assert!(it.coords[dim] <= t);
+                prop_assert!(l.mbr().contains_item(it), "{} left mbr misses a row", kind);
+            }
+            for it in &r_items {
+                prop_assert!(it.coords[dim] > t);
+                prop_assert!(r.mbr().contains_item(it), "{} right mbr misses a row", kind);
+            }
+            let mbr_keyed = !matches!(kind, StoreKind::PdcMds | StoreKind::HilbertPdcMds);
+            if let (true, Some(lb), Some(rb)) = (mbr_keyed, l.mbr().ranges(), r.mbr().ranges()) {
+                prop_assert!(lb[dim].1 < rb[dim].0, "{} halves' boxes overlap on dim {}", kind, dim);
+            }
+            let q = QueryBox::all(&s);
+            let mut merged = l.query(&q);
+            merged.merge(&r.query(&q));
+            let orig = store.query(&q);
+            prop_assert_eq!(merged.count, orig.count);
+            prop_assert!((merged.sum - orig.sum).abs() < 1e-9);
         }
-        for it in r.items() {
-            prop_assert!(it.coords[dim] > t);
+    }
+
+    /// A split packs the tree's own rows into the stores that bulk-loading
+    /// each side's items would build: for every kind, tiny node caps, point
+    /// or bulk loads, the planned and an arbitrary hyperplane, the halves
+    /// equal the reference halves and pass their structural check, and
+    /// `split_query` plans what the item-based median planned.
+    #[test]
+    fn split_equals_bulk_loads_of_the_partitioned_items(
+        items in items_strategy(120),
+        caps in (4usize..=8, 4usize..=6),
+        bulk in any::<bool>(),
+        dim in 0usize..3,
+        t in 0u64..15,
+    ) {
+        let s = schema();
+        let cfg = TreeConfig { leaf_cap: caps.0, dir_cap: caps.1, ..TreeConfig::default() };
+        for kind in all_kinds() {
+            let store = load(kind, &cfg, &items, bulk);
+            let snapshot = store.items();
+            let planned = store.split_query();
+            prop_assert_eq!(planned, plan_median_over_items(&s, &snapshot), "{} split_query", kind);
+            for plan in planned.into_iter().chain([SplitPlan { dim, threshold: t }]) {
+                let (l, r) = store.split(&plan);
+                let (right, left): (Vec<Item>, Vec<Item>) =
+                    snapshot.iter().cloned().partition(|it| plan.side(it));
+                let (want_l, want_r) = (build_store(kind, &s, &cfg), build_store(kind, &s, &cfg));
+                want_l.bulk_insert(left);
+                want_r.bulk_insert(right);
+                same_store(&*l, &*want_l, &format!("{kind} left of {plan:?}"))?;
+                same_store(&*r, &*want_r, &format!("{kind} right of {plan:?}"))?;
+            }
         }
-        let q = QueryBox::all(&s);
-        let mut merged = l.query(&q);
-        merged.merge(&r.query(&q));
-        let orig = store.query(&q);
-        prop_assert_eq!(merged.count, orig.count);
-        prop_assert!((merged.sum - orig.sum).abs() < 1e-9);
     }
 
     /// The planned median split is always non-degenerate when items differ.

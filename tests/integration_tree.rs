@@ -14,12 +14,12 @@ fn brute(items: &[Item], q: &QueryBox) -> Aggregate {
 
 fn all_kinds() -> [StoreKind; 6] {
     [
-        StoreKind::Array,
         StoreKind::PdcMbr,
         StoreKind::PdcMds,
         StoreKind::HilbertPdcMbr,
         StoreKind::HilbertPdcMds,
         StoreKind::HilbertRTree,
+        StoreKind::RTree,
     ]
 }
 

@@ -707,10 +707,10 @@ fn stats_publisher_never_resurrects_a_split_parent() {
 }
 
 /// Bulk inserts race a split: the split drains the items queued meanwhile
-/// into its halves. The racer sends chunks until the split has answered,
-/// and at least one chunk must have reached the split's queue. Every acked
-/// item is counted exactly once across the halves, and no item sits on the
-/// wrong side of the split's hyperplane.
+/// into its halves. The racer sends chunks from before the split is asked
+/// for until it has answered, and at least one chunk must have reached the
+/// split's queue. Every acked item is counted exactly once across the
+/// halves, and no item sits on the wrong side of the split's hyperplane.
 #[test]
 fn bulk_inserts_racing_a_split_land_once_on_their_side() {
     let schema = Schema::uniform(3, 2, 8);
@@ -718,7 +718,7 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
     let w = spawn_worker(&net, &image, &cfg, "w0");
     create_empty_shard(&driver, "w0", &schema, 1, TIMEOUT).unwrap();
     let mut gen = DataGen::new(&schema, 21, 1.0);
-    let loaded = 20_000;
+    let loaded = 200_000;
     let bulk = Request::BulkInsert {
         shard: 1,
         items: gen.items(loaded),
@@ -726,6 +726,7 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
     assert_eq!(ask(&driver, "w0", bulk, &schema), Response::Ack);
     let racer = net.endpoint("racer");
     let split_done = AtomicBool::new(false);
+    let racing = AtomicBool::new(false);
     let (acked, split) = std::thread::scope(|s| {
         let inserts = s.spawn(|| {
             let mut acked = 0;
@@ -739,9 +740,15 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
                 };
                 assert_eq!(ask(&racer, "w0", req, &schema), Response::Ack);
                 acked += 50;
+                racing.store(true, Ordering::Release);
             }
             acked
         });
+        // A split takes a few milliseconds: ask for it only once the racer
+        // is sending, or it may be over before the first chunk arrives.
+        while !racing.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         let split = Request::SplitShard {
             shard: 1,
             left_id: 10,
@@ -801,5 +808,86 @@ fn bulk_inserts_racing_a_split_land_once_on_their_side() {
         .registry()
         .sum_counters("volap_worker_queue_inserts_total");
     assert!(queued > 0, "no bulk insert reached the split's queue");
+    w.stop();
+}
+
+/// A migration whose adopt fails after inserts have queued folds the queue
+/// back into the shard (`revert_busy`'s merge): the destination holds the
+/// `Adopt` until inserts to the shard are acknowledged, then refuses it.
+/// Every item, loaded or queued, is then counted exactly once, and the
+/// rebuilt shard still splits.
+#[test]
+fn failed_migration_folds_queued_inserts_back_into_the_shard() {
+    let schema = Schema::uniform(2, 2, 16);
+    let (net, image, cfg, driver) = setup(&schema);
+    let w = spawn_worker(&net, &image, &cfg, "w0");
+    create_empty_shard(&driver, "w0", &schema, 5, TIMEOUT).unwrap();
+    let mut gen = DataGen::new(&schema, 31, 1.0);
+    let (loaded, queued) = (2_000, 50);
+    let bulk = Request::BulkInsert {
+        shard: 5,
+        items: gen.items(loaded),
+    };
+    assert_eq!(ask(&driver, "w0", bulk, &schema), Response::Ack);
+    let holder = net.endpoint("holder");
+    let racer = net.endpoint("racer");
+    let migrated = std::thread::scope(|s| {
+        let migrate = s.spawn(|| {
+            let req = Request::Migrate {
+                shard: 5,
+                dest: "holder".into(),
+            };
+            ask(&driver, "w0", req, &schema)
+        });
+        let adopt = holder.recv(TIMEOUT).expect("the adopt reaches the holder");
+        assert!(matches!(
+            Request::decode(&adopt.payload),
+            Ok(Request::Adopt { shard: 5, .. })
+        ));
+        // The shard is Busy until the adopt is answered: these land in its
+        // insertion queue.
+        for it in gen.items(queued) {
+            let req = Request::Insert { shard: 5, item: it };
+            assert_eq!(ask(&racer, "w0", req, &schema), Response::Ack);
+        }
+        let in_queue = image
+            .obs()
+            .registry()
+            .sum_counters("volap_worker_queue_inserts_total");
+        assert_eq!(in_queue, queued as u64, "every insert went to the queue");
+        adopt
+            .reply(Response::Err("adopt refused".into()).encode())
+            .unwrap();
+        migrate.join().unwrap()
+    });
+    match migrated {
+        Response::Err(e) => assert!(e.contains("adopt failed"), "{e}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    let count = |shard: u64| match ask(
+        &driver,
+        "w0",
+        Request::Query {
+            shards: vec![shard],
+            query: QueryBox::all(&schema),
+        },
+        &schema,
+    ) {
+        Response::Agg { agg, .. } => agg.count,
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(count(5), (loaded + queued) as u64, "each item counts once");
+    let split = Request::SplitShard {
+        shard: 5,
+        left_id: 6,
+        right_id: 7,
+    };
+    match ask(&driver, "w0", split, &schema) {
+        Response::SplitDone { left, right } => {
+            assert_eq!(left.len + right.len, (loaded + queued) as u64)
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(count(6) + count(7), (loaded + queued) as u64);
     w.stop();
 }
